@@ -71,6 +71,7 @@ from .graph_checks import check_fusion, check_graph, fusion_invariant_holds
 from .memory_checks import (
     ChunkStats,
     FragmentationReport,
+    arena_diag_code,
     check_cross_request,
     check_fragmentation,
     check_plan,
@@ -96,6 +97,7 @@ __all__ = [
     "check_fusion",
     "fusion_invariant_holds",
     "check_plan",
+    "arena_diag_code",
     "check_cross_request",
     "check_fragmentation",
     "fragmentation_report",

@@ -43,6 +43,7 @@ from .determinism import lint_paths
 from .diagnostics import DiagnosticReport, diag
 from .graph_checks import check_fusion, check_graph
 from .memory_checks import (
+    arena_diag_code,
     check_cross_request,
     check_fragmentation,
     check_plan,
@@ -141,18 +142,19 @@ def run_memory_checks(
 
 
 def _kv_arena_diags(report: DiagnosticReport) -> int:
-    """Scripted KV-arena episode: verify the arena's allocation plan after
-    every mutation kind (admit / grow across a page boundary / release /
-    preempt / restore), then audit the leak invariant — no region may
-    outlive its request (MEM221) — and run the page-sharing stages:
+    """Scripted KV-arena episode: verify the arena's slot pool (MEM220)
+    after every mutation kind (admit / grow across a page boundary /
+    release / preempt / restore), then audit the leak invariant — no
+    region may outlive its request (MEM221) — and run the page-sharing
+    stages:
     prefix-index attach, copy-on-write fork, preemption of a region whose
     pages siblings still reference, and index eviction, each followed by
     the MEM224 refcount-conservation audit (every live page's refcount
     equals the number of regions + index entries referencing it; no page
     freed — or resident — without a reference).
 
-    Returns the number of plans verified; any MEM2xx diagnostic the arena
-    plan trips lands in ``report`` like a regular plan check.
+    Returns the number of audits run; any MEM22x diagnostic the arena
+    trips lands in ``report`` like a regular plan check.
     """
     from ..memory import KVCacheArena, RadixPrefixIndex
 
@@ -163,13 +165,7 @@ def _kv_arena_diags(report: DiagnosticReport) -> int:
     def verify(stage: str, live=None) -> None:
         nonlocal verified
         for problem in arena.verify(live_req_ids=live):
-            if "leak" in problem:
-                code = "MEM221"
-            elif "refcount" in problem:
-                code = "MEM224"
-            else:
-                code = "MEM220"
-            report.add(diag(code, f"[{stage}] {problem}",
+            report.add(diag(arena_diag_code(problem), f"[{stage}] {problem}",
                             graph="kv-arena"))
         verified += 1
 

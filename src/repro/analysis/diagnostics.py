@@ -52,7 +52,7 @@ CODES: Dict[str, Tuple[Severity, str]] = {
     "MEM204": (Severity.ERROR, "cross-request placements alias"),
     "MEM210": (Severity.INFO, "chunk fragmentation report"),
     "MEM211": (Severity.WARNING, "chunk utilization below threshold"),
-    "MEM220": (Severity.ERROR, "KV-cache arena plan violation"),
+    "MEM220": (Severity.ERROR, "KV page slots not disjoint"),
     "MEM221": (Severity.ERROR, "KV region outlives its request (leak)"),
     "MEM222": (Severity.ERROR, "KV token-conservation ledger divergence"),
     "MEM223": (Severity.ERROR, "KV restore without a matching preempt"),

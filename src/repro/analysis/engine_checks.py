@@ -49,6 +49,7 @@ from ..resilience.retry import RetryPolicy
 from ..serving import request as _request
 from ..serving.request import Request, RequestState
 from .diagnostics import Diagnostic, diag
+from .memory_checks import arena_diag_code
 
 #: The breaker state machine's legal edges (see ``resilience.breaker``):
 #: closed trips open, open cools into half-open, and half-open either
@@ -455,17 +456,11 @@ def verify_kv_ledger(rec: EngineTraceRecorder,
                 f"({episode[1] + episode[2]} token(s))",
                 node=f"arena{idx}/req{req_id}",
             ))
-    # … cross-checked against the arenas' own plan verifier.
+    # … cross-checked against the arenas' own audit.
     for idx, arena in enumerate(rec.arenas):
         for message in arena.verify(live_req_ids=sorted(live)):
-            if "leak" in message:
-                code = "MEM221"
-            elif "refcount" in message:
-                code = "MEM224"
-            else:
-                code = "MEM220"
             out.append(diag(
-                code,
+                arena_diag_code(message),
                 f"{context}: arena #{idx}: {message}",
                 node=f"arena{idx}",
             ))

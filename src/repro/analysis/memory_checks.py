@@ -18,6 +18,10 @@ Two extensions beyond the original validator:
   (peak live bytes vs. chunk size, gap bytes at the peak op), surfaced as
   MEM210 info / MEM211 warnings so footprint regressions show up in CI
   without failing it.
+
+:func:`arena_diag_code` maps each :meth:`KVCacheArena.verify` message to
+its MEM22x code, for every caller that turns the arena audit into
+diagnostics.
 """
 
 from __future__ import annotations
@@ -91,6 +95,17 @@ def check_plan(
                         graph=graph, node=rec_a.name,
                     ))
     return out
+
+
+def arena_diag_code(message: str) -> str:
+    """The code of one :meth:`~repro.memory.KVCacheArena.verify` message:
+    MEM221 for a region outliving its request, MEM224 for a refcount or
+    token-counter conservation breach, MEM220 for a slot-pool violation."""
+    if "(leak)" in message:
+        return "MEM221"
+    if "refcount" in message or "(accounting drift)" in message:
+        return "MEM224"
+    return "MEM220"
 
 
 def check_cross_request(

@@ -2,20 +2,20 @@
 
 Decoder-only generation keeps a per-request key/value cache that grows by
 one position per generated token and dies only when the request completes.
-That lifetime shape is the opposite of the per-request intermediate
-tensors Algorithm 1 was designed for — regions persist *across* many
-decode steps — yet the same chunked machinery applies: the arena holds one
-:class:`~repro.memory.turbo.TurboAllocator` whose chunks back every live
-request's KV region, and every membership or size change re-runs the
-paper's length-aware planning (Alg. 1) over the live regions, so layout
-quality and chunk reuse come from the exact code path the BERT serving
-stack uses (including its plan cache: a steady-state decode batch replans
-only when membership changes, and repeated shapes replay cached plans).
+Algorithm 1 packs *variable-size* intermediate tensors with known
+lifetimes into chunks; KV state is the opposite shape.  It lives in
+**pages** that all have the same size (``page_tokens * bytes_per_token``)
+and persist across many decode steps, so offset packing would degenerate
+to ``slot * page_bytes``.  The arena is therefore a **fixed-slot page
+pool**, as in PagedAttention's block manager (Kwon et al., 2023): a new
+page pops a free slot, or raises the high-water mark when none is free,
+and a page whose refcount reaches zero pushes its slot back.  Allocation
+and free are O(1), and the footprint is ``slots_high_water * page_bytes``
+— the peak number of resident pages, with no chunk slack.
 
 Capacity model (what bounds the decode batch instead of ``max_batch``):
 
-* KV state lives in **pages** of ``page_tokens`` tokens.  A
-  :class:`KVRegion` holds an ordered list of :class:`KVPage` handles;
+* A :class:`KVRegion` holds an ordered list of :class:`KVPage` handles;
   page ``i`` backs token positions ``[i*P, (i+1)*P)``.  Pages carry a
   **refcount**: prefix caching and :meth:`fork` let several regions (and
   the :class:`~repro.memory.prefix_index.RadixPrefixIndex`) reference one
@@ -42,23 +42,15 @@ one mutable partial tail page eagerly; the lazy-copy machinery a
 random-write allocator needs would buy at most one page per fork here
 while making the no-overflow accounting probabilistic.
 
-``verify()`` runs the repo's memory-plan verifier
-(:func:`repro.analysis.memory_checks.check_plan`) over the arena's latest
-plan plus the page-refcount conservation audit behind the MEM224
-diagnostic; ``python -m repro check`` drives a scripted arena episode
-through it.
+``verify()`` audits slot disjointness (MEM220) and page-refcount
+conservation (MEM224); ``python -m repro check`` drives a scripted arena
+episode through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
-
-from ..gpusim.memory import DeviceMemory
-from .chunk import DEFAULT_CHUNK_SIZE
-from .plan import AllocationPlan
-from .records import TensorUsageRecord
-from .turbo import TurboAllocator
 
 
 class KVArenaError(RuntimeError):
@@ -91,16 +83,18 @@ def kv_bytes_per_token(num_layers: int, num_heads: int, head_size: int,
 class KVPage:
     """One physical KV page: ``tokens`` positions, shared by refcount.
 
-    ``refcount`` is the number of :class:`KVRegion` references plus one
-    if the prefix index holds the page (``in_index``).  The MEM224
-    conservation audit recomputes both from the ground truth and flags
-    any divergence.
+    ``slot`` is the page's place in the arena's pool (its bytes sit at
+    ``slot * page_bytes``).  ``refcount`` is the number of
+    :class:`KVRegion` references plus one if the prefix index holds the
+    page (``in_index``).  The MEM224 conservation audit recomputes both
+    from the ground truth and flags any divergence.
     """
 
     page_id: int
     tokens: int
     refcount: int = 0
     in_index: bool = False
+    slot: int = 0
 
 
 @dataclass
@@ -135,15 +129,11 @@ class KVCacheArena:
     bytes_per_token:
         Per-token KV footprint (see :func:`kv_bytes_per_token`).
     page_tokens:
-        Reservation granularity; regions grow a page at a time, so the
-        length-aware re-plan runs once per page, not once per token.
+        Reservation granularity; regions grow a page (one pool slot) at a
+        time.
     high_watermark:
         Admission gate as a fraction of capacity; the remainder is growth
         headroom.
-    device_memory / chunk_size / release_after / plan_cache-behaviour:
-        Forwarded to the backing :class:`TurboAllocator`; chunks released
-        after sitting unused keep malloc churn in check exactly as in the
-        encoder serving path.
     metrics:
         Optional :class:`repro.observability.MetricsRegistry`; publishes
         admission/denial/release/replan counters and a used-bytes gauge.
@@ -155,9 +145,6 @@ class KVCacheArena:
         bytes_per_token: int,
         page_tokens: int = 16,
         high_watermark: float = 0.9,
-        device_memory: Optional[DeviceMemory] = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        release_after: Optional[int] = 4,
         metrics=None,
     ) -> None:
         if capacity_bytes <= 0:
@@ -173,16 +160,16 @@ class KVCacheArena:
         self.capacity_bytes = capacity_bytes
         self.bytes_per_token = bytes_per_token
         self.page_tokens = page_tokens
+        self.page_bytes = page_tokens * bytes_per_token
         self.high_watermark = high_watermark
         self.metrics = metrics
-        self._allocator = TurboAllocator(
-            device_memory if device_memory is not None else DeviceMemory(),
-            chunk_size=chunk_size,
-            release_after=release_after,
-        )
         self._regions: Dict[int, KVRegion] = {}  # insertion-ordered
         self._pages: Dict[int, KVPage] = {}      # resident, allocation order
         self._next_page_id = 0
+        # The slot pool: freed slots are reused (LIFO) before the
+        # high-water mark grows, so it equals peak resident pages.
+        self._free_slots: List[int] = []
+        self.slots_high_water = 0
         self._index = None  # attached RadixPrefixIndex (reclaim callback)
         # Incremental token counters (the O(1) accounting behind the
         # per-admission gates; ``verify()`` recomputes them from the
@@ -190,8 +177,6 @@ class KVCacheArena:
         self._resident_tokens = 0     # distinct resident page tokens
         self._growth_tokens = 0       # sum of worst_case - reserved (regions)
         self._reclaimable_tokens = 0  # pages held only by the prefix index
-        self.last_plan: Optional[AllocationPlan] = None
-        self.last_records: List[TensorUsageRecord] = []
         self.admissions = 0
         self.denials = 0
         self.releases = 0
@@ -245,9 +230,6 @@ class KVCacheArena:
         pages = -(-tokens // self.page_tokens)
         return pages * self.page_tokens
 
-    # Kept under the historical name: tests and callers use it.
-    _pages_of = _pages_tokens
-
     def _pages_count(self, tokens: int) -> int:
         return -(-tokens // self.page_tokens)
 
@@ -268,6 +250,15 @@ class KVCacheArena:
     def _reclaimable(self, page: KVPage) -> bool:
         return page.in_index and page.refcount == 1
 
+    def _reclassify(self, page: KVPage, was: bool) -> None:
+        """Track a page entering or leaving the index-only state; one
+        that enters it is offered to the index as an eviction candidate."""
+        now = self._reclaimable(page)
+        if was != now:
+            self._reclaimable_tokens += page.tokens if now else -page.tokens
+            if now:
+                self._index.page_unpinned(page)
+
     def _ref(self, page: KVPage, *, index: bool = False) -> None:
         was = self._reclaimable(page)
         if index:
@@ -277,9 +268,7 @@ class KVCacheArena:
                 )
             page.in_index = True
         page.refcount += 1
-        now = self._reclaimable(page)
-        if was != now:
-            self._reclaimable_tokens += page.tokens if now else -page.tokens
+        self._reclassify(page, was)
 
     def _unref(self, page: KVPage, *, index: bool = False) -> None:
         if page.refcount <= 0 or page.page_id not in self._pages:
@@ -294,12 +283,11 @@ class KVCacheArena:
                 )
             page.in_index = False
         page.refcount -= 1
-        now = self._reclaimable(page)
-        if was != now:
-            self._reclaimable_tokens += page.tokens if now else -page.tokens
+        self._reclassify(page, was)
         if page.refcount == 0:
             del self._pages[page.page_id]
             self._resident_tokens -= page.tokens
+            self._free_slots.append(page.slot)
 
     def index_ref(self, page: KVPage) -> None:
         """The prefix index takes a reference on a resident page."""
@@ -315,24 +303,26 @@ class KVCacheArena:
         self._unref(page, index=True)
 
     def _alloc_page(self) -> KVPage:
-        """Allocate one private page, reclaiming index-only pages if the
-        arena is at capacity (the admission gates guarantee the regions
-        alone always fit, so reclaim can never come up short)."""
-        page_bytes = self.page_tokens * self.bytes_per_token
-        if (self._resident_tokens * self.bytes_per_token + page_bytes
-                > self.capacity_bytes):
-            needed = (self._resident_tokens * self.bytes_per_token
-                      + page_bytes - self.capacity_bytes)
-            if self._index is not None:
-                freed = self._index.reclaim(-(-needed // self.bytes_per_token))
-                self.pages_reclaimed += freed // self.page_tokens
-        if (self._resident_tokens + self.page_tokens) * self.bytes_per_token \
+        """Allocate one private page in a pool slot, reclaiming index-only
+        pages if the arena is at capacity (the admission gates guarantee
+        the regions alone always fit, so reclaim can never come up
+        short)."""
+        needed = self.used_bytes + self.page_bytes - self.capacity_bytes
+        if needed > 0 and self._index is not None:
+            freed = self._index.reclaim(-(-needed // self.bytes_per_token))
+            self.pages_reclaimed += freed // self.page_tokens
+        if self.used_bytes + self.page_bytes \
                 > self.capacity_bytes:  # pragma: no cover - gate invariant
             raise KVArenaError(
                 "KV arena overflow — admission invariant violated"
             )
+        if self._free_slots:
+            slot = self._free_slots.pop()
+        else:
+            slot = self.slots_high_water
+            self.slots_high_water += 1
         page = KVPage(page_id=self._next_page_id, tokens=self.page_tokens,
-                      refcount=1)
+                      refcount=1, slot=slot)
         self._next_page_id += 1
         self._pages[page.page_id] = page
         self._resident_tokens += page.tokens
@@ -362,6 +352,12 @@ class KVCacheArena:
         return sum(p.tokens for p in shared_pages if self._reclaimable(p))
 
     # -- admission ------------------------------------------------------------
+
+    def _deny(self) -> bool:
+        self.denials += 1
+        if self.metrics is not None:
+            self.metrics.counter("kv_arena_denials_total").inc()
+        return False
 
     def fits_at_all(self, prompt_tokens: int, max_total_tokens: int) -> bool:
         """Could this request *ever* be admitted (even into an empty arena)?
@@ -431,22 +427,19 @@ class KVCacheArena:
         A successful admission attaches ``shared_pages`` (a resident,
         page-aligned prompt prefix — typically the longest
         :class:`~repro.memory.prefix_index.RadixPrefixIndex` match) by
-        refcount, allocates private pages for the remainder of the
-        page-rounded prompt, and re-plans the arena layout.
+        refcount and allocates private pages for the remainder of the
+        page-rounded prompt.
         """
         if req_id in self._regions:
             raise KVArenaError(f"request {req_id} already has a KV region")
         if not self.can_admit(prompt_tokens, max_total_tokens, shared_pages):
-            self.denials += 1
-            if self.metrics is not None:
-                self.metrics.counter("kv_arena_denials_total").inc()
-            return False
+            return self._deny()
         self._materialize(req_id, prompt_tokens, max_total_tokens,
                           shared_pages)
         self.admissions += 1
         if self.metrics is not None:
             self.metrics.counter("kv_arena_admissions_total").inc()
-        self._replan()
+        self._layout_changed()
         if _arena_hooks:
             _notify(self, "admit", req_id, prompt_tokens)
         return True
@@ -475,14 +468,11 @@ class KVCacheArena:
         aligned = (parent.tokens // self.page_tokens) * self.page_tokens
         shared_pages = parent.pages[:aligned // self.page_tokens]
         if not self.can_admit(parent.tokens, max_total_tokens, shared_pages):
-            self.denials += 1
-            if self.metrics is not None:
-                self.metrics.counter("kv_arena_denials_total").inc()
-            return False
+            return self._deny()
         self._materialize(child_req_id, parent.tokens, max_total_tokens,
                           shared_pages)
         self.forks += 1
-        self._replan()
+        self._layout_changed()
         if _arena_hooks:
             _notify(self, "admit", child_req_id, parent.tokens)
         return True
@@ -492,10 +482,10 @@ class KVCacheArena:
     def append(self, req_id: int, tokens: int = 1) -> None:
         """Grow a region by ``tokens`` generated positions.
 
-        Growing past the current reservation extends it a page at a time
-        (triggering the length-aware re-plan); the admission-time
-        worst-case bound guarantees the extension fits — reclaiming
-        index-only pages on the way if the arena is at capacity.
+        Growing past the current reservation extends it a page at a time;
+        the admission-time worst-case bound guarantees the extension fits
+        — reclaiming index-only pages on the way if the arena is at
+        capacity.
         """
         if tokens <= 0:
             raise ValueError(f"tokens must be positive, got {tokens}")
@@ -512,7 +502,7 @@ class KVCacheArena:
             self._growth_tokens -= self.page_tokens
             grew = True
         if grew:
-            self._replan()
+            self._layout_changed()
         if _arena_hooks:
             _notify(self, "append", req_id, tokens)
 
@@ -526,14 +516,14 @@ class KVCacheArena:
         return region
 
     def release(self, req_id: int) -> None:
-        """Free a completed request's pages (refcount-zero ones only) and
-        re-plan the survivors.  Pages the prefix index or a sibling region
-        still references stay resident."""
+        """Free a completed request's pages (refcount-zero ones only).
+        Pages the prefix index or a sibling region still references stay
+        resident."""
         tokens = self._drop_region(req_id).tokens
         self.releases += 1
         if self.metrics is not None:
             self.metrics.counter("kv_arena_releases_total").inc()
-        self._replan()
+        self._layout_changed()
         if _arena_hooks:
             _notify(self, "release", req_id, tokens)
 
@@ -556,7 +546,7 @@ class KVCacheArena:
         self.preemptions += 1
         if self.metrics is not None:
             self.metrics.counter("kv_arena_preemptions_total").inc()
-        self._replan()
+        self._layout_changed()
         if _arena_hooks:
             _notify(self, "preempt", req_id, tokens)
         return tokens
@@ -575,49 +565,21 @@ class KVCacheArena:
         if req_id in self._regions:
             raise KVArenaError(f"request {req_id} already has a KV region")
         if not self.can_admit(tokens, max_total_tokens, shared_pages):
-            self.denials += 1
-            if self.metrics is not None:
-                self.metrics.counter("kv_arena_denials_total").inc()
-            return False
+            return self._deny()
         self._materialize(req_id, tokens, max_total_tokens, shared_pages)
         self.restores += 1
         if self.metrics is not None:
             self.metrics.counter("kv_arena_restores_total").inc()
-        self._replan()
+        self._layout_changed()
         if _arena_hooks:
             _notify(self, "restore", req_id, tokens)
         return True
 
-    # -- planning -------------------------------------------------------------
+    # -- accounting and audits ------------------------------------------------
 
-    def _replan(self) -> None:
-        """Re-run Algorithm 1 over the distinct resident pages.
-
-        Every resident page overlaps every other in time (all live for
-        the current decode step), so the records share one [0, 1]
-        lifetime — the planner must place them byte-disjoint, which is
-        exactly the aliasing invariant ``repro check`` verifies.  Records
-        are position-indexed (``kv/page000000`` …), not identity-indexed,
-        so runs with the same page count replay one cached plan.
-        """
-        self.last_records = [
-            TensorUsageRecord(
-                name=f"kv/page{slot:06d}",
-                first_op=0,
-                last_op=1,
-                size=page.tokens * self.bytes_per_token,
-            )
-            for slot, page in enumerate(self._pages.values())
-        ]
-        if self.last_records:
-            self.last_plan = self._allocator.plan(self.last_records)
-        else:
-            # Nothing live: clear chunk residency without planning zero
-            # records (the release grace period still retires idle chunks
-            # on the next non-empty plan).
-            for chunk in self._allocator.chunks:
-                chunk.clear()
-            self.last_plan = AllocationPlan(placements={}, chunk_sizes={})
+    def _layout_changed(self) -> None:
+        """Count a mutation of the resident page set (``replans``, kept
+        under its historical name), track peak residency and the gauge."""
         self.replans += 1
         self.peak_used_bytes = max(self.peak_used_bytes, self.used_bytes)
         if self.metrics is not None:
@@ -627,11 +589,13 @@ class KVCacheArena:
             )
 
     def verify(self, live_req_ids: Optional[List[int]] = None) -> List[str]:
-        """Memory-plan + refcount-conservation verifier (empty == clean).
+        """Slot-pool + refcount-conservation verifier (empty == clean).
 
         Three audits:
 
-        * the allocation-plan checks over the latest page layout;
+        * **slot disjointness** (MEM220): resident pages hold distinct
+          slots, and those plus the free list partition the pool's
+          ``slots_high_water`` slots;
         * **refcount conservation** (MEM224): every resident page's
           refcount must equal the number of regions referencing it plus
           its index reference, no resident page may sit at refcount zero,
@@ -643,12 +607,17 @@ class KVCacheArena:
           asserts the arena drained completely.
         """
         messages: List[str] = []
-        if self.last_plan is not None:
-            # Imported lazily: repro.analysis depends on repro.memory.
-            from ..analysis.memory_checks import check_plan
-
-            messages.extend(d.message for d in check_plan(self.last_plan,
-                                                          self.last_records))
+        owners: Dict[int, int] = {}
+        for pid, page in self._pages.items():
+            other = owners.setdefault(page.slot, pid)
+            if other != pid:
+                messages.append(
+                    f"pages {other} and {pid} both occupy slot {page.slot}"
+                )
+        if sorted(list(owners) + self._free_slots) \
+                != list(range(self.slots_high_water)):
+            messages.append(f"resident and free slots do not partition the "
+                            f"{self.slots_high_water}-slot pool")
         # Refcount conservation: recompute every page's references from
         # the ground truth (regions + index) and compare.
         expected: Dict[int, int] = {pid: 0 for pid in self._pages}
@@ -727,8 +696,7 @@ class KVCacheArena:
             "used_bytes": self.used_bytes,
             "peak_used_bytes": self.peak_used_bytes,
             "capacity_bytes": self.capacity_bytes,
-            "footprint_bytes": self._allocator.footprint_bytes,
-            "chunks_released": self._allocator.chunks_released,
+            "footprint_bytes": self.slots_high_water * self.page_bytes,
             "pages_resident": len(self._pages),
             "pages_reclaimed": self.pages_reclaimed,
             "reclaimable_bytes": self.reclaimable_bytes,

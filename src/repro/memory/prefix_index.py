@@ -23,18 +23,22 @@ Lifetime contract with the arena:
   :meth:`~repro.memory.kv_arena.KVCacheArena.release` keeps the page
   resident for future hits.
 * Pages also referenced by a live region are **pinned** — eviction skips
-  them; only unpinned *leaves* are evictable, and the LRU walk cascades
+  them; only unpinned *leaves* are evictable, and eviction cascades
   upward as parents become leaves.
 * The arena calls :meth:`reclaim` from its page allocator when residency
   would overflow capacity, making index-only pages a best-effort cache
   that never blocks admission (both admission gates exclude them).
 
 Everything is deterministic: the LRU clock is a logical counter bumped
-per lookup/insert, and eviction ties break on ``page_id``.
+per lookup/insert, and eviction ties break on ``page_id``.  Victims come
+from a lazy-deletion min-heap of ``(last_used, page_id)``: a node is
+pushed when it is touched, exposed or unpinned as an evictable leaf, and
+entries gone stale since are skipped when popped (O(log n) per victim).
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .kv_arena import KVArenaError, KVCacheArena, KVPage
@@ -67,7 +71,8 @@ class RadixPrefixIndex:
         self.page_tokens = arena.page_tokens
         arena.attach_index(self)
         self._root_children: Dict[Tuple[int, ...], _Node] = {}
-        self._nodes: List[_Node] = []  # insertion order, for iteration
+        self._nodes: Dict[int, _Node] = {}  # page_id -> node, insertion order
+        self._heap: List[Tuple[int, int]] = []  # (last_used, page_id)
         self._clock = 0
         self.lookups = 0
         self.hits = 0
@@ -106,6 +111,7 @@ class RadixPrefixIndex:
             if child is None:
                 break
             child.last_used = self._clock
+            self._offer(child)
             pages.append(child.page)
             node = child
             children = child.children
@@ -144,9 +150,10 @@ class RadixPrefixIndex:
                 self.arena.index_ref(page)
                 node = _Node(key, page, parent)
                 children[key] = node
-                self._nodes.append(node)
+                self._nodes[page.page_id] = node
                 added += 1
             node.last_used = self._clock
+            self._offer(node)
             parent = node
             children = node.children
         self.pages_inserted += added
@@ -160,31 +167,49 @@ class RadixPrefixIndex:
         # prefix-closed.
         return not node.children and node.page.refcount == 1
 
+    def _offer(self, node: _Node) -> None:
+        """Queue ``node`` if it is evictable now; rebuilding the heap once
+        stale entries outnumber the nodes keeps it O(nodes)."""
+        if not self._evictable(node):
+            return
+        if len(self._heap) > 2 * len(self._nodes) + 64:
+            self._heap = [(n.last_used, pid) for pid, n in self._nodes.items()
+                          if self._evictable(n)]
+            heapify(self._heap)  # repro: allow(DET405) LRU order, not events
+        entry = (node.last_used, node.page.page_id)
+        heappush(self._heap, entry)  # repro: allow(DET405) LRU order, not events
+
+    def page_unpinned(self, page: KVPage) -> None:
+        """Arena callback: ``page`` just became index-only."""
+        node = self._nodes.get(page.page_id)
+        if node is not None:
+            self._offer(node)
+
     def _evict(self, node: _Node) -> None:
-        siblings = (node.parent.children if node.parent is not None
-                    else self._root_children)
+        parent = node.parent
+        siblings = parent.children if parent is not None \
+            else self._root_children
         del siblings[node.key]
-        self._nodes.remove(node)
+        del self._nodes[node.page.page_id]
         self.pages_evicted += 1
         self.arena.index_unref(node.page)
+        if parent is not None:
+            self._offer(parent)  # may now be an evictable leaf
 
     def reclaim(self, tokens_needed: int) -> int:
         """Evict LRU unpinned leaves until ``tokens_needed`` tokens of
         page room are free (or no candidate remains).  Cascades upward:
         evicting a leaf can expose its parent.  Returns tokens freed."""
         freed = 0
-        while freed < tokens_needed:
-            victim: Optional[_Node] = None
-            for node in self._nodes:
-                if not self._evictable(node):
-                    continue
-                if victim is None or (node.last_used, node.page.page_id) \
-                        < (victim.last_used, victim.page.page_id):
-                    victim = node
-            if victim is None:
-                break
-            freed += victim.page.tokens
-            self._evict(victim)
+        while freed < tokens_needed and self._heap:
+            entry = heappop(self._heap)  # repro: allow(DET405) LRU order, not events
+            last_used, page_id = entry
+            node = self._nodes.get(page_id)
+            if node is None or node.last_used != last_used \
+                    or not self._evictable(node):
+                continue  # evicted, touched, pinned or interior since
+            freed += node.page.tokens
+            self._evict(node)
         return freed
 
     def clear(self) -> int:
@@ -195,7 +220,7 @@ class RadixPrefixIndex:
 
     def resident_pages(self) -> List[KVPage]:
         """Every page the index currently references (refcount audit)."""
-        return [node.page for node in self._nodes]
+        return [node.page for node in self._nodes.values()]
 
     def stats(self) -> Dict[str, int]:
         """Deterministic counters (read by bench and the sanitizer)."""

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import (
+    arena_diag_code,
     check_cross_request,
     check_fragmentation,
     check_plan,
@@ -178,14 +179,58 @@ class TestKvArenaScenario:
         assert not [d for d in report.diagnostics if d.code == "MEM224"]
 
     def test_corrupted_arena_plan_is_caught(self):
-        """The arena's verify() hook catches a bad plan: alias two live
-        KV regions and the MEM203 aliasing check fires."""
+        """The arena's verify() hook catches a bad slot layout: alias two
+        live KV pages onto one slot and the MEM220 disjointness check
+        fires."""
         from repro.memory import KVCacheArena
 
         arena = KVCacheArena(capacity_bytes=4096, bytes_per_token=16,
                              page_tokens=4)
         arena.admit(0, 4, 8)
         arena.admit(1, 4, 8)
-        a, b = arena.last_records[0].name, arena.last_records[1].name
-        arena.last_plan.placements[b] = arena.last_plan.placements[a]
-        assert any("alias" in p or "overlap" in p for p in arena.verify())
+        assert arena.verify() == []
+        arena.region_of(1).pages[0].slot = arena.region_of(0).pages[0].slot
+        problems = arena.verify()
+        assert any("both occupy slot" in p for p in problems)
+        assert {arena_diag_code(p) for p in problems} == {"MEM220"}
+
+    def test_free_slot_held_by_resident_page_is_caught(self):
+        from repro.memory import KVCacheArena
+
+        arena = KVCacheArena(capacity_bytes=4096, bytes_per_token=16,
+                             page_tokens=4)
+        arena.admit(0, 4, 8)
+        arena.admit(1, 4, 8)
+        arena.release(1)
+        arena.region_of(0).pages[0].slot = 1  # the slot release freed
+        problems = arena.verify()
+        assert any("do not partition" in p for p in problems)
+        assert {arena_diag_code(p) for p in problems} == {"MEM220"}
+
+
+class TestArenaDiagCode:
+    """One classifier maps every KVCacheArena.verify() message to its code."""
+
+    @pytest.mark.parametrize("message, code", [
+        ("pages 3 and 5 both occupy slot 2", "MEM220"),
+        ("resident and free slots do not partition the 3-slot pool",
+         "MEM220"),
+        ("KV region for request 7 outlives its request (leak)", "MEM221"),
+        ("page 4 refcount 2 diverges from its 1 reference(s)", "MEM224"),
+        ("incremental growth token counter 8 diverges from the recounted "
+         "0 (accounting drift)", "MEM224"),
+    ])
+    def test_each_code(self, message, code):
+        assert arena_diag_code(message) == code
+
+    def test_real_messages_classify(self):
+        from repro.memory import KVCacheArena
+
+        arena = KVCacheArena(capacity_bytes=4096, bytes_per_token=16,
+                             page_tokens=4)
+        arena.admit(0, 4, 8)
+        arena.admit(1, 4, 8)
+        arena.region_of(0).pages[0].refcount += 1
+        arena._growth_tokens += 4
+        codes = [arena_diag_code(p) for p in arena.verify(live_req_ids=[0])]
+        assert sorted(set(codes)) == ["MEM221", "MEM224"]

@@ -223,14 +223,19 @@ class TestPlansAndVerify:
         a = arena(capacity_tokens=512, page_tokens=8)
         for i in range(4):
             a.admit(i, prompt_tokens=16, max_total_tokens=32)
-        plan = a.last_plan
-        spans = []
-        for rec in a.last_records:
-            p = plan.placements[rec.name]
-            spans.append((p.chunk_id, p.offset, p.offset + rec.size))
-        for i, (c1, s1, e1) in enumerate(spans):
-            for c2, s2, e2 in spans[i + 1:]:
-                assert c1 != c2 or e1 <= s2 or e2 <= s1
+        pages = [p for i in range(4) for p in a.region_of(i).pages]
+        slots = [p.slot for p in pages]
+        # One slot per page, so the byte ranges slot * page_bytes are
+        # disjoint; the pool is exactly as large as the pages it holds.
+        assert sorted(slots) == list(range(len(pages)))
+        assert a.stats()["footprint_bytes"] == len(pages) * 8 * BPT
+        # A released page's slot is reused before the pool grows.
+        freed = {p.slot for p in a.region_of(1).pages}
+        a.release(1)
+        a.admit(4, prompt_tokens=16, max_total_tokens=32)
+        assert {p.slot for p in a.region_of(4).pages} == freed
+        assert a.slots_high_water == len(pages)
+        assert a.verify() == []
 
     def test_stats_and_metrics_published(self):
         registry = MetricsRegistry()

@@ -176,6 +176,21 @@ class TestRadixIndex:
         assert index.lookup(ids(17, base=500))[0] == P  # B lost its leaf
         assert a.verify(live_req_ids=[]) == []
 
+    def test_eviction_heap_stays_bounded_under_repeated_touches(self):
+        a = arena()
+        index = RadixPrefixIndex(a)
+        self.publish(a, index, 0, 16)
+        self.publish(a, index, 1, 16, base=500)
+        a.release(0)
+        a.release(1)
+        for _ in range(500):  # every touch re-queues path A's leaf
+            index.lookup(ids(17))
+        assert len(index._heap) <= 2 * len(index) + 65
+        # The rebuilt heap still yields the LRU victim: path B's leaf.
+        assert index.reclaim(P) == P
+        assert index.lookup(ids(17))[0] == 16
+        assert index.lookup(ids(17, base=500))[0] == P
+
     def test_reclaim_cascades_through_exposed_parents(self):
         a = arena()
         index = RadixPrefixIndex(a)
