@@ -36,13 +36,12 @@ Commands
     level continuous batching (plain and with chunked prefill +
     dual-stream overlap) vs the request-level DP baseline — and writes
     ``BENCH_gen.json`` by default.
-    ``--verify-overlap`` runs the chunked-overlap equivalence gate:
-    the gen workload with chunking off vs on must produce identical
-    per-request token streams and completion sets, and TTFT p99 must
-    not regress.  ``--verify-prefix`` runs the analogous prefix-cache
-    gate over multi-tenant prefix-population workloads: cache on vs
-    off must produce identical token streams, admission orders and
-    completion sets, and TTFT p99 must not regress.
+    ``--verify-gen`` runs the generation config-equivalence gate:
+    chunked prefill + overlap vs unchunked on the gen workload, and
+    the radix prefix cache on (and on + chunked) vs off on multi-tenant
+    prefix-population workloads, must produce identical per-request
+    token streams and completion sets (and admission orders for the
+    prefix-cache pairs), and TTFT p99 must not regress.
     ``--verify`` instead runs the cross-layer equivalence verifier
     (compiled vs. interpretive pricing, fast vs. reference ``latency()``,
     pruned vs. reference DP partitions, cached vs. uncached plans) and
@@ -198,9 +197,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         load_bench,
         run_bench,
         save_bench,
+        verify_gen_equivalence,
         verify_host_fast_path,
-        verify_overlap_equivalence,
-        verify_prefix_equivalence,
     )
 
     if args.diff:
@@ -228,32 +226,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               "path (compiled pricing, latency, partitions, plans)")
         return 0
 
-    if args.verify_overlap:
-        problems = verify_overlap_equivalence(
+    if args.verify_gen:
+        problems = verify_gen_equivalence(
             seed=args.seed, progress=lambda msg: print(f"bench: {msg}"))
         if problems:
             for p in problems[:20]:
-                print(f"overlap-equivalence: {p}", file=sys.stderr)
-            print(f"bench --verify-overlap: {len(problems)} divergence(s)",
+                print(f"gen-equivalence: {p}", file=sys.stderr)
+            print(f"bench --verify-gen: {len(problems)} divergence(s)",
                   file=sys.stderr)
             return 1
-        print("bench --verify-overlap: chunked prefill + dual-stream "
-              "overlap preserves per-request token streams and completion "
-              "sets; TTFT p99 does not regress")
-        return 0
-
-    if args.verify_prefix:
-        problems = verify_prefix_equivalence(
-            seed=args.seed, progress=lambda msg: print(f"bench: {msg}"))
-        if problems:
-            for p in problems[:20]:
-                print(f"prefix-equivalence: {p}", file=sys.stderr)
-            print(f"bench --verify-prefix: {len(problems)} divergence(s)",
-                  file=sys.stderr)
-            return 1
-        print("bench --verify-prefix: radix prefix caching preserves "
-              "per-request token streams, admission order and completion "
-              "sets; TTFT p99 does not regress")
+        print("bench --verify-gen: chunked prefill + overlap and radix "
+              "prefix caching preserve per-request token streams, "
+              "admission order and completion sets; TTFT p99 does not "
+              "regress")
         return 0
 
     payload = run_bench(args.profile, seed=args.seed,
@@ -391,15 +376,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     bench.add_argument("--out", default=None,
                        help="write the JSON payload here "
                             "(e.g. BENCH_host.json)")
-    bench.add_argument("--verify-overlap", action="store_true",
-                       help="verify the chunked-prefill overlap "
-                            "equivalence gate (gen profile): token "
-                            "streams identical, TTFT p99 no worse")
-    bench.add_argument("--verify-prefix", action="store_true",
-                       help="verify the prefix-cache equivalence gate "
-                            "(gen profile): token streams, admission "
-                            "order and completion sets identical with "
-                            "the cache on, TTFT p99 no worse")
+    bench.add_argument("--verify-gen", action="store_true",
+                       help="verify the generation config-equivalence "
+                            "gate (gen profile): chunked prefill and the "
+                            "prefix cache keep token streams, admission "
+                            "order and completion sets identical, TTFT "
+                            "p99 no worse")
     bench.add_argument("--verify", action="store_true",
                        help="run the fast-path equivalence verifier "
                             "instead of timing")

@@ -5,10 +5,10 @@ The static checkers in this package prove properties of *artifacts*
 *executions*: an :class:`EngineTraceRecorder` attaches to the hook points
 the engine/serving/memory/resilience layers expose and records one
 deterministic event log per run — engine dispatches, request state
-transitions (via :meth:`Request.resolve`), KV-arena mutations, breaker
-transitions, fault-injector creation — and :func:`verify_trace` replays
-that log against the invariants every scheduler on the shared engine must
-uphold:
+transitions (via :meth:`Request.resolve`, with the resolving replica's
+fault injector), KV-arena mutations, breaker transitions — and
+:func:`verify_trace` replays that log against the invariants every
+scheduler on the shared engine must uphold:
 
 * **ENG5xx** — the clock never moves backwards (ENG501), no event is
   dispatched before the clock reached its scheduled time (ENG502), and no
@@ -38,7 +38,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..engine import core as _engine_core
-from ..engine import faults as _engine_faults
 from ..engine.core import Engine, Event, EventKind
 from ..engine.faults import EngineFaultInjector
 from ..memory import kv_arena as _kv_arena
@@ -72,11 +71,11 @@ class EngineTraceRecorder:
         diagnostics = verify_trace(rec, retry=res.retry)
 
     Attaching installs observers on the module-level hook lists in
-    ``engine.core``, ``engine.faults``, ``serving.request``,
-    ``memory.kv_arena`` and ``resilience.breaker``; detaching removes
-    them.  Every engine constructed while attached also gets a dispatch
-    hook (via :meth:`Engine.add_dispatch_hook`) that attributes ARRIVAL /
-    RETRY payloads to that engine.  All records carry one global,
+    ``engine.core``, ``serving.request``, ``memory.kv_arena`` and
+    ``resilience.breaker``; detaching removes them.  Every engine
+    constructed while attached also gets a dispatch hook (via
+    :meth:`Engine.add_dispatch_hook`) that attributes ARRIVAL / RETRY
+    payloads to that engine.  All records carry one global,
     monotonically increasing sequence number so cross-layer ordering is
     total.
     """
@@ -86,14 +85,14 @@ class EngineTraceRecorder:
         self._recording = False
         #: Engines in creation order; the index is the engine id in records.
         self.engines: List[Engine] = []
-        self.injectors: List[EngineFaultInjector] = []
         #: Arenas in first-touch order; the index is the arena id in records.
         self.arenas: List[KVCacheArena] = []
         self._arena_ids: Dict[int, int] = {}
         #: (seq, engine_idx, now_at_hook, scheduled_time, kind_value)
         self.dispatches: List[Tuple[int, int, float, float, int]] = []
-        #: (seq, request_key, request, terminal_state)
-        self.resolves: List[Tuple[int, int, Request, RequestState]] = []
+        #: (seq, request_key, request, terminal_state, resolving injector)
+        self.resolves: List[Tuple[int, int, Request, RequestState,
+                                  Optional[EngineFaultInjector]]] = []
         #: (seq, arena_idx, op, req_id, tokens)
         self.arena_events: List[Tuple[int, int, str, int, int]] = []
         #: (seq, breaker_name, now_s, from_state, to_state)
@@ -130,13 +129,11 @@ class EngineTraceRecorder:
 
         engine.add_dispatch_hook(on_dispatch)
 
-    def _on_injector(self, injector: EngineFaultInjector) -> None:
+    def _on_resolve(self, request: Request, state: RequestState,
+                    faults: Optional[EngineFaultInjector]) -> None:
         if self._recording:
-            self.injectors.append(injector)
-
-    def _on_resolve(self, request: Request, state: RequestState) -> None:
-        if self._recording:
-            self.resolves.append((self._next(), id(request), request, state))
+            self.resolves.append((self._next(), id(request), request, state,
+                                  faults))
 
     def _on_arena(self, arena: KVCacheArena, op: str, req_id: int,
                   tokens: int) -> None:
@@ -160,7 +157,6 @@ class EngineTraceRecorder:
             raise RuntimeError("recorder is already attached")
         self._recording = True
         _engine_core._engine_hooks.append(self._on_engine)
-        _engine_faults._injector_hooks.append(self._on_injector)
         _request._resolve_hooks.append(self._on_resolve)
         _kv_arena._arena_hooks.append(self._on_arena)
         _breaker._transition_hooks.append(self._on_breaker)
@@ -172,7 +168,6 @@ class EngineTraceRecorder:
         self._recording = False
         for hooks, hook in (
             (_engine_core._engine_hooks, self._on_engine),
-            (_engine_faults._injector_hooks, self._on_injector),
             (_request._resolve_hooks, self._on_resolve),
             (_kv_arena._arena_hooks, self._on_arena),
             (_breaker._transition_hooks, self._on_breaker),
@@ -264,10 +259,10 @@ def verify_lifecycle(rec: EngineTraceRecorder,
 
     # LIFE602: more than one terminal resolve per request object.
     resolve_counts: Dict[int, int] = {}
-    for _seq, key, _req, _state in rec.resolves:
+    for _seq, key, _req, _state, _faults in rec.resolves:
         resolve_counts[key] = resolve_counts.get(key, 0) + 1
     seen_double: Set[int] = set()
-    for _seq, key, req, _state in rec.resolves:
+    for _seq, key, req, _state, _faults in rec.resolves:
         if resolve_counts[key] > 1 and key not in seen_double:
             seen_double.add(key)
             out.append(diag(
@@ -290,7 +285,7 @@ def verify_lifecycle(rec: EngineTraceRecorder,
             ))
 
     # LIFE605 + LIFE603 over completions.
-    for _seq, key, req, state in rec.resolves:
+    for _seq, key, req, state, injector in rec.resolves:
         if state is not RequestState.COMPLETED or req.completion_s is None:
             continue
         if req.completion_s < req.arrival_s:
@@ -300,12 +295,12 @@ def verify_lifecycle(rec: EngineTraceRecorder,
                 f"{req.completion_s} before its arrival at {req.arrival_s}",
                 node=f"req{req.req_id}",
             ))
+        # The completing replica's own injector when it passed one to
+        # resolve(); otherwise the injector of the engine the request
+        # arrived on (single-injector servers whose engine stretches).
         attributed = rec.requests.get(key)
-        if attributed is None:
-            continue
-        engine = rec.engines[attributed[0]]
-        injector = next((i for i in rec.injectors if engine.faults is i),
-                        None)
+        if injector is None and attributed is not None:
+            injector = rec.engines[attributed[0]].faults
         if injector is None:
             continue
         for crash in injector.plan.crashes:
@@ -328,7 +323,7 @@ def verify_lifecycle(rec: EngineTraceRecorder,
             per_request[key] = per_request.get(key, 0) + 1
         for key, count in per_request.items():
             if count > retry.max_attempts - 1:
-                req = next((r for (_s, k, r, _st) in rec.resolves
+                req = next((r for (_s, k, r, _st, _f) in rec.resolves
                             if k == key),
                            rec.requests.get(key, (None, None))[1])
                 req_id = req.req_id if req is not None else key

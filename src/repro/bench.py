@@ -411,75 +411,12 @@ def _gen_point_summary(m) -> Dict[str, object]:
 
 def _gen_token_stream(requests) -> List[tuple]:
     """Per-request outcome triples — the byte-identity unit of the
-    chunked-overlap equivalence gate (timing may differ, tokens may not)."""
+    generation equivalence gate (timing may differ, tokens may not)."""
     return [(r.req_id, r.state.name, r.generated)
             for r in sorted(requests, key=lambda r: r.req_id)]
 
 
-def verify_overlap_equivalence(profile_name: str = "gen", seed: int = 0,
-                               progress: Optional[Callable[[str], None]] = None,
-                               ) -> List[str]:
-    """``bench --verify-overlap``: the chunked-overlap equivalence gate.
-
-    Runs the gen profile workload through the continuous server twice per
-    rate — chunking off vs ``gen_chunk_tokens`` — and checks that
-
-    * per-request token streams are identical (same req_id/state/token
-      count triples — overlap moves timing, never tokens);
-    * completion sets are identical;
-    * TTFT p99 does not regress with overlap on.
-
-    Returns a list of problems (empty = gate passed).
-    """
-    from .experiments.gen_serving_throughput import GenServingBench, OutputMix
-
-    profile = PROFILES[profile_name]
-    if "gen_rates" not in profile:
-        raise ValueError(
-            f"profile {profile_name!r} has no generative serving section"
-        )
-    say = progress or (lambda _msg: None)
-    bench = GenServingBench(
-        model=profile["gen_model"],
-        capacity_tokens=profile["gen_capacity_tokens"],
-        max_batch=profile["gen_max_batch"],
-        chunk_tokens=profile["gen_chunk_tokens"],
-    )
-    mix = OutputMix("bench", mean_new_tokens=profile["gen_mix_mean"],
-                    max_new_tokens=profile["gen_mix_max"])
-    duration_s = profile["gen_duration_s"]
-    problems: List[str] = []
-    for rate in profile["gen_rates"]:
-        off = bench.workload(rate, duration_s, seed, mix)
-        m_off = bench.run_continuous(off, duration_s)
-        on = bench.workload(rate, duration_s, seed, mix)
-        m_on = bench.run_continuous(on, duration_s,
-                                    chunk_tokens=bench.chunk_tokens)
-        if _gen_token_stream(off) != _gen_token_stream(on):
-            problems.append(
-                f"rate {rate:g}: per-request token streams differ with "
-                f"chunking on"
-            )
-        done_off = sorted(r.req_id for r in off if r.is_completed)
-        done_on = sorted(r.req_id for r in on if r.is_completed)
-        if done_off != done_on:
-            problems.append(f"rate {rate:g}: completion sets differ")
-        # Tiny relative slack: chunk costs telescope to the unchunked
-        # pass only up to float association.
-        if m_on.ttft.p99_ms > m_off.ttft.p99_ms * (1.0 + 1e-9):
-            problems.append(
-                f"rate {rate:g}: TTFT p99 regressed with overlap on "
-                f"({m_off.ttft.p99_ms:.4f} ms -> {m_on.ttft.p99_ms:.4f} ms)"
-            )
-        say(f"  rate {rate:g}: streams identical="
-            f"{done_off == done_on and _gen_token_stream(off) == _gen_token_stream(on)}, "
-            f"ttft p99 {m_off.ttft.p99_ms:.3f} -> {m_on.ttft.p99_ms:.3f} ms, "
-            f"chunks {m_on.prefill_chunks}, "
-            f"overlap saved {m_on.overlap_saved_s * 1e3:.1f} ms")
-    return problems
-
-
-#: Sharing ratios for the prefix-cache sweep and its equivalence gate.
+#: Sharing ratios for the prefix-cache sweep and its equivalence pairs.
 PREFIX_SHARING_RATIOS: Tuple[float, ...] = (0.0, 0.5, 0.9)
 
 
@@ -499,20 +436,52 @@ def _prefix_workload(rate: float, duration_s: float, seed: int, mix,
     )
 
 
-def verify_prefix_equivalence(profile_name: str = "gen", seed: int = 0,
-                              progress: Optional[Callable[[str], None]] = None,
-                              ) -> List[str]:
-    """``bench --verify-prefix``: the prefix-cache equivalence gate.
+def gen_run_divergences(tag: str, a, b, same_order: bool = False,
+                        ttft_gate: bool = True) -> List[str]:
+    """Config A vs config B over the same workload: what differs.
 
-    Runs multi-tenant prefix-population workloads through the continuous
-    server three ways per (rate, sharing ratio) — cache off, cache on,
-    cache on + chunked prefill — and checks that
+    ``a`` and ``b`` are ``(requests, metrics, admission_order)`` triples
+    of two generation runs.  Per-request token streams and completion
+    sets must be identical (a config may move timing, never tokens);
+    with ``same_order`` the admission orders must match too; with
+    ``ttft_gate`` B's TTFT p99 may not regress past A's.
+    """
+    (reqs_a, m_a, order_a), (reqs_b, m_b, order_b) = a, b
+    problems: List[str] = []
+    if _gen_token_stream(reqs_a) != _gen_token_stream(reqs_b):
+        problems.append(f"{tag}: per-request token streams differ")
+    done_a = sorted(r.req_id for r in reqs_a if r.is_completed)
+    done_b = sorted(r.req_id for r in reqs_b if r.is_completed)
+    if done_a != done_b:
+        problems.append(f"{tag}: completion sets differ")
+    if same_order and order_a != order_b:
+        problems.append(f"{tag}: admission orders differ")
+    # Tiny relative slack: chunk costs telescope to the unchunked pass
+    # only up to float association.
+    if ttft_gate and m_b.ttft.p99_ms > m_a.ttft.p99_ms * (1.0 + 1e-9):
+        problems.append(
+            f"{tag}: TTFT p99 regressed ({m_a.ttft.p99_ms:.4f} ms -> "
+            f"{m_b.ttft.p99_ms:.4f} ms)"
+        )
+    return problems
 
-    * per-request token streams are identical in all three runs (the
-      cache skips *work*, never changes *tokens*);
-    * admission orders and completion sets are identical;
-    * TTFT p99 does not regress with the cache on.
 
+def verify_gen_equivalence(profile_name: str = "gen", seed: int = 0,
+                           progress: Optional[Callable[[str], None]] = None,
+                           ) -> List[str]:
+    """``bench --verify-gen``: the generation config-equivalence gate.
+
+    Runs the continuous server over the profile's workloads once per
+    config and compares each config B against its plain config A with
+    :func:`gen_run_divergences`:
+
+    * per rate, the gen workload: chunked prefill + dual-stream overlap
+      (``gen_chunk_tokens``) vs unchunked;
+    * per (rate, sharing ratio), a multi-tenant prefix-population
+      workload: the radix prefix cache on, and on + chunked, vs off —
+      admission orders must match too.
+
+    TTFT p99 may not regress for the chunked and the cache-on configs.
     Returns a list of problems (empty = gate passed).
     """
     from .experiments.gen_serving_throughput import GenServingBench, OutputMix
@@ -532,47 +501,42 @@ def verify_prefix_equivalence(profile_name: str = "gen", seed: int = 0,
     mix = OutputMix("bench", mean_new_tokens=profile["gen_mix_mean"],
                     max_new_tokens=profile["gen_mix_max"])
     duration_s = profile["gen_duration_s"]
+    chunked = {"chunk_tokens": bench.chunk_tokens}
+
+    def run(workload, config):
+        requests = workload()
+        server = bench.make_continuous_server(**config)
+        metrics = server.serve(requests, duration_s=duration_s)
+        return requests, metrics, list(server.admission_order)
+
+    def compare(tag, workload, variants, same_order):
+        base = run(workload, {})
+        found: List[str] = []
+        for label, config, ttft_gate in variants:
+            variant = run(workload, config)
+            found.extend(gen_run_divergences(f"{tag} {label}", base, variant,
+                                             same_order, ttft_gate))
+            say(f"  {tag} {label}: ttft p99 {base[1].ttft.p99_ms:.3f} -> "
+                f"{variant[1].ttft.p99_ms:.3f} ms, chunks "
+                f"{variant[1].prefill_chunks}, prefix hits "
+                f"{variant[1].prefix_hits}")
+        return found
+
     problems: List[str] = []
     for rate in profile["gen_rates"]:
+        problems.extend(compare(
+            f"rate {rate:g}",
+            lambda: bench.workload(rate, duration_s, seed, mix),
+            [("chunked", chunked, True)], same_order=False))
         for sharing in PREFIX_SHARING_RATIOS:
-            tag = f"rate {rate:g} sharing {sharing:g}"
-            runs = {}
-            orders = {}
-            metrics = {}
-            for label, cache, chunk in (
-                ("off", False, None),
-                ("on", True, None),
-                ("on-chunked", True, bench.chunk_tokens),
-            ):
-                reqs = _prefix_workload(rate, duration_s, seed, mix, sharing)
-                srv = bench.make_continuous_server(chunk_tokens=chunk,
-                                                   prefix_cache=cache)
-                metrics[label] = srv.serve(reqs, duration_s=duration_s)
-                runs[label] = _gen_token_stream(reqs)
-                orders[label] = list(srv.admission_order)
-            for label in ("on", "on-chunked"):
-                if runs[label] != runs["off"]:
-                    problems.append(
-                        f"{tag}: token streams differ with cache on "
-                        f"({label})"
-                    )
-                if orders[label] != orders["off"]:
-                    problems.append(
-                        f"{tag}: admission order differs with cache on "
-                        f"({label})"
-                    )
-            p99_off = metrics["off"].ttft.p99_ms
-            p99_on = metrics["on"].ttft.p99_ms
-            if p99_on > p99_off * (1.0 + 1e-9):
-                problems.append(
-                    f"{tag}: TTFT p99 regressed with prefix cache on "
-                    f"({p99_off:.4f} ms -> {p99_on:.4f} ms)"
-                )
-            say(f"  {tag}: streams identical="
-                f"{runs['on'] == runs['off'] == runs['on-chunked']}, "
-                f"ttft p99 {p99_off:.3f} -> {p99_on:.3f} ms, "
-                f"hits {metrics['on'].prefix_hits}, "
-                f"reused {metrics['on'].prefix_tokens_reused} tok")
+            problems.extend(compare(
+                f"rate {rate:g} sharing {sharing:g}",
+                lambda: _prefix_workload(rate, duration_s, seed, mix,
+                                         sharing),
+                [("prefix", {"prefix_cache": True}, True),
+                 ("prefix+chunked", {"prefix_cache": True, **chunked},
+                  False)],
+                same_order=True))
     return problems
 
 

@@ -30,16 +30,11 @@ an empty plan is byte-identical to running without an injector at all.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.faults import FaultPlan
     from .instrument import EngineInstrumentation
-
-#: Observers notified with every newly constructed injector (used by the
-#: engine-trace sanitizer to learn fault windows; empty in normal runs).
-_injector_hooks: List[Callable[["EngineFaultInjector"], None]] = []
-
 
 class EngineFaultInjector:
     """One server's view of a :class:`FaultPlan`, as engine effects.
@@ -62,9 +57,6 @@ class EngineFaultInjector:
         self.stretches = 0
         self.stretched_seconds = 0.0
         self.failures_injected = 0
-        if _injector_hooks:
-            for hook in list(_injector_hooks):
-                hook(self)
 
     @property
     def empty(self) -> bool:

@@ -19,7 +19,7 @@ against arrival rate and reports, per point:
   simulated device's peak FP32 rate).
 
 Token streams are byte-identical cache-on vs. cache-off at every point
-(asserted by ``python -m repro bench --verify-prefix``); the cache moves
+(asserted by ``python -m repro bench --verify-gen``); the cache moves
 *work*, never *tokens*.  Everything is deterministic given the seed.
 """
 

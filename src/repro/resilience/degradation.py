@@ -4,8 +4,8 @@ A :class:`DegradationLadder` is an ordered list of rungs, best first.  Each
 rung serves with some cost function — in practice a cheaper
 :class:`~repro.serving.service.ModelVersion` from the registry (distilled,
 quantized, fewer layers) — and the final rung may be *shedding*: answer
-nobody old, cheaply, which reuses the :mod:`repro.serving.shedding`
-semantics as the last line of defence.
+nobody old, cheaply — queued requests older than ``shed_age_s`` are
+dropped at admission, the last line of defence.
 
 A :class:`DegradationController` owns one run's position on the ladder.
 The serving loop calls :meth:`DegradationController.on_round` before each

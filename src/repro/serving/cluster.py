@@ -33,17 +33,24 @@ at dispatch.  The round's timeline (per-batch costs, fault multipliers,
 crash truncation) is still projected deterministically at dispatch so the
 router sees the server's committed busy horizon immediately, exactly as
 the eager loop advertised it.
+
+Generation cluster
+------------------
+:func:`simulate_generation_cluster` is the continuous-batching server's
+driver over N copies of its :class:`~repro.serving.continuous.GenReplica`
+instead of one — no second decode loop.  Its router sends each arrival
+and retry to the least-loaded replica among those neither crashed nor
+breaker-open, so every replica feature (chunked prefill, prefix caching,
+KV-pressure preemption, crash truncation) holds in the cluster too.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Deque,
     List,
     Optional,
     Sequence,
@@ -65,7 +72,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..memory.kv_arena import KVCacheArena
     from ..observability import MetricsRegistry, Tracer
     from ..resilience import ResilienceConfig
-    from .continuous import GenRequest, GenServingMetrics
+    from .continuous import (ContinuousBatchingConfig, GenRequest,
+                             GenServingMetrics)
 
 
 class RoutingPolicy(str, enum.Enum):
@@ -301,7 +309,9 @@ def simulate_cluster(
                             r.req_id, r.attempt, started):
                         handle_failure(r, sid, engine.now)
                         continue
-                    r.resolve(RequestState.COMPLETED, engine.now)
+                    r.resolve(RequestState.COMPLETED, engine.now,
+                              faults=(injectors[sid]
+                                      if injectors is not None else None))
                     server.completed += 1
                     if breakers is not None:
                         breakers[sid].record(True, engine.now)
@@ -418,30 +428,8 @@ def simulate_cluster(
 
 
 # ---------------------------------------------------------------------------
-# Generation cluster: continuous-batching replicas with KV-loss failover
+# Generation cluster: the single server's replica, N times, behind a router
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class GenReplicaState:
-    """One generation replica: its KV arena plus continuous-batching state.
-
-    ``running`` tracks whether the replica's cooperative engine task is
-    live; an idle replica is re-spawned by the next arrival or retry
-    routed to it.
-    """
-
-    server_id: int
-    arena: "KVCacheArena"
-    queue: Deque["GenRequest"] = field(default_factory=deque)
-    active: List["GenRequest"] = field(default_factory=list)
-    running: bool = False
-    completed: int = 0
-
-    @property
-    def load(self) -> int:
-        """Requests this replica is responsible for right now."""
-        return len(self.queue) + len(self.active)
 
 
 @dataclass(frozen=True)
@@ -467,265 +455,46 @@ def simulate_generation_cluster(
     arena_factory: Callable[[int], "KVCacheArena"],
     duration_s: Optional[float] = None,
     resilience: Optional["ResilienceConfig"] = None,
-    admit_per_step: Optional[int] = None,
+    config: Optional["ContinuousBatchingConfig"] = None,
     tracer: Optional["Tracer"] = None,
     metrics: Optional["MetricsRegistry"] = None,
     system_name: str = "Turbo-Gen-Cluster",
 ) -> GenClusterMetrics:
     """Continuous-batching replicas behind a least-loaded router.
 
-    Each replica runs the iteration-level decode loop of
-    :class:`~repro.serving.continuous.ContinuousBatchingServer` as a
-    cooperative engine task against its own :class:`KVCacheArena`.  With
-    ``resilience`` set, faults reach every replica through its
+    Each replica is a :class:`~repro.serving.continuous.GenReplica` — the
+    same replica :class:`~repro.serving.ContinuousBatchingServer` drives —
+    with ``config`` (chunked prefill, prefix caching, preemption, slot
+    cap) and its own :class:`KVCacheArena` from ``arena_factory``.  The
+    router sends each arrival and retry to the least-loaded replica among
+    those neither crashed nor breaker-open.  With ``resilience`` set,
+    faults reach every replica through its own
     :class:`~repro.engine.EngineFaultInjector`:
 
-    * latency spikes stretch prefill/decode windows;
-    * a replica crash evicts every in-flight request's KV region
-      (``arena.preempt``) and fails queued work fast — both re-enter
-      through the retry path and are re-routed to healthy replicas, where
-      their prefix (prompt + tokens generated before the crash) is
-      recomputed and charged honestly (``tokens_recomputed``);
+    * latency spikes stretch the replica's prefill/decode windows;
+    * a replica crash loses every in-flight pass and KV region
+      (``arena.preempt``) and fails queued work fast while another
+      replica is up — all of it re-enters through the retry path and is
+      re-routed, where the prefix (prompt + tokens generated before the
+      crash) is recomputed and charged honestly (``tokens_recomputed``);
     * transient failures strike at the prefill commit;
-    * per-replica breakers steer the router away from failing replicas
-      (pure ``probe_available`` scans; the reserving ``allow`` runs at
-      routing commit).
+    * per-replica breakers record crashes and failed attempts and steer
+      the router away from failing replicas.
     """
     if not requests:
         raise ValueError("need at least one request to simulate")
     if num_replicas <= 0:
         raise ValueError(f"num_replicas must be positive, got {num_replicas}")
-    from .continuous import _GenLoopBase, _window_overlap
+    from .continuous import (ContinuousBatchingConfig, GenReplica,
+                             _GenDriver, _GenLoopBase)
 
-    arrivals: List["GenRequest"] = sorted(requests,
-                                          key=lambda r: r.arrival_s)
-    horizon = duration_s if duration_s is not None else arrivals[-1].arrival_s
-    if horizon <= 0:
-        raise ValueError(f"duration must be positive, got {horizon}")
-
-    res = resilience
-    faults = res.faults if res is not None else None
-    injectors: Optional[List[EngineFaultInjector]] = None
-    if faults is not None and not faults.empty:
-        injectors = [EngineFaultInjector(faults, i)
-                     for i in range(num_replicas)]
-    breakers = None
-    if res is not None and res.breaker_factory is not None:
-        breakers = [res.breaker_factory(i) for i in range(num_replicas)]
-    retry_state = None
-    if res is not None and res.retry is not None:
-        from ..resilience.retry import RetryState  # deferred: avoids cycle
-
-        retry_state = RetryState(res.retry)
-
-    helper = _GenLoopBase(runtime, tracer, metrics, system_name,
-                          warmup_fraction=0.1)
-    engine = Engine()
-    replicas = [GenReplicaState(i, arena_factory(i))
+    config = config or ContinuousBatchingConfig()
+    host = _GenLoopBase(runtime, tracer, metrics, system_name,
+                        config.warmup_fraction)
+    replicas = [GenReplica(i, runtime, arena_factory(i), config)
                 for i in range(num_replicas)]
-    busy = 0.0
-    tokens = decode_steps = prefills = 0
-    preemptions = tokens_recomputed = attempts_failed = 0
-
-    def fail_attempt(r: "GenRequest", sid: int, now: float) -> None:
-        """One attempt died on ``sid``: breaker learns, retry re-routes."""
-        if breakers is not None:
-            breakers[sid].record(False, now)
-        retry_at = (retry_state.next_retry_at(r, now)
-                    if retry_state is not None else None)
-        if retry_at is None:
-            helper._fail(r, now)
-            return
-        r.attempt += 1
-        engine.schedule(retry_at, EventKind.RETRY, on_retry, r)
-
-    def evict_active(rep: GenReplicaState, now: float) -> None:
-        """Crash: every in-flight request loses its KV region."""
-        nonlocal preemptions
-        for r in rep.active:
-            rep.arena.preempt(r.req_id)
-            preemptions += 1
-            fail_attempt(r, rep.server_id, now)
-        rep.active = []
-
-    def replica_loop(rep: GenReplicaState):
-        nonlocal busy, tokens, decode_steps, prefills
-        nonlocal preemptions, tokens_recomputed, attempts_failed
-        sid = rep.server_id
-        inj = injectors[sid] if injectors is not None else None
-        while True:
-            now = engine.now
-            if inj is not None and inj.crashed(now):
-                # Down: in-flight KV is gone, queued work fails fast;
-                # everything re-routes through retry while this replica
-                # sleeps out the outage.
-                evict_active(rep, now)
-                while rep.queue:
-                    fail_attempt(rep.queue.popleft(), sid, now)
-                yield inj.crash_end(now) - now
-                continue
-            # KV-aware admission (restore path for crash victims).
-            admitted: List["GenRequest"] = []
-            while rep.queue:
-                if admit_per_step is not None and \
-                        len(admitted) >= admit_per_step:
-                    break
-                r = rep.queue[0]
-                if r.generated > 0:
-                    ok = rep.arena.restore(r.req_id, r.seq_len + r.generated,
-                                           r.seq_len + r.max_new_tokens)
-                    if not ok and not rep.arena.fits_at_all(
-                        r.seq_len + r.generated,
-                        r.seq_len + r.max_new_tokens,
-                    ):
-                        rep.queue.popleft()
-                        helper._fail(r, engine.now)
-                        continue
-                else:
-                    ok = rep.arena.admit(r.req_id, r.seq_len,
-                                         r.seq_len + r.max_new_tokens)
-                if not ok:
-                    break
-                rep.queue.popleft()
-                admitted.append(r)
-            if admitted:
-                b = len(admitted)
-                prompt = max(r.seq_len + r.generated for r in admitted)
-                started = engine.now
-                dur = runtime.prefill_latency(b, prompt)
-                if inj is not None:
-                    dur = inj.stretch(dur, started)
-                    crash_at = inj.crashed_during(started, started + dur)
-                    if crash_at is not None:
-                        # The crash lands mid-prefill: the pass is lost.
-                        yield crash_at - started
-                        for r in admitted:
-                            rep.arena.preempt(r.req_id)
-                            preemptions += 1
-                            fail_attempt(r, sid, engine.now)
-                        continue
-                yield dur
-                clock = engine.now
-                busy += _window_overlap(started, dur, horizon)
-                prefills += 1
-                for r in admitted:
-                    if inj is not None and inj.attempt_fails(
-                        r.req_id, r.attempt, started
-                    ):
-                        attempts_failed += 1
-                        rep.arena.preempt(r.req_id)
-                        fail_attempt(r, sid, clock)
-                        continue
-                    if breakers is not None:
-                        breakers[sid].record(True, clock)
-                    if r.first_token_s is None:
-                        r.start_s = started
-                        r.generated = 1
-                        r.first_token_s = clock
-                    else:
-                        # Resumed on this replica after losing KV
-                        # elsewhere: the prefix was recomputed here.
-                        tokens_recomputed += r.seq_len + r.generated
-                        r.generated += 1
-                    tokens += 1
-                    if r.generated >= r.max_new_tokens:
-                        helper._complete(r, clock)
-                        rep.completed += 1
-                        rep.arena.release(r.req_id)
-                    else:
-                        rep.active.append(r)
-                continue
-            if rep.active:
-                b = len(rep.active)
-                past = max(r.seq_len + r.generated for r in rep.active)
-                started = engine.now
-                dur = runtime.decode_step_latency(b, past)
-                if inj is not None:
-                    dur = inj.stretch(dur, started)
-                    crash_at = inj.crashed_during(started, started + dur)
-                    if crash_at is not None:
-                        # Mid-step crash: this step's tokens are lost.
-                        yield crash_at - started
-                        evict_active(rep, engine.now)
-                        continue
-                yield dur
-                clock = engine.now
-                busy += _window_overlap(started, dur, horizon)
-                decode_steps += 1
-                tokens += b
-                survivors: List["GenRequest"] = []
-                for r in rep.active:
-                    r.generated += 1
-                    if r.generated >= r.max_new_tokens:
-                        helper._complete(r, clock)
-                        rep.completed += 1
-                        rep.arena.release(r.req_id)
-                    else:
-                        rep.arena.append(r.req_id, 1)
-                        survivors.append(r)
-                rep.active = survivors
-                continue
-            break
-        rep.running = False
-
-    def kick(rep: GenReplicaState) -> None:
-        if not rep.running:
-            rep.running = True
-            engine.spawn(replica_loop(rep),
-                         name=f"gen-replica{rep.server_id}")
-
-    def healthy_now() -> Optional[Set[int]]:
-        if res is None:
-            return None
-        now = engine.now
-        healthy = {
-            i for i in range(num_replicas)
-            if not (injectors is not None and injectors[i].crashed(now))
-            and (breakers is None or breakers[i].probe_available(now))
-        }
-        # All replicas unhealthy: queueing somewhere beats dropping.
-        return healthy or None
-
-    def commit_route(r: "GenRequest") -> GenReplicaState:
-        healthy = healthy_now()
-        candidates = (sorted(healthy) if healthy is not None
-                      else range(num_replicas))
-        target = min(candidates, key=lambda i: (replicas[i].load, i))
-        if breakers is not None:
-            breakers[target].allow(engine.now)
-        return replicas[target]
-
-    def on_arrival(event) -> None:
-        r = event.payload
-        helper._begin_request(r)
-        rep = commit_route(r)
-        if not rep.arena.fits_at_all(r.seq_len,
-                                     r.seq_len + r.max_new_tokens):
-            helper._shed(r, engine.now)
-            return
-        rep.queue.append(r)
-        kick(rep)
-
-    def on_retry(event) -> None:
-        r = event.payload
-        rep = commit_route(r)
-        rep.queue.append(r)
-        kick(rep)
-
-    for r in arrivals:
-        engine.schedule(r.arrival_s, EventKind.ARRIVAL, on_arrival, r)
-    engine.run()
-
-    serving = helper._finalize(
-        arrivals, horizon, engine.now, busy, decode_steps, prefills,
-        tokens,
-        kv_denials=sum(rep.arena.denials for rep in replicas),
-        kv_peak_bytes=max(rep.arena.peak_used_bytes for rep in replicas),
-        preemptions=preemptions,
-        tokens_recomputed=tokens_recomputed,
-        retries=retry_state.retries_used if retry_state is not None else 0,
-        attempts_failed=attempts_failed,
-    )
+    serving = _GenDriver(host, replicas, resilience).serve(requests,
+                                                           duration_s)
     # Leak audit: at end of run no region may outlive its request.
     kv_leaks: List[str] = []
     for rep in replicas:

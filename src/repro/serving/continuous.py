@@ -27,23 +27,45 @@ width charged until the longest member finishes, arrivals waiting for the
 next round.  The gap between the two is the experiment
 ``experiments/gen_serving_throughput.py`` measures.
 
+One replica, one driver
+-----------------------
+:class:`GenReplica` is one GPU running the iteration-level loop.  It owns
+its KV arena, its optional radix prefix index, its queue and its active
+set, plus its fault injector and circuit breaker; its transitions are
+methods (admit, prefill round, decode step, evict, crash) and
+:meth:`GenReplica.run` is a cooperative :class:`repro.engine.Engine` task
+that yields its busy windows.  One driver schedules arrivals and retries,
+routes each to a replica, wakes idle replicas and finalizes the metrics.
+:class:`ContinuousBatchingServer` is that driver over one replica (a
+router with one choice); :func:`repro.serving.simulate_generation_cluster`
+is the same driver over N replicas behind a least-loaded, health- and
+breaker-aware router — the paper's §5 picture of one server's scheduler
+repeated behind a Nexus-style balancer.  The rules every replica follows:
+
+* **crash truncation** — a pass cut off by a crash is lost at the crash
+  instant; its requests lose their KV and go through the retry path, so
+  nothing completes inside a crash window;
+* **per-instant admission** — an idle replica starts on a WAKE scheduled
+  at ``now``, so every ARRIVAL and RETRY of that instant (which sort
+  first) is queued before its first admission;
+* **queue during an outage** — queued work fails fast to another replica
+  only while some other replica is up; otherwise it stays queued while
+  the replica sleeps out the outage;
+* **re-entry** — every eviction and failed attempt re-enters through the
+  retry policy (at once without one); breakers record failures for
+  crashes and failed attempts, not for KV-pressure preemption;
+* **faults** — each replica stretches its own busy windows under its
+  injector's latency spikes.
+
 Everything is simulator-time and deterministic given the workload; costs
 come from :class:`~repro.runtime.GenerationRuntime` (prefill and per-step
 decode against the growing KV cache).
-
-Migration note (event engine): both loops now run on
-:class:`repro.engine.Engine`.  Arrivals are ARRIVAL events ingested at
-their true timestamps; prefill passes and decode steps occupy the GPU
-through ``engine.advance``; idle gaps are crossed by dispatching the next
-event instead of ``clock = max(clock, next_arrival)``.  Batch
-composition, costs and all counters are unchanged — only the loop
-skeleton moved.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..engine import Engine, EngineFaultInjector, EngineInstrumentation, \
@@ -183,12 +205,10 @@ class KVPreemptionPolicy:
 
 @dataclass
 class ContinuousBatchingConfig:
-    """Knobs of the iteration-level loop."""
+    """Knobs of the iteration-level loop (one replica's config)."""
 
     #: Optional slot cap on top of the KV gate (None = KV-bound only).
     max_batch: Optional[int] = None
-    #: Cap on admissions folded into one prefill pass (None = unbounded).
-    admit_per_step: Optional[int] = None
     warmup_fraction: float = 0.1
     #: Optional KV-pressure preemption (None = watermark holds the head,
     #: exactly the pre-resilience behaviour).
@@ -200,29 +220,18 @@ class ContinuousBatchingConfig:
     #: behaviour.  Chunk boundaries are pure bookkeeping — generated
     #: tokens are identical either way; only timing changes.
     chunk_tokens: Optional[int] = None
-    #: Extra launch cost charged to every chunk after the first.
-    chunk_overhead_s: float = 0.0
     #: Radix-tree prefix caching over CoW KV pages: admission consults a
     #: :class:`~repro.memory.prefix_index.RadixPrefixIndex`, attaches the
     #: longest cached page-aligned prompt prefix by refcount, and runs
     #: prefill only over the uncached suffix.  Requires the workload to
     #: carry ``GenRequest.prompt_ids``; a pure timing/accounting change —
     #: token streams, admission order and completion sets are identical
-    #: to ``False`` (the ``--verify-prefix`` gate enforces it).
+    #: to ``False`` (the ``--verify-gen`` gate enforces it).
     prefix_cache: bool = False
-    #: Run every emitted round schedule through the vector-clock race
-    #: detector inline and raise on a racy round.  Off by default — the
-    #: ``repro check`` sanitizer and tests audit ``emitted_schedules``
-    #: after the fact instead.
-    verify_schedules: bool = False
 
     def __post_init__(self) -> None:
         if self.max_batch is not None and self.max_batch <= 0:
             raise ValueError(f"max_batch must be positive, got {self.max_batch}")
-        if self.admit_per_step is not None and self.admit_per_step <= 0:
-            raise ValueError(
-                f"admit_per_step must be positive, got {self.admit_per_step}"
-            )
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError(
                 f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}"
@@ -230,10 +239,6 @@ class ContinuousBatchingConfig:
         if self.chunk_tokens is not None and self.chunk_tokens <= 0:
             raise ValueError(
                 f"chunk_tokens must be positive, got {self.chunk_tokens}"
-            )
-        if self.chunk_overhead_s < 0.0:
-            raise ValueError(
-                f"chunk_overhead_s must be >= 0, got {self.chunk_overhead_s}"
             )
 
 
@@ -286,8 +291,9 @@ class _GenLoopBase:
                 prompt_len=r.seq_len, max_new_tokens=r.max_new_tokens,
             )
 
-    def _complete(self, r: GenRequest, now: float) -> None:
-        r.resolve(RequestState.COMPLETED, now)
+    def _complete(self, r: GenRequest, now: float,
+                  faults: Optional[EngineFaultInjector] = None) -> None:
+        r.resolve(RequestState.COMPLETED, now, faults=faults)
         self.runtime.publish_request_metrics(
             self.metrics, r.req_id, r.ttft_s, r.tpot_s,
             system=self.system_name,
@@ -396,8 +402,701 @@ class _GenLoopBase:
         return result
 
 
+class GenReplica:
+    """One GPU replica of the iteration-level loop.
+
+    Owns its KV arena, its optional radix prefix index, its queue and its
+    active (decoding) set; a driver binds it to one run's engine, fault
+    injector and circuit breaker (:meth:`bind`).  :meth:`run` is the
+    replica's cooperative engine task: it admits from the queue, runs a
+    prefill round (serial, or chunked and overlapped with decode) or one
+    decode step, and yields each busy window until nothing is runnable.
+    """
+
+    def __init__(self, server_id: int, runtime, arena: KVCacheArena,
+                 config: ContinuousBatchingConfig) -> None:
+        self.server_id = server_id
+        self.runtime = runtime
+        self.arena = arena
+        self.config = config
+        self.chunker: Optional[PrefillChunker] = None
+        if config.chunk_tokens is not None:
+            self.chunker = PrefillChunker(config.chunk_tokens)
+        self.prefix_index = None
+        if config.prefix_cache:
+            # Lazy import keeps repro.memory's import graph acyclic when
+            # prefix caching is off.
+            from ..memory.prefix_index import RadixPrefixIndex
+
+            self.prefix_index = RadixPrefixIndex(arena)
+        self.bind(None, None, None)
+
+    def bind(self, driver: Optional["_GenDriver"],
+             faults: Optional[EngineFaultInjector], breaker) -> None:
+        """Attach to one run and reset the per-run state."""
+        self.driver = driver
+        self.faults = faults
+        self.breaker = breaker
+        self.queue: Deque[GenRequest] = deque()
+        self.active: List[GenRequest] = []
+        self.running = False
+        self.completed = 0
+        #: Per-round :class:`StreamSchedule` log of the run (chunked mode
+        #: only) — audited by the SCHED3xx race detector.
+        self.emitted_schedules: List[StreamSchedule] = []
+        #: Successful admissions of the run, in order (req_ids; restores
+        #: included).
+        self.admission_order: List[int] = []
+        #: Cached-prefix tokens attached at admission, consumed at the
+        #: prefill commit (publish + recompute accounting).
+        self._cached_len: Dict[int, int] = {}
+
+    # -- routing view -----------------------------------------------------
+
+    @property
+    def load(self) -> int:
+        """Requests this replica is responsible for right now."""
+        return len(self.queue) + len(self.active)
+
+    def crashed(self, now: float) -> bool:
+        return self.faults is not None and self.faults.crashed(now)
+
+    def healthy(self, now: float) -> bool:
+        """Not crashed, and the breaker (if any) would let work through
+        (``probe_available`` is the pure query; the reserving ``allow``
+        runs when the router commits work here)."""
+        return not self.crashed(now) and (
+            self.breaker is None or self.breaker.probe_available(now))
+
+    def enqueue(self, r: GenRequest) -> None:
+        """Queue a routed request; an idle replica starts on a WAKE at
+        ``now`` — after every ARRIVAL and RETRY of this instant."""
+        self.queue.append(r)
+        if not self.running:
+            self.running = True
+            engine = self.driver.engine
+            engine.schedule(engine.now, EventKind.WAKE, self._start)
+
+    def _start(self, _event) -> None:
+        self.driver.engine.spawn(self.run(),
+                                 name=f"gen-replica{self.server_id}")
+
+    # -- the loop ---------------------------------------------------------
+
+    def run(self):
+        """Drive the GPU until nothing is runnable (a cooperative task)."""
+        engine = self.driver.engine
+        while True:
+            now = engine.now
+            if self.crashed(now):
+                self.crash(now)
+                yield self.faults.crash_end(now) - now
+                continue
+            admitted = self.admit(now)
+            if admitted is None:
+                continue  # victims preempted: retry with the freed pages
+            if admitted:
+                if self.chunker is not None:
+                    yield from self.overlapped_round(admitted)
+                else:
+                    yield from self.prefill(admitted)
+                continue
+            if self.active:
+                yield from self.decode_step()
+                continue
+            # Nothing runnable.  (Fault-free, a non-empty queue here is
+            # impossible: an empty arena admits anything that passed
+            # fits_at_all at ingest.  Under resilience the head may
+            # legitimately wait — e.g. for a retry backoff.)
+            assert self.driver.resilient or not self.queue, \
+                "admission stalled with an empty arena"
+            break
+        self.running = False
+
+    def admit(self, now: float) -> Optional[List[GenRequest]]:
+        """KV-aware admission: fold every admissible queued request into
+        one prefill pass.  Resumed victims (``generated > 0``) re-enter
+        through ``arena.restore`` with their recompute length.  Returns
+        ``None`` when watermark preemption evicted victims instead (the
+        caller retries admission with the freed pages)."""
+        admitted: List[GenRequest] = []
+        cap = self.config.max_batch
+        while self.queue and (cap is None
+                              or len(self.active) + len(admitted) < cap):
+            r = self.queue[0]
+            matched, shared = self._prefix_lookup(r)
+            if r.generated > 0:
+                ok = self.arena.restore(
+                    r.req_id, r.seq_len + r.generated,
+                    r.seq_len + r.max_new_tokens, shared_pages=shared,
+                )
+                if not ok and not self.arena.fits_at_all(
+                    r.seq_len + r.generated, r.seq_len + r.max_new_tokens,
+                ):
+                    # Grew past what an empty arena could restore:
+                    # unrecoverable, don't block the FIFO head.
+                    self.queue.popleft()
+                    self.driver.host._fail(r, now)
+                    continue
+            else:
+                ok = self.arena.admit(r.req_id, r.seq_len,
+                                      r.seq_len + r.max_new_tokens,
+                                      shared_pages=shared)
+            if not ok:
+                break  # high-watermark holds the FIFO head
+            self.queue.popleft()
+            admitted.append(r)
+            self._count_hit(matched)
+            self._cached_len[r.req_id] = matched
+            self.admission_order.append(r.req_id)
+        if not admitted and self.queue and self.active and \
+                self.config.preemption is not None and \
+                self._preempt_for_head(now):
+            return None
+        return admitted
+
+    def _preempt_for_head(self, now: float) -> bool:
+        """The watermark holds the head while others run: evict victims
+        so it can make progress (bounded by the retry budget)."""
+        policy = self.config.preemption
+        head = self.queue[0]
+        evicted = 0
+        for victim in policy.victim_order(self.active, now):
+            if evicted >= policy.max_victims_per_event:
+                break
+            if not self.arena.fits_at_all(
+                victim.seq_len + victim.generated,
+                victim.seq_len + victim.max_new_tokens,
+            ):
+                continue  # could never be restored: skip
+            self.active.remove(victim)
+            self.evict(victim, now, failed=False)
+            evicted += 1
+            if self.arena.can_admit(head.seq_len + head.generated,
+                                    head.seq_len + head.max_new_tokens):
+                break
+        return evicted > 0
+
+    def _window(self, started: float,
+                dur: float) -> Tuple[float, Optional[float]]:
+        """The busy window of a pass starting at ``started``: its duration
+        stretched under the injector's latency spikes, and the crash
+        instant inside it, if any — a pass a crash cuts short is lost
+        there."""
+        if self.faults is None:
+            return dur, None
+        dur = self.faults.stretch(dur, started)
+        return dur, self.faults.crashed_during(started, started + dur)
+
+    def prefill(self, admitted: List[GenRequest]):
+        """One serial prefill pass over the admitted set; it blocks every
+        live decoder (the head-of-line stall chunking removes)."""
+        d = self.driver
+        b = len(admitted)
+        prompt = max(r.seq_len + r.generated for r in admitted)
+        # Prefix-cache credit: the batched pass only runs positions past
+        # the shortest attached prefix (the telescoping difference — the
+        # cached head's cost, launch overhead cancelled, is skipped work).
+        pass_start = min(self._cached_len[r.req_id] for r in admitted)
+        started = d.engine.now
+        full_s = self.runtime.prefill_latency(b, prompt)
+        prefill_s = full_s
+        if pass_start > 0:
+            prefill_s = max(0.0, full_s - self.runtime
+                            .prefill_latency(b, pass_start))
+            d.prefill_saved_s += full_s - prefill_s
+        self.runtime.trace_prefill(d.host.tracer, started, prefill_s, b,
+                                   prompt)
+        dur, cut = self._window(started, prefill_s)
+        yield dur if cut is None else cut - started
+        if cut is not None:
+            self._lose(admitted)
+            return
+        d.busy_s += _window_overlap(started, dur, d.horizon)
+        if self.active:
+            d.stall_s += dur
+        d.prefills += 1
+        self._commit_prefill(admitted, started, d.engine.now)
+        self._trace_kv()
+        if d.host.metrics is not None:
+            d.host.metrics.counter("gen_prefill_batches_total",
+                                   system=d.host.system_name).inc()
+
+    def decode_step(self):
+        """One decode step over the live batch: width = live slots only
+        (finished requests already exited), KV padded to the longest."""
+        d = self.driver
+        b = len(self.active)
+        past = max(r.seq_len + r.generated for r in self.active)
+        started = d.engine.now
+        step_s = self.runtime.decode_step_latency(b, past)
+        self.runtime.trace_decode_stride(d.host.tracer, started, step_s, b,
+                                         past, tokens=b)
+        dur, cut = self._window(started, step_s)
+        yield dur if cut is None else cut - started
+        if cut is not None:
+            self._lose(self.active)
+            self.active = []
+            return
+        d.busy_s += _window_overlap(started, dur, d.horizon)
+        self._commit_decode(self.active, d.engine.now)
+        self.active = [r for r in self.active
+                       if r.generated < r.max_new_tokens]
+        self._trace_kv()
+
+    def overlapped_round(self, admitted: List[GenRequest]):
+        """One chunked round: prefill chunks on the ``prefill`` stream
+        overlapped with decode steps on the ``decode`` stream.
+
+        The round is planned first (chunk latencies, decode steps
+        starting strictly before the prefill finishes), encoded as a
+        :class:`StreamSchedule` with KV-page buffer annotations and the
+        chunk↔decode EventRecord/EventWait join, then *executed* on
+        per-stream virtual clocks — the resulting critical-path makespan
+        is the replica's busy window, not the serial sum.  Token effects
+        are identical to the serial path: the admitted set commits at the
+        prefill's end, each decode step at its own.
+        """
+        d = self.driver
+        d.rounds += 1
+        round_idx = d.rounds
+        b_p = len(admitted)
+        prompt = max(r.seq_len + r.generated for r in admitted)
+        # Prefix-cache credit, as in the serial path: chunk only the
+        # positions past the shortest attached prefix.
+        pass_start = min(self._cached_len[r.req_id] for r in admitted)
+        started = d.engine.now
+        chunks = self.chunker.chunks(prompt, start=pass_start)
+        chunk_lats = [self.chunker.chunk_latency(self.runtime, b_p, c,
+                                                 pass_start=pass_start)
+                      for c in chunks]
+        prefill_total = sum(chunk_lats)
+        if pass_start > 0:
+            d.prefill_saved_s += min(
+                self.runtime.prefill_latency(b_p, prompt),
+                self.runtime.prefill_latency(b_p, pass_start),
+            )
+        # Plan the decode steps that overlap the prefill: a step is issued
+        # only if it fits **inside** the prefill window, so the round
+        # never outlasts the prefill pass — the next admission happens
+        # exactly when the serial loop would have re-checked the queue,
+        # and every overlapped step is pure profit.  ``extra`` tracks
+        # tokens produced within this round without mutating requests.
+        steps: List[Tuple[List[Tuple[GenRequest, int]], float]] = []
+        dec = list(self.active)
+        extra: Dict[int, int] = {}
+        dec_elapsed = 0.0
+        while dec:
+            b_d = len(dec)
+            past = max(r.seq_len + r.generated + extra.get(r.req_id, 0)
+                       for r in dec)
+            step_s = self.runtime.decode_step_latency(b_d, past)
+            if dec_elapsed + step_s > prefill_total:
+                break
+            members = [(r, r.seq_len + r.generated
+                        + extra.get(r.req_id, 0)) for r in dec]
+            steps.append((members, step_s))
+            dec_elapsed += step_s
+            nxt: List[GenRequest] = []
+            for r in dec:
+                extra[r.req_id] = extra.get(r.req_id, 0) + 1
+                if r.generated + extra[r.req_id] < r.max_new_tokens:
+                    nxt.append(r)
+            dec = nxt
+        sched, durations = self._round_schedule(round_idx, admitted, chunks,
+                                                chunk_lats, steps)
+        self.emitted_schedules.append(sched)
+        # Execute on per-stream clocks: the makespan (critical path
+        # through the join) is the GPU's busy window for this round.
+        timing = execute_schedule(sched, durations)
+        makespan = timing.makespan_s
+        dur, cut = self._window(started, makespan)
+        yield dur if cut is None else cut - started
+        if cut is not None:
+            self._lose(admitted)
+            return
+        # Faults may stretch the window; scale internal span times so
+        # commit timestamps stay inside [started, now].
+        ratio = dur / makespan if makespan > 0 else 1.0
+        d.busy_s += _merged_busy_in_horizon(
+            [(started + t.start_s * ratio, started + t.end_s * ratio)
+             for t in timing.spans], d.horizon,
+        )
+        d.overlap_saved_s += timing.overlap_saved_s * ratio
+        if dec:
+            # Live decoders exhausted the overlap window and stalled from
+            # their last step to the join.
+            d.stall_s += max(0.0, prefill_total - dec_elapsed) * ratio
+        d.prefills += 1
+        d.prefill_chunks += len(chunks)
+        tracer = d.host.tracer if d.host._trace_on else None
+        if tracer is not None:
+            for t in timing.spans:
+                if t.op.kernel == "batch.reform":
+                    continue
+                tracer.complete(
+                    t.op.kernel, started + t.start_s * ratio,
+                    t.duration_s * ratio, tid=f"gpu:{t.op.stream}",
+                    cat="prefill" if t.op.stream == "prefill" else "decode",
+                    round=round_idx,
+                )
+        # Commit decode-step effects at each step's end time.
+        elapsed = 0.0
+        for members, step_s in steps:
+            elapsed += step_s
+            self._commit_decode([r for r, _cached in members],
+                                started + elapsed * ratio)
+        self.active = [r for r in self.active
+                       if r.generated < r.max_new_tokens]
+        # Commit the prefill at the pass end (TTFT is unchanged by the
+        # overlap — the win is that the *round* only costs the makespan,
+        # so the queue drains sooner).
+        self._commit_prefill(admitted, started,
+                             started + prefill_total * ratio)
+        self._trace_kv()
+        if d.host.metrics is not None:
+            d.host.metrics.counter("gen_prefill_batches_total",
+                                   system=d.host.system_name).inc()
+            d.host.metrics.counter("gen_prefill_chunks_total",
+                                   system=d.host.system_name).inc(len(chunks))
+
+    def _round_schedule(self, round_idx: int, admitted: List[GenRequest],
+                        chunks, chunk_lats: List[float], steps,
+                        ) -> Tuple[StreamSchedule, Dict[str, float]]:
+        """Encode a round as an issue-order stream program.
+
+        Chunk launches write the admitted requests' KV pages; decode
+        launches append to the live requests' pages (disjoint request sets
+        — the overlap is race-free by construction); the EventRecord /
+        EventWait pair is the chunk↔decode join: the decode stream may not
+        re-form the batch around the newcomers (reading their freshly
+        written KV) until every prefill chunk has completed.
+        """
+        sched = StreamSchedule(name=f"round{round_idx}")
+        durations: Dict[str, float] = {}
+        for c, lat in zip(chunks, chunk_lats):
+            writes: List[str] = []
+            for r in admitted:
+                # Cached-prefix positions are already resident (the
+                # attached pages) — the pass never writes them.
+                lo = max(c.start, self._cached_len[r.req_id])
+                hi = min(c.end, r.seq_len + r.generated)
+                if lo < hi:
+                    writes.extend(self._kv_pages(r, lo, hi))
+            kernel = f"prefill.c{c.index}"
+            sched.launch(kernel, "prefill", reads=("weights",),
+                         writes=tuple(writes))
+            durations[kernel] = lat
+        done = f"prefill.done.{round_idx}"
+        sched.record(done, "prefill")
+        for j, (members, step_s) in enumerate(steps):
+            reads: List[str] = ["weights"]
+            writes = []
+            for r, cached in members:
+                reads.extend(self._kv_pages(r, max(0, cached - 1), cached))
+                writes.extend(self._kv_pages(r, cached, cached + 1))
+            kernel = f"decode.s{j}"
+            sched.launch(kernel, "decode", reads=tuple(reads),
+                         writes=tuple(writes))
+            durations[kernel] = step_s
+        sched.wait(done, "decode")
+        reform_reads = ["weights"]
+        for r in admitted:
+            length = r.seq_len + r.generated
+            reform_reads.extend(self._kv_pages(r, length - 1, length))
+        sched.launch("batch.reform", "decode", reads=tuple(reform_reads))
+        durations["batch.reform"] = 0.0
+        return sched, durations
+
+    def _kv_pages(self, r: GenRequest, lo: int, hi: int) -> List[str]:
+        """Logical page-buffer names backing token positions [lo, hi)."""
+        page = self.arena.page_tokens
+        return [f"kv/{r.req_id:08d}/p{p}"
+                for p in range(lo // page, (hi - 1) // page + 1)]
+
+    # -- commits ----------------------------------------------------------
+
+    def _commit_prefill(self, admitted: List[GenRequest], started: float,
+                        end: float) -> None:
+        """Commit a prefill pass that ran ``[started, end]``: each member
+        yields its (first or next) token, or — on a transient failure at
+        the commit — loses its region and re-enters via the retry path."""
+        d = self.driver
+        now = d.engine.now
+        for r in admitted:
+            matched = self._cached_len.pop(r.req_id, 0)
+            if self.faults is not None and self.faults.attempt_fails(
+                r.req_id, r.attempt, started
+            ):
+                d.attempts_failed += 1
+                self.arena.preempt(r.req_id)
+                self.fail(r, now)
+                continue
+            if self.breaker is not None:
+                self.breaker.record(True, now)
+            self._publish_prefix(r)
+            if r.first_token_s is None:
+                r.start_s = started
+                r.generated = 1  # prefill yields the first token
+                r.first_token_s = end
+            else:
+                # Resumed after eviction: the prefix (prompt + prior
+                # tokens) past any still-cached head was recomputed and
+                # the pass yields the next token.  The restored region
+                # already holds the recomputed prefix — the token just
+                # produced joins it at the next decode step.
+                d.tokens_recomputed += r.seq_len + r.generated - matched
+                r.generated += 1
+            d.tokens += 1
+            if r.generated >= r.max_new_tokens:
+                self._complete(r, end)
+            else:
+                self.active.append(r)
+
+    def _commit_decode(self, members: List[GenRequest], end: float) -> None:
+        """Commit one decode step ending at ``end``: every member gains a
+        token; finished ones complete, the rest append it to their KV."""
+        d = self.driver
+        d.decode_steps += 1
+        d.tokens += len(members)
+        for r in members:
+            r.generated += 1
+            if r.generated >= r.max_new_tokens:
+                self._complete(r, end)
+            else:
+                # The token just produced joins the KV cache and is
+                # attended to from the next step on.
+                self.arena.append(r.req_id, 1)
+        if d.host.metrics is not None:
+            d.host.metrics.counter("gen_decode_steps_total",
+                                   system=d.host.system_name).inc()
+            d.host.metrics.counter("gen_tokens_total",
+                                   system=d.host.system_name
+                                   ).inc(len(members))
+
+    def _complete(self, r: GenRequest, now: float) -> None:
+        self.driver.host._complete(r, now, self.faults)
+        self.completed += 1
+        self.arena.release(r.req_id)
+
+    def _trace_kv(self) -> None:
+        d = self.driver
+        if d.host._trace_on:
+            d.host.tracer.counter("kv_arena", d.engine.now, {
+                "used_mb": self.arena.used_bytes / (1024.0 * 1024.0),
+                "slots": float(len(self.active)),
+            })
+
+    # -- evictions --------------------------------------------------------
+
+    def evict(self, r: GenRequest, now: float, failed: bool) -> None:
+        """Drop a live request's KV and send it through the retry path;
+        ``failed`` (a crash, not KV pressure) also tells the breaker."""
+        d = self.driver
+        self.arena.preempt(r.req_id)
+        d.preemptions += 1
+        if d.host.metrics is not None:
+            d.host.metrics.counter("gen_preemptions_total",
+                                   system=d.host.system_name).inc()
+        if failed:
+            self.fail(r, now)
+        else:
+            d.requeue(r, now)
+
+    def fail(self, r: GenRequest, now: float) -> None:
+        """One attempt died here: the breaker learns, the retry re-routes."""
+        if self.breaker is not None:
+            self.breaker.record(False, now)
+        self.driver.requeue(r, now)
+
+    def _lose(self, reqs: List[GenRequest]) -> None:
+        """A crash cut the pass short: its requests lose their KV."""
+        now = self.driver.engine.now
+        for r in reqs:
+            self._cached_len.pop(r.req_id, None)
+            self.evict(r, now, failed=True)
+
+    def crash(self, now: float) -> None:
+        """Down: in-flight KV is gone; queued work fails fast to another
+        replica only while one is up (else it waits out the outage)."""
+        for r in self.active:
+            self.evict(r, now, failed=True)
+        self.active = []
+        if self.driver.other_replica_up(self, now):
+            while self.queue:
+                self.fail(self.queue.popleft(), now)
+
+    # -- prefix cache -----------------------------------------------------
+
+    def _prefix_lookup(self, r: GenRequest) -> Tuple[int, Sequence]:
+        """Longest cached page-aligned prefix for an arriving/resumed
+        request: ``(matched_tokens, pages)`` — ``(0, ())`` with the cache
+        off or a content-less workload."""
+        if self.prefix_index is None or r.prompt_ids is None:
+            return 0, ()
+        return self.prefix_index.lookup(r.prompt_ids)
+
+    def _count_hit(self, matched: int) -> None:
+        """Account a cache hit once its admission succeeded (a denied head
+        retries its lookup next pass — don't double-count it)."""
+        if not matched:
+            return
+        d = self.driver
+        d.prefix_hits += 1
+        d.prefix_tokens_reused += matched
+        if d.host.metrics is not None:
+            d.host.metrics.counter("gen_prefix_hits_total",
+                                   system=d.host.system_name).inc()
+            d.host.metrics.counter("gen_prefix_tokens_reused_total",
+                                   system=d.host.system_name).inc(matched)
+
+    def _publish_prefix(self, r: GenRequest) -> None:
+        """Index the request's full prompt pages after a successful
+        prefill commit (first-publisher-wins; shared pages converge on one
+        physical page per distinct prefix)."""
+        if self.prefix_index is None or r.prompt_ids is None:
+            return
+        n_full = r.seq_len // self.arena.page_tokens
+        if n_full:
+            region = self.arena.region_of(r.req_id)
+            self.prefix_index.insert(r.prompt_ids, region.pages[:n_full])
+
+
+class _GenDriver:
+    """One serve call over a set of :class:`GenReplica`: the engine, the
+    arrival and retry events, the router, and the counters every replica
+    of the run adds to (one accumulator each, in event order)."""
+
+    def __init__(self, host: _GenLoopBase, replicas: Sequence[GenReplica],
+                 resilience: Optional["ResilienceConfig"]) -> None:
+        self.host = host
+        self.replicas = list(replicas)
+        self.resilient = resilience is not None
+        instrumentation = EngineInstrumentation(host.tracer, host.metrics)
+        self.engine = Engine(instrumentation=instrumentation)
+        self.retry_state = None
+        if resilience is not None and resilience.retry is not None:
+            from ..resilience.retry import RetryState  # deferred: avoids cycle
+
+            self.retry_state = RetryState(resilience.retry)
+        plan = None
+        if resilience is not None and not resilience.faults.empty:
+            plan = resilience.faults
+        for rep in self.replicas:
+            faults = None
+            if plan is not None:
+                faults = EngineFaultInjector(plan, rep.server_id,
+                                             instrumentation)
+            breaker = None
+            if resilience is not None and \
+                    resilience.breaker_factory is not None:
+                breaker = resilience.breaker_factory(rep.server_id)
+            rep.bind(self, faults, breaker)
+        self.horizon = 0.0
+        self.busy_s = 0.0
+        self.decode_steps = self.prefills = self.tokens = 0
+        self.preemptions = self.tokens_recomputed = self.attempts_failed = 0
+        self.rounds = self.prefill_chunks = 0
+        self.overlap_saved_s = self.stall_s = 0.0
+        self.prefix_hits = self.prefix_tokens_reused = 0
+        self.prefill_saved_s = 0.0
+
+    def serve(self, requests: Sequence[GenRequest],
+              duration_s: Optional[float]) -> GenServingMetrics:
+        if not requests:
+            raise ValueError("need at least one request to simulate")
+        arrivals: List[GenRequest] = sorted(requests,
+                                            key=lambda r: r.arrival_s)
+        horizon = duration_s if duration_s is not None \
+            else arrivals[-1].arrival_s
+        if horizon <= 0:
+            raise ValueError(f"duration must be positive, got {horizon}")
+        self.horizon = horizon
+        host = self.host
+        if host._trace_on:
+            host.tracer.thread_name("gpu", "gpu (prefill + decode steps)")
+            if any(rep.chunker is not None for rep in self.replicas):
+                host.tracer.thread_name("gpu:prefill",
+                                        "gpu stream: prefill chunks")
+                host.tracer.thread_name("gpu:decode",
+                                        "gpu stream: decode steps")
+        for r in arrivals:
+            self.engine.schedule(r.arrival_s, EventKind.ARRIVAL,
+                                 self._on_arrival, r)
+        self.engine.run()
+        device = getattr(host.runtime, "device", None)
+        peak_flops = device.peak_fp32_flops if device is not None else 0.0
+        return host._finalize(
+            arrivals, horizon, self.engine.now, self.busy_s,
+            self.decode_steps, self.prefills, self.tokens,
+            kv_denials=sum(rep.arena.denials for rep in self.replicas),
+            kv_peak_bytes=max(rep.arena.peak_used_bytes
+                              for rep in self.replicas),
+            preemptions=self.preemptions,
+            tokens_recomputed=self.tokens_recomputed,
+            retries=(self.retry_state.retries_used
+                     if self.retry_state is not None else 0),
+            attempts_failed=self.attempts_failed,
+            prefill_chunks=self.prefill_chunks,
+            overlap_saved_s=self.overlap_saved_s,
+            stall_s=self.stall_s,
+            prefix_hits=self.prefix_hits,
+            prefix_tokens_reused=self.prefix_tokens_reused,
+            prefill_flops_saved=self.prefill_saved_s * peak_flops,
+        )
+
+    def route(self) -> GenReplica:
+        """Least-loaded replica among the healthy ones (all of them when
+        none is healthy: queueing somewhere beats dropping); commits the
+        chosen replica's half-open probe slot, if any."""
+        now = self.engine.now
+        candidates = self.replicas
+        if self.resilient:
+            candidates = [rep for rep in self.replicas
+                          if rep.healthy(now)] or self.replicas
+        target = min(candidates, key=lambda rep: (rep.load, rep.server_id))
+        if target.breaker is not None:
+            target.breaker.allow(now)
+        return target
+
+    def other_replica_up(self, rep: GenReplica, now: float) -> bool:
+        return any(o is not rep and not o.crashed(now)
+                   for o in self.replicas)
+
+    def requeue(self, r: GenRequest, now: float) -> None:
+        """Route an evicted or failed attempt through the retry path:
+        without a retry policy it re-enters at this instant; with one it
+        waits out the backoff, or resolves FAILED when the policy refuses
+        (attempts/budget exhausted, or backoff past the deadline)."""
+        if self.retry_state is None:
+            self.engine.schedule(now, EventKind.RETRY, self._on_retry, r)
+            return
+        retry_at = self.retry_state.next_retry_at(r, now)
+        if retry_at is None:
+            self.host._fail(r, now)
+            return
+        r.attempt += 1
+        self.engine.schedule(retry_at, EventKind.RETRY, self._on_retry, r)
+
+    def _on_arrival(self, event) -> None:
+        r = event.payload
+        self.host._begin_request(r)
+        rep = self.route()
+        if not rep.arena.fits_at_all(r.seq_len,
+                                     r.seq_len + r.max_new_tokens):
+            # Could never be admitted even into an empty arena: shed
+            # instead of blocking the FIFO head forever.
+            self.host._shed(r, self.engine.now)
+            return
+        rep.enqueue(r)
+
+    def _on_retry(self, event) -> None:
+        self.route().enqueue(event.payload)
+
+
 class ContinuousBatchingServer(_GenLoopBase):
-    """Iteration-level decode loop with KV-cache-aware admission."""
+    """Iteration-level decode loop with KV-cache-aware admission: the
+    generation driver over one :class:`GenReplica`."""
 
     name = "continuous"
 
@@ -410,7 +1109,6 @@ class ContinuousBatchingServer(_GenLoopBase):
         metrics: Optional[MetricsRegistry] = None,
         system_name: str = "Turbo-Continuous",
         resilience: Optional["ResilienceConfig"] = None,
-        server_id: int = 0,
     ) -> None:
         config = config or ContinuousBatchingConfig()
         super().__init__(runtime, tracer, metrics, system_name,
@@ -418,22 +1116,25 @@ class ContinuousBatchingServer(_GenLoopBase):
         self.arena = arena
         self.config = config
         self.resilience = resilience
-        self.server_id = server_id
-        #: Per-round :class:`StreamSchedule` log of the last ``serve()``
-        #: call (chunked mode only) — audited by the SCHED3xx race
-        #: detector via ``repro check --sanitize continuous`` and tests.
-        self.emitted_schedules: List[StreamSchedule] = []
-        #: Successful admissions of the last ``serve()`` call, in order
-        #: (req_ids; restores included).  The ``--verify-prefix`` gate
-        #: compares this log cache-on vs cache-off.
-        self.admission_order: List[int] = []
-        self.prefix_index = None
-        if config.prefix_cache:
-            # Lazy import keeps repro.memory's import graph acyclic when
-            # prefix caching is off.
-            from ..memory.prefix_index import RadixPrefixIndex
+        self.replica = GenReplica(0, runtime, arena, config)
 
-            self.prefix_index = RadixPrefixIndex(arena)
+    @property
+    def prefix_index(self):
+        return self.replica.prefix_index
+
+    @property
+    def emitted_schedules(self) -> List[StreamSchedule]:
+        """Per-round :class:`StreamSchedule` log of the last ``serve()``
+        call (chunked mode only) — audited by the SCHED3xx race detector
+        via ``repro check --sanitize continuous`` and tests."""
+        return self.replica.emitted_schedules
+
+    @property
+    def admission_order(self) -> List[int]:
+        """Successful admissions of the last ``serve()`` call, in order
+        (req_ids; restores included).  The ``--verify-gen`` gate compares
+        this log across configs."""
+        return self.replica.admission_order
 
     def serve(self, requests: Sequence[GenRequest],
               duration_s: Optional[float] = None) -> GenServingMetrics:
@@ -444,570 +1145,8 @@ class ContinuousBatchingServer(_GenLoopBase):
         loop always drains, and saturation is judged from the backlog at
         the horizon.
         """
-        if not requests:
-            raise ValueError("need at least one request to simulate")
-        arrivals: List[GenRequest] = sorted(requests, key=lambda r: r.arrival_s)
-        horizon = duration_s if duration_s is not None else arrivals[-1].arrival_s
-        if horizon <= 0:
-            raise ValueError(f"duration must be positive, got {horizon}")
-        chunker: Optional[PrefillChunker] = None
-        if self.config.chunk_tokens is not None:
-            chunker = PrefillChunker(self.config.chunk_tokens,
-                                     self.config.chunk_overhead_s)
-        check_schedule = None
-        if self.config.verify_schedules:
-            # Lazy import: repro.analysis imports this module via the
-            # sanitizer, so a module-level import would be circular.
-            from ..analysis.schedule_checks import check_schedule
-        self.emitted_schedules = []
-        if self._trace_on:
-            self.tracer.thread_name("gpu", "gpu (prefill + decode steps)")
-            if chunker is not None:
-                self.tracer.thread_name("gpu:prefill",
-                                        "gpu stream: prefill chunks")
-                self.tracer.thread_name("gpu:decode",
-                                        "gpu stream: decode steps")
-
-        res = self.resilience
-        instrumentation = EngineInstrumentation(self.tracer, self.metrics)
-        faults: Optional[EngineFaultInjector] = None
-        if res is not None and not res.faults.empty:
-            faults = EngineFaultInjector(res.faults, self.server_id,
-                                         instrumentation)
-        retry_state = None
-        if res is not None and res.retry is not None:
-            from ..resilience.retry import RetryState
-            retry_state = RetryState(res.retry)
-        engine = Engine(instrumentation=instrumentation, faults=faults)
-        queue: Deque[GenRequest] = deque()
-        active: List[GenRequest] = []
-        busy = 0.0
-        decode_steps = prefills = tokens = 0
-        preemptions = tokens_recomputed = retries = attempts_failed = 0
-        chunks_total = 0
-        overlap_saved = stall = 0.0
-        round_idx = 0
-        self.admission_order = []
-        prefix_hits = prefix_reused = 0
-        prefill_saved_s = 0.0
-        #: Cached-prefix tokens attached at this admission, consumed at
-        #: the prefill commit (publish + recompute accounting).
-        cached_len: Dict[int, int] = {}
-
-        def prefix_lookup(r: GenRequest) -> Tuple[int, Sequence]:
-            """Longest cached page-aligned prefix for an arriving/resumed
-            request: ``(matched_tokens, pages)`` — ``(0, ())`` with the
-            cache off or a content-less workload."""
-            if self.prefix_index is None or r.prompt_ids is None:
-                return 0, ()
-            return self.prefix_index.lookup(r.prompt_ids)
-
-        def count_hit(matched: int) -> None:
-            """Account a cache hit once its admission succeeded (a denied
-            head retries its lookup next pass — don't double-count it)."""
-            nonlocal prefix_hits, prefix_reused
-            if not matched:
-                return
-            prefix_hits += 1
-            prefix_reused += matched
-            if self.metrics is not None:
-                self.metrics.counter("gen_prefix_hits_total",
-                                     system=self.system_name).inc()
-                self.metrics.counter(
-                    "gen_prefix_tokens_reused_total",
-                    system=self.system_name,
-                ).inc(matched)
-
-        def publish_prefix(r: GenRequest) -> None:
-            """Index the request's full prompt pages after a successful
-            prefill commit (first-publisher-wins; shared pages converge
-            on one physical page per distinct prefix)."""
-            if self.prefix_index is None or r.prompt_ids is None:
-                return
-            n_full = r.seq_len // self.arena.page_tokens
-            if n_full:
-                region = self.arena.region_of(r.req_id)
-                self.prefix_index.insert(r.prompt_ids, region.pages[:n_full])
-
-        def on_arrival(event) -> None:
-            r = event.payload
-            self._begin_request(r)
-            if not self.arena.fits_at_all(
-                r.seq_len, r.seq_len + r.max_new_tokens
-            ):
-                # Could never be admitted even into an empty arena:
-                # shed instead of blocking the FIFO head forever.
-                self._shed(r, engine.now)
-                return
-            queue.append(r)
-
-        def on_retry(event) -> None:
-            queue.append(event.payload)
-
-        def slots_free(pending: int) -> bool:
-            cap = self.config.max_batch
-            return cap is None or len(active) + pending < cap
-
-        def requeue(r: GenRequest, now: float) -> bool:
-            """Route an evicted/failed attempt through the retry path.
-
-            Returns True if a RETRY was scheduled; False resolves FAILED
-            (budget/attempts exhausted, or backoff past the deadline).
-            """
-            nonlocal retries
-            if retry_state is None:
-                # No retry policy: re-enter the queue at this instant.
-                engine.schedule(now, EventKind.RETRY, on_retry, r)
-                return True
-            retry_at = retry_state.next_retry_at(r, now)
-            if retry_at is None:
-                self._fail(r, now)
-                return False
-            r.attempt += 1
-            retries += 1
-            engine.schedule(retry_at, EventKind.RETRY, on_retry, r)
-            return True
-
-        def evict(r: GenRequest, now: float) -> None:
-            """Drop a live request's KV (preemption or crash) and re-queue."""
-            nonlocal preemptions
-            self.arena.preempt(r.req_id)
-            preemptions += 1
-            if self.metrics is not None:
-                self.metrics.counter("gen_preemptions_total",
-                                     system=self.system_name).inc()
-            requeue(r, now)
-
-        def _kv_pages(r: GenRequest, lo: int, hi: int) -> List[str]:
-            """Logical page-buffer names backing token positions [lo, hi)."""
-            page = self.arena.page_tokens
-            return [f"kv/{r.req_id:08d}/p{p}"
-                    for p in range(lo // page, (hi - 1) // page + 1)]
-
-        def overlapped_round(admitted: List[GenRequest]) -> None:
-            """One chunked round: prefill chunks on the ``prefill`` stream
-            overlapped with decode steps on the ``decode`` stream.
-
-            The round is planned first (chunk latencies, decode steps
-            starting strictly before the prefill finishes), encoded as a
-            :class:`StreamSchedule` with KV-page buffer annotations and
-            the chunk↔decode EventRecord/EventWait join, then *executed*
-            on per-stream virtual clocks — the resulting critical-path
-            makespan is what ``engine.advance`` charges, so the GPU is
-            busy for the overlapped window, not the serial sum.  Token
-            effects are identical to the serial path: the admitted set
-            commits at the prefill's end, each decode step at its own.
-            """
-            nonlocal active, busy, decode_steps, prefills, tokens
-            nonlocal attempts_failed, tokens_recomputed
-            nonlocal chunks_total, overlap_saved, stall, round_idx
-            nonlocal prefill_saved_s
-            round_idx += 1
-            b_p = len(admitted)
-            prompt = max(r.seq_len + r.generated for r in admitted)
-            # Prefix-cache credit, as in the serial path: chunk only the
-            # positions past the shortest attached prefix.
-            pass_start = min(cached_len[r.req_id] for r in admitted)
-            started = engine.now
-            chunks = chunker.chunks(prompt, start=pass_start)
-            chunk_lats = [chunker.chunk_latency(self.runtime, b_p, c,
-                                                pass_start=pass_start)
-                          for c in chunks]
-            prefill_total = sum(chunk_lats)
-            if pass_start > 0:
-                prefill_saved_s += min(
-                    self.runtime.prefill_latency(b_p, prompt),
-                    self.runtime.prefill_latency(b_p, pass_start),
-                )
-            # Plan the decode steps that overlap the prefill: a step is
-            # issued only if it fits **inside** the prefill window, so
-            # the round never outlasts the prefill pass — the next
-            # admission happens exactly when the serial loop would have
-            # re-checked the queue, and every overlapped step is pure
-            # profit (a straggling step would delay admissions and push
-            # the TTFT tail back up at light load).  ``extra`` tracks
-            # tokens produced within this round without mutating
-            # requests yet.
-            steps: List[Tuple[List[Tuple[GenRequest, int]], float]] = []
-            dec = list(active)
-            extra: Dict[int, int] = {}
-            dec_elapsed = 0.0
-            while dec:
-                b_d = len(dec)
-                past = max(r.seq_len + r.generated + extra.get(r.req_id, 0)
-                           for r in dec)
-                step_s = self.runtime.decode_step_latency(b_d, past)
-                if dec_elapsed + step_s > prefill_total:
-                    break
-                members = [(r, r.seq_len + r.generated
-                            + extra.get(r.req_id, 0)) for r in dec]
-                steps.append((members, step_s))
-                dec_elapsed += step_s
-                nxt: List[GenRequest] = []
-                for r in dec:
-                    extra[r.req_id] = extra.get(r.req_id, 0) + 1
-                    if r.generated + extra[r.req_id] < r.max_new_tokens:
-                        nxt.append(r)
-                dec = nxt
-            # Encode the round as an issue-order stream program.  Chunk
-            # launches write the admitted requests' KV pages; decode
-            # launches append to the live requests' pages (disjoint
-            # request sets — the overlap is race-free by construction);
-            # the EventRecord/EventWait pair is the chunk↔decode join:
-            # the decode stream may not re-form the batch around the
-            # newcomers (reading their freshly written KV) until every
-            # prefill chunk has completed.
-            sched = StreamSchedule(name=f"round{round_idx}")
-            durations: Dict[str, float] = {}
-            for c, lat in zip(chunks, chunk_lats):
-                writes: List[str] = []
-                for r in admitted:
-                    # Cached-prefix positions are already resident (the
-                    # attached pages) — the pass never writes them.
-                    lo = max(c.start, cached_len[r.req_id])
-                    hi = min(c.end, r.seq_len + r.generated)
-                    if lo < hi:
-                        writes.extend(_kv_pages(r, lo, hi))
-                kernel = f"prefill.c{c.index}"
-                sched.launch(kernel, "prefill", reads=("weights",),
-                             writes=tuple(writes))
-                durations[kernel] = lat
-            done = f"prefill.done.{round_idx}"
-            sched.record(done, "prefill")
-            for j, (members, step_s) in enumerate(steps):
-                reads: List[str] = ["weights"]
-                writes = []
-                for r, cached in members:
-                    reads.extend(_kv_pages(r, max(0, cached - 1), cached))
-                    writes.extend(_kv_pages(r, cached, cached + 1))
-                kernel = f"decode.s{j}"
-                sched.launch(kernel, "decode", reads=tuple(reads),
-                             writes=tuple(writes))
-                durations[kernel] = step_s
-            sched.wait(done, "decode")
-            reform_reads = ["weights"]
-            for r in admitted:
-                length = r.seq_len + r.generated
-                reform_reads.extend(_kv_pages(r, length - 1, length))
-            sched.launch("batch.reform", "decode", reads=tuple(reform_reads))
-            durations["batch.reform"] = 0.0
-            self.emitted_schedules.append(sched)
-            if check_schedule is not None:
-                races = check_schedule(sched)
-                if races:
-                    raise RuntimeError(
-                        f"racy round schedule {sched.name}: "
-                        f"{races[0].code} {races[0].message}"
-                    )
-            # Execute on per-stream clocks: the makespan (critical path
-            # through the join) is the GPU's busy window for this round.
-            timing = execute_schedule(sched, durations)
-            makespan = timing.makespan_s
-            engine.advance(makespan)
-            # Faults may stretch the window; scale internal span times so
-            # commit timestamps stay inside [started, engine.now].
-            ratio = engine.last_advance_s / makespan if makespan > 0 else 1.0
-            busy += _merged_busy_in_horizon(
-                [(started + t.start_s * ratio, started + t.end_s * ratio)
-                 for t in timing.spans], horizon,
-            )
-            overlap_saved += timing.overlap_saved_s * ratio
-            if dec:
-                # Live decoders exhausted the overlap window and stalled
-                # from their last step to the join.
-                stall += max(0.0, prefill_total - dec_elapsed) * ratio
-            prefills += 1
-            chunks_total += len(chunks)
-            if self._trace_on:
-                for t in timing.spans:
-                    if t.op.kernel == "batch.reform":
-                        continue
-                    self.tracer.complete(
-                        t.op.kernel, started + t.start_s * ratio,
-                        t.duration_s * ratio, tid=f"gpu:{t.op.stream}",
-                        cat="prefill" if t.op.stream == "prefill"
-                        else "decode", round=round_idx,
-                    )
-            # Commit decode-step effects at each step's end time.
-            elapsed = 0.0
-            for members, step_s in steps:
-                elapsed += step_s
-                step_end = started + elapsed * ratio
-                decode_steps += 1
-                tokens += len(members)
-                for r, _cached in members:
-                    r.generated += 1
-                    if r.generated >= r.max_new_tokens:
-                        self._complete(r, step_end)
-                        self.arena.release(r.req_id)
-                    else:
-                        self.arena.append(r.req_id, 1)
-                if self.metrics is not None:
-                    self.metrics.counter("gen_decode_steps_total",
-                                         system=self.system_name).inc()
-                    self.metrics.counter(
-                        "gen_tokens_total", system=self.system_name
-                    ).inc(len(members))
-            active = [r for r in active if r.generated < r.max_new_tokens]
-            # Commit the prefill at the pass end (TTFT is unchanged by
-            # the overlap — the win is that the *round* only costs the
-            # makespan, so the queue drains sooner).
-            prefill_end = started + prefill_total * ratio
-            for r in admitted:
-                matched = cached_len.pop(r.req_id, 0)
-                if faults is not None and faults.attempt_fails(
-                    r.req_id, r.attempt, started
-                ):
-                    attempts_failed += 1
-                    self.arena.preempt(r.req_id)
-                    requeue(r, engine.now)
-                    continue
-                publish_prefix(r)
-                if r.first_token_s is None:
-                    r.start_s = started
-                    r.generated = 1  # prefill yields the first token
-                    r.first_token_s = prefill_end
-                else:
-                    # Resumed after eviction: prefix recompute past any
-                    # still-cached head, as in the serial path.
-                    tokens_recomputed += r.seq_len + r.generated - matched
-                    r.generated += 1
-                tokens += 1
-                if r.generated >= r.max_new_tokens:
-                    self._complete(r, prefill_end)
-                    self.arena.release(r.req_id)
-                else:
-                    active.append(r)
-            if self._trace_on:
-                self.tracer.counter("kv_arena", engine.now, {
-                    "used_mb": self.arena.used_bytes / (1024.0 * 1024.0),
-                    "slots": float(len(active)),
-                })
-            if self.metrics is not None:
-                self.metrics.counter("gen_prefill_batches_total",
-                                     system=self.system_name).inc()
-                self.metrics.counter("gen_prefill_chunks_total",
-                                     system=self.system_name).inc(len(chunks))
-
-        for r in arrivals:
-            engine.schedule(r.arrival_s, EventKind.ARRIVAL, on_arrival, r)
-
-        while True:
-            # Drive the GPU until it goes idle at the current instant.
-            while True:
-                # 0. Replica down?  Every in-flight request loses its KV
-                #    and re-enters through the retry path; the loop sleeps
-                #    out the outage (arrivals still land in the queue at
-                #    their true timestamps).
-                if faults is not None and faults.crashed(engine.now):
-                    outage_end = faults.crash_end(engine.now)
-                    for victim in active:
-                        evict(victim, engine.now)
-                    active = []
-                    engine.run_until(outage_end)
-                    continue
-                # 1. KV-aware admission: fold every admissible queued
-                #    request into one prefill pass (chunked-prefill
-                #    simplification).  Resumed victims (generated > 0)
-                #    re-enter through arena.restore with their recompute
-                #    length (prompt + tokens generated before eviction).
-                admitted: List[GenRequest] = []
-                while queue and slots_free(len(admitted)):
-                    limit = self.config.admit_per_step
-                    if limit is not None and len(admitted) >= limit:
-                        break
-                    r = queue[0]
-                    matched, shared = prefix_lookup(r)
-                    if r.generated > 0:
-                        ok = self.arena.restore(
-                            r.req_id, r.seq_len + r.generated,
-                            r.seq_len + r.max_new_tokens,
-                            shared_pages=shared,
-                        )
-                        if not ok and not self.arena.fits_at_all(
-                            r.seq_len + r.generated,
-                            r.seq_len + r.max_new_tokens,
-                        ):
-                            # Grew past what an empty arena could restore:
-                            # unrecoverable, don't block the FIFO head.
-                            queue.popleft()
-                            self._fail(r, engine.now)
-                            continue
-                    else:
-                        ok = self.arena.admit(r.req_id, r.seq_len,
-                                              r.seq_len + r.max_new_tokens,
-                                              shared_pages=shared)
-                    if not ok:
-                        break  # high-watermark holds the FIFO head
-                    queue.popleft()
-                    admitted.append(r)
-                    count_hit(matched)
-                    cached_len[r.req_id] = matched
-                    self.admission_order.append(r.req_id)
-                # 1b. Watermark holds the head while others run: preempt
-                #     victims so the head can make progress (bounded by
-                #     the retry budget via requeue()).
-                if not admitted and queue and active and \
-                        self.config.preemption is not None:
-                    policy = self.config.preemption
-                    head = queue[0]
-                    evicted = 0
-                    for victim in policy.victim_order(active, engine.now):
-                        if evicted >= policy.max_victims_per_event:
-                            break
-                        if not self.arena.fits_at_all(
-                            victim.seq_len + victim.generated,
-                            victim.seq_len + victim.max_new_tokens,
-                        ):
-                            continue  # could never be restored: skip
-                        active.remove(victim)
-                        evict(victim, engine.now)
-                        evicted += 1
-                        if self.arena.can_admit(
-                            head.seq_len + head.generated,
-                            head.seq_len + head.max_new_tokens,
-                        ):
-                            break
-                    if evicted:
-                        continue  # retry admission with the freed pages
-                if admitted:
-                    if chunker is not None:
-                        overlapped_round(admitted)
-                        continue
-                    b = len(admitted)
-                    prompt = max(r.seq_len + r.generated for r in admitted)
-                    # Prefix-cache credit: the batched pass only runs
-                    # positions past the shortest attached prefix (the
-                    # telescoping difference — the cached head's cost,
-                    # launch overhead cancelled, is skipped work).
-                    pass_start = min(cached_len[r.req_id] for r in admitted)
-                    started = engine.now
-                    full_s = self.runtime.prefill_latency(b, prompt)
-                    prefill_s = full_s
-                    if pass_start > 0:
-                        prefill_s = max(0.0, full_s - self.runtime
-                                        .prefill_latency(b, pass_start))
-                        prefill_saved_s += full_s - prefill_s
-                    self.runtime.trace_prefill(self.tracer, started,
-                                               prefill_s, b, prompt)
-                    clock = engine.advance(prefill_s)
-                    busy += _window_overlap(started, engine.last_advance_s,
-                                            horizon)
-                    if active:
-                        # Serial loop: the whole pass blocks every live
-                        # decoder (the head-of-line stall chunking and
-                        # overlap exist to remove).
-                        stall += engine.last_advance_s
-                    prefills += 1
-                    for r in admitted:
-                        matched = cached_len.pop(r.req_id, 0)
-                        if faults is not None and faults.attempt_fails(
-                            r.req_id, r.attempt, started
-                        ):
-                            # Transient failure at the prefill commit: the
-                            # region is dropped, the attempt re-enters via
-                            # the retry path (or fails terminally).
-                            attempts_failed += 1
-                            self.arena.preempt(r.req_id)
-                            requeue(r, clock)
-                            continue
-                        publish_prefix(r)
-                        if r.first_token_s is None:
-                            r.start_s = started
-                            r.generated = 1  # prefill yields the first token
-                            r.first_token_s = clock
-                        else:
-                            # Resumed after eviction: the prefix (prompt +
-                            # prior tokens) past any still-cached head was
-                            # recomputed and the pass yields the next
-                            # token.  The restored region already holds
-                            # the recomputed prefix — the token just
-                            # produced joins it at the next decode step,
-                            # as after a normal prefill.
-                            tokens_recomputed += r.seq_len + r.generated \
-                                - matched
-                            r.generated += 1
-                        tokens += 1
-                        if r.generated >= r.max_new_tokens:
-                            self._complete(r, clock)
-                            self.arena.release(r.req_id)
-                        else:
-                            active.append(r)
-                    if self.metrics is not None:
-                        self.metrics.counter("gen_prefill_batches_total",
-                                             system=self.system_name).inc()
-                    continue
-                # 2. One decode step over the live batch: width = live
-                #    slots only (finished requests already exited), KV
-                #    padded to the longest live cache.
-                if active:
-                    b = len(active)
-                    past = max(r.seq_len + r.generated for r in active)
-                    started = engine.now
-                    step_s = self.runtime.decode_step_latency(b, past)
-                    self.runtime.trace_decode_stride(self.tracer, started,
-                                                     step_s, b, past,
-                                                     tokens=b)
-                    clock = engine.advance(step_s)
-                    busy += _window_overlap(started, engine.last_advance_s,
-                                            horizon)
-                    decode_steps += 1
-                    tokens += b
-                    survivors: List[GenRequest] = []
-                    for r in active:
-                        r.generated += 1
-                        if r.generated >= r.max_new_tokens:
-                            self._complete(r, clock)
-                            self.arena.release(r.req_id)
-                        else:
-                            # The token just produced joins the KV cache
-                            # and is attended to from the next step on.
-                            self.arena.append(r.req_id, 1)
-                            survivors.append(r)
-                    active = survivors
-                    if self._trace_on:
-                        self.tracer.counter("kv_arena", clock, {
-                            "used_mb":
-                                self.arena.used_bytes / (1024.0 * 1024.0),
-                            "slots": float(len(active)),
-                        })
-                    if self.metrics is not None:
-                        self.metrics.counter("gen_decode_steps_total",
-                                             system=self.system_name).inc()
-                        self.metrics.counter("gen_tokens_total",
-                                             system=self.system_name).inc(b)
-                    continue
-                # 3. Nothing runnable right now.  (Fault-free, queue
-                #    non-empty here is impossible: an empty arena admits
-                #    anything that passed fits_at_all at ingest.  Under
-                #    resilience the head may legitimately wait — e.g. for
-                #    a retry backoff or recovery.)
-                assert res is not None or not queue, \
-                    "admission stalled with an empty arena"
-                break
-            if not engine.pending:
-                break
-            # Idle: dispatch the next instant in full so simultaneous
-            # arrivals all join the queue before the next admission pass.
-            engine.step_due()
-
-        device = getattr(self.runtime, "device", None)
-        peak_flops = device.peak_fp32_flops if device is not None else 0.0
-        return self._finalize(arrivals, horizon, engine.now, busy,
-                              decode_steps, prefills, tokens,
-                              self.arena.denials,
-                              self.arena.peak_used_bytes,
-                              preemptions=preemptions,
-                              tokens_recomputed=tokens_recomputed,
-                              retries=retries,
-                              attempts_failed=attempts_failed,
-                              prefill_chunks=chunks_total,
-                              overlap_saved_s=overlap_saved,
-                              stall_s=stall,
-                              prefix_hits=prefix_hits,
-                              prefix_tokens_reused=prefix_reused,
-                              prefill_flops_saved=prefill_saved_s
-                              * peak_flops)
+        return _GenDriver(self, [self.replica], self.resilience).serve(
+            requests, duration_s)
 
 
 def request_level_cost_fn(runtime, est_new_tokens: int = 16) -> CostFn:

@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..engine.faults import EngineFaultInjector
 
 
 class RequestNotCompleted(ValueError):
     """Raised when latency is read off a request that never completed."""
 
 
-#: Observers notified on every :meth:`Request.resolve` call (used by the
-#: engine-trace sanitizer; empty — a no-op — in normal runs).
-_resolve_hooks: List[Callable[["Request", "RequestState"], None]] = []
+#: Observers notified on every :meth:`Request.resolve` call with
+#: ``(request, state, faults)`` (used by the engine-trace sanitizer;
+#: empty — a no-op — in normal runs).
+_resolve_hooks: List[Callable[
+    ["Request", "RequestState", Optional["EngineFaultInjector"]], None]] = []
 
 
 class RequestState(enum.Enum):
@@ -102,8 +107,14 @@ class Request:
         """True if the deadline has passed at ``now_s`` (False if none)."""
         return self.deadline_s is not None and now_s - self.arrival_s > self.deadline_s
 
-    def resolve(self, state: RequestState, completion_s: Optional[float] = None) -> None:
-        """Move to a terminal state (``COMPLETED`` also records the time)."""
+    def resolve(self, state: RequestState, completion_s: Optional[float] = None,
+                faults: Optional["EngineFaultInjector"] = None) -> None:
+        """Move to a terminal state (``COMPLETED`` also records the time).
+
+        ``faults`` is the fault injector of the replica that resolved the
+        request, if it has one: the trace sanitizer checks a completion
+        against that replica's crash windows (LIFE603).
+        """
         if not state.is_terminal:
             raise ValueError(f"resolve() needs a terminal state, got {state}")
         self.state = state
@@ -113,7 +124,7 @@ class Request:
             self.completion_s = completion_s
         if _resolve_hooks:
             for hook in list(_resolve_hooks):
-                hook(self, state)
+                hook(self, state, faults)
 
 
 @dataclass(frozen=True)

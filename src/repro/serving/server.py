@@ -253,9 +253,9 @@ def simulate_serving(
         nonlocal busy_in_horizon, batches_executed
         for batch in batches:
             if res is not None:
-                # Re-check deadlines at dispatch (as shedding does): members
-                # that went stale while earlier batches of this round
-                # executed are dropped rather than served hopelessly late.
+                # Re-check deadlines at dispatch: members that went stale
+                # while earlier batches of this round executed are dropped
+                # rather than served hopelessly late (deadline shedding).
                 alive = [r for r in batch.requests
                          if not r.expired(engine.now)]
                 if len(alive) < batch.size:

@@ -157,8 +157,8 @@ class InferenceService:
         By default the rungs are the serving version followed by every
         *older* version in descending order — the standard "fall back to
         the previous, cheaper deployment" shape.  ``shed_age_s`` arms load
-        shedding on the final rung (the :mod:`.shedding` semantics as the
-        last line of defence).
+        shedding on the final rung (queued requests older than it are
+        dropped, the last line of defence).
         """
         from ..resilience.degradation import DegradationLadder
 

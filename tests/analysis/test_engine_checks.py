@@ -149,6 +149,27 @@ class TestLifecycleMutations:
             engine.run()
         assert codes(verify_lifecycle(rec)) == ["LIFE603"]
 
+    def test_completion_attributed_to_resolving_replica_is_life603(self):
+        # Replicas stretch their own windows (the engine has no injector);
+        # the completion carries the completing replica's injector.
+        plan = FaultPlan(
+            crashes=(ServerCrash(start_s=1.0, end_s=2.0, server_id=1),)
+        )
+        with EngineTraceRecorder() as rec:
+            replicas = [EngineFaultInjector(plan, i) for i in range(2)]
+            engine = Engine()
+            for req_id, replica in ((9, replicas[0]), (10, replicas[1])):
+                engine.schedule(
+                    1.5, EventKind.ARRIVAL,
+                    lambda e, inj=replica: e.payload.resolve(
+                        RequestState.COMPLETED, engine.now, faults=inj),
+                    make_request(req_id),
+                )
+            engine.run()
+        [finding] = verify_lifecycle(rec)
+        assert finding.code == "LIFE603"
+        assert "request 10" in finding.message
+
     def test_crash_window_boundary_completion_is_legal(self):
         plan = FaultPlan(
             crashes=(ServerCrash(start_s=1.0, end_s=2.0, server_id=0),)

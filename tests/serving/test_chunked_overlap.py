@@ -110,12 +110,6 @@ class TestSchedules:
         _, server, _ = serve(runtime, None)
         assert server.emitted_schedules == []
 
-    def test_verify_schedules_inline_passes(self, runtime):
-        # The belt-and-braces config knob: every round is checked as it
-        # is emitted; a clean run must not raise.
-        _, server, _ = serve(runtime, 8, verify_schedules=True)
-        assert server.emitted_schedules
-
 
 class TestMetrics:
     def test_chunked_metrics_populated(self, runtime):
@@ -158,10 +152,6 @@ class TestConfigValidation:
     def test_chunk_tokens_must_be_positive(self):
         with pytest.raises(ValueError):
             ContinuousBatchingConfig(chunk_tokens=0)
-
-    def test_chunk_overhead_must_be_nonnegative(self):
-        with pytest.raises(ValueError):
-            ContinuousBatchingConfig(chunk_tokens=8, chunk_overhead_s=-1e-9)
 
 
 class TestMergedBusyInHorizon:

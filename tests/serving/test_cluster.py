@@ -321,3 +321,51 @@ class TestGenerationCluster:
                     tuple(m.kv_leaks))
 
         assert run() == run()
+
+    def test_replica_features_keep_cluster_token_streams(self):
+        """The cluster runs the single server's replica, so chunked
+        prefill, prefix caching and KV-pressure preemption come for free —
+        and, like on one server, change timing only: token streams and the
+        completion set equal the plain cluster's."""
+        from repro.bench import gen_run_divergences
+        from repro.gpusim import RTX_2060
+        from repro.memory import KVCacheArena, kv_bytes_per_token
+        from repro.models import tiny_gpt
+        from repro.serving import (ContinuousBatchingConfig,
+                                   KVPreemptionPolicy,
+                                   generate_prefix_population_requests,
+                                   geometric_output_lengths,
+                                   simulate_generation_cluster)
+
+        runtime, _, _ = self.gen_setup()
+        config = tiny_gpt()
+        bpt = kv_bytes_per_token(config.num_layers, config.num_heads,
+                                 config.head_size)
+
+        def arena_factory(_replica_id):
+            return KVCacheArena(capacity_bytes=256 * bpt,
+                                bytes_per_token=bpt, page_tokens=16)
+
+        def run(replica_config):
+            requests = generate_prefix_population_requests(
+                600.0, 0.4, seed=1, sharing_ratio=0.7,
+                system_prompt_tokens=32, fewshot_tokens=16,
+                output_sampler=lambda rng, n: geometric_output_lengths(
+                    rng, n, mean=16.0, hi=48),
+            )
+            m = simulate_generation_cluster(requests, 2, runtime,
+                                            arena_factory, duration_s=0.4,
+                                            config=replica_config)
+            assert m.kv_leaks == []
+            return requests, m.serving, None
+
+        plain = run(None)
+        featured = run(ContinuousBatchingConfig(
+            chunk_tokens=16, prefix_cache=True,
+            preemption=KVPreemptionPolicy(max_victims_per_event=2)))
+        assert featured[1].prefill_chunks > 0
+        assert featured[1].prefix_hits > 0
+        assert featured[1].preemptions > 0
+        assert plain[1].completed == plain[1].offered
+        assert gen_run_divergences("cluster", plain, featured,
+                                   ttft_gate=False) == []

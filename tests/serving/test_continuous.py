@@ -331,3 +331,24 @@ class TestResilientContinuous:
             ).serve(workload(200.0, 0.4, seed=3), duration_s=0.4)
 
         assert run() == run()
+
+    def test_crash_inside_a_pass_completes_nothing_in_the_window(self,
+                                                                 runtime):
+        """A prefill or decode pass straddling the crash start is lost at
+        the crash instant: no request may complete inside the window
+        (LIFE603).  On this workload a committed straddling pass would
+        complete request 153 at t≈0.1019, inside [0.1013, 0.1513]."""
+        from repro.analysis.engine_checks import (EngineTraceRecorder,
+                                                  verify_trace)
+        from repro.resilience import FaultPlan, ServerCrash
+
+        plan = FaultPlan(crashes=(ServerCrash(0.1013, 0.1513, server_id=0),))
+        res = self.resilience(plan)
+        requests = workload(1500.0, 0.4, seed=2)
+        with EngineTraceRecorder() as rec:
+            ContinuousBatchingServer(runtime, make_arena(),
+                                     resilience=res).serve(requests,
+                                                           duration_s=0.4)
+        assert [d.code for d in verify_trace(rec, retry=res.retry)] == []
+        assert not any(0.1013 < r.completion_s < 0.1513 for r in requests
+                       if r.completion_s is not None)

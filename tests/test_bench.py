@@ -163,12 +163,12 @@ class TestGenProfile:
             assert point["completed"] == gen["continuous"][rate]["completed"]
             assert point["prefill_chunks"] > 0
 
-    def test_verify_overlap_gate_passes(self):
-        assert bench.verify_overlap_equivalence("micro-gen", seed=0) == []
+    def test_verify_gen_gate_passes(self):
+        assert bench.verify_gen_equivalence("micro-gen", seed=0) == []
 
-    def test_verify_overlap_rejects_hostless_profile(self):
+    def test_verify_gen_rejects_hostless_profile(self):
         with pytest.raises(ValueError):
-            bench.verify_overlap_equivalence("smoke")
+            bench.verify_gen_equivalence("smoke")
 
 
 class TestDiffDeltas:
