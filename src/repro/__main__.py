@@ -43,7 +43,9 @@ Commands
     token streams and completion sets (and admission orders for the
     prefix-cache pairs), and TTFT p99 must not regress.
     ``--verify`` instead runs the cross-layer equivalence verifier
-    (compiled vs. interpretive pricing, fast vs. reference ``latency()``,
+    (compiled vs. interpretive pricing — encoder runtimes, both
+    generation graphs over every shape a gen-profile run prices, and the
+    decoder step graph — fast vs. reference ``latency()``,
     pruned vs. reference DP partitions, cached vs. uncached plans) and
     exits non-zero on any divergence.  ``--diff A B`` compares the
     deterministic fields of two payloads (CI determinism gate).
@@ -215,7 +217,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 0
 
     if args.verify:
-        problems = verify_host_fast_path(seed=args.seed)
+        problems = verify_host_fast_path(
+            seed=args.seed, progress=lambda msg: print(f"bench: {msg}"))
         if problems:
             for p in problems[:20]:
                 print(f"equivalence: {p}", file=sys.stderr)
@@ -223,7 +226,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 1
         print("bench --verify: fast path is equivalent to the reference "
-              "path (compiled pricing, latency, partitions, plans)")
+              "path (compiled pricing incl. generation and decoder "
+              "graphs, latency, partitions, plans)")
         return 0
 
     if args.verify_gen:

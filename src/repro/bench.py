@@ -466,6 +466,21 @@ def gen_run_divergences(tag: str, a, b, same_order: bool = False,
     return problems
 
 
+def _gen_setup(profile: Dict[str, object]):
+    """The profile's :class:`GenServingBench` and output-length mix."""
+    from .experiments.gen_serving_throughput import GenServingBench, OutputMix
+
+    bench = GenServingBench(
+        model=profile["gen_model"],
+        capacity_tokens=profile["gen_capacity_tokens"],
+        max_batch=profile["gen_max_batch"],
+        chunk_tokens=profile["gen_chunk_tokens"],
+    )
+    mix = OutputMix("bench", mean_new_tokens=profile["gen_mix_mean"],
+                    max_new_tokens=profile["gen_mix_max"])
+    return bench, mix
+
+
 def verify_gen_equivalence(profile_name: str = "gen", seed: int = 0,
                            progress: Optional[Callable[[str], None]] = None,
                            ) -> List[str]:
@@ -484,22 +499,13 @@ def verify_gen_equivalence(profile_name: str = "gen", seed: int = 0,
     TTFT p99 may not regress for the chunked and the cache-on configs.
     Returns a list of problems (empty = gate passed).
     """
-    from .experiments.gen_serving_throughput import GenServingBench, OutputMix
-
     profile = PROFILES[profile_name]
     if "gen_rates" not in profile:
         raise ValueError(
             f"profile {profile_name!r} has no generative serving section"
         )
     say = progress or (lambda _msg: None)
-    bench = GenServingBench(
-        model=profile["gen_model"],
-        capacity_tokens=profile["gen_capacity_tokens"],
-        max_batch=profile["gen_max_batch"],
-        chunk_tokens=profile["gen_chunk_tokens"],
-    )
-    mix = OutputMix("bench", mean_new_tokens=profile["gen_mix_mean"],
-                    max_new_tokens=profile["gen_mix_max"])
+    bench, mix = _gen_setup(profile)
     duration_s = profile["gen_duration_s"]
     chunked = {"chunk_tokens": bench.chunk_tokens}
 
@@ -551,19 +557,15 @@ def _gen_sweep(bench, mix, rates, duration_s: float, seed: int,
     return {"points": points, "digest": _digest(points)}
 
 
-def _bench_gen(profile: Dict[str, object], seed: int) -> Dict[str, Dict[str, object]]:
+def _bench_gen(profile: Dict[str, object], seed: int,
+               setup=None) -> Dict[str, Dict[str, object]]:
     """Generative serving: iteration-level continuous batching (fast) vs
-    the request-level DP baseline, plus a determinism double-run."""
-    from .experiments.gen_serving_throughput import GenServingBench, OutputMix
+    the request-level DP baseline, plus a determinism double-run.
 
-    bench = GenServingBench(
-        model=profile["gen_model"],
-        capacity_tokens=profile["gen_capacity_tokens"],
-        max_batch=profile["gen_max_batch"],
-        chunk_tokens=profile["gen_chunk_tokens"],
-    )
-    mix = OutputMix("bench", mean_new_tokens=profile["gen_mix_mean"],
-                    max_new_tokens=profile["gen_mix_max"])
+    ``setup`` (default: a fresh :func:`_gen_setup`) is the bench and mix
+    to run; the bench runtime's price memos then hold every shape the
+    run priced."""
+    bench, mix = setup or _gen_setup(profile)
     rates = profile["gen_rates"]
     duration_s = profile["gen_duration_s"]
 
@@ -787,13 +789,84 @@ def format_bench(payload: Dict[str, object]) -> str:
 # -- equivalence verifier (``repro bench --verify``) --------------------------
 
 
-def verify_host_fast_path(seed: int = 0) -> List[str]:
+def _verify_compiled(tag: str, model, nodes, bindings_list, chars, device,
+                     say: Callable[[str], None]) -> List[str]:
+    """One graph's compiled model vs ``graph_cost`` on every given shape;
+    an empty shape set is itself a problem (the check would be vacuous)."""
+    from .runtime import verify_equivalence
+
+    say(f"verify: {tag}: {len(bindings_list)} shape(s) checked")
+    if not bindings_list:
+        return [f"{tag}: no priced shapes to check"]
+    return [f"{tag}: {msg}" for msg in verify_equivalence(
+        nodes, bindings_list, chars, device, compiled=model)]
+
+
+def _verify_generation_pricing(seed: int,
+                               say: Callable[[str], None]) -> List[str]:
+    """Compiled vs interpretive pricing of the generation graphs (prefill
+    and decode; fused Turbo and unfused PyTorch) over every shape a
+    ``gen`` profile bench run priced, and of the seq2seq decoder's step
+    graph over a fig. 10 length sweep."""
+    from .gpusim import RTX_2060
+    from .models import (
+        build_decode_step_graph,
+        build_decoder_step_graph,
+        build_prefill_graph,
+        seq2seq_decoder,
+    )
+    from .runtime import (
+        PYTORCH_CHARACTERISTICS,
+        TURBO_CHARACTERISTICS,
+        DecoderRuntime,
+        GenerationRuntime,
+    )
+
+    setup = _gen_setup(PROFILES["gen"])
+    _bench_gen(PROFILES["gen"], seed, setup)
+    gen = setup[0]
+    turbo = gen.runtime
+    prefill = [{"batch": b, "seq": n} for b, n in sorted(turbo._prefill_cache)]
+    decode = [{"batch": b, "past": n} for b, n in sorted(turbo._decode_cache)]
+    pytorch = GenerationRuntime(
+        build_prefill_graph(gen.config), build_decode_step_graph(gen.config),
+        PYTORCH_CHARACTERISTICS, turbo.device, stride=1)
+    problems: List[str] = []
+    for name, rt in (("turbo", turbo), ("pytorch", pytorch)):
+        problems += _verify_compiled(
+            f"gen-{name} prefill", rt.prefill_model, rt.prefill_graph.nodes,
+            prefill, rt.chars, rt.device, say)
+        problems += _verify_compiled(
+            f"gen-{name} decode", rt.decode_model, rt.decode_graph.nodes,
+            decode, rt.chars, rt.device, say)
+
+    config = seq2seq_decoder()
+    step_graph = build_decoder_step_graph(config)
+    for name, chars in (("turbo", TURBO_CHARACTERISTICS),
+                        ("pytorch", PYTORCH_CHARACTERISTICS)):
+        rt = DecoderRuntime(step_graph, chars, RTX_2060, config.beam_size)
+        for length in (28, 64, 100, 137):
+            rt.decode_latency(length, length)
+        steps = [{"beam": rt.beam_size, "tgt_pos": t, "src_len": s}
+                 for t, s in sorted(rt._step_cache)]
+        problems += _verify_compiled(
+            f"decoder-{name} step", rt.compiled_model(), rt.step_graph.nodes,
+            steps, rt.chars, rt.device, say)
+    return problems
+
+
+def verify_host_fast_path(seed: int = 0,
+                          progress: Optional[Callable[[str], None]] = None,
+                          ) -> List[str]:
     """Cross-check every fast-path layer against its reference.
 
     Returns a list of problems (empty == fully equivalent):
 
     * compiled cost model vs. interpretive ``graph_cost`` for every
       runtime factory, bit-exact per kernel;
+    * the same for both generation graphs (Turbo and PyTorch) over every
+      shape a ``gen`` profile run prices, and for the decoder step graph
+      (shape counts go to ``progress``);
     * fast ``latency()`` vs. the seed double-``infer()`` path, bit-exact,
       across a shape grid including padding boundaries;
     * pruned DP partitions vs. ``DPBatchScheduler``, identical;
@@ -802,6 +875,7 @@ def verify_host_fast_path(seed: int = 0) -> List[str]:
     import random
 
     problems: List[str] = []
+    say = progress or (lambda _msg: None)
 
     from .runtime import RUNTIME_FACTORIES, verify_equivalence
 
@@ -824,6 +898,7 @@ def verify_host_fast_path(seed: int = 0) -> List[str]:
                     f"{name}: latency({b}, {s}) fast {got!r} != "
                     f"reference {want!r}"
                 )
+    problems.extend(_verify_generation_pricing(seed, say))
 
     from .serving.request import Request
     from .serving.scheduler import DPBatchScheduler, PrunedDPBatchScheduler

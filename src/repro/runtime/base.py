@@ -189,10 +189,7 @@ class InferenceRuntime:
             "records_memo_misses": self.records_memo_misses,
         }
         if self._compiled is not None:
-            stats["compiled_evals"] = self._compiled.evals
-            stats["compiled_nodes"] = self._compiled.node_count
-            stats["compiled_cells"] = self._compiled.cell_count
-            stats["compiled_folded_nodes"] = self._compiled.folded_nodes
+            stats.update(self._compiled.stats())
         plan_cache = getattr(self.allocator, "plan_cache", None)
         if plan_cache is not None:
             for k, v in plan_cache.stats().items():
@@ -300,11 +297,7 @@ class InferenceRuntime:
         if not self.chars.supports_variable_length and padded not in self._tuned_lengths:
             self._tuned_lengths.add(padded)
             self.preprocess_total_s += self.chars.preprocess_s
-        elapsed_s, launches = self.compiled_model().total(
-            self._bindings(batch, padded)
-        )
-        host_s = self.chars.host_dispatch_s * launches
-        kernel_s = max(elapsed_s, host_s)
+        kernel_s = self.compiled_model().kernel_s(self._bindings(batch, padded))
         if self.allocator is not None:
             self._memory_overhead(batch, padded)  # cold pass: warm allocator
         memory_s, _ = self._memory_overhead(batch, padded)
@@ -337,7 +330,6 @@ class DecoderRuntime:
         beam_size: int,
         stride: int = 8,
         step_overhead_s: float = 0.0,
-        use_compiled: bool = True,
     ) -> None:
         """``step_overhead_s`` is per-step beam-search bookkeeping outside
         the graph: top-k selection, hypothesis management and KV-cache
@@ -355,7 +347,6 @@ class DecoderRuntime:
         self.beam_size = beam_size
         self.stride = stride
         self.step_overhead_s = step_overhead_s
-        self.use_compiled = use_compiled
         self._compiled: Optional[CompiledCostModel] = None
         self._step_cache: Dict[Tuple[int, int], float] = {}
 
@@ -376,18 +367,9 @@ class DecoderRuntime:
         cached = self._step_cache.get(key)
         if cached is None:
             bindings = {"beam": self.beam_size, "tgt_pos": tgt_pos, "src_len": padded_src}
-            if self.use_compiled:
-                elapsed_s, launches = self.compiled_model().total(bindings)
-            else:
-                stream = Stream(trace_enabled=False)
-                stream.extend(
-                    graph_cost(self.step_graph.nodes, bindings, self.chars, self.device)
-                )
-                elapsed_s, launches = stream.elapsed_s, stream.launches
             # Beam search syncs on the logits every step, so the host can
             # only run ahead within one step: dispatch binds per step.
-            host_s = self.chars.host_dispatch_s * launches
-            cached = max(elapsed_s, host_s) + self.step_overhead_s
+            cached = self.compiled_model().kernel_s(bindings) + self.step_overhead_s
             self._step_cache[key] = cached
         return cached
 

@@ -331,6 +331,20 @@ class CompiledCostModel:
             elapsed += v
         return elapsed, self.node_count
 
+    def kernel_s(self, bindings: DimBindings) -> float:
+        """One pass under async dispatch: device or host, whichever is slower."""
+        elapsed_s, launches = self.total(bindings)
+        return max(elapsed_s, self.chars.host_dispatch_s * launches)
+
+    def stats(self, prefix: str = "compiled") -> Dict[str, int]:
+        """Deterministic host-path counters, keyed ``{prefix}_{name}``."""
+        return {
+            f"{prefix}_evals": self.evals,
+            f"{prefix}_nodes": self.node_count,
+            f"{prefix}_cells": self.cell_count,
+            f"{prefix}_folded_nodes": self.folded_nodes,
+        }
+
     def __len__(self) -> int:
         return self.node_count
 

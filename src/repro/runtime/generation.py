@@ -19,13 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..gpusim import DeviceSpec, Stream
+from ..gpusim import DeviceSpec
 from ..graph import ComputationGraph, fuse_graph
-from .cost import RuntimeCharacteristics, graph_cost
+from .compiled import CompiledCostModel
+from .cost import RuntimeCharacteristics
 
 
 class GenerationRuntime:
-    """Prices prefill + decode for a decoder-only model."""
+    """Prices prefill + decode for a decoder-only model: each graph is
+    compiled once, each ``(batch, len)`` priced once (§5's cost table)."""
 
     def __init__(
         self,
@@ -49,14 +51,10 @@ class GenerationRuntime:
         self.device = device
         self.stride = stride
         self.step_overhead_s = step_overhead_s
+        self.prefill_model = CompiledCostModel(prefill_graph.nodes, chars, device)
+        self.decode_model = CompiledCostModel(decode_graph.nodes, chars, device)
         self._prefill_cache: Dict[Tuple[int, int], float] = {}
         self._decode_cache: Dict[Tuple[int, int], float] = {}
-
-    def _run(self, graph: ComputationGraph, bindings: Dict[str, int]) -> float:
-        stream = Stream(trace_enabled=False)
-        stream.extend(graph_cost(graph.nodes, bindings, self.chars, self.device))
-        host_s = self.chars.host_dispatch_s * stream.launches
-        return max(stream.elapsed_s, host_s)
 
     def prefill_latency(self, batch: int, prompt_len: int) -> float:
         """Time-to-first-token: one parallel pass over the prompt."""
@@ -67,7 +65,7 @@ class GenerationRuntime:
         key = (batch, prompt_len)
         if key not in self._prefill_cache:
             self._prefill_cache[key] = (
-                self._run(self.prefill_graph, {"batch": batch, "seq": prompt_len})
+                self.prefill_model.kernel_s({"batch": batch, "seq": prompt_len})
                 + self.chars.fixed_overhead_s
             )
         return self._prefill_cache[key]
@@ -79,7 +77,7 @@ class GenerationRuntime:
         key = (batch, past)
         if key not in self._decode_cache:
             self._decode_cache[key] = (
-                self._run(self.decode_graph, {"batch": batch, "past": past})
+                self.decode_model.kernel_s({"batch": batch, "past": past})
                 + self.step_overhead_s
             )
         return self._decode_cache[key]
@@ -104,6 +102,14 @@ class GenerationRuntime:
         total = self.generate_latency(prompt_len, new_tokens, batch)
         return batch * new_tokens / total
 
+    def host_path_stats(self) -> Dict[str, int]:
+        """Deterministic counters of the host fast path: the two shape
+        memos and both compiled models."""
+        return {"prefill_cache_entries": len(self._prefill_cache),
+                "decode_cache_entries": len(self._decode_cache),
+                **self.prefill_model.stats("prefill_compiled"),
+                **self.decode_model.stats("decode_compiled")}
+
     # -- shared instrumentation path ------------------------------------------
 
     def publish_request_metrics(self, metrics, req_id: int, ttft_s: float,
@@ -126,22 +132,23 @@ class GenerationRuntime:
         metrics.counter("generation_requests_total", system=system).inc()
 
     def trace_decode_stride(self, tracer, start_s: float, dur_s: float,
-                            batch: int, past: int, tokens: int) -> None:
-        """One Chrome-trace span for a decode stride on the GPU track."""
+                            batch: int, past: int, tokens: int,
+                            tid: str = "gpu") -> None:
+        """One Chrome-trace span for a decode stride on GPU track ``tid``."""
         if tracer is None or not tracer.enabled:
             return
         tracer.complete(
-            f"decode x{batch}", start_s, dur_s, tid="gpu", cat="decode",
+            f"decode x{batch}", start_s, dur_s, tid=tid, cat="decode",
             batch=batch, past=past, tokens=tokens,
         )
 
     def trace_prefill(self, tracer, start_s: float, dur_s: float,
-                      batch: int, prompt_len: int) -> None:
-        """One Chrome-trace span for a prefill pass on the GPU track."""
+                      batch: int, prompt_len: int, tid: str = "gpu") -> None:
+        """One Chrome-trace span for a prefill pass on GPU track ``tid``."""
         if tracer is None or not tracer.enabled:
             return
         tracer.complete(
-            f"prefill x{batch}", start_s, dur_s, tid="gpu", cat="prefill",
+            f"prefill x{batch}", start_s, dur_s, tid=tid, cat="prefill",
             batch=batch, prompt_len=prompt_len,
         )
 

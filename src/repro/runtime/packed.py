@@ -119,9 +119,3 @@ class PackedRuntime:
         latency = max(stream.elapsed_s, host_s) + self.chars.fixed_overhead_s
         self._cache[key] = latency
         return latency
-
-    def padded_equivalent_latency(
-        self, lengths: Sequence[int], cost_fn
-    ) -> float:
-        """The padded cost the same batch would pay (for comparisons)."""
-        return cost_fn(max(lengths), len(lengths))

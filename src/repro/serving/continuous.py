@@ -435,6 +435,10 @@ class GenReplica:
              faults: Optional[EngineFaultInjector], breaker) -> None:
         """Attach to one run and reset the per-run state."""
         self.driver = driver
+        #: This replica's GPU trace track: ``gpu`` when it serves alone,
+        #: ``gpu.r{server_id}`` beside other replicas.
+        self.gpu_tid = ("gpu" if driver is None or len(driver.replicas) == 1
+                        else f"gpu.r{self.server_id}")
         self.faults = faults
         self.breaker = breaker
         self.queue: Deque[GenRequest] = deque()
@@ -606,7 +610,7 @@ class GenReplica:
                             .prefill_latency(b, pass_start))
             d.prefill_saved_s += full_s - prefill_s
         self.runtime.trace_prefill(d.host.tracer, started, prefill_s, b,
-                                   prompt)
+                                   prompt, tid=self.gpu_tid)
         dur, cut = self._window(started, prefill_s)
         yield dur if cut is None else cut - started
         if cut is not None:
@@ -631,7 +635,7 @@ class GenReplica:
         started = d.engine.now
         step_s = self.runtime.decode_step_latency(b, past)
         self.runtime.trace_decode_stride(d.host.tracer, started, step_s, b,
-                                         past, tokens=b)
+                                         past, tokens=b, tid=self.gpu_tid)
         dur, cut = self._window(started, step_s)
         yield dur if cut is None else cut - started
         if cut is not None:
@@ -736,7 +740,8 @@ class GenReplica:
                     continue
                 tracer.complete(
                     t.op.kernel, started + t.start_s * ratio,
-                    t.duration_s * ratio, tid=f"gpu:{t.op.stream}",
+                    t.duration_s * ratio,
+                    tid=f"{self.gpu_tid}:{t.op.stream}",
                     cat="prefill" if t.op.stream == "prefill" else "decode",
                     round=round_idx,
                 )
@@ -1014,12 +1019,14 @@ class _GenDriver:
         self.horizon = horizon
         host = self.host
         if host._trace_on:
-            host.tracer.thread_name("gpu", "gpu (prefill + decode steps)")
-            if any(rep.chunker is not None for rep in self.replicas):
-                host.tracer.thread_name("gpu:prefill",
-                                        "gpu stream: prefill chunks")
-                host.tracer.thread_name("gpu:decode",
-                                        "gpu stream: decode steps")
+            for rep in self.replicas:
+                tid = rep.gpu_tid
+                host.tracer.thread_name(tid, f"{tid} (prefill + decode steps)")
+                if rep.chunker is not None:
+                    host.tracer.thread_name(f"{tid}:prefill",
+                                            f"{tid} stream: prefill chunks")
+                    host.tracer.thread_name(f"{tid}:decode",
+                                            f"{tid} stream: decode steps")
         for r in arrivals:
             self.engine.schedule(r.arrival_s, EventKind.ARRIVAL,
                                  self._on_arrival, r)

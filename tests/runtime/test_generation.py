@@ -1,14 +1,18 @@
 """GenerationRuntime: prefill/decode latency model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.gpusim import RTX_2060
+from repro.gpusim import RTX_2060, Stream
 from repro.models import build_decode_step_graph, build_prefill_graph, gpt_small
 from repro.runtime import (
     GenerationRuntime,
     PYTORCH_CHARACTERISTICS,
     TURBO_CHARACTERISTICS,
 )
+from repro.runtime.chunked import PrefillChunker
+from repro.runtime.cost import graph_cost
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +138,93 @@ class TestInstrumentation:
         # None sinks must be accepted and change nothing.
         timeline = turbo.generate_timeline(32, 4, tracer=None, metrics=None)
         assert timeline.total_s == turbo.generate_latency(32, 4, 1)
+
+
+class ReferencePricing:
+    """The interpretive oracle: walk every node through ``graph_cost`` into
+    a fresh Stream, bound by host dispatch, plus the per-pass overhead."""
+
+    def __init__(self, runtime):
+        self.runtime = runtime
+
+    def _price(self, graph, bindings, overhead_s):
+        rt = self.runtime
+        stream = Stream(trace_enabled=False)
+        stream.extend(graph_cost(graph.nodes, bindings, rt.chars, rt.device))
+        host_s = rt.chars.host_dispatch_s * stream.launches
+        return max(stream.elapsed_s, host_s) + overhead_s
+
+    def prefill_latency(self, batch, prompt_len):
+        return self._price(self.runtime.prefill_graph,
+                           {"batch": batch, "seq": prompt_len},
+                           self.runtime.chars.fixed_overhead_s)
+
+    def decode_step_latency(self, batch, past):
+        return self._price(self.runtime.decode_graph,
+                           {"batch": batch, "past": past},
+                           self.runtime.step_overhead_s)
+
+
+#: Lengths 1, both sides of the 16-token KV page boundaries, and 512.
+GRID_LENGTHS = (1, 15, 16, 17, 31, 32, 33, 512)
+
+
+class TestCompiledPricing:
+    """Both graphs price through one CompiledCostModel each; every latency
+    equals the interpretive reference bit for bit (fused and unfused)."""
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["turbo", "pytorch"])
+    def test_grid_matches_reference(self, runtimes, which):
+        rt = runtimes[which]
+        ref = ReferencePricing(rt)
+        for batch in range(1, 9):
+            for length in GRID_LENGTHS:
+                assert rt.prefill_latency(batch, length) == \
+                    ref.prefill_latency(batch, length)
+                assert rt.decode_step_latency(batch, length) == \
+                    ref.decode_step_latency(batch, length)
+
+    @settings(max_examples=25, deadline=None)
+    @given(which=st.sampled_from([0, 1]), batch=st.integers(1, 16),
+           length=st.integers(1, 1024))
+    def test_random_shapes_match_reference(self, runtimes, which, batch,
+                                           length):
+        rt = runtimes[which]
+        ref = ReferencePricing(rt)
+        assert rt.prefill_latency(batch, length) == \
+            ref.prefill_latency(batch, length)
+        assert rt.decode_step_latency(batch, length) == \
+            ref.decode_step_latency(batch, length)
+
+    def test_chunker_pass_latencies_unchanged(self, runtimes):
+        chunker = PrefillChunker(chunk_tokens=64)
+        for rt in runtimes:
+            ref = ReferencePricing(rt)
+            for batch, prompt, start in ((1, 200, 0), (3, 64, 0),
+                                         (2, 300, 48), (8, 17, 16)):
+                assert chunker.pass_latencies(rt, batch, prompt, start) == \
+                    chunker.pass_latencies(ref, batch, prompt, start)
+
+    def test_host_path_stats(self):
+        config = gpt_small()
+        rt = GenerationRuntime(build_prefill_graph(config),
+                               build_decode_step_graph(config),
+                               TURBO_CHARACTERISTICS, RTX_2060)
+        for batch, length in ((1, 32), (2, 32), (1, 32)):
+            rt.prefill_latency(batch, length)
+        rt.decode_step_latency(4, 100)
+        stats = rt.host_path_stats()
+        assert stats["prefill_cache_entries"] == 2
+        assert stats["decode_cache_entries"] == 1
+        # One compiled evaluation per memo miss, never per call.
+        assert stats["prefill_compiled_evals"] == 2
+        assert stats["decode_compiled_evals"] == 1
+        for prefix, model, graph in (
+            ("prefill", rt.prefill_model, rt.prefill_graph),
+            ("decode", rt.decode_model, rt.decode_graph),
+        ):
+            assert stats[f"{prefix}_compiled_nodes"] == len(graph.nodes)
+            assert stats[f"{prefix}_compiled_cells"] == model.cell_count
+            assert 0 < model.cell_count < len(graph.nodes)
+            assert stats[f"{prefix}_compiled_folded_nodes"] == \
+                model.folded_nodes

@@ -369,3 +369,33 @@ class TestGenerationCluster:
         assert plain[1].completed == plain[1].offered
         assert gen_run_divergences("cluster", plain, featured,
                                    ttft_gate=False) == []
+
+    @pytest.mark.parametrize("chunk_tokens", [None, 16])
+    def test_trace_has_one_gpu_track_per_replica(self, chunk_tokens):
+        """Each replica's passes land on its own GPU track, and within a
+        track spans never overlap (one GPU runs one pass at a time)."""
+        from collections import defaultdict
+
+        from repro.observability import Tracer
+        from repro.serving import (ContinuousBatchingConfig,
+                                   simulate_generation_cluster)
+
+        runtime, arenas, gen_workload = self.gen_setup()
+        tracer = Tracer()
+        simulate_generation_cluster(
+            gen_workload(600.0, 0.3), 2, runtime, arenas, duration_s=0.3,
+            config=ContinuousBatchingConfig(chunk_tokens=chunk_tokens),
+            tracer=tracer)
+        events = tracer.to_dict()["traceEvents"]
+        spans = defaultdict(list)
+        for e in events:
+            if e["ph"] == "X" and str(e["tid"]).startswith("gpu"):
+                spans[e["tid"]].append((e["ts"], e["ts"] + e["dur"]))
+        assert {"gpu.r0", "gpu.r1"} <= set(spans)
+        assert "gpu" not in spans
+        named = {e["tid"] for e in events if e["name"] == "thread_name"}
+        assert set(spans) <= named
+        for tid, boxes in spans.items():
+            boxes.sort()
+            for (_, end), (start, _) in zip(boxes, boxes[1:]):
+                assert start >= end - 1e-6, f"overlap on {tid}"

@@ -166,6 +166,31 @@ class TestGenProfile:
     def test_verify_gen_gate_passes(self):
         assert bench.verify_gen_equivalence("micro-gen", seed=0) == []
 
+    def test_verify_checks_generation_and_decoder_graphs(self):
+        lines = []
+        assert bench.verify_host_fast_path(seed=0,
+                                           progress=lines.append) == []
+        counts = {}
+        for line in lines:
+            tag, _, rest = line.removeprefix("verify: ").partition(": ")
+            counts[tag] = int(rest.split()[0])
+        assert set(counts) == {
+            f"{kind}-{chars} {graph}"
+            for chars in ("turbo", "pytorch")
+            for kind, graph in (("gen", "prefill"), ("gen", "decode"),
+                                ("decoder", "step"))
+        }
+        assert all(n > 0 for n in counts.values())
+
+    def test_verify_rejects_an_empty_shape_set(self):
+        from repro.runtime import turbo_runtime
+
+        rt = turbo_runtime()
+        problems = bench._verify_compiled(
+            "empty", rt.compiled_model(), rt.graph.nodes, [], rt.chars,
+            rt.device, lambda _msg: None)
+        assert problems == ["empty: no priced shapes to check"]
+
     def test_verify_gen_rejects_hostless_profile(self):
         with pytest.raises(ValueError):
             bench.verify_gen_equivalence("smoke")
