@@ -25,8 +25,8 @@ invariants:
 * **DET405 direct heapq use** — calling ``heapq.*`` outside the engine
   re-implements the event queue; schedule through ``Engine.schedule``.
 * **DET406 clock mutation** — calling ``.advance_to(...)`` or assigning
-  ``._now`` moves simulated time behind the engine's back; only the
-  dispatch loop may advance the clock.
+  ``.now`` / ``._now`` moves simulated time behind the engine's back;
+  only the dispatch loop may advance the clock.
 * **DET407 raw TRIGGER scheduling** (warning) — scheduling
   ``EventKind.TRIGGER`` outside a function named ``ensure_trigger``
   risks duplicate or lost scheduler wakeups; route through the
@@ -292,11 +292,13 @@ class _Linter(ast.NodeVisitor):
     # -- assignments -------------------------------------------------------
 
     def _check_clock_write(self, target: ast.expr, node: ast.AST) -> None:
-        if isinstance(target, ast.Attribute) and target.attr == "_now":
+        if isinstance(target, ast.Attribute) \
+                and target.attr in ("now", "_now"):
             self._emit(
                 "DET406",
-                "assigning ._now rewrites the virtual clock behind the "
-                "engine's back; only the dispatch loop may move time",
+                f"assigning .{target.attr} rewrites the virtual clock "
+                "behind the engine's back; only the dispatch loop may move "
+                "time",
                 node,
             )
 

@@ -71,7 +71,7 @@ CODES: Dict[str, Tuple[Severity, str]] = {
     "DET403": (Severity.WARNING, "iteration over an unordered set"),
     "DET404": (Severity.WARNING, "pragma references an unknown code"),
     "DET405": (Severity.ERROR, "direct heapq use outside the engine"),
-    "DET406": (Severity.ERROR, "VirtualClock mutated outside the engine"),
+    "DET406": (Severity.ERROR, "virtual clock mutated outside the engine"),
     "DET407": (Severity.WARNING, "TRIGGER scheduled outside ensure_trigger"),
     # -- engine-trace sanitizer (ENG5xx) -----------------------------------
     "ENG501": (Severity.ERROR, "virtual clock moved backwards in trace"),

@@ -5,7 +5,7 @@ See :mod:`repro.engine.core` for the event vocabulary, the documented
 :mod:`repro.engine.instrument` for the engine-level observability hooks.
 """
 
-from .core import Engine, EngineError, Event, EventKind, Task, VirtualClock
+from .core import Engine, EngineError, Event, EventKind, Task
 from .faults import EngineFaultInjector
 from .instrument import EngineInstrumentation
 
@@ -17,5 +17,4 @@ __all__ = [
     "Event",
     "EventKind",
     "Task",
-    "VirtualClock",
 ]

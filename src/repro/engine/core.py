@@ -5,8 +5,8 @@ virtual-time loop (``serving.server``, ``serving.continuous``,
 ``serving.ebird``, ``serving.cluster``), and they diverged enough to
 harbor real bugs — epsilon time nudges, stale queue-depth traces,
 scheduling against the wrong cost model.  This module is the single
-replacement: a virtual clock, an event heap with a *documented*
-deterministic ordering, and cooperative tasks/timers, so a server is just
+replacement: a virtual clock, an event heap plus an arrival stream with a
+*documented* deterministic ordering, and cooperative tasks/timers, so a server is just
 a set of event handlers plus plain code that occupies busy windows.
 
 Event ordering
@@ -24,11 +24,21 @@ everything that happened at that instant.  ``seq`` (schedule order)
 breaks remaining ties, so two runs of the same workload dispatch
 identically.
 
+Arrivals do not go through the heap.  ``arrivals(sorted_payloads,
+callback)`` reserves one contiguous block of seqs, one per payload, and
+keeps the list as a stream beside the heap; ``peek``/``step`` merge the
+stream's next ``(arrival_s, ARRIVAL, seq)`` key with the heap top, and
+build that arrival's :class:`Event` only when it is peeked or
+dispatched.  The order is exactly that of scheduling every ARRIVAL one by
+one, but the heap holds only the few live timers instead of the whole
+workload.
+
 Invariants
 ----------
-* The clock is owned by the engine: it advances **only** to the timestamp
-  of a real scheduled event, never by epsilon nudges.  Zero-progress
-  rounds are impossible by construction.
+* The clock (the plain attribute ``now``) is owned by the engine: it
+  advances **only** to the timestamp of a real scheduled event or a busy
+  window end, never by epsilon nudges, and ``step`` refuses to move it
+  backwards.  Zero-progress rounds are impossible by construction.
 * Scheduling into the past raises :class:`EngineError`; scheduling *at*
   ``now`` is allowed (the event dispatches before time moves on).
 * Cancelled events never fire; cancellation is O(1) (lazy heap deletion).
@@ -36,13 +46,23 @@ Invariants
 Busy windows
 ------------
 ``advance(delay)`` models a resource occupying ``[now, now + delay]``
-(a batch executing, a decode step): it schedules a marker WAKE at the end
-of the window and dispatches every event due inside it — arrivals land in
-queues at their true timestamps — returning with the clock exactly on the
-window end.  ``spawn(generator)`` runs a cooperative task: the generator
-yields delays (virtual seconds) and is resumed by engine timers, which is
-how multi-round work (a replica executing batches back to back) is
-expressed without a private loop.
+(a batch executing, a decode step): it reserves the seq of a *virtual*
+marker WAKE at the end of the window, dispatches every event whose key
+sorts below ``(end, WAKE, seq)`` — arrivals land in queues at their true
+timestamps — and returns with the clock exactly on the window end.
+``run_until(t)`` does the same without fault stretching or a span.  The
+marker never enters the heap, but it still counts as one WAKE dispatch:
+``events_dispatched``, the instrumentation's per-kind counter and every
+dispatch hook see it, and its :class:`Event` is built only when one of
+the latter two is attached.
+
+``watch(t, callback)`` is a one-shot crossing watch: ``callback()`` runs
+once, after the first dispatch — real event or window end — at time
+``>= t`` (servers snapshot their horizon backlog with it).
+``spawn(generator)`` runs a cooperative task: the generator yields delays
+(virtual seconds) and is resumed by engine timers, which is how
+multi-round work (a replica executing batches back to back) is expressed
+without a private loop.
 """
 
 from __future__ import annotations
@@ -50,7 +70,8 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Generator, List, Optional,
+                    Sequence, Tuple)
 
 from .instrument import EngineInstrumentation
 
@@ -84,24 +105,9 @@ class Event:
     cancelled: bool = field(default=False, compare=False)
 
 
-class VirtualClock:
-    """Monotone virtual time; only the engine moves it."""
-
-    __slots__ = ("_now",)
-
-    def __init__(self) -> None:
-        self._now = 0.0  # repro: allow(DET406)
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def advance_to(self, t: float) -> None:
-        if t < self._now:
-            raise EngineError(
-                f"clock cannot move backwards: {t} < {self._now}"
-            )
-        self._now = t  # repro: allow(DET406)
+_INF = float("inf")
+_ARRIVAL = int(EventKind.ARRIVAL)
+_WAKE = int(EventKind.WAKE)
 
 
 class Task:
@@ -144,14 +150,16 @@ _engine_hooks: List[Callable[["Engine"], None]] = []
 
 
 class Engine:
-    """Virtual clock + deterministic event heap + cooperative timers."""
+    """Virtual clock + deterministic event heap + arrival stream +
+    cooperative timers."""
 
     def __init__(
         self,
         instrumentation: Optional[EngineInstrumentation] = None,
         faults: Optional["EngineFaultInjector"] = None,
     ) -> None:
-        self.clock = VirtualClock()
+        #: Virtual time.  Only the dispatch loop moves it (DET406).
+        self.now = 0.0  # repro: allow(DET406)
         self.instrumentation = instrumentation
         #: Optional fault injector (see :mod:`repro.engine.faults`).  When
         #: set, ``advance`` stretches its busy windows under the injector's
@@ -162,6 +170,18 @@ class Engine:
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         self._live = 0
+        # The arrival stream: payloads sorted by ``arrival_s``, payload i
+        # holding the reserved seq ``_stream_seq0 + i``; ``_stream_head``
+        # is the built Event of the next one (None until peeked).
+        self._stream: Sequence[Any] = ()
+        self._stream_at = 0
+        self._stream_seq0 = 0
+        self._stream_callback: Optional[Callable[[Event], None]] = None
+        self._stream_head: Optional[Event] = None
+        # The crossing watch: fires once after the first dispatch at or
+        # past ``_watch_t`` (inf when none is armed).
+        self._watch_t = _INF
+        self._watch: Optional[Callable[[], None]] = None
         self._dispatch_hooks: List[Callable[[Event], None]] = []
         self.events_dispatched = 0
         #: Actual duration of the last ``advance`` window (after fault
@@ -170,11 +190,6 @@ class Engine:
         if _engine_hooks:
             for hook in list(_engine_hooks):
                 hook(self)
-
-    # -- clock -----------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self.clock.now
 
     # -- scheduling ------------------------------------------------------
     def schedule(
@@ -204,6 +219,34 @@ class Engine:
         self._live += 1
         return event
 
+    def arrivals(self, payloads: Sequence[Any],
+                 callback: Callable[[Event], None]) -> None:
+        """Schedule one ARRIVAL per payload, at its ``arrival_s``.
+
+        ``payloads`` must be sorted by ``arrival_s``, start at or after
+        ``now``, and no earlier stream may still be pending.  The call
+        reserves one contiguous block of seqs, so dispatch order is
+        exactly that of scheduling the same ARRIVALs one by one, but the
+        stream stays out of the heap: its next arrival is merged in at
+        ``peek``/``step`` and its Event built only then.
+        """
+        if self._stream_at < len(self._stream):
+            raise EngineError("an arrival stream is still pending")
+        times = [p.arrival_s for p in payloads]
+        if times and times[0] < self.now:
+            raise EngineError(
+                f"cannot schedule ARRIVAL at {times[0]} < now {self.now}"
+            )
+        if any(b < a for a, b in zip(times, times[1:])):
+            raise EngineError("arrival stream is not sorted by arrival_s")
+        self._stream = payloads
+        self._stream_at = 0
+        self._stream_seq0 = self._seq
+        self._stream_callback = callback
+        self._stream_head = None
+        self._seq += len(payloads)
+        self._live += len(payloads)
+
     def after(
         self,
         delay: float,
@@ -219,6 +262,29 @@ class Engine:
         if not event.cancelled:
             event.cancelled = True
             self._live -= 1
+            if event is self._stream_head:
+                self._stream_head = None
+                self._stream_at += 1
+
+    def watch(self, t: float, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once, after the first dispatch — real event
+        or ``advance``/``run_until`` window end — at time ``>= t``.
+
+        One watch may be armed at a time.  Serving loops use it to
+        snapshot state at a horizon crossing for a float compare per
+        dispatch instead of a dispatch hook.
+        """
+        if self._watch is not None:
+            raise EngineError("a crossing watch is already armed")
+        self._watch_t = t
+        self._watch = callback
+
+    def _fire_watch(self) -> None:
+        callback = self._watch
+        self._watch = None
+        self._watch_t = _INF
+        assert callback is not None
+        callback()
 
     # -- inspection ------------------------------------------------------
     @property
@@ -227,16 +293,29 @@ class Engine:
 
     def peek(self) -> Optional[Event]:
         """Next live event without dispatching it (skims cancelled ones)."""
-        while self._heap:
-            event = self._heap[0][3]
-            if event.cancelled:
-                heapq.heappop(self._heap)  # repro: allow(DET405)
-                continue
-            return event
-        return None
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)  # repro: allow(DET405)
+        head = self._stream_head
+        if head is None:
+            at = self._stream_at
+            if at == len(self._stream):
+                return heap[0][3] if heap else None
+            payload = self._stream[at]
+            head = self._stream_head = Event(
+                payload.arrival_s, _ARRIVAL, self._stream_seq0 + at,
+                EventKind.ARRIVAL, self._stream_callback, payload)
+        if heap:
+            top = heap[0]
+            if top[0] < head.time or (top[0] == head.time and (
+                    top[1], top[2]) < (_ARRIVAL, head.seq)):
+                return top[3]
+        return head
 
     def add_dispatch_hook(self, hook: Callable[[Event], None]) -> None:
-        """Observe every dispatched event (after its handler ran)."""
+        """Observe every dispatched event (after its handler ran),
+        including the virtual WAKE closing each ``advance``/``run_until``
+        window."""
         self._dispatch_hooks.append(hook)
 
     # -- dispatch --------------------------------------------------------
@@ -246,9 +325,18 @@ class Engine:
         event = self.peek()
         if event is None:
             return None
-        heapq.heappop(self._heap)  # repro: allow(DET405)
+        if event is self._stream_head:
+            self._stream_head = None
+            self._stream_at += 1
+        else:
+            heapq.heappop(self._heap)  # repro: allow(DET405)
         self._live -= 1
-        self.clock.advance_to(event.time)  # repro: allow(DET406)
+        t = event.time
+        if t < self.now:
+            raise EngineError(
+                f"clock cannot move backwards: {t} < {self.now}"
+            )
+        self.now = t  # repro: allow(DET406)
         self.events_dispatched += 1
         if event.callback is not None:
             event.callback(event)
@@ -256,6 +344,8 @@ class Engine:
             self.instrumentation.observe_dispatch(event)
         for hook in self._dispatch_hooks:
             hook(event)
+        if t >= self._watch_t:
+            self._fire_watch()
         return event
 
     def step_due(self) -> List[Event]:
@@ -278,9 +368,35 @@ class Engine:
         return dispatched
 
     def run(self) -> None:
-        """Dispatch until the heap is empty."""
+        """Dispatch until no event is pending."""
         while self.step() is not None:
             pass
+
+    def _run_to(self, end: float) -> None:
+        """Dispatch every event ordered before a virtual WAKE marker at
+        ``end`` (seq reserved now), then land the clock on ``end`` and
+        dispatch the marker itself to instrumentation, hooks and the
+        watch.  The marker never enters the heap; its Event is built only
+        when someone observes dispatches."""
+        seq = self._seq
+        self._seq += 1
+        while True:
+            event = self.peek()
+            if event is None or event.time > end or (
+                    event.time == end
+                    and (event.priority, event.seq) > (_WAKE, seq)):
+                break
+            self.step()
+        self.now = end  # repro: allow(DET406)
+        self.events_dispatched += 1
+        if self.instrumentation is not None or self._dispatch_hooks:
+            marker = Event(end, _WAKE, seq, EventKind.WAKE)
+            if self.instrumentation is not None:
+                self.instrumentation.observe_dispatch(marker)
+            for hook in self._dispatch_hooks:
+                hook(marker)
+        if end >= self._watch_t:
+            self._fire_watch()
 
     def advance(
         self,
@@ -306,12 +422,7 @@ class Engine:
             delay = self.faults.stretch(delay, self.now, label)
         self.last_advance_s = delay
         started = self.now
-        marker = self.schedule(started + delay, EventKind.WAKE)
-        while True:
-            event = self.step()
-            assert event is not None, "marker guarantees progress"
-            if event is marker:
-                break
+        self._run_to(started + delay)
         if label is not None and self.instrumentation is not None:
             self.instrumentation.span(label, started, delay, tid=tid,
                                       cat=cat, **attrs)
@@ -328,12 +439,7 @@ class Engine:
         """
         if t < self.now:
             raise EngineError(f"cannot run_until {t} < now {self.now}")
-        marker = self.schedule(t, EventKind.WAKE)
-        while True:
-            event = self.step()
-            assert event is not None, "marker guarantees progress"
-            if event is marker:
-                break
+        self._run_to(t)
         return self.now
 
     # -- tasks -----------------------------------------------------------

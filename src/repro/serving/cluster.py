@@ -224,7 +224,6 @@ def simulate_cluster(
 
     engine = Engine()
     backlog_at_horizon: Optional[int] = None
-    arrivals_left = len(arrivals)
 
     def handle_failure(r: Request, server_id: int, now: float) -> None:
         """One attempt failed on ``server_id``: retry elsewhere or give up."""
@@ -351,12 +350,10 @@ def simulate_cluster(
         return target
 
     def on_arrival(event) -> None:
-        nonlocal arrivals_left
         request = event.payload
         now = engine.now
         target = commit_route(request, now)
         servers[target].queue.append(request)
-        arrivals_left -= 1
         run_server(servers[target], now)
 
     def on_retry(event) -> None:
@@ -366,16 +363,16 @@ def simulate_cluster(
         servers[target].queue.append(request)
         run_server(servers[target], now)
 
-    def snapshot_backlog(_event) -> None:
+    def snapshot_backlog() -> None:
+        # At the first dispatch crossing the horizon, however many
+        # arrivals remain; requests offered after the horizon are not
+        # backlog of the measured load.
         nonlocal backlog_at_horizon
-        if (backlog_at_horizon is None and arrivals_left == 0
-                and engine.now >= horizon):
-            backlog_at_horizon = sum(len(s.queue) for s in servers)
+        backlog_at_horizon = sum(1 for s in servers for r in s.queue
+                                 if r.arrival_s <= horizon)
 
-    for request in arrivals:
-        engine.schedule(request.arrival_s, EventKind.ARRIVAL, on_arrival,
-                        request)
-    engine.add_dispatch_hook(snapshot_backlog)
+    engine.arrivals(arrivals, on_arrival)
+    engine.watch(horizon, snapshot_backlog)
     engine.run()
 
     if backlog_at_horizon is None:

@@ -1027,9 +1027,7 @@ class _GenDriver:
                                             f"{tid} stream: prefill chunks")
                     host.tracer.thread_name(f"{tid}:decode",
                                             f"{tid} stream: decode steps")
-        for r in arrivals:
-            self.engine.schedule(r.arrival_s, EventKind.ARRIVAL,
-                                 self._on_arrival, r)
+        self.engine.arrivals(arrivals, self._on_arrival)
         self.engine.run()
         device = getattr(host.runtime, "device", None)
         peak_flops = device.peak_fp32_flops if device is not None else 0.0
@@ -1228,8 +1226,7 @@ class RequestLevelGenerationServer(_GenLoopBase):
             self._begin_request(r)
             queue.append(r)
 
-        for r in arrivals:
-            engine.schedule(r.arrival_s, EventKind.ARRIVAL, on_arrival, r)
+        engine.arrivals(arrivals, on_arrival)
 
         while True:
             while queue:

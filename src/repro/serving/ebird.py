@@ -98,7 +98,6 @@ def simulate_ebird_serving(
     queue: List[Request] = []
     active: List[_ActiveBatch] = []
     backlog_at_horizon: Optional[float] = None
-    arrivals_left = n
     last_progress_t = 0.0
     completion_event = None
 
@@ -187,10 +186,8 @@ def simulate_ebird_serving(
         reschedule_completion()
 
     def on_arrival(event) -> None:
-        nonlocal arrivals_left
         apply_progress(engine.now)
         queue.append(event.payload)
-        arrivals_left -= 1
         nxt = engine.peek()
         if (nxt is not None and nxt.time == engine.now
                 and nxt.kind is EventKind.ARRIVAL):
@@ -200,16 +197,16 @@ def simulate_ebird_serving(
         sync(engine.now)
         reschedule_completion()
 
-    def snapshot_backlog(_event) -> None:
+    def snapshot_backlog() -> None:
+        # At the first dispatch crossing the horizon, however many
+        # arrivals remain; requests offered after the horizon are not
+        # backlog of the measured load.
         nonlocal backlog_at_horizon
-        if (backlog_at_horizon is None and arrivals_left == 0
-                and engine.now >= horizon):
-            backlog_at_horizon = len(queue) + sum(
-                len(b.requests) for b in active
-            )
+        waiting = queue + [r for b in active for r in b.requests]
+        backlog_at_horizon = sum(1 for r in waiting
+                                 if r.arrival_s <= horizon)
 
-    for r in arrivals:
-        engine.schedule(r.arrival_s, EventKind.ARRIVAL, on_arrival, r)
+    engine.arrivals(arrivals, on_arrival)
     if inj is not None:
         # One wake-up per fault window edge: progress segments between
         # events see a constant multiplier, and crash recovery re-arms
@@ -217,7 +214,7 @@ def simulate_ebird_serving(
         for t in inj.plan.boundaries(server_id):
             if t >= 0.0:
                 engine.schedule(t, EventKind.WAKE, on_event)
-    engine.add_dispatch_hook(snapshot_backlog)
+    engine.watch(horizon, snapshot_backlog)
     engine.run()
 
     if backlog_at_horizon is None:

@@ -7,11 +7,12 @@ requests and the batches execute back-to-back, each costing its profiled
 latency.  Everything is deterministic given the workload.
 
 Migration note (event engine): this loop now runs on
-:class:`repro.engine.Engine` — arrivals, retry wake-ups and trigger-policy
-decision points are heap events dispatched in the engine's documented
-``ARRIVAL < RETRY < WAKE < TRIGGER`` same-time order, and batch execution
-occupies the GPU through ``engine.advance`` so arrivals land in the queue
-at their true timestamps instead of at batch boundaries.  The port
+:class:`repro.engine.Engine` — arrivals (the engine's arrival stream),
+retry wake-ups and trigger-policy decision points are events dispatched
+in the engine's documented ``ARRIVAL < RETRY < WAKE < TRIGGER``
+same-time order, and batch execution occupies the GPU through
+``engine.advance`` so arrivals land in the queue at their true timestamps
+instead of at batch boundaries.  The port
 removed the private ``while``/``heapq`` loop and with it three bugs: the
 DP scheduler and the LazyPolicy estimate now price rounds with the
 **active degradation rung's** cost function (they used the base
@@ -208,23 +209,19 @@ def simulate_serving(
         if metrics is not None:
             metrics.counter("serving_requests_ingested_total").inc()
 
-    def snapshot_backlog(_event: Event) -> None:
-        # Snapshot the backlog at the first event crossing the horizon —
-        # regardless of how many arrivals remain.  (Waiting for all
-        # arrivals, as this once did, takes the snapshot long after the
-        # horizon whenever ``duration_s`` is shorter than the last arrival,
-        # misclassifying saturation.)  Backlog = requests offered within
-        # the horizon whose service had not begun by the horizon; queue
-        # depth alone undercounts because a scheduling round drains the
-        # whole queue into batches long before they execute, and arrivals
-        # after the horizon are not backlog of the measured load.
+    def snapshot_backlog() -> None:
+        # At the first dispatch crossing the horizon, however many
+        # arrivals remain.  Backlog = requests offered within the horizon
+        # whose service had not begun by the horizon; queue depth alone
+        # undercounts because a scheduling round drains the whole queue
+        # into batches long before they execute, and arrivals after the
+        # horizon are not backlog of the measured load.
         nonlocal backlog_at_horizon
-        if backlog_at_horizon is None and engine.now >= horizon:
-            backlog_at_horizon = sum(
-                1 for r in arrivals
-                if r.arrival_s <= horizon
-                and (r.start_s is None or r.start_s > horizon)
-            )
+        backlog_at_horizon = sum(
+            1 for r in arrivals
+            if r.arrival_s <= horizon
+            and (r.start_s is None or r.start_s > horizon)
+        )
 
     def active_cost_fn() -> CostFn:
         """Cost function of the current degradation rung (base if none)."""
@@ -248,6 +245,9 @@ def simulate_serving(
             else:
                 alive.append(r)
         return alive
+
+    # Feedback hook for adaptive (Clipper-style AIMD) schedulers.
+    observe = getattr(scheduler, "observe", None)
 
     def execute(batches) -> None:
         nonlocal busy_in_horizon, batches_executed
@@ -274,12 +274,15 @@ def simulate_serving(
             # for the batch is emitted by the engine.  Active latency
             # spikes stretch the window inside advance() (the injector);
             # last_advance_s is the duration actually charged.
-            engine.advance(
-                exec_s, label=f"batch x{batch.size}" if trace_on else None,
-                tid="gpu", cat="batch", size=batch.size,
-                padded_len=batch.padded_len,
-                padding_waste_tokens=batch.padding_waste,
-            )
+            if trace_on:
+                engine.advance(
+                    exec_s, label=f"batch x{batch.size}", tid="gpu",
+                    cat="batch", size=batch.size,
+                    padded_len=batch.padded_len,
+                    padding_waste_tokens=batch.padding_waste,
+                )
+            else:
+                engine.advance(exec_s)
             exec_s = engine.last_advance_s
             busy_in_horizon += max(
                 0.0, min(started + exec_s, horizon) - min(started, horizon)
@@ -296,10 +299,11 @@ def simulate_serving(
             elif injector is not None and faults.failure_rate(0, started) > 0.0:
                 failed = [r for r in batch.requests
                           if injector.attempt_fails(r.req_id, r.attempt, started)]
-            failed_set = set(id(r) for r in failed)
-            for r in batch.requests:
-                if id(r) in failed_set:
-                    continue
+            done: Sequence[Request] = batch.requests
+            if failed:
+                failed_ids = set(id(r) for r in failed)
+                done = [r for r in batch.requests if id(r) not in failed_ids]
+            for r in done:
                 r.resolve(RequestState.COMPLETED, now)
                 if breaker is not None:
                     breaker.record(True, now)
@@ -312,8 +316,8 @@ def simulate_serving(
                         stage="execute",
                         queue_wait_ms=round((started - r.arrival_s) * 1e3, 4),
                     )
-            for r in batch.requests:
-                if id(r) not in failed_set:
+            if trace_on or metrics is not None:
+                for r in done:
                     complete_request(r, "model")
             for r in failed:
                 _handle_failure(r, now)
@@ -326,8 +330,6 @@ def simulate_serving(
                     batch.padding_waste
                 )
                 metrics.gauge("serving_gpu_busy_s").set(busy_in_horizon, t=now)
-            # Feedback hook for adaptive (Clipper-style AIMD) schedulers.
-            observe = getattr(scheduler, "observe", None)
             if observe is not None:
                 observe(batch, exec_s)
 
@@ -405,10 +407,8 @@ def simulate_serving(
             return
         trigger_event = engine.schedule(t, EventKind.TRIGGER)
 
-    for request in arrivals:
-        engine.schedule(request.arrival_s, EventKind.ARRIVAL, on_arrival,
-                        request)
-    engine.add_dispatch_hook(snapshot_backlog)
+    engine.arrivals(arrivals, on_arrival)
+    engine.watch(horizon, snapshot_backlog)
 
     while True:
         run_rounds()

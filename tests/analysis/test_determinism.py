@@ -155,6 +155,11 @@ class TestEngineApiMisuse:
             self.clock._now += 0.5
         """)) == ["DET406"]
 
+    def test_engine_now_assignment_flagged(self):
+        assert codes(lint("""
+            engine.now = 7.5
+        """)) == ["DET406"]
+
     def test_local_now_variable_ok(self):
         assert lint("""
             _now = 7.5

@@ -7,9 +7,9 @@ from repro.engine import (
     EngineError,
     EngineInstrumentation,
     EventKind,
-    VirtualClock,
 )
 from repro.observability import MetricsRegistry, Tracer
+from repro.serving.request import Request
 
 
 class TestEventOrdering:
@@ -100,11 +100,12 @@ class TestClockInvariants:
         engine.run()
         assert fired == [1.0]
 
-    def test_virtual_clock_refuses_to_move_backwards(self):
-        clock = VirtualClock()
-        clock.advance_to(3.0)  # repro: allow(DET406)
+    def test_step_refuses_to_move_the_clock_backwards(self):
+        engine = Engine()
+        engine.schedule(2.9, EventKind.WAKE)
+        engine.now = 3.0  # repro: allow(DET406) forge a clock regression
         with pytest.raises(EngineError):
-            clock.advance_to(2.9)  # repro: allow(DET406)
+            engine.step()
 
 
 class TestAdvance:
@@ -134,6 +135,97 @@ class TestAdvance:
     def test_advance_negative_raises(self):
         with pytest.raises(EngineError):
             Engine().advance(-0.1)
+
+
+class TestArrivalStream:
+    @staticmethod
+    def _payloads(times):
+        return [Request(req_id=i, seq_len=8, arrival_s=t)
+                for i, t in enumerate(times)]
+
+    def _dispatch_log(self, use_stream):
+        engine = Engine()
+        log = []
+        engine.add_dispatch_hook(
+            lambda e: log.append((engine.now, e.seq, e.kind, e.payload)))
+        engine.schedule(0.5, EventKind.WAKE, payload="timer")
+        payloads = self._payloads([0.0, 0.5, 0.5, 1.0])
+        if use_stream:
+            engine.arrivals(payloads, lambda e: None)
+        else:
+            for p in payloads:
+                engine.schedule(p.arrival_s, EventKind.ARRIVAL, payload=p)
+        engine.schedule(0.5, EventKind.RETRY, payload="retry")
+        engine.run()
+        return log
+
+    def test_stream_dispatches_like_one_event_per_arrival(self):
+        assert self._dispatch_log(True) == self._dispatch_log(False)
+
+    def test_stream_stays_out_of_the_heap(self):
+        engine = Engine()
+        engine.arrivals(self._payloads([0.1 * i for i in range(100)]),
+                        lambda e: None)
+        assert engine.pending and engine._heap == []
+        engine.run()
+        assert engine.events_dispatched == 100 and not engine.pending
+
+    def test_peeked_arrival_is_the_dispatched_event(self):
+        engine = Engine()
+        engine.arrivals(self._payloads([1.0]), lambda e: None)
+        peeked = engine.peek()
+        assert peeked.kind is EventKind.ARRIVAL
+        assert engine.step() is peeked
+
+    def test_cancelling_a_peeked_arrival_drops_only_it(self):
+        engine = Engine()
+        seen = []
+        payloads = self._payloads([1.0, 2.0])
+        engine.arrivals(payloads, lambda e: seen.append(e.payload))
+        engine.cancel(engine.peek())
+        engine.run()
+        assert seen == [payloads[1]]
+
+    def test_unsorted_past_or_overlapping_streams_rejected(self):
+        engine = Engine()
+        with pytest.raises(EngineError):
+            engine.arrivals(self._payloads([1.0, 0.5]), lambda e: None)
+        engine.arrivals(self._payloads([1.0]), lambda e: None)
+        with pytest.raises(EngineError):
+            engine.arrivals(self._payloads([2.0]), lambda e: None)
+        engine.run()
+        with pytest.raises(EngineError):
+            engine.arrivals(self._payloads([0.5]), lambda e: None)
+        engine.arrivals(self._payloads([1.5]), lambda e: None)
+        engine.run()
+        assert engine.now == 1.5
+
+
+class TestCrossingWatch:
+    def test_fires_once_after_the_first_dispatch_at_or_past_t(self):
+        engine = Engine()
+        fired = []
+        for t in (0.5, 1.0, 1.5):
+            engine.schedule(t, EventKind.WAKE)
+        engine.watch(1.0, lambda: fired.append(engine.now))
+        engine.run()
+        assert fired == [1.0]
+
+    def test_window_end_crosses_the_watch(self):
+        engine = Engine()
+        fired = []
+        engine.schedule(2.0, EventKind.ARRIVAL)
+        engine.watch(0.75, lambda: fired.append(engine.now))
+        engine.advance(0.5)
+        assert fired == []
+        engine.advance(0.5)
+        assert fired == [1.0]
+
+    def test_one_watch_at_a_time(self):
+        engine = Engine()
+        engine.watch(1.0, lambda: None)
+        with pytest.raises(EngineError):
+            engine.watch(2.0, lambda: None)
 
 
 class TestCancellation:
@@ -235,6 +327,25 @@ class TestInstrumentation:
         assert counters[0]["name"] == "queue"
         assert counters[0]["args"] == {"depth": 7.0}
         assert metrics.gauge("serving_queue_depth").series == [(1.5, 7.0)]
+
+    def test_window_end_is_one_wake_dispatch(self):
+        """The advance/run_until marker never enters the heap but is
+        counted and observed exactly like the WAKE event it replaces."""
+        metrics = MetricsRegistry()
+        engine = Engine(
+            instrumentation=EngineInstrumentation(None, metrics))
+        hooked = []
+        engine.add_dispatch_hook(
+            lambda e: hooked.append((engine.now, e.kind, e.seq)))
+        engine.schedule(0.25, EventKind.ARRIVAL)
+        engine.advance(0.5)
+        engine.run_until(1.0)
+        assert hooked == [(0.25, EventKind.ARRIVAL, 0),
+                          (0.5, EventKind.WAKE, 1),
+                          (1.0, EventKind.WAKE, 2)]
+        assert engine.events_dispatched == 3
+        assert metrics.counter(
+            "engine_events_dispatched_total", kind="wake").value == 2
 
     def test_advance_emits_span_for_labelled_window(self):
         tracer = Tracer()

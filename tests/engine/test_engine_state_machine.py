@@ -1,0 +1,296 @@
+"""Stateful differential test: the engine against a sorted-list reference.
+
+The reference is the engine's contract written as plainly as possible:
+every pending event is an entry ``(time, priority, seq)`` in a list, the
+next dispatch is the minimum live entry, ``advance``/``run_until``
+dispatch every entry below a marker ``(end, WAKE, seq)`` and then
+dispatch the marker itself, and a crossing watch fires once after the
+first dispatch at or past its time.  Random programs of ``schedule`` /
+``cancel`` / ``arrivals`` / ``step`` / ``step_due`` / ``advance`` /
+``run_until`` / ``spawn`` / ``watch`` run against both, and the combined
+log — handler calls, dispatch-hook calls (markers included) and watch
+firings, in order — plus the clock, ``pending`` and ``events_dispatched``
+must agree after every step.
+
+Times are multiples of 0.25 so that ties between kinds, seqs and window
+ends are frequent and exact; a fault stretch doubles busy windows that
+start in [1, 2) s.
+"""
+
+from dataclasses import dataclass, field
+from typing import List, Optional
+
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.engine import Engine, EventKind
+
+WAKE = int(EventKind.WAKE)
+DELAYS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
+KINDS = st.sampled_from(list(EventKind))
+
+
+@dataclass
+class Arrival:
+    arrival_s: float
+    tag: int
+
+
+@dataclass
+class Entry:
+    """One pending event of the reference."""
+
+    time: float
+    priority: int
+    seq: int
+    kind: int
+    tag: int
+    #: Delay of the event its handler schedules, if any.
+    child: Optional[float] = None
+    #: Remaining delays of the task this entry resumes, if any.
+    task: Optional[List[float]] = None
+    task_step: int = 0
+    cancelled: bool = False
+    handle: object = field(default=None, repr=False)
+
+    @property
+    def key(self):
+        return (self.time, self.priority, self.seq)
+
+
+class Reference:
+    """The engine's documented semantics over a plain list."""
+
+    def __init__(self) -> None:
+        self.clock = 0.0
+        self.seq = 0
+        self.entries: List[Entry] = []
+        self.log: List[tuple] = []
+        self.dispatched = 0
+        self.watch_t: Optional[float] = None
+        self.stream_left = 0
+
+    def live(self) -> List[Entry]:
+        return [e for e in self.entries if not e.cancelled]
+
+    def next(self) -> Optional[Entry]:
+        live = self.live()
+        return min(live, key=lambda e: e.key) if live else None
+
+    def push(self, time, kind, tag, priority=None, **extra) -> Entry:
+        entry = Entry(time, int(kind) if priority is None else priority,
+                      self.seq, int(kind), tag, **extra)
+        self.seq += 1
+        self.entries.append(entry)
+        return entry
+
+    def observe(self, time, priority, seq, kind) -> None:
+        self.dispatched += 1
+        self.log.append(("hook", self.clock, time, priority, seq, kind))
+        if self.watch_t is not None and time >= self.watch_t:
+            self.watch_t = None
+            self.log.append(("watch", self.clock))
+
+    def step(self) -> Optional[Entry]:
+        entry = self.next()
+        if entry is None:
+            return None
+        self.entries.remove(entry)
+        if entry.tag < 0:
+            self.stream_left -= 1
+        self.clock = entry.time
+        if entry.task is not None:
+            self.log.append(("task", self.clock, entry.tag, entry.task_step))
+            self.resume_task(entry.tag, entry.task, entry.task_step)
+        else:
+            self.log.append(("cb", self.clock, entry.tag))
+            if entry.child is not None:
+                self.push(self.clock + entry.child, EventKind.WAKE,
+                          entry.tag + 1000)
+        self.observe(entry.time, entry.priority, entry.seq, entry.kind)
+        return entry
+
+    def resume_task(self, tag, delays, done) -> None:
+        if done < len(delays):
+            self.push(self.clock + delays[done], EventKind.WAKE, tag,
+                      task=delays, task_step=done + 1)
+
+    def step_due(self) -> None:
+        if self.step() is None:
+            return
+        while True:
+            entry = self.next()
+            if entry is None or entry.time > self.clock:
+                return
+            self.step()
+
+    def run_to(self, end) -> None:
+        marker = (end, WAKE, self.seq)
+        self.seq += 1
+        while True:
+            entry = self.next()
+            if entry is None or entry.key > marker:
+                break
+            self.step()
+        self.clock = end
+        self.observe(*marker, WAKE)
+
+
+class Spike:
+    """Fault stretch: busy windows starting in [1, 2) take twice as long."""
+
+    @staticmethod
+    def stretch(delay, now, _label=None):
+        return 2.0 * delay if 1.0 <= now < 2.0 else delay
+
+
+class EngineMachine(RuleBasedStateMachine):
+    def __init__(self) -> None:
+        super().__init__()
+        self.engine = Engine(faults=Spike())
+        self.ref = Reference()
+        self.log: List[tuple] = []
+        self.tags = 0
+        engine = self.engine
+        engine.add_dispatch_hook(lambda e: self.log.append(
+            ("hook", engine.now, e.time, e.priority, e.seq, int(e.kind))))
+
+    def _tag(self) -> int:
+        self.tags += 1
+        return self.tags
+
+    def _handler(self, child: Optional[float]):
+        engine = self.engine
+
+        def handle(event) -> None:
+            self.log.append(("cb", engine.now, event.payload))
+            if child is not None:
+                engine.schedule(engine.now + child, EventKind.WAKE,
+                                handle_child, event.payload + 1000)
+
+        def handle_child(event) -> None:
+            self.log.append(("cb", engine.now, event.payload))
+
+        return handle
+
+    # -- rules --------------------------------------------------------------
+
+    @rule(delay=DELAYS, kind=KINDS,
+          child=st.none() | DELAYS,
+          priority=st.none() | st.integers(-1, 4))
+    def schedule(self, delay, kind, child, priority):
+        tag = self._tag()
+        at = self.engine.now + delay
+        handle = self.engine.schedule(at, kind, self._handler(child), tag,
+                                      priority=priority)
+        entry = self.ref.push(self.ref.clock + delay, kind, tag,
+                              priority=priority, child=child)
+        entry.handle = handle
+
+    @rule(data=st.data())
+    def cancel(self, data):
+        scheduled = [e for e in self.ref.live() if e.handle is not None]
+        if not scheduled:
+            return
+        entry = data.draw(st.sampled_from(scheduled))
+        self.engine.cancel(entry.handle)
+        self.engine.cancel(entry.handle)  # idempotent
+        entry.cancelled = True
+
+    @rule()
+    def peek_and_cancel(self):
+        """Peeking builds the stream head; cancelling it must drop exactly
+        that arrival."""
+        event = self.engine.peek()
+        entry = self.ref.next()
+        assert (event is None) == (entry is None)
+        if event is None:
+            return
+        assert (event.time, event.priority, event.seq) == entry.key
+        self.engine.cancel(event)
+        entry.cancelled = True
+        if entry.tag < 0:
+            self.ref.stream_left -= 1
+
+    @precondition(lambda self: self.ref.stream_left == 0)
+    @rule(delays=st.lists(DELAYS, max_size=6))
+    def arrivals(self, delays):
+        times = sorted(self.engine.now + d for d in delays)
+        payloads = [Arrival(t, -self._tag()) for t in times]
+        self.engine.arrivals(
+            payloads, lambda e: self.log.append(
+                ("cb", self.engine.now, e.payload.tag)))
+        for p in payloads:
+            self.ref.push(p.arrival_s, EventKind.ARRIVAL, p.tag)
+        self.ref.stream_left = len(payloads)
+
+    @rule(delays=st.lists(DELAYS, max_size=4))
+    def spawn(self, delays):
+        tag = self._tag()
+        engine = self.engine
+
+        def work():
+            self.log.append(("task", engine.now, tag, 0))
+            for i, d in enumerate(delays):
+                yield d
+                self.log.append(("task", engine.now, tag, i + 1))
+
+        engine.spawn(work())
+        self.ref.log.append(("task", self.ref.clock, tag, 0))
+        self.ref.resume_task(tag, delays, 0)
+
+    @precondition(lambda self: self.ref.watch_t is None)
+    @rule(delay=DELAYS)
+    def watch(self, delay):
+        engine = self.engine
+        engine.watch(engine.now + delay,
+                     lambda: self.log.append(("watch", engine.now)))
+        self.ref.watch_t = self.ref.clock + delay
+
+    @rule()
+    def step(self):
+        event = self.engine.step()
+        entry = self.ref.step()
+        assert (event is None) == (entry is None)
+
+    @rule()
+    def step_due(self):
+        self.engine.step_due()
+        self.ref.step_due()
+
+    @rule(delay=DELAYS)
+    def advance(self, delay):
+        stretched = Spike.stretch(delay, self.ref.clock)
+        assert self.engine.advance(delay) == self.ref.clock + stretched
+        assert self.engine.last_advance_s == stretched
+        self.ref.run_to(self.ref.clock + stretched)
+
+    @rule(delay=DELAYS)
+    def run_until(self, delay):
+        self.engine.run_until(self.engine.now + delay)
+        self.ref.run_to(self.ref.clock + delay)
+
+    @rule()
+    def run(self):
+        self.engine.run()
+        while self.ref.step() is not None:
+            pass
+
+    # -- invariants ---------------------------------------------------------
+
+    @invariant()
+    def agrees_with_reference(self):
+        assert self.log == self.ref.log
+        assert self.engine.now == self.ref.clock
+        assert self.engine.pending == bool(self.ref.live())
+        assert self.engine.events_dispatched == self.ref.dispatched
+
+
+EngineMachine.TestCase.settings = settings(
+    max_examples=150, stateful_step_count=40, deadline=None)
+TestEngineStateMachine = EngineMachine.TestCase

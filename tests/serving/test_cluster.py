@@ -211,6 +211,22 @@ class TestHealthyRouting:
         assert metrics.serving.completed > 0.9 * metrics.serving.offered
 
 
+class TestBacklogSnapshot:
+    def test_horizon_shorter_than_last_arrival(self):
+        """The backlog is taken when the clock crosses the horizon, not
+        after the last arrival: 50 light requests over [0, 1) s keep up,
+        and a burst of 150 at t = 1.5 s lies outside the 1 s horizon.
+        Waiting for every arrival used to report 148 of them as backlog."""
+        requests = [Request(req_id=i, seq_len=20, arrival_s=0.02 * i)
+                    for i in range(50)]
+        requests += [Request(req_id=50 + i, seq_len=20, arrival_s=1.5)
+                     for i in range(150)]
+        metrics = simulate_cluster(requests, 2, DPBatchScheduler,
+                                   linear_cost(), duration_s=1.0)
+        assert metrics.serving.completed == 200
+        assert metrics.serving.backlog_at_end == 0
+
+
 class TestValidation:
     def test_empty_workload_rejected(self):
         with pytest.raises(ValueError):

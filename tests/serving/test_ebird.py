@@ -106,6 +106,25 @@ class TestEbirdSimulation:
             simulate_ebird_serving([], cost)
 
 
+class TestBacklogSnapshot:
+    def test_horizon_shorter_than_last_arrival(self):
+        """The backlog is taken when the clock crosses the horizon, not
+        after the last arrival: 50 light requests over [0, 1) s keep up,
+        and a burst of 150 at t = 1.5 s lies outside the 1 s horizon.
+        Waiting for every arrival used to report all 150 as backlog."""
+        specs = [(20, 0.02 * i) for i in range(50)] + [(20, 1.5)] * 150
+        metrics = simulate_ebird_serving(reqs(specs), cost, duration_s=1.0)
+        assert metrics.completed == 200
+        assert metrics.backlog_at_end == 0
+        assert not metrics.saturated
+
+    def test_backlog_inside_the_horizon_still_counts(self):
+        specs = [(500, 0.0001 * i) for i in range(200)] + [(20, 1.5)]
+        metrics = simulate_ebird_serving(reqs(specs), cost, duration_s=0.02)
+        assert metrics.backlog_at_end > 100
+        assert metrics.saturated
+
+
 class TestBurstyWorkload:
     def test_bursty_rate_matches_average(self, rng):
         from repro.serving import bursty_arrivals
