@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import operator
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Generator, List, Optional,
                     Sequence, Tuple)
@@ -237,7 +238,7 @@ class Engine:
             raise EngineError(
                 f"cannot schedule ARRIVAL at {times[0]} < now {self.now}"
             )
-        if any(b < a for a, b in zip(times, times[1:])):
+        if any(map(operator.gt, times, times[1:])):
             raise EngineError("arrival stream is not sorted by arrival_s")
         self._stream = payloads
         self._stream_at = 0
@@ -323,8 +324,13 @@ class Engine:
         """Dispatch the next event: advance the clock to its timestamp,
         run its callback, then notify instrumentation and hooks."""
         event = self.peek()
-        if event is None:
-            return None
+        if event is not None:
+            self._dispatch(event)
+        return event
+
+    def _dispatch(self, event: Event) -> None:
+        """Dispatch ``event``, which the latest ``peek`` returned (nothing
+        may have been scheduled, cancelled or dispatched since)."""
         if event is self._stream_head:
             self._stream_head = None
             self._stream_at += 1
@@ -346,7 +352,6 @@ class Engine:
             hook(event)
         if t >= self._watch_t:
             self._fire_watch()
-        return event
 
     def step_due(self) -> List[Event]:
         """Dispatch the next event plus every event sharing its timestamp.
@@ -354,23 +359,22 @@ class Engine:
         Servers that evaluate a policy per *instant* (not per event) use
         this so simultaneous arrivals are all visible before a round.
         """
-        first = self.step()
-        if first is None:
-            return []
-        dispatched = [first]
-        while True:
+        dispatched: List[Event] = []
+        event = self.peek()
+        while event is not None:
+            self._dispatch(event)
+            dispatched.append(event)
             event = self.peek()
-            if event is None or event.time > self.now:
+            if event is not None and event.time > self.now:
                 break
-            stepped = self.step()
-            assert stepped is not None
-            dispatched.append(stepped)
         return dispatched
 
     def run(self) -> None:
         """Dispatch until no event is pending."""
-        while self.step() is not None:
-            pass
+        event = self.peek()
+        while event is not None:
+            self._dispatch(event)
+            event = self.peek()
 
     def _run_to(self, end: float) -> None:
         """Dispatch every event ordered before a virtual WAKE marker at
@@ -386,7 +390,7 @@ class Engine:
                     event.time == end
                     and (event.priority, event.seq) > (_WAKE, seq)):
                 break
-            self.step()
+            self._dispatch(event)
         self.now = end  # repro: allow(DET406)
         self.events_dispatched += 1
         if self.instrumentation is not None or self._dispatch_hooks:

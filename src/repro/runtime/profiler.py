@@ -40,6 +40,7 @@ class CostTable:
         self.interpolate = interpolate
         self._table: Dict[int, Dict[int, float]] = {}
         self._bucket_memo: Dict[int, int] = {}
+        self._row_memo: Dict[int, Dict[int, float]] = {}
 
     def bucket(self, seq_len: int) -> int:
         """Smallest profiled length >= seq_len (padding is monotone-safe),
@@ -69,13 +70,25 @@ class CostTable:
         if batch <= 0 or batch > self.max_batch:
             raise ValueError(f"batch must be in [1, {self.max_batch}], got {batch}")
         if not self.interpolate:
-            return self._entry(self.bucket(seq_len), batch)
+            # seq_len -> its bucket's row, so a call is one dict lookup;
+            # only rows that exist are memoised, and set() updates a row
+            # in place, so the memo never goes stale.
+            row = self._row_memo.get(seq_len)
+            if row is None:
+                row = self._table.get(self.bucket(seq_len))
+                if row is None:
+                    return self._entry(self.bucket(seq_len), batch)
+                self._row_memo[seq_len] = row
+            try:
+                return row[batch]
+            except KeyError:
+                return self._entry(self.bucket(seq_len), batch)
         upper = self.bucket(seq_len)
         if seq_len >= upper or upper == self.lengths[0]:
             return self._entry(upper, batch)
-        lower = max(l for l in self.lengths if l < upper)
-        if seq_len <= lower:
-            return self._entry(lower, batch)
+        # ``upper`` is the smallest profiled length >= seq_len, so its
+        # grid neighbour below is < seq_len: interpolate between the two.
+        lower = self.lengths[bisect_left(self.lengths, upper) - 1]
         low_cost = self._entry(lower, batch)
         high_cost = self._entry(upper, batch)
         t = (seq_len - lower) / (upper - lower)

@@ -40,19 +40,12 @@ class LatencyStats:
         # ``is_completed`` skips (rather than crashes on) requests that
         # ended in a non-completed terminal state (TIMED_OUT/FAILED/SHED):
         # they carry no response latency.
-        completed = [r for r in requests if r.is_completed]
-        if not completed:
-            return cls(float("inf"), float("inf"), float("inf"), 0)
-        latencies = sorted(r.latency_s * 1e3 for r in completed)
-        return cls(
-            avg_ms=sum(latencies) / len(latencies),
-            min_ms=latencies[0],
-            max_ms=latencies[-1],
-            count=len(latencies),
-            p50_ms=cls._percentile(latencies, 0.50),
-            p95_ms=cls._percentile(latencies, 0.95),
-            p99_ms=cls._percentile(latencies, 0.99),
-        )
+        return cls.from_completed(completed_requests(requests))
+
+    @classmethod
+    def from_completed(cls, completed: Sequence[Request]) -> "LatencyStats":
+        """Stats over requests already known to have completed."""
+        return cls.from_values([r.latency_s * 1e3 for r in completed])
 
     @classmethod
     def from_values(cls, values_ms: Sequence[float]) -> "LatencyStats":
@@ -145,15 +138,22 @@ def response_throughput(
     batch completions exactly on arrival boundaries, so a half-open window
     would silently drop requests completing at the horizon.
     """
+    return completed_throughput(completed_requests(requests),
+                                window_start_s, window_end_s)
+
+
+def completed_throughput(
+    completed: Sequence[Request], window_start_s: float, window_end_s: float
+) -> float:
+    """:func:`response_throughput` over requests already known to have
+    completed."""
     if window_end_s <= window_start_s:
         raise ValueError(
             f"empty window [{window_start_s}, {window_end_s}]"
         )
-    done = [
-        r for r in requests
-        if r.is_completed and window_start_s <= r.completion_s <= window_end_s
-    ]
-    return len(done) / (window_end_s - window_start_s)
+    done = sum(1 for r in completed
+               if window_start_s <= r.completion_s <= window_end_s)
+    return done / (window_end_s - window_start_s)
 
 
 def completed_requests(requests: Sequence[Request]) -> List[Request]:

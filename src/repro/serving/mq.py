@@ -29,20 +29,27 @@ class MessageQueue:
 
     def push(self, request: Request) -> bool:
         """Enqueue; returns False (rejecting the request) if at capacity."""
-        if self.capacity is not None and len(self._queue) >= self.capacity:
+        queue = self._queue
+        if self.capacity is not None and len(queue) >= self.capacity:
             self.total_rejected += 1
             return False
-        self._queue.append(request)
+        queue.append(request)
         self.total_enqueued += 1
-        self.peak_depth = max(self.peak_depth, len(self._queue))
+        depth = len(queue)
+        if depth > self.peak_depth:
+            self.peak_depth = depth
         return True
 
     def drain(self, limit: Optional[int] = None) -> List[Request]:
         """Pop up to ``limit`` requests in arrival order (all if None)."""
         if limit is not None and limit <= 0:
             raise ValueError(f"limit must be positive, got {limit}")
-        count = len(self._queue) if limit is None else min(limit, len(self._queue))
-        return [self._queue.popleft() for _ in range(count)]
+        queue = self._queue
+        if limit is None or limit >= len(queue):
+            taken = list(queue)
+            queue.clear()
+            return taken
+        return [queue.popleft() for _ in range(limit)]
 
     def front(self) -> Optional[Request]:
         """Oldest pending request (the lazy policy checks its age)."""

@@ -115,7 +115,7 @@ class Request:
         request, if it has one: the trace sanitizer checks a completion
         against that replica's crash windows (LIFE603).
         """
-        if not state.is_terminal:
+        if state is RequestState.PENDING:
             raise ValueError(f"resolve() needs a terminal state, got {state}")
         self.state = state
         if state is RequestState.COMPLETED:

@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import abc
 from bisect import bisect_right, insort
+from operator import attrgetter
 from typing import Callable, List, Optional, Sequence
 
 from .request import Batch, Request, make_batch
 
 CostFn = Callable[[int, int], float]
+
+_seq_len = attrgetter("seq_len")
 
 
 class BatchScheduler(abc.ABC):
@@ -199,25 +202,37 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
             self.reset()
             self._cost_fn = cost_fn
             self._max_batch = max_batch
-        order = sorted(requests, key=lambda r: r.seq_len)
+        order = tuple(sorted(requests, key=_seq_len))
         n = len(order)
         lengths = [r.seq_len for r in order]
         # Longest sorted-length prefix shared with the previous round:
-        # states/starts up to it are still valid.
+        # states/starts up to it are still valid, so the memoised lists
+        # are cut back to it in place and the DP resumes there.  The
+        # memoised lengths are cut too, so a cost_fn that raises midway
+        # leaves a consistent (shorter) memo behind.
+        prev = self._lengths
         prefix = 0
         if self.incremental:
-            prev = self._lengths
             limit = min(len(prev), n)
             while prefix < limit and prev[prefix] == lengths[prefix]:
                 prefix += 1
-        self.positions_reused += prefix
-        states = self._states[: prefix + 1]
-        starts = self._starts[: prefix + 1]
+        del prev[prefix:]
+        states = self._states
+        starts = self._starts
+        del states[prefix + 1:]
+        del starts[prefix + 1:]
+        rows = self._rows
+        prune = self.prune
+        can_prune = prune and self._prunable
+        pruned = 0
         for i in range(prefix + 1, n + 1):
-            row = self._row(lengths[i - 1], max_batch, cost_fn)
-            lower = max(0, i - max_batch)
+            row = rows.get(lengths[i - 1])
+            if row is None:
+                row = self._row(lengths[i - 1], max_batch, cost_fn)
+                # A new row may have failed the monotonicity check.
+                can_prune = prune and self._prunable
+            lower = i - max_batch if i > max_batch else 0
             low_state = states[lower]
-            can_prune = self.prune and self._prunable
             # Batch sizes ascending == the reference DP's descending j;
             # strict-< updates keep its exact tie-breaking.
             best_cost = states[i - 1] + row[0]
@@ -228,7 +243,7 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
                     # states[start] >= low_state for every remaining start
                     # and the row is non-decreasing: nothing ahead can be
                     # strictly cheaper than the incumbent.
-                    self.transitions_pruned += i - lower + 1 - size
+                    pruned += i - lower + 1 - size
                     break
                 candidate = states[i - size] + batch_cost
                 if candidate < best_cost:
@@ -236,14 +251,16 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
                     best_start = i - size
             states.append(best_cost)
             starts.append(best_start)
+        self.positions_reused += prefix
+        self.transitions_pruned += pruned
         self._lengths = lengths
-        self._states = states
-        self._starts = starts
+        # Each batch is a contiguous slice of the sorted order, padded to
+        # its last (longest) member.
         batches: List[Batch] = []
         i = n
         while i > 0:
             start = starts[i]
-            batches.append(make_batch(list(order[start:i])))
+            batches.append(Batch(order[start:i], lengths[i - 1]))
             i = start
         batches.reverse()
         if self.order_batches == "spt":

@@ -43,6 +43,7 @@ zero-overhead-when-disabled guarantee the tracer gives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..engine import Engine, EngineFaultInjector, EngineInstrumentation, \
@@ -52,7 +53,8 @@ from .metrics import (
     LatencyStats,
     ResilienceStats,
     ServingMetrics,
-    response_throughput,
+    completed_requests,
+    completed_throughput,
 )
 from .mq import MessageQueue
 from .policies import HungryPolicy, LazyPolicy, TriggerPolicy
@@ -75,6 +77,10 @@ class ServingConfig:
     def __post_init__(self) -> None:
         if self.max_batch <= 0:
             raise ValueError(f"max_batch must be positive, got {self.max_batch}")
+        if self.round_limit is not None and self.round_limit <= 0:
+            raise ValueError(
+                f"round_limit must be positive or None, got {self.round_limit}"
+            )
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError(
                 f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}"
@@ -114,7 +120,7 @@ def simulate_serving(
     config = config or ServingConfig()
     tracer = tracer if tracer is not None else NULL_TRACER
     trace_on = tracer.enabled
-    arrivals: List[Request] = sorted(requests, key=lambda r: r.arrival_s)
+    arrivals: List[Request] = sorted(requests, key=attrgetter("arrival_s"))
     horizon = duration_s if duration_s is not None else arrivals[-1].arrival_s
     if horizon <= 0:
         raise ValueError(f"duration must be positive, got {horizon}")
@@ -251,6 +257,8 @@ def simulate_serving(
 
     def execute(batches) -> None:
         nonlocal busy_in_horizon, batches_executed
+        # The rung moves only between rounds (on_round), never inside one.
+        price = active_cost_fn()
         for batch in batches:
             if res is not None:
                 # Re-check deadlines at dispatch: members that went stale
@@ -265,7 +273,7 @@ def simulate_serving(
                     if not alive:
                         continue
                     batch = make_batch(alive)
-            exec_s = batch_execution_cost(batch, active_cost_fn())
+            exec_s = batch_execution_cost(batch, price)
             started = engine.now
             for r in batch.requests:
                 r.start_s = started
@@ -284,9 +292,8 @@ def simulate_serving(
             else:
                 engine.advance(exec_s)
             exec_s = engine.last_advance_s
-            busy_in_horizon += max(
-                0.0, min(started + exec_s, horizon) - min(started, horizon)
-            )
+            if started < horizon:
+                busy_in_horizon += min(started + exec_s, horizon) - started
             batches_executed += 1
             now = engine.now
             failed: List[Request] = []
@@ -349,6 +356,9 @@ def simulate_serving(
         if metrics is not None:
             metrics.counter("serving_retries_total").inc()
 
+    # The lazy policy's front-of-queue estimate is refreshed every round.
+    lazy = config.policy if isinstance(config.policy, LazyPolicy) else None
+
     def run_rounds() -> None:
         """Chain scheduling rounds at the current instant while the
         trigger policy keeps firing."""
@@ -360,11 +370,10 @@ def simulate_serving(
                 engine.run_until(injector.crash_end(engine.now))
                 continue
             now = engine.now
-            if isinstance(config.policy, LazyPolicy):
+            if lazy is not None:
                 front = queue.front()
                 assert front is not None
-                config.policy.estimated_exec_s = \
-                    active_cost_fn()(front.seq_len, 1)
+                lazy.estimated_exec_s = active_cost_fn()(front.seq_len, 1)
             depth = len(queue)
             taken = queue.drain(config.round_limit)
             if res is not None:
@@ -438,8 +447,11 @@ def simulate_serving(
     if backlog_at_horizon is None:
         backlog_at_horizon = 0
 
+    # One is_completed pass; latency, throughput and the completed count
+    # are all read off the completed list.
+    completed = completed_requests(arrivals)
     window_start = horizon * config.warmup_fraction
-    throughput = response_throughput(arrivals, window_start, horizon)
+    throughput = completed_throughput(completed, window_start, horizon)
     offered_rate = n / horizon
     # Saturated: the server could not keep up with the offered load — the
     # backlog remaining when arrivals stopped takes more than half a second
@@ -464,9 +476,9 @@ def simulate_serving(
         system=system_name or scheduler.name,
         request_rate=offered_rate,
         response_throughput=throughput,
-        latency=LatencyStats.from_requests(arrivals),
+        latency=LatencyStats.from_completed(completed),
         saturated=saturated,
-        completed=sum(1 for r in arrivals if r.is_completed),
+        completed=len(completed),
         offered=n,
         backlog_at_end=backlog_at_horizon,
         utilization=min(1.0, busy_in_horizon / horizon),

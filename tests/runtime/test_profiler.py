@@ -69,6 +69,46 @@ class TestCostTable:
             table.set(16, 1, 0.0)
 
 
+class TestCostRowMemo:
+    """``cost`` memoises ``seq_len -> bucket row``; a call must still price
+    exactly the bucket entry and keep every check."""
+
+    def test_memoised_cost_is_the_bucket_entry(self, table):
+        for seq_len in range(1, 200):
+            for batch in range(1, table.max_batch + 1):
+                want = table.cost(table.bucket(seq_len), batch)
+                assert table.cost(seq_len, batch) == want  # memo miss
+                assert table.cost(seq_len, batch) == want  # memo hit
+
+    def test_set_after_memo_is_seen(self):
+        table = CostTable([16, 32], max_batch=2)
+        table.set(16, 1, 0.5)
+        assert table.cost(10, 1) == 0.5
+        table.set(16, 1, 0.25)
+        table.set(16, 2, 0.75)
+        assert table.cost(10, 1) == 0.25
+        assert table.cost(10, 2) == 0.75
+
+    def test_missing_entries_raise_after_memo(self):
+        table = CostTable([16, 32], max_batch=2)
+        with pytest.raises(KeyError, match="warm-up"):
+            table.cost(10, 1)  # no row yet: nothing memoised
+        table.set(16, 1, 0.5)
+        assert table.cost(10, 1) == 0.5
+        with pytest.raises(KeyError, match="warm-up"):
+            table.cost(10, 2)  # memoised row without this batch
+
+    def test_checks_survive_the_memo(self, table):
+        table.cost(64, 1)
+        with pytest.raises(ValueError):
+            table.cost(64, 0)
+        with pytest.raises(ValueError):
+            table.cost(64, table.max_batch + 1)
+        for seq_len in (0, -3):
+            with pytest.raises(ValueError):
+                table.cost(seq_len, 1)
+
+
 class TestPersistence:
     def test_json_round_trip(self, table, tmp_path):
         """The paper stores cached_cost on disk and reloads it on restart."""
@@ -113,3 +153,32 @@ class TestInterpolation:
                 interp.set(length, batch, table.cost(length, batch))
         for seq in (20, 50, 90, 127):
             assert interp.cost(seq, 2) <= table.cost(seq, 2) + 1e-12
+
+    @pytest.mark.parametrize("lengths", [[16, 32, 64, 128],
+                                         [5, 7, 30, 31, 100, 101, 250]])
+    def test_lower_neighbour_from_bisect_matches_linear_scan(self, lengths):
+        """The lower grid neighbour comes from the bucket's bisect index;
+        it must price exactly what the linear ``max(l < upper)`` scan
+        did, at every length on and between the grid points."""
+        flat = CostTable(lengths, max_batch=3)
+        interp = CostTable(lengths, max_batch=3, interpolate=True)
+        for i, length in enumerate(lengths):
+            for batch in (1, 2, 3):
+                seconds = 0.001 * (1 + i) * batch + 1e-5 * length
+                flat.set(length, batch, seconds)
+                interp.set(length, batch, seconds)
+
+        def linear_scan(seq_len, batch):
+            upper = flat.bucket(seq_len)
+            if seq_len >= upper or upper == lengths[0]:
+                return flat.cost(upper, batch)
+            lower = max(l for l in lengths if l < upper)
+            if seq_len <= lower:
+                return flat.cost(lower, batch)
+            low, high = flat.cost(lower, batch), flat.cost(upper, batch)
+            return low + (seq_len - lower) / (upper - lower) * (high - low)
+
+        for seq_len in range(1, lengths[-1] + 20):
+            for batch in (1, 2, 3):
+                assert interp.cost(seq_len, batch) == linear_scan(seq_len,
+                                                                  batch)

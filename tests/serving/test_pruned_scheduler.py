@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serving import (
     DPBatchScheduler,
@@ -120,6 +122,27 @@ class TestIncrementalReuse:
         want = DPBatchScheduler().schedule(reqs(lengths), monotone_cost, 6)
         assert partition(got) == partition(want)
 
+    def test_cost_fn_raising_midway_leaves_a_consistent_memo(self):
+        """The prefix states are cut back in place; a round whose cost_fn
+        raises after the cut must not leave stale states behind for the
+        next round's prefix match."""
+        fail = {"armed": True}
+
+        def flaky_cost(seq_len, batch):
+            if seq_len == 40 and fail["armed"]:
+                fail["armed"] = False
+                raise RuntimeError("profiling gap")
+            return monotone_cost(seq_len, batch)
+
+        scheduler = PrunedDPBatchScheduler()
+        full = [16, 32, 48, 64, 80]
+        scheduler.schedule(reqs(full), flaky_cost, 4)
+        with pytest.raises(RuntimeError):
+            scheduler.schedule(reqs([16, 32, 40, 48]), flaky_cost, 4)
+        got = scheduler.schedule(reqs(full), flaky_cost, 4)
+        want = DPBatchScheduler().schedule(reqs(full), flaky_cost, 4)
+        assert partition(got) == partition(want)
+
     def test_flags_off_still_exact(self):
         rng = random.Random(17)
         scheduler = PrunedDPBatchScheduler(prune=False, incremental=False)
@@ -206,3 +229,125 @@ class TestStats:
         scheduler.reset()
         assert scheduler.stats()["distinct_lengths"] == 0
         assert scheduler._prunable
+
+
+# -- differential property over sequences of rounds ---------------------------
+
+LENGTH = st.integers(1, 30).map(lambda k: 16 * k)
+
+
+def late_jagged_cost(seq_len, batch):
+    """Monotone for short lengths, not monotone in batch size from 320 up:
+    a round over sorted lengths prunes until its first long row is built."""
+    if seq_len < 320:
+        return monotone_cost(seq_len, batch)
+    return monotone_cost(seq_len, batch) * (0.5 if batch % 2 == 0 else 1.0)
+
+
+def dip_cost(seq_len, batch):
+    """Monotone in batch size, but long rows price *below* shorter ones:
+    the row-dominance check (not the in-row check) must disable pruning."""
+    scale = 0.4 if seq_len >= 400 else 1.0
+    return monotone_cost(seq_len, batch) * scale
+
+
+COSTS = (monotone_cost, affine_cost, jagged_cost, late_jagged_cost, dip_cost)
+
+STEP = st.one_of(
+    st.tuples(st.just("grow"), st.lists(LENGTH, min_size=1, max_size=8)),
+    st.tuples(st.just("shrink"), st.integers(1, 8)),
+    st.tuples(st.just("pop"), st.integers(1, 8)),
+    st.tuples(st.just("repeat"), st.none()),
+    st.tuples(st.just("fork"), st.integers(0, 12),
+              st.lists(LENGTH, min_size=1, max_size=8)),
+    st.tuples(st.just("cost"), st.integers(0, len(COSTS) - 1)),
+    st.tuples(st.just("max_batch"), st.integers(1, 10)),
+    st.tuples(st.just("reset"), st.none()),
+)
+
+
+def batch_keys(batches):
+    return [(tuple(r.req_id for r in b.requests), b.padded_len)
+            for b in batches]
+
+
+def apply_step(queue, step):
+    """The queue's lengths (arrival order) after one step, or None when
+    the step does not touch the queue."""
+    kind = step[0]
+    if kind == "grow":
+        return queue + step[1]
+    if kind == "shrink":  # drop the longest: the sorted prefix survives
+        keep = sorted(range(len(queue)), key=lambda i: queue[i])
+        keep = sorted(keep[:max(0, len(queue) - step[1])])
+        return [queue[i] for i in keep]
+    if kind == "pop":  # drop the oldest, like a round_limit drain
+        return queue[step[1]:]
+    if kind == "repeat":
+        return list(queue)
+    if kind == "fork":  # keep a sorted-length prefix, replace the rest
+        return sorted(queue)[:step[1]] + step[2]
+    return None
+
+
+class TestDifferentialRounds:
+    @settings(max_examples=150, deadline=None)
+    @given(initial=st.lists(LENGTH, min_size=1, max_size=10),
+           steps=st.lists(STEP, min_size=1, max_size=25),
+           order=st.sampled_from(("fifo", "spt")))
+    def test_round_sequences_match_reference(self, initial, steps, order):
+        """Every round of a stateful pruned scheduler (prefix reuse, cost
+        rows memoised across rounds, the prune flag turning off partway
+        through a round) partitions exactly like a fresh reference DP."""
+        pruned = PrunedDPBatchScheduler(order_batches=order)
+        reference = DPBatchScheduler(order_batches=order)
+        queue, cost_fn, max_batch = list(initial), monotone_cost, 4
+        for round_no, step in enumerate([("repeat", None)] + steps):
+            if step[0] == "cost":
+                cost_fn = COSTS[step[1]]
+            elif step[0] == "max_batch":
+                max_batch = step[1]
+            elif step[0] == "reset":
+                pruned.reset()
+            else:
+                queue = apply_step(queue, step)
+            if not queue:
+                queue = [16]
+            got = pruned.schedule(reqs(queue), cost_fn, max_batch)
+            want = reference.schedule(reqs(queue), cost_fn, max_batch)
+            assert batch_keys(got) == batch_keys(want), \
+                f"round {round_no} after {step}: queue={queue}"
+
+
+class TestStatsGolden:
+    def test_fixed_seed_counters(self):
+        """Fast-path counters of a fixed round sequence — growing and
+        draining queues, then a cost function that stops being monotone
+        partway, then a max_batch switch — pinned to their values before
+        the in-place prefix rewrite."""
+        rng = random.Random(2024)
+        scheduler = PrunedDPBatchScheduler()
+        queue = []
+        phases = ((monotone_cost, 8), (late_jagged_cost, 8),
+                  (monotone_cost, 5))
+        snapshots = []
+        for cost_fn, max_batch in phases:
+            for _ in range(120):
+                queue += [rng.randrange(1, 31) * 16
+                          for _ in range(rng.randrange(0, 7))]
+                if not queue:
+                    continue
+                scheduler.schedule(reqs(queue), cost_fn, max_batch)
+                queue = queue[rng.randrange(0, len(queue) // 2 + 1):]
+            snapshots.append(scheduler.stats())
+        assert snapshots == STATS_GOLDEN
+
+
+STATS_GOLDEN = [
+    {"rounds": 120, "cost_calls": 240, "distinct_lengths": 30,
+     "positions_reused": 252, "transitions_pruned": 461},
+    {"rounds": 240, "cost_calls": 480, "distinct_lengths": 30,
+     "positions_reused": 543, "transitions_pruned": 463},
+    {"rounds": 360, "cost_calls": 630, "distinct_lengths": 30,
+     "positions_reused": 843, "transitions_pruned": 766},
+]

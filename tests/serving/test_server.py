@@ -184,6 +184,21 @@ class TestServingConfig:
         with pytest.raises(ValueError):
             ServingConfig(warmup_fraction=1.0)
 
+    @pytest.mark.parametrize("round_limit", [0, -1])
+    def test_nonpositive_round_limit_rejected(self, round_limit):
+        """A round must be able to take at least one request; the queue
+        would otherwise fail mid-run on its first drain."""
+        with pytest.raises(ValueError, match="round_limit"):
+            ServingConfig(round_limit=round_limit)
+
+    def test_round_limit_of_one_serves_everything(self):
+        metrics = simulate_serving(sparse_requests(0.0, 5),
+                                   NaiveBatchScheduler(), constant_cost(),
+                                   ServingConfig(round_limit=1),
+                                   duration_s=0.01)
+        assert metrics.completed == 5
+        assert metrics.batches_executed == 5
+
 
 class TestUtilization:
     def test_light_load_low_utilization(self):
