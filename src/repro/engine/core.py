@@ -41,7 +41,8 @@ Invariants
   backwards.  Zero-progress rounds are impossible by construction.
 * Scheduling into the past raises :class:`EngineError`; scheduling *at*
   ``now`` is allowed (the event dispatches before time moves on).
-* Cancelled events never fire; cancellation is O(1) (lazy heap deletion).
+* Cancelled events never fire; cancellation is O(1) (lazy heap deletion)
+  and a no-op for an event that already fired.
 
 Busy windows
 ------------
@@ -104,6 +105,7 @@ class Event:
     callback: Optional[Callable[["Event"], None]] = None
     payload: Any = None
     cancelled: bool = field(default=False, compare=False)
+    dispatched: bool = field(default=False, compare=False)
 
 
 _INF = float("inf")
@@ -259,8 +261,10 @@ class Engine:
         return self.schedule(self.now + delay, kind, callback, payload)
 
     def cancel(self, event: Event) -> None:
-        """Cancel a pending event (idempotent; O(1))."""
-        if not event.cancelled:
+        """Cancel a pending event (idempotent; O(1)).  An event that
+        already fired is left alone: a stale handle must not drop the
+        live count a second time."""
+        if not event.cancelled and not event.dispatched:
             event.cancelled = True
             self._live -= 1
             if event is self._stream_head:
@@ -337,6 +341,7 @@ class Engine:
         else:
             heapq.heappop(self._heap)  # repro: allow(DET405)
         self._live -= 1
+        event.dispatched = True
         t = event.time
         if t < self.now:
             raise EngineError(

@@ -130,8 +130,12 @@ class RadixPrefixIndex:
         be fully written (callers pass only the page-aligned prompt
         head).  Existing nodes win — a second publisher of the same
         content just refreshes the LRU clock, so concurrent requests
-        converge on one physical page per distinct prefix.  Returns the
-        number of pages newly indexed.
+        converge on one physical page per distinct prefix.  Publishing
+        stops at the first existing node that holds another page: a
+        deeper private page hung below it would pin that node as an
+        index-only interior page, which the arena counts as reclaimable
+        but eviction (leaves only) cannot free.  Returns the number of
+        pages newly indexed.
         """
         P = self.page_tokens
         if len(ids) < len(pages) * P:
@@ -154,6 +158,8 @@ class RadixPrefixIndex:
                 added += 1
             node.last_used = self._clock
             self._offer(node)
+            if node.page is not page:
+                break
             parent = node
             children = node.children
         self.pages_inserted += added

@@ -15,10 +15,7 @@ from .continuous import (
 from .ebird import simulate_ebird_serving
 from .cluster import (
     ClusterMetrics,
-    ClusterRouter,
     GenClusterMetrics,
-    RoutingPolicy,
-    ServerState,
     simulate_cluster,
     simulate_generation_cluster,
 )
@@ -53,7 +50,8 @@ from .scheduler import (
     schedule_makespan,
     throughput_of_schedule,
 )
-from .server import ServingConfig, simulate_serving
+from .router import Router, RoutingPolicy
+from .server import BatchReplica, ServingConfig, simulate_serving
 from .trace import TRACE_SCHEMA_VERSION, load_trace, save_trace
 from .service import (
     InferenceService,
@@ -78,11 +76,11 @@ from .workload import (
 __all__ = [
     "AdaptiveBatchScheduler",
     "RoutingPolicy",
-    "ClusterRouter",
+    "Router",
+    "BatchReplica",
     "ClusterMetrics",
     "GenClusterMetrics",
     "GenReplica",
-    "ServerState",
     "simulate_cluster",
     "simulate_generation_cluster",
     "PackedBatchScheduler",

@@ -76,6 +76,7 @@ from ..observability import MetricsRegistry, Tracer
 from ..runtime.chunked import PrefillChunker
 from .metrics import LatencyStats, ServingMetrics, response_throughput
 from .request import Request, RequestState
+from .router import Router, RoutingPolicy, crashed, other_replica_up
 from .scheduler import BatchScheduler, CostFn, PrunedDPBatchScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -462,16 +463,6 @@ class GenReplica:
         """Requests this replica is responsible for right now."""
         return len(self.queue) + len(self.active)
 
-    def crashed(self, now: float) -> bool:
-        return self.faults is not None and self.faults.crashed(now)
-
-    def healthy(self, now: float) -> bool:
-        """Not crashed, and the breaker (if any) would let work through
-        (``probe_available`` is the pure query; the reserving ``allow``
-        runs when the router commits work here)."""
-        return not self.crashed(now) and (
-            self.breaker is None or self.breaker.probe_available(now))
-
     def enqueue(self, r: GenRequest) -> None:
         """Queue a routed request; an idle replica starts on a WAKE at
         ``now`` — after every ARRIVAL and RETRY of this instant."""
@@ -492,7 +483,7 @@ class GenReplica:
         engine = self.driver.engine
         while True:
             now = engine.now
-            if self.crashed(now):
+            if crashed(self, now):
                 self.crash(now)
                 yield self.faults.crash_end(now) - now
                 continue
@@ -927,7 +918,7 @@ class GenReplica:
         for r in self.active:
             self.evict(r, now, failed=True)
         self.active = []
-        if self.driver.other_replica_up(self, now):
+        if other_replica_up(self.driver.replicas, self, now):
             while self.queue:
                 self.fail(self.queue.popleft(), now)
 
@@ -976,6 +967,8 @@ class _GenDriver:
                  resilience: Optional["ResilienceConfig"]) -> None:
         self.host = host
         self.replicas = list(replicas)
+        # Least-loaded among the healthy replicas.
+        self.router = Router(self.replicas, RoutingPolicy.LEAST_QUEUED)
         self.resilient = resilience is not None
         instrumentation = EngineInstrumentation(host.tracer, host.metrics)
         self.engine = Engine(instrumentation=instrumentation)
@@ -1050,24 +1043,6 @@ class _GenDriver:
             prefill_flops_saved=self.prefill_saved_s * peak_flops,
         )
 
-    def route(self) -> GenReplica:
-        """Least-loaded replica among the healthy ones (all of them when
-        none is healthy: queueing somewhere beats dropping); commits the
-        chosen replica's half-open probe slot, if any."""
-        now = self.engine.now
-        candidates = self.replicas
-        if self.resilient:
-            candidates = [rep for rep in self.replicas
-                          if rep.healthy(now)] or self.replicas
-        target = min(candidates, key=lambda rep: (rep.load, rep.server_id))
-        if target.breaker is not None:
-            target.breaker.allow(now)
-        return target
-
-    def other_replica_up(self, rep: GenReplica, now: float) -> bool:
-        return any(o is not rep and not o.crashed(now)
-                   for o in self.replicas)
-
     def requeue(self, r: GenRequest, now: float) -> None:
         """Route an evicted or failed attempt through the retry path:
         without a retry policy it re-enters at this instant; with one it
@@ -1086,7 +1061,7 @@ class _GenDriver:
     def _on_arrival(self, event) -> None:
         r = event.payload
         self.host._begin_request(r)
-        rep = self.route()
+        rep = self.router.route(r, self.engine.now)
         if not rep.arena.fits_at_all(r.seq_len,
                                      r.seq_len + r.max_new_tokens):
             # Could never be admitted even into an empty arena: shed
@@ -1096,7 +1071,8 @@ class _GenDriver:
         rep.enqueue(r)
 
     def _on_retry(self, event) -> None:
-        self.route().enqueue(event.payload)
+        r = event.payload
+        self.router.route(r, self.engine.now).enqueue(r)
 
 
 class ContinuousBatchingServer(_GenLoopBase):

@@ -1,27 +1,49 @@
 """Discrete-event serving simulation (Fig. 12 / Table 4 substrate).
 
 Replaces the paper's gRPC/HTTP stack with virtual time: requests arrive by
-timestamp into the message queue; whenever the simulated GPU is idle and
-the trigger policy fires, the batch scheduler partitions the queued
-requests and the batches execute back-to-back, each costing its profiled
-latency.  Everything is deterministic given the workload.
+timestamp into a message queue; whenever a simulated GPU is idle and its
+trigger policy fires, its batch scheduler partitions the queued requests
+and the batches execute back-to-back, each costing its profiled latency.
+Everything is deterministic given the workload.
 
-Migration note (event engine): this loop now runs on
-:class:`repro.engine.Engine` — arrivals (the engine's arrival stream),
-retry wake-ups and trigger-policy decision points are events dispatched
-in the engine's documented ``ARRIVAL < RETRY < WAKE < TRIGGER``
-same-time order, and batch execution occupies the GPU through
-``engine.advance`` so arrivals land in the queue at their true timestamps
-instead of at batch boundaries.  The port
-removed the private ``while``/``heapq`` loop and with it three bugs: the
-DP scheduler and the LazyPolicy estimate now price rounds with the
-**active degradation rung's** cost function (they used the base
-``cost_fn`` while execution charged the rung's), the queue-depth trace
-counter and metrics gauge both report the **pre-drain** depth (the trace
-sampled after ``queue.drain`` and always showed ~0), and the
-``clock + 1e-9`` anti-stall nudge is gone — the engine only ever advances
-to real event timestamps, so zero-progress rounds are impossible by
-construction.
+One replica, one driver
+-----------------------
+:class:`BatchReplica` is one GPU running the paper's §5 loop — the
+encoder twin of :class:`~repro.serving.continuous.GenReplica`.  It owns
+its :class:`MessageQueue`, batch scheduler, trigger policy (hungry or
+lazy), fault injector and circuit breaker, and :meth:`BatchReplica.run`
+executes scheduling rounds — drain, admit, DP-schedule on the active
+rung, then run the batches as busy windows — yielding the end of each
+window.  One driver (arrivals, retries, request bookkeeping, the horizon
+snapshot and the finalisation) runs on :class:`repro.engine.Engine`:
+:func:`simulate_serving` is that driver over one replica and
+:func:`repro.serving.simulate_cluster` the same driver over N behind the
+:class:`~repro.serving.router.Router` — the paper's picture of one
+server's scheduler repeated behind a Nexus-style balancer.  The rules
+every replica follows:
+
+* **per-instant rounds** — a round starts only once every event of its
+  instant has been dispatched (``ARRIVAL < RETRY < WAKE < TRIGGER``), so
+  it sees every arrival and retry of that timestamp; the next round of a
+  busy replica starts at its last batch's end, after the arrivals and
+  retries due then;
+* **deadlines** — under resilience, expired requests are dropped at
+  admission and each batch re-checks its members when it is dispatched;
+* **crash truncation** — a batch a crash cuts short is lost at the crash
+  instant, and the rest of its round fails there too; every lost request
+  goes through the retry path, so nothing completes inside a crash
+  window;
+* **queue during an outage** — queued work fails fast only while another
+  replica is up; otherwise it stays queued while the replica sleeps out
+  the outage;
+* **faults** — each replica stretches its own busy windows under its
+  injector's latency spikes, and transient failures strike at the batch
+  completion.
+
+A lone replica cannot overlap with another, so the driver runs its
+windows inline (``engine.run_until``); beside other replicas each window
+end is a WAKE timer.  Both dispatch in the same order and count one WAKE
+per window.
 
 Observability: pass a :class:`repro.observability.Tracer` and/or a
 :class:`repro.observability.MetricsRegistry` to get per-request spans
@@ -33,21 +55,23 @@ run.
 
 Resilience: pass a :class:`repro.resilience.ResilienceConfig` to enable
 deadline-aware admission (expired requests are dropped before batching),
-fault injection (latency spikes, transient failures), retries with
-backoff, a circuit breaker and a degradation ladder.  ``resilience=None``
-— and equally a config whose fault plan is empty with every mechanism off
-— leaves the loop byte-identical to the unthreaded code path, the same
-zero-overhead-when-disabled guarantee the tracer gives.
+fault injection (latency spikes, transient failures, crashes), retries
+with backoff, a circuit breaker, a bounded queue and a degradation ladder.
+``resilience=None`` — and equally a config whose fault plan is empty with
+every mechanism off — leaves the loop byte-identical to the unthreaded
+code path, the same zero-overhead-when-disabled guarantee the tracer
+gives.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..engine import Engine, EngineFaultInjector, EngineInstrumentation, \
-    Event, EventKind
+    EventKind
 from ..observability import NULL_TRACER, MetricsRegistry, Tracer
 from .metrics import (
     LatencyStats,
@@ -58,7 +82,8 @@ from .metrics import (
 )
 from .mq import MessageQueue
 from .policies import HungryPolicy, LazyPolicy, TriggerPolicy
-from .request import Request, RequestState, make_batch
+from .request import Batch, Request, RequestState, make_batch
+from .router import Router, RoutingPolicy, other_replica_up
 from .scheduler import BatchScheduler, CostFn, batch_execution_cost, observe_round
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (resilience -> serving)
@@ -87,6 +112,547 @@ class ServingConfig:
             )
 
 
+class BatchReplica:
+    """One GPU of the encoder serving loop.
+
+    Owns its message queue (bounded by ``resilience.queue_capacity``), its
+    batch scheduler and trigger policy, its fault injector and circuit
+    breaker and, when it serves alone, the degradation ladder.
+    :meth:`run` is its loop: scheduling rounds while the trigger fires,
+    yielding the end time of each busy window to the driver.
+    """
+
+    def __init__(self, server_id: int, driver: "_BatchDriver",
+                 scheduler: BatchScheduler, policy: TriggerPolicy) -> None:
+        self.server_id = server_id
+        self.driver = driver
+        self.scheduler = scheduler
+        self.policy = policy
+        # The lazy policy's front-of-queue estimate is refreshed every round.
+        self.lazy = policy if isinstance(policy, LazyPolicy) else None
+        # Feedback hook for adaptive (Clipper-style AIMD) schedulers.
+        self.observe = getattr(scheduler, "observe", None)
+        res = driver.res
+        self.queue = MessageQueue(
+            capacity=res.queue_capacity if res is not None else None)
+        self.faults: Optional[EngineFaultInjector] = None
+        self.breaker = None
+        self.degradation = None
+        if res is not None:
+            if not res.faults.empty:
+                self.faults = EngineFaultInjector(res.faults, server_id,
+                                                  driver.instrumentation)
+            if res.breaker_factory is not None:
+                self.breaker = res.breaker_factory(server_id)
+            self.degradation = res.degradation
+        #: This replica's GPU trace track.
+        self.tid = "gpu" if driver.inline else f"gpu.r{server_id}"
+        self.running = False
+        #: Committed busy horizon of the current round (routing estimate).
+        self.busy_until = 0.0
+        self.completed = 0
+        self.trigger = None  # the pending TRIGGER event, if any
+
+    # -- routing view -----------------------------------------------------
+
+    @property
+    def load(self) -> int:
+        return len(self.queue)
+
+    def pending_work_s(self, now: float) -> float:
+        """Remaining busy time plus a no-batching estimate of the queue."""
+        cost_fn = self.driver.cost_fn
+        queued = sum(cost_fn(r.seq_len, 1) for r in self.queue)
+        return max(0.0, self.busy_until - now) + queued
+
+    def price(self) -> CostFn:
+        """Cost function of the current degradation rung (base if none)."""
+        if self.degradation is not None:
+            return self.degradation.cost_fn
+        return self.driver.cost_fn
+
+    def ensure_trigger(self) -> None:
+        """Keep exactly one pending TRIGGER event at the policy's next
+        decision time (if that time is real and in the future)."""
+        engine = self.driver.engine
+        t = self.policy.next_decision_time(self.queue, engine.now)
+        trigger = self.trigger
+        if trigger is not None and not trigger.cancelled:
+            if t == trigger.time:
+                return
+            engine.cancel(trigger)
+        self.trigger = None
+        if t == float("inf") or t <= engine.now:
+            # No future decision point: either the policy never fires
+            # again (the driver's flush handles the remainder) or it
+            # already declined at ``now`` — the next real event
+            # re-evaluates it.
+            return
+        self.trigger = engine.schedule(t, EventKind.TRIGGER)
+
+    # -- the loop ---------------------------------------------------------
+
+    def run(self, force: bool = False):
+        """Scheduling rounds while the trigger policy fires (or, with
+        ``force``, while anything is queued); yields the end time of each
+        busy window — a batch, or the rest of an outage."""
+        d = self.driver
+        engine = d.engine
+        queue = self.queue
+        policy = self.policy
+        config = d.config
+        while queue and (force or policy.should_schedule(queue, engine.now)):
+            now = engine.now
+            if self.faults is not None and self.faults.crashed(now):
+                yield self.crash(now)
+                continue
+            if self.lazy is not None:
+                self.lazy.estimated_exec_s = self.price()(
+                    queue.front().seq_len, 1)
+            depth = len(queue)
+            taken = queue.drain(config.round_limit)
+            if d.res is not None:
+                if self.degradation is not None:
+                    # Pure query — allow() reserves a half-open probe slot
+                    # and is only called where work is actually committed.
+                    breaker_open = (self.breaker is not None
+                                    and not self.breaker.probe_available(now))
+                    self.degradation.on_round(depth, breaker_open, now)
+                taken = self.admit(taken, now)
+                if not taken:
+                    continue
+            # The round is priced with the rung chosen for *this* round,
+            # so the DP partition optimizes the cost model execution will
+            # actually charge; the rung moves only between rounds.
+            price = self.price()
+            batches = self.scheduler.schedule(taken, price, config.max_batch)
+            if d.instrumentation is not None:
+                # Pre-drain depth to trace counter and gauge alike.
+                d.instrumentation.queue_depth(now, depth)
+                observe_round(batches, now, self.scheduler.name,
+                              metrics=d.metrics,
+                              tracer=d.tracer if d.trace_on else None)
+            if d.router is not None:
+                self.busy_until = self.projected_end(batches, price, now)
+            yield from self.execute(batches, price)
+
+    def crash(self, now: float) -> float:
+        """Down at ``now``: queued work fails fast to the retry path while
+        another replica is up (else it waits out the outage).  Returns the
+        recovery time."""
+        d = self.driver
+        if other_replica_up(d.replicas, self, now):
+            for r in self.queue.drain():
+                d.fail(r, self, now)
+        self.busy_until = self.faults.crash_end(now)
+        return self.busy_until
+
+    def admit(self, taken: List[Request], now: float) -> List[Request]:
+        """Deadline-aware admission: expired work never reaches a batch.
+
+        The shed rung of the degradation ladder additionally drops queued
+        requests older than its ``shed_age_s``.
+        """
+        d = self.driver
+        shed_age = (self.degradation.shed_age_s
+                    if self.degradation is not None else None)
+        alive: List[Request] = []
+        for r in taken:
+            if r.expired(now):
+                d.drop(r, RequestState.TIMED_OUT, now)
+            elif shed_age is not None and now - r.arrival_s > shed_age:
+                d.drop(r, RequestState.SHED, now)
+            else:
+                alive.append(r)
+        return alive
+
+    def projected_end(self, batches: Sequence[Batch], price: CostFn,
+                      now: float) -> float:
+        """When a round starting at ``now`` would finish under the fault
+        plan (its recovery time if a crash cuts it short): the committed
+        busy horizon the router's work estimate sees at once."""
+        faults = self.faults
+        cursor = now
+        for batch in batches:
+            exec_s = batch_execution_cost(batch, price)
+            if faults is not None:
+                exec_s *= faults.multiplier(cursor)
+                crashed_at = faults.crashed_during(cursor, cursor + exec_s)
+                if crashed_at is not None:
+                    return faults.crash_end(crashed_at)
+            cursor = cursor + exec_s
+        return cursor
+
+    def execute(self, batches: Sequence[Batch], price: CostFn):
+        """Run a round's batches back to back as busy windows.  When a
+        window closes each member completes, or fails by the fault plan's
+        transient-failure draw for its attempt."""
+        d = self.driver
+        engine = d.engine
+        horizon = d.horizon
+        resilient = d.res is not None
+        observed = d.observed
+        faults = self.faults
+        breaker = self.breaker
+        cache = d.cache
+        completed = RequestState.COMPLETED
+        for i, batch in enumerate(batches):
+            started = engine.now
+            if resilient:
+                # Members that went stale while earlier batches of this
+                # round executed are dropped rather than served
+                # hopelessly late (deadline shedding).
+                alive = [r for r in batch.requests if not r.expired(started)]
+                if len(alive) < batch.size:
+                    for r in batch.requests:
+                        if r.expired(started):
+                            d.drop(r, RequestState.TIMED_OUT, started)
+                    if not alive:
+                        continue
+                    batch = make_batch(alive)
+            exec_s = batch_execution_cost(batch, price)
+            crashed_at = None
+            failing = False
+            if faults is not None:
+                exec_s = faults.stretch(exec_s, started,
+                                        f"batch x{batch.size}")
+                crashed_at = faults.crashed_during(started, started + exec_s)
+                failing = faults.plan.failure_rate(self.server_id,
+                                                   started) > 0.0
+            members = batch.requests
+            for r in members:
+                r.start_s = started
+            # Occupy the GPU: arrivals and retry wake-ups due inside the
+            # window land in the queues at their true timestamps.
+            yield started + exec_s if crashed_at is None else crashed_at
+            now = engine.now
+            if started < horizon:
+                d.busy_in_horizon += min(now, horizon) - started
+            d.batches_executed += 1
+            if observed:
+                d.record_batch(self, batch, started, now)
+            if self.observe is not None:
+                self.observe(batch, now - started)
+            if crashed_at is not None:
+                # The server died mid-execution: this attempt and the rest
+                # of the round are lost at the crash instant.
+                for lost in (batch, *batches[i + 1:]):
+                    for r in lost.requests:
+                        d.fail(r, self, now)
+                return
+            done = 0
+            for r in members:
+                if failing and faults.attempt_fails(r.req_id, r.attempt,
+                                                    started):
+                    d.fail(r, self, now)
+                    continue
+                r.resolve(completed, now, faults)
+                done += 1
+                if breaker is not None:
+                    breaker.record(True, now)
+                if cache is not None and r.payload is not None:
+                    cache.put(r.payload, r.req_id)
+                if observed:
+                    d.complete(r, "model")
+            self.completed += done
+
+
+class _BatchDriver:
+    """One serving run over a set of :class:`BatchReplica`: the engine,
+    the arrival and retry events, the router (beside other replicas),
+    request bookkeeping and the one finalisation."""
+
+    def __init__(self, schedulers: Sequence[BatchScheduler], cost_fn: CostFn,
+                 config: ServingConfig,
+                 resilience: Optional["ResilienceConfig"] = None,
+                 tracer: Optional[Tracer] = None,
+                 metrics: Optional[MetricsRegistry] = None, cache=None,
+                 policy: RoutingPolicy = RoutingPolicy.LEAST_WORK,
+                 max_len: int = 512) -> None:
+        n = len(schedulers)
+        if resilience is not None and resilience.degradation is not None \
+                and n > 1:
+            raise ValueError(
+                "a degradation ladder steps a single replica; "
+                f"got one ladder for {n} replicas")
+        self.config = config
+        self.cost_fn = cost_fn
+        self.res = resilience
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.trace_on = self.tracer.enabled
+        self.metrics = metrics
+        self.observed = self.trace_on or metrics is not None
+        self.cache = cache
+        self.instrumentation = (EngineInstrumentation(self.tracer, metrics)
+                                if self.observed else None)
+        self.engine = Engine(instrumentation=self.instrumentation)
+        self.retry_state = None
+        if resilience is not None and resilience.retry is not None:
+            from ..resilience.retry import RetryState  # deferred: avoids cycle
+
+            self.retry_state = RetryState(resilience.retry)
+        self.inline = n == 1
+        # Replicas beside each other must not share the lazy policy's
+        # per-round estimate.
+        self.replicas = [
+            BatchReplica(i, self, scheduler,
+                         config.policy if n == 1 else copy.copy(config.policy))
+            for i, scheduler in enumerate(schedulers)]
+        self.router = (None if n == 1
+                       else Router(self.replicas, policy, max_len=max_len))
+        self.horizon = 0.0
+        self.busy_in_horizon = 0.0
+        self.batches_executed = 0
+        self.backlog_at_horizon: Optional[int] = None
+        self.arrivals: List[Request] = []
+
+    # -- request bookkeeping ----------------------------------------------
+
+    def complete(self, r: Request, how: str) -> None:
+        """Per-request completion bookkeeping (span end + counter)."""
+        if self.trace_on:
+            self.tracer.async_end(
+                "request", r.completion_s, r.req_id, cat="request",
+                path=how, latency_ms=round(r.latency_s * 1e3, 4),
+            )
+        if self.metrics is not None:
+            self.metrics.counter("serving_requests_completed_total",
+                                 path=how).inc()
+
+    def drop(self, r: Request, state: RequestState, now: float) -> None:
+        """Terminal non-completion (timeout / failure / shed) bookkeeping."""
+        r.resolve(state)
+        if self.trace_on:
+            self.tracer.async_end("request", now, r.req_id, cat="request",
+                                  path=state.value)
+        if self.metrics is not None:
+            self.metrics.counter("serving_requests_dropped_total",
+                                 reason=state.value).inc()
+
+    def fail(self, r: Request, rep: BatchReplica, now: float) -> None:
+        """One attempt failed on ``rep``: retry after backoff (re-routed)
+        or give up."""
+        if rep.breaker is not None:
+            rep.breaker.record(False, now)
+        if self.metrics is not None:
+            self.metrics.counter("serving_attempt_failures_total").inc()
+        retry_at = (self.retry_state.next_retry_at(r, now)
+                    if self.retry_state is not None else None)
+        if retry_at is None:
+            self.drop(r, RequestState.FAILED, now)
+            return
+        r.attempt += 1
+        self.engine.schedule(retry_at, EventKind.RETRY, self._on_retry, r)
+        if self.metrics is not None:
+            self.metrics.counter("serving_retries_total").inc()
+
+    def record_batch(self, rep: BatchReplica, batch: Batch, started: float,
+                     now: float) -> None:
+        """Span, per-request execute marks and counters of one executed
+        batch window ``[started, now]``."""
+        if self.trace_on:
+            self.instrumentation.span(
+                f"batch x{batch.size}", started, now - started, tid=rep.tid,
+                cat="batch", size=batch.size, padded_len=batch.padded_len,
+                padding_waste_tokens=batch.padding_waste,
+            )
+            for r in batch.requests:
+                self.tracer.async_instant(
+                    "request", started, r.req_id, cat="request",
+                    stage="execute",
+                    queue_wait_ms=round((started - r.arrival_s) * 1e3, 4),
+                )
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.counter("serving_batches_executed_total").inc()
+            metrics.counter("serving_padded_tokens_total").inc(
+                batch.padded_len * batch.cost_batch_size
+            )
+            metrics.counter("serving_padding_waste_tokens_total").inc(
+                batch.padding_waste
+            )
+            metrics.gauge("serving_gpu_busy_s").set(self.busy_in_horizon,
+                                                    t=now)
+
+    # -- events -----------------------------------------------------------
+
+    def _ingest(self, r: Request, now: float, cached: bool = False) -> None:
+        """Route (beside other replicas) and queue ``r`` — a full queue
+        sheds it — unless the response cache already answered it."""
+        if not cached:
+            rep = (self.replicas[0] if self.router is None
+                   else self.router.route(r, now))
+            if not rep.queue.push(r):
+                self.drop(r, RequestState.SHED, now)
+        if self.trace_on:
+            self.tracer.counter("queue", now, {"depth": sum(
+                len(rep.queue) for rep in self.replicas)})
+        if self.metrics is not None:
+            self.metrics.counter("serving_requests_ingested_total").inc()
+
+    def _on_arrival(self, event) -> None:
+        """An offered request enters the system at its true timestamp."""
+        r = event.payload
+        if self.trace_on:
+            self.tracer.async_begin("request", r.arrival_s, r.req_id,
+                                    cat="request", seq_len=r.seq_len)
+        cache = self.cache
+        cached = (cache is not None and r.payload is not None
+                  and cache.get(r.payload) is not None)
+        if cached:
+            # Resp Cache hit: answered without evaluating the model.
+            r.start_s = r.arrival_s
+            r.resolve(RequestState.COMPLETED, r.arrival_s)
+            self.complete(r, "cache")
+        self._ingest(r, self.engine.now, cached)
+
+    def _on_retry(self, event) -> None:
+        """A failed attempt re-enters after its backoff, re-routed."""
+        r = event.payload
+        now = self.engine.now
+        if self.trace_on:
+            self.tracer.async_instant("request", now, r.req_id,
+                                      cat="request", stage="requeue",
+                                      attempt=r.attempt)
+        self._ingest(r, now)
+
+    def _snapshot_backlog(self) -> None:
+        # At the first dispatch crossing the horizon, however many
+        # arrivals remain.  Backlog = requests offered within the horizon
+        # whose service had not begun by the horizon; queue depth alone
+        # undercounts because a scheduling round drains the whole queue
+        # into batches long before they execute, and arrivals after the
+        # horizon are not backlog of the measured load.
+        horizon = self.horizon
+        self.backlog_at_horizon = sum(
+            1 for r in self.arrivals
+            if r.arrival_s <= horizon
+            and (r.start_s is None or r.start_s > horizon)
+        )
+
+    # -- the run ----------------------------------------------------------
+
+    def _start(self, rep: BatchReplica, force: bool = False) -> None:
+        rounds = rep.run(force)
+        if self.inline:
+            for end in rounds:
+                self.engine.run_until(end)
+            return
+        rep.running = True
+        self._resume(rep, rounds)
+
+    def _resume(self, rep: BatchReplica, rounds) -> None:
+        end = next(rounds, None)
+        if end is None:
+            rep.running = False
+            return
+        self.engine.schedule(end, EventKind.WAKE, self._on_wake, (rep, rounds))
+
+    def _on_wake(self, event) -> None:
+        self._resume(*event.payload)
+
+    def serve(self, requests: Sequence[Request], duration_s: Optional[float],
+              system: str) -> ServingMetrics:
+        if not requests:
+            raise ValueError("need at least one request to simulate")
+        arrivals: List[Request] = sorted(requests, key=attrgetter("arrival_s"))
+        horizon = duration_s if duration_s is not None \
+            else arrivals[-1].arrival_s
+        if horizon <= 0:
+            raise ValueError(f"duration must be positive, got {horizon}")
+        self.arrivals = arrivals
+        self.horizon = horizon
+        engine = self.engine
+        replicas = self.replicas
+        if self.trace_on:
+            for rep in replicas:
+                self.tracer.thread_name(rep.tid, f"{rep.tid} (batch execution)")
+            self.tracer.thread_name("scheduler", "batch scheduler")
+        engine.arrivals(arrivals, self._on_arrival)
+        engine.watch(horizon, self._snapshot_backlog)
+        while True:
+            for rep in replicas:
+                if rep.queue and not rep.running:
+                    self._start(rep)
+            # Arm the triggers *before* judging idleness: a future policy
+            # decision point is a real pending event, not a reason to
+            # flush.
+            for rep in replicas:
+                if not rep.running:
+                    rep.ensure_trigger()
+            if not engine.pending:
+                stuck = [rep for rep in replicas if rep.queue]
+                if not stuck:
+                    break
+                # No policy will fire again (e.g. a degenerate config):
+                # flush the remainder so the simulation terminates.
+                for rep in stuck:
+                    self._start(rep, force=True)
+                continue
+            # Dispatch the next instant in full (all simultaneous events)
+            # before re-evaluating the policies, so a round sees every
+            # arrival of its timestamp — the clock only ever lands on
+            # event times.
+            engine.step_due()
+        return self._finalize(system)
+
+    def _finalize(self, system: str) -> ServingMetrics:
+        arrivals = self.arrivals
+        horizon = self.horizon
+        backlog = self.backlog_at_horizon or 0
+        # One is_completed pass; latency, throughput and the completed
+        # count are all read off the completed list.
+        completed = completed_requests(arrivals)
+        throughput = completed_throughput(
+            completed, horizon * self.config.warmup_fraction, horizon)
+        # Saturated: the servers could not keep up with the offered load —
+        # the backlog remaining when arrivals stopped takes more than half
+        # a second of service capacity to drain.
+        saturated = backlog / max(throughput, 1e-9) > 0.5
+        stats: Optional[ResilienceStats] = None
+        res = self.res
+        if res is not None:
+            breakers = [rep.breaker for rep in self.replicas
+                        if rep.breaker is not None]
+            stats = ResilienceStats(
+                retries=(self.retry_state.retries_used
+                         if self.retry_state is not None else 0),
+                timed_out=sum(1 for r in arrivals
+                              if r.state is RequestState.TIMED_OUT),
+                failed=sum(1 for r in arrivals
+                           if r.state is RequestState.FAILED),
+                shed=sum(1 for r in arrivals if r.state is RequestState.SHED),
+                rejected=sum(rep.queue.total_rejected
+                             for rep in self.replicas),
+                breaker_transitions=sum(len(b.transitions) for b in breakers),
+                degradation_switches=(len(res.degradation.switches)
+                                      if res.degradation is not None else 0),
+            )
+        result = ServingMetrics(
+            system=system,
+            request_rate=len(arrivals) / horizon,
+            response_throughput=throughput,
+            latency=LatencyStats.from_completed(completed),
+            saturated=saturated,
+            completed=len(completed),
+            offered=len(arrivals),
+            backlog_at_end=backlog,
+            utilization=min(1.0, self.busy_in_horizon
+                            / (horizon * len(self.replicas))),
+            batches_executed=self.batches_executed,
+            resilience=stats,
+        )
+        if self.metrics is not None:
+            self.metrics.gauge("serving_utilization", system=system).set(
+                result.utilization
+            )
+            self.metrics.gauge("serving_response_throughput",
+                               system=system).set(result.response_throughput)
+            self.metrics.gauge("serving_backlog_at_horizon",
+                               system=system).set(backlog)
+        return result
+
+
 def simulate_serving(
     requests: Sequence[Request],
     scheduler: BatchScheduler,
@@ -99,7 +665,8 @@ def simulate_serving(
     metrics: Optional[MetricsRegistry] = None,
     resilience: Optional["ResilienceConfig"] = None,
 ) -> ServingMetrics:
-    """Run one serving simulation to completion.
+    """Run one serving simulation to completion: the driver over one
+    :class:`BatchReplica`.
 
     ``duration_s`` is the offered-load horizon (defaults to the last
     arrival); the simulation always drains the backlog so every request
@@ -115,384 +682,6 @@ def simulate_serving(
     fault injection and recovery (see module docstring); all default to
     disabled.
     """
-    if not requests:
-        raise ValueError("need at least one request to simulate")
-    config = config or ServingConfig()
-    tracer = tracer if tracer is not None else NULL_TRACER
-    trace_on = tracer.enabled
-    arrivals: List[Request] = sorted(requests, key=attrgetter("arrival_s"))
-    horizon = duration_s if duration_s is not None else arrivals[-1].arrival_s
-    if horizon <= 0:
-        raise ValueError(f"duration must be positive, got {horizon}")
-
-    res = resilience
-    faults = res.faults if res is not None else None
-    breaker = (res.breaker_factory(0)
-               if res is not None and res.breaker_factory is not None else None)
-    degradation = res.degradation if res is not None else None
-    retry_state = None
-    if res is not None and res.retry is not None:
-        from ..resilience.retry import RetryState  # deferred: avoids cycle
-
-        retry_state = RetryState(res.retry)
-
-    instrumentation = (EngineInstrumentation(tracer, metrics)
-                       if (trace_on or metrics is not None) else None)
-    # Faults are injected at the engine layer: the injector stretches
-    # advance() busy windows under active spikes and answers transient
-    # verdicts, one code path shared with every other engine-based server.
-    injector = (EngineFaultInjector(faults, 0, instrumentation)
-                if faults is not None and not faults.empty else None)
-    engine = Engine(instrumentation=instrumentation, faults=injector)
-    queue = MessageQueue(capacity=res.queue_capacity if res is not None else None)
-    n = len(arrivals)
-    backlog_at_horizon: Optional[int] = None
-    busy_in_horizon = 0.0
-    batches_executed = 0
-    trigger_event: Optional[Event] = None
-    if trace_on:
-        tracer.thread_name("gpu", "gpu (batch execution)")
-        tracer.thread_name("scheduler", "batch scheduler")
-
-    def complete_request(r: Request, how: str) -> None:
-        """Per-request completion bookkeeping (span end + counter)."""
-        if trace_on:
-            tracer.async_end(
-                "request", r.completion_s, r.req_id, cat="request",
-                path=how, latency_ms=round(r.latency_s * 1e3, 4),
-            )
-        if metrics is not None:
-            metrics.counter("serving_requests_completed_total", path=how).inc()
-
-    def drop_request(r: Request, state: RequestState, now: float) -> None:
-        """Terminal non-completion (timeout / failure / shed) bookkeeping."""
-        r.resolve(state)
-        if trace_on:
-            tracer.async_end("request", now, r.req_id, cat="request",
-                             path=state.value)
-        if metrics is not None:
-            metrics.counter("serving_requests_dropped_total",
-                            reason=state.value).inc()
-
-    def enqueue(r: Request, now: float) -> None:
-        """Push with capacity-aware admission (full queue sheds)."""
-        if not queue.push(r):
-            drop_request(r, RequestState.SHED, now)
-
-    def on_arrival(event: Event) -> None:
-        """An offered request enters the system at its true timestamp."""
-        request = event.payload
-        now = engine.now
-        if trace_on:
-            tracer.async_begin(
-                "request", request.arrival_s, request.req_id,
-                cat="request", seq_len=request.seq_len,
-            )
-        if (cache is not None and request.payload is not None
-                and cache.get(request.payload) is not None):
-            # Resp Cache hit: answered without evaluating the model.
-            request.start_s = request.arrival_s
-            request.resolve(RequestState.COMPLETED, request.arrival_s)
-            complete_request(request, "cache")
-        else:
-            enqueue(request, now)
-        if trace_on:
-            tracer.counter("queue", now, {"depth": len(queue)})
-        if metrics is not None:
-            metrics.counter("serving_requests_ingested_total").inc()
-
-    def on_retry(event: Event) -> None:
-        """A failed attempt re-enters the queue after its backoff."""
-        request = event.payload
-        now = engine.now
-        if trace_on:
-            tracer.async_instant("request", now, request.req_id,
-                                 cat="request", stage="requeue",
-                                 attempt=request.attempt)
-        enqueue(request, now)
-        if trace_on:
-            tracer.counter("queue", now, {"depth": len(queue)})
-        if metrics is not None:
-            metrics.counter("serving_requests_ingested_total").inc()
-
-    def snapshot_backlog() -> None:
-        # At the first dispatch crossing the horizon, however many
-        # arrivals remain.  Backlog = requests offered within the horizon
-        # whose service had not begun by the horizon; queue depth alone
-        # undercounts because a scheduling round drains the whole queue
-        # into batches long before they execute, and arrivals after the
-        # horizon are not backlog of the measured load.
-        nonlocal backlog_at_horizon
-        backlog_at_horizon = sum(
-            1 for r in arrivals
-            if r.arrival_s <= horizon
-            and (r.start_s is None or r.start_s > horizon)
-        )
-
-    def active_cost_fn() -> CostFn:
-        """Cost function of the current degradation rung (base if none)."""
-        if degradation is not None:
-            return degradation.cost_fn
-        return cost_fn
-
-    def admit(taken: List[Request], now: float) -> List[Request]:
-        """Deadline-aware admission: expired work never reaches a batch.
-
-        The shed rung of the degradation ladder additionally drops queued
-        requests older than its ``shed_age_s``.
-        """
-        shed_age = degradation.shed_age_s if degradation is not None else None
-        alive: List[Request] = []
-        for r in taken:
-            if r.expired(now):
-                drop_request(r, RequestState.TIMED_OUT, now)
-            elif shed_age is not None and now - r.arrival_s > shed_age:
-                drop_request(r, RequestState.SHED, now)
-            else:
-                alive.append(r)
-        return alive
-
-    # Feedback hook for adaptive (Clipper-style AIMD) schedulers.
-    observe = getattr(scheduler, "observe", None)
-
-    def execute(batches) -> None:
-        nonlocal busy_in_horizon, batches_executed
-        # The rung moves only between rounds (on_round), never inside one.
-        price = active_cost_fn()
-        for batch in batches:
-            if res is not None:
-                # Re-check deadlines at dispatch: members that went stale
-                # while earlier batches of this round executed are dropped
-                # rather than served hopelessly late (deadline shedding).
-                alive = [r for r in batch.requests
-                         if not r.expired(engine.now)]
-                if len(alive) < batch.size:
-                    for r in batch.requests:
-                        if r.expired(engine.now):
-                            drop_request(r, RequestState.TIMED_OUT, engine.now)
-                    if not alive:
-                        continue
-                    batch = make_batch(alive)
-            exec_s = batch_execution_cost(batch, price)
-            started = engine.now
-            for r in batch.requests:
-                r.start_s = started
-            # Occupy the GPU: arrivals and retry wake-ups due inside the
-            # window land in the queue at their true timestamps; the span
-            # for the batch is emitted by the engine.  Active latency
-            # spikes stretch the window inside advance() (the injector);
-            # last_advance_s is the duration actually charged.
-            if trace_on:
-                engine.advance(
-                    exec_s, label=f"batch x{batch.size}", tid="gpu",
-                    cat="batch", size=batch.size,
-                    padded_len=batch.padded_len,
-                    padding_waste_tokens=batch.padding_waste,
-                )
-            else:
-                engine.advance(exec_s)
-            exec_s = engine.last_advance_s
-            if started < horizon:
-                busy_in_horizon += min(started + exec_s, horizon) - started
-            batches_executed += 1
-            now = engine.now
-            failed: List[Request] = []
-            if (injector is not None
-                    and injector.crashed_during(started, now) is not None):
-                # The server died mid-execution: the whole attempt is
-                # lost.  Members re-enter through the retry path and the
-                # scheduling loop sleeps out the remaining outage.
-                failed = list(batch.requests)
-            elif injector is not None and faults.failure_rate(0, started) > 0.0:
-                failed = [r for r in batch.requests
-                          if injector.attempt_fails(r.req_id, r.attempt, started)]
-            done: Sequence[Request] = batch.requests
-            if failed:
-                failed_ids = set(id(r) for r in failed)
-                done = [r for r in batch.requests if id(r) not in failed_ids]
-            for r in done:
-                r.resolve(RequestState.COMPLETED, now)
-                if breaker is not None:
-                    breaker.record(True, now)
-                if cache is not None and r.payload is not None:
-                    cache.put(r.payload, r.req_id)
-            if trace_on:
-                for r in batch.requests:
-                    tracer.async_instant(
-                        "request", started, r.req_id, cat="request",
-                        stage="execute",
-                        queue_wait_ms=round((started - r.arrival_s) * 1e3, 4),
-                    )
-            if trace_on or metrics is not None:
-                for r in done:
-                    complete_request(r, "model")
-            for r in failed:
-                _handle_failure(r, now)
-            if metrics is not None:
-                metrics.counter("serving_batches_executed_total").inc()
-                metrics.counter("serving_padded_tokens_total").inc(
-                    batch.padded_len * batch.cost_batch_size
-                )
-                metrics.counter("serving_padding_waste_tokens_total").inc(
-                    batch.padding_waste
-                )
-                metrics.gauge("serving_gpu_busy_s").set(busy_in_horizon, t=now)
-            if observe is not None:
-                observe(batch, exec_s)
-
-    def _handle_failure(r: Request, now: float) -> None:
-        """One attempt failed: retry after backoff or give up."""
-        if breaker is not None:
-            breaker.record(False, now)
-        if metrics is not None:
-            metrics.counter("serving_attempt_failures_total").inc()
-        retry_at = (retry_state.next_retry_at(r, now)
-                    if retry_state is not None else None)
-        if retry_at is None:
-            drop_request(r, RequestState.FAILED, now)
-            return
-        r.attempt += 1
-        engine.schedule(retry_at, EventKind.RETRY, on_retry, r)
-        if metrics is not None:
-            metrics.counter("serving_retries_total").inc()
-
-    # The lazy policy's front-of-queue estimate is refreshed every round.
-    lazy = config.policy if isinstance(config.policy, LazyPolicy) else None
-
-    def run_rounds() -> None:
-        """Chain scheduling rounds at the current instant while the
-        trigger policy keeps firing."""
-        while queue and config.policy.should_schedule(queue, engine.now):
-            if injector is not None and injector.crashed(engine.now):
-                # Server down: no round starts until recovery.  Arrivals
-                # and retries due during the outage still land in the
-                # queue at their true timestamps.
-                engine.run_until(injector.crash_end(engine.now))
-                continue
-            now = engine.now
-            if lazy is not None:
-                front = queue.front()
-                assert front is not None
-                lazy.estimated_exec_s = active_cost_fn()(front.seq_len, 1)
-            depth = len(queue)
-            taken = queue.drain(config.round_limit)
-            if res is not None:
-                if degradation is not None:
-                    # Pure query — allow() reserves a half-open probe slot
-                    # and is only called where work is actually committed.
-                    breaker_open = (breaker is not None
-                                    and not breaker.probe_available(now))
-                    degradation.on_round(depth, breaker_open, now)
-                taken = admit(taken, now)
-                if not taken:
-                    continue
-            # The round is priced with the rung chosen for *this* round,
-            # so the DP partition optimizes the cost model execution will
-            # actually charge.
-            batches = scheduler.schedule(taken, active_cost_fn(),
-                                         config.max_batch)
-            if instrumentation is not None:
-                # Pre-drain depth to trace counter and gauge alike.
-                instrumentation.queue_depth(now, depth)
-                observe_round(batches, now, scheduler.name,
-                              metrics=metrics,
-                              tracer=tracer if trace_on else None)
-            execute(batches)
-
-    def ensure_trigger() -> None:
-        """Keep exactly one pending TRIGGER event at the policy's next
-        decision time (if that time is real and in the future)."""
-        nonlocal trigger_event
-        t = config.policy.next_decision_time(queue, engine.now)
-        if trigger_event is not None and not trigger_event.cancelled:
-            if t == trigger_event.time:
-                return
-            engine.cancel(trigger_event)
-        trigger_event = None
-        if t == float("inf") or t <= engine.now:
-            # No future decision point: either the policy never fires
-            # again (the flush path handles the remainder) or it already
-            # declined at ``now`` — the next real event re-evaluates it.
-            return
-        trigger_event = engine.schedule(t, EventKind.TRIGGER)
-
-    engine.arrivals(arrivals, on_arrival)
-    engine.watch(horizon, snapshot_backlog)
-
-    while True:
-        run_rounds()
-        # Arm the trigger *before* judging idleness: a future policy
-        # decision point is a real pending event, not a reason to flush.
-        ensure_trigger()
-        if not engine.pending:
-            if queue:
-                if injector is not None and injector.crashed(engine.now):
-                    engine.run_until(injector.crash_end(engine.now))
-                    continue
-                # Policy will never fire again (e.g. degenerate config):
-                # flush the remainder so the simulation terminates.
-                flush = queue.drain(config.round_limit)
-                if res is not None:
-                    flush = admit(flush, engine.now)
-                if flush:
-                    execute(scheduler.schedule(flush, active_cost_fn(),
-                                               config.max_batch))
-                continue
-            break
-        # Dispatch the next instant in full (all simultaneous events)
-        # before re-evaluating the policy, so a round sees every arrival
-        # of its timestamp — the clock only ever lands on event times.
-        engine.step_due()
-
-    if backlog_at_horizon is None:
-        backlog_at_horizon = 0
-
-    # One is_completed pass; latency, throughput and the completed count
-    # are all read off the completed list.
-    completed = completed_requests(arrivals)
-    window_start = horizon * config.warmup_fraction
-    throughput = completed_throughput(completed, window_start, horizon)
-    offered_rate = n / horizon
-    # Saturated: the server could not keep up with the offered load — the
-    # backlog remaining when arrivals stopped takes more than half a second
-    # of service capacity to drain.
-    drain_seconds = backlog_at_horizon / max(throughput, 1e-9)
-    saturated = drain_seconds > 0.5
-    resilience_stats: Optional[ResilienceStats] = None
-    if res is not None:
-        resilience_stats = ResilienceStats(
-            retries=retry_state.retries_used if retry_state is not None else 0,
-            timed_out=sum(1 for r in arrivals
-                          if r.state is RequestState.TIMED_OUT),
-            failed=sum(1 for r in arrivals if r.state is RequestState.FAILED),
-            shed=sum(1 for r in arrivals if r.state is RequestState.SHED),
-            rejected=queue.total_rejected,
-            breaker_transitions=(len(breaker.transitions)
-                                 if breaker is not None else 0),
-            degradation_switches=(len(degradation.switches)
-                                  if degradation is not None else 0),
-        )
-    result = ServingMetrics(
-        system=system_name or scheduler.name,
-        request_rate=offered_rate,
-        response_throughput=throughput,
-        latency=LatencyStats.from_completed(completed),
-        saturated=saturated,
-        completed=len(completed),
-        offered=n,
-        backlog_at_end=backlog_at_horizon,
-        utilization=min(1.0, busy_in_horizon / horizon),
-        batches_executed=batches_executed,
-        resilience=resilience_stats,
-    )
-    if metrics is not None:
-        metrics.gauge("serving_utilization", system=result.system).set(
-            result.utilization
-        )
-        metrics.gauge("serving_response_throughput", system=result.system).set(
-            result.response_throughput
-        )
-        metrics.gauge("serving_backlog_at_horizon", system=result.system).set(
-            backlog_at_horizon
-        )
-    return result
+    driver = _BatchDriver([scheduler], cost_fn, config or ServingConfig(),
+                          resilience, tracer, metrics, cache)
+    return driver.serve(requests, duration_s, system_name or scheduler.name)

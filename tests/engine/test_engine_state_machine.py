@@ -6,8 +6,9 @@ next dispatch is the minimum live entry, ``advance``/``run_until``
 dispatch every entry below a marker ``(end, WAKE, seq)`` and then
 dispatch the marker itself, and a crossing watch fires once after the
 first dispatch at or past its time.  Random programs of ``schedule`` /
-``cancel`` / ``arrivals`` / ``step`` / ``step_due`` / ``advance`` /
-``run_until`` / ``spawn`` / ``watch`` run against both, and the combined
+``cancel`` (of pending and of already fired events) / ``arrivals`` /
+``step`` / ``step_due`` / ``advance`` / ``run_until`` / ``spawn`` /
+``watch`` run against both, and the combined
 log — handler calls, dispatch-hook calls (markers included) and watch
 firings, in order — plus the clock, ``pending`` and ``events_dispatched``
 must agree after every step.
@@ -74,6 +75,8 @@ class Reference:
         self.dispatched = 0
         self.watch_t: Optional[float] = None
         self.stream_left = 0
+        #: Engine handles of scheduled entries that already fired.
+        self.fired: List[object] = []
 
     def live(self) -> List[Entry]:
         return [e for e in self.entries if not e.cancelled]
@@ -103,6 +106,8 @@ class Reference:
         self.entries.remove(entry)
         if entry.tag < 0:
             self.stream_left -= 1
+        if entry.handle is not None:
+            self.fired.append(entry.handle)
         self.clock = entry.time
         if entry.task is not None:
             self.log.append(("task", self.clock, entry.tag, entry.task_step))
@@ -201,6 +206,13 @@ class EngineMachine(RuleBasedStateMachine):
         self.engine.cancel(entry.handle)
         self.engine.cancel(entry.handle)  # idempotent
         entry.cancelled = True
+
+    @precondition(lambda self: self.ref.fired)
+    @rule(data=st.data())
+    def cancel_fired(self, data):
+        """Cancelling an event that already fired is a no-op: a stale
+        handle must not drop the live count of the events still pending."""
+        self.engine.cancel(data.draw(st.sampled_from(self.ref.fired)))
 
     @rule()
     def peek_and_cancel(self):

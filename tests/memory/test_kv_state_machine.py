@@ -172,9 +172,12 @@ class Reference:
             path = keys[:i + 1]
             if path not in self.nodes:
                 self.refs[pid] += 1
-            else:
-                pid = self.nodes[path][0]
-            self.nodes[path] = (pid, self.clock)
+                self.nodes[path] = (pid, self.clock)
+                continue
+            existing = self.nodes[path][0]
+            self.nodes[path] = (existing, self.clock)
+            if existing != pid:
+                break  # another publisher's page: nothing hangs below it
 
     def reclaim(self, tokens_needed: int) -> int:
         """The O(n) scan: evict the minimum ``(last_used, page_id)``

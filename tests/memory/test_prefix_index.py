@@ -135,6 +135,30 @@ class TestRadixIndex:
         assert index.lookup(ids(17))[1] == pages  # original pages stay
         assert all(p.refcount == 1 for p in rival)
 
+    def test_publish_stops_at_another_requests_page(self):
+        """A rival that shared the owner's first page but prefilled its
+        own second page (the owner published it later) must not hang its
+        private third page below the owner's second: that node would stay
+        an index-only interior page after the owner leaves — counted as
+        reclaimable, yet never a leaf the sweep can evict."""
+        a = arena()
+        index = RadixPrefixIndex(a)
+        a.admit(0, prompt_tokens=16, max_total_tokens=16)
+        owner = a.region_of(0).pages
+        index.insert(ids(8), owner[:1])
+        matched, shared = index.lookup(ids(25))
+        assert matched == P and shared == owner[:1]
+        a.admit(1, prompt_tokens=24, max_total_tokens=24,
+                shared_pages=shared)
+        index.insert(ids(16), owner)          # owner publishes page 2
+        rival = a.region_of(1).pages
+        assert index.insert(ids(24), rival) == 0  # stops at owner[1]
+        a.release(0)
+        assert a.reclaimable_bytes == P * BPT  # owner[1], index-only
+        assert index.reclaim(1000) == P        # ... and a leaf
+        assert a.reclaimable_bytes == 0
+        assert a.verify(live_req_ids=[1]) == []
+
     def test_insert_validates_id_coverage(self):
         a = arena()
         a.admit(0, prompt_tokens=16, max_total_tokens=16)

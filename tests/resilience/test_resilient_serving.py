@@ -223,6 +223,24 @@ class TestQueueCapacity:
         assert result.resilience.shed == result.resilience.rejected
         assert result.completed + result.resilience.dropped == result.offered
 
+    def test_cluster_replicas_shed_at_capacity(self):
+        """Each replica's queue is bounded in a cluster run too."""
+        from repro.observability import MetricsRegistry
+
+        registry = MetricsRegistry()
+        result = simulate_cluster(
+            workload(rate=1500, duration=1.0), 2, NaiveBatchScheduler, cost,
+            max_batch=4, duration_s=1.0,
+            resilience=ResilienceConfig(queue_capacity=10), metrics=registry,
+        ).serving
+        assert result.resilience.rejected > 0
+        assert result.resilience.shed == result.resilience.rejected
+        assert result.completed + result.resilience.dropped == result.offered
+        shed = [c["value"] for c in registry.to_dict()["counters"]
+                if c["name"] == "cluster_requests_dropped_total"
+                and c["labels"] == {"reason": "shed"}]
+        assert shed == [result.resilience.shed]
+
 
 class TestDegradation:
     def ladder(self):
@@ -263,6 +281,19 @@ class TestDegradation:
                                              depth_threshold=20))
         assert degraded.resilience.degradation_switches > 0
         assert degraded.response_throughput > full.response_throughput
+
+    def test_cluster_refuses_one_ladder_for_many_servers(self):
+        """One controller cannot be stepped by N replicas' rounds."""
+        def run(servers):
+            return simulate_cluster(
+                workload(rate=300, duration=1.0), servers,
+                NaiveBatchScheduler, cost, duration_s=1.0,
+                resilience=ResilienceConfig(degradation=DegradationController(
+                    self.ladder(), depth_threshold=20)))
+
+        with pytest.raises(ValueError, match="degradation ladder"):
+            run(2)
+        assert run(1).serving.completed > 0
 
     def test_service_ladder_from_registry(self):
         from repro.serving import InferenceService, ModelRegistry, ModelVersion

@@ -1,0 +1,151 @@
+"""Property test: one BatchReplica loop under random traffic and faults.
+
+Random arrivals (same-instant ones included), optional deadlines, random
+fault plans (crash, latency spike, transient failures), retries, breakers
+and a bounded queue, 1–3 replicas under every routing policy, the hungry
+and the lazy trigger — every run must pass the engine-trace sanitizer
+with no ERROR and resolve every request.  A one-server ``simulate_cluster`` must equal
+``simulate_serving`` on the same inputs: the same driver over the same
+single replica.
+"""
+
+from dataclasses import fields
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.diagnostics import Severity
+from repro.analysis.engine_checks import EngineTraceRecorder, verify_trace
+from repro.resilience import (
+    CircuitBreaker,
+    FaultPlan,
+    LatencySpike,
+    ResilienceConfig,
+    RetryPolicy,
+    ServerCrash,
+    TransientFailures,
+)
+from repro.serving import (
+    DPBatchScheduler,
+    HungryPolicy,
+    LazyPolicy,
+    Request,
+    RoutingPolicy,
+    ServingConfig,
+    simulate_cluster,
+    simulate_serving,
+)
+from repro.serving.server import _BatchDriver
+
+MAX_BATCH = 4
+HORIZON = 0.1
+
+
+def cost(seq_len: int, batch: int) -> float:
+    return 0.002 + 0.00002 * seq_len * batch
+
+
+times = st.floats(min_value=0.0, max_value=0.08, allow_nan=False)
+
+
+@st.composite
+def requests(draw):
+    # Arrival instants come from a small pool, so several requests often
+    # share one instant.
+    pool = draw(st.lists(times, min_size=1, max_size=4))
+    specs = draw(st.lists(
+        st.tuples(st.sampled_from(pool), st.integers(1, 200),
+                  st.none() | st.floats(0.005, 0.2)),
+        min_size=1, max_size=16))
+    return [(i, seq_len, arrival, deadline)
+            for i, (arrival, seq_len, deadline) in enumerate(specs)]
+
+
+def build(specs):
+    return [Request(req_id=i, seq_len=seq_len, arrival_s=arrival,
+                    deadline_s=deadline)
+            for i, seq_len, arrival, deadline in specs]
+
+
+@st.composite
+def windows(draw):
+    start = draw(times)
+    return start, start + draw(st.floats(min_value=0.001, max_value=0.03))
+
+
+@st.composite
+def resilience(draw, replicas):
+    crashes = tuple(ServerCrash(*draw(windows()), server_id=draw(
+        st.integers(0, replicas - 1))) for _ in range(draw(st.integers(0, 2))))
+    spikes = tuple(LatencySpike(*draw(windows()), multiplier=draw(
+        st.floats(1.5, 4.0))) for _ in range(draw(st.integers(0, 1))))
+    failures = tuple(TransientFailures(*draw(windows()), failure_rate=draw(
+        st.floats(0.1, 0.9))) for _ in range(draw(st.integers(0, 1))))
+    retry = draw(st.none() | st.builds(
+        RetryPolicy, max_attempts=st.integers(1, 4),
+        base_backoff_s=st.just(0.002), jitter=st.just(0.0),
+        budget=st.integers(0, 50)))
+    breaker = None
+    if draw(st.booleans()):
+        def breaker(i):
+            return CircuitBreaker(window=4, min_samples=2, cooldown_s=0.01,
+                                  half_open_probes=1, name=f"server{i}")
+    return ResilienceConfig(
+        faults=FaultPlan(seed=draw(st.integers(0, 9)), spikes=spikes,
+                         failures=failures, crashes=crashes),
+        retry=retry, breaker_factory=breaker,
+        queue_capacity=draw(st.none() | st.integers(1, 8)))
+
+
+@st.composite
+def scenarios(draw):
+    replicas = draw(st.integers(1, 3))
+    trigger = draw(st.sampled_from(("hungry", "lazy")))
+    routing = draw(st.sampled_from(list(RoutingPolicy)))
+    return (draw(requests()), replicas, trigger, routing,
+            draw(resilience(replicas)))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios())
+def test_replica_runs_are_sanitizer_clean(scenario):
+    specs, replicas, trigger, routing, res = scenario
+    reqs = build(specs)
+    config = ServingConfig(
+        max_batch=MAX_BATCH,
+        policy=(HungryPolicy() if trigger == "hungry"
+                else LazyPolicy(timeout_s=0.004, max_batch=MAX_BATCH)))
+    with EngineTraceRecorder() as rec:
+        _BatchDriver([DPBatchScheduler() for _ in range(replicas)], cost,
+                     config, res, policy=routing, max_len=200,
+                     ).serve(reqs, HORIZON, "property")
+    errors = [d for d in verify_trace(rec, retry=res.retry)
+              if d.severity is Severity.ERROR]
+    assert errors == []
+    assert all(r.state.is_terminal for r in reqs)
+
+
+def outcome(reqs):
+    return [(r.start_s, r.completion_s, r.state)
+            for r in sorted(reqs, key=lambda r: r.req_id)]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(requests(), resilience(1))
+def test_one_server_cluster_equals_single_server(specs, res):
+    alone = build(specs)
+    served = simulate_serving(alone, DPBatchScheduler(), cost,
+                              ServingConfig(max_batch=MAX_BATCH),
+                              duration_s=HORIZON, resilience=res)
+    clustered = build(specs)
+    cluster = simulate_cluster(clustered, 1, DPBatchScheduler, cost,
+                               max_batch=MAX_BATCH, duration_s=HORIZON,
+                               resilience=res)
+    assert outcome(clustered) == outcome(alone)
+    for f in fields(served):
+        if f.name != "system":
+            assert getattr(cluster.serving, f.name) == \
+                getattr(served, f.name), f.name
+    assert cluster.per_server_completed == [served.completed]

@@ -1,11 +1,16 @@
 """Multi-server cluster: routing policies, scaling, balance."""
 
+from dataclasses import dataclass
+
 import pytest
 
+from repro.engine import EngineFaultInjector
+from repro.resilience import FaultPlan, ServerCrash
 from repro.serving import (
     DPBatchScheduler,
     NaiveBatchScheduler,
     Request,
+    Router,
     RoutingPolicy,
     generate_requests,
     simulate_cluster,
@@ -116,21 +121,47 @@ class TestDpInCluster:
         assert metrics.serving.latency.avg_ms <= naive.serving.latency.avg_ms
 
 
+class Down:
+    """Fault-injector stand-in for a replica inside a crash window."""
+
+    @staticmethod
+    def crashed(now):
+        return True
+
+
+@dataclass
+class StubReplica:
+    """The routing view of a replica: load, committed busy horizon, and
+    health from its fault injector and breaker."""
+
+    server_id: int
+    load: int = 0
+    busy_until: float = 0.0
+    faults: object = None
+    breaker: object = None
+
+    def pending_work_s(self, now):
+        return max(0.0, self.busy_until - now)
+
+
 class TestHealthyRouting:
     """The router must skip dead/breaker-open replicas (ISSUE 2)."""
 
     def setup_method(self):
-        from repro.serving import ClusterRouter, ServerState
-        from repro.serving.scheduler import NaiveBatchScheduler as S
-
-        self.router_cls = ClusterRouter
-        self.servers = [ServerState(i, S()) for i in range(4)]
+        self.servers = [StubReplica(i) for i in range(4)]
 
     def router(self, policy, max_len=512):
-        return self.router_cls(policy, 4, linear_cost(), max_len=max_len)
+        return Router(self.servers, policy, max_len=max_len)
+
+    def kill(self, *ids):
+        for i in ids:
+            self.servers[i].faults = Down()
 
     def request(self, seq_len=100):
         return Request(req_id=0, seq_len=seq_len, arrival_s=0.0)
+
+    def route(self, router):
+        return router.route(self.request(), now=0.0).server_id
 
     def test_least_work_excludes_unhealthy_minimum(self):
         """Pending-work estimates are taken over the healthy set only: the
@@ -141,43 +172,48 @@ class TestHealthyRouting:
         self.servers[1].busy_until = 5.0
         self.servers[2].busy_until = 1.0   # lightest healthy
         self.servers[3].busy_until = 3.0
-        assert router.route(self.request(), self.servers, now=0.0) == 0
-        assert router.route(self.request(), self.servers, now=0.0,
-                            healthy={1, 2, 3}) == 2
+        assert self.route(router) == 0
+        self.kill(0)
+        assert self.route(router) == 2
 
     def test_least_queued_excludes_unhealthy(self):
         router = self.router(RoutingPolicy.LEAST_QUEUED)
-        self.servers[1].queue = [self.request()]
-        self.servers[2].queue = [self.request()] * 3
-        self.servers[3].queue = [self.request()] * 2
-        assert router.route(self.request(), self.servers, now=0.0,
-                            healthy={1, 2, 3}) == 1
+        self.servers[1].load = 1
+        self.servers[2].load = 3
+        self.servers[3].load = 2
+        self.kill(0)
+        assert self.route(router) == 1
 
     def test_round_robin_skips_dead_servers(self):
         router = self.router(RoutingPolicy.ROUND_ROBIN)
-        picks = [router.route(self.request(), self.servers, now=0.0,
-                              healthy={1, 3}) for _ in range(4)]
-        assert picks == [1, 3, 1, 3]
+        self.kill(0, 2)
+        assert [self.route(router) for _ in range(4)] == [1, 3, 1, 3]
 
     def test_length_aware_falls_to_nearest_band(self):
         router = self.router(RoutingPolicy.LENGTH_AWARE)
         long = self.request(seq_len=500)   # band 3
-        assert router.route(long, self.servers, now=0.0) == 3
-        assert router.route(long, self.servers, now=0.0, healthy={0, 1, 2}) == 2
+        assert router.route(long, now=0.0).server_id == 3
+        self.kill(3)
+        assert router.route(long, now=0.0).server_id == 2
 
     def test_all_dead_falls_back_to_full_set(self):
         """Queueing on a downed server beats dropping on the floor."""
         router = self.router(RoutingPolicy.LEAST_QUEUED)
-        assert router.route(self.request(), self.servers, now=0.0,
-                            healthy=set()) in range(4)
+        self.kill(0, 1, 2, 3)
+        assert self.route(router) in range(4)
 
     def test_healthy_none_unchanged(self):
-        a = self.router(RoutingPolicy.ROUND_ROBIN)
+        """Replicas with fault injectors that are all up route exactly
+        like replicas without any."""
+        a = Router([StubReplica(i) for i in range(4)],
+                   RoutingPolicy.ROUND_ROBIN)
         b = self.router(RoutingPolicy.ROUND_ROBIN)
-        picks_a = [a.route(self.request(), self.servers, now=0.0)
-                   for _ in range(6)]
-        picks_b = [b.route(self.request(), self.servers, now=0.0,
-                           healthy={0, 1, 2, 3}) for _ in range(6)]
+        for rep in self.servers:
+            rep.faults = EngineFaultInjector(FaultPlan(crashes=(
+                ServerCrash(start_s=5.0, end_s=6.0, server_id=rep.server_id),
+            )), rep.server_id)
+        picks_a = [self.route(a) for _ in range(6)]
+        picks_b = [self.route(b) for _ in range(6)]
         assert picks_a == picks_b == [0, 1, 2, 3, 0, 1]
 
     def test_open_breaker_diverts_work(self):
@@ -233,10 +269,11 @@ class TestValidation:
             simulate_cluster([], 2, NaiveBatchScheduler, linear_cost())
 
     def test_bad_server_count_rejected(self):
-        from repro.serving import ClusterRouter
-
         with pytest.raises(ValueError):
-            ClusterRouter(RoutingPolicy.ROUND_ROBIN, 0, linear_cost())
+            Router([], RoutingPolicy.ROUND_ROBIN)
+        with pytest.raises(ValueError, match="num_servers"):
+            simulate_cluster(generate_requests(100, 1.0, seed=0), 0,
+                             NaiveBatchScheduler, linear_cost())
 
 
 class TestGenerationCluster:

@@ -6,7 +6,7 @@ prefix cache on or off — every run must pass the engine-trace sanitizer
 with no ERROR, resolve every request, and leak no KV region.
 """
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.diagnostics import Severity
@@ -101,9 +101,27 @@ def arena(_replica: int = 0) -> KVCacheArena:
                         page_tokens=8)
 
 
+def prefix_overadmission():
+    """Fault-free, two replicas, prefix cache on, prompts whose cached
+    heads diverge from pages other requests prefilled: publishing must
+    stop at another request's index node, or the arena counts a page as
+    reclaimable that eviction cannot free and over-admits."""
+    spec = ((1, 1, 1), (0, 1, 1), (1, 8, 11), (0, 1, 1), (0, 8, 11),
+            (0, 1, 1), (0, 8, 11), (0, 1, 1), (0, 1, 10))
+    reqs = []
+    for i, (head, suffix, new_tokens) in enumerate(spec):
+        prompt = HEADS[head] + tuple(1000 + 17 * i + k
+                                     for k in range(suffix))
+        reqs.append(GenRequest(req_id=i, seq_len=len(prompt), arrival_s=0.0,
+                               max_new_tokens=new_tokens, prompt_ids=prompt))
+    return (reqs, 2, ContinuousBatchingConfig(prefix_cache=True),
+            ResilienceConfig())
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(scenarios())
+@example(prefix_overadmission())
 def test_replica_runs_are_sanitizer_clean(scenario):
     reqs, replicas, config, res = scenario
     with EngineTraceRecorder() as rec:

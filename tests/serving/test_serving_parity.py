@@ -7,9 +7,6 @@ metrics tally) must not move a single simulated number: the
 ``ServingMetrics`` repr and every request's ``(start_s, completion_s,
 state)`` must equal the goldens in ``golden_serving_parity.json``.
 
-The lazy golden pins a known defect: 65 of its 1019 requests are never
-served (see ``test_lazy_run_serves_every_request``).
-
 Regenerate (only for an intentional behaviour change, with a note)::
 
     PYTHONPATH=src python tests/serving/test_serving_parity.py
@@ -74,13 +71,11 @@ def test_serving_run_matches_golden(name, table, golden):
     assert observe(name, table) == golden[name]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect: ensure_trigger cancels a TRIGGER that already fired, "
-    "Engine.cancel decrements the live count a second time, and the loop "
-    "ends with arrivals still pending"))
 def test_lazy_run_serves_every_request(table):
     """simulate_serving drains the backlog, so every request of a run
-    without resilience completes, whatever the trigger policy."""
+    without resilience completes, whatever the trigger policy — also a
+    lazy run, whose trigger bookkeeping hands TRIGGER events that already
+    fired back to ``Engine.cancel``."""
     requests = generate_requests(2500.0, 0.4, seed=11)
     metrics = simulate_serving(requests, PrunedDPBatchScheduler(),
                                table.cost, CONFIGS["lazy"](), duration_s=0.4)
