@@ -184,7 +184,8 @@ class GenServingBench:
                           duration_s: float, mix: OutputMix, tracer=None,
                           metrics=None) -> GenServingMetrics:
         server = RequestLevelGenerationServer(
-            self.runtime, max_batch=self.max_batch,
+            self.runtime, self.make_arena(metrics=metrics),
+            max_batch=self.max_batch,
             est_new_tokens=max(1, round(mix.mean_new_tokens)),
             warmup_fraction=self.warmup_fraction,
             tracer=tracer, metrics=metrics,

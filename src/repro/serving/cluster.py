@@ -171,20 +171,15 @@ def simulate_generation_cluster(
     * per-replica breakers record crashes and failed attempts and steer
       the router away from failing replicas.
     """
-    if not requests:
-        raise ValueError("need at least one request to simulate")
     if num_replicas <= 0:
         raise ValueError(f"num_replicas must be positive, got {num_replicas}")
-    from .continuous import (ContinuousBatchingConfig, GenReplica,
-                             _GenDriver, _GenLoopBase)
+    from .continuous import ContinuousBatchingConfig, GenReplica, _GenDriver
 
     config = config or ContinuousBatchingConfig()
-    host = _GenLoopBase(runtime, tracer, metrics, system_name,
-                        config.warmup_fraction)
     replicas = [GenReplica(i, runtime, arena_factory(i), config)
                 for i in range(num_replicas)]
-    serving = _GenDriver(host, replicas, resilience).serve(requests,
-                                                           duration_s)
+    serving = _GenDriver(replicas, tracer, metrics, system_name,
+                         resilience).serve(requests, duration_s)
     # Leak audit: at end of run no region may outlive its request.
     kv_leaks: List[str] = []
     for rep in replicas:

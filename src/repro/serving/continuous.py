@@ -21,10 +21,10 @@ decode step** — the iteration-level design of modern LLM serving systems:
   :class:`~repro.memory.KVCacheArena` high-watermark holds, so the batch
   is bounded by simulated KV memory rather than a fixed ``max_batch``.
 
-:class:`RequestLevelGenerationServer` is the control: the same cost model
-and workload, but batches formed once by a (DP) scheduler, full batch
-width charged until the longest member finishes, arrivals waiting for the
-next round.  The gap between the two is the experiment
+:class:`RequestLevelGenerationServer` is the control: the same cost model,
+workload and KV arena, but batches formed once by a (DP) scheduler, full
+batch width charged until the longest member finishes, arrivals waiting
+for the next round.  The gap between the two is the experiment
 ``experiments/gen_serving_throughput.py`` measures.
 
 One replica, one driver
@@ -35,12 +35,23 @@ set, plus its fault injector and circuit breaker; its transitions are
 methods (admit, prefill round, decode step, evict, crash) and
 :meth:`GenReplica.run` is a cooperative :class:`repro.engine.Engine` task
 that yields its busy windows.  One driver schedules arrivals and retries,
-routes each to a replica, wakes idle replicas and finalizes the metrics.
-:class:`ContinuousBatchingServer` is that driver over one replica (a
-router with one choice); :func:`repro.serving.simulate_generation_cluster`
-is the same driver over N replicas behind a least-loaded, health- and
-breaker-aware router — the paper's §5 picture of one server's scheduler
-repeated behind a Nexus-style balancer.  The rules every replica follows:
+routes each to a replica, wakes idle replicas, keeps the per-request
+bookkeeping and finalizes the metrics.  Every generation system is that
+driver:
+
+* :class:`ContinuousBatchingServer` over one replica (a router with one
+  choice);
+* :func:`repro.serving.simulate_generation_cluster` over N replicas
+  behind a least-loaded, health- and breaker-aware router — the paper's
+  §5 picture of one server's scheduler repeated behind a Nexus-style
+  balancer;
+* :class:`RequestLevelGenerationServer` over one replica under the
+  *request-level rule*: only an idle replica admits, an empty round
+  drains the whole queue once through the DP scheduler, the round's
+  batches are admitted one at a time in DP order, and decode is priced
+  at the batch's full width and padded length.
+
+The rules every replica follows:
 
 * **crash truncation** — a pass cut off by a crash is lost at the crash
   instant; its requests lose their KV and go through the retry path, so
@@ -75,7 +86,7 @@ from ..memory.kv_arena import KVCacheArena
 from ..observability import MetricsRegistry, Tracer
 from ..runtime.chunked import PrefillChunker
 from .metrics import LatencyStats, ServingMetrics, response_throughput
-from .request import Request, RequestState
+from .request import Request, RequestState, arrival_window
 from .router import Router, RoutingPolicy, crashed, other_replica_up
 from .scheduler import BatchScheduler, CostFn, PrunedDPBatchScheduler
 
@@ -269,140 +280,6 @@ def _merged_busy_in_horizon(spans: Sequence[Tuple[float, float]],
     return sum(_window_overlap(s, e - s, horizon) for s, e in merged)
 
 
-class _GenLoopBase:
-    """Bookkeeping shared by both generative serving loops."""
-
-    def __init__(self, runtime, tracer: Optional[Tracer],
-                 metrics: Optional[MetricsRegistry], system_name: str,
-                 warmup_fraction: float) -> None:
-        self.runtime = runtime
-        self.tracer = tracer
-        self.metrics = metrics
-        self.system_name = system_name
-        self.warmup_fraction = warmup_fraction
-
-    @property
-    def _trace_on(self) -> bool:
-        return self.tracer is not None and self.tracer.enabled
-
-    def _begin_request(self, r: GenRequest) -> None:
-        if self._trace_on:
-            self.tracer.async_begin(
-                "request", r.arrival_s, r.req_id, cat="request",
-                prompt_len=r.seq_len, max_new_tokens=r.max_new_tokens,
-            )
-
-    def _complete(self, r: GenRequest, now: float,
-                  faults: Optional[EngineFaultInjector] = None) -> None:
-        r.resolve(RequestState.COMPLETED, now, faults=faults)
-        self.runtime.publish_request_metrics(
-            self.metrics, r.req_id, r.ttft_s, r.tpot_s,
-            system=self.system_name,
-        )
-        if self._trace_on:
-            self.tracer.async_end(
-                "request", now, r.req_id, cat="request", path="model",
-                ttft_ms=round(r.ttft_s * 1e3, 4), tokens=r.generated,
-            )
-        if self.metrics is not None:
-            self.metrics.counter("serving_requests_completed_total",
-                                 path="model").inc()
-
-    def _shed(self, r: GenRequest, now: float) -> None:
-        r.resolve(RequestState.SHED)
-        if self._trace_on:
-            self.tracer.async_end("request", now, r.req_id, cat="request",
-                                  path="shed")
-        if self.metrics is not None:
-            self.metrics.counter("serving_requests_dropped_total",
-                                 reason="shed").inc()
-
-    def _fail(self, r: GenRequest, now: float) -> None:
-        """Terminal failure: retries exhausted (or recovery impossible)."""
-        r.resolve(RequestState.FAILED)
-        if self._trace_on:
-            self.tracer.async_end("request", now, r.req_id, cat="request",
-                                  path="failed")
-        if self.metrics is not None:
-            self.metrics.counter("serving_requests_dropped_total",
-                                 reason="failed").inc()
-
-    def _finalize(self, arrivals: Sequence[GenRequest], horizon: float,
-                  clock: float, busy_in_horizon: float, decode_steps: int,
-                  prefills: int, tokens: int, kv_denials: int,
-                  kv_peak_bytes: int, preemptions: int = 0,
-                  tokens_recomputed: int = 0, retries: int = 0,
-                  attempts_failed: int = 0, prefill_chunks: int = 0,
-                  overlap_saved_s: float = 0.0,
-                  stall_s: float = 0.0, prefix_hits: int = 0,
-                  prefix_tokens_reused: int = 0,
-                  prefill_flops_saved: float = 0.0) -> GenServingMetrics:
-        completed = [r for r in arrivals if r.is_completed]
-        ttft = LatencyStats.from_values(
-            [(r.first_token_s - r.arrival_s) * 1e3 for r in completed
-             if r.first_token_s is not None]
-        )
-        tpots = [r.tpot_s * 1e3 for r in completed if r.generated >= 2]
-        tpot_ms = sum(tpots) / len(tpots) if tpots else float("inf")
-        throughput = response_throughput(
-            arrivals, horizon * self.warmup_fraction, horizon
-        )
-        backlog = sum(
-            1 for r in arrivals
-            if r.arrival_s <= horizon and r.state is not RequestState.SHED
-            and (r.start_s is None or r.start_s > horizon)
-        )
-        drain_seconds = backlog / max(throughput, 1e-9)
-        result = GenServingMetrics(
-            system=self.system_name,
-            request_rate=len(arrivals) / horizon,
-            response_throughput=throughput,
-            latency=LatencyStats.from_requests(arrivals),
-            saturated=drain_seconds > 0.5,
-            completed=len(completed),
-            offered=len(arrivals),
-            backlog_at_end=backlog,
-            utilization=min(1.0, busy_in_horizon / horizon),
-            batches_executed=decode_steps + prefills,
-            ttft=ttft,
-            tpot_ms_avg=tpot_ms,
-            tokens_generated=tokens,
-            decode_steps=decode_steps,
-            prefill_batches=prefills,
-            goodput_tokens_per_s=tokens / clock if clock > 0 else 0.0,
-            kv_denials=kv_denials,
-            kv_peak_bytes=kv_peak_bytes,
-            preemptions=preemptions,
-            tokens_recomputed=tokens_recomputed,
-            retries=retries,
-            attempts_failed=attempts_failed,
-            prefill_chunks=prefill_chunks,
-            overlap_saved_s=overlap_saved_s,
-            stall_s=stall_s,
-            prefix_hits=prefix_hits,
-            prefix_tokens_reused=prefix_tokens_reused,
-            prefill_flops_saved=prefill_flops_saved,
-        )
-        if self.metrics is not None:
-            self.metrics.gauge("serving_response_throughput",
-                               system=result.system).set(throughput)
-            self.metrics.gauge("generation_goodput_tokens_per_s",
-                               system=result.system).set(
-                result.goodput_tokens_per_s
-            )
-            if prefill_chunks or stall_s:
-                self.metrics.gauge("gen_overlap_saved_s",
-                                   system=result.system).set(overlap_saved_s)
-                self.metrics.gauge("gen_prefill_stall_s",
-                                   system=result.system).set(stall_s)
-            if prefix_hits:
-                self.metrics.gauge("gen_prefill_flops_saved",
-                                   system=result.system).set(
-                    prefill_flops_saved
-                )
-        return result
-
-
 class GenReplica:
     """One GPU replica of the iteration-level loop.
 
@@ -531,7 +408,7 @@ class GenReplica:
                     # Grew past what an empty arena could restore:
                     # unrecoverable, don't block the FIFO head.
                     self.queue.popleft()
-                    self.driver.host._fail(r, now)
+                    self.driver.drop(r, RequestState.FAILED, now)
                     continue
             else:
                 ok = self.arena.admit(r.req_id, r.seq_len,
@@ -600,7 +477,7 @@ class GenReplica:
             prefill_s = max(0.0, full_s - self.runtime
                             .prefill_latency(b, pass_start))
             d.prefill_saved_s += full_s - prefill_s
-        self.runtime.trace_prefill(d.host.tracer, started, prefill_s, b,
+        self.runtime.trace_prefill(d.tracer, started, prefill_s, b,
                                    prompt, tid=self.gpu_tid)
         dur, cut = self._window(started, prefill_s)
         yield dur if cut is None else cut - started
@@ -613,20 +490,26 @@ class GenReplica:
         d.prefills += 1
         self._commit_prefill(admitted, started, d.engine.now)
         self._trace_kv()
-        if d.host.metrics is not None:
-            d.host.metrics.counter("gen_prefill_batches_total",
-                                   system=d.host.system_name).inc()
+        if d.metrics is not None:
+            d.metrics.counter("gen_prefill_batches_total",
+                              system=d.system_name).inc()
+
+    def _decode_shape(self) -> Tuple[int, int]:
+        """``(width, past)`` the next decode step is priced at: live slots
+        only (finished requests already exited), KV padded to the
+        longest."""
+        return len(self.active), max(r.seq_len + r.generated
+                                     for r in self.active)
 
     def decode_step(self):
-        """One decode step over the live batch: width = live slots only
-        (finished requests already exited), KV padded to the longest."""
+        """One decode step over the live batch at :meth:`_decode_shape`."""
         d = self.driver
-        b = len(self.active)
-        past = max(r.seq_len + r.generated for r in self.active)
+        b, past = self._decode_shape()
         started = d.engine.now
         step_s = self.runtime.decode_step_latency(b, past)
-        self.runtime.trace_decode_stride(d.host.tracer, started, step_s, b,
-                                         past, tokens=b, tid=self.gpu_tid)
+        self.runtime.trace_decode_stride(d.tracer, started, step_s, b, past,
+                                         tokens=len(self.active),
+                                         tid=self.gpu_tid)
         dur, cut = self._window(started, step_s)
         yield dur if cut is None else cut - started
         if cut is not None:
@@ -724,7 +607,7 @@ class GenReplica:
             d.stall_s += max(0.0, prefill_total - dec_elapsed) * ratio
         d.prefills += 1
         d.prefill_chunks += len(chunks)
-        tracer = d.host.tracer if d.host._trace_on else None
+        tracer = d.tracer if d.trace_on else None
         if tracer is not None:
             for t in timing.spans:
                 if t.op.kernel == "batch.reform":
@@ -750,11 +633,11 @@ class GenReplica:
         self._commit_prefill(admitted, started,
                              started + prefill_total * ratio)
         self._trace_kv()
-        if d.host.metrics is not None:
-            d.host.metrics.counter("gen_prefill_batches_total",
-                                   system=d.host.system_name).inc()
-            d.host.metrics.counter("gen_prefill_chunks_total",
-                                   system=d.host.system_name).inc(len(chunks))
+        if d.metrics is not None:
+            d.metrics.counter("gen_prefill_batches_total",
+                              system=d.system_name).inc()
+            d.metrics.counter("gen_prefill_chunks_total",
+                              system=d.system_name).inc(len(chunks))
 
     def _round_schedule(self, round_idx: int, admitted: List[GenRequest],
                         chunks, chunk_lats: List[float], steps,
@@ -863,22 +746,21 @@ class GenReplica:
                 # The token just produced joins the KV cache and is
                 # attended to from the next step on.
                 self.arena.append(r.req_id, 1)
-        if d.host.metrics is not None:
-            d.host.metrics.counter("gen_decode_steps_total",
-                                   system=d.host.system_name).inc()
-            d.host.metrics.counter("gen_tokens_total",
-                                   system=d.host.system_name
-                                   ).inc(len(members))
+        if d.metrics is not None:
+            d.metrics.counter("gen_decode_steps_total",
+                              system=d.system_name).inc()
+            d.metrics.counter("gen_tokens_total",
+                              system=d.system_name).inc(len(members))
 
     def _complete(self, r: GenRequest, now: float) -> None:
-        self.driver.host._complete(r, now, self.faults)
+        self.driver.complete(r, now, self.faults)
         self.completed += 1
         self.arena.release(r.req_id)
 
     def _trace_kv(self) -> None:
         d = self.driver
-        if d.host._trace_on:
-            d.host.tracer.counter("kv_arena", d.engine.now, {
+        if d.trace_on:
+            d.tracer.counter("kv_arena", d.engine.now, {
                 "used_mb": self.arena.used_bytes / (1024.0 * 1024.0),
                 "slots": float(len(self.active)),
             })
@@ -891,9 +773,9 @@ class GenReplica:
         d = self.driver
         self.arena.preempt(r.req_id)
         d.preemptions += 1
-        if d.host.metrics is not None:
-            d.host.metrics.counter("gen_preemptions_total",
-                                   system=d.host.system_name).inc()
+        if d.metrics is not None:
+            d.metrics.counter("gen_preemptions_total",
+                              system=d.system_name).inc()
         if failed:
             self.fail(r, now)
         else:
@@ -940,11 +822,11 @@ class GenReplica:
         d = self.driver
         d.prefix_hits += 1
         d.prefix_tokens_reused += matched
-        if d.host.metrics is not None:
-            d.host.metrics.counter("gen_prefix_hits_total",
-                                   system=d.host.system_name).inc()
-            d.host.metrics.counter("gen_prefix_tokens_reused_total",
-                                   system=d.host.system_name).inc(matched)
+        if d.metrics is not None:
+            d.metrics.counter("gen_prefix_hits_total",
+                              system=d.system_name).inc()
+            d.metrics.counter("gen_prefix_tokens_reused_total",
+                              system=d.system_name).inc(matched)
 
     def _publish_prefix(self, r: GenRequest) -> None:
         """Index the request's full prompt pages after a successful
@@ -960,17 +842,25 @@ class GenReplica:
 
 class _GenDriver:
     """One serve call over a set of :class:`GenReplica`: the engine, the
-    arrival and retry events, the router, and the counters every replica
-    of the run adds to (one accumulator each, in event order)."""
+    arrival and retry events, the router, the per-request bookkeeping and
+    the counters every replica of the run adds to (one accumulator each,
+    in event order).  The replicas share one runtime and config."""
 
-    def __init__(self, host: _GenLoopBase, replicas: Sequence[GenReplica],
+    def __init__(self, replicas: Sequence[GenReplica],
+                 tracer: Optional[Tracer], metrics: Optional[MetricsRegistry],
+                 system_name: str,
                  resilience: Optional["ResilienceConfig"]) -> None:
-        self.host = host
         self.replicas = list(replicas)
+        self.runtime = self.replicas[0].runtime
+        self.warmup_fraction = self.replicas[0].config.warmup_fraction
+        self.tracer = tracer
+        self.trace_on = tracer is not None and tracer.enabled
+        self.metrics = metrics
+        self.system_name = system_name
         # Least-loaded among the healthy replicas.
         self.router = Router(self.replicas, RoutingPolicy.LEAST_QUEUED)
         self.resilient = resilience is not None
-        instrumentation = EngineInstrumentation(host.tracer, host.metrics)
+        instrumentation = EngineInstrumentation(tracer, metrics)
         self.engine = Engine(instrumentation=instrumentation)
         self.retry_state = None
         if resilience is not None and resilience.retry is not None:
@@ -1001,32 +891,122 @@ class _GenDriver:
 
     def serve(self, requests: Sequence[GenRequest],
               duration_s: Optional[float]) -> GenServingMetrics:
-        if not requests:
-            raise ValueError("need at least one request to simulate")
-        arrivals: List[GenRequest] = sorted(requests,
-                                            key=lambda r: r.arrival_s)
-        horizon = duration_s if duration_s is not None \
-            else arrivals[-1].arrival_s
-        if horizon <= 0:
-            raise ValueError(f"duration must be positive, got {horizon}")
-        self.horizon = horizon
-        host = self.host
-        if host._trace_on:
+        arrivals, self.horizon = arrival_window(requests, duration_s)
+        if self.trace_on:
             for rep in self.replicas:
                 tid = rep.gpu_tid
-                host.tracer.thread_name(tid, f"{tid} (prefill + decode steps)")
+                self.tracer.thread_name(tid, f"{tid} (prefill + decode steps)")
                 if rep.chunker is not None:
-                    host.tracer.thread_name(f"{tid}:prefill",
+                    self.tracer.thread_name(f"{tid}:prefill",
                                             f"{tid} stream: prefill chunks")
-                    host.tracer.thread_name(f"{tid}:decode",
+                    self.tracer.thread_name(f"{tid}:decode",
                                             f"{tid} stream: decode steps")
         self.engine.arrivals(arrivals, self._on_arrival)
         self.engine.run()
-        device = getattr(host.runtime, "device", None)
+        return self._finalize(arrivals)
+
+    # -- request bookkeeping ----------------------------------------------
+
+    def complete(self, r: GenRequest, now: float,
+                 faults: Optional[EngineFaultInjector]) -> None:
+        r.resolve(RequestState.COMPLETED, now, faults=faults)
+        self.runtime.publish_request_metrics(
+            self.metrics, r.req_id, r.ttft_s, r.tpot_s,
+            system=self.system_name,
+        )
+        if self.trace_on:
+            self.tracer.async_end(
+                "request", now, r.req_id, cat="request", path="model",
+                ttft_ms=round(r.ttft_s * 1e3, 4), tokens=r.generated,
+            )
+        if self.metrics is not None:
+            self.metrics.counter("serving_requests_completed_total",
+                                 path="model").inc()
+
+    def drop(self, r: GenRequest, state: RequestState, now: float) -> None:
+        """Terminal non-completion: shed at ingest, or failed with its
+        retries exhausted (or recovery impossible)."""
+        r.resolve(state)
+        if self.trace_on:
+            self.tracer.async_end("request", now, r.req_id, cat="request",
+                                  path=state.value)
+        if self.metrics is not None:
+            self.metrics.counter("serving_requests_dropped_total",
+                                 reason=state.value).inc()
+
+    def requeue(self, r: GenRequest, now: float) -> None:
+        """Route an evicted or failed attempt through the retry path:
+        without a retry policy it re-enters at this instant; with one it
+        waits out the backoff, or resolves FAILED when the policy refuses
+        (attempts/budget exhausted, or backoff past the deadline)."""
+        if self.retry_state is None:
+            self.engine.schedule(now, EventKind.RETRY, self._on_retry, r)
+            return
+        retry_at = self.retry_state.next_retry_at(r, now)
+        if retry_at is None:
+            self.drop(r, RequestState.FAILED, now)
+            return
+        r.attempt += 1
+        self.engine.schedule(retry_at, EventKind.RETRY, self._on_retry, r)
+
+    def _on_arrival(self, event) -> None:
+        r = event.payload
+        if self.trace_on:
+            self.tracer.async_begin(
+                "request", r.arrival_s, r.req_id, cat="request",
+                prompt_len=r.seq_len, max_new_tokens=r.max_new_tokens,
+            )
+        rep = self.router.route(r, self.engine.now)
+        if not rep.arena.fits_at_all(r.seq_len,
+                                     r.seq_len + r.max_new_tokens):
+            # Could never be admitted even into an empty arena: shed
+            # instead of blocking the FIFO head forever.
+            self.drop(r, RequestState.SHED, self.engine.now)
+            return
+        rep.enqueue(r)
+
+    def _on_retry(self, event) -> None:
+        r = event.payload
+        self.router.route(r, self.engine.now).enqueue(r)
+
+    def _finalize(self, arrivals: Sequence[GenRequest]) -> GenServingMetrics:
+        horizon = self.horizon
+        clock = self.engine.now
+        completed = [r for r in arrivals if r.is_completed]
+        ttft = LatencyStats.from_values(
+            [(r.first_token_s - r.arrival_s) * 1e3 for r in completed
+             if r.first_token_s is not None]
+        )
+        tpots = [r.tpot_s * 1e3 for r in completed if r.generated >= 2]
+        tpot_ms = sum(tpots) / len(tpots) if tpots else float("inf")
+        throughput = response_throughput(
+            arrivals, horizon * self.warmup_fraction, horizon
+        )
+        backlog = sum(
+            1 for r in arrivals
+            if r.arrival_s <= horizon and r.state is not RequestState.SHED
+            and (r.start_s is None or r.start_s > horizon)
+        )
+        drain_seconds = backlog / max(throughput, 1e-9)
+        device = getattr(self.runtime, "device", None)
         peak_flops = device.peak_fp32_flops if device is not None else 0.0
-        return host._finalize(
-            arrivals, horizon, self.engine.now, self.busy_s,
-            self.decode_steps, self.prefills, self.tokens,
+        result = GenServingMetrics(
+            system=self.system_name,
+            request_rate=len(arrivals) / horizon,
+            response_throughput=throughput,
+            latency=LatencyStats.from_requests(arrivals),
+            saturated=drain_seconds > 0.5,
+            completed=len(completed),
+            offered=len(arrivals),
+            backlog_at_end=backlog,
+            utilization=min(1.0, self.busy_s / horizon),
+            batches_executed=self.decode_steps + self.prefills,
+            ttft=ttft,
+            tpot_ms_avg=tpot_ms,
+            tokens_generated=self.tokens,
+            decode_steps=self.decode_steps,
+            prefill_batches=self.prefills,
+            goodput_tokens_per_s=self.tokens / clock if clock > 0 else 0.0,
             kv_denials=sum(rep.arena.denials for rep in self.replicas),
             kv_peak_bytes=max(rep.arena.peak_used_bytes
                               for rep in self.replicas),
@@ -1042,40 +1022,29 @@ class _GenDriver:
             prefix_tokens_reused=self.prefix_tokens_reused,
             prefill_flops_saved=self.prefill_saved_s * peak_flops,
         )
-
-    def requeue(self, r: GenRequest, now: float) -> None:
-        """Route an evicted or failed attempt through the retry path:
-        without a retry policy it re-enters at this instant; with one it
-        waits out the backoff, or resolves FAILED when the policy refuses
-        (attempts/budget exhausted, or backoff past the deadline)."""
-        if self.retry_state is None:
-            self.engine.schedule(now, EventKind.RETRY, self._on_retry, r)
-            return
-        retry_at = self.retry_state.next_retry_at(r, now)
-        if retry_at is None:
-            self.host._fail(r, now)
-            return
-        r.attempt += 1
-        self.engine.schedule(retry_at, EventKind.RETRY, self._on_retry, r)
-
-    def _on_arrival(self, event) -> None:
-        r = event.payload
-        self.host._begin_request(r)
-        rep = self.router.route(r, self.engine.now)
-        if not rep.arena.fits_at_all(r.seq_len,
-                                     r.seq_len + r.max_new_tokens):
-            # Could never be admitted even into an empty arena: shed
-            # instead of blocking the FIFO head forever.
-            self.host._shed(r, self.engine.now)
-            return
-        rep.enqueue(r)
-
-    def _on_retry(self, event) -> None:
-        r = event.payload
-        self.router.route(r, self.engine.now).enqueue(r)
+        if self.metrics is not None:
+            self.metrics.gauge("serving_response_throughput",
+                               system=result.system).set(throughput)
+            self.metrics.gauge("generation_goodput_tokens_per_s",
+                               system=result.system).set(
+                result.goodput_tokens_per_s
+            )
+            if result.prefill_chunks or result.stall_s:
+                self.metrics.gauge("gen_overlap_saved_s",
+                                   system=result.system).set(
+                    result.overlap_saved_s
+                )
+                self.metrics.gauge("gen_prefill_stall_s",
+                                   system=result.system).set(result.stall_s)
+            if result.prefix_hits:
+                self.metrics.gauge("gen_prefill_flops_saved",
+                                   system=result.system).set(
+                    result.prefill_flops_saved
+                )
+        return result
 
 
-class ContinuousBatchingServer(_GenLoopBase):
+class ContinuousBatchingServer:
     """Iteration-level decode loop with KV-cache-aware admission: the
     generation driver over one :class:`GenReplica`."""
 
@@ -1092,10 +1061,11 @@ class ContinuousBatchingServer(_GenLoopBase):
         resilience: Optional["ResilienceConfig"] = None,
     ) -> None:
         config = config or ContinuousBatchingConfig()
-        super().__init__(runtime, tracer, metrics, system_name,
-                         config.warmup_fraction)
         self.arena = arena
         self.config = config
+        self.tracer = tracer
+        self.metrics = metrics
+        self.system_name = system_name
         self.resilience = resilience
         self.replica = GenReplica(0, runtime, arena, config)
 
@@ -1126,7 +1096,8 @@ class ContinuousBatchingServer(_GenLoopBase):
         loop always drains, and saturation is judged from the backlog at
         the horizon.
         """
-        return _GenDriver(self, [self.replica], self.resilience).serve(
+        return _GenDriver([self.replica], self.tracer, self.metrics,
+                          self.system_name, self.resilience).serve(
             requests, duration_s)
 
 
@@ -1147,15 +1118,77 @@ def request_level_cost_fn(runtime, est_new_tokens: int = 16) -> CostFn:
     return cost
 
 
-class RequestLevelGenerationServer(_GenLoopBase):
+class _RequestLevelReplica(GenReplica):
+    """A :class:`GenReplica` under the request-level rule.
+
+    Only an idle replica (no live decoder) admits.  An empty round drains
+    the whole queue once through the DP scheduler; the round's batches
+    are then admitted one at a time, in DP order, each prefilled together
+    and decoded at its full width until its longest member finishes.  If
+    the KV gate denies a member, it and the rest of its batch stay at the
+    round's head as one batch — an idle arena admits anything that passed
+    ``fits_at_all`` at ingest, so every admission makes progress.
+    """
+
+    def __init__(self, runtime, arena: KVCacheArena,
+                 config: ContinuousBatchingConfig, scheduler: BatchScheduler,
+                 cost_fn: CostFn) -> None:
+        super().__init__(0, runtime, arena, config)
+        self.scheduler = scheduler
+        self.cost_fn = cost_fn
+
+    def bind(self, driver: Optional[_GenDriver],
+             faults: Optional[EngineFaultInjector], breaker) -> None:
+        super().bind(driver, faults, breaker)
+        #: The current round's batches not yet admitted, in DP order.
+        self.batches: Deque[List[GenRequest]] = deque()
+        #: Width and padded prompt length of the batch decoding now.
+        self._width = self._padded = 0
+
+    def admit(self, now: float) -> List[GenRequest]:
+        if self.active:
+            return []
+        if not self.batches:
+            if not self.queue:
+                return []
+            taken = list(self.queue)
+            self.queue.clear()
+            self.batches.extend(
+                list(batch.requests) for batch in self.scheduler.schedule(
+                    taken, self.cost_fn, self.config.max_batch))
+        batch = self.batches.popleft()
+        admitted: List[GenRequest] = []
+        for r in batch:
+            if not self.arena.admit(r.req_id, r.seq_len,
+                                    r.seq_len + r.max_new_tokens):
+                self.batches.appendleft(batch[len(admitted):])
+                break
+            admitted.append(r)
+            self._cached_len[r.req_id] = 0
+            self.admission_order.append(r.req_id)
+        assert admitted, "an idle arena denied the round's head"
+        self._width = len(admitted)
+        self._padded = max(r.seq_len for r in admitted)
+        return admitted
+
+    def _decode_shape(self) -> Tuple[int, int]:
+        """Full batch width — retired slots are still charged — and KV
+        padded to the batch's longest prompt plus the step (members
+        decode in lockstep)."""
+        return self._width, self._padded + self.active[0].generated
+
+
+class RequestLevelGenerationServer:
     """Request-granularity control: batches formed once, run to the longest.
 
+    The generation driver over one replica under the request-level rule.
     The decode batch keeps its full width until the **longest** member
     finishes — retired slots are still charged (the padded-slot work
     iteration-level batching eliminates) — and arrivals during a round
     wait for the next one.  Members' responses are released at their own
     completion step, so the latency gap vs. continuous batching comes from
-    queueing and admission, not from response buffering.
+    queueing and admission, not from response buffering.  ``arena`` is
+    the KV budget, as for :class:`ContinuousBatchingServer`.
     """
 
     name = "request-level"
@@ -1163,6 +1196,7 @@ class RequestLevelGenerationServer(_GenLoopBase):
     def __init__(
         self,
         runtime,
+        arena: KVCacheArena,
         scheduler: Optional[BatchScheduler] = None,
         max_batch: int = 8,
         est_new_tokens: int = 16,
@@ -1171,96 +1205,18 @@ class RequestLevelGenerationServer(_GenLoopBase):
         metrics: Optional[MetricsRegistry] = None,
         system_name: str = "Turbo-DP-Request",
     ) -> None:
-        if max_batch <= 0:
-            raise ValueError(f"max_batch must be positive, got {max_batch}")
-        super().__init__(runtime, tracer, metrics, system_name,
-                         warmup_fraction)
-        self.scheduler = scheduler if scheduler is not None \
-            else PrunedDPBatchScheduler()
-        self.max_batch = max_batch
-        self.cost_fn = request_level_cost_fn(runtime, est_new_tokens)
+        self.tracer = tracer
+        self.metrics = metrics
+        self.system_name = system_name
+        self.replica = _RequestLevelReplica(
+            runtime, arena,
+            ContinuousBatchingConfig(max_batch=max_batch,
+                                     warmup_fraction=warmup_fraction),
+            scheduler if scheduler is not None else PrunedDPBatchScheduler(),
+            request_level_cost_fn(runtime, est_new_tokens),
+        )
 
     def serve(self, requests: Sequence[GenRequest],
               duration_s: Optional[float] = None) -> GenServingMetrics:
-        if not requests:
-            raise ValueError("need at least one request to simulate")
-        arrivals: List[GenRequest] = sorted(requests, key=lambda r: r.arrival_s)
-        horizon = duration_s if duration_s is not None else arrivals[-1].arrival_s
-        if horizon <= 0:
-            raise ValueError(f"duration must be positive, got {horizon}")
-        if self._trace_on:
-            self.tracer.thread_name("gpu", "gpu (prefill + decode steps)")
-
-        engine = Engine(instrumentation=EngineInstrumentation(
-            self.tracer, self.metrics))
-        queue: List[GenRequest] = []
-        busy = 0.0
-        decode_steps = prefills = tokens = 0
-
-        def on_arrival(event) -> None:
-            r = event.payload
-            self._begin_request(r)
-            queue.append(r)
-
-        engine.arrivals(arrivals, on_arrival)
-
-        while True:
-            while queue:
-                # One scheduling round over the whole queue (hungry policy).
-                taken, queue[:] = list(queue), []
-                batches = self.scheduler.schedule(taken, self.cost_fn,
-                                                  self.max_batch)
-                for batch in batches:
-                    b = batch.size
-                    padded = batch.padded_len
-                    started = engine.now
-                    prefill_s = self.runtime.prefill_latency(b, padded)
-                    self.runtime.trace_prefill(self.tracer, started,
-                                               prefill_s, b, padded)
-                    busy += _window_overlap(started, prefill_s, horizon)
-                    clock = engine.advance(prefill_s)
-                    prefills += 1
-                    survivors: List[GenRequest] = []
-                    for r in batch.requests:
-                        r.start_s = started
-                        r.generated = 1
-                        r.first_token_s = clock
-                        tokens += 1
-                        if r.generated >= r.max_new_tokens:
-                            self._complete(r, clock)
-                        else:
-                            survivors.append(r)
-                    # Decode to the longest member at FULL width: finished
-                    # slots idle but are still paid for.
-                    step = 1
-                    while survivors:
-                        past = padded + step
-                        step_start = engine.now
-                        step_s = self.runtime.decode_step_latency(b, past)
-                        self.runtime.trace_decode_stride(
-                            self.tracer, step_start, step_s, b, past,
-                            tokens=len(survivors),
-                        )
-                        busy += _window_overlap(step_start, step_s, horizon)
-                        clock = engine.advance(step_s)
-                        decode_steps += 1
-                        tokens += len(survivors)
-                        step += 1
-                        nxt: List[GenRequest] = []
-                        for r in survivors:
-                            r.generated += 1
-                            if r.generated >= r.max_new_tokens:
-                                self._complete(r, clock)
-                            else:
-                                nxt.append(r)
-                        survivors = nxt
-                    # Arrivals during this batch queued up for the NEXT
-                    # round — the head-of-line blocking continuous
-                    # batching removes.
-            if not engine.pending:
-                break
-            engine.step_due()
-
-        return self._finalize(arrivals, horizon, engine.now, busy,
-                              decode_steps, prefills, tokens, kv_denials=0,
-                              kv_peak_bytes=0)
+        return _GenDriver([self.replica], self.tracer, self.metrics,
+                          self.system_name, None).serve(requests, duration_s)

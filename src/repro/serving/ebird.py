@@ -24,15 +24,6 @@ uniformly also keeps the progress-rate function continuous at the
 ``k = 1 -> 2`` boundary; a discontinuity there would let the simulator
 flip between regimes on ties and make results knife-edge sensitive to
 arrival jitter.
-
-Migration note (event engine): the loop now runs on
-:class:`repro.engine.Engine`.  Arrivals are ARRIVAL events; the earliest
-co-resident batch completion is a single WAKE timer that is cancelled and
-rescheduled whenever the processor-sharing rate changes (a batch joins or
-leaves).  Every event applies the elapsed progress since the previous
-event before mutating the active set, so the piecewise-linear
-remaining-work trajectories are identical to the old hand-rolled
-``min(next_arrival, next_completion)`` loop.
 """
 
 from __future__ import annotations
@@ -42,7 +33,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..engine import Engine, EngineFaultInjector, EventKind
 from .metrics import LatencyStats, ServingMetrics, response_throughput
-from .request import Request, RequestState, make_batch
+from .request import Request, RequestState, arrival_window, make_batch
 from .scheduler import CostFn
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -80,16 +71,11 @@ def simulate_ebird_serving(
     recovery, and transient failures strike at batch completion.  Ebird
     has no retry machinery, so failed requests are terminal.
     """
-    if not requests:
-        raise ValueError("need at least one request to simulate")
     if max_streams <= 0:
         raise ValueError(f"max_streams must be positive, got {max_streams}")
     if not 0.0 < efficiency <= 1.0:
         raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
-    arrivals = sorted(requests, key=lambda r: r.arrival_s)
-    horizon = duration_s if duration_s is not None else arrivals[-1].arrival_s
-    if horizon <= 0:
-        raise ValueError(f"duration must be positive, got {horizon}")
+    arrivals, horizon = arrival_window(requests, duration_s)
 
     engine = Engine()
     inj = (EngineFaultInjector(faults, server_id)

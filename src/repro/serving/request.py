@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, \
+    TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.faults import EngineFaultInjector
@@ -125,6 +127,29 @@ class Request:
         if _resolve_hooks:
             for hook in list(_resolve_hooks):
                 hook(self, state, faults)
+
+
+R = TypeVar("R", bound=Request)
+
+
+def arrival_window(requests: Sequence[R],
+                   duration_s: Optional[float]) -> Tuple[List[R], float]:
+    """The prologue every serving driver shares: the requests in arrival
+    order and the offered-load horizon — ``duration_s``, or the last
+    arrival when ``None``."""
+    if not requests:
+        raise ValueError("need at least one request to simulate")
+    arrivals = sorted(requests, key=attrgetter("arrival_s"))
+    if duration_s is None:
+        duration_s = arrivals[-1].arrival_s
+        if duration_s <= 0:
+            raise ValueError(
+                "duration_s is required when every request arrives at t=0 "
+                "(the default horizon is the last arrival)"
+            )
+    if duration_s <= 0:
+        raise ValueError(f"duration must be positive, got {duration_s}")
+    return arrivals, duration_s
 
 
 @dataclass(frozen=True)

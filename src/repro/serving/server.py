@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..engine import Engine, EngineFaultInjector, EngineInstrumentation, \
@@ -82,7 +81,8 @@ from .metrics import (
 )
 from .mq import MessageQueue
 from .policies import HungryPolicy, LazyPolicy, TriggerPolicy
-from .request import Batch, Request, RequestState, make_batch
+from .request import Batch, Request, RequestState, arrival_window, \
+    make_batch
 from .router import Router, RoutingPolicy, other_replica_up
 from .scheduler import BatchScheduler, CostFn, batch_execution_cost, observe_round
 
@@ -553,13 +553,7 @@ class _BatchDriver:
 
     def serve(self, requests: Sequence[Request], duration_s: Optional[float],
               system: str) -> ServingMetrics:
-        if not requests:
-            raise ValueError("need at least one request to simulate")
-        arrivals: List[Request] = sorted(requests, key=attrgetter("arrival_s"))
-        horizon = duration_s if duration_s is not None \
-            else arrivals[-1].arrival_s
-        if horizon <= 0:
-            raise ValueError(f"duration must be positive, got {horizon}")
+        arrivals, horizon = arrival_window(requests, duration_s)
         self.arrivals = arrivals
         self.horizon = horizon
         engine = self.engine

@@ -192,7 +192,7 @@ class TestContinuousLoop:
 class TestRequestLevelControl:
     def test_everything_completes(self, runtime):
         requests = workload(100.0, 0.5)
-        m = RequestLevelGenerationServer(runtime).serve(
+        m = RequestLevelGenerationServer(runtime, make_arena()).serve(
             requests, duration_s=0.5)
         assert m.completed == len(requests)
         for r in requests:
@@ -202,7 +202,7 @@ class TestRequestLevelControl:
         """The padded-slot waste continuous batching removes: a batch of
         (3, 21) output budgets decodes 20 steps at width 2."""
         requests = gen_reqs([(8, 0.0, 21), (8, 0.0, 3)])
-        RequestLevelGenerationServer(runtime, max_batch=2).serve(
+        RequestLevelGenerationServer(runtime, make_arena(), max_batch=2).serve(
             requests, duration_s=0.1)
         expected = runtime.prefill_latency(2, 8) + sum(
             runtime.decode_step_latency(2, 8 + step + 1)
@@ -211,7 +211,7 @@ class TestRequestLevelControl:
 
     def test_members_release_at_own_step(self, runtime):
         requests = gen_reqs([(8, 0.0, 21), (8, 0.0, 3)])
-        RequestLevelGenerationServer(runtime, max_batch=2).serve(
+        RequestLevelGenerationServer(runtime, make_arena(), max_batch=2).serve(
             requests, duration_s=0.1)
         assert requests[1].completion_s < requests[0].completion_s
 
@@ -220,6 +220,48 @@ class TestRequestLevelControl:
         assert fn(16, 2) == runtime.generate_latency(16, 8, 2)
         with pytest.raises(ValueError):
             request_level_cost_fn(runtime, est_new_tokens=0)
+
+    def test_kv_gate_splits_a_batch(self, runtime):
+        """Eight 30-token prompts with 12-token budgets form one DP batch,
+        but a 160-token arena holds only three worst-case regions: the
+        gate splits the batch, the rest waits at the round's head, and
+        every member still completes with no region left behind."""
+        arena = KVCacheArena(capacity_bytes=160 * BPT, bytes_per_token=BPT,
+                             page_tokens=8)
+        requests = gen_reqs([(30, 0.0, 12)] * 8)
+        m = RequestLevelGenerationServer(runtime, arena).serve(
+            requests, duration_s=0.1)
+        assert m.kv_denials > 0
+        assert m.completed == 8
+        assert all(r.generated == 12 for r in requests)
+        assert arena.verify(live_req_ids=[]) == []
+
+    def test_trace_and_metrics_reconcile(self, runtime):
+        """The control reports through the replica's channels: one
+        ``gen_decode_steps_total`` tick per decode step, decode spans on
+        the ``gpu`` track carrying the live members as ``tokens`` while
+        the charged width stays the full batch."""
+        registry, tracer = MetricsRegistry(), Tracer()
+        requests = gen_reqs([(8, 0.0, 21), (8, 0.0, 3), (12, 0.001, 5)])
+        m = RequestLevelGenerationServer(
+            runtime, make_arena(metrics=registry), max_batch=2,
+            tracer=tracer, metrics=registry,
+        ).serve(requests, duration_s=0.1)
+        assert registry.counter("gen_decode_steps_total",
+                                system="Turbo-DP-Request").value \
+            == m.decode_steps
+        assert registry.counter("gen_tokens_total",
+                                system="Turbo-DP-Request").value \
+            == m.tokens_generated - m.completed
+        decodes = [e for e in tracer.to_dict()["traceEvents"]
+                   if e.get("cat") == "decode"]
+        assert len(decodes) == m.decode_steps
+        assert {e["tid"] for e in decodes} == {"gpu"}
+        # The (21, 3) batch decodes 20 steps at width 2; only the first
+        # two carry both members.
+        tokens = [e["args"]["tokens"] for e in decodes
+                  if e["args"]["batch"] == 2]
+        assert tokens == [2, 2] + [1] * 18
 
 
 class TestContinuousBeatsRequestLevel:
@@ -231,7 +273,7 @@ class TestContinuousBeatsRequestLevel:
         cont = ContinuousBatchingServer(runtime, make_arena()).serve(
             workload(rate, duration, seed=1, mean_new=16.0),
             duration_s=duration)
-        rl = RequestLevelGenerationServer(runtime).serve(
+        rl = RequestLevelGenerationServer(runtime, make_arena()).serve(
             workload(rate, duration, seed=1, mean_new=16.0),
             duration_s=duration)
         assert cont.response_throughput > rl.response_throughput

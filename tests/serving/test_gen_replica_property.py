@@ -3,7 +3,10 @@
 Random arrivals (same-instant ones included), random fault plans (crash,
 latency spike, transient failures), 1–3 replicas, chunked prefill and the
 prefix cache on or off — every run must pass the engine-trace sanitizer
-with no ERROR, resolve every request, and leak no KV region.
+with no ERROR, resolve every request, and leak no KV region.  The
+request-level control (the same replica under the request-level rule)
+must do the same, fault-free, on an arena small enough that the KV gate
+splits its DP batches.
 """
 
 from hypothesis import HealthCheck, example, given, settings
@@ -28,6 +31,7 @@ from repro.serving import (
     ContinuousBatchingServer,
     GenRequest,
     KVPreemptionPolicy,
+    RequestLevelGenerationServer,
     simulate_generation_cluster,
 )
 
@@ -140,3 +144,18 @@ def test_replica_runs_are_sanitizer_clean(scenario):
     assert errors == []
     assert all(r.state.is_terminal for r in reqs)
     assert leaks == []
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(requests(), st.integers(1, 8))
+def test_request_level_runs_are_sanitizer_clean(reqs, max_batch):
+    kv = arena()
+    with EngineTraceRecorder() as rec:
+        RequestLevelGenerationServer(RUNTIME, kv, max_batch=max_batch).serve(
+            reqs, duration_s=0.1)
+    errors = [d for d in verify_trace(rec)
+              if d.severity is Severity.ERROR]
+    assert errors == []
+    assert all(r.state.is_terminal for r in reqs)
+    assert kv.verify(live_req_ids=[]) == []
