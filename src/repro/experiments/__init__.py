@@ -1,9 +1,13 @@
-"""Experiment harnesses: one module per paper table/figure (DESIGN.md §4)."""
+"""Experiment harnesses: one module per paper table/figure (DESIGN.md §4).
+
+The report generator, :mod:`repro.experiments.report`, is not imported
+here: it runs as ``python -m repro.experiments.report``, and importing it
+with the package would load it twice.
+"""
 
 from . import (
     fig5_batch_reduction,
     profile_breakdown,
-    report,
     fig6_allocation_example,
     fig7_allocator_comparison,
     fig8_batching_gain,
@@ -33,5 +37,4 @@ __all__ = [
     "gen_serving_throughput",
     "prefix_cache_sweep",
     "profile_breakdown",
-    "report",
 ]

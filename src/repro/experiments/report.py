@@ -8,7 +8,7 @@ included unless ``--quick`` is passed.
 
 from __future__ import annotations
 
-import sys
+import argparse
 import time
 from pathlib import Path
 from typing import List, Optional
@@ -79,13 +79,18 @@ def generate_report(include_serving: bool = True) -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    quick = "--quick" in args
-    if quick:
-        args.remove("--quick")
-    output = Path(args[0]) if args else Path(DEFAULT_OUTPUT)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments.report",
+        description="Regenerate every reproduced table and figure as one "
+                    "markdown report.")
+    parser.add_argument("output", nargs="?", default=DEFAULT_OUTPUT,
+                        help=f"report path (default {DEFAULT_OUTPUT})")
+    parser.add_argument("--quick", action="store_true",
+                        help="skip the slow serving experiments")
+    args = parser.parse_args(argv)
+    output = Path(args.output)
     started = time.time()  # repro: allow(DET402) -- progress print only
-    report = generate_report(include_serving=not quick)
+    report = generate_report(include_serving=not args.quick)
     output.write_text(report)
     print(f"wrote {output} ({len(report.splitlines())} lines, "
           f"{time.time() - started:.1f}s)")  # repro: allow(DET402)

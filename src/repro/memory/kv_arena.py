@@ -110,13 +110,19 @@ class KVRegion:
     req_id: int
     tokens: int             # KV positions written so far (prompt + generated)
     worst_case_tokens: int  # page-rounded bound the region may grow to
+    page_tokens: int        # the arena's page size (every page holds this)
     pages: List[KVPage] = field(default_factory=list)
     shared_tokens: int = 0  # immutable shared prefix (page-aligned)
 
     @property
     def reserved_tokens(self) -> int:
-        """Page-rounded footprint this region references (shared + private)."""
-        return sum(p.tokens for p in self.pages)
+        """Page-rounded footprint this region references (shared + private).
+
+        O(1): every page the arena builds holds ``page_tokens`` positions,
+        so this is the page count times the page size —
+        :meth:`KVCacheArena.verify` checks it against the page sum.
+        """
+        return len(self.pages) * self.page_tokens
 
 
 class KVCacheArena:
@@ -412,6 +418,7 @@ class KVCacheArena:
             req_id=req_id,
             tokens=tokens,
             worst_case_tokens=self._pages_tokens(max_total_tokens),
+            page_tokens=self.page_tokens,
             pages=pages,
             shared_tokens=shared,
         )
@@ -599,7 +606,9 @@ class KVCacheArena:
         * **refcount conservation** (MEM224): every resident page's
           refcount must equal the number of regions referencing it plus
           its index reference, no resident page may sit at refcount zero,
-          and the O(1) token counters must match a from-scratch recount;
+          and the O(1) token counters — each region's
+          ``reserved_tokens`` among them — must match a from-scratch
+          recount;
         * with ``live_req_ids`` given, the leak invariant: no region may
           outlive its request (after a completion, crash or preemption
           the region must be gone).  Chaos runs pass the set of requests
@@ -658,8 +667,16 @@ class KVCacheArena:
                     f"page {pid} is resident at refcount zero"
                 )
         resident = sum(p.tokens for p in self._pages.values())
-        growth = sum(r.worst_case_tokens - r.reserved_tokens
-                     for r in self._regions.values())
+        growth = 0
+        for region in self._regions.values():
+            reserved = sum(p.tokens for p in region.pages)
+            if region.reserved_tokens != reserved:
+                messages.append(
+                    f"region {region.req_id} reserved_tokens "
+                    f"{region.reserved_tokens} diverges from its page sum "
+                    f"{reserved} (accounting drift)"
+                )
+            growth += region.worst_case_tokens - reserved
         reclaimable = sum(p.tokens for p in self._pages.values()
                           if self._reclaimable(p))
         for name, fast, slow in (

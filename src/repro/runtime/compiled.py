@@ -13,7 +13,11 @@ resolution once per graph:
   copies of the same GEMM in a 12-layer encoder — are deduplicated into
   shared *cells*, so one evaluation prices all twelve;
 * nodes whose dims have no free symbols are constant-folded at compile
-  time.
+  time;
+* each cell records the free symbols it depends on, and :meth:`total`
+  memoises the cell's ``total_s`` by their values — a decode-step GEMM
+  over ``batch`` alone is priced once per batch width, not once per
+  ``(batch, past)`` shape.
 
 Evaluation is then a tight O(nodes) loop over cell results, feeding the
 resolved ints to the *same* pricing functions
@@ -63,6 +67,9 @@ LoweredDim = Tuple[int, Tuple[str, ...]]
 #: A compiled pricing cell: bindings -> canonical timing (no node name).
 CellEval = Callable[[DimBindings], KernelTiming]
 
+#: The free symbol names a cell's timing depends on, sorted.
+Symbols = Tuple[str, ...]
+
 
 def lower_product(value: DimProduct) -> LoweredDim:
     """Lower a dim attr (int | symbol | product sequence) to coefficients.
@@ -91,6 +98,11 @@ def lower_product(value: DimProduct) -> LoweredDim:
         else:
             names.append(part)
     return const, tuple(names)
+
+
+def _free_symbols(*lowered: LoweredDim) -> Symbols:
+    """Sorted union of the free symbol names of some lowered dims."""
+    return tuple(sorted({n for _, names in lowered for n in names}))
 
 
 def _dim_eval(lowered: LoweredDim) -> Callable[[DimBindings], int]:
@@ -142,7 +154,8 @@ class CompiledCostModel:
         self.node_count = len(nodes)
         self.evals = 0
         self._cells: List[CellEval] = []
-        self._cell_const: List[bool] = []
+        #: Per cell: the free symbols its timing depends on (sorted).
+        self._cell_symbols: List[Symbols] = []
         self._cell_index: Dict[Hashable, int] = {}
         #: Per node: index into ``_cells`` and the display name the
         #: interpretive path would stamp on this node's timing.
@@ -153,25 +166,30 @@ class CompiledCostModel:
             index = self._cell_index.get(key)
             if index is None:
                 index = len(self._cells)
-                fn, const = build()
-                if const:
+                fn, symbols = build()
+                if not symbols:
                     timing = fn({})  # constant-fold once at compile time
                     fn = lambda b, t=timing: t  # noqa: E731 - tiny thunk
                 self._cells.append(fn)
-                self._cell_const.append(const)
+                self._cell_symbols.append(symbols)
                 self._cell_index[key] = index
             self._node_cells.append(index)
             self._node_names.append(name)
         self.cell_count = len(self._cells)
         self.folded_nodes = sum(
-            1 for ci in self._node_cells if self._cell_const[ci]
+            1 for ci in self._node_cells if not self._cell_symbols[ci]
         )
+        #: Every free symbol of the graph.
+        self.symbols: Symbols = tuple(sorted(
+            {n for names in self._cell_symbols for n in names}))
+        self._cell_totals = [self._cell_total(fn, names) for fn, names
+                             in zip(self._cells, self._cell_symbols)]
 
     # -- compilation -------------------------------------------------------
 
     def _lower_node(
         self, node: OpNode
-    ) -> Tuple[Hashable, str, Callable[[], Tuple[CellEval, bool]]]:
+    ) -> Tuple[Hashable, str, Callable[[], Tuple[CellEval, Symbols]]]:
         """(dedup key, per-node display name, cell builder) for one node."""
         chars, device = self.chars, self.device
         if node.op_type.is_gemm:
@@ -179,12 +197,12 @@ class CompiledCostModel:
             batch = lower_product(node.attrs.get("batch", 1))
             name = f"gemm:{node.name}"
 
-            def build() -> Tuple[CellEval, bool]:
+            def build() -> Tuple[CellEval, Symbols]:
                 m, n, k = (_dim_eval(d) for d in dims)
                 bt = _dim_eval(batch)
-                const = all(not d[1] for d in dims) and not batch[1]
                 return (lambda b: price_gemm(m(b), n(b), k(b), bt(b), chars,
-                                             device, name), const)
+                                             device, name),
+                        _free_symbols(*dims, batch))
 
             return ("g", dims, batch), name, build
         if node.op_type in (OpType.SOFTMAX, OpType.LAYERNORM):
@@ -200,7 +218,7 @@ class CompiledCostModel:
 
     def _lower_reduction(
         self, op_type: OpType, name: str, attrs: Dict[str, Any]
-    ) -> Tuple[Hashable, str, Callable[[], Tuple[CellEval, bool]]]:
+    ) -> Tuple[Hashable, str, Callable[[], Tuple[CellEval, Symbols]]]:
         chars, device = self.chars, self.device
         rows = lower_product(attrs["rows"])
         row_len = lower_product(attrs["row_len"])
@@ -208,11 +226,11 @@ class CompiledCostModel:
         # price_reduction stamps f"{impl name}:{node name}" — the node name
         # is display-only, so cells may still be shared across nodes; the
         # cell carries the first sharer's name and timings() re-stamps.
-        def build() -> Tuple[CellEval, bool]:
+        def build() -> Tuple[CellEval, Symbols]:
             r, l = _dim_eval(rows), _dim_eval(row_len)
-            const = not rows[1] and not row_len[1]
             return (lambda b: price_reduction(r(b), l(b), op_type, name,
-                                              chars, device), const)
+                                              chars, device),
+                    _free_symbols(rows, row_len))
 
         impl = chars.reduction_impl.value
         prefix = ("softmax" if op_type is OpType.SOFTMAX else "layernorm")
@@ -222,7 +240,7 @@ class CompiledCostModel:
     def _lower_elementwise(
         self, op_type: OpType, name: str, attrs: Dict[str, Any],
         fused_region: bool = False,
-    ) -> Tuple[Hashable, str, Callable[[], Tuple[CellEval, bool]]]:
+    ) -> Tuple[Hashable, str, Callable[[], Tuple[CellEval, Symbols]]]:
         # Mirrors node_cost's per-type pass overlays, resolved at compile
         # time (see cost.elementwise_passes and the TRANSPOSE/EMBEDDING
         # branches of node_cost).
@@ -242,17 +260,17 @@ class CompiledCostModel:
         kname = f"elementwise:{name}"
         elem_bytes = chars.precision_bytes
 
-        def build() -> Tuple[CellEval, bool]:
+        def build() -> Tuple[CellEval, Symbols]:
             ne = _dim_eval(nelems)
             return (lambda b: price_elementwise(ne(b), reads, writes, flops,
                                                 device, kname, elem_bytes),
-                    not nelems[1])
+                    _free_symbols(nelems))
 
         return ("e", nelems, reads, writes, flops), kname, build
 
     def _lower_fused(
         self, node: OpNode
-    ) -> Tuple[Hashable, str, Callable[[], Tuple[CellEval, bool]]]:
+    ) -> Tuple[Hashable, str, Callable[[], Tuple[CellEval, Symbols]]]:
         lowered = []
         for op in node.attrs["fused_ops"]:
             op_type = OpType(op["op_type"])
@@ -269,10 +287,10 @@ class CompiledCostModel:
         name = f"fused:{node.name}"
         launch_s = self.device.launch_overhead_s
 
-        def build() -> Tuple[CellEval, bool]:
+        def build() -> Tuple[CellEval, Symbols]:
             built = [b() for _, _, b in lowered]
             parts = [fn for fn, _ in built]
-            const = all(c for _, c in built)
+            symbols = tuple(sorted({n for _, names in built for n in names}))
 
             def fn(b: DimBindings) -> KernelTiming:
                 compute_s = 0.0
@@ -284,10 +302,33 @@ class CompiledCostModel:
                 return KernelTiming(name=name, launch_s=launch_s,
                                     compute_s=compute_s, memory_s=memory_s)
 
-            return fn, const
+            return fn, symbols
 
         key = ("f", tuple(k for k, _, _ in lowered))
         return key, name, build
+
+    def _cell_total(self, fn: CellEval,
+                    names: Symbols) -> Callable[[DimBindings], float]:
+        """``bindings -> fn(bindings).total_s`` for :meth:`total`, memoised
+        by the values of the cell's own free symbols.  A constant cell is
+        read once; a cell bound by every symbol of the graph is priced on
+        each call, since a shape repeats only through the caller's shape
+        memo."""
+        if not names:
+            total_s = fn({}).total_s
+            return lambda b: total_s
+        if names == self.symbols:
+            return lambda b: fn(b).total_s
+        memo: Dict[Tuple[int, ...], float] = {}
+
+        def memoised(b: DimBindings) -> float:
+            key = tuple([b[n] for n in names])
+            total_s = memo.get(key)
+            if total_s is None:
+                total_s = memo[key] = fn(b).total_s
+            return total_s
+
+        return memoised
 
     # -- evaluation --------------------------------------------------------
 
@@ -319,16 +360,15 @@ class CompiledCostModel:
         float additions :meth:`repro.gpusim.Stream.submit` performs — so the
         result is bit-identical to draining :meth:`timings` through a
         Stream, without building the timing list or per-kernel breakdowns.
+        Each cell's ``total_s`` is memoised by the values of the symbols it
+        depends on (a decode-step GEMM over ``batch`` alone is priced once
+        per batch width, not once per ``(batch, past)`` shape).
         """
         self.evals += 1
-        totals: List[Optional[float]] = [None] * len(self._cells)
-        cells = self._cells
+        totals = [total(bindings) for total in self._cell_totals]
         elapsed = 0.0
         for ci in self._node_cells:
-            v = totals[ci]
-            if v is None:
-                v = totals[ci] = cells[ci](bindings).total_s
-            elapsed += v
+            elapsed += totals[ci]
         return elapsed, self.node_count
 
     def kernel_s(self, bindings: DimBindings) -> float:

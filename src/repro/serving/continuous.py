@@ -81,12 +81,16 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..engine import Engine, EngineFaultInjector, EngineInstrumentation, \
     EventKind
-from ..gpusim.multistream import StreamSchedule, execute_schedule
+# ``execute_schedule`` stays importable from here: perf/layers.py patches
+# ``continuous.execute_schedule``, although rounds are timed by
+# ``round_timing``.
+from ..gpusim.multistream import StreamSchedule, execute_schedule  # noqa: F401
 from ..memory.kv_arena import KVCacheArena
 from ..observability import MetricsRegistry, Tracer
 from ..runtime.chunked import PrefillChunker
 from .metrics import LatencyStats, ServingMetrics, response_throughput
 from .request import Request, RequestState, arrival_window
+from .rounds import RoundRecord, round_program, round_timing
 from .router import Router, RoutingPolicy, crashed, other_replica_up
 from .scheduler import BatchScheduler, CostFn, PrunedDPBatchScheduler
 
@@ -323,15 +327,22 @@ class GenReplica:
         self.active: List[GenRequest] = []
         self.running = False
         self.completed = 0
-        #: Per-round :class:`StreamSchedule` log of the run (chunked mode
-        #: only) — audited by the SCHED3xx race detector.
-        self.emitted_schedules: List[StreamSchedule] = []
+        #: One :class:`RoundRecord` per chunked round of the run.
+        self.round_log: List[RoundRecord] = []
         #: Successful admissions of the run, in order (req_ids; restores
         #: included).
         self.admission_order: List[int] = []
         #: Cached-prefix tokens attached at admission, consumed at the
         #: prefill commit (publish + recompute accounting).
         self._cached_len: Dict[int, int] = {}
+
+    @property
+    def emitted_schedules(self) -> List[StreamSchedule]:
+        """Per-round :class:`StreamSchedule` programs of the run (chunked
+        mode only), built from :attr:`round_log` on each read — audited by
+        the SCHED3xx race detector."""
+        page = self.arena.page_tokens
+        return [round_program(record, page)[0] for record in self.round_log]
 
     # -- routing view -----------------------------------------------------
 
@@ -527,12 +538,14 @@ class GenReplica:
         overlapped with decode steps on the ``decode`` stream.
 
         The round is planned first (chunk latencies, decode steps
-        starting strictly before the prefill finishes), encoded as a
-        :class:`StreamSchedule` with KV-page buffer annotations and the
-        chunk↔decode EventRecord/EventWait join, then *executed* on
-        per-stream virtual clocks — the resulting critical-path makespan
-        is the replica's busy window, not the serial sum.  Token effects
-        are identical to the serial path: the admitted set commits at the
+        starting strictly before the prefill finishes), logged as a
+        :class:`RoundRecord`, then timed on per-stream virtual clocks
+        (:func:`round_timing`, the closed form of executing the round's
+        stream program with its chunk↔decode join) — the critical-path
+        makespan is the replica's busy window, not the serial sum.  The
+        program itself, with its KV-page buffer annotations, is built
+        only when :attr:`emitted_schedules` is read.  Token effects are
+        identical to the serial path: the admitted set commits at the
         prefill's end, each decode step at its own.
         """
         d = self.driver
@@ -581,12 +594,15 @@ class GenReplica:
                 if r.generated + extra[r.req_id] < r.max_new_tokens:
                     nxt.append(r)
             dec = nxt
-        sched, durations = self._round_schedule(round_idx, admitted, chunks,
-                                                chunk_lats, steps)
-        self.emitted_schedules.append(sched)
-        # Execute on per-stream clocks: the makespan (critical path
-        # through the join) is the GPU's busy window for this round.
-        timing = execute_schedule(sched, durations)
+        self.round_log.append(RoundRecord(
+            round_idx,
+            tuple((r.req_id, self._cached_len[r.req_id],
+                   r.seq_len + r.generated) for r in admitted),
+            chunks, chunk_lats, steps,
+        ))
+        # Time the round's program on per-stream clocks: the makespan
+        # (critical path through the join) is the GPU's busy window.
+        timing = round_timing(chunk_lats, [step_s for _, step_s in steps])
         makespan = timing.makespan_s
         dur, cut = self._window(started, makespan)
         yield dur if cut is None else cut - started
@@ -594,11 +610,13 @@ class GenReplica:
             self._lose(admitted)
             return
         # Faults may stretch the window; scale internal span times so
-        # commit timestamps stay inside [started, now].
+        # commit timestamps stay inside [started, now].  Each stream's
+        # spans tile one interval from the round start, so the streams'
+        # union is the busy time.
         ratio = dur / makespan if makespan > 0 else 1.0
         d.busy_s += _merged_busy_in_horizon(
-            [(started + t.start_s * ratio, started + t.end_s * ratio)
-             for t in timing.spans], d.horizon,
+            [(started, started + timing.prefill_s * ratio),
+             (started, started + makespan * ratio)], d.horizon,
         )
         d.overlap_saved_s += timing.overlap_saved_s * ratio
         if dec:
@@ -609,14 +627,13 @@ class GenReplica:
         d.prefill_chunks += len(chunks)
         tracer = d.tracer if d.trace_on else None
         if tracer is not None:
-            for t in timing.spans:
-                if t.op.kernel == "batch.reform":
+            for kernel, stream, start, end in timing.spans():
+                if kernel == "batch.reform":
                     continue
                 tracer.complete(
-                    t.op.kernel, started + t.start_s * ratio,
-                    t.duration_s * ratio,
-                    tid=f"{self.gpu_tid}:{t.op.stream}",
-                    cat="prefill" if t.op.stream == "prefill" else "decode",
+                    kernel, started + start * ratio, (end - start) * ratio,
+                    tid=f"{self.gpu_tid}:{stream}",
+                    cat="prefill" if stream == "prefill" else "decode",
                     round=round_idx,
                 )
         # Commit decode-step effects at each step's end time.
@@ -638,60 +655,6 @@ class GenReplica:
                               system=d.system_name).inc()
             d.metrics.counter("gen_prefill_chunks_total",
                               system=d.system_name).inc(len(chunks))
-
-    def _round_schedule(self, round_idx: int, admitted: List[GenRequest],
-                        chunks, chunk_lats: List[float], steps,
-                        ) -> Tuple[StreamSchedule, Dict[str, float]]:
-        """Encode a round as an issue-order stream program.
-
-        Chunk launches write the admitted requests' KV pages; decode
-        launches append to the live requests' pages (disjoint request sets
-        — the overlap is race-free by construction); the EventRecord /
-        EventWait pair is the chunk↔decode join: the decode stream may not
-        re-form the batch around the newcomers (reading their freshly
-        written KV) until every prefill chunk has completed.
-        """
-        sched = StreamSchedule(name=f"round{round_idx}")
-        durations: Dict[str, float] = {}
-        for c, lat in zip(chunks, chunk_lats):
-            writes: List[str] = []
-            for r in admitted:
-                # Cached-prefix positions are already resident (the
-                # attached pages) — the pass never writes them.
-                lo = max(c.start, self._cached_len[r.req_id])
-                hi = min(c.end, r.seq_len + r.generated)
-                if lo < hi:
-                    writes.extend(self._kv_pages(r, lo, hi))
-            kernel = f"prefill.c{c.index}"
-            sched.launch(kernel, "prefill", reads=("weights",),
-                         writes=tuple(writes))
-            durations[kernel] = lat
-        done = f"prefill.done.{round_idx}"
-        sched.record(done, "prefill")
-        for j, (members, step_s) in enumerate(steps):
-            reads: List[str] = ["weights"]
-            writes = []
-            for r, cached in members:
-                reads.extend(self._kv_pages(r, max(0, cached - 1), cached))
-                writes.extend(self._kv_pages(r, cached, cached + 1))
-            kernel = f"decode.s{j}"
-            sched.launch(kernel, "decode", reads=tuple(reads),
-                         writes=tuple(writes))
-            durations[kernel] = step_s
-        sched.wait(done, "decode")
-        reform_reads = ["weights"]
-        for r in admitted:
-            length = r.seq_len + r.generated
-            reform_reads.extend(self._kv_pages(r, length - 1, length))
-        sched.launch("batch.reform", "decode", reads=tuple(reform_reads))
-        durations["batch.reform"] = 0.0
-        return sched, durations
-
-    def _kv_pages(self, r: GenRequest, lo: int, hi: int) -> List[str]:
-        """Logical page-buffer names backing token positions [lo, hi)."""
-        page = self.arena.page_tokens
-        return [f"kv/{r.req_id:08d}/p{p}"
-                for p in range(lo // page, (hi - 1) // page + 1)]
 
     # -- commits ----------------------------------------------------------
 
@@ -1075,9 +1038,10 @@ class ContinuousBatchingServer:
 
     @property
     def emitted_schedules(self) -> List[StreamSchedule]:
-        """Per-round :class:`StreamSchedule` log of the last ``serve()``
-        call (chunked mode only) — audited by the SCHED3xx race detector
-        via ``repro check --sanitize continuous`` and tests."""
+        """Per-round :class:`StreamSchedule` programs of the last
+        ``serve()`` call (chunked mode only), built from the round log on
+        read — audited by the SCHED3xx race detector via ``repro check
+        --sanitize continuous`` and tests."""
         return self.replica.emitted_schedules
 
     @property

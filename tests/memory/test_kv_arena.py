@@ -197,6 +197,19 @@ class TestPreemptionChurn:
         assert any("leak" in p for p in problems)
         assert a.verify(live_req_ids=[0, 1]) == []
 
+    def test_reserved_tokens_is_page_count_times_page_size(self):
+        a = arena(page_tokens=8)
+        a.admit(0, 9, 40)
+        region = a.region_of(0)
+        assert region.reserved_tokens == 16
+        a.append(0, 8)
+        assert region.reserved_tokens == 24 == sum(p.tokens
+                                                   for p in region.pages)
+        region.page_tokens = 4  # a region whose count drifts from its pages
+        problems = a.verify()
+        assert any("reserved_tokens 12 diverges from its page sum 24" in p
+                   for p in problems)
+
     def test_restore_unknown_vs_denied_are_distinct(self):
         a = arena(capacity_tokens=16, page_tokens=8)
         a.admit(0, 8, 16)

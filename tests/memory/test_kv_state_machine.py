@@ -8,8 +8,9 @@ keeps a dict of page refcounts, recomputes every admission gate from
 scratch and picks eviction victims with an O(n) scan for the minimum
 ``(last_used, page_id)`` over unpinned leaves.  After every step the two
 must agree on gate decisions, lookups, victims, refcounts and byte
-counters; ``verify()`` must be clean; and the slot pool's footprint must
-equal the peak number of distinct resident pages.
+counters; ``verify()`` must be clean; every live region's O(1)
+``reserved_tokens`` must equal its page sum; and the slot pool's
+footprint must equal the peak number of distinct resident pages.
 """
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -331,6 +332,11 @@ class KVArenaMachine(RuleBasedStateMachine):
         arena, ref = self.arena, self.ref
         assert arena.evicted == ref.victims
         assert arena.verify(live_req_ids=sorted(self.live)) == []
+        for req, region in ref.regions.items():
+            reserved = arena.region_of(req).reserved_tokens
+            assert reserved == sum(p.tokens
+                                   for p in arena.region_of(req).pages)
+            assert reserved == len(region.pages) * self.P
         indexed = ref.indexed()
         assert {pid: (p.refcount, p.in_index)
                 for pid, p in arena._pages.items()} == \
