@@ -1,0 +1,43 @@
+"""Sanitizer summaries of the generation scenarios are pinned byte for byte.
+
+``python -m repro check --sanitize <name> --format json --out X`` must
+write exactly ``golden_sanitize/<name>.json`` for the chunked
+prefix-cached ``continuous`` scenario and the ``gen-blackout`` and
+``gen-storm`` chaos scenarios.  The summary holds only integers: zero
+diagnostics, and the recorded trace's dispatch, resolve, request and
+arena-event counts.  A serving-loop change that adds or drops one
+engine dispatch, one request resolution or one KV ledger operation
+shows up here, even when every diagnostic still passes.
+
+Regenerate (only for an intentional behaviour change, with a note)::
+
+    PYTHONPATH=src python tests/analysis/test_sanitize_golden.py
+"""
+
+from pathlib import Path
+
+import pytest
+
+from repro.__main__ import main
+
+GOLDEN = Path(__file__).parent / "golden_sanitize"
+SCENARIOS = ("continuous", "gen-blackout", "gen-storm")
+
+
+def sanitize_json(name: str, out: Path) -> str:
+    assert main(["check", "--sanitize", name, "--format", "json",
+                 "--out", str(out)]) == 0
+    return out.read_text()
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_sanitize_summary_matches_golden(name, tmp_path, capsys):
+    got = sanitize_json(name, tmp_path / f"{name}.json")
+    capsys.readouterr()
+    assert got == (GOLDEN / f"{name}.json").read_text()
+
+
+if __name__ == "__main__":  # regenerate the golden files
+    for scenario in SCENARIOS:
+        sanitize_json(scenario, GOLDEN / f"{scenario}.json")
+    print(f"wrote {GOLDEN}")
