@@ -51,7 +51,8 @@ Busy windows
 marker WAKE at the end of the window, dispatches every event whose key
 sorts below ``(end, WAKE, seq)`` — arrivals land in queues at their true
 timestamps — and returns with the clock exactly on the window end.
-``run_until(t)`` does the same without fault stretching or a span.  The
+``run_until(t)`` does the same without fault stretching or a span; a
+lone serving replica runs its already-priced windows through it.  The
 marker never enters the heap, but it still counts as one WAKE dispatch:
 ``events_dispatched``, the instrumentation's per-kind counter and every
 dispatch hook see it, and its :class:`Event` is built only when one of
@@ -441,10 +442,12 @@ class Engine:
         """Dispatch every event due up to absolute time ``t`` and land the
         clock exactly there.
 
-        Unlike :meth:`advance` this is not a busy window: no fault
-        stretching, no span.  Serving loops use it to sleep out a crash
-        outage — arrivals and retries due inside still land in queues at
-        their true timestamps.
+        Unlike :meth:`advance` it neither stretches the window under
+        faults nor emits a span: the caller has already priced (and
+        stretched) it.  A lone serving replica — encoder or generation —
+        runs each busy window this way, a batch, a prefill, a chunked
+        round, a decode step or a crash outage, so arrivals and retries
+        due inside still land in queues at their true timestamps.
         """
         if t < self.now:
             raise EngineError(f"cannot run_until {t} < now {self.now}")

@@ -288,3 +288,54 @@ def format_gen_serving(
             + format_table(header, rows)
         )
     return "\n\n".join(blocks)
+
+
+#: ``bench --profile gen`` sweeps in report order: counter key, label.
+BENCH_GEN_SYSTEMS: Tuple[Tuple[str, str], ...] = (
+    ("request_level", "request-level DP"),
+    ("continuous", "continuous"),
+    ("continuous_chunked", "continuous + chunked"),
+)
+
+
+def format_gen_bench(counters: Dict[str, object]) -> str:
+    """The generation-serving comparison from ``bench --profile gen``
+    counters (``BENCH_gen.json`` ``counters.gen``): request-level DP vs
+    continuous vs chunked serving per rate, then the prefix cache at the
+    top rate per sharing ratio.  Rendered only from those point
+    summaries, so the report and the committed bench reconcile."""
+    header = ["req/s", "system", "done", "resp/s", "ttft avg ms",
+              "ttft p99 ms", "tpot avg ms", "tokens", "decode steps"]
+    rows = []
+    for rate in counters["rates"]:
+        for key, label in BENCH_GEN_SYSTEMS:
+            p = counters[key][str(rate)]
+            rows.append([
+                f"{rate:.0f}", label, f"{p['completed']}/{p['offered']}",
+                f"{p['response_throughput']:.1f}", f"{p['ttft_avg_ms']:.3f}",
+                f"{p['ttft_p99_ms']:.3f}", f"{p['tpot_ms_avg']:.3f}",
+                p["tokens"], p["decode_steps"],
+            ])
+    top = max(counters["rates"])
+    prefix_rows = []
+    for sharing, p in counters["continuous_prefix"].items():
+        prefix_rows.append([
+            sharing, f"{p['ttft_p99_ms_cache_off']:.3f}",
+            f"{p['ttft_p99_ms']:.3f}", f"{p['ttft_avg_ms']:.3f}",
+            f"{p['tpot_ms_avg']:.3f}", p["prefix_hits"],
+            p["prefix_tokens_reused"], p["decode_steps"],
+        ])
+    return "\n".join([
+        format_table(header, rows),
+        "",
+        f"continuous / request-level throughput at {top:.0f} req/s: "
+        f"{counters['throughput_gain_at_top_rate']:.3f}x; "
+        f"TTFT p99 continuous / chunked: "
+        f"{counters['ttft_p99_gain_at_top_rate']:.4f}x",
+        "",
+        f"prefix cache at {top:.0f} req/s (continuous, multi-tenant "
+        f"prompts; off vs on, same token streams):",
+        format_table(["sharing", "ttft p99 off ms", "ttft p99 on ms",
+                      "ttft avg on ms", "tpot avg on ms", "hits",
+                      "tokens reused", "decode steps"], prefix_rows),
+    ])

@@ -75,7 +75,23 @@ def generate_report(include_serving: bool = True) -> str:
             _section("Table 4 — serving latency at measured saturation rates",
                      format_table4(bench))
         )
+        sections.append(_gen_serving_section())
     return "\n".join(sections)
+
+
+def _gen_serving_section() -> str:
+    """Generation serving from the ``bench --profile gen`` counters — the
+    same point summaries ``BENCH_gen.json`` commits."""
+    from ..bench import PROFILES, run_bench
+    from .gen_serving_throughput import format_gen_bench
+
+    profile = PROFILES["gen"]
+    return _section(
+        f"Generation serving — request-level vs continuous, chunked and "
+        f"prefix-cached ({profile['gen_model']} GPT, RTX 2060, "
+        f"{profile['gen_duration_s']:g} s per point, "
+        f"bench --profile gen --seed 0)",
+        format_gen_bench(run_bench("gen", seed=0)["counters"]["gen"]))
 
 
 def main(argv: Optional[List[str]] = None) -> int:

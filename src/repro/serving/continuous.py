@@ -32,12 +32,11 @@ One replica, one driver
 :class:`GenReplica` is one GPU running the iteration-level loop.  It owns
 its KV arena, its optional radix prefix index, its queue and its active
 set, plus its fault injector and circuit breaker; its transitions are
-methods (admit, prefill round, decode step, evict, crash) and
-:meth:`GenReplica.run` is a cooperative :class:`repro.engine.Engine` task
-that yields its busy windows.  One driver schedules arrivals and retries,
-routes each to a replica, wakes idle replicas, keeps the per-request
-bookkeeping and finalizes the metrics.  Every generation system is that
-driver:
+methods (admit, prefill round, decode run, evict, crash) and
+:meth:`GenReplica.run` is a generator that yields its busy windows.  One
+driver schedules arrivals and retries, routes each to a replica, wakes
+idle replicas, keeps the per-request bookkeeping and finalizes the
+metrics.  Every generation system is that driver:
 
 * :class:`ContinuousBatchingServer` over one replica (a router with one
   choice);
@@ -67,6 +66,15 @@ The rules every replica follows:
   crashes and failed attempts, not for KV-pressure preemption;
 * **faults** — each replica stretches its own busy windows under its
   injector's latency spikes.
+
+The driver runs windows by the encoder's rule
+(:mod:`repro.serving.server`): a lone replica cannot overlap with
+another, so it runs its windows inline (``engine.run_until``) right
+after the WAKE that starts it; beside other replicas it is a
+cooperative :class:`repro.engine.Engine` task and each window end is a
+WAKE timer.  Both dispatch in the same order and count one WAKE for the
+idle-to-busy start and one per window.  A decode run steps the live
+batch back to back, one window per step, while the queue is empty.
 
 Everything is simulator-time and deterministic given the workload; costs
 come from :class:`~repro.runtime.GenerationRuntime` (prefill and per-step
@@ -290,9 +298,11 @@ class GenReplica:
     Owns its KV arena, its optional radix prefix index, its queue and its
     active (decoding) set; a driver binds it to one run's engine, fault
     injector and circuit breaker (:meth:`bind`).  :meth:`run` is the
-    replica's cooperative engine task: it admits from the queue, runs a
-    prefill round (serial, or chunked and overlapped with decode) or one
-    decode step, and yields each busy window until nothing is runnable.
+    replica's loop: it admits from the queue, runs a prefill round
+    (serial, or chunked and overlapped with decode) or a decode run, and
+    yields each busy window until nothing is runnable.  The driver runs
+    the windows inline when the replica serves alone, else as an engine
+    task.
     """
 
     def __init__(self, server_id: int, runtime, arena: KVCacheArena,
@@ -358,16 +368,14 @@ class GenReplica:
         if not self.running:
             self.running = True
             engine = self.driver.engine
-            engine.schedule(engine.now, EventKind.WAKE, self._start)
-
-    def _start(self, _event) -> None:
-        self.driver.engine.spawn(self.run(),
-                                 name=f"gen-replica{self.server_id}")
+            engine.schedule(engine.now, EventKind.WAKE, self.driver.start,
+                            self)
 
     # -- the loop ---------------------------------------------------------
 
     def run(self):
-        """Drive the GPU until nothing is runnable (a cooperative task)."""
+        """Drive the GPU until nothing is runnable, yielding the length of
+        each busy window."""
         engine = self.driver.engine
         while True:
             now = engine.now
@@ -385,7 +393,7 @@ class GenReplica:
                     yield from self.prefill(admitted)
                 continue
             if self.active:
-                yield from self.decode_step()
+                yield from self.decode_run()
                 continue
             # Nothing runnable.  (Fault-free, a non-empty queue here is
             # impossible: an empty arena admits anything that passed
@@ -512,26 +520,45 @@ class GenReplica:
         return len(self.active), max(r.seq_len + r.generated
                                      for r in self.active)
 
-    def decode_step(self):
-        """One decode step over the live batch at :meth:`_decode_shape`."""
+    def decode_run(self):
+        """Decode steps back to back over the live batch while the queue
+        is empty, so admission would take nothing.  Each step is one busy
+        window at :meth:`_decode_shape` and commits at its own end; the
+        shape is recomputed only when a member finishes — otherwise every
+        member gained one token, so ``past`` grows by one.  A step needs
+        no crash check before the next: a crash starting inside a step or
+        at its end cuts that step (:meth:`_window`), so a step that
+        completes never ends inside a crash window."""
         d = self.driver
+        engine = d.engine
+        runtime = self.runtime
         b, past = self._decode_shape()
-        started = d.engine.now
-        step_s = self.runtime.decode_step_latency(b, past)
-        self.runtime.trace_decode_stride(d.tracer, started, step_s, b, past,
-                                         tokens=len(self.active),
-                                         tid=self.gpu_tid)
-        dur, cut = self._window(started, step_s)
-        yield dur if cut is None else cut - started
-        if cut is not None:
-            self._lose(self.active)
-            self.active = []
-            return
-        d.busy_s += _window_overlap(started, dur, d.horizon)
-        self._commit_decode(self.active, d.engine.now)
-        self.active = [r for r in self.active
-                       if r.generated < r.max_new_tokens]
-        self._trace_kv()
+        while True:
+            started = engine.now
+            step_s = runtime.decode_step_latency(b, past)
+            runtime.trace_decode_stride(d.tracer, started, step_s, b, past,
+                                        tokens=len(self.active),
+                                        tid=self.gpu_tid)
+            dur, cut = self._window(started, step_s)
+            yield dur if cut is None else cut - started
+            if cut is not None:
+                self._lose(self.active)
+                self.active = []
+                return
+            d.busy_s += _window_overlap(started, dur, d.horizon)
+            now = engine.now
+            if self._commit_decode(self.active, now):
+                self.active = [r for r in self.active
+                               if r.generated < r.max_new_tokens]
+                self._trace_kv()
+                if not self.active:
+                    return
+                b, past = self._decode_shape()
+            else:
+                self._trace_kv()
+                past += 1
+            if self.queue:
+                return
 
     def overlapped_round(self, admitted: List[GenRequest]):
         """One chunked round: prefill chunks on the ``prefill`` stream
@@ -695,16 +722,19 @@ class GenReplica:
             else:
                 self.active.append(r)
 
-    def _commit_decode(self, members: List[GenRequest], end: float) -> None:
+    def _commit_decode(self, members: List[GenRequest], end: float) -> int:
         """Commit one decode step ending at ``end``: every member gains a
-        token; finished ones complete, the rest append it to their KV."""
+        token; finished ones complete, the rest append it to their KV.
+        Returns how many members finished."""
         d = self.driver
         d.decode_steps += 1
         d.tokens += len(members)
+        finished = 0
         for r in members:
             r.generated += 1
             if r.generated >= r.max_new_tokens:
                 self._complete(r, end)
+                finished += 1
             else:
                 # The token just produced joins the KV cache and is
                 # attended to from the next step on.
@@ -714,6 +744,7 @@ class GenReplica:
                               system=d.system_name).inc()
             d.metrics.counter("gen_tokens_total",
                               system=d.system_name).inc(len(members))
+        return finished
 
     def _complete(self, r: GenRequest, now: float) -> None:
         self.driver.complete(r, now, self.faults)
@@ -814,6 +845,11 @@ class _GenDriver:
                  system_name: str,
                  resilience: Optional["ResilienceConfig"]) -> None:
         self.replicas = list(replicas)
+        #: A lone replica cannot overlap with another, so it runs its
+        #: busy windows inline; beside others each window is a task timer.
+        self.inline = len(self.replicas) == 1
+        #: The lone replica its idle-to-busy WAKE just started.
+        self._woken: Optional[GenReplica] = None
         self.runtime = self.replicas[0].runtime
         self.warmup_fraction = self.replicas[0].config.warmup_fraction
         self.tracer = tracer
@@ -864,9 +900,32 @@ class _GenDriver:
                                             f"{tid} stream: prefill chunks")
                     self.tracer.thread_name(f"{tid}:decode",
                                             f"{tid} stream: decode steps")
-        self.engine.arrivals(arrivals, self._on_arrival)
-        self.engine.run()
+        engine = self.engine
+        engine.arrivals(arrivals, self._on_arrival)
+        if self.inline:
+            # The lone replica runs each busy period right after the WAKE
+            # that starts it; every window — prefill, round, decode step
+            # or crash outage — goes through ``run_until``, so arrivals
+            # and retries due inside land at their true timestamps.
+            while engine.step() is not None:
+                rep = self._woken
+                if rep is not None:
+                    self._woken = None
+                    for delay in rep.run():
+                        engine.run_until(engine.now + delay)
+        else:
+            engine.run()
         return self._finalize(arrivals)
+
+    def start(self, event) -> None:
+        """The idle-to-busy WAKE of ``event.payload``: beside other
+        replicas it becomes an engine task; alone, :meth:`serve` runs it
+        once this dispatch completes."""
+        rep = event.payload
+        if self.inline:
+            self._woken = rep
+        else:
+            self.engine.spawn(rep.run(), name=f"gen-replica{rep.server_id}")
 
     # -- request bookkeeping ----------------------------------------------
 

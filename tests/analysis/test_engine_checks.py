@@ -102,6 +102,16 @@ class TestEngineTraceMutations:
         rec.dispatches = [(1, 0, 0.5, 1.0, 0)]
         assert codes(verify_engine_trace(rec)) == ["ENG502"]
 
+    def test_nested_dispatch_is_eng502(self):
+        # A handler that runs the clock on inside its own dispatch: its
+        # event reaches the observers only after the nested ones, late.
+        with EngineTraceRecorder() as rec:
+            engine = Engine()
+            engine.schedule(0.0, EventKind.WAKE,
+                            lambda _e: engine.run_until(1.0))
+            engine.run()
+        assert codes(verify_engine_trace(rec)) == ["ENG502"]
+
     def test_eng501_and_eng502_deduplicate_per_engine(self):
         rec = EngineTraceRecorder()
         rec.dispatches = [(1, 0, 1.0, 2.0, 0), (2, 0, 0.4, 2.0, 0),

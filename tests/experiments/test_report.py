@@ -1,5 +1,6 @@
 """Report generator (python -m repro.experiments.report)."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.gen_serving_throughput import format_gen_bench
 from repro.experiments.report import generate_report, main
 
-SRC = Path(__file__).resolve().parents[2] / "src"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src"
 
 
 def run_cli(*args, cwd):
@@ -69,3 +72,21 @@ class TestCli:
             main(["--quick", str(tmp_path / "a.md"), str(tmp_path / "b.md")])
         assert excinfo.value.code == 2
         assert list(tmp_path.iterdir()) == []
+
+
+class TestGenerationServingSection:
+    def test_committed_report_renders_the_committed_gen_bench(self):
+        """REPORT.md's generation section is the committed BENCH_gen.json
+        counters, rendered: the two reconcile by construction."""
+        counters = json.loads((ROOT / "BENCH_gen.json").read_text())
+        table = format_gen_bench(counters["counters"]["gen"])
+        assert f"```\n{table}\n```" in (ROOT / "REPORT.md").read_text()
+
+    def test_table_covers_every_system_and_sharing_ratio(self):
+        counters = json.loads((ROOT / "BENCH_gen.json").read_text())
+        table = format_gen_bench(counters["counters"]["gen"])
+        for label in ("request-level DP", "continuous + chunked",
+                      "prefix cache at 1200 req/s"):
+            assert label in table
+        for sharing in ("0.0", "0.5", "0.9"):
+            assert f"\n{sharing} " in table

@@ -1,19 +1,23 @@
 """Property test: one GenReplica loop under random traffic and faults.
 
-Random arrivals (same-instant ones included), random fault plans (crash,
-latency spike, transient failures), 1–3 replicas, chunked prefill and the
-prefix cache on or off — every run must pass the engine-trace sanitizer
-with no ERROR, resolve every request, and leak no KV region.  The
-request-level control (the same replica under the request-level rule)
-must do the same, fault-free, on an arena small enough that the KV gate
-splits its DP batches.
+Random arrivals (same-instant ones included, and ones tied with the
+busy-window ends of the earliest instant's requests served alone),
+random fault plans (crash, latency spike, transient failures), 1–3
+replicas, chunked prefill and the prefix cache on or off — every run
+must pass the engine-trace sanitizer with no ERROR, resolve every
+request, and leak no KV region.  The request-level control (the same
+replica under the request-level rule) must do the same, fault-free, on
+an arena small enough that the KV gate splits its DP batches.
 """
+
+from dataclasses import replace
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.diagnostics import Severity
 from repro.analysis.engine_checks import EngineTraceRecorder, verify_trace
+from repro.engine import EventKind
 from repro.gpusim import RTX_2060
 from repro.memory import KVCacheArena, kv_bytes_per_token
 from repro.models import build_decode_step_graph, build_prefill_graph, tiny_gpt
@@ -46,8 +50,19 @@ HEADS = (tuple(range(1, 17)), tuple(range(101, 133)))
 times = st.floats(min_value=0.0, max_value=0.06, allow_nan=False)
 
 
+def window_ends(first: list, config: ContinuousBatchingConfig) -> list:
+    """Busy-window ends of the same-instant requests ``first`` served
+    alone by a fault-free replica: the WAKE instants after their arrival
+    (prefill or round, then each decode step)."""
+    with EngineTraceRecorder() as rec:
+        ContinuousBatchingServer(RUNTIME, arena(), config).serve(
+            [replace(r) for r in first], duration_s=0.1)
+    return sorted({t for _seq, _idx, _now, t, kind in rec.dispatches
+                   if kind == EventKind.WAKE and t > first[0].arrival_s})
+
+
 @st.composite
-def requests(draw):
+def requests(draw, config=ContinuousBatchingConfig()):
     # Arrival instants come from a small pool, so several requests often
     # share one instant.
     pool = draw(st.lists(times, min_size=1, max_size=4))
@@ -62,6 +77,16 @@ def requests(draw):
         out.append(GenRequest(req_id=i, seq_len=len(prompt),
                               arrival_s=arrival, max_new_tokens=new_tokens,
                               prompt_ids=prompt))
+    # Later requests may arrive exactly on a window end of the earliest
+    # instant's requests (served alone until the next arrival), so
+    # ordering at window boundaries — ARRIVAL and RETRY before the
+    # window's WAKE — is exercised.
+    t0 = min(r.arrival_s for r in out)
+    first = [r for r in out if r.arrival_s == t0]
+    ends = window_ends(first, config)
+    for r in out:
+        if r.arrival_s > t0 and ends and draw(st.booleans()):
+            r.arrival_s = draw(st.sampled_from(ends))
     return out
 
 
@@ -97,7 +122,8 @@ def scenarios(draw):
         prefix_cache=draw(st.booleans()),
         preemption=draw(st.none() | st.just(KVPreemptionPolicy(1))),
     )
-    return draw(requests()), replicas, config, draw(resilience(replicas))
+    return (draw(requests(config)), replicas, config,
+            draw(resilience(replicas)))
 
 
 def arena(_replica: int = 0) -> KVCacheArena:
