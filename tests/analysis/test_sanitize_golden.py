@@ -1,13 +1,16 @@
-"""Sanitizer summaries of the generation scenarios are pinned byte for byte.
+"""Sanitizer summaries of the serving scenarios are pinned byte for byte.
 
 ``python -m repro check --sanitize <name> --format json --out X`` must
-write exactly ``golden_sanitize/<name>.json`` for the chunked
-prefix-cached ``continuous`` scenario and the ``gen-blackout`` and
-``gen-storm`` chaos scenarios.  The summary holds only integers: zero
-diagnostics, and the recorded trace's dispatch, resolve, request and
-arena-event counts.  A serving-loop change that adds or drops one
-engine dispatch, one request resolution or one KV ledger operation
-shows up here, even when every diagnostic still passes.
+write exactly ``golden_sanitize/<name>.json`` for the generation
+scenarios (the chunked prefix-cached ``continuous`` one and the
+``gen-blackout`` and ``gen-storm`` chaos scenarios) and for the encoder
+ones (the ``smoke``, ``blackout`` and ``storm`` chaos scenarios and the
+``cluster``, ``ebird`` and ``oneshot`` serving scenarios).  The summary
+holds only integers: zero diagnostics, and the recorded trace's
+dispatch, resolve, request and arena-event counts.  A serving-loop
+change that adds or drops one engine dispatch, one request resolution
+or one KV ledger operation shows up here, even when every diagnostic
+still passes.
 
 Regenerate (only for an intentional behaviour change, with a note)::
 
@@ -21,7 +24,8 @@ import pytest
 from repro.__main__ import main
 
 GOLDEN = Path(__file__).parent / "golden_sanitize"
-SCENARIOS = ("continuous", "gen-blackout", "gen-storm")
+SCENARIOS = ("continuous", "gen-blackout", "gen-storm", "smoke", "blackout",
+             "storm", "cluster", "ebird", "oneshot")
 
 
 def sanitize_json(name: str, out: Path) -> str:
