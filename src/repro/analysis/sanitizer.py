@@ -105,12 +105,12 @@ def _run_ebird(seed: int) -> ScenarioOutcome:
     requests = generate_requests(100.0, 1.0, seed=seed)
     simulate_ebird_serving(
         requests, _linear_cost, max_streams=3, max_batch=8,
-        faults=FaultPlan(
+        resilience=ResilienceConfig(faults=FaultPlan(
             seed=seed,
             crashes=(ServerCrash(start_s=0.3, end_s=0.5, server_id=0),),
             spikes=(LatencySpike(start_s=0.6, end_s=0.8, multiplier=2.0,
                                  server_id=0),),
-        ),
+        )),
     )
     return ScenarioOutcome()
 

@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from ..engine import Engine, EngineFaultInjector, EngineInstrumentation, \
     EventKind
@@ -368,7 +368,8 @@ class _BatchDriver:
                  tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None, cache=None,
                  policy: RoutingPolicy = RoutingPolicy.LEAST_WORK,
-                 max_len: int = 512) -> None:
+                 max_len: int = 512,
+                 replica: Callable[..., BatchReplica] = BatchReplica) -> None:
         n = len(schedulers)
         if resilience is not None and resilience.degradation is not None \
                 and n > 1:
@@ -395,8 +396,8 @@ class _BatchDriver:
         # Replicas beside each other must not share the lazy policy's
         # per-round estimate.
         self.replicas = [
-            BatchReplica(i, self, scheduler,
-                         config.policy if n == 1 else copy.copy(config.policy))
+            replica(i, self, scheduler,
+                    config.policy if n == 1 else copy.copy(config.policy))
             for i, scheduler in enumerate(schedulers)]
         self.router = (None if n == 1
                        else Router(self.replicas, policy, max_len=max_len))

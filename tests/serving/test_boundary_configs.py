@@ -146,7 +146,7 @@ def run_ebird(case: Case):
     simulate_ebird_serving(reqs, encoder_cost,
                            max_batch=case.max_batch or 8,
                            duration_s=case.duration_s,
-                           faults=crash_plan(case) if case.crashed else None)
+                           resilience=resilience(case))
     return reqs, []
 
 

@@ -31,6 +31,7 @@ import pytest
 from repro.resilience import (
     FaultPlan,
     LatencySpike,
+    ResilienceConfig,
     ServerCrash,
     TransientFailures,
 )
@@ -47,8 +48,10 @@ def small_cost(seq_len: int, batch: int) -> float:
 def _serve(rate: float, duration_s: float, seed: int, cost,
            plan: Optional[FaultPlan] = None, **kwargs):
     reqs = generate_requests(rate, duration_s, seed=seed)
-    metrics = simulate_ebird_serving(reqs, cost, duration_s=duration_s,
-                                     faults=plan, **kwargs)
+    metrics = simulate_ebird_serving(
+        reqs, cost, duration_s=duration_s,
+        resilience=None if plan is None else ResilienceConfig(faults=plan),
+        **kwargs)
     return reqs, metrics
 
 
