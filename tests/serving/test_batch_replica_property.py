@@ -7,10 +7,17 @@ and the lazy trigger — every run must pass the engine-trace sanitizer
 with no ERROR and resolve every request.  A one-server ``simulate_cluster`` must equal
 ``simulate_serving`` on the same inputs: the same driver over the same
 single replica.
+
+The Ebird processor-sharing rule (1–4 streams, efficiency in (0.5, 1])
+runs under the same traffic and faults with the same requirements.
+With one stream at ``efficiency=1.0`` and no faults it is the naive
+scheduler one batch per round, so it must match ``simulate_serving``
+with ``NaiveBatchScheduler`` and ``round_limit=max_batch``.
 """
 
 from dataclasses import fields
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -29,10 +36,12 @@ from repro.serving import (
     DPBatchScheduler,
     HungryPolicy,
     LazyPolicy,
+    NaiveBatchScheduler,
     Request,
     RoutingPolicy,
     ServingConfig,
     simulate_cluster,
+    simulate_ebird_serving,
     simulate_serving,
 )
 from repro.serving.server import _BatchDriver
@@ -149,3 +158,36 @@ def test_one_server_cluster_equals_single_server(specs, res):
             assert getattr(cluster.serving, f.name) == \
                 getattr(served, f.name), f.name
     assert cluster.per_server_completed == [served.completed]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(requests(), resilience(1), st.integers(1, 4),
+       st.floats(0.5, 1.0, exclude_min=True))
+def test_ebird_runs_are_sanitizer_clean(specs, res, streams, efficiency):
+    reqs = build(specs)
+    with EngineTraceRecorder() as rec:
+        simulate_ebird_serving(reqs, cost, max_streams=streams,
+                               max_batch=MAX_BATCH, efficiency=efficiency,
+                               duration_s=HORIZON, resilience=res)
+    errors = [d for d in verify_trace(rec, retry=res.retry)
+              if d.severity is Severity.ERROR]
+    assert errors == []
+    assert all(r.state.is_terminal for r in reqs)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(requests())
+def test_one_stream_ebird_equals_naive_rounds(specs):
+    shared = build(specs)
+    simulate_ebird_serving(shared, cost, max_streams=1, max_batch=MAX_BATCH,
+                           efficiency=1.0, duration_s=HORIZON)
+    serial = build(specs)
+    simulate_serving(serial, NaiveBatchScheduler(), cost,
+                     ServingConfig(max_batch=MAX_BATCH, round_limit=MAX_BATCH),
+                     duration_s=HORIZON)
+    for a, b in zip(outcome(shared), outcome(serial)):
+        assert a[2] is b[2]
+        assert a[0] == pytest.approx(b[0], rel=1e-9)
+        assert a[1] == pytest.approx(b[1], rel=1e-9)

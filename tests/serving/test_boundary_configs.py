@@ -178,6 +178,18 @@ def test_one_page_capacity_sheds_at_ingest():
     assert leaks == []
 
 
+@pytest.mark.parametrize("driver", ["ebird", "encoder"])
+def test_lone_encoder_replica_waits_out_a_whole_horizon_crash(driver):
+    """With no other replica to take it, queued work waits out the
+    outage and completes after recovery, under processor sharing as under
+    the DP rounds."""
+    case = CASES["crashed-whole-horizon"]
+    reqs, _ = DRIVERS[driver](case)
+    assert {r.state.value for r in reqs} == {"completed"}
+    assert min(r.start_s for r in reqs) == case.duration_s
+    assert all(r.completion_s > case.duration_s for r in reqs)
+
+
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 def test_all_arrivals_at_zero_need_a_duration(driver):
     """With ``duration_s=None`` the horizon is the last arrival; when

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.serving import NoBatchScheduler, Request, simulate_ebird_serving, simulate_serving
+from repro.serving import (
+    NoBatchScheduler,
+    Request,
+    RequestState,
+    simulate_ebird_serving,
+    simulate_serving,
+)
 
 
 def cost(seq_len, batch):
@@ -94,12 +100,35 @@ class TestEbirdSimulation:
         mb = simulate_ebird_serving(b, cost, duration_s=0.2)
         assert ma.latency.avg_ms == mb.latency.avg_ms
 
-    @pytest.mark.parametrize("kwargs", [
-        {"max_streams": 0}, {"efficiency": 0.0}, {"efficiency": 1.5},
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"max_streams": 0}, "max_streams"), ({"efficiency": 0.0}, "efficiency"),
+        ({"efficiency": 1.5}, "efficiency"), ({"max_batch": 0}, "max_batch"),
+        ({"max_batch": -1}, "max_batch"),
     ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            simulate_ebird_serving(reqs([(10, 0.0)]), cost, **kwargs)
+    def test_validation(self, kwargs, match):
+        """A bad argument is refused up front, by name, before any
+        request is touched."""
+        requests = reqs([(10, 0.0), (20, 0.01)])
+        with pytest.raises(ValueError, match=match):
+            simulate_ebird_serving(requests, cost, duration_s=0.1, **kwargs)
+        assert all(r.start_s is None and r.completion_s is None
+                   and r.state is RequestState.PENDING and r.attempt == 0
+                   for r in requests)
+
+    def test_degradation_ladder_rejected(self):
+        from repro.resilience import (
+            DegradationController,
+            DegradationLadder,
+            DegradationRung,
+            ResilienceConfig,
+        )
+
+        ladder = DegradationLadder([DegradationRung("full", cost)])
+        with pytest.raises(ValueError, match="degradation"):
+            simulate_ebird_serving(
+                reqs([(10, 0.0)]), cost, duration_s=0.1,
+                resilience=ResilienceConfig(
+                    degradation=DegradationController(ladder)))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
