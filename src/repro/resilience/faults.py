@@ -160,8 +160,8 @@ class FaultPlan:
     def boundaries(self, server_id: int) -> Tuple[float, ...]:
         """Sorted unique window edges relevant to ``server_id``.
 
-        Rate-based simulators (e.g. the Ebird processor-sharing model)
-        schedule a wake-up at each boundary so piecewise-constant fault
+        Rate-based replicas (e.g. the Ebird processor-sharing one) end a
+        busy window at each boundary so piecewise-constant fault
         multipliers are applied segment by segment.
         """
         times = set()

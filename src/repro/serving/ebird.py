@@ -195,6 +195,8 @@ def simulate_ebird_serving(
     if resilience is not None and resilience.degradation is not None:
         raise ValueError("Ebird steps no degradation ladder; "
                          "resilience.degradation must be None")
+    # The replica forms its own FIFO batches, one per free stream: the
+    # naive scheduler's batches, drained ``max_batch`` at a time.
     driver = _BatchDriver(
         [NaiveBatchScheduler()], cost_fn, ServingConfig(max_batch=max_batch),
         resilience, replica=partial(EbirdReplica, max_streams=max_streams,

@@ -19,7 +19,9 @@ snapshot and the finalisation) runs on :class:`repro.engine.Engine`:
 :func:`simulate_serving` is that driver over one replica and
 :func:`repro.serving.simulate_cluster` the same driver over N behind the
 :class:`~repro.serving.router.Router` — the paper's picture of one
-server's scheduler repeated behind a Nexus-style balancer.  The rules
+server's scheduler repeated behind a Nexus-style balancer.
+:func:`repro.serving.simulate_ebird_serving` is the driver over one
+replica whose execution rule is processor sharing.  The rules
 every replica follows:
 
 * **per-instant rounds** — a round starts only once every event of its
@@ -360,7 +362,9 @@ class BatchReplica:
 class _BatchDriver:
     """One serving run over a set of :class:`BatchReplica`: the engine,
     the arrival and retry events, the router (beside other replicas),
-    request bookkeeping and the one finalisation."""
+    request bookkeeping and the one finalisation.  ``replica`` builds each
+    replica from ``(server_id, driver, scheduler, policy)``; a subclass
+    changes only how a replica executes (Ebird's processor sharing)."""
 
     def __init__(self, schedulers: Sequence[BatchScheduler], cost_fn: CostFn,
                  config: ServingConfig,
