@@ -2,8 +2,9 @@
 
 The repo's serving half used to carry four hand-rolled copies of the same
 virtual-time loop (the one-shot, continuous-batching, Ebird and cluster
-servers), and they diverged enough to harbor real bugs — epsilon time nudges, stale queue-depth traces,
-scheduling against the wrong cost model.  This module is the single
+servers), and they diverged enough to harbor real bugs — epsilon time
+nudges, stale queue-depth traces, scheduling against the wrong cost
+model.  This module is the single
 replacement: a virtual clock, an event heap plus an arrival stream with a
 *documented* deterministic ordering, and cooperative tasks/timers, so a server is just
 a set of event handlers plus plain code that occupies busy windows.  Two

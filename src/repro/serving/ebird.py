@@ -30,6 +30,7 @@ from functools import partial
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from .metrics import ServingMetrics
+from .policies import TriggerPolicy
 from .request import Batch, Request, RequestState, make_batch
 from .scheduler import CostFn, NaiveBatchScheduler
 from .server import BatchReplica, ServingConfig, _BatchDriver
@@ -75,7 +76,7 @@ class EbirdReplica(BatchReplica):
     """
 
     def __init__(self, server_id: int, driver: _BatchDriver,
-                 scheduler: NaiveBatchScheduler, policy, *,
+                 scheduler: NaiveBatchScheduler, policy: TriggerPolicy, *,
                  max_streams: int, efficiency: float) -> None:
         super().__init__(server_id, driver, scheduler, policy)
         self.max_streams = max_streams
