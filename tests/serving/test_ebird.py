@@ -100,16 +100,16 @@ class TestEbirdSimulation:
         mb = simulate_ebird_serving(b, cost, duration_s=0.2)
         assert ma.latency.avg_ms == mb.latency.avg_ms
 
-    @pytest.mark.parametrize("kwargs, match", [
-        ({"max_streams": 0}, "max_streams"), ({"efficiency": 0.0}, "efficiency"),
-        ({"efficiency": 1.5}, "efficiency"), ({"max_batch": 0}, "max_batch"),
-        ({"max_batch": -1}, "max_batch"),
+    @pytest.mark.parametrize("kwargs", [
+        {"max_streams": 0}, {"efficiency": 0.0}, {"efficiency": 1.5},
+        {"max_batch": 0}, {"max_batch": -1},
     ])
-    def test_validation(self, kwargs, match):
+    def test_validation(self, kwargs):
         """A bad argument is refused up front, by name, before any
         request is touched."""
+        (name,) = kwargs
         requests = reqs([(10, 0.0), (20, 0.01)])
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=name):
             simulate_ebird_serving(requests, cost, duration_s=0.1, **kwargs)
         assert all(r.start_s is None and r.completion_s is None
                    and r.state is RequestState.PENDING and r.attempt == 0
