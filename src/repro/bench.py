@@ -186,7 +186,13 @@ def _plan_workload(profile: Dict[str, object], seed: int):
     ]
 
 
-def _run_plans(allocator, workload, passes: int) -> Dict[str, object]:
+def _run_plans(allocator, workload, passes: int,
+               layouts: Optional[list] = None) -> Dict[str, object]:
+    """Serve ``workload`` ``passes`` times; counters of the outcomes.
+
+    With ``layouts``, also append each plan's per-tensor ``(chunk_id,
+    offset)`` map and the allocator's ``(chunk_id, size)`` chunk list.
+    """
     outcomes = []
     for _ in range(passes):
         for records in workload:
@@ -195,6 +201,12 @@ def _run_plans(allocator, workload, passes: int) -> Dict[str, object]:
                 (allocation.new_bytes, allocation.footprint_bytes,
                  allocation.peak_bytes, allocation.stall_s)
             )
+            if layouts is not None:
+                layouts.append((
+                    {name: (p.chunk_id, p.offset)
+                     for name, p in allocation.plan.placements.items()},
+                    [(c.chunk_id, c.size) for c in allocator.chunks],
+                ))
     return {
         "outcome_digest": _digest([list(o) for o in outcomes]),
         "plan_hits": allocator.plan_hits,
@@ -870,7 +882,9 @@ def verify_host_fast_path(seed: int = 0,
     * fast ``latency()`` vs. the seed double-``infer()`` path, bit-exact,
       across a shape grid including padding boundaries;
     * pruned DP partitions vs. ``DPBatchScheduler``, identical;
-    * plan-cached allocator vs. uncached, identical outcomes.
+    * plan-cached allocator vs. the uncached reference gap search:
+      identical outcomes, per-tensor ``(chunk_id, offset)`` and chunk
+      lists.
     """
     import random
 
@@ -933,10 +947,36 @@ def verify_host_fast_path(seed: int = 0,
     ref_alloc = TurboAllocator(DeviceMemory(), plan_cache=None,
                                gap_search="reference")
     fast_alloc = TurboAllocator(DeviceMemory(), plan_cache=PlanCache())
-    ref_out = _run_plans(ref_alloc, workload, passes=2)
-    fast_out = _run_plans(fast_alloc, workload, passes=2)
+    ref_layouts: list = []
+    fast_layouts: list = []
+    ref_out = _run_plans(ref_alloc, workload, 2, ref_layouts)
+    fast_out = _run_plans(fast_alloc, workload, 2, fast_layouts)
     if ref_out != fast_out:
         problems.append(
             f"allocator: plan-cache outcomes diverge: {ref_out} != {fast_out}"
         )
+    problems.extend(plan_layout_divergences(ref_layouts, fast_layouts))
+    return problems
+
+
+def plan_layout_divergences(want: list, got: list) -> List[str]:
+    """Per plan, the tensors whose ``(chunk_id, offset)`` differ and a
+    differing chunk list, between two ``_run_plans`` layout lists."""
+    problems: List[str] = []
+    if len(got) != len(want):
+        problems.append(f"allocator: {len(got)} plan(s) != {len(want)}")
+    for i, ((want_at, want_chunks), (got_at, got_chunks)) in enumerate(
+            zip(want, got)):
+        moved = sorted(name for name in want_at.keys() | got_at.keys()
+                       if want_at.get(name) != got_at.get(name))
+        if moved:
+            problems.append(
+                f"allocator: plan {i}: {len(moved)} tensor(s) placed "
+                f"differently, first {moved[0]!r} at "
+                f"{got_at.get(moved[0])} != {want_at.get(moved[0])}"
+            )
+        if got_chunks != want_chunks:
+            problems.append(
+                f"allocator: plan {i}: chunks {got_chunks} != {want_chunks}"
+            )
     return problems

@@ -70,8 +70,10 @@ class UsageRecordTemplates:
         position: Dict[int, int] = {n: p for p, n in enumerate(order)}
         producers = graph.producer_index()
         consumers = graph.consumer_indices()
-        #: (name, first_op, last_op, const_bytes, symbol names) per record.
-        self.templates: List[Tuple[str, int, int, int, Tuple[str, ...]]] = []
+        #: Per record: its size-independent fields (name, first_op,
+        #: last_op), the constant factor of its byte size and the names
+        #: of the symbols that multiply it.
+        self.templates: List[Tuple[Dict[str, object], int, Tuple[str, ...]]] = []
         for spec in graph.tensors.values():
             if spec.kind is not TensorKind.INTERMEDIATE:
                 continue
@@ -85,19 +87,35 @@ class UsageRecordTemplates:
                     symbols.append(dim)
                 else:
                     const *= resolve_dim(dim, {})  # validates the literal
-            self.templates.append(
-                (spec.name, first, last, const, tuple(symbols))
-            )
+            # Validate the lifetime once, here, by building a probe record.
+            TensorUsageRecord(name=spec.name, first_op=first, last_op=last,
+                              size=1)
+            self.templates.append((
+                {"name": spec.name, "first_op": first, "last_op": last},
+                const, tuple(symbols),
+            ))
 
     def evaluate(self, bindings: DimBindings) -> List[TensorUsageRecord]:
-        """Records under ``bindings`` — identical to the interpretive sweep."""
+        """Records under ``bindings`` — identical to the interpretive sweep.
+
+        Lifetimes were validated once, at compile time, so each record is
+        built without the dataclass ``__init__``/``__post_init__``; only
+        the size, the one field that depends on ``bindings``, is checked.
+        """
+        new = object.__new__
         out: List[TensorUsageRecord] = []
-        for name, first, last, const, symbols in self.templates:
+        for fields, const, symbols in self.templates:
             size = const
             for symbol in symbols:
                 size *= bindings[symbol]
-            out.append(TensorUsageRecord(name=name, first_op=first,
-                                         last_op=last, size=size))
+            if size <= 0:
+                raise ValueError(
+                    f"{fields['name']}: size must be positive, got {size}")
+            record = new(TensorUsageRecord)
+            attrs = record.__dict__
+            attrs.update(fields)
+            attrs["size"] = size
+            out.append(record)
         return out
 
     def __len__(self) -> int:

@@ -2,7 +2,14 @@
 
 from .base import BaseAllocator, RequestAllocation
 from .caching import CachingAllocator, round_block_size
-from .chunk import DEFAULT_CHUNK_SIZE, K_SCALE, Chunk, ChunkAssignment, new_chunk_size
+from .chunk import (
+    DEFAULT_CHUNK_SIZE,
+    K_SCALE,
+    Chunk,
+    ChunkAssignment,
+    best_fit,
+    new_chunk_size,
+)
 from .gsoc import GsocAllocator, gsoc_offsets
 from .kv_arena import (
     KVArenaError,
@@ -12,7 +19,7 @@ from .kv_arena import (
     kv_bytes_per_token,
 )
 from .naive import NaiveAllocator
-from .plan import AllocationPlan, Placement, PlanError, plan_from_chunks, validate_plan
+from .plan import AllocationPlan, Placement, PlanError, validate_plan
 from .prefix_index import RadixPrefixIndex
 from .plan_cache import (
     CachedPlan,
@@ -32,12 +39,12 @@ __all__ = [
     "ChunkAssignment",
     "DEFAULT_CHUNK_SIZE",
     "K_SCALE",
+    "best_fit",
     "new_chunk_size",
     "AllocationPlan",
     "Placement",
     "PlanError",
     "validate_plan",
-    "plan_from_chunks",
     "BaseAllocator",
     "RequestAllocation",
     "PlanCache",

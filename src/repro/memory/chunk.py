@@ -12,10 +12,12 @@ size_t``, which would only accept tensors *larger* than the remaining tail;
 the surrounding prose and Algorithm 1 make clear the intended condition is
 ``≥`` (the tail gap fits the tensor).  We implement the corrected form.
 
-The gap search dominates the serving simulator's host time (it runs once
-per record per chunk per request), so :meth:`Chunk.find_gap` scans a
-parallel list of plain-int tuples instead of the :class:`ChunkAssignment`
-dataclasses — same algorithm, no attribute/method dispatch per resident.
+The scan itself is :func:`best_fit`: it reads only the ``(offset, end)``
+spans of the residents whose lifetimes overlap the target, in offset
+order.  :meth:`Chunk.find_gap` selects those residents by a linear
+lifetime filter; the Algorithm 1 planner
+(:class:`~repro.memory.turbo.TurboAllocator`) selects them through a
+per-op occupancy index and feeds the same function.
 :meth:`Chunk.find_gap_reference` keeps the original object-walking form;
 the property tests assert both return identical offsets.
 """
@@ -24,7 +26,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .records import TensorUsageRecord
 
@@ -34,9 +37,11 @@ DEFAULT_CHUNK_SIZE = 2 * 1024 * 1024
 #: Paper Alg. 1 line 14: oversize tensors get a chunk of size * K_SCALE.
 K_SCALE = 1.2
 
+#: Sort/bisect key of a :class:`ChunkAssignment`: its offset.
+offset_of = attrgetter("offset")
 
-@dataclass(frozen=True)
-class ChunkAssignment:
+
+class ChunkAssignment(NamedTuple):
     """One tensor placed at ``offset`` within a chunk."""
 
     record: TensorUsageRecord
@@ -45,6 +50,31 @@ class ChunkAssignment:
     @property
     def end(self) -> int:
         return self.offset + self.record.size
+
+
+def best_fit(need: int, chunk_size: int,
+             spans: Iterable[Tuple[int, int]]) -> Optional[int]:
+    """Paper Algorithm 2 over the ``(offset, end)`` spans of the residents
+    whose lifetimes overlap the target, in offset order.
+
+    Returns the offset of the smallest interior gap that fits ``need``
+    bytes, else the tail offset if the tail fits, else None.  Residents
+    sharing an offset may come in any order: after the first, the gap
+    before the others is either negative or the same gap again.
+    """
+    smallest_gap: Optional[int] = None
+    best_offset: Optional[int] = None
+    prev_end = 0
+    for offset, end in spans:
+        gap = offset - prev_end
+        if need <= gap and (smallest_gap is None or gap < smallest_gap):
+            smallest_gap = gap
+            best_offset = prev_end
+        if end > prev_end:
+            prev_end = end
+    if best_offset is None and chunk_size - prev_end >= need:
+        best_offset = prev_end
+    return best_offset
 
 
 @dataclass
@@ -56,32 +86,21 @@ class Chunk:
     handle: Optional[int] = None  # DeviceMemory handle, if backed
     assignments: List[ChunkAssignment] = field(default_factory=list)
     unused_streak: int = 0  # consecutive plans that left this chunk empty
-    #: Offset-sorted (offset, end, first_op, last_op) per assignment —
-    #: the hot-loop mirror of ``assignments``.
-    _meta: List[Tuple[int, int, int, int]] = field(default_factory=list, repr=False)
-    _offsets: List[int] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise ValueError(f"chunk size must be positive, got {self.size}")
-        if self.assignments and not self._meta:
-            self.restore(sorted(self.assignments, key=lambda a: a.offset))
+        if self.assignments:
+            self.assignments = sorted(self.assignments, key=offset_of)
 
     def clear(self) -> None:
         """Drop all assignments (start of a new request's plan)."""
         self.assignments.clear()
-        self._meta.clear()
-        self._offsets.clear()
 
     def restore(self, assignments: Sequence[ChunkAssignment]) -> None:
-        """Adopt an offset-sorted assignment list (plan-cache replay)."""
+        """Adopt an offset-sorted assignment list (a planned or replayed
+        plan)."""
         self.assignments = list(assignments)
-        self._offsets = [a.offset for a in self.assignments]
-        self._meta = [
-            (a.offset, a.offset + a.record.size, a.record.first_op,
-             a.record.last_op)
-            for a in self.assignments
-        ]
 
     def assign(self, record: TensorUsageRecord, offset: int) -> ChunkAssignment:
         """Place ``record`` at ``offset``; keeps assignments offset-sorted."""
@@ -91,20 +110,15 @@ class Chunk:
                 f"does not fit chunk {self.chunk_id} of {self.size} B"
             )
         assignment = ChunkAssignment(record, offset)
-        index = bisect_right(self._offsets, offset)
+        index = bisect_right(self.assignments, offset, key=offset_of)
         self.assignments.insert(index, assignment)
-        self._offsets.insert(index, offset)
-        self._meta.insert(
-            index, (offset, offset + record.size, record.first_op, record.last_op)
-        )
         return assignment
 
     def find_gap(self, record: TensorUsageRecord) -> Optional[int]:
         """Paper Algorithm 2: best-fit offset for ``record`` or None.
 
-        Scans residents in offset order; only residents whose lifetime
-        overlaps ``record`` constrain placement.  Returns the offset of the
-        smallest gap that fits, preferring interior gaps, else the tail.
+        Only residents whose lifetime overlaps ``record`` constrain
+        placement (L6-L8); :func:`best_fit` scans them in offset order.
         """
         need = record.size
         if need > self.size:
@@ -113,21 +127,11 @@ class Chunk:
             return None
         first = record.first_op
         last = record.last_op
-        smallest_gap: Optional[int] = None
-        prev_end = 0
-        best_offset: Optional[int] = None
-        for offset, end, res_first, res_last in self._meta:  # offset-sorted
-            # L6-L8: ignore residents that never coexist with the target.
-            if res_first <= last and first <= res_last:
-                gap = offset - prev_end
-                if need <= gap and (smallest_gap is None or gap < smallest_gap):
-                    smallest_gap = gap
-                    best_offset = prev_end
-                if end > prev_end:
-                    prev_end = end
-        if best_offset is None and self.size - prev_end >= need:
-            best_offset = prev_end
-        return best_offset
+        return best_fit(need, self.size, [
+            (offset, offset + resident.size)
+            for resident, offset in self.assignments
+            if resident.first_op <= last and first <= resident.last_op
+        ])
 
     def find_gap_reference(self, record: TensorUsageRecord) -> Optional[int]:
         """The original object-walking Algorithm 2 (kept as test oracle)."""

@@ -4,14 +4,18 @@ A plan is correct iff (a) every tensor lies inside its chunk and (b) no two
 tensors whose lifetimes overlap also overlap in bytes within one chunk.
 :func:`validate_plan` checks both and is used by the property-based tests
 as the ground-truth invariant for every allocator.
+
+The Algorithm 1 planner hands its plans the per-chunk assignment tuples
+it already snapshots for the plan cache; the name -> placement map is
+built from them only when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
-from .chunk import Chunk
+from .chunk import ChunkAssignment
 from .records import TensorUsageRecord
 
 
@@ -27,12 +31,58 @@ class Placement:
     offset: int
 
 
-@dataclass
 class AllocationPlan:
-    """Result of planning one request's intermediate tensors."""
+    """Result of planning one request's intermediate tensors.
 
-    placements: Dict[str, Placement]
-    chunk_sizes: Dict[int, int]
+    ``placements`` maps each tensor name to its :class:`Placement`;
+    ``chunk_sizes`` maps the id of every chunk the plan uses to its size.
+    The Algorithm 1 planner emits plans through :meth:`from_assignments`:
+    such a plan keeps the per-chunk assignment tuples the plan cache
+    already snapshots and builds ``placements`` on first read, so a plan
+    nobody reads (every plan of a CostTable warm-up) costs no dict.
+    """
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, like its dicts
+
+    def __init__(self, placements: Dict[str, Placement],
+                 chunk_sizes: Dict[int, int]) -> None:
+        self._placements: Optional[Dict[str, Placement]] = placements
+        self._assignments: Mapping[int, Sequence[ChunkAssignment]] = {}
+        self.chunk_sizes = chunk_sizes
+
+    @classmethod
+    def from_assignments(
+        cls, assignments: Mapping[int, Sequence[ChunkAssignment]],
+        chunk_sizes: Dict[int, int],
+    ) -> "AllocationPlan":
+        """A plan over offset-sorted assignments per chunk id (in chunk
+        order), whose ``placements`` are built on first read.  The
+        assignments must not change afterwards."""
+        plan = cls({}, chunk_sizes)
+        plan._placements = None
+        plan._assignments = assignments
+        return plan
+
+    @property
+    def placements(self) -> Dict[str, Placement]:
+        if self._placements is None:
+            placements: Dict[str, Placement] = {}
+            for chunk_id, assigned in self._assignments.items():
+                for record, offset in assigned:
+                    placements[record.name] = Placement(chunk_id, offset)
+            self._placements = placements
+            self._assignments = {}
+        return self._placements
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.placements, self.chunk_sizes) == \
+            (other.placements, other.chunk_sizes)
+
+    def __repr__(self) -> str:
+        return (f"AllocationPlan(placements={self.placements!r}, "
+                f"chunk_sizes={self.chunk_sizes!r})")
 
     @property
     def footprint_bytes(self) -> int:
@@ -60,18 +110,3 @@ def validate_plan(plan: AllocationPlan, records: Sequence[TensorUsageRecord]) ->
     violations = check_plan(plan, records)
     if violations:
         raise PlanError(violations[0].message)
-
-
-def plan_from_chunks(chunks: Sequence[Chunk]) -> AllocationPlan:
-    """Snapshot a chunk list's current assignments into a plan."""
-    placements: Dict[str, Placement] = {}
-    chunk_sizes: Dict[int, int] = {}
-    for chunk in chunks:
-        if chunk.is_unused:
-            continue
-        chunk_sizes[chunk.chunk_id] = chunk.size
-        for assignment in chunk.assignments:
-            placements[assignment.record.name] = Placement(
-                chunk.chunk_id, assignment.offset
-            )
-    return AllocationPlan(placements=placements, chunk_sizes=chunk_sizes)

@@ -15,8 +15,8 @@ end of the list and are reached only when every earlier chunk fails, so a
 fresh plan of the same records from the post-plan state reproduces the
 same placements with zero mallocs.  The warm re-plan that follows every
 cold plan is therefore always a hit.  Replay
-restores the cached per-chunk assignments (sharing the frozen
-:class:`~repro.memory.chunk.ChunkAssignment` objects) and the caller then
+restores the cached per-chunk assignments (sharing the immutable
+:class:`~repro.memory.chunk.ChunkAssignment` tuples) and the caller then
 runs release bookkeeping *live* — unused-streak state is deliberately
 excluded from the fingerprint because placement never reads it, and
 running it live keeps chunk-release timing (and its ``cudaFree`` stalls)
@@ -68,7 +68,8 @@ class CachedPlan:
 
     #: chunk_id -> offset-sorted assignments (possibly empty per chunk).
     assignments: Dict[int, Tuple[ChunkAssignment, ...]]
-    #: The emitted plan; safe to share, plans are never mutated.
+    #: The emitted plan, built on read from ``assignments``; safe to
+    #: share, plans are never mutated.
     plan: AllocationPlan
     #: Gap-search hits to replay onto the allocator's counters.
     hits: int

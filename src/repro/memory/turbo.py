@@ -6,6 +6,14 @@ the per-tensor usage records are re-planned into the cached chunks; only if
 no chunk has a fitting gap is a new chunk ``cudaMalloc``-ed, and chunks the
 new plan leaves empty are released (Alg. 1 line 20).
 
+A plan is one placement pass over plain tuples.  Each chunk keeps, for
+the plan, a per-op occupancy index — the bitmask of resident slots whose
+lifetime covers each op — so probing a chunk for a record reads only the
+residents whose lifetimes overlap it (about one in 25 of a BERT chunk's
+residents) and hands their spans to :func:`~repro.memory.chunk.best_fit`, the same
+Algorithm 2 scan :meth:`Chunk.find_gap` runs.  The emitted
+:class:`AllocationPlan` builds its ``placements`` dict on first read.
+
 Planning outcomes are additionally cached in a :class:`PlanCache` keyed by
 (records, chunk state): a steady-state server re-derives the same plan for
 every request at a previously-seen shape, so replaying the cached
@@ -16,12 +24,13 @@ match the uncached path bit for bit (see :mod:`repro.memory.plan_cache`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..gpusim.memory import DeviceMemory
 from .base import BaseAllocator, RequestAllocation
-from .chunk import DEFAULT_CHUNK_SIZE, K_SCALE, Chunk, new_chunk_size
-from .plan import AllocationPlan, plan_from_chunks
+from .chunk import (DEFAULT_CHUNK_SIZE, K_SCALE, Chunk, ChunkAssignment,
+                    best_fit, new_chunk_size, offset_of)
+from .plan import AllocationPlan
 from . import plan_cache as plan_cache_mod
 from .plan_cache import CachedPlan, PlanCache, RecordsSignature
 from .records import TensorUsageRecord, sort_by_size
@@ -57,12 +66,12 @@ class TurboAllocator(BaseAllocator):
         behaviour, used as the benchmark baseline).  Defaults to a fresh
         private cache.
     gap_search:
-        ``"fast"`` (default) scans the plain-tuple mirror in
-        :meth:`Chunk.find_gap`; ``"reference"`` runs the original
-        object-walking Algorithm 2 (:meth:`Chunk.find_gap_reference`) —
-        the pre-fast-path implementation, used together with
-        ``plan_cache=None`` as the benchmark baseline.  Placements are
-        identical either way (property-tested).
+        ``"fast"`` (default) runs the lifetime-indexed placement pass;
+        ``"reference"`` runs the original object-walking Algorithm 2
+        (:meth:`Chunk.find_gap_reference`) with one :meth:`Chunk.assign`
+        per placement — together with ``plan_cache=None`` the test
+        oracle and benchmark baseline.  Every output is identical
+        either way (differential-tested).
     """
 
     name = "turbo"
@@ -118,27 +127,119 @@ class TurboAllocator(BaseAllocator):
                 self._observe_plan_cache(hit=True)
                 return self._replay(signature, cached)
             self._observe_plan_cache(hit=False)
+        if self.gap_search == "reference":
+            self._place_reference(records)
+        else:
+            self._place(records)
+        self._release_unused()
+        assignments = self._assignment_snapshot()
+        plan = AllocationPlan.from_assignments(assignments, {
+            c.chunk_id: c.size for c in self._chunks if not c.is_unused
+        })
+        if signature is not None:
+            # Planning is idempotent: placement is a pure function of the
+            # (offset-ordered chunk sizes, records), and freshly malloc'ed
+            # chunks sit at the end of the list, reached only when every
+            # earlier chunk fails — so re-planning the same records from
+            # the *post*-release state reproduces these exact placements
+            # with zero mallocs.  Cache every outcome under that state.
+            self._store(signature, assignments, plan)
+        return plan
+
+    def _place(self, records: Sequence[TensorUsageRecord]) -> None:
+        """L1-L18 in one pass over plain tuples.
+
+        Each chunk gets a per-op occupancy index for this plan: slot ``i``
+        holds the ``(offset, end)`` span of the chunk's ``i``-th placed
+        record, and ``live[op]`` is the bitmask of the slots whose
+        lifetime covers ``op``.  A probe ORs the masks over the record's
+        ``[first_op, last_op]``, so :func:`best_fit` reads only the
+        residents whose lifetimes overlap it.  Placements are collected
+        per chunk and offset-sorted into one :meth:`Chunk.restore`.
+        """
+        n_ops = max((r.last_op for r in records), default=-1) + 1
+        # Per chunk: (size, spans by slot, live masks by op, placements).
+        states = [(c.size, [], [0] * n_ops, []) for c in self._chunks]
+        hits = 0
+        try:
+            # L1: non-increasing size order.
+            for record in sort_by_size(records):
+                need = record.size
+                first = record.first_op
+                stop = record.last_op + 1
+                # L4-L12: first chunk with a fitting gap.
+                for size, spans, live, placed in states:
+                    if need > size:
+                        continue
+                    mask = 0
+                    for op_mask in live[first:stop]:
+                        mask |= op_mask
+                    if not mask:
+                        offset = 0
+                    else:
+                        overlapping = []
+                        while mask:
+                            low = mask & -mask
+                            overlapping.append(spans[low.bit_length() - 1])
+                            mask ^= low
+                        overlapping.sort()
+                        offset = best_fit(need, size, overlapping)
+                        if offset is None:
+                            continue
+                    hits += 1
+                    break
+                else:
+                    self.plan_misses += 1
+                    self._observe_miss()
+                    # L13-L18: append a new chunk sized for the tensor.
+                    size = new_chunk_size(need, self.chunk_size, self.k_scale)
+                    self._chunks.append(Chunk(
+                        chunk_id=self._next_chunk_id,
+                        size=size,
+                        handle=self.device_memory.malloc(size),
+                    ))
+                    self._next_chunk_id += 1
+                    spans, live, placed = [], [0] * n_ops, []
+                    states.append((size, spans, live, placed))
+                    offset = 0
+                bit = 1 << len(spans)
+                spans.append((offset, offset + need))
+                for op in range(first, stop):
+                    live[op] |= bit
+                placed.append(ChunkAssignment(record, offset))
+        finally:
+            # Also on a failed cudaMalloc, so the chunks and counters
+            # show the partial plan exactly as the reference pass does.
+            self.plan_hits += hits
+            if self.metrics is not None and hits:
+                self.metrics.counter(
+                    "allocator_hits_total", allocator=self.name
+                ).inc(hits)
+            for chunk, (_, _, _, placed) in zip(self._chunks, states):
+                # A stable sort keeps placement order among equal
+                # offsets, exactly where Chunk.assign's bisect_right
+                # would put them.
+                placed.sort(key=offset_of)
+                chunk.restore(placed)
+
+    def _place_reference(self, records: Sequence[TensorUsageRecord]) -> None:
+        """L1-L18 as originally written: per-record object-walking gap
+        search and one :meth:`Chunk.assign` per placement."""
         for chunk in self._chunks:
             chunk.clear()
-        find_gap = (Chunk.find_gap_reference if self.gap_search == "reference"
-                    else Chunk.find_gap)
-        # L1: non-increasing size order.
         for record in sort_by_size(records):
-            placed = False
-            # L4-L12: first chunk with a fitting gap.
             for chunk in self._chunks:
-                offset = find_gap(chunk, record)
+                offset = chunk.find_gap_reference(record)
                 if offset is not None:
                     chunk.assign(record, offset)
-                    placed = True
                     self.plan_hits += 1
                     self._observe_hit()
                     break
-            if not placed:
+            else:
                 self.plan_misses += 1
                 self._observe_miss()
-                # L13-L18: append a new chunk sized for the tensor.
-                size = new_chunk_size(record.size, self.chunk_size, self.k_scale)
+                size = new_chunk_size(record.size, self.chunk_size,
+                                      self.k_scale)
                 chunk = Chunk(
                     chunk_id=self._next_chunk_id,
                     size=size,
@@ -147,26 +248,18 @@ class TurboAllocator(BaseAllocator):
                 self._next_chunk_id += 1
                 self._chunks.append(chunk)
                 chunk.assign(record, 0)
-        self._release_unused()
-        plan = plan_from_chunks(self._chunks)
-        if signature is not None:
-            # Planning is idempotent: placement is a pure function of the
-            # (offset-ordered chunk sizes, records), and freshly malloc'ed
-            # chunks sit at the end of the list, reached only when every
-            # earlier chunk fails — so re-planning the same records from
-            # the *post*-release state reproduces these exact placements
-            # with zero mallocs.  Cache every outcome under that state.
-            self._store(signature, plan)
-        return plan
 
-    def _store(self, signature: RecordsSignature, plan: AllocationPlan) -> None:
+    def _assignment_snapshot(self) -> Dict[int, Tuple[ChunkAssignment, ...]]:
+        return {c.chunk_id: tuple(c.assignments) for c in self._chunks}
+
+    def _store(self, signature: RecordsSignature,
+               assignments: Dict[int, Tuple[ChunkAssignment, ...]],
+               plan: AllocationPlan) -> None:
         key = (signature, plan_cache_mod.chunk_fingerprint(self._chunks))
         entry = CachedPlan(
-            assignments={
-                c.chunk_id: tuple(c.assignments) for c in self._chunks
-            },
+            assignments=assignments,
             plan=plan,
-            hits=sum(len(c.assignments) for c in self._chunks),
+            hits=sum(len(a) for a in assignments.values()),
         )
         self.plan_cache.store(key, entry)
 
@@ -189,7 +282,7 @@ class TurboAllocator(BaseAllocator):
             # The replay itself released idle chunks, so the post-release
             # state differs from the cached key; re-store under the new
             # fingerprint so the steady state keeps hitting.
-            self._store(signature, cached.plan)
+            self._store(signature, self._assignment_snapshot(), cached.plan)
         self.last_plan_cached = True
         return cached.plan
 

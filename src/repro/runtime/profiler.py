@@ -38,6 +38,7 @@ class CostTable:
             raise ValueError(f"max_batch must be positive, got {max_batch}")
         self.max_batch = max_batch
         self.interpolate = interpolate
+        self._grid = frozenset(self.lengths)
         self._table: Dict[int, Dict[int, float]] = {}
         self._bucket_memo: Dict[int, int] = {}
         self._row_memo: Dict[int, Dict[int, float]] = {}
@@ -61,6 +62,14 @@ class CostTable:
         return result
 
     def set(self, seq_len: int, batch: int, seconds: float) -> None:
+        """Record a profiled cost; ``(seq_len, batch)`` must be a cell of
+        the grid that :meth:`cost` reads."""
+        if seq_len not in self._grid:
+            raise ValueError(
+                f"length {seq_len} is not on the profiled grid {self.lengths}"
+            )
+        if batch <= 0 or batch > self.max_batch:
+            raise ValueError(f"batch must be in [1, {self.max_batch}], got {batch}")
         if seconds <= 0:
             raise ValueError(f"cost must be positive, got {seconds}")
         self._table.setdefault(seq_len, {})[batch] = seconds
@@ -109,6 +118,7 @@ class CostTable:
         payload = {
             "lengths": self.lengths,
             "max_batch": self.max_batch,
+            "interpolate": self.interpolate,
             "table": {str(k): {str(b): v for b, v in row.items()}
                       for k, row in self._table.items()},
         }
@@ -117,7 +127,9 @@ class CostTable:
     @classmethod
     def from_json(cls, path: Union[str, Path]) -> "CostTable":
         payload = json.loads(Path(path).read_text())
-        table = cls(payload["lengths"], payload["max_batch"])
+        # Files written before the flag was persisted are bucketed tables.
+        table = cls(payload["lengths"], payload["max_batch"],
+                    interpolate=payload.get("interpolate", False))
         for length, row in payload["table"].items():
             for batch, seconds in row.items():
                 table.set(int(length), int(batch), float(seconds))

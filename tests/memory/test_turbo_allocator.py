@@ -5,6 +5,8 @@ import pytest
 from repro.graph import fuse_graph, tensor_usage_records
 from repro.memory import (
     DEFAULT_CHUNK_SIZE,
+    AllocationPlan,
+    Placement,
     TensorUsageRecord,
     TurboAllocator,
     validate_plan,
@@ -46,6 +48,19 @@ class TestPlanning:
         allocator = TurboAllocator()
         plan = allocator.plan([])
         assert plan.placements == {}
+
+    def test_plan_built_on_read_equals_explicit_plan(self):
+        records = [rec("a", 0, 1, 5000), rec("b", 0, 3, 3000),
+                   rec("c", 2, 3, 5000)]
+        plan = TurboAllocator(chunk_size=8192).plan(records)
+        explicit = AllocationPlan(
+            placements={"a": Placement(0, 0), "c": Placement(0, 0),
+                        "b": Placement(0, 5000)},
+            chunk_sizes={0: 8192},
+        )
+        assert plan == explicit
+        assert repr(plan) == repr(explicit)
+        assert plan.footprint_bytes == 8192
 
 
 class TestChunkCaching:

@@ -153,8 +153,23 @@ class TestRecordsMemo:
         templates = UsageRecordTemplates(bert_graph)
         for batch, seq in SHAPES:
             bindings = {"batch": batch, "seq": seq}
-            assert templates.evaluate(bindings) == \
-                tensor_usage_records(bert_graph, bindings)
+            got = templates.evaluate(bindings)
+            want = tensor_usage_records(bert_graph, bindings)
+            assert got == want
+            assert [hash(r) for r in got] == [hash(r) for r in want]
+
+    @pytest.mark.parametrize("batch", [0, -2])
+    def test_templates_reject_nonpositive_size(self, batch):
+        templates = UsageRecordTemplates(build_encoder_graph(tiny_bert()))
+        with pytest.raises(ValueError, match="size must be positive"):
+            templates.evaluate({"batch": batch, "seq": 16})
+
+    def test_templates_of_a_graph_without_intermediates(self):
+        from repro.graph import ComputationGraph
+
+        templates = UsageRecordTemplates(ComputationGraph("empty"))
+        assert len(templates) == 0
+        assert templates.evaluate({"batch": 1, "seq": 16}) == []
 
 
 class TestHostPathStats:

@@ -1,5 +1,7 @@
 """Warm-up cost table (Alg. 3's cached_cost)."""
 
+import json
+
 import pytest
 
 from repro.models import build_encoder_graph, tiny_bert
@@ -68,6 +70,19 @@ class TestCostTable:
         with pytest.raises(ValueError):
             table.set(16, 1, 0.0)
 
+    def test_set_rejects_length_off_the_grid(self):
+        table = CostTable([16, 32], max_batch=2)
+        with pytest.raises(ValueError, match=r"grid \[16, 32\]"):
+            table.set(20, 1, 0.5)
+        with pytest.raises(KeyError, match="warm-up"):
+            table.cost(32, 1)  # the rejected cell left no row behind
+
+    @pytest.mark.parametrize("batch", [0, 3])
+    def test_set_rejects_batch_outside_range(self, batch):
+        table = CostTable([16, 32], max_batch=2)
+        with pytest.raises(ValueError, match=r"\[1, 2\]"):
+            table.set(16, batch, 0.5)
+
 
 class TestCostRowMemo:
     """``cost`` memoises ``seq_len -> bucket row``; a call must still price
@@ -118,6 +133,41 @@ class TestPersistence:
         assert reloaded.lengths == table.lengths
         assert reloaded.max_batch == table.max_batch
         assert reloaded.cost(64, 3) == table.cost(64, 3)
+        assert not reloaded.interpolate
+
+    def test_json_round_trip_keeps_interpolation(self, table, tmp_path):
+        interp = CostTable(table.lengths, table.max_batch, interpolate=True)
+        for length in table.lengths:
+            for batch in range(1, table.max_batch + 1):
+                interp.set(length, batch, table.cost(length, batch))
+        path = tmp_path / "cost.json"
+        interp.to_json(path)
+        reloaded = CostTable.from_json(path)
+        assert reloaded.interpolate
+        # 40 lies between grid points 32 and 64: interpolated, not bucketed.
+        assert reloaded.cost(40, 2) == interp.cost(40, 2)
+        assert reloaded.cost(40, 2) < table.cost(40, 2)
+
+    def test_json_without_flag_loads_bucketed(self, tmp_path):
+        path = tmp_path / "cost.json"
+        path.write_text(json.dumps({
+            "lengths": [16, 32], "max_batch": 1,
+            "table": {"16": {"1": 0.5}, "32": {"1": 1.0}},
+        }))
+        reloaded = CostTable.from_json(path)
+        assert not reloaded.interpolate
+        assert reloaded.cost(20, 1) == 1.0
+
+    @pytest.mark.parametrize("row, cell", [("20", "1"), ("16", "2"),
+                                           ("16", "0")])
+    def test_json_cell_off_the_grid_rejected(self, tmp_path, row, cell):
+        path = tmp_path / "cost.json"
+        path.write_text(json.dumps({
+            "lengths": [16, 32], "max_batch": 1,
+            "table": {row: {cell: 0.5}},
+        }))
+        with pytest.raises(ValueError, match=r"grid|\[1, 1\]"):
+            CostTable.from_json(path)
 
 
 class TestInterpolation:

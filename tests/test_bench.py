@@ -182,6 +182,18 @@ class TestGenProfile:
         }
         assert all(n > 0 for n in counts.values())
 
+    def test_plan_layout_divergences_name_the_tensor_and_chunks(self):
+        want = [({"a": (0, 0), "b": (0, 64)}, [(0, 128)])]
+        assert bench.plan_layout_divergences(want, want) == []
+        got = [({"a": (0, 0), "b": (1, 0)}, [(0, 128), (1, 64)])]
+        assert bench.plan_layout_divergences(want, got) == [
+            "allocator: plan 0: 1 tensor(s) placed differently, first 'b' "
+            "at (1, 0) != (0, 64)",
+            "allocator: plan 0: chunks [(0, 128), (1, 64)] != [(0, 128)]",
+        ]
+        assert bench.plan_layout_divergences(want, []) == [
+            "allocator: 0 plan(s) != 1"]
+
     def test_verify_rejects_an_empty_shape_set(self):
         from repro.runtime import turbo_runtime
 
