@@ -881,13 +881,13 @@ def verify_host_fast_path(seed: int = 0,
       (shape counts go to ``progress``);
     * fast ``latency()`` vs. the seed double-``infer()`` path, bit-exact,
       across a shape grid including padding boundaries;
-    * pruned DP partitions vs. ``DPBatchScheduler``, identical;
+    * pruned DP batches vs. ``DPBatchScheduler``, identical ids and
+      padded length per batch, under a monotone and a non-monotone cost,
+      over random queues and singleton-heavy round streams;
     * plan-cached allocator vs. the uncached reference gap search:
       identical outcomes, per-tensor ``(chunk_id, offset)`` and chunk
       lists.
     """
-    import random
-
     problems: List[str] = []
     say = progress or (lambda _msg: None)
 
@@ -913,31 +913,7 @@ def verify_host_fast_path(seed: int = 0,
                     f"reference {want!r}"
                 )
     problems.extend(_verify_generation_pricing(seed, say))
-
-    from .serving.request import Request
-    from .serving.scheduler import DPBatchScheduler, PrunedDPBatchScheduler
-
-    rng = random.Random(seed)
-
-    def cost_fn(length: int, batch: int) -> float:
-        return (1.0 + 0.002 * length) * (0.3 + 0.1 * batch) * 1e-3
-
-    ref_sched = DPBatchScheduler()
-    fast_sched = PrunedDPBatchScheduler()
-    for trial in range(50):
-        queue = [Request(req_id=i, seq_len=rng.randrange(1, 33) * 16,
-                         arrival_s=0.0)
-                 for i in range(rng.randrange(1, 40))]
-        max_batch = rng.randrange(1, 16)
-        ref_batches = ref_sched.schedule(queue, cost_fn, max_batch)
-        fast_batches = fast_sched.schedule(queue, cost_fn, max_batch)
-        ref_part = [tuple(r.req_id for r in b.requests) for b in ref_batches]
-        fast_part = [tuple(r.req_id for r in b.requests) for b in fast_batches]
-        if ref_part != fast_part:
-            problems.append(
-                f"scheduler: partition mismatch on trial {trial} "
-                f"(n={len(queue)}, max_batch={max_batch})"
-            )
+    problems.extend(_verify_scheduler(seed))
 
     from .gpusim.memory import DeviceMemory
     from .memory import PlanCache, TurboAllocator
@@ -956,6 +932,68 @@ def verify_host_fast_path(seed: int = 0,
             f"allocator: plan-cache outcomes diverge: {ref_out} != {fast_out}"
         )
     problems.extend(plan_layout_divergences(ref_layouts, fast_layouts))
+    return problems
+
+
+def _verify_scheduler(seed: int) -> List[str]:
+    """``PrunedDPBatchScheduler`` vs. the reference ``DPBatchScheduler``,
+    batch by batch (``(ids, padded_len)``).  Two cost functions: a
+    monotone one, which keeps pruning on, and a non-monotone one shaped
+    like a warmed table (some batch sizes and lengths price below their
+    smaller neighbour), which turns it off as in production.  Two round
+    streams on one stateful scheduler each: random queues, and a
+    singleton-heavy stream whose one-request rounds repeat or break the
+    previous round's sorted prefix."""
+    import random
+
+    from .serving.request import Request
+    from .serving.scheduler import DPBatchScheduler, PrunedDPBatchScheduler
+
+    def monotone(length: int, batch: int) -> float:
+        return (1.0 + 0.002 * length) * (0.3 + 0.1 * batch) * 1e-3
+
+    def non_monotone(length: int, batch: int) -> float:
+        dip = 0.85 if batch % 4 == 1 and batch > 1 else 1.0
+        if length % 64 == 16 and length > 64:
+            dip *= 0.95
+        return monotone(length, batch) * dip
+
+    def random_queue(rng: random.Random) -> List[int]:
+        return [rng.randrange(1, 33) * 16
+                for _ in range(rng.randrange(1, 40))]
+
+    def singleton_heavy(rng: random.Random) -> List[int]:
+        size = rng.choice((1, 1, 1, 1, 2, 3))
+        return [rng.choice((16, 64, 80, 144)) for _ in range(size)]
+
+    problems: List[str] = []
+    for cost_name, cost_fn in (("monotone", monotone),
+                               ("non-monotone", non_monotone)):
+        for stream, draw in (("random", random_queue),
+                             ("singleton-heavy", singleton_heavy)):
+            rng = random.Random(seed)
+            ref_sched = DPBatchScheduler()
+            fast_sched = PrunedDPBatchScheduler()
+            for trial in range(200):
+                if trial % 50 == 0:
+                    max_batch = rng.randrange(1, 16)
+                queue = [Request(req_id=i, seq_len=length, arrival_s=0.0)
+                         for i, length in enumerate(draw(rng))]
+                want = [(tuple(r.req_id for r in b.requests), b.padded_len)
+                        for b in ref_sched.schedule(queue, cost_fn,
+                                                    max_batch)]
+                got = [(tuple(r.req_id for r in b.requests), b.padded_len)
+                       for b in fast_sched.schedule(queue, cost_fn,
+                                                    max_batch)]
+                if got != want:
+                    problems.append(
+                        f"scheduler: {cost_name} cost, {stream} round "
+                        f"{trial} (n={len(queue)}, max_batch={max_batch}): "
+                        f"{got} != {want}")
+            if fast_sched._prunable != (cost_fn is monotone):
+                problems.append(
+                    f"scheduler: {cost_name} cost, {stream} rounds left "
+                    f"pruning {'on' if fast_sched._prunable else 'off'}")
     return problems
 
 

@@ -106,7 +106,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience import ResilienceConfig
 
 
-@dataclass
+@dataclass(slots=True)
 class GenRequest(Request):
     """A generation request: prompt of ``seq_len`` tokens, up to
     ``max_new_tokens`` output tokens.
@@ -127,7 +127,9 @@ class GenRequest(Request):
     prompt_ids: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        # Explicit: slots=True rebuilds the class, so a zero-argument
+        # super() would see the pre-slots class and fail.
+        Request.__post_init__(self)
         if self.max_new_tokens <= 0:
             raise ValueError(
                 f"max_new_tokens must be positive, got {self.max_new_tokens}"

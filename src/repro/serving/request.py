@@ -46,7 +46,7 @@ class RequestState(enum.Enum):
         return self is not RequestState.PENDING
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """One inference request: a variable-length input arriving at a time.
 
@@ -59,6 +59,9 @@ class Request:
     budget (``None`` = patient client, never dropped); ``attempt`` counts
     executions so far (0 = first try); ``state`` tracks the lifecycle
     (see :class:`RequestState`).
+
+    Slotted: a request has no per-instance ``__dict__``, so assigning an
+    attribute that is not a field raises ``AttributeError``.
     """
 
     req_id: int
@@ -211,6 +214,24 @@ class Batch:
         return sum(self.padded_len - r.seq_len for r in self.requests) + (
             (self.cost_batch_size - self.size) * self.padded_len
         )
+
+
+def trusted_batch(requests: Tuple[Request, ...], padded_len: int) -> Batch:
+    """A :class:`Batch` built without ``__post_init__``'s checks.
+
+    For callers whose batches cannot fail them: ``requests`` is a
+    non-empty tuple and ``padded_len`` its longest member's length (the
+    DP's contiguous slices of the length-sorted order, padded to their
+    last member).  ``Batch(...)`` and :func:`make_batch` keep validating
+    everything else.
+    """
+    batch = object.__new__(Batch)
+    attrs = batch.__dict__
+    attrs["requests"] = requests
+    attrs["padded_len"] = padded_len
+    attrs["execution_size"] = None
+    attrs["cost_override"] = None
+    return batch
 
 
 def make_batch(requests: List[Request], execution_size: Optional[int] = None,

@@ -18,7 +18,7 @@ from bisect import bisect_right, insort
 from operator import attrgetter
 from typing import Callable, List, Optional, Sequence
 
-from .request import Batch, Request, make_batch
+from .request import Batch, Request, make_batch, trusted_batch
 
 CostFn = Callable[[int, int], float]
 
@@ -124,8 +124,9 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
       evaluated O(#distinct lengths x max_batch) times instead of
       O(n x max_batch) per round.
     * **Monotone pruning bound** — when ``cost_fn`` is non-decreasing in
-      both batch size and padded length (always true of profiled
-      whole-batch latencies), DP prefix costs are non-decreasing, so once
+      both batch size and padded length (not guaranteed: a warmed
+      profile can price a batch or length below its smaller neighbour),
+      DP prefix costs are non-decreasing, so once
       ``states[lower] + C_L[s] >= best`` no larger batch ending at the
       same position can *strictly* beat the incumbent and the inner loop
       breaks.  Monotonicity is *verified*, not assumed: each new row is
@@ -138,6 +139,12 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
       sorted-length prefix (a queue that only grew, the steady state of a
       hungry server), the DP restarts at the first differing position.
 
+    Two shortcuts cut the per-round constant, which dominates when rounds
+    are short: a one-request round is the DP's base case (one batch, no
+    sort or scan), and batches are built with :func:`trusted_batch`,
+    since a contiguous slice of the sorted order padded to its last
+    member cannot fail :class:`Batch`'s checks.
+
     Memoized rows and prefix states are invalidated whenever ``cost_fn``
     or ``max_batch`` differ from the previous call (or via
     :meth:`reset`).  Instances are therefore stateful; share one per
@@ -146,11 +153,8 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
 
     name = "dp-pruned"
 
-    def __init__(self, order_batches: str = "fifo", prune: bool = True,
-                 incremental: bool = True) -> None:
+    def __init__(self, order_batches: str = "fifo") -> None:
         super().__init__(order_batches)
-        self.prune = prune
-        self.incremental = incremental
         self.reset()
         # Cumulative fast-path counters (read by ``repro bench``).
         self.rounds = 0
@@ -196,13 +200,54 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
     def schedule(
         self, requests: Sequence[Request], cost_fn: CostFn, max_batch: int
     ) -> List[Batch]:
-        self._check_args(requests, max_batch)
+        if max_batch <= 0 or not requests:
+            self._check_args(requests, max_batch)
         self.rounds += 1
         if cost_fn is not self._cost_fn or max_batch != self._max_batch:
             self.reset()
             self._cost_fn = cost_fn
             self._max_batch = max_batch
-        order = tuple(sorted(requests, key=_seq_len))
+        if len(requests) == 1:
+            batches = [self._single(requests[0], cost_fn, max_batch)]
+        else:
+            batches = self._partition(requests, cost_fn, max_batch)
+        if self.order_batches == "spt":
+            batches.sort(key=lambda b: cost_fn(b.padded_len, b.size))
+        return batches
+
+    def _single(self, request: Request, cost_fn: CostFn,
+                max_batch: int) -> Batch:
+        """The DP's base case, ``states = [0, row[0]]``: one request is
+        one batch.  The memo ends exactly as :meth:`_partition` would
+        leave it — the same lengths, states, starts, rows and counters."""
+        length = request.seq_len
+        lengths = self._lengths
+        states = self._states
+        starts = self._starts
+        if lengths and lengths[0] == length:
+            del lengths[1:]
+            del states[2:]
+            del starts[2:]
+            self.positions_reused += 1
+        else:
+            # Cut before pricing, so a raising cost_fn leaves the memo
+            # consistent (and empty).
+            lengths.clear()
+            del states[1:]
+            del starts[1:]
+            row = self._rows.get(length)
+            if row is None:
+                row = self._row(length, max_batch, cost_fn)
+            states.append(states[0] + row[0])
+            starts.append(0)
+            lengths.append(length)
+        return trusted_batch((request,), length)
+
+    def _partition(self, requests: Sequence[Request], cost_fn: CostFn,
+                   max_batch: int) -> List[Batch]:
+        """Algorithm 3 over two or more requests, resuming at the sorted
+        prefix shared with the previous round."""
+        order = sorted(requests, key=_seq_len)
         n = len(order)
         lengths = [r.seq_len for r in order]
         # Longest sorted-length prefix shared with the previous round:
@@ -211,26 +256,24 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
         # memoised lengths are cut too, so a cost_fn that raises midway
         # leaves a consistent (shorter) memo behind.
         prev = self._lengths
+        limit = min(len(prev), n)
         prefix = 0
-        if self.incremental:
-            limit = min(len(prev), n)
-            while prefix < limit and prev[prefix] == lengths[prefix]:
-                prefix += 1
+        while prefix < limit and prev[prefix] == lengths[prefix]:
+            prefix += 1
         del prev[prefix:]
         states = self._states
         starts = self._starts
         del states[prefix + 1:]
         del starts[prefix + 1:]
         rows = self._rows
-        prune = self.prune
-        can_prune = prune and self._prunable
+        can_prune = self._prunable
         pruned = 0
         for i in range(prefix + 1, n + 1):
             row = rows.get(lengths[i - 1])
             if row is None:
                 row = self._row(lengths[i - 1], max_batch, cost_fn)
                 # A new row may have failed the monotonicity check.
-                can_prune = prune and self._prunable
+                can_prune = self._prunable
             lower = i - max_batch if i > max_batch else 0
             low_state = states[lower]
             # Batch sizes ascending == the reference DP's descending j;
@@ -254,17 +297,15 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
         self.positions_reused += prefix
         self.transitions_pruned += pruned
         self._lengths = lengths
-        # Each batch is a contiguous slice of the sorted order, padded to
-        # its last (longest) member.
+        # Each batch is a non-empty contiguous slice of the sorted order,
+        # padded to its last (longest) member: nothing left to validate.
         batches: List[Batch] = []
         i = n
         while i > 0:
             start = starts[i]
-            batches.append(Batch(order[start:i], lengths[i - 1]))
+            batches.append(trusted_batch(tuple(order[start:i]), lengths[i - 1]))
             i = start
         batches.reverse()
-        if self.order_batches == "spt":
-            batches.sort(key=lambda b: cost_fn(b.padded_len, b.size))
         return batches
 
     def stats(self) -> dict:

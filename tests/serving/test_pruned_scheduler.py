@@ -143,16 +143,6 @@ class TestIncrementalReuse:
         want = DPBatchScheduler().schedule(reqs(full), flaky_cost, 4)
         assert partition(got) == partition(want)
 
-    def test_flags_off_still_exact(self):
-        rng = random.Random(17)
-        scheduler = PrunedDPBatchScheduler(prune=False, incremental=False)
-        for _ in range(25):
-            lengths = [rng.randrange(1, 300)
-                       for _ in range(rng.randrange(1, 20))]
-            got = scheduler.schedule(reqs(lengths), affine_cost, 6)
-            want = DPBatchScheduler().schedule(reqs(lengths), affine_cost, 6)
-            assert partition(got) == partition(want)
-
 
 class TestGenerationCostTable:
     def test_identical_partitions_on_generation_costs(self):
@@ -263,6 +253,9 @@ STEP = st.one_of(
     st.tuples(st.just("cost"), st.integers(0, len(COSTS) - 1)),
     st.tuples(st.just("max_batch"), st.integers(1, 10)),
     st.tuples(st.just("reset"), st.none()),
+    # A one-request round: None keeps the shortest queued length (the
+    # previous round's sorted prefix), a drawn length usually breaks it.
+    st.tuples(st.just("single"), st.one_of(st.none(), LENGTH)),
 )
 
 
@@ -287,7 +280,25 @@ def apply_step(queue, step):
         return list(queue)
     if kind == "fork":  # keep a sorted-length prefix, replace the rest
         return sorted(queue)[:step[1]] + step[2]
+    if kind == "single":
+        return [min(queue) if step[1] is None else step[1]]
     return None
+
+
+def reference_memo(lengths, cost_fn, max_batch):
+    """``states``/``starts`` of the reference DP over sorted ``lengths``
+    (same float operations, same strict-< tie-breaking)."""
+    states, starts = [0.0], [0]
+    for i in range(1, len(lengths) + 1):
+        best_cost = states[i - 1] + cost_fn(lengths[i - 1], 1)
+        best_start = i - 1
+        for j in range(i - 1, max(0, i - max_batch), -1):
+            candidate = states[j - 1] + cost_fn(lengths[i - 1], i - j + 1)
+            if candidate < best_cost:
+                best_cost, best_start = candidate, j - 1
+        states.append(best_cost)
+        starts.append(best_start)
+    return states, starts
 
 
 class TestDifferentialRounds:
@@ -298,7 +309,9 @@ class TestDifferentialRounds:
     def test_round_sequences_match_reference(self, initial, steps, order):
         """Every round of a stateful pruned scheduler (prefix reuse, cost
         rows memoised across rounds, the prune flag turning off partway
-        through a round) partitions exactly like a fresh reference DP."""
+        through a round, one-request rounds between longer ones)
+        partitions exactly like a fresh reference DP and leaves the
+        reference DP's states behind for the next round."""
         pruned = PrunedDPBatchScheduler(order_batches=order)
         reference = DPBatchScheduler(order_batches=order)
         queue, cost_fn, max_batch = list(initial), monotone_cost, 4
@@ -317,6 +330,12 @@ class TestDifferentialRounds:
             want = reference.schedule(reqs(queue), cost_fn, max_batch)
             assert batch_keys(got) == batch_keys(want), \
                 f"round {round_no} after {step}: queue={queue}"
+            # The memo the next round resumes from, whichever path
+            # (one-request or general) this round took.
+            lengths = sorted(queue)
+            assert pruned._lengths == lengths, f"round {round_no}"
+            assert (pruned._states, pruned._starts) == reference_memo(
+                lengths, cost_fn, max_batch), f"round {round_no}"
 
 
 class TestStatsGolden:
@@ -324,7 +343,12 @@ class TestStatsGolden:
         """Fast-path counters of a fixed round sequence — growing and
         draining queues, then a cost function that stops being monotone
         partway, then a max_batch switch — pinned to their values before
-        the in-place prefix rewrite."""
+        the in-place prefix rewrite.  Two singleton-heavy phases follow
+        (pinned before one-request rounds skipped the general DP): a
+        lightly loaded server drains its whole queue each round, so most
+        rounds hold one request whose length repeats or breaks the
+        previous round's prefix, first over the memoised monotone rows,
+        then under a fresh non-monotone cost."""
         rng = random.Random(2024)
         scheduler = PrunedDPBatchScheduler()
         queue = []
@@ -340,6 +364,12 @@ class TestStatsGolden:
                 scheduler.schedule(reqs(queue), cost_fn, max_batch)
                 queue = queue[rng.randrange(0, len(queue) // 2 + 1):]
             snapshots.append(scheduler.stats())
+        for cost_fn in (monotone_cost, dip_cost):
+            for _ in range(200):
+                queue = [rng.choice((16, 32, 48, 400, 416))
+                         for _ in range(rng.choice((1, 1, 1, 2, 3)))]
+                scheduler.schedule(reqs(queue), cost_fn, 5)
+            snapshots.append(scheduler.stats())
         assert snapshots == STATS_GOLDEN
 
 
@@ -350,4 +380,8 @@ STATS_GOLDEN = [
      "positions_reused": 543, "transitions_pruned": 463},
     {"rounds": 360, "cost_calls": 630, "distinct_lengths": 30,
      "positions_reused": 843, "transitions_pruned": 766},
+    {"rounds": 560, "cost_calls": 630, "distinct_lengths": 30,
+     "positions_reused": 878, "transitions_pruned": 766},
+    {"rounds": 760, "cost_calls": 655, "distinct_lengths": 5,
+     "positions_reused": 923, "transitions_pruned": 766},
 ]

@@ -1,14 +1,18 @@
 """Request and batch semantics."""
 
+import dataclasses
+
 import pytest
 
 from repro.serving import (
     Batch,
+    GenRequest,
     Request,
     RequestNotCompleted,
     RequestState,
     make_batch,
 )
+from repro.serving.request import trusted_batch
 
 
 def req(req_id, seq_len, arrival=0.0):
@@ -79,7 +83,64 @@ class TestRequestLifecycle:
         assert not req(0, 10).expired(1e9)  # no deadline: never expires
 
 
+class TestSlots:
+    """Requests are slotted dataclasses: no per-instance ``__dict__``, and
+    otherwise the same fields, equality and repr."""
+
+    BASE_FIELDS = ["req_id", "seq_len", "arrival_s", "payload", "priority",
+                   "start_s", "completion_s", "deadline_s", "attempt",
+                   "state"]
+
+    def test_unknown_attribute_rejected(self):
+        gen = GenRequest(req_id=1, seq_len=4, arrival_s=0.0)
+        for r in (req(0, 10), gen):
+            assert not hasattr(r, "__dict__")
+            with pytest.raises(AttributeError):
+                r.not_a_field = 1
+
+    def test_gen_request_keeps_parent_validation(self):
+        with pytest.raises(ValueError, match="seq_len must be positive"):
+            GenRequest(req_id=0, seq_len=0, arrival_s=0.0)
+        with pytest.raises(ValueError, match="max_new_tokens"):
+            GenRequest(req_id=0, seq_len=2, arrival_s=0.0, max_new_tokens=0)
+
+    def test_fields_unchanged(self):
+        assert [f.name for f in dataclasses.fields(Request)] \
+            == self.BASE_FIELDS
+        assert [f.name for f in dataclasses.fields(GenRequest)] \
+            == self.BASE_FIELDS + ["max_new_tokens", "generated",
+                                   "first_token_s", "prompt_ids"]
+
+    def test_equality_and_repr_unchanged(self):
+        r = Request(req_id=3, seq_len=16, arrival_s=0.5, priority=1)
+        assert r == Request(req_id=3, seq_len=16, arrival_s=0.5, priority=1)
+        assert r != Request(req_id=3, seq_len=16, arrival_s=0.5)
+        assert repr(r) == (
+            "Request(req_id=3, seq_len=16, arrival_s=0.5, payload=None, "
+            "priority=1, start_s=None, completion_s=None, deadline_s=None, "
+            "attempt=0, state=<RequestState.PENDING: 'pending'>)")
+        g = GenRequest(req_id=4, seq_len=2, arrival_s=0.25,
+                       max_new_tokens=3, prompt_ids=(7, 8))
+        assert g == dataclasses.replace(g)
+        assert g != dataclasses.replace(g, generated=1)
+        assert repr(g) == (
+            "GenRequest(req_id=4, seq_len=2, arrival_s=0.25, payload=None, "
+            "priority=0, start_s=None, completion_s=None, deadline_s=None, "
+            "attempt=0, state=<RequestState.PENDING: 'pending'>, "
+            "max_new_tokens=3, generated=0, first_token_s=None, "
+            "prompt_ids=(7, 8))")
+
+
 class TestBatch:
+    def test_trusted_batch_equals_validated_batch(self):
+        members = (req(0, 17), req(1, 77))
+        trusted = trusted_batch(members, 77)
+        validated = Batch(members, 77)
+        assert trusted == validated
+        assert repr(trusted) == repr(validated)
+        assert trusted.padding_waste == validated.padding_waste == 60
+        assert trusted.cost_batch_size == 2
+
     def test_pads_to_longest(self):
         batch = make_batch([req(0, 17), req(1, 77)])
         assert batch.padded_len == 77
