@@ -1023,7 +1023,8 @@ class _GenDriver:
             completed=len(completed),
             offered=len(arrivals),
             backlog_at_end=backlog,
-            utilization=min(1.0, self.busy_s / horizon),
+            utilization=min(1.0, self.busy_s
+                            / (horizon * len(self.replicas))),
             batches_executed=self.decode_steps + self.prefills,
             ttft=ttft,
             tpot_ms_avg=tpot_ms,

@@ -323,6 +323,34 @@ class TestGenerationCluster:
         assert m.serving.preemptions == 0
         assert m.serving.tokens_recomputed == 0
 
+    @pytest.mark.parametrize("replicas", [2, 4])
+    def test_utilization_is_a_share_of_every_replica(self, replicas):
+        """Utilization is busy time over ``horizon * replicas``, as in the
+        encoder cluster.  N replicas each serving one copy of a workload
+        are as busy as one replica serving it alone (the router spreads
+        same-instant arrivals), and N replicas sharing one sparse
+        workload are busy 1/N of what one replica is."""
+        from repro.serving import GenRequest, simulate_generation_cluster
+
+        runtime, arenas, _ = self.gen_setup()
+
+        def workload(copies):
+            return [GenRequest(req_id=i * copies + j, seq_len=16 + i % 3,
+                               arrival_s=0.05 * i, max_new_tokens=4)
+                    for i in range(10) for j in range(copies)]
+
+        def utilization(requests, n):
+            m = simulate_generation_cluster(requests, n, runtime, arenas,
+                                            duration_s=0.5)
+            assert m.serving.completed == m.serving.offered
+            return m.serving.utilization
+
+        alone = utilization(workload(1), 1)
+        assert 0.0 < alone < 1.0
+        assert utilization(workload(replicas), replicas) == alone
+        assert utilization(workload(1), replicas) == \
+            pytest.approx(alone / replicas, rel=1e-12)
+
     def test_replica_crash_fails_over_with_recompute(self):
         """Crash one of two replicas mid-run: its in-flight KV is lost,
         work re-routes to the survivor, prefixes are recomputed, and the
