@@ -886,7 +886,9 @@ def verify_host_fast_path(seed: int = 0,
       over random queues and singleton-heavy round streams;
     * plan-cached allocator vs. the uncached reference gap search:
       identical outcomes, per-tensor ``(chunk_id, offset)`` and chunk
-      lists.
+      lists;
+    * the CostTable warm-up with deferred planning vs. one that plans
+      every pass, cell by cell, and both allocators' state afterwards.
     """
     problems: List[str] = []
     say = progress or (lambda _msg: None)
@@ -932,6 +934,68 @@ def verify_host_fast_path(seed: int = 0,
             f"allocator: plan-cache outcomes diverge: {ref_out} != {fast_out}"
         )
     problems.extend(plan_layout_divergences(ref_layouts, fast_layouts))
+    problems.extend(_verify_deferred_warmup())
+    return problems
+
+
+def allocator_state(runtime) -> Dict[str, object]:
+    """A snapshot of everything observable of a runtime's Turbo
+    allocator: chunks with their assignments and unused streaks, the
+    device's counters and live handles, the planning counters, the
+    metrics series and the host-path counters.  Reads
+    ``runtime.allocator``, so deferred plans run first."""
+    allocator = runtime.allocator
+    device = allocator.device_memory
+    return {
+        "chunks": [(c.chunk_id, c.size, c.handle, c.unused_streak,
+                    tuple(c.assignments)) for c in allocator.chunks],
+        "device": dict(vars(device), _live=dict(device._live)),
+        "counters": (allocator.requests_processed, allocator.plan_hits,
+                     allocator.plan_misses, allocator.chunks_released,
+                     allocator.last_plan_cached),
+        "metrics": (allocator.metrics.to_dict()
+                    if allocator.metrics is not None else None),
+        "host_path": runtime.host_path_stats(),
+    }
+
+
+def _verify_deferred_warmup() -> List[str]:
+    """The smoke-profile CostTable warm-up of a deferring runtime vs. a
+    planning one (its allocator read before the first call), for
+    ``release_after`` None, 7 and 8: identical cells, and identical
+    allocator state once the deferring runtime's plans have run.  With
+    7, warm passes may free chunks, so that runtime must plan too."""
+    from functools import partial
+
+    from .gpusim import RTX_2060
+    from .memory import TurboAllocator
+    from .models import bert_base, build_encoder_graph
+    from .runtime import (TURBO_CHARACTERISTICS, InferenceRuntime,
+                          warmup_profile)
+
+    graph = build_encoder_graph(bert_base())
+    profile = PROFILES["smoke"]
+    kwargs = dict(max_batch=profile["grid_max_batch"],
+                  max_length=profile["grid_max_length"],
+                  length_step=profile["grid_length_step"])
+    problems: List[str] = []
+    for release_after in (None, 7, 8):
+        factory = partial(TurboAllocator, release_after=release_after)
+        deferring, planning = (
+            InferenceRuntime(graph, TURBO_CHARACTERISTICS, RTX_2060,
+                             allocator_factory=factory) for _ in range(2))
+        _ = planning.allocator  # ends deferral before the first plan
+        deferred = _table_cells(warmup_profile(deferring, **kwargs))
+        planned = _table_cells(warmup_profile(planning, **kwargs))
+        tag = f"deferred warm-up (release_after={release_after})"
+        for cell, seconds in planned.items():
+            if deferred.get(cell) != seconds:
+                problems.append(f"{tag}: cell {cell} deferred "
+                                f"{deferred.get(cell)!r} != planned {seconds!r}")
+        want, got = allocator_state(planning), allocator_state(deferring)
+        for key in want:
+            if got[key] != want[key]:
+                problems.append(f"{tag}: allocator {key} differs after flush")
     return problems
 
 

@@ -20,7 +20,11 @@ restores the cached per-chunk assignments (sharing the immutable
 runs release bookkeeping *live* — unused-streak state is deliberately
 excluded from the fingerprint because placement never reads it, and
 running it live keeps chunk-release timing (and its ``cudaFree`` stalls)
-bit-identical to the uncached allocator.
+bit-identical to the uncached allocator.  So a hit allocates nothing, but
+it is not free of stalls: its bookkeeping still advances every unused
+chunk's streak and may ``cudaFree`` a chunk.  A warm re-plan does so only
+when ``release_after`` is odd (the parity lemma in
+:meth:`repro.runtime.InferenceRuntime._warm_memory_closed_form`).
 
 The cache is transparent by default: counters, stalls, placements, and the
 emitted :class:`~repro.memory.plan.AllocationPlan` are exactly what the

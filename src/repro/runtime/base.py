@@ -20,7 +20,8 @@ from ..graph import (
     fuse_graph,
     tensor_usage_records,
 )
-from ..memory import BaseAllocator, RequestAllocation, TensorUsageRecord
+from ..memory import (BaseAllocator, RequestAllocation, TensorUsageRecord,
+                      TurboAllocator)
 from .compiled import CompiledCostModel
 from .cost import RuntimeCharacteristics, graph_cost
 
@@ -89,6 +90,11 @@ class InferenceRuntime:
         wall-clock time is saved.  ``"cached"`` models a server that keys
         plans by shape and charges a hit only ``EAGER_ALLOC_HOST_S``-class
         per-tensor bookkeeping (the §4.2 fast path).
+
+    A :meth:`latency` miss may price its warm memory term in closed form
+    and defer the allocator's planning pair (see
+    :meth:`_warm_memory_closed_form`); reading :attr:`allocator` runs
+    every deferred pair first, so no observation of the allocator differs.
     """
 
     def __init__(
@@ -109,7 +115,14 @@ class InferenceRuntime:
         self.graph = fuse_graph(graph) if chars.fuse_kernels else graph
         self.chars = chars
         self.device = device
-        self.allocator = allocator_factory() if allocator_factory else None
+        self._allocator = allocator_factory() if allocator_factory else None
+        #: (batch, padded) shapes whose cold/warm planning pair a
+        #: latency() miss deferred, in order; ``None`` once deferral has
+        #: ended for good.  It starts only from a chunkless Turbo
+        #: allocator, the base case of the parity lemma.
+        self._deferred: Optional[List[Tuple[int, int]]] = (
+            [] if type(self._allocator) is TurboAllocator
+            and not self._allocator.chunks else None)
         self.use_compiled = use_compiled
         self.memoize_records = memoize_records
         self.plan_cache_host_cost = plan_cache_host_cost
@@ -121,6 +134,33 @@ class InferenceRuntime:
         self._records_cache: Dict[Tuple[int, int], List[TensorUsageRecord]] = {}
         self.records_memo_hits = 0
         self.records_memo_misses = 0
+
+    @property
+    def allocator(self) -> Optional[BaseAllocator]:
+        """The intermediate-tensor allocator, every deferred plan applied.
+
+        Reading it ends deferral for good: the caller may plan with or
+        reconfigure the allocator (``bench``'s baseline mode drops its
+        plan cache), which the closed form could not see.
+        """
+        self._end_deferral()
+        return self._allocator
+
+    def _flush_plans(self) -> None:
+        """Run every deferred cold/warm planning pair, in order."""
+        pending = self._deferred
+        if pending:
+            self._deferred = []
+            for batch, padded in pending:
+                # Deferral requires the records memo, so replay its
+                # lookups too: a miss then a hit, as the two passes did.
+                for _ in range(2):
+                    self._allocator.process_request(
+                        self._memoized_records(batch, padded))
+
+    def _end_deferral(self) -> None:
+        self._flush_plans()
+        self._deferred = None
 
     # -- core ---------------------------------------------------------------
 
@@ -145,17 +185,23 @@ class InferenceRuntime:
             return self.compiled_model().timings(bindings)
         return graph_cost(self.graph.nodes, bindings, self.chars, self.device)
 
+    def _templates(self) -> UsageRecordTemplates:
+        if self._record_templates is None:
+            self._record_templates = UsageRecordTemplates(self.graph)
+        return self._record_templates
+
     def _compute_records(self, batch: int, padded: int) -> List[TensorUsageRecord]:
         if not self.use_compiled:
             return tensor_usage_records(self.graph, self._bindings(batch, padded))
-        if self._record_templates is None:
-            self._record_templates = UsageRecordTemplates(self.graph)
-        return self._record_templates.evaluate(self._bindings(batch, padded))
+        return self._templates().evaluate(self._bindings(batch, padded))
 
     def usage_records(self, batch: int, padded: int) -> List[TensorUsageRecord]:
         """Usage records at a shape; memoized (they depend on nothing else)."""
         if not self.memoize_records:
             return self._compute_records(batch, padded)
+        return self._memoized_records(batch, padded)
+
+    def _memoized_records(self, batch: int, padded: int) -> List[TensorUsageRecord]:
         key = (batch, padded)
         records = self._records_cache.get(key)
         if records is None:
@@ -171,18 +217,22 @@ class InferenceRuntime:
         """Drop every shape-keyed cache (call after mutating graph/config).
 
         Clears the latency memo, the records memo, the compiled cost
-        model, and the allocator's plan cache (when it has one).
+        model, and the allocator's plan cache (when it has one), after
+        running any deferred plans.
         """
+        self._flush_plans()
         self._latency_cache.clear()
         self._records_cache.clear()
         self._compiled = None
         self._record_templates = None
-        invalidate = getattr(self.allocator, "invalidate_plan_cache", None)
+        invalidate = getattr(self._allocator, "invalidate_plan_cache", None)
         if invalidate is not None:
             invalidate()
 
     def host_path_stats(self) -> Dict[str, int]:
         """Deterministic counters of the host fast path (bench/metrics)."""
+        # Deferred plans count records-memo and plan-cache lookups.
+        self._flush_plans()
         stats: Dict[str, int] = {
             "latency_cache_entries": len(self._latency_cache),
             "records_memo_hits": self.records_memo_hits,
@@ -190,7 +240,7 @@ class InferenceRuntime:
         }
         if self._compiled is not None:
             stats.update(self._compiled.stats())
-        plan_cache = getattr(self.allocator, "plan_cache", None)
+        plan_cache = getattr(self._allocator, "plan_cache", None)
         if plan_cache is not None:
             for k, v in plan_cache.stats().items():
                 stats[f"plan_cache_{k}"] = v
@@ -219,24 +269,66 @@ class InferenceRuntime:
                 "compiled_evals": stats.get("compiled_evals", 0),
             })
 
-    def _memory_overhead(self, batch: int, padded: int) -> Tuple[float, Optional[RequestAllocation]]:
-        if self.allocator is None:
-            return 0.0, None
-        records = self.usage_records(batch, padded)
-        allocation = self.allocator.process_request(records)
-        n = len(records)
-        if allocation.plan_cache_hit and self.plan_cache_host_cost == "cached":
+    def _host_cost(self, n: int, plan_cache_hit: bool) -> float:
+        """Host seconds of serving ``n`` records' memory."""
+        if plan_cache_hit and self.plan_cache_host_cost == "cached":
             # §4.2 fast path: a shape-keyed plan replay costs bookkeeping,
             # not the quadratic offset re-planning.
-            host_s = EAGER_ALLOC_HOST_S * n
-        elif getattr(self.allocator, "name", "") == "turbo":
-            host_s = PLAN_HOST_LINEAR_S * n + PLAN_HOST_QUADRATIC_S * n * n
-        else:
-            host_s = EAGER_ALLOC_HOST_S * n
+            return EAGER_ALLOC_HOST_S * n
+        if getattr(self._allocator, "name", "") == "turbo":
+            return PLAN_HOST_LINEAR_S * n + PLAN_HOST_QUADRATIC_S * n * n
+        return EAGER_ALLOC_HOST_S * n
+
+    def _memory_overhead(self, batch: int, padded: int) -> Tuple[float, Optional[RequestAllocation]]:
+        if self._allocator is None:
+            return 0.0, None
+        records = self.usage_records(batch, padded)
+        allocation = self._allocator.process_request(records)
+        host_s = self._host_cost(len(records), allocation.plan_cache_hit)
         return host_s + allocation.stall_s, allocation
+
+    def _warm_memory_closed_form(self) -> Optional[float]:
+        """The memory term of a miss's warm pass, priced without planning,
+        or ``None`` where that is not provably exact.
+
+        The warm pass re-plans the records its cold pass just planned,
+        one per intermediate tensor at every shape.  The cold pass stored
+        its outcome under the post-release chunk state, so the warm pass
+        is a plan-cache hit: it mallocs nothing and costs
+        ``_host_cost(n, plan_cache_hit=True)``.  It could still
+        ``cudaFree`` in release bookkeeping, and the parity lemma rules
+        that out when ``release_after`` is ``None`` or even:
+
+        * a chunk's unused streak resets to 0 whenever a plan uses it;
+        * the warm pass replays the cold pass's exact assignments, so a
+          chunk is unused by both passes of a pair or by neither;
+        * every plan so far came in such pairs from a chunkless start,
+          so an unused chunk's streak is odd after a cold pass and even
+          after a warm one;
+        * the warm pass frees a chunk only if its streak there exceeds
+          ``release_after`` when the cold pass's (one less) did not,
+          i.e. the warm streak is ``release_after + 1``, which is even
+          only if ``release_after`` is odd.
+
+        So the warm stall is exactly ``0.0``.  The guards keep every
+        premise: a Turbo allocator with a plan cache, no device cap (a
+        cold pass may raise OOM, which deferral would hide), no metrics
+        registry (its series would be reordered), and the records memo,
+        whose lookups :meth:`_flush_plans` replays.  :meth:`infer` and
+        reads of :attr:`allocator` end deferral, keeping the pairing.
+        """
+        allocator = self._allocator
+        if (self._deferred is None or not self.memoize_records
+                or allocator.plan_cache is None
+                or allocator.metrics is not None
+                or allocator.device_memory.capacity_bytes
+                or (allocator.release_after or 0) % 2):
+            return None
+        return self._host_cost(len(self._templates()), plan_cache_hit=True)
 
     def infer(self, batch: int, seq_len: int) -> InferenceResult:
         """Full-cost inference of one (possibly padded) batch."""
+        self._end_deferral()
         padded = self.chars.padded_length(seq_len)
         if not self.chars.supports_variable_length and padded not in self._tuned_lengths:
             # Fixed-length runtimes tune per new input dimension (offline).
@@ -290,7 +382,8 @@ class InferenceRuntime:
         model's running total instead of materializing per-kernel
         breakdowns twice.  Bit-identical to the reference path: the kernel
         sum replicates Stream accumulation order and the warm memory
-        overhead is measured exactly as :meth:`infer` would.
+        overhead is measured exactly as :meth:`infer` would, or priced by
+        :meth:`_warm_memory_closed_form` with the planning pair deferred.
         """
         if batch <= 0 or seq_len <= 0:
             raise ValueError(f"batch and seq_len must be positive, got {batch}, {seq_len}")
@@ -298,9 +391,16 @@ class InferenceRuntime:
             self._tuned_lengths.add(padded)
             self.preprocess_total_s += self.chars.preprocess_s
         kernel_s = self.compiled_model().kernel_s(self._bindings(batch, padded))
-        if self.allocator is not None:
-            self._memory_overhead(batch, padded)  # cold pass: warm allocator
-        memory_s, _ = self._memory_overhead(batch, padded)
+        if self._allocator is None:
+            memory_s = 0.0
+        else:
+            memory_s = self._warm_memory_closed_form()
+            if memory_s is None:
+                self._flush_plans()
+                self._memory_overhead(batch, padded)  # cold pass: warm allocator
+                memory_s, _ = self._memory_overhead(batch, padded)
+            else:
+                self._deferred.append((batch, padded))
         return kernel_s + memory_s + self.chars.fixed_overhead_s
 
     @property
