@@ -4,9 +4,18 @@ After a service starts, the paper runs the runtime across all feasible
 (sequence length, batch size) pairs and persists the measured latencies;
 the DP batch scheduler then prices candidate batches from this table.  Here
 the table wraps :meth:`InferenceRuntime.latency` with length bucketing
-(rounding a length *up* to the nearest profiled one is safe: padded
-execution cost is monotone in length) and optional JSON persistence —
-mirroring the paper's store-on-disk/database behaviour.
+(rounding a length *up* to the nearest profiled one, the length the batch
+is padded to) and optional JSON persistence — mirroring the paper's
+store-on-disk/database behaviour.
+
+Profiled cost is *not* monotone everywhere: kernel tiling makes some
+cells cheaper than a smaller neighbour.  The BERT-base table warmed on
+the RTX 2060 (lengths 16..512 step 16, batches 1..20) has 7 such cells —
+lengths 80, 144 and 208 at batch 1 each price below the length 16
+shorter, and batches 5, 9, 13 and 17 at length 16 each price below one
+request fewer.  Algorithm 3's sort-then-partition step is provably
+optimal only under a cost monotone in length, and the pruned DP
+scheduler checks monotonicity before it prunes rather than assume it.
 """
 
 from __future__ import annotations
@@ -23,10 +32,10 @@ class CostTable:
     """``cached_cost[seq_len][batch_size] -> seconds`` (paper Alg. 3 input).
 
     ``interpolate=True`` prices lengths between profiled grid points by
-    linear interpolation instead of rounding up to the next bucket —
-    tighter estimates at the cost of a weaker guarantee (the bucketed
-    value is a safe overestimate because padded execution cost is
-    monotone in length).
+    linear interpolation instead of rounding up to the next bucket.  The
+    bucketed value is the measured cost at the length a server pads to;
+    neither value is guaranteed to bound the other, since measured cost
+    is not monotone in length everywhere (see the module docstring).
     """
 
     def __init__(self, lengths: Iterable[int], max_batch: int,
@@ -44,8 +53,8 @@ class CostTable:
         self._row_memo: Dict[int, Dict[int, float]] = {}
 
     def bucket(self, seq_len: int) -> int:
-        """Smallest profiled length >= seq_len (padding is monotone-safe),
-        clamped to the largest profiled length.
+        """Smallest profiled length >= seq_len (the length a batch is
+        padded to), clamped to the largest profiled length.
 
         ``self.lengths`` is sorted, so the linear scan this used to do is
         a ``bisect_left``; schedulers price the same handful of lengths

@@ -46,7 +46,7 @@ from .scheduler import (
     NoBatchScheduler,
     PrunedDPBatchScheduler,
     batch_execution_cost,
-    brute_force_optimal_makespan,
+    contiguous_optimal_makespan,
     schedule_makespan,
     throughput_of_schedule,
 )
@@ -105,7 +105,7 @@ __all__ = [
     "batch_execution_cost",
     "schedule_makespan",
     "throughput_of_schedule",
-    "brute_force_optimal_makespan",
+    "contiguous_optimal_makespan",
     "TriggerPolicy",
     "HungryPolicy",
     "LazyPolicy",

@@ -452,15 +452,18 @@ def throughput_of_schedule(
     return total_requests / makespan
 
 
-def brute_force_optimal_makespan(
+def contiguous_optimal_makespan(
     requests: Sequence[Request], cost_fn: CostFn, max_batch: Optional[int] = None
 ) -> float:
-    """Exponential-time reference optimum over contiguous partitions of the
-    length-sorted list; used by tests to certify DP optimality (n <= ~15)."""
+    """Optimum over contiguous partitions of the length-sorted list: the
+    Algorithm 3 recurrence, memoised.  It cross-checks the DP's
+    implementations, not the sort-then-partition step they share;
+    the tests certify that step against an enumeration of every set
+    partition."""
     order = sorted(requests, key=lambda r: r.seq_len)
     n = len(order)
     if n > 20:
-        raise ValueError("brute force is for small instances only")
+        raise ValueError("the reference is for small instances only")
     cap = max_batch if max_batch is not None else n
     best = {0: 0.0}
 

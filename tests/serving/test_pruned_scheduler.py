@@ -10,9 +10,10 @@ from repro.serving import (
     DPBatchScheduler,
     PrunedDPBatchScheduler,
     Request,
-    brute_force_optimal_makespan,
     schedule_makespan,
 )
+
+from .partition_oracle import set_partition_optimum
 
 
 def reqs(lengths):
@@ -74,8 +75,7 @@ class TestIdenticalPartitions:
             batches = PrunedDPBatchScheduler().schedule(
                 reqs(lengths), affine_cost, max_batch)
             got = schedule_makespan(batches, affine_cost)
-            want = brute_force_optimal_makespan(
-                reqs(lengths), affine_cost, max_batch)
+            want = set_partition_optimum(lengths, affine_cost, max_batch)
             assert abs(got - want) < 1e-9
 
     def test_spt_ordering_matches_reference(self):
@@ -199,7 +199,7 @@ class TestGenerationCostTable:
         lengths = [8, 8, 16, 24, 32, 40]
         batches = PrunedDPBatchScheduler().schedule(reqs(lengths), gen_cost, 3)
         got = schedule_makespan(batches, gen_cost)
-        want = brute_force_optimal_makespan(reqs(lengths), gen_cost, 3)
+        want = set_partition_optimum(lengths, gen_cost, 3)
         assert got == pytest.approx(want, rel=1e-12)
 
 

@@ -12,11 +12,14 @@ from repro.serving import (
     FixedPadScheduler,
     NaiveBatchScheduler,
     NoBatchScheduler,
+    PrunedDPBatchScheduler,
     Request,
-    brute_force_optimal_makespan,
+    contiguous_optimal_makespan,
     schedule_makespan,
     throughput_of_schedule,
 )
+
+from .partition_oracle import set_partition_optimum, set_partitions
 
 
 def reqs(lengths):
@@ -57,7 +60,7 @@ class TestDPScheduler:
         requests = reqs([17, 18, 52, 63, 77, 4, 91, 33])
         dp = DPBatchScheduler()
         got = dp.optimal_makespan(requests, affine_cost(), 20)
-        want = brute_force_optimal_makespan(requests, affine_cost(), 20)
+        want = contiguous_optimal_makespan(requests, affine_cost(), 20)
         assert got == pytest.approx(want)
 
     def test_optimal_over_all_set_partitions(self):
@@ -128,8 +131,68 @@ class TestDPScheduler:
         requests = reqs(lengths)
         cost = affine_cost()
         got = DPBatchScheduler().optimal_makespan(requests, cost, 20)
-        want = brute_force_optimal_makespan(requests, cost, 20)
+        want = contiguous_optimal_makespan(requests, cost, 20)
         assert got == pytest.approx(want)
+
+
+LENGTH_GRID = (16, 32, 48, 64, 80, 96)
+
+
+@st.composite
+def length_monotone_costs(draw, max_batch=7):
+    """An integer cost table, non-decreasing in length for every batch
+    size and arbitrary across batch sizes.  Integer costs sum exactly,
+    so optimality is checked with ``==``."""
+    table = {}
+    for batch in range(1, max_batch + 1):
+        cost = draw(st.integers(1, 50))
+        for length in LENGTH_GRID:
+            cost += draw(st.integers(0, 20))
+            table[length, batch] = cost
+    return lambda seq_len, batch: table[seq_len, batch]
+
+
+class TestSetPartitionOracle:
+    """Algorithm 3 against every set partition, not its own recurrence."""
+
+    @pytest.mark.parametrize("n, max_batch, count", [
+        (1, 1, 1), (4, 4, 15), (5, 5, 52), (7, 7, 877),  # Bell numbers
+        (4, 2, 10), (5, 1, 1), (6, 3, 166),  # 203 less 37 with a block > 3
+    ])
+    def test_enumeration_counts(self, n, max_batch, count):
+        partitions = list(set_partitions(list(range(n)), max_batch))
+        assert len(partitions) == count
+        canonical = {tuple(sorted(tuple(sorted(g)) for g in p))
+                     for p in partitions}
+        assert len(canonical) == count
+        assert all(len(g) <= max_batch for p in partitions for g in p)
+
+    @given(st.lists(st.sampled_from(LENGTH_GRID), min_size=1, max_size=7),
+           length_monotone_costs(), st.integers(1, 7))
+    @settings(max_examples=80, deadline=None)
+    def test_dp_is_exactly_optimal_under_length_monotone_cost(
+            self, lengths, cost, max_batch):
+        want = set_partition_optimum(lengths, cost, max_batch)
+        assert DPBatchScheduler().optimal_makespan(
+            reqs(lengths), cost, max_batch) == want
+        pruned = PrunedDPBatchScheduler().schedule(reqs(lengths), cost,
+                                                   max_batch)
+        assert schedule_makespan(pruned, cost) == want
+
+    def test_oracle_sees_past_sorted_contiguity(self):
+        """Under a cost that is not monotone in length, the best
+        partition can pair the shortest and longest requests, which no
+        contiguous partition of the sorted queue does."""
+        table = {(10, 1): 100, (20, 1): 1, (30, 1): 100,
+                 (20, 2): 100, (30, 2): 1}
+
+        def cost(seq_len, batch):
+            return table[seq_len, batch]
+
+        assert set_partition_optimum([10, 20, 30], cost, 2) == 2
+        assert contiguous_optimal_makespan(reqs([10, 20, 30]), cost, 2) == 101
+        assert DPBatchScheduler().optimal_makespan(
+            reqs([10, 20, 30]), cost, 2) == 101
 
 
 class TestBaselineSchedulers:
