@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.bench import allocator_state
 from repro.gpusim import RTX_2060
-from repro.gpusim.memory import DeviceMemory
+from repro.gpusim.memory import DeviceMemory, OutOfDeviceMemoryError
 from repro.memory import TurboAllocator
 from repro.models import build_encoder_graph, tiny_bert
 from repro.observability import MetricsRegistry
@@ -46,7 +46,7 @@ def make_runtime(release_after, host_cost, cap, cached, registry):
 
 
 def apply(runtime, op):
-    """One observation of ``runtime``: a value or the error raised."""
+    """One observation of ``runtime``: a value or the OOM raised."""
     kind = op[0]
     try:
         if kind == "latency":
@@ -61,8 +61,8 @@ def apply(runtime, op):
         if kind == "stats":
             return runtime.host_path_stats()
         return allocator_state(runtime)
-    except Exception as exc:  # an OOM under a device cap
-        return (type(exc).__name__, str(exc))
+    except OutOfDeviceMemoryError as exc:  # under a device cap
+        return str(exc)
 
 
 shapes = st.tuples(st.sampled_from(BATCHES), st.sampled_from(LENGTHS))
