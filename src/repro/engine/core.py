@@ -34,7 +34,9 @@ stream's next ``(arrival_s, ARRIVAL, seq)`` key with the heap top, and
 build that arrival's :class:`Event` only when it is peeked or
 dispatched.  The order is exactly that of scheduling every ARRIVAL one by
 one, but the heap holds only the few live timers instead of the whole
-workload.
+workload.  With a bulk handler on an unobserved engine, a busy window
+hands the stream's due arrivals over in slices, building no Event (see
+:meth:`Engine.arrivals`).
 
 Invariants
 ----------
@@ -75,6 +77,7 @@ from __future__ import annotations
 import enum
 import heapq
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Generator, List, Optional,
                     Sequence, Tuple)
@@ -181,6 +184,8 @@ class Engine:
         # holding the reserved seq ``_stream_seq0 + i``; ``_stream_head``
         # is the built Event of the next one (None until peeked).
         self._stream: Sequence[Any] = ()
+        self._stream_times: List[float] = []
+        self._stream_bulk: Optional[Callable[[Sequence[Any]], None]] = None
         self._stream_at = 0
         self._stream_seq0 = 0
         self._stream_callback: Optional[Callable[[Event], None]] = None
@@ -227,7 +232,9 @@ class Engine:
         return event
 
     def arrivals(self, payloads: Sequence[Any],
-                 callback: Callable[[Event], None]) -> None:
+                 callback: Callable[[Event], None],
+                 bulk: Optional[Callable[[Sequence[Any]], None]] = None,
+                 ) -> None:
         """Schedule one ARRIVAL per payload, at its ``arrival_s``.
 
         ``payloads`` must be sorted by ``arrival_s``, start at or after
@@ -236,6 +243,18 @@ class Engine:
         exactly that of scheduling the same ARRIVALs one by one, but the
         stream stays out of the heap: its next arrival is merged in at
         ``peek``/``step`` and its Event built only then.
+
+        ``bulk``, if given, takes a whole slice of payloads at once.
+        Inside an ``advance``/``run_until`` window on an unobserved
+        engine (no instrumentation, no dispatch hook), every arrival
+        ordered before the window end, before the heap top and strictly
+        before the armed watch goes to one ``bulk(slice)`` call instead
+        of one ``callback(event)`` each; ``now``, ``pending`` and
+        ``events_dispatched`` then read as after per-event dispatch, the
+        clock on the slice's last arrival.  Contract: a bulk handler must
+        not schedule or cancel events, nor read ``now`` per payload (it
+        sees only the last one's time).  ``step``, ``step_due`` and
+        ``run`` always dispatch arrivals one by one.
         """
         if self._stream_at < len(self._stream):
             raise EngineError("an arrival stream is still pending")
@@ -247,6 +266,8 @@ class Engine:
         if any(map(operator.gt, times, times[1:])):
             raise EngineError("arrival stream is not sorted by arrival_s")
         self._stream = payloads
+        self._stream_times = times
+        self._stream_bulk = bulk
         self._stream_at = 0
         self._stream_seq0 = self._seq
         self._stream_callback = callback
@@ -321,6 +342,12 @@ class Engine:
                 return top[3]
         return head
 
+    @property
+    def observed(self) -> bool:
+        """Whether instrumentation or a dispatch hook sees every dispatch
+        (arrivals then go one by one, whatever bulk handler is set)."""
+        return self.instrumentation is not None or bool(self._dispatch_hooks)
+
     def add_dispatch_hook(self, hook: Callable[[Event], None]) -> None:
         """Observe every dispatched event (after its handler ran),
         including the virtual WAKE closing each ``advance``/``run_until``
@@ -393,7 +420,10 @@ class Engine:
         when someone observes dispatches."""
         seq = self._seq
         self._seq += 1
+        bulk = None if self.observed else self._stream_bulk
         while True:
+            if bulk is not None and self._deliver_slice(end, bulk):
+                break
             event = self.peek()
             if event is None or event.time > end or (
                     event.time == end
@@ -410,6 +440,41 @@ class Engine:
                 hook(marker)
         if end >= self._watch_t:
             self._fire_watch()
+
+    def _deliver_slice(self, end: float,
+                       bulk: Callable[[Sequence[Any]], None]) -> bool:
+        """Hand ``bulk`` every stream arrival ordered before the window
+        end ``end``, before the heap top and strictly before the watch;
+        what stops the slice (a heap event, an arrival tied with one, the
+        first arrival at or past the watch) is left to per-event dispatch.
+        Returns whether nothing more is due by ``end``, so the caller need
+        not peek (and build an Event) to find out."""
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)  # repro: allow(DET405)
+        times = self._stream_times
+        at = self._stream_at
+        stop = bisect_right(times, end, at)
+        if heap and heap[0][0] <= end:
+            t, priority = heap[0][0], heap[0][1]
+            # An arrival at the heap top's time goes first only against a
+            # later kind; a tie in kind is left to seq.
+            cut = bisect_right if priority > _ARRIVAL else bisect_left
+            stop = cut(times, t, at, stop)
+        if self._watch_t <= end:
+            stop = bisect_left(times, self._watch_t, at, stop)
+        if stop > at:
+            head = self._stream_head
+            if head is not None:  # arrival ``at``, peeked earlier
+                head.dispatched = True
+                self._stream_head = None
+            self._stream_at = stop
+            self._live -= stop - at
+            self.events_dispatched += stop - at
+            self.now = times[stop - 1]  # repro: allow(DET406)
+            bulk(self._stream[at:stop])
+        return ((stop == len(times) or times[stop] > end)
+                and (not heap or heap[0][0] > end))
 
     def advance(
         self,

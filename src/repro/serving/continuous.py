@@ -861,7 +861,8 @@ class _GenDriver:
         # Least-loaded among the healthy replicas.
         self.router = Router(self.replicas, RoutingPolicy.LEAST_QUEUED)
         self.resilient = resilience is not None
-        instrumentation = EngineInstrumentation(tracer, metrics)
+        instrumentation = (EngineInstrumentation(tracer, metrics)
+                           if self.trace_on or metrics is not None else None)
         self.engine = Engine(instrumentation=instrumentation)
         self.retry_state = None
         if resilience is not None and resilience.retry is not None:

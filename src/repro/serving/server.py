@@ -45,7 +45,10 @@ every replica follows:
 A lone replica cannot overlap with another, so the driver runs its
 windows inline (``engine.run_until``); beside other replicas each window
 end is a WAKE timer.  Both dispatch in the same order and count one WAKE
-per window.
+per window.  When nothing can observe a lone replica between batch ends
+(hungry, fault-free, no tracer, registry, cache or sanitizer), a window
+is a whole scheduling round, priced in closed form
+(:meth:`_BatchDriver._serve_rounds`).
 
 Observability: pass a :class:`repro.observability.Tracer` and/or a
 :class:`repro.observability.MetricsRegistry` to get per-request spans
@@ -83,8 +86,8 @@ from .metrics import (
 )
 from .mq import MessageQueue
 from .policies import HungryPolicy, LazyPolicy, TriggerPolicy
-from .request import Batch, Request, RequestState, arrival_window, \
-    make_batch
+from .request import Batch, Request, RequestState, _resolve_hooks, \
+    arrival_window, make_batch
 from .router import Router, RoutingPolicy, other_replica_up
 from .scheduler import BatchScheduler, CostFn, batch_execution_cost, observe_round
 
@@ -567,8 +570,22 @@ class _BatchDriver:
             for rep in replicas:
                 self.tracer.thread_name(rep.tid, f"{rep.tid} (batch execution)")
             self.tracer.thread_name("scheduler", "batch scheduler")
-        engine.arrivals(arrivals, self._on_arrival)
+        lone = replicas[0] if self.router is None else None
+        # Without a router, cache or observer an arrival only joins the
+        # queue, so a window's arrivals can join it in one call.
+        bulk = (lone.queue.extend if lone is not None and self.cache is None
+                and not self.observed and lone.queue.capacity is None
+                else None)
+        engine.arrivals(arrivals, self._on_arrival, bulk)
         engine.watch(horizon, self._snapshot_backlog)
+        # Closed-form rounds when, beyond that, nothing can see the
+        # replica between batch ends (see ``_serve_rounds``).
+        if (bulk is not None and type(lone) is BatchReplica
+                and type(lone.policy) is HungryPolicy and self.res is None
+                and lone.observe is None and not _resolve_hooks
+                and not engine.observed):
+            self._serve_rounds(lone)
+            return self._finalize(system)
         while True:
             for rep in replicas:
                 if rep.queue and not rep.running:
@@ -594,6 +611,52 @@ class _BatchDriver:
             # event times.
             engine.step_due()
         return self._finalize(system)
+
+    def _serve_rounds(self, rep: BatchReplica) -> None:
+        """The hungry loop of a lone, fault-free, unobserved replica, one
+        engine window per scheduling round.
+
+        Nothing outside the replica can see its state between batch ends:
+        no tracer, registry, response cache or sanitizer hook, no fault,
+        retry, deadline, breaker or bounded queue, no adaptive scheduler
+        and no TRIGGER event (the engine holds no heap event at all).  So
+        each round is priced once, in the same ``started + exec_s`` float
+        sums the windowed path runs ``run_until`` to, its members are
+        resolved (with no resolve hook that is all ``resolve`` does) and
+        the engine runs once to the round's end, handing the arrivals of
+        the whole round to the queue.  The one exception is the batch
+        that crosses the horizon: it ends its own window, so the backlog
+        snapshot sees it started and no later batch.
+        """
+        engine = self.engine
+        queue = rep.queue
+        schedule = rep.scheduler.schedule
+        price = self.cost_fn
+        max_batch = self.config.max_batch
+        limit = self.config.round_limit
+        horizon = self.horizon
+        completed = RequestState.COMPLETED
+        while True:
+            if not queue:
+                if not engine.pending:
+                    return
+                engine.step_due()
+                continue
+            t = engine.now
+            for batch in schedule(queue.drain(limit), price, max_batch):
+                started = t
+                t = started + batch_execution_cost(batch, price)
+                for r in batch.requests:
+                    r.start_s = started
+                    r.completion_s = t
+                    r.state = completed
+                if started < horizon:
+                    self.busy_in_horizon += min(t, horizon) - started
+                    if horizon <= t:
+                        engine.run_until(t)
+                self.batches_executed += 1
+                rep.completed += batch.size
+            engine.run_until(t)
 
     def _finalize(self, system: str) -> ServingMetrics:
         arrivals = self.arrivals

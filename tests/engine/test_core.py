@@ -201,6 +201,121 @@ class TestArrivalStream:
         assert engine.now == 1.5
 
 
+class TestBulkArrivals:
+    """``arrivals(..., bulk=...)``: inside a window an unobserved engine
+    hands every arrival no heap event or watch separates to one call."""
+
+    _payloads = staticmethod(TestArrivalStream._payloads)
+
+    @staticmethod
+    def _engine(times, log, bulk=True):
+        engine = Engine()
+        payloads = TestBulkArrivals._payloads(times)
+        engine.arrivals(
+            payloads, lambda e: log.append(("one", e.payload.req_id)),
+            (lambda ps: log.append(("bulk", [p.req_id for p in ps])))
+            if bulk else None)
+        return engine
+
+    def test_window_arrivals_go_in_one_slice(self):
+        log = []
+        engine = self._engine([0.1, 0.2, 0.2, 0.5, 0.9], log)
+        engine.run_until(0.5)
+        assert log == [("bulk", [0, 1, 2, 3])]
+        assert (engine.now, engine.events_dispatched) == (0.5, 5)
+
+    def test_slice_stops_at_a_heap_event(self):
+        log = []
+        engine = self._engine([0.1, 0.3, 0.4, 0.6], log)
+        engine.schedule(0.3, EventKind.RETRY,
+                        lambda e: log.append(("retry", engine.now)))
+        engine.schedule(0.4, EventKind.ARRIVAL,
+                        lambda e: log.append(("heap arrival", engine.now)))
+        engine.advance(1.0)
+        # An arrival tied with a later kind goes first; one tied with a
+        # heap ARRIVAL scheduled after the stream goes by seq.
+        assert log == [("bulk", [0, 1]), ("retry", 0.3), ("one", 2),
+                       ("heap arrival", 0.4), ("bulk", [3])]
+
+    def test_heap_event_that_sorts_first_at_a_tie_goes_first(self):
+        """At one instant a heap event of priority below ARRIVAL, or an
+        ARRIVAL scheduled before the stream, precedes the stream's."""
+        log = []
+        engine = Engine()
+        engine.schedule(0.2, EventKind.ARRIVAL,
+                        lambda e: log.append(("early arrival", engine.now)))
+        engine.arrivals(
+            self._payloads([0.1, 0.2, 0.3]),
+            lambda e: log.append(("one", e.payload.req_id)),
+            lambda ps: log.append(("bulk", [p.req_id for p in ps])))
+        engine.schedule(0.3, EventKind.WAKE,
+                        lambda e: log.append(("urgent", engine.now)),
+                        priority=-1)
+        engine.run_until(1.0)
+        assert log == [("bulk", [0]), ("early arrival", 0.2), ("bulk", [1]),
+                       ("urgent", 0.3), ("bulk", [2])]
+
+    def test_slice_stops_strictly_before_the_watch(self):
+        log = []
+        engine = self._engine([0.1, 0.2, 0.3, 0.4], log)
+        engine.watch(0.2, lambda: log.append(("watch", engine.now)))
+        engine.run_until(0.5)
+        assert log == [("bulk", [0]), ("one", 1), ("watch", 0.2),
+                       ("bulk", [2, 3])]
+
+    def test_step_and_step_due_stay_per_event(self):
+        log = []
+        engine = self._engine([0.1, 0.1, 0.2], log)
+        engine.step_due()
+        engine.step()
+        assert log == [("one", 0), ("one", 1), ("one", 2)]
+
+    def test_falls_back_per_event_under_a_hook_or_instrumentation(self):
+        for observe in ("hook", "instrumentation"):
+            log = []
+            engine = self._engine([0.1, 0.2], log)
+            assert not engine.observed
+            if observe == "hook":
+                engine.add_dispatch_hook(lambda e: None)
+            else:
+                engine.instrumentation = EngineInstrumentation(
+                    None, MetricsRegistry())
+            assert engine.observed
+            engine.run_until(0.5)
+            assert log == [("one", 0), ("one", 1)], observe
+
+    def test_peeked_head_is_dropped_once_delivered(self):
+        log = []
+        engine = self._engine([0.1, 0.2], log)
+        head = engine.peek()
+        engine.run_until(0.15)
+        assert log == [("bulk", [0])] and head.dispatched
+        engine.cancel(head)  # a stale handle: no-op
+        assert engine.pending
+        engine.run()
+        assert log[-1] == ("one", 1) and not engine.pending
+
+    def test_state_matches_per_event_delivery(self):
+        times = [0.0, 0.25, 0.25, 0.5, 0.75, 1.0, 1.0, 1.75]
+
+        def run(bulk):
+            log = []
+            engine = self._engine(times, log, bulk)
+            engine.schedule(0.75, EventKind.WAKE)
+            engine.watch(1.0, lambda: None)
+            states = []
+            for end in (0.25, 0.6, 1.0, 1.5, 2.0):
+                engine.run_until(end)
+                states.append((engine.now, engine.pending,
+                               engine.events_dispatched))
+            delivered = [i for kind, ids in log
+                         for i in (ids if kind == "bulk" else [ids])]
+            return states, delivered
+
+        assert run(True) == run(False)
+        assert run(True)[1] == list(range(len(times)))
+
+
 class TestCrossingWatch:
     def test_fires_once_after_the_first_dispatch_at_or_past_t(self):
         engine = Engine()

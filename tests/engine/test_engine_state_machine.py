@@ -16,6 +16,11 @@ must agree after every step.
 Times are multiples of 0.25 so that ties between kinds, seqs and window
 ends are frequent and exact; a fault stretch doubles busy windows that
 start in [1, 2) s.
+
+A second machine registers a bulk arrival handler and starts with no
+dispatch hook, so windows hand arrivals over in slices until a rule
+attaches a hook; its arrival entries are compared without their clock
+(a bulk handler does not read it per payload) and without hook entries.
 """
 
 from dataclasses import dataclass, field
@@ -155,12 +160,19 @@ class Spike:
 
 
 class EngineMachine(RuleBasedStateMachine):
+    #: Register a bulk arrival handler and start unobserved.
+    BULK = False
+
     def __init__(self) -> None:
         super().__init__()
         self.engine = Engine(faults=Spike())
         self.ref = Reference()
         self.log: List[tuple] = []
         self.tags = 0
+        if not self.BULK:
+            self._hook()
+
+    def _hook(self) -> None:
         engine = self.engine
         engine.add_dispatch_hook(lambda e: self.log.append(
             ("hook", engine.now, e.time, e.priority, e.seq, int(e.kind))))
@@ -207,6 +219,15 @@ class EngineMachine(RuleBasedStateMachine):
         self.engine.cancel(entry.handle)  # idempotent
         entry.cancelled = True
 
+    @rule(delay=DELAYS, child=st.none() | DELAYS)
+    def after(self, delay, child):
+        tag = self._tag()
+        handle = self.engine.after(delay, callback=self._handler(child),
+                                   payload=tag)
+        entry = self.ref.push(self.ref.clock + delay, EventKind.WAKE, tag,
+                              child=child)
+        entry.handle = handle
+
     @precondition(lambda self: self.ref.fired)
     @rule(data=st.data())
     def cancel_fired(self, data):
@@ -234,9 +255,13 @@ class EngineMachine(RuleBasedStateMachine):
     def arrivals(self, delays):
         times = sorted(self.engine.now + d for d in delays)
         payloads = [Arrival(t, -self._tag()) for t in times]
+        bulk = None
+        if self.BULK:
+            def bulk(sliced):
+                self.log.extend(("cb", None, p.tag) for p in sliced)
         self.engine.arrivals(
             payloads, lambda e: self.log.append(
-                ("cb", self.engine.now, e.payload.tag)))
+                ("cb", self.engine.now, e.payload.tag)), bulk)
         for p in payloads:
             self.ref.push(p.arrival_s, EventKind.ARRIVAL, p.tag)
         self.ref.stream_left = len(payloads)
@@ -297,12 +322,35 @@ class EngineMachine(RuleBasedStateMachine):
 
     @invariant()
     def agrees_with_reference(self):
-        assert self.log == self.ref.log
+        if self.BULK:
+            assert bulk_view(self.log) == bulk_view(self.ref.log)
+        else:
+            assert self.log == self.ref.log
+            assert self.engine.observed
         assert self.engine.now == self.ref.clock
         assert self.engine.pending == bool(self.ref.live())
         assert self.engine.events_dispatched == self.ref.dispatched
 
 
+def bulk_view(log: List[tuple]) -> List[tuple]:
+    """A log without hook entries, arrival entries without their clock."""
+    return [("cb", None, entry[2]) if entry[0] == "cb" and entry[2] < 0
+            else entry for entry in log if entry[0] != "hook"]
+
+
+class BulkEngineMachine(EngineMachine):
+    BULK = True
+
+    @precondition(lambda self: not self.engine.observed)
+    @rule()
+    def attach_hook(self):
+        """From here on arrivals must go one by one."""
+        self._hook()
+
+
 EngineMachine.TestCase.settings = settings(
     max_examples=150, stateful_step_count=40, deadline=None)
 TestEngineStateMachine = EngineMachine.TestCase
+BulkEngineMachine.TestCase.settings = settings(
+    max_examples=300, stateful_step_count=40, deadline=None)
+TestBulkEngineStateMachine = BulkEngineMachine.TestCase

@@ -12,22 +12,42 @@ Arrival gaps and most costs are multiples of 1/1024 s, so sums are exact
 and arrivals often land on a window end or share an instant; a third
 cost family draws arbitrary floats.  Scope: one fault-free replica under
 the hungry trigger.
+
+Such a replica runs each scheduling round as one engine window when
+nothing observes it, and batch by batch otherwise; an unobserved run and
+one with a ``MetricsRegistry`` take the two paths.  Both are certified
+against the reference, per request and on every ``ServingMetrics``
+field, and a second differential test compares the two paths directly
+over the DP, pruned-DP and packed schedulers, with horizons placed
+inside a multi-batch round and exactly on a batch end.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.engine_checks import EngineTraceRecorder
+from repro.observability import MetricsRegistry, Tracer
+from repro.resilience import ResilienceConfig
 from repro.serving import (
+    AdaptiveBatchScheduler,
+    DPBatchScheduler,
+    LazyPolicy,
+    PackedBatchScheduler,
     PrunedDPBatchScheduler,
     Request,
     RequestState,
+    ResponseCache,
     ServingConfig,
+    simulate_cluster,
+    simulate_ebird_serving,
     simulate_serving,
 )
+from repro.serving.server import _BatchDriver
 
-from .reference_sim import reference_serve
+from .reference_sim import reference_metrics, reference_serve
 
 TICK = 1.0 / 1024
 
@@ -68,6 +88,36 @@ ARRIVAL = st.tuples(st.one_of(st.just(0), st.integers(0, 48)),  # gap, ticks
                     st.integers(1, 128))  # seq_len
 
 
+#: The two encoder paths: closed-form rounds when nothing observes the
+#: run, batch-by-batch windows under a metrics registry.
+PATHS = {"closed": lambda: None, "windowed": MetricsRegistry}
+
+
+def as_triples(arrivals):
+    """``(gap_ticks, seq_len)`` draws -> ``(req_id, seq_len, arrival_s)``."""
+    triples = []
+    ticks = 0
+    for req_id, (gap, seq_len) in enumerate(arrivals):
+        ticks += gap
+        triples.append((req_id, seq_len, ticks * TICK))
+    return triples
+
+
+def serve(triples, scheduler, cost_fn, max_batch, round_limit, duration_s,
+          metrics=None):
+    """One ``simulate_serving`` run: per request ``(state, start_s,
+    completion_s)`` and the ``ServingMetrics``."""
+    requests = [Request(req_id=i, seq_len=l, arrival_s=a)
+                for i, l, a in triples]
+    result = simulate_serving(requests, scheduler, cost_fn,
+                              ServingConfig(max_batch=max_batch,
+                                            round_limit=round_limit),
+                              duration_s=duration_s, metrics=metrics)
+    timeline = {r.req_id: (r.state, r.start_s, r.completion_s)
+                for r in requests}
+    return timeline, result
+
+
 @settings(max_examples=200, deadline=None)
 @given(arrivals=st.lists(ARRIVAL, min_size=1, max_size=40),
        cost_fn=COST,
@@ -75,19 +125,130 @@ ARRIVAL = st.tuples(st.one_of(st.just(0), st.integers(0, 48)),  # gap, ticks
        round_limit=st.one_of(st.none(), st.integers(1, 6)))
 def test_per_request_timeline_matches_reference(arrivals, cost_fn, max_batch,
                                                 round_limit):
-    triples = []
-    ticks = 0
-    for req_id, (gap, seq_len) in enumerate(arrivals):
-        ticks += gap
-        triples.append((req_id, seq_len, ticks * TICK))
-    want = reference_serve(triples, cost_fn, max_batch, round_limit)
+    triples = as_triples(arrivals)
+    horizon = triples[-1][2] + TICK
+    timeline, windows = reference_serve(triples, cost_fn, max_batch,
+                                        round_limit)
+    want = {i: (RequestState.COMPLETED, start, end)
+            for i, (start, end) in timeline.items()}
+    for path, registry in PATHS.items():
+        got, result = serve(triples, PrunedDPBatchScheduler(), cost_fn,
+                            max_batch, round_limit, horizon, registry())
+        assert got == want, path
+        assert result == reference_metrics(
+            triples, timeline, windows, horizon, result.system), path
 
-    requests = [Request(req_id=i, seq_len=l, arrival_s=a)
-                for i, l, a in triples]
-    simulate_serving(requests, PrunedDPBatchScheduler(), cost_fn,
-                     ServingConfig(max_batch=max_batch,
-                                   round_limit=round_limit),
-                     duration_s=(ticks + 1) * TICK)
-    got = {r.req_id: (r.start_s, r.completion_s, r.state) for r in requests}
-    assert got == {i: (start, end, RequestState.COMPLETED)
-                   for i, (start, end) in want.items()}
+
+def packed_cost(lengths):
+    """A packed batch's pinned cost: unlike any ``cost_fn`` cell."""
+    return (3 + sum(lengths) // 8) * TICK
+
+
+SCHEDULERS = {
+    "pruned": PrunedDPBatchScheduler,
+    "dp": DPBatchScheduler,
+    "packed": lambda: PackedBatchScheduler(packed_cost, max_tokens=256),
+}
+
+
+def batch_windows(timeline):
+    """Distinct ``(start_s, completion_s)`` windows, in time order; one
+    per batch since every cost is positive."""
+    return sorted({(start, end) for _, start, end in timeline.values()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrivals=st.lists(ARRIVAL, min_size=1, max_size=40),
+       cost_fn=COST,
+       scheduler=st.sampled_from(sorted(SCHEDULERS)),
+       max_batch=st.integers(1, 8),
+       round_limit=st.one_of(st.none(), st.integers(1, 6)),
+       where=st.sampled_from(["inside", "on_end", "drawn"]),
+       drawn=st.integers(1, 400),
+       data=st.data())
+def test_closed_form_rounds_match_batch_windows(arrivals, cost_fn, scheduler,
+                                                max_batch, round_limit,
+                                                where, drawn, data):
+    """The two paths agree per request and on every metric.  The horizon
+    lands strictly inside, or exactly on the end of, a batch that another
+    batch follows back to back, so the horizon backlog must not see the
+    later batch started."""
+    triples = as_triples(arrivals)
+    make = SCHEDULERS[scheduler]
+    args = (cost_fn, max_batch, round_limit)
+    pilot, _ = serve(triples, make(), *args, duration_s=1.0)
+    windows = batch_windows(pilot)
+    starts = {start for start, _ in windows}
+    followed = [w for w in windows if w[1] in starts]
+    horizon = drawn * TICK
+    if where != "drawn" and followed:
+        start, end = data.draw(st.sampled_from(followed))
+        horizon = end if where == "on_end" else (start + end) / 2
+    closed = serve(triples, make(), *args, horizon)
+    windowed = serve(triples, make(), *args, horizon, MetricsRegistry())
+    assert closed == windowed
+
+
+def run_rounds_spy(monkeypatch):
+    """Count the runs that take the closed-form rounds."""
+    calls = []
+    original = _BatchDriver._serve_rounds
+
+    def spy(self, rep):
+        calls.append(rep)
+        return original(self, rep)
+
+    monkeypatch.setattr(_BatchDriver, "_serve_rounds", spy)
+    return calls
+
+
+def small_workload():
+    return [Request(req_id=i, seq_len=16 + 8 * (i % 5), arrival_s=i * 0.002,
+                    payload=i % 3) for i in range(30)]
+
+
+#: Runs that must take the batch-by-batch path: each breaks one of the
+#: closed form's conditions.
+WINDOWED = {
+    "metrics": lambda reqs: simulate_serving(
+        reqs, PrunedDPBatchScheduler(), monotone_cost,
+        metrics=MetricsRegistry()),
+    "tracer": lambda reqs: simulate_serving(
+        reqs, PrunedDPBatchScheduler(), monotone_cost, tracer=Tracer()),
+    "cache": lambda reqs: simulate_serving(
+        reqs, PrunedDPBatchScheduler(), monotone_cost,
+        cache=ResponseCache()),
+    "resilience": lambda reqs: simulate_serving(
+        reqs, PrunedDPBatchScheduler(), monotone_cost,
+        resilience=ResilienceConfig()),
+    "lazy": lambda reqs: simulate_serving(
+        reqs, PrunedDPBatchScheduler(), monotone_cost,
+        ServingConfig(policy=LazyPolicy())),
+    "adaptive": lambda reqs: simulate_serving(
+        reqs, AdaptiveBatchScheduler(), monotone_cost),
+    "two replicas": lambda reqs: simulate_cluster(
+        reqs, 2, PrunedDPBatchScheduler, monotone_cost),
+    "ebird": lambda reqs: simulate_ebird_serving(reqs, monotone_cost),
+}
+
+
+def test_unobserved_lone_replica_takes_closed_form(monkeypatch):
+    calls = run_rounds_spy(monkeypatch)
+    simulate_serving(small_workload(), PrunedDPBatchScheduler(),
+                     monotone_cost)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("case", sorted(WINDOWED))
+def test_observed_or_stateful_runs_take_windows(monkeypatch, case):
+    calls = run_rounds_spy(monkeypatch)
+    WINDOWED[case](small_workload())
+    assert calls == []
+
+
+def test_sanitizer_hooks_take_windows(monkeypatch):
+    calls = run_rounds_spy(monkeypatch)
+    with EngineTraceRecorder():
+        simulate_serving(small_workload(), PrunedDPBatchScheduler(),
+                         monotone_cost)
+    assert calls == []
