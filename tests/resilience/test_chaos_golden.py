@@ -2,7 +2,8 @@
 
 ``python -m repro chaos --scenario <name> --seed 0 --metrics-out X``
 must write exactly ``golden_chaos/<name>.json`` for the three encoder
-cluster scenarios: every counter, gauge and breaker-state series of the
+cluster scenarios and the two generation ones (``gen-blackout``,
+``gen-storm``): every counter, gauge and breaker-state series of the
 fault-free baseline and the chaos run.  A change to the serving loop or
 the router that moves one routing decision, retry or breaker transition
 shows up here.
@@ -19,7 +20,7 @@ import pytest
 from repro.__main__ import main
 
 GOLDEN = Path(__file__).parent / "golden_chaos"
-SCENARIOS = ("smoke", "blackout", "storm")
+SCENARIOS = ("smoke", "blackout", "storm", "gen-blackout", "gen-storm")
 
 
 def metrics_json(name: str, out: Path) -> str:
