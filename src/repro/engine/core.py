@@ -63,9 +63,6 @@ marker never enters the heap, but it still counts as one WAKE dispatch:
 dispatch hook see it, and its :class:`Event` is built only when one of
 the latter two is attached.
 
-``watch(t, callback)`` is a one-shot crossing watch: ``callback()`` runs
-once, after the first dispatch — real event or window end — at time
-``>= t`` (servers snapshot their horizon backlog with it).
 ``spawn(generator)`` runs a cooperative task: the generator yields delays
 (virtual seconds) and is resumed by engine timers, which is how
 multi-round work (a replica executing batches back to back) is expressed
@@ -115,7 +112,6 @@ class Event:
     dispatched: bool = field(default=False, compare=False)
 
 
-_INF = float("inf")
 _ARRIVAL = int(EventKind.ARRIVAL)
 _WAKE = int(EventKind.WAKE)
 
@@ -190,10 +186,6 @@ class Engine:
         self._stream_seq0 = 0
         self._stream_callback: Optional[Callable[[Event], None]] = None
         self._stream_head: Optional[Event] = None
-        # The crossing watch: fires once after the first dispatch at or
-        # past ``_watch_t`` (inf when none is armed).
-        self._watch_t = _INF
-        self._watch: Optional[Callable[[], None]] = None
         self._dispatch_hooks: List[Callable[[Event], None]] = []
         self.events_dispatched = 0
         #: Actual duration of the last ``advance`` window (after fault
@@ -247,8 +239,8 @@ class Engine:
         ``bulk``, if given, takes a whole slice of payloads at once.
         Inside an ``advance``/``run_until`` window on an unobserved
         engine (no instrumentation, no dispatch hook), every arrival
-        ordered before the window end, before the heap top and strictly
-        before the armed watch goes to one ``bulk(slice)`` call instead
+        ordered before the window end and before the heap top goes to one
+        ``bulk(slice)`` call instead
         of one ``callback(event)`` each; ``now``, ``pending`` and
         ``events_dispatched`` then read as after per-event dispatch, the
         clock on the slice's last arrival.  Contract: a bulk handler must
@@ -295,26 +287,6 @@ class Engine:
             if event is self._stream_head:
                 self._stream_head = None
                 self._stream_at += 1
-
-    def watch(self, t: float, callback: Callable[[], None]) -> None:
-        """Call ``callback()`` once, after the first dispatch — real event
-        or ``advance``/``run_until`` window end — at time ``>= t``.
-
-        One watch may be armed at a time.  Serving loops use it to
-        snapshot state at a horizon crossing for a float compare per
-        dispatch instead of a dispatch hook.
-        """
-        if self._watch is not None:
-            raise EngineError("a crossing watch is already armed")
-        self._watch_t = t
-        self._watch = callback
-
-    def _fire_watch(self) -> None:
-        callback = self._watch
-        self._watch = None
-        self._watch_t = _INF
-        assert callback is not None
-        callback()
 
     # -- inspection ------------------------------------------------------
     @property
@@ -386,8 +358,6 @@ class Engine:
             self.instrumentation.observe_dispatch(event)
         for hook in self._dispatch_hooks:
             hook(event)
-        if t >= self._watch_t:
-            self._fire_watch()
 
     def step_due(self) -> List[Event]:
         """Dispatch the next event plus every event sharing its timestamp.
@@ -415,8 +385,7 @@ class Engine:
     def _run_to(self, end: float) -> None:
         """Dispatch every event ordered before a virtual WAKE marker at
         ``end`` (seq reserved now), then land the clock on ``end`` and
-        dispatch the marker itself to instrumentation, hooks and the
-        watch.  The marker never enters the heap; its Event is built only
+        dispatch the marker itself to instrumentation and hooks.  The marker never enters the heap; its Event is built only
         when someone observes dispatches."""
         seq = self._seq
         self._seq += 1
@@ -438,15 +407,12 @@ class Engine:
                 self.instrumentation.observe_dispatch(marker)
             for hook in self._dispatch_hooks:
                 hook(marker)
-        if end >= self._watch_t:
-            self._fire_watch()
 
     def _deliver_slice(self, end: float,
                        bulk: Callable[[Sequence[Any]], None]) -> bool:
         """Hand ``bulk`` every stream arrival ordered before the window
-        end ``end``, before the heap top and strictly before the watch;
-        what stops the slice (a heap event, an arrival tied with one, the
-        first arrival at or past the watch) is left to per-event dispatch.
+        end ``end`` and before the heap top; what stops the slice (a heap
+        event, an arrival tied with one) is left to per-event dispatch.
         Returns whether nothing more is due by ``end``, so the caller need
         not peek (and build an Event) to find out."""
         heap = self._heap
@@ -461,8 +427,6 @@ class Engine:
             # later kind; a tie in kind is left to seq.
             cut = bisect_right if priority > _ARRIVAL else bisect_left
             stop = cut(times, t, at, stop)
-        if self._watch_t <= end:
-            stop = bisect_left(times, self._watch_t, at, stop)
         if stop > at:
             head = self._stream_head
             if head is not None:  # arrival ``at``, peeked earlier

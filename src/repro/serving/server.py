@@ -411,7 +411,6 @@ class _BatchDriver:
         self.horizon = 0.0
         self.busy_in_horizon = 0.0
         self.batches_executed = 0
-        self.backlog_at_horizon: Optional[int] = None
         self.arrivals: List[Request] = []
 
     # -- request bookkeeping ----------------------------------------------
@@ -524,20 +523,6 @@ class _BatchDriver:
                                       attempt=r.attempt)
         self._ingest(r, now)
 
-    def _snapshot_backlog(self) -> None:
-        # At the first dispatch crossing the horizon, however many
-        # arrivals remain.  Backlog = requests offered within the horizon
-        # whose service had not begun by the horizon; queue depth alone
-        # undercounts because a scheduling round drains the whole queue
-        # into batches long before they execute, and arrivals after the
-        # horizon are not backlog of the measured load.
-        horizon = self.horizon
-        self.backlog_at_horizon = sum(
-            1 for r in self.arrivals
-            if r.arrival_s <= horizon
-            and (r.start_s is None or r.start_s > horizon)
-        )
-
     # -- the run ----------------------------------------------------------
 
     def _start(self, rep: BatchReplica, force: bool = False) -> None:
@@ -577,7 +562,6 @@ class _BatchDriver:
                 and not self.observed and lone.queue.capacity is None
                 else None)
         engine.arrivals(arrivals, self._on_arrival, bulk)
-        engine.watch(horizon, self._snapshot_backlog)
         # Closed-form rounds when, beyond that, nothing can see the
         # replica between batch ends (see ``_serve_rounds``).
         if (bulk is not None and type(lone) is BatchReplica
@@ -624,9 +608,7 @@ class _BatchDriver:
         sums the windowed path runs ``run_until`` to, its members are
         resolved (with no resolve hook that is all ``resolve`` does) and
         the engine runs once to the round's end, handing the arrivals of
-        the whole round to the queue.  The one exception is the batch
-        that crosses the horizon: it ends its own window, so the backlog
-        snapshot sees it started and no later batch.
+        the whole round to the queue.
         """
         engine = self.engine
         queue = rep.queue
@@ -652,8 +634,6 @@ class _BatchDriver:
                     r.state = completed
                 if started < horizon:
                     self.busy_in_horizon += min(t, horizon) - started
-                    if horizon <= t:
-                        engine.run_until(t)
                 self.batches_executed += 1
                 rep.completed += batch.size
             engine.run_until(t)
@@ -661,7 +641,14 @@ class _BatchDriver:
     def _finalize(self, system: str) -> ServingMetrics:
         arrivals = self.arrivals
         horizon = self.horizon
-        backlog = self.backlog_at_horizon or 0
+        # Backlog: requests offered by the horizon, not shed, whose
+        # service had not begun by it.  Queue depth alone undercounts,
+        # because a round drains the whole queue into batches long before
+        # they execute.
+        backlog = sum(
+            1 for r in arrivals
+            if r.arrival_s <= horizon and r.state is not RequestState.SHED
+            and (r.start_s is None or r.start_s > horizon))
         # One is_completed pass; latency, throughput and the completed
         # count are all read off the completed list.
         completed = completed_requests(arrivals)

@@ -203,7 +203,7 @@ class TestArrivalStream:
 
 class TestBulkArrivals:
     """``arrivals(..., bulk=...)``: inside a window an unobserved engine
-    hands every arrival no heap event or watch separates to one call."""
+    hands every arrival no heap event separates to one call."""
 
     _payloads = staticmethod(TestArrivalStream._payloads)
 
@@ -255,14 +255,6 @@ class TestBulkArrivals:
         assert log == [("bulk", [0]), ("early arrival", 0.2), ("bulk", [1]),
                        ("urgent", 0.3), ("bulk", [2])]
 
-    def test_slice_stops_strictly_before_the_watch(self):
-        log = []
-        engine = self._engine([0.1, 0.2, 0.3, 0.4], log)
-        engine.watch(0.2, lambda: log.append(("watch", engine.now)))
-        engine.run_until(0.5)
-        assert log == [("bulk", [0]), ("one", 1), ("watch", 0.2),
-                       ("bulk", [2, 3])]
-
     def test_step_and_step_due_stay_per_event(self):
         log = []
         engine = self._engine([0.1, 0.1, 0.2], log)
@@ -302,7 +294,6 @@ class TestBulkArrivals:
             log = []
             engine = self._engine(times, log, bulk)
             engine.schedule(0.75, EventKind.WAKE)
-            engine.watch(1.0, lambda: None)
             states = []
             for end in (0.25, 0.6, 1.0, 1.5, 2.0):
                 engine.run_until(end)
@@ -314,33 +305,6 @@ class TestBulkArrivals:
 
         assert run(True) == run(False)
         assert run(True)[1] == list(range(len(times)))
-
-
-class TestCrossingWatch:
-    def test_fires_once_after_the_first_dispatch_at_or_past_t(self):
-        engine = Engine()
-        fired = []
-        for t in (0.5, 1.0, 1.5):
-            engine.schedule(t, EventKind.WAKE)
-        engine.watch(1.0, lambda: fired.append(engine.now))
-        engine.run()
-        assert fired == [1.0]
-
-    def test_window_end_crosses_the_watch(self):
-        engine = Engine()
-        fired = []
-        engine.schedule(2.0, EventKind.ARRIVAL)
-        engine.watch(0.75, lambda: fired.append(engine.now))
-        engine.advance(0.5)
-        assert fired == []
-        engine.advance(0.5)
-        assert fired == [1.0]
-
-    def test_one_watch_at_a_time(self):
-        engine = Engine()
-        engine.watch(1.0, lambda: None)
-        with pytest.raises(EngineError):
-            engine.watch(2.0, lambda: None)
 
 
 class TestCancellation:

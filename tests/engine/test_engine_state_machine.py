@@ -4,14 +4,12 @@ The reference is the engine's contract written as plainly as possible:
 every pending event is an entry ``(time, priority, seq)`` in a list, the
 next dispatch is the minimum live entry, ``advance``/``run_until``
 dispatch every entry below a marker ``(end, WAKE, seq)`` and then
-dispatch the marker itself, and a crossing watch fires once after the
-first dispatch at or past its time.  Random programs of ``schedule`` /
+dispatch the marker itself.  Random programs of ``schedule`` /
 ``cancel`` (of pending and of already fired events) / ``arrivals`` /
-``step`` / ``step_due`` / ``advance`` / ``run_until`` / ``spawn`` /
-``watch`` run against both, and the combined
-log — handler calls, dispatch-hook calls (markers included) and watch
-firings, in order — plus the clock, ``pending`` and ``events_dispatched``
-must agree after every step.
+``step`` / ``step_due`` / ``advance`` / ``run_until`` / ``spawn`` run
+against both, and the combined log — handler calls and dispatch-hook
+calls (markers included), in order — plus the clock, ``pending`` and
+``events_dispatched`` must agree after every step.
 
 Times are multiples of 0.25 so that ties between kinds, seqs and window
 ends are frequent and exact; a fault stretch doubles busy windows that
@@ -78,7 +76,6 @@ class Reference:
         self.entries: List[Entry] = []
         self.log: List[tuple] = []
         self.dispatched = 0
-        self.watch_t: Optional[float] = None
         self.stream_left = 0
         #: Engine handles of scheduled entries that already fired.
         self.fired: List[object] = []
@@ -100,9 +97,6 @@ class Reference:
     def observe(self, time, priority, seq, kind) -> None:
         self.dispatched += 1
         self.log.append(("hook", self.clock, time, priority, seq, kind))
-        if self.watch_t is not None and time >= self.watch_t:
-            self.watch_t = None
-            self.log.append(("watch", self.clock))
 
     def step(self) -> Optional[Entry]:
         entry = self.next()
@@ -280,14 +274,6 @@ class EngineMachine(RuleBasedStateMachine):
         engine.spawn(work())
         self.ref.log.append(("task", self.ref.clock, tag, 0))
         self.ref.resume_task(tag, delays, 0)
-
-    @precondition(lambda self: self.ref.watch_t is None)
-    @rule(delay=DELAYS)
-    def watch(self, delay):
-        engine = self.engine
-        engine.watch(engine.now + delay,
-                     lambda: self.log.append(("watch", engine.now)))
-        self.ref.watch_t = self.ref.clock + delay
 
     @rule()
     def step(self):

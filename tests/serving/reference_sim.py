@@ -74,8 +74,8 @@ def reference_metrics(arrivals: Sequence[Tuple[int, int, float]],
     * ``utilization`` — the windows' overlap with ``[0, horizon]``,
       summed in execution order, over the horizon;
     * ``backlog_at_end`` — requests offered by the horizon and not
-      started before it (a batch starting exactly at the horizon starts
-      after that instant's events, which the snapshot follows);
+      started by it (a batch starting exactly at the horizon is not
+      backlog);
     * ``response_throughput`` — completions inside the closed window
       ``[warmup, horizon]`` per second; saturated when the backlog takes
       more than half a second of that throughput;
@@ -87,7 +87,7 @@ def reference_metrics(arrivals: Sequence[Tuple[int, int, float]],
         if start < horizon:
             busy += min(end, horizon) - start
     backlog = sum(1 for req_id, (start, _) in timeline.items()
-                  if arrival_of[req_id] <= horizon and start >= horizon)
+                  if arrival_of[req_id] <= horizon and start > horizon)
     warmup = horizon * warmup_fraction
     throughput = sum(1 for _, end in timeline.values()
                      if warmup <= end <= horizon) / (horizon - warmup)
