@@ -62,8 +62,10 @@ The rules every replica follows:
   only while some other replica is up; otherwise it stays queued while
   the replica sleeps out the outage;
 * **re-entry** — every eviction and failed attempt re-enters through the
-  retry policy (at once without one); breakers record failures for
-  crashes and failed attempts, not for KV-pressure preemption;
+  retry policy; without one a failed attempt fails for good, while a
+  KV-pressure preemption, which is no failure, re-enters at once;
+  breakers record failures for crashes and failed attempts, not for
+  KV-pressure preemption;
 * **faults** — each replica stretches its own busy windows under its
   injector's latency spikes.
 
@@ -781,7 +783,7 @@ class GenReplica:
         """One attempt died here: the breaker learns, the retry re-routes."""
         if self.breaker is not None:
             self.breaker.record(False, now)
-        self.driver.requeue(r, now)
+        self.driver.fail(r, now)
 
     def _lose(self, reqs: List[GenRequest]) -> None:
         """A crash cut the pass short: its requests lose their KV."""
@@ -958,6 +960,14 @@ class _GenDriver:
         if self.metrics is not None:
             self.metrics.counter("serving_requests_dropped_total",
                                  reason=state.value).inc()
+
+    def fail(self, r: GenRequest, now: float) -> None:
+        """A failed attempt retries through the retry policy; without one
+        it fails for good."""
+        if self.retry_state is None:
+            self.drop(r, RequestState.FAILED, now)
+            return
+        self.requeue(r, now)
 
     def requeue(self, r: GenRequest, now: float) -> None:
         """Route an evicted or failed attempt through the retry path:

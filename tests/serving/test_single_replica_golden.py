@@ -11,8 +11,9 @@ attempt)`` from ``golden_single_replica.json`` exactly:
   mix, and every third arrival moved onto a busy-window end of the run
   so far, so arrivals tie with decode-step and round ends;
 * ``evict-no-retry`` — a tight arena with KV-pressure preemption and a
-  crash, but no ``RetryPolicy``: every evicted or failed attempt
-  re-enters through a RETRY at the eviction instant;
+  crash, but no ``RetryPolicy``: every preempted attempt re-enters
+  through a RETRY at the eviction instant, and every attempt the crash
+  cuts fails for good;
 * ``storm`` — a latency spike, a crash, a transient-failure window and
   preemption under a retry policy with jittered backoff.
 
