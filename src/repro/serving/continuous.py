@@ -964,6 +964,8 @@ class _GenDriver:
     def fail(self, r: GenRequest, now: float) -> None:
         """A failed attempt retries through the retry policy; without one
         it fails for good."""
+        if self.metrics is not None:
+            self.metrics.counter("serving_attempt_failures_total").inc()
         if self.retry_state is None:
             self.drop(r, RequestState.FAILED, now)
             return
@@ -983,6 +985,8 @@ class _GenDriver:
             return
         r.attempt += 1
         self.engine.schedule(retry_at, EventKind.RETRY, self._on_retry, r)
+        if self.metrics is not None:
+            self.metrics.counter("serving_retries_total").inc()
 
     def _on_arrival(self, event) -> None:
         r = event.payload
