@@ -289,7 +289,7 @@ def verify_lifecycle(rec: EngineTraceRecorder,
             ))
 
     # LIFE605 + LIFE603 over completions.
-    for _seq, key, req, state, injector in rec.resolves:
+    for _seq, _key, req, state, injector in rec.resolves:
         if state is not RequestState.COMPLETED or req.completion_s is None:
             continue
         if req.completion_s < req.arrival_s:
@@ -299,12 +299,7 @@ def verify_lifecycle(rec: EngineTraceRecorder,
                 f"{req.completion_s} before its arrival at {req.arrival_s}",
                 node=f"req{req.req_id}",
             ))
-        # The completing replica's own injector when it passed one to
-        # resolve(); otherwise the injector of the engine the request
-        # arrived on (single-injector servers whose engine stretches).
-        attributed = rec.requests.get(key)
-        if injector is None and attributed is not None:
-            injector = rec.engines[attributed[0]].faults
+        # The completing replica passes its own injector to resolve().
         if injector is None:
             continue
         for crash in injector.plan.crashes:

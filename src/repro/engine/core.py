@@ -7,10 +7,9 @@ nudges, stale queue-depth traces, scheduling against the wrong cost
 model.  This module is the single
 replacement: a virtual clock, an event heap plus an arrival stream with a
 *documented* deterministic ordering, and cooperative tasks/timers, so a server is just
-a set of event handlers plus plain code that occupies busy windows.  Two
-drivers build an engine: the encoder one in ``serving.server`` (one-shot,
-cluster and Ebird replicas) and the generation one in
-``serving.continuous``.
+a set of event handlers plus plain code that occupies busy windows.  One
+driver builds an engine, :class:`repro.serving.driver.Driver`, for the
+encoder replicas (one-shot, cluster and Ebird) and the generation ones.
 
 Event ordering
 --------------
@@ -51,22 +50,20 @@ Invariants
 
 Busy windows
 ------------
-``advance(delay)`` models a resource occupying ``[now, now + delay]``
-(a batch executing, a decode step): it reserves the seq of a *virtual*
-marker WAKE at the end of the window, dispatches every event whose key
-sorts below ``(end, WAKE, seq)`` — arrivals land in queues at their true
-timestamps — and returns with the clock exactly on the window end.
-``run_until(t)`` does the same without fault stretching or a span; a
-lone serving replica runs its already-priced windows through it.  The
-marker never enters the heap, but it still counts as one WAKE dispatch:
-``events_dispatched``, the instrumentation's per-kind counter and every
-dispatch hook see it, and its :class:`Event` is built only when one of
-the latter two is attached.
+``run_until(end)`` models a resource busy until ``end`` (a batch
+executing, a decode step, a crash outage), priced and fault-stretched by
+the caller: it reserves the seq of a *virtual* marker WAKE at ``end``,
+dispatches every event whose key sorts below ``(end, WAKE, seq)`` —
+arrivals land in queues at their true timestamps — and returns with the
+clock exactly on ``end``.  A lone serving replica runs its windows
+through it.  The marker never enters the heap, but it still counts as
+one WAKE dispatch: ``events_dispatched``, the instrumentation's per-kind
+counter and every dispatch hook see it, and its :class:`Event` is built
+only when one of the latter two is attached.
 
-``spawn(generator)`` runs a cooperative task: the generator yields delays
-(virtual seconds) and is resumed by engine timers, which is how
-multi-round work (a replica executing batches back to back) is expressed
-without a private loop.
+``spawn(generator)`` runs a cooperative task: the generator yields the
+absolute end of each window and is resumed by a WAKE timer there, which
+is how a replica beside others runs its windows without a private loop.
 """
 
 from __future__ import annotations
@@ -76,13 +73,9 @@ import heapq
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Callable, Generator, List, Optional,
-                    Sequence, Tuple)
+from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 from .instrument import EngineInstrumentation
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .faults import EngineFaultInjector
 
 
 class EngineError(RuntimeError):
@@ -117,35 +110,30 @@ _WAKE = int(EventKind.WAKE)
 
 
 class Task:
-    """A cooperative task: a generator yielding virtual-time delays.
+    """A cooperative task: a generator yielding absolute virtual times.
 
-    The first segment runs synchronously at ``spawn``; each ``yield d``
-    suspends the task and the engine resumes it ``d`` virtual seconds
-    later via a WAKE timer.  ``done`` flips when the generator returns.
+    The first segment runs synchronously at ``spawn``; each ``yield t``
+    suspends the task and a WAKE timer at ``t`` resumes it (a ``t``
+    before ``now`` raises :class:`EngineError`).  ``done`` flips when the
+    generator returns.
     """
 
-    __slots__ = ("engine", "gen", "name", "done")
+    __slots__ = ("engine", "gen", "done")
 
     def __init__(self, engine: "Engine",
-                 gen: Generator[float, None, None], name: str) -> None:
+                 gen: Generator[float, None, None]) -> None:
         self.engine = engine
         self.gen = gen
-        self.name = name
         self.done = False
         self._resume(None)
 
     def _resume(self, _event: Optional[Event]) -> None:
         try:
-            delay = self.gen.send(None)
+            end = self.gen.send(None)
         except StopIteration:
             self.done = True
             return
-        if delay < 0:
-            raise EngineError(
-                f"task {self.name!r} yielded a negative delay: {delay}"
-            )
-        self.engine.schedule(self.engine.now + delay, EventKind.WAKE,
-                             self._resume)
+        self.engine.schedule(end, EventKind.WAKE, self._resume)
 
 
 #: Observers notified with every newly constructed :class:`Engine`.
@@ -162,17 +150,10 @@ class Engine:
     def __init__(
         self,
         instrumentation: Optional[EngineInstrumentation] = None,
-        faults: Optional["EngineFaultInjector"] = None,
     ) -> None:
         #: Virtual time.  Only the dispatch loop moves it (DET406).
         self.now = 0.0  # repro: allow(DET406)
         self.instrumentation = instrumentation
-        #: Optional fault injector (see :mod:`repro.engine.faults`).  When
-        #: set, ``advance`` stretches its busy windows under the injector's
-        #: active latency spikes / kernel stalls; crash windows and
-        #: transient-failure verdicts stay dispatch-layer queries the
-        #: hosted server makes through the same object.
-        self.faults = faults
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         self._live = 0
@@ -188,9 +169,6 @@ class Engine:
         self._stream_head: Optional[Event] = None
         self._dispatch_hooks: List[Callable[[Event], None]] = []
         self.events_dispatched = 0
-        #: Actual duration of the last ``advance`` window (after fault
-        #: stretching) — what busy/utilization accounting should charge.
-        self.last_advance_s = 0.0
         if _engine_hooks:
             for hook in list(_engine_hooks):
                 hook(self)
@@ -237,7 +215,7 @@ class Engine:
         ``peek``/``step`` and its Event built only then.
 
         ``bulk``, if given, takes a whole slice of payloads at once.
-        Inside an ``advance``/``run_until`` window on an unobserved
+        Inside a ``run_until`` window on an unobserved
         engine (no instrumentation, no dispatch hook), every arrival
         ordered before the window end and before the heap top goes to one
         ``bulk(slice)`` call instead
@@ -266,16 +244,6 @@ class Engine:
         self._stream_head = None
         self._seq += len(payloads)
         self._live += len(payloads)
-
-    def after(
-        self,
-        delay: float,
-        kind: EventKind = EventKind.WAKE,
-        callback: Optional[Callable[[Event], None]] = None,
-        payload: Any = None,
-    ) -> Event:
-        """Schedule relative to ``now``."""
-        return self.schedule(self.now + delay, kind, callback, payload)
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event (idempotent; O(1)).  An event that
@@ -322,8 +290,7 @@ class Engine:
 
     def add_dispatch_hook(self, hook: Callable[[Event], None]) -> None:
         """Observe every dispatched event (after its handler ran),
-        including the virtual WAKE closing each ``advance``/``run_until``
-        window."""
+        including the virtual WAKE closing each ``run_until`` window."""
         self._dispatch_hooks.append(hook)
 
     # -- dispatch --------------------------------------------------------
@@ -440,46 +407,15 @@ class Engine:
         return ((stop == len(times) or times[stop] > end)
                 and (not heap or heap[0][0] > end))
 
-    def advance(
-        self,
-        delay: float,
-        label: Optional[str] = None,
-        tid: str = "gpu",
-        cat: str = "event",
-        **attrs: object,
-    ) -> float:
-        """Occupy the window ``[now, now + delay]``.
-
-        Dispatches every event due inside the window (handlers should only
-        mutate queues — the occupying resource is busy), then returns with
-        the clock exactly on the window end.  With ``label`` set and a
-        tracer attached, emits a complete span covering the window.
-        """
-        if delay < 0:
-            raise EngineError(f"cannot advance by a negative delay: {delay}")
-        if self.faults is not None:
-            # Latency spikes / kernel stalls become engine effects here:
-            # the busy window itself is longer, so in-window arrivals,
-            # spans and busy accounting all see the stretched duration.
-            delay = self.faults.stretch(delay, self.now, label)
-        self.last_advance_s = delay
-        started = self.now
-        self._run_to(started + delay)
-        if label is not None and self.instrumentation is not None:
-            self.instrumentation.span(label, started, delay, tid=tid,
-                                      cat=cat, **attrs)
-        return self.now
-
     def run_until(self, t: float) -> float:
         """Dispatch every event due up to absolute time ``t`` and land the
         clock exactly there.
 
-        Unlike :meth:`advance` it neither stretches the window under
-        faults nor emits a span: the caller has already priced (and
-        stretched) it.  A lone serving replica — encoder or generation —
-        runs each busy window this way, a batch, a prefill, a chunked
-        round, a decode step or a crash outage, so arrivals and retries
-        due inside still land in queues at their true timestamps.
+        The caller has already priced (and fault-stretched) the window.
+        A lone serving replica — encoder or generation — runs each busy
+        window this way, a batch, a prefill, a chunked round, a decode
+        step or a crash outage, so arrivals and retries due inside still
+        land in queues at their true timestamps.
         """
         if t < self.now:
             raise EngineError(f"cannot run_until {t} < now {self.now}")
@@ -487,7 +423,6 @@ class Engine:
         return self.now
 
     # -- tasks -----------------------------------------------------------
-    def spawn(self, gen: Generator[float, None, None],
-              name: str = "task") -> Task:
+    def spawn(self, gen: Generator[float, None, None]) -> Task:
         """Run a cooperative task (see :class:`Task`)."""
-        return Task(self, gen, name)
+        return Task(self, gen)

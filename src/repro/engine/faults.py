@@ -10,11 +10,9 @@ all), which is exactly how per-simulator plumbing drifts.  An
 the four effects every engine-hosted server needs:
 
 * **stretch** — latency spikes (and kernel stalls matched against the
-  busy-window label) inflate the duration of a busy window.  Installing
-  the injector on an :class:`~repro.engine.Engine` makes
-  ``engine.advance`` apply the stretch itself, so an inline serving loop
-  gets spikes for free; task-based loops call :meth:`stretch` on the
-  delay they are about to ``yield``.
+  busy-window label) inflate the duration of a busy window.  Each
+  serving replica calls :meth:`stretch` on a window before it yields the
+  window's end, so the engine only ever runs already-stretched windows.
 * **crash queries** — ``crashed`` / ``crash_end`` / ``crashed_during``
   answer whether the bound server is down, when it recovers, and whether
   an execution window ``[start, end]`` is truncated by an outage.

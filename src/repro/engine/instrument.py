@@ -10,8 +10,8 @@ signals from the same call sites:
   (``engine_events_dispatched_total{kind=...}``);
 * ``queue_depth`` — **one** sample fans out to both the Chrome-trace
   counter and the metrics gauge, so they cannot disagree again;
-* ``span`` — a complete event on a named track, emitted by
-  :meth:`repro.engine.Engine.advance` for busy windows.
+* ``span`` — a complete event on a named track; the encoder driver
+  emits one per executed batch window.
 
 A disabled tracer or absent registry costs nothing: the constructor drops
 them and every method no-ops, preserving the repo's

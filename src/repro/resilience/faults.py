@@ -30,11 +30,10 @@ A :class:`FaultPlan` used to be threaded through each simulator's private
 loop by hand (``simulate_serving`` multiplied batch costs inline,
 ``simulate_cluster`` projected crash windows itself, the generation
 servers saw no faults at all).  Plans are now *bound* to a server through
-:class:`repro.engine.EngineFaultInjector`: installing the injector on an
-:class:`~repro.engine.Engine` makes every ``advance()`` busy window
-stretch under active spikes/stalls automatically, and crash windows and
-transient-failure verdicts are queried through the same object at
-dispatch points.  This module remains the pure *schedule*; the injector
+:class:`repro.engine.EngineFaultInjector`: the serving driver binds one
+injector to each replica, the replica stretches its busy windows under
+active spikes/stalls through it, and crash windows and transient-failure
+verdicts are queried through the same object at dispatch points.  This module remains the pure *schedule*; the injector
 is the single place schedules become engine effects, so every
 engine-hosted server (one-shot, continuous batching, Ebird, cluster)
 experiences faults through one code path.

@@ -3,16 +3,20 @@
 The paper (§5) assumes "a multi-server environment [where] an upper-level
 load balancer as the one in Nexus can ensure that the requests assigned to
 each server will not be overloaded".  This module builds that layer with
-no second serving loop: :func:`simulate_cluster` is
-:func:`~repro.serving.simulate_serving`'s driver over N copies of its
+no second serving loop: both functions are the one serving driver
+(:class:`repro.serving.driver.Driver`) over N replicas —
+:func:`simulate_cluster` over copies of
+:func:`~repro.serving.simulate_serving`'s
 :class:`~repro.serving.BatchReplica`, and
-:func:`simulate_generation_cluster` is the continuous-batching server's
-driver over N copies of its
-:class:`~repro.serving.continuous.GenReplica`.  Both route through the one
-:class:`~repro.serving.router.Router` (health and breaker filter, the
-four :class:`~repro.serving.router.RoutingPolicy` values, the half-open
-probe commit), so every replica rule — per-instant rounds, dispatch-time
+:func:`simulate_generation_cluster` over copies of the
+continuous-batching server's
+:class:`~repro.serving.continuous.GenReplica`.  Beside other replicas the
+driver routes through the one :class:`~repro.serving.router.Router`
+(health and breaker filter, the four
+:class:`~repro.serving.router.RoutingPolicy` values, the half-open probe
+commit), so every replica rule — per-instant rounds, dispatch-time
 deadlines, crash truncation, queue capacity — holds in the cluster too.
+A one-replica cluster has no router and equals the single server.
 
 Resilience (:class:`repro.resilience.ResilienceConfig`): the router skips
 replicas that are crashed or whose circuit breaker is open, a crashed
@@ -91,10 +95,10 @@ def simulate_cluster(
         raise ValueError(f"num_servers must be positive, got {num_servers}")
     driver = _BatchDriver(
         [scheduler_factory() for _ in range(num_servers)], cost_fn,
-        ServingConfig(max_batch=max_batch), resilience,
+        ServingConfig(max_batch=max_batch),
+        f"cluster[{policy.value}x{num_servers}]", resilience,
         policy=policy, max_len=max_len)
-    serving = driver.serve(requests, duration_s,
-                           f"cluster[{policy.value}x{num_servers}]")
+    serving = driver.serve(requests, duration_s)
     per_server = [rep.completed for rep in driver.replicas]
     if metrics is not None:
         metrics.gauge("cluster_response_throughput").set(

@@ -31,15 +31,15 @@ One replica, one driver
 -----------------------
 :class:`GenReplica` is one GPU running the iteration-level loop.  It owns
 its KV arena, its optional radix prefix index, its queue and its active
-set, plus its fault injector and circuit breaker; its transitions are
-methods (admit, prefill round, decode run, evict, crash) and
-:meth:`GenReplica.run` is a generator that yields its busy windows.  One
-driver schedules arrivals and retries, routes each to a replica, wakes
-idle replicas, keeps the per-request bookkeeping and finalizes the
-metrics.  Every generation system is that driver:
+set, plus the fault injector and circuit breaker the driver binds; its
+transitions are methods (admit, prefill round, decode run, evict, crash)
+and :meth:`GenReplica.run` is a generator that yields the end of each
+busy window.  The generation driver is the one serving driver
+(:class:`repro.serving.driver.Driver`, whose backlog, retry, routing,
+window and counter rules it follows) with the generation ingest rule.
+Every generation system is that driver:
 
-* :class:`ContinuousBatchingServer` over one replica (a router with one
-  choice);
+* :class:`ContinuousBatchingServer` over one replica;
 * :func:`repro.serving.simulate_generation_cluster` over N replicas
   behind a least-loaded, health- and breaker-aware router — the paper's
   §5 picture of one server's scheduler repeated behind a Nexus-style
@@ -57,26 +57,19 @@ The rules every replica follows:
   nothing completes inside a crash window;
 * **per-instant admission** — an idle replica starts on a WAKE scheduled
   at ``now``, so every ARRIVAL and RETRY of that instant (which sort
-  first) is queued before its first admission;
+  first) is queued before its first admission; a lone replica then runs
+  its windows once that WAKE's dispatch completes;
 * **queue during an outage** — queued work fails fast to another replica
   only while some other replica is up; otherwise it stays queued while
   the replica sleeps out the outage;
-* **re-entry** — every eviction and failed attempt re-enters through the
-  retry policy; without one a failed attempt fails for good, while a
-  KV-pressure preemption, which is no failure, re-enters at once;
-  breakers record failures for crashes and failed attempts, not for
-  KV-pressure preemption;
+* **preemption** — a KV-pressure victim re-enters through the retry
+  policy, or at once without one; breakers record failures for crashes
+  and failed attempts, not for KV-pressure preemption;
 * **faults** — each replica stretches its own busy windows under its
   injector's latency spikes.
 
-The driver runs windows by the encoder's rule
-(:mod:`repro.serving.server`): a lone replica cannot overlap with
-another, so it runs its windows inline (``engine.run_until``) right
-after the WAKE that starts it; beside other replicas it is a
-cooperative :class:`repro.engine.Engine` task and each window end is a
-WAKE timer.  Both dispatch in the same order and count one WAKE for the
-idle-to-busy start and one per window.  A decode run steps the live
-batch back to back, one window per step, while the queue is empty.
+A decode run steps the live batch back to back, one window per step,
+while the queue is empty.
 
 Everything is simulator-time and deterministic given the workload; costs
 come from :class:`~repro.runtime.GenerationRuntime` (prefill and per-step
@@ -89,8 +82,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..engine import Engine, EngineFaultInjector, EngineInstrumentation, \
-    EventKind
+from ..engine import EngineFaultInjector, EventKind
 # ``execute_schedule`` stays importable from here: perf/layers.py patches
 # ``continuous.execute_schedule``, although rounds are timed by
 # ``round_timing``.
@@ -98,10 +90,11 @@ from ..gpusim.multistream import StreamSchedule, execute_schedule  # noqa: F401
 from ..memory.kv_arena import KVCacheArena
 from ..observability import MetricsRegistry, Tracer
 from ..runtime.chunked import PrefillChunker
-from .metrics import LatencyStats, ServingMetrics, response_throughput
-from .request import Request, RequestState, arrival_window
+from .driver import Driver, Replica
+from .metrics import LatencyStats, ServingMetrics
+from .request import Request, RequestState
 from .rounds import RoundRecord, round_program, round_timing
-from .router import Router, RoutingPolicy, crashed, other_replica_up
+from .router import crashed, other_replica_up
 from .scheduler import BatchScheduler, CostFn, PrunedDPBatchScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -296,7 +289,7 @@ def _merged_busy_in_horizon(spans: Sequence[Tuple[float, float]],
     return sum(_window_overlap(s, e - s, horizon) for s, e in merged)
 
 
-class GenReplica:
+class GenReplica(Replica):
     """One GPU replica of the iteration-level loop.
 
     Owns its KV arena, its optional radix prefix index, its queue and its
@@ -304,9 +297,7 @@ class GenReplica:
     injector and circuit breaker (:meth:`bind`).  :meth:`run` is the
     replica's loop: it admits from the queue, runs a prefill round
     (serial, or chunked and overlapped with decode) or a decode run, and
-    yields each busy window until nothing is runnable.  The driver runs
-    the windows inline when the replica serves alone, else as an engine
-    task.
+    yields the end of each busy window until nothing is runnable.
     """
 
     def __init__(self, server_id: int, runtime, arena: KVCacheArena,
@@ -329,18 +320,9 @@ class GenReplica:
 
     def bind(self, driver: Optional["_GenDriver"],
              faults: Optional[EngineFaultInjector], breaker) -> None:
-        """Attach to one run and reset the per-run state."""
-        self.driver = driver
-        #: This replica's GPU trace track: ``gpu`` when it serves alone,
-        #: ``gpu.r{server_id}`` beside other replicas.
-        self.gpu_tid = ("gpu" if driver is None or len(driver.replicas) == 1
-                        else f"gpu.r{self.server_id}")
-        self.faults = faults
-        self.breaker = breaker
+        super().bind(driver, faults, breaker)
         self.queue: Deque[GenRequest] = deque()
         self.active: List[GenRequest] = []
-        self.running = False
-        self.completed = 0
         #: One :class:`RoundRecord` per chunked round of the run.
         self.round_log: List[RoundRecord] = []
         #: Successful admissions of the run, in order (req_ids; restores
@@ -372,20 +354,20 @@ class GenReplica:
         if not self.running:
             self.running = True
             engine = self.driver.engine
-            engine.schedule(engine.now, EventKind.WAKE, self.driver.start,
+            engine.schedule(engine.now, EventKind.WAKE, self.driver.wake,
                             self)
 
     # -- the loop ---------------------------------------------------------
 
     def run(self):
-        """Drive the GPU until nothing is runnable, yielding the length of
+        """Drive the GPU until nothing is runnable, yielding the end of
         each busy window."""
         engine = self.driver.engine
         while True:
             now = engine.now
             if crashed(self, now):
                 self.crash(now)
-                yield self.faults.crash_end(now) - now
+                yield self.faults.crash_end(now)
                 continue
             admitted = self.admit(now)
             if admitted is None:
@@ -403,7 +385,7 @@ class GenReplica:
             # impossible: an empty arena admits anything that passed
             # fits_at_all at ingest.  Under resilience the head may
             # legitimately wait — e.g. for a retry backoff.)
-            assert self.driver.resilient or not self.queue, \
+            assert self.driver.res is not None or not self.queue, \
                 "admission stalled with an empty arena"
             break
         self.running = False
@@ -501,9 +483,9 @@ class GenReplica:
                             .prefill_latency(b, pass_start))
             d.prefill_saved_s += full_s - prefill_s
         self.runtime.trace_prefill(d.tracer, started, prefill_s, b,
-                                   prompt, tid=self.gpu_tid)
+                                   prompt, tid=self.tid)
         dur, cut = self._window(started, prefill_s)
-        yield dur if cut is None else cut - started
+        yield started + dur if cut is None else cut
         if cut is not None:
             self._lose(admitted)
             return
@@ -515,7 +497,7 @@ class GenReplica:
         self._trace_kv()
         if d.metrics is not None:
             d.metrics.counter("gen_prefill_batches_total",
-                              system=d.system_name).inc()
+                              system=d.system).inc()
 
     def _decode_shape(self) -> Tuple[int, int]:
         """``(width, past)`` the next decode step is priced at: live slots
@@ -542,9 +524,9 @@ class GenReplica:
             step_s = runtime.decode_step_latency(b, past)
             runtime.trace_decode_stride(d.tracer, started, step_s, b, past,
                                         tokens=len(self.active),
-                                        tid=self.gpu_tid)
+                                        tid=self.tid)
             dur, cut = self._window(started, step_s)
-            yield dur if cut is None else cut - started
+            yield started + dur if cut is None else cut
             if cut is not None:
                 self._lose(self.active)
                 self.active = []
@@ -636,7 +618,7 @@ class GenReplica:
         timing = round_timing(chunk_lats, [step_s for _, step_s in steps])
         makespan = timing.makespan_s
         dur, cut = self._window(started, makespan)
-        yield dur if cut is None else cut - started
+        yield started + dur if cut is None else cut
         if cut is not None:
             self._lose(admitted)
             return
@@ -663,7 +645,7 @@ class GenReplica:
                     continue
                 tracer.complete(
                     kernel, started + start * ratio, (end - start) * ratio,
-                    tid=f"{self.gpu_tid}:{stream}",
+                    tid=f"{self.tid}:{stream}",
                     cat="prefill" if stream == "prefill" else "decode",
                     round=round_idx,
                 )
@@ -683,9 +665,9 @@ class GenReplica:
         self._trace_kv()
         if d.metrics is not None:
             d.metrics.counter("gen_prefill_batches_total",
-                              system=d.system_name).inc()
+                              system=d.system).inc()
             d.metrics.counter("gen_prefill_chunks_total",
-                              system=d.system_name).inc(len(chunks))
+                              system=d.system).inc(len(chunks))
 
     # -- commits ----------------------------------------------------------
 
@@ -703,7 +685,7 @@ class GenReplica:
             ):
                 d.attempts_failed += 1
                 self.arena.preempt(r.req_id)
-                self.fail(r, now)
+                d.fail(r, self, now)
                 continue
             if self.breaker is not None:
                 self.breaker.record(True, now)
@@ -745,9 +727,9 @@ class GenReplica:
                 self.arena.append(r.req_id, 1)
         if d.metrics is not None:
             d.metrics.counter("gen_decode_steps_total",
-                              system=d.system_name).inc()
+                              system=d.system).inc()
             d.metrics.counter("gen_tokens_total",
-                              system=d.system_name).inc(len(members))
+                              system=d.system).inc(len(members))
         return finished
 
     def _complete(self, r: GenRequest, now: float) -> None:
@@ -773,17 +755,11 @@ class GenReplica:
         d.preemptions += 1
         if d.metrics is not None:
             d.metrics.counter("gen_preemptions_total",
-                              system=d.system_name).inc()
+                              system=d.system).inc()
         if failed:
-            self.fail(r, now)
+            d.fail(r, self, now)
         else:
             d.requeue(r, now)
-
-    def fail(self, r: GenRequest, now: float) -> None:
-        """One attempt died here: the breaker learns, the retry re-routes."""
-        if self.breaker is not None:
-            self.breaker.record(False, now)
-        self.driver.fail(r, now)
 
     def _lose(self, reqs: List[GenRequest]) -> None:
         """A crash cut the pass short: its requests lose their KV."""
@@ -800,7 +776,7 @@ class GenReplica:
         self.active = []
         if other_replica_up(self.driver.replicas, self, now):
             while self.queue:
-                self.fail(self.queue.popleft(), now)
+                self.driver.fail(self.queue.popleft(), self, now)
 
     # -- prefix cache -----------------------------------------------------
 
@@ -822,9 +798,9 @@ class GenReplica:
         d.prefix_tokens_reused += matched
         if d.metrics is not None:
             d.metrics.counter("gen_prefix_hits_total",
-                              system=d.system_name).inc()
+                              system=d.system).inc()
             d.metrics.counter("gen_prefix_tokens_reused_total",
-                              system=d.system_name).inc(matched)
+                              system=d.system).inc(matched)
 
     def _publish_prefix(self, r: GenRequest) -> None:
         """Index the request's full prompt pages after a successful
@@ -838,67 +814,34 @@ class GenReplica:
             self.prefix_index.insert(r.prompt_ids, region.pages[:n_full])
 
 
-class _GenDriver:
-    """One serve call over a set of :class:`GenReplica`: the engine, the
-    arrival and retry events, the router, the per-request bookkeeping and
-    the counters every replica of the run adds to (one accumulator each,
-    in event order).  The replicas share one runtime and config."""
+class _GenDriver(Driver):
+    """The driver over a set of :class:`GenReplica`: the generation ingest
+    rule (shed what no empty arena could hold, wake an idle replica), the
+    event loop, preemption re-entry and the counters every replica of the
+    run adds to (one accumulator each, in event order).  The replicas
+    share one runtime and config."""
 
     def __init__(self, replicas: Sequence[GenReplica],
                  tracer: Optional[Tracer], metrics: Optional[MetricsRegistry],
                  system_name: str,
                  resilience: Optional["ResilienceConfig"]) -> None:
-        self.replicas = list(replicas)
-        #: A lone replica cannot overlap with another, so it runs its
-        #: busy windows inline; beside others each window is a task timer.
-        self.inline = len(self.replicas) == 1
         #: The lone replica its idle-to-busy WAKE just started.
         self._woken: Optional[GenReplica] = None
-        self.runtime = self.replicas[0].runtime
-        self.warmup_fraction = self.replicas[0].config.warmup_fraction
-        self.tracer = tracer
-        self.trace_on = tracer is not None and tracer.enabled
-        self.metrics = metrics
-        self.system_name = system_name
-        # Least-loaded among the healthy replicas.
-        self.router = Router(self.replicas, RoutingPolicy.LEAST_QUEUED)
-        self.resilient = resilience is not None
-        instrumentation = (EngineInstrumentation(tracer, metrics)
-                           if self.trace_on or metrics is not None else None)
-        self.engine = Engine(instrumentation=instrumentation)
-        self.retry_state = None
-        if resilience is not None and resilience.retry is not None:
-            from ..resilience.retry import RetryState  # deferred: avoids cycle
-
-            self.retry_state = RetryState(resilience.retry)
-        plan = None
-        if resilience is not None and not resilience.faults.empty:
-            plan = resilience.faults
-        for rep in self.replicas:
-            faults = None
-            if plan is not None:
-                faults = EngineFaultInjector(plan, rep.server_id,
-                                             instrumentation)
-            breaker = None
-            if resilience is not None and \
-                    resilience.breaker_factory is not None:
-                breaker = resilience.breaker_factory(rep.server_id)
-            rep.bind(self, faults, breaker)
-        self.horizon = 0.0
-        self.busy_s = 0.0
+        self.runtime = replicas[0].runtime
         self.decode_steps = self.prefills = self.tokens = 0
         self.preemptions = self.tokens_recomputed = self.attempts_failed = 0
         self.rounds = self.prefill_chunks = 0
         self.overlap_saved_s = self.stall_s = 0.0
         self.prefix_hits = self.prefix_tokens_reused = 0
         self.prefill_saved_s = 0.0
+        super().__init__(replicas, system_name,
+                         replicas[0].config.warmup_fraction, resilience,
+                         tracer, metrics)
 
-    def serve(self, requests: Sequence[GenRequest],
-              duration_s: Optional[float]) -> GenServingMetrics:
-        arrivals, self.horizon = arrival_window(requests, duration_s)
+    def loop(self) -> None:
         if self.trace_on:
             for rep in self.replicas:
-                tid = rep.gpu_tid
+                tid = rep.tid
                 self.tracer.thread_name(tid, f"{tid} (prefill + decode steps)")
                 if rep.chunker is not None:
                     self.tracer.thread_name(f"{tid}:prefill",
@@ -906,40 +849,49 @@ class _GenDriver:
                     self.tracer.thread_name(f"{tid}:decode",
                                             f"{tid} stream: decode steps")
         engine = self.engine
-        engine.arrivals(arrivals, self._on_arrival)
+        engine.arrivals(self.arrivals, self._on_arrival)
         if self.inline:
             # The lone replica runs each busy period right after the WAKE
-            # that starts it; every window — prefill, round, decode step
-            # or crash outage — goes through ``run_until``, so arrivals
-            # and retries due inside land at their true timestamps.
+            # that starts it, outside that WAKE's dispatch.
             while engine.step() is not None:
                 rep = self._woken
                 if rep is not None:
                     self._woken = None
-                    for delay in rep.run():
-                        engine.run_until(engine.now + delay)
+                    self.start(rep, rep.run())
         else:
             engine.run()
-        return self._finalize(arrivals)
 
-    def start(self, event) -> None:
+    def wake(self, event) -> None:
         """The idle-to-busy WAKE of ``event.payload``: beside other
-        replicas it becomes an engine task; alone, :meth:`serve` runs it
-        once this dispatch completes."""
+        replicas it starts at once; alone, :meth:`loop` starts it once
+        this dispatch completes."""
         rep = event.payload
         if self.inline:
             self._woken = rep
         else:
-            self.engine.spawn(rep.run(), name=f"gen-replica{rep.server_id}")
+            self.start(rep, rep.run())
 
     # -- request bookkeeping ----------------------------------------------
+
+    def request_args(self, r: GenRequest) -> dict:
+        return {"prompt_len": r.seq_len, "max_new_tokens": r.max_new_tokens}
+
+    def ingest(self, r: GenRequest, now: float, arrival: bool) -> None:
+        rep = self.route(r, now)
+        if arrival and not rep.arena.fits_at_all(
+                r.seq_len, r.seq_len + r.max_new_tokens):
+            # Could never be admitted even into an empty arena: shed
+            # instead of blocking the FIFO head forever.
+            self.drop(r, RequestState.SHED, now)
+            return
+        rep.enqueue(r)
 
     def complete(self, r: GenRequest, now: float,
                  faults: Optional[EngineFaultInjector]) -> None:
         r.resolve(RequestState.COMPLETED, now, faults=faults)
         self.runtime.publish_request_metrics(
             self.metrics, r.req_id, r.ttft_s, r.tpot_s,
-            system=self.system_name,
+            system=self.system,
         )
         if self.trace_on:
             self.tracer.async_end(
@@ -950,96 +902,27 @@ class _GenDriver:
             self.metrics.counter("serving_requests_completed_total",
                                  path="model").inc()
 
-    def drop(self, r: GenRequest, state: RequestState, now: float) -> None:
-        """Terminal non-completion: shed at ingest, or failed with its
-        retries exhausted (or recovery impossible)."""
-        r.resolve(state)
-        if self.trace_on:
-            self.tracer.async_end("request", now, r.req_id, cat="request",
-                                  path=state.value)
-        if self.metrics is not None:
-            self.metrics.counter("serving_requests_dropped_total",
-                                 reason=state.value).inc()
-
-    def fail(self, r: GenRequest, now: float) -> None:
-        """A failed attempt retries through the retry policy; without one
-        it fails for good."""
-        if self.metrics is not None:
-            self.metrics.counter("serving_attempt_failures_total").inc()
-        if self.retry_state is None:
-            self.drop(r, RequestState.FAILED, now)
-            return
-        self.requeue(r, now)
-
     def requeue(self, r: GenRequest, now: float) -> None:
-        """Route an evicted or failed attempt through the retry path:
-        without a retry policy it re-enters at this instant; with one it
-        waits out the backoff, or resolves FAILED when the policy refuses
-        (attempts/budget exhausted, or backoff past the deadline)."""
+        """A KV-pressure victim re-enters: through the retry policy if
+        there is one, else at this instant (preemption is no failure)."""
         if self.retry_state is None:
             self.engine.schedule(now, EventKind.RETRY, self._on_retry, r)
-            return
-        retry_at = self.retry_state.next_retry_at(r, now)
-        if retry_at is None:
-            self.drop(r, RequestState.FAILED, now)
-            return
-        r.attempt += 1
-        self.engine.schedule(retry_at, EventKind.RETRY, self._on_retry, r)
-        if self.metrics is not None:
-            self.metrics.counter("serving_retries_total").inc()
+        else:
+            self.retry(r, now)
 
-    def _on_arrival(self, event) -> None:
-        r = event.payload
-        if self.trace_on:
-            self.tracer.async_begin(
-                "request", r.arrival_s, r.req_id, cat="request",
-                prompt_len=r.seq_len, max_new_tokens=r.max_new_tokens,
-            )
-        rep = self.router.route(r, self.engine.now)
-        if not rep.arena.fits_at_all(r.seq_len,
-                                     r.seq_len + r.max_new_tokens):
-            # Could never be admitted even into an empty arena: shed
-            # instead of blocking the FIFO head forever.
-            self.drop(r, RequestState.SHED, self.engine.now)
-            return
-        rep.enqueue(r)
-
-    def _on_retry(self, event) -> None:
-        r = event.payload
-        self.router.route(r, self.engine.now).enqueue(r)
-
-    def _finalize(self, arrivals: Sequence[GenRequest]) -> GenServingMetrics:
-        horizon = self.horizon
+    def result(self, done: List[GenRequest],
+               **common: object) -> GenServingMetrics:
         clock = self.engine.now
-        completed = [r for r in arrivals if r.is_completed]
         ttft = LatencyStats.from_values(
-            [(r.first_token_s - r.arrival_s) * 1e3 for r in completed
+            [(r.first_token_s - r.arrival_s) * 1e3 for r in done
              if r.first_token_s is not None]
         )
-        tpots = [r.tpot_s * 1e3 for r in completed if r.generated >= 2]
+        tpots = [r.tpot_s * 1e3 for r in done if r.generated >= 2]
         tpot_ms = sum(tpots) / len(tpots) if tpots else float("inf")
-        throughput = response_throughput(
-            arrivals, horizon * self.warmup_fraction, horizon
-        )
-        backlog = sum(
-            1 for r in arrivals
-            if r.arrival_s <= horizon and r.state is not RequestState.SHED
-            and (r.start_s is None or r.start_s > horizon)
-        )
-        drain_seconds = backlog / max(throughput, 1e-9)
         device = getattr(self.runtime, "device", None)
         peak_flops = device.peak_fp32_flops if device is not None else 0.0
         result = GenServingMetrics(
-            system=self.system_name,
-            request_rate=len(arrivals) / horizon,
-            response_throughput=throughput,
-            latency=LatencyStats.from_requests(arrivals),
-            saturated=drain_seconds > 0.5,
-            completed=len(completed),
-            offered=len(arrivals),
-            backlog_at_end=backlog,
-            utilization=min(1.0, self.busy_s
-                            / (horizon * len(self.replicas))),
+            **common,
             batches_executed=self.decode_steps + self.prefills,
             ttft=ttft,
             tpot_ms_avg=tpot_ms,
@@ -1063,8 +946,6 @@ class _GenDriver:
             prefill_flops_saved=self.prefill_saved_s * peak_flops,
         )
         if self.metrics is not None:
-            self.metrics.gauge("serving_response_throughput",
-                               system=result.system).set(throughput)
             self.metrics.gauge("generation_goodput_tokens_per_s",
                                system=result.system).set(
                 result.goodput_tokens_per_s

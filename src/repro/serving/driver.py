@@ -1,0 +1,262 @@
+"""The one serving driver under both replica kinds.
+
+The paper's §5 serving loop is a message queue feeding a batch scheduler
+on each GPU, and a Nexus-style balancer repeats that loop behind it.
+:class:`Driver` is the skeleton of that loop for both replica kinds:
+``_BatchDriver`` (:mod:`repro.serving.server`) runs encoder
+:class:`~repro.serving.server.BatchReplica` replicas and ``_GenDriver``
+(:mod:`repro.serving.continuous`) runs generation
+:class:`~repro.serving.continuous.GenReplica` replicas.  The skeleton
+holds the :class:`~repro.engine.Engine` and its instrumentation, the
+retry state, each replica's fault injector and circuit breaker, the
+router, the arrival and retry events, terminal bookkeeping, how a
+replica's busy windows run, and the finalisation.  A kind supplies its
+ingest rule (:meth:`Driver.ingest`), its dispatch loop
+(:meth:`Driver.loop`) and its extra metric fields (:meth:`Driver.result`).
+
+Each of these questions has one rule, the same for both kinds:
+
+* **backlog** — a request is backlog when it was offered by the
+  horizon, was not shed, and its service had not begun by the horizon
+  (``start_s`` unset or later).  It is counted once, after the run, so
+  a batch starting exactly at the horizon is not backlog;
+* **retry** — a failed attempt re-enters after the retry policy's
+  backoff, re-routed; with no policy, or when the policy refuses, it
+  fails for good.  KV-pressure preemption is not a failure: with no
+  policy the victim re-enters at once;
+* **routing** — a lone replica has no router.  Beside other replicas
+  the :class:`~repro.serving.router.Router` picks one and commits its
+  breaker's half-open probe;
+* **windows** — a replica's ``run`` generator yields the absolute end
+  of each busy window.  A lone replica cannot overlap with another, so
+  its windows run inline (``engine.run_until``); beside other replicas
+  each replica is an ``Engine.spawn`` task woken at each window end.
+  Both dispatch in the same order and count one WAKE per window;
+* **counters** — ``serving_attempt_failures_total`` counts failed
+  attempts and ``serving_retries_total`` the retries the policy
+  scheduled.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence
+
+from ..engine import Engine, EngineFaultInjector, EngineInstrumentation, \
+    EventKind
+from ..observability import NULL_TRACER, MetricsRegistry, Tracer
+from .metrics import (
+    LatencyStats,
+    ServingMetrics,
+    completed_requests,
+    completed_throughput,
+)
+from .request import Request, RequestState, arrival_window
+from .router import Router, RoutingPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (resilience -> serving)
+    from ..resilience import ResilienceConfig
+
+
+class Replica:
+    """One GPU of either kind, as the driver sees it: a ``server_id``, the
+    per-run state :meth:`bind` resets, and a ``run`` generator yielding
+    the end of each busy window."""
+
+    server_id: int
+
+    def bind(self, driver: Optional["Driver"],
+             faults: Optional[EngineFaultInjector], breaker) -> None:
+        """Attach to one run and reset the per-run state."""
+        self.driver = driver
+        self.faults = faults
+        self.breaker = breaker
+        #: This replica's GPU trace track: ``gpu`` when it serves alone,
+        #: ``gpu.r{server_id}`` beside other replicas.
+        self.tid = ("gpu" if driver is None or driver.inline
+                    else f"gpu.r{self.server_id}")
+        self.running = False
+        self.completed = 0
+
+
+class Driver:
+    """One serving run over a set of replicas of one kind (see the module
+    docstring for what a kind supplies)."""
+
+    def __init__(self, replicas: Sequence[Replica], system: str,
+                 warmup_fraction: float,
+                 resilience: Optional["ResilienceConfig"],
+                 tracer: Optional[Tracer],
+                 metrics: Optional[MetricsRegistry],
+                 policy: RoutingPolicy = RoutingPolicy.LEAST_QUEUED,
+                 max_len: int = 512) -> None:
+        self.replicas = list(replicas)
+        self.system = system
+        self.warmup_fraction = warmup_fraction
+        self.res = resilience
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.trace_on = self.tracer.enabled
+        self.metrics = metrics
+        self.observed = self.trace_on or metrics is not None
+        self.instrumentation = (EngineInstrumentation(self.tracer, metrics)
+                                if self.observed else None)
+        self.engine = Engine(instrumentation=self.instrumentation)
+        self.retry_state = None
+        if resilience is not None and resilience.retry is not None:
+            from ..resilience.retry import RetryState  # deferred: avoids cycle
+
+            self.retry_state = RetryState(resilience.retry)
+        self.inline = len(self.replicas) == 1
+        plan = breakers = None
+        if resilience is not None:
+            if not resilience.faults.empty:
+                plan = resilience.faults
+            breakers = resilience.breaker_factory
+        for rep in self.replicas:
+            rep.bind(self,
+                     None if plan is None else EngineFaultInjector(
+                         plan, rep.server_id, self.instrumentation),
+                     None if breakers is None else breakers(rep.server_id))
+        self.router = (None if self.inline
+                       else Router(self.replicas, policy, max_len=max_len))
+        self.horizon = 0.0
+        self.arrivals: List[Request] = []
+        #: Busy seconds inside the horizon, summed over the replicas.
+        self.busy_s = 0.0
+
+    # -- what a replica kind supplies -------------------------------------
+
+    def ingest(self, r: Request, now: float, arrival: bool) -> None:
+        """Route and queue ``r``: a new arrival, or a retry re-entering."""
+        raise NotImplementedError
+
+    def loop(self) -> None:
+        """Dispatch the whole run: arrivals, retries and replica windows."""
+        raise NotImplementedError
+
+    def result(self, done: List[Request],
+               **common: object) -> ServingMetrics:
+        """The run's metrics: the ``common`` fields plus the kind's own,
+        given the completed requests ``done``."""
+        raise NotImplementedError
+
+    def request_args(self, r: Request) -> dict:
+        """Attributes of a request's trace span."""
+        return {"seq_len": r.seq_len}
+
+    # -- request bookkeeping ----------------------------------------------
+
+    def drop(self, r: Request, state: RequestState, now: float) -> None:
+        """Terminal non-completion (timeout / failure / shed) bookkeeping."""
+        r.resolve(state)
+        if self.trace_on:
+            self.tracer.async_end("request", now, r.req_id, cat="request",
+                                  path=state.value)
+        if self.metrics is not None:
+            self.metrics.counter("serving_requests_dropped_total",
+                                 reason=state.value).inc()
+
+    def fail(self, r: Request, rep: Replica, now: float) -> None:
+        """One attempt failed on ``rep``: its breaker learns, and ``r``
+        retries or, with no retry policy, fails for good."""
+        if rep.breaker is not None:
+            rep.breaker.record(False, now)
+        if self.metrics is not None:
+            self.metrics.counter("serving_attempt_failures_total").inc()
+        if self.retry_state is None:
+            self.drop(r, RequestState.FAILED, now)
+        else:
+            self.retry(r, now)
+
+    def retry(self, r: Request, now: float) -> None:
+        """Re-enter ``r`` after the policy's backoff, or resolve it FAILED
+        when the policy refuses (attempts or budget exhausted, or the
+        backoff lands past its deadline)."""
+        retry_at = self.retry_state.next_retry_at(r, now)
+        if retry_at is None:
+            self.drop(r, RequestState.FAILED, now)
+            return
+        r.attempt += 1
+        self.engine.schedule(retry_at, EventKind.RETRY, self._on_retry, r)
+        if self.metrics is not None:
+            self.metrics.counter("serving_retries_total").inc()
+
+    # -- events -----------------------------------------------------------
+
+    def route(self, r: Request, now: float) -> Replica:
+        """The lone replica, or the router's pick beside other replicas."""
+        if self.router is None:
+            return self.replicas[0]
+        return self.router.route(r, now)
+
+    def _on_arrival(self, event) -> None:
+        """An offered request enters the system at its true timestamp."""
+        r = event.payload
+        if self.trace_on:
+            self.tracer.async_begin("request", r.arrival_s, r.req_id,
+                                    cat="request", **self.request_args(r))
+        self.ingest(r, self.engine.now, True)
+
+    def _on_retry(self, event) -> None:
+        """A failed or preempted attempt re-enters, re-routed."""
+        r = event.payload
+        now = self.engine.now
+        if self.trace_on:
+            self.tracer.async_instant("request", now, r.req_id,
+                                      cat="request", stage="requeue",
+                                      attempt=r.attempt)
+        self.ingest(r, now, False)
+
+    # -- the run ----------------------------------------------------------
+
+    def start(self, rep: Replica, windows: Iterator[float]) -> None:
+        """Run ``rep``'s busy windows: inline when it serves alone, else
+        as an engine task woken at each window end."""
+        if self.inline:
+            run_until = self.engine.run_until
+            for end in windows:
+                run_until(end)
+        else:
+            rep.running = True
+            self.engine.spawn(windows)
+
+    def serve(self, requests: Sequence[Request],
+              duration_s: Optional[float]) -> ServingMetrics:
+        """Serve ``requests`` to completion; ``duration_s`` is the
+        offered-load horizon (the last arrival when ``None``)."""
+        self.arrivals, self.horizon = arrival_window(requests, duration_s)
+        self.loop()
+        return self._finalize()
+
+    def _finalize(self) -> ServingMetrics:
+        arrivals = self.arrivals
+        horizon = self.horizon
+        # One is_completed pass; latency, throughput and the completed
+        # count are all read off the completed list.
+        completed = completed_requests(arrivals)
+        throughput = completed_throughput(
+            completed, horizon * self.warmup_fraction, horizon)
+        # Queue depth alone would undercount the backlog: a round drains
+        # the whole queue into batches long before they execute.
+        backlog = sum(
+            1 for r in arrivals
+            if r.arrival_s <= horizon and r.state is not RequestState.SHED
+            and (r.start_s is None or r.start_s > horizon))
+        result = self.result(
+            completed,
+            system=self.system,
+            request_rate=len(arrivals) / horizon,
+            response_throughput=throughput,
+            latency=LatencyStats.from_completed(completed),
+            # Saturated: the backlog left when arrivals stopped takes more
+            # than half a second of service capacity to drain.
+            saturated=backlog / max(throughput, 1e-9) > 0.5,
+            completed=len(completed),
+            offered=len(arrivals),
+            backlog_at_end=backlog,
+            utilization=min(1.0, self.busy_s
+                            / (horizon * len(self.replicas))),
+        )
+        if self.metrics is not None:
+            self.metrics.gauge("serving_response_throughput",
+                               system=self.system).set(throughput)
+        return result

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
+from ..engine import EngineFaultInjector
 from .metrics import ServingMetrics
 from .policies import TriggerPolicy
 from .request import Batch, Request, RequestState, make_batch
@@ -75,17 +76,21 @@ class EbirdReplica(BatchReplica):
     jitter.
     """
 
-    def __init__(self, server_id: int, driver: _BatchDriver,
-                 scheduler: NaiveBatchScheduler, policy: TriggerPolicy, *,
-                 max_streams: int, efficiency: float) -> None:
-        super().__init__(server_id, driver, scheduler, policy)
+    def __init__(self, server_id: int, scheduler: NaiveBatchScheduler,
+                 policy: TriggerPolicy, *, max_streams: int,
+                 efficiency: float) -> None:
+        super().__init__(server_id, scheduler, policy)
         self.max_streams = max_streams
         self.efficiency = efficiency
+
+    def bind(self, driver: _BatchDriver,
+             faults: Optional[EngineFaultInjector], breaker) -> None:
+        super().bind(driver, faults, breaker)
         self.active: List[_ActiveBatch] = []
         #: When progress was last charged.
         self.charged_at = 0.0
-        self.edges = (self.faults.plan.boundaries(server_id)
-                      if self.faults is not None else ())
+        self.edges = (faults.plan.boundaries(self.server_id)
+                      if faults is not None else ())
 
     def rate(self) -> float:
         """Per-batch progress in device-seconds per wall-second over the
@@ -111,7 +116,7 @@ class EbirdReplica(BatchReplica):
                 for b in active:
                     b.remaining_work_s -= spent
                 if self.charged_at < d.horizon:
-                    d.busy_in_horizon += min(now, d.horizon) - self.charged_at
+                    d.busy_s += min(now, d.horizon) - self.charged_at
             self.charged_at = now
             if faults is not None and faults.crashed(now):
                 # Crash truncation: resident batches are lost at the
@@ -140,7 +145,7 @@ class EbirdReplica(BatchReplica):
                 active.append(_ActiveBatch(
                     batch, now, d.cost_fn(batch.padded_len, batch.size)))
             if not active:
-                return
+                break
             end = now + min(b.remaining_work_s for b in active) / self.rate()
             nxt = engine.peek()
             if nxt is not None and nxt.time < end:
@@ -149,6 +154,7 @@ class EbirdReplica(BatchReplica):
             if i < len(self.edges) and self.edges[i] < end:
                 end = self.edges[i]
             yield end
+        self.running = False
 
     def finish(self, b: _ActiveBatch, now: float) -> None:
         """A batch's work is done: each member completes, or fails by the
@@ -200,6 +206,7 @@ def simulate_ebird_serving(
     # naive scheduler's batches, drained ``max_batch`` at a time.
     driver = _BatchDriver(
         [NaiveBatchScheduler()], cost_fn, ServingConfig(max_batch=max_batch),
-        resilience, replica=partial(EbirdReplica, max_streams=max_streams,
-                                    efficiency=efficiency))
-    return driver.serve(requests, duration_s, system_name)
+        system_name, resilience,
+        replica=partial(EbirdReplica, max_streams=max_streams,
+                        efficiency=efficiency))
+    return driver.serve(requests, duration_s)

@@ -11,18 +11,21 @@ One replica, one driver
 :class:`BatchReplica` is one GPU running the paper's §5 loop — the
 encoder twin of :class:`~repro.serving.continuous.GenReplica`.  It owns
 its :class:`MessageQueue`, batch scheduler, trigger policy (hungry or
-lazy), fault injector and circuit breaker, and :meth:`BatchReplica.run`
-executes scheduling rounds — drain, admit, DP-schedule on the active
-rung, then run the batches as busy windows — yielding the end of each
-window.  One driver (arrivals, retries, request bookkeeping, the horizon
-snapshot and the finalisation) runs on :class:`repro.engine.Engine`:
+lazy) and degradation ladder, plus the fault injector and circuit
+breaker the driver binds, and :meth:`BatchReplica.run` executes
+scheduling rounds — drain, admit, DP-schedule on the active rung, then
+run the batches as busy windows — yielding the end of each window.  The
+encoder driver is the one serving driver
+(:class:`repro.serving.driver.Driver`, whose backlog, retry, routing,
+window and counter rules it follows) with the encoder ingest rule
+(response cache, bounded queue) and a per-instant trigger loop:
 :func:`simulate_serving` is that driver over one replica and
 :func:`repro.serving.simulate_cluster` the same driver over N behind the
 :class:`~repro.serving.router.Router` — the paper's picture of one
 server's scheduler repeated behind a Nexus-style balancer.
 :func:`repro.serving.simulate_ebird_serving` is the driver over one
-replica whose execution rule is processor sharing.  The rules
-every replica follows:
+replica whose execution rule is processor sharing.  The rules every
+replica follows:
 
 * **per-instant rounds** — a round starts only once every event of its
   instant has been dispatched (``ARRIVAL < RETRY < WAKE < TRIGGER``), so
@@ -42,12 +45,9 @@ every replica follows:
   injector's latency spikes, and transient failures strike at the batch
   completion.
 
-A lone replica cannot overlap with another, so the driver runs its
-windows inline (``engine.run_until``); beside other replicas each window
-end is a WAKE timer.  Both dispatch in the same order and count one WAKE
-per window.  When nothing can observe a lone replica between batch ends
-(hungry, fault-free, no tracer, registry, cache or sanitizer), a window
-is a whole scheduling round, priced in closed form
+When nothing can observe a lone replica between batch ends (hungry,
+fault-free, no tracer, registry, cache or sanitizer), a window is a
+whole scheduling round, priced in closed form
 (:meth:`_BatchDriver._serve_rounds`).
 
 Observability: pass a :class:`repro.observability.Tracer` and/or a
@@ -74,21 +74,14 @@ import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
-from ..engine import Engine, EngineFaultInjector, EngineInstrumentation, \
-    EventKind
-from ..observability import NULL_TRACER, MetricsRegistry, Tracer
-from .metrics import (
-    LatencyStats,
-    ResilienceStats,
-    ServingMetrics,
-    completed_requests,
-    completed_throughput,
-)
+from ..engine import EngineFaultInjector, EventKind
+from ..observability import MetricsRegistry, Tracer
+from .driver import Driver, Replica
+from .metrics import ResilienceStats, ServingMetrics
 from .mq import MessageQueue
 from .policies import HungryPolicy, LazyPolicy, TriggerPolicy
-from .request import Batch, Request, RequestState, _resolve_hooks, \
-    arrival_window, make_batch
-from .router import Router, RoutingPolicy, other_replica_up
+from .request import Batch, Request, RequestState, _resolve_hooks, make_batch
+from .router import RoutingPolicy, other_replica_up
 from .scheduler import BatchScheduler, CostFn, batch_execution_cost, observe_round
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (resilience -> serving)
@@ -117,45 +110,35 @@ class ServingConfig:
             )
 
 
-class BatchReplica:
+class BatchReplica(Replica):
     """One GPU of the encoder serving loop.
 
     Owns its message queue (bounded by ``resilience.queue_capacity``), its
-    batch scheduler and trigger policy, its fault injector and circuit
-    breaker and, when it serves alone, the degradation ladder.
-    :meth:`run` is its loop: scheduling rounds while the trigger fires,
-    yielding the end time of each busy window to the driver.
+    batch scheduler and trigger policy, the fault injector and circuit
+    breaker the driver binds and, when it serves alone, the degradation
+    ladder.  :meth:`run` is its loop: scheduling rounds while the trigger
+    fires, yielding the end time of each busy window to the driver.
     """
 
-    def __init__(self, server_id: int, driver: "_BatchDriver",
-                 scheduler: BatchScheduler, policy: TriggerPolicy) -> None:
+    def __init__(self, server_id: int, scheduler: BatchScheduler,
+                 policy: TriggerPolicy) -> None:
         self.server_id = server_id
-        self.driver = driver
         self.scheduler = scheduler
         self.policy = policy
         # The lazy policy's front-of-queue estimate is refreshed every round.
         self.lazy = policy if isinstance(policy, LazyPolicy) else None
         # Feedback hook for adaptive (Clipper-style AIMD) schedulers.
         self.observe = getattr(scheduler, "observe", None)
+
+    def bind(self, driver: "_BatchDriver",
+             faults: Optional[EngineFaultInjector], breaker) -> None:
+        super().bind(driver, faults, breaker)
         res = driver.res
         self.queue = MessageQueue(
             capacity=res.queue_capacity if res is not None else None)
-        self.faults: Optional[EngineFaultInjector] = None
-        self.breaker = None
-        self.degradation = None
-        if res is not None:
-            if not res.faults.empty:
-                self.faults = EngineFaultInjector(res.faults, server_id,
-                                                  driver.instrumentation)
-            if res.breaker_factory is not None:
-                self.breaker = res.breaker_factory(server_id)
-            self.degradation = res.degradation
-        #: This replica's GPU trace track.
-        self.tid = "gpu" if driver.inline else f"gpu.r{server_id}"
-        self.running = False
+        self.degradation = res.degradation if res is not None else None
         #: Committed busy horizon of the current round (routing estimate).
         self.busy_until = 0.0
-        self.completed = 0
         self.trigger = None  # the pending TRIGGER event, if any
 
     # -- routing view -----------------------------------------------------
@@ -240,6 +223,7 @@ class BatchReplica:
             if d.router is not None:
                 self.busy_until = self.projected_end(batches, price, now)
             yield from self.execute(batches, price)
+        self.running = False
 
     def crash(self, now: float) -> float:
         """Down at ``now``: queued work fails fast to the retry path while
@@ -332,7 +316,7 @@ class BatchReplica:
             yield started + exec_s if crashed_at is None else crashed_at
             now = engine.now
             if started < horizon:
-                d.busy_in_horizon += min(now, horizon) - started
+                d.busy_s += min(now, horizon) - started
             d.batches_executed += 1
             if observed:
                 d.record_batch(self, batch, started, now)
@@ -362,15 +346,15 @@ class BatchReplica:
             self.completed += done
 
 
-class _BatchDriver:
-    """One serving run over a set of :class:`BatchReplica`: the engine,
-    the arrival and retry events, the router (beside other replicas),
-    request bookkeeping and the one finalisation.  ``replica`` builds each
-    replica from ``(server_id, driver, scheduler, policy)``; a subclass
-    changes only how a replica executes (Ebird's processor sharing)."""
+class _BatchDriver(Driver):
+    """The driver over a set of :class:`BatchReplica`: the encoder ingest
+    rule (response cache, bounded queue), the per-instant trigger loop and
+    the batch counters.  ``replica`` builds each replica from
+    ``(server_id, scheduler, policy)``; Ebird's processor sharing is such
+    a replica."""
 
     def __init__(self, schedulers: Sequence[BatchScheduler], cost_fn: CostFn,
-                 config: ServingConfig,
+                 config: ServingConfig, system: str,
                  resilience: Optional["ResilienceConfig"] = None,
                  tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None, cache=None,
@@ -385,33 +369,16 @@ class _BatchDriver:
                 f"got one ladder for {n} replicas")
         self.config = config
         self.cost_fn = cost_fn
-        self.res = resilience
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.trace_on = self.tracer.enabled
-        self.metrics = metrics
-        self.observed = self.trace_on or metrics is not None
         self.cache = cache
-        self.instrumentation = (EngineInstrumentation(self.tracer, metrics)
-                                if self.observed else None)
-        self.engine = Engine(instrumentation=self.instrumentation)
-        self.retry_state = None
-        if resilience is not None and resilience.retry is not None:
-            from ..resilience.retry import RetryState  # deferred: avoids cycle
-
-            self.retry_state = RetryState(resilience.retry)
-        self.inline = n == 1
+        self.batches_executed = 0
         # Replicas beside each other must not share the lazy policy's
         # per-round estimate.
-        self.replicas = [
-            replica(i, self, scheduler,
-                    config.policy if n == 1 else copy.copy(config.policy))
-            for i, scheduler in enumerate(schedulers)]
-        self.router = (None if n == 1
-                       else Router(self.replicas, policy, max_len=max_len))
-        self.horizon = 0.0
-        self.busy_in_horizon = 0.0
-        self.batches_executed = 0
-        self.arrivals: List[Request] = []
+        super().__init__(
+            [replica(i, scheduler,
+                     config.policy if n == 1 else copy.copy(config.policy))
+             for i, scheduler in enumerate(schedulers)],
+            system, config.warmup_fraction, resilience, tracer, metrics,
+            policy, max_len)
 
     # -- request bookkeeping ----------------------------------------------
 
@@ -425,33 +392,6 @@ class _BatchDriver:
         if self.metrics is not None:
             self.metrics.counter("serving_requests_completed_total",
                                  path=how).inc()
-
-    def drop(self, r: Request, state: RequestState, now: float) -> None:
-        """Terminal non-completion (timeout / failure / shed) bookkeeping."""
-        r.resolve(state)
-        if self.trace_on:
-            self.tracer.async_end("request", now, r.req_id, cat="request",
-                                  path=state.value)
-        if self.metrics is not None:
-            self.metrics.counter("serving_requests_dropped_total",
-                                 reason=state.value).inc()
-
-    def fail(self, r: Request, rep: BatchReplica, now: float) -> None:
-        """One attempt failed on ``rep``: retry after backoff (re-routed)
-        or give up."""
-        if rep.breaker is not None:
-            rep.breaker.record(False, now)
-        if self.metrics is not None:
-            self.metrics.counter("serving_attempt_failures_total").inc()
-        retry_at = (self.retry_state.next_retry_at(r, now)
-                    if self.retry_state is not None else None)
-        if retry_at is None:
-            self.drop(r, RequestState.FAILED, now)
-            return
-        r.attempt += 1
-        self.engine.schedule(retry_at, EventKind.RETRY, self._on_retry, r)
-        if self.metrics is not None:
-            self.metrics.counter("serving_retries_total").inc()
 
     def record_batch(self, rep: BatchReplica, batch: Batch, started: float,
                      now: float) -> None:
@@ -478,77 +418,31 @@ class _BatchDriver:
             metrics.counter("serving_padding_waste_tokens_total").inc(
                 batch.padding_waste
             )
-            metrics.gauge("serving_gpu_busy_s").set(self.busy_in_horizon,
-                                                    t=now)
+            metrics.gauge("serving_gpu_busy_s").set(self.busy_s, t=now)
 
     # -- events -----------------------------------------------------------
 
-    def _ingest(self, r: Request, now: float, cached: bool = False) -> None:
-        """Route (beside other replicas) and queue ``r`` — a full queue
-        sheds it — unless the response cache already answered it."""
-        if not cached:
-            rep = (self.replicas[0] if self.router is None
-                   else self.router.route(r, now))
-            if not rep.queue.push(r):
-                self.drop(r, RequestState.SHED, now)
+    def ingest(self, r: Request, now: float, arrival: bool) -> None:
+        """Queue ``r`` on its replica — a full queue sheds it — unless the
+        response cache already answers a new arrival."""
+        cache = self.cache
+        if arrival and cache is not None and r.payload is not None \
+                and cache.get(r.payload) is not None:
+            # Resp Cache hit: answered without evaluating the model.
+            r.start_s = r.arrival_s
+            r.resolve(RequestState.COMPLETED, r.arrival_s)
+            self.complete(r, "cache")
+        elif not self.route(r, now).queue.push(r):
+            self.drop(r, RequestState.SHED, now)
         if self.trace_on:
             self.tracer.counter("queue", now, {"depth": sum(
                 len(rep.queue) for rep in self.replicas)})
         if self.metrics is not None:
             self.metrics.counter("serving_requests_ingested_total").inc()
 
-    def _on_arrival(self, event) -> None:
-        """An offered request enters the system at its true timestamp."""
-        r = event.payload
-        if self.trace_on:
-            self.tracer.async_begin("request", r.arrival_s, r.req_id,
-                                    cat="request", seq_len=r.seq_len)
-        cache = self.cache
-        cached = (cache is not None and r.payload is not None
-                  and cache.get(r.payload) is not None)
-        if cached:
-            # Resp Cache hit: answered without evaluating the model.
-            r.start_s = r.arrival_s
-            r.resolve(RequestState.COMPLETED, r.arrival_s)
-            self.complete(r, "cache")
-        self._ingest(r, self.engine.now, cached)
-
-    def _on_retry(self, event) -> None:
-        """A failed attempt re-enters after its backoff, re-routed."""
-        r = event.payload
-        now = self.engine.now
-        if self.trace_on:
-            self.tracer.async_instant("request", now, r.req_id,
-                                      cat="request", stage="requeue",
-                                      attempt=r.attempt)
-        self._ingest(r, now)
-
     # -- the run ----------------------------------------------------------
 
-    def _start(self, rep: BatchReplica, force: bool = False) -> None:
-        rounds = rep.run(force)
-        if self.inline:
-            for end in rounds:
-                self.engine.run_until(end)
-            return
-        rep.running = True
-        self._resume(rep, rounds)
-
-    def _resume(self, rep: BatchReplica, rounds) -> None:
-        end = next(rounds, None)
-        if end is None:
-            rep.running = False
-            return
-        self.engine.schedule(end, EventKind.WAKE, self._on_wake, (rep, rounds))
-
-    def _on_wake(self, event) -> None:
-        self._resume(*event.payload)
-
-    def serve(self, requests: Sequence[Request], duration_s: Optional[float],
-              system: str) -> ServingMetrics:
-        arrivals, horizon = arrival_window(requests, duration_s)
-        self.arrivals = arrivals
-        self.horizon = horizon
+    def loop(self) -> None:
         engine = self.engine
         replicas = self.replicas
         if self.trace_on:
@@ -561,7 +455,7 @@ class _BatchDriver:
         bulk = (lone.queue.extend if lone is not None and self.cache is None
                 and not self.observed and lone.queue.capacity is None
                 else None)
-        engine.arrivals(arrivals, self._on_arrival, bulk)
+        engine.arrivals(self.arrivals, self._on_arrival, bulk)
         # Closed-form rounds when, beyond that, nothing can see the
         # replica between batch ends (see ``_serve_rounds``).
         if (bulk is not None and type(lone) is BatchReplica
@@ -569,11 +463,11 @@ class _BatchDriver:
                 and lone.observe is None and not _resolve_hooks
                 and not engine.observed):
             self._serve_rounds(lone)
-            return self._finalize(system)
+            return
         while True:
             for rep in replicas:
                 if rep.queue and not rep.running:
-                    self._start(rep)
+                    self.start(rep, rep.run())
             # Arm the triggers *before* judging idleness: a future policy
             # decision point is a real pending event, not a reason to
             # flush.
@@ -587,14 +481,13 @@ class _BatchDriver:
                 # No policy will fire again (e.g. a degenerate config):
                 # flush the remainder so the simulation terminates.
                 for rep in stuck:
-                    self._start(rep, force=True)
+                    self.start(rep, rep.run(force=True))
                 continue
             # Dispatch the next instant in full (all simultaneous events)
             # before re-evaluating the policies, so a round sees every
             # arrival of its timestamp — the clock only ever lands on
             # event times.
             engine.step_due()
-        return self._finalize(system)
 
     def _serve_rounds(self, rep: BatchReplica) -> None:
         """The hungry loop of a lone, fault-free, unobserved replica, one
@@ -633,34 +526,17 @@ class _BatchDriver:
                     r.completion_s = t
                     r.state = completed
                 if started < horizon:
-                    self.busy_in_horizon += min(t, horizon) - started
+                    self.busy_s += min(t, horizon) - started
                 self.batches_executed += 1
                 rep.completed += batch.size
             engine.run_until(t)
 
-    def _finalize(self, system: str) -> ServingMetrics:
-        arrivals = self.arrivals
-        horizon = self.horizon
-        # Backlog: requests offered by the horizon, not shed, whose
-        # service had not begun by it.  Queue depth alone undercounts,
-        # because a round drains the whole queue into batches long before
-        # they execute.
-        backlog = sum(
-            1 for r in arrivals
-            if r.arrival_s <= horizon and r.state is not RequestState.SHED
-            and (r.start_s is None or r.start_s > horizon))
-        # One is_completed pass; latency, throughput and the completed
-        # count are all read off the completed list.
-        completed = completed_requests(arrivals)
-        throughput = completed_throughput(
-            completed, horizon * self.config.warmup_fraction, horizon)
-        # Saturated: the servers could not keep up with the offered load —
-        # the backlog remaining when arrivals stopped takes more than half
-        # a second of service capacity to drain.
-        saturated = backlog / max(throughput, 1e-9) > 0.5
+    def result(self, done: List[Request],
+               **common: object) -> ServingMetrics:
         stats: Optional[ResilienceStats] = None
         res = self.res
         if res is not None:
+            arrivals = self.arrivals
             breakers = [rep.breaker for rep in self.replicas
                         if rep.breaker is not None]
             stats = ResilienceStats(
@@ -677,28 +553,14 @@ class _BatchDriver:
                 degradation_switches=(len(res.degradation.switches)
                                       if res.degradation is not None else 0),
             )
-        result = ServingMetrics(
-            system=system,
-            request_rate=len(arrivals) / horizon,
-            response_throughput=throughput,
-            latency=LatencyStats.from_completed(completed),
-            saturated=saturated,
-            completed=len(completed),
-            offered=len(arrivals),
-            backlog_at_end=backlog,
-            utilization=min(1.0, self.busy_in_horizon
-                            / (horizon * len(self.replicas))),
-            batches_executed=self.batches_executed,
-            resilience=stats,
-        )
+        result = ServingMetrics(**common,
+                                batches_executed=self.batches_executed,
+                                resilience=stats)
         if self.metrics is not None:
-            self.metrics.gauge("serving_utilization", system=system).set(
-                result.utilization
-            )
-            self.metrics.gauge("serving_response_throughput",
-                               system=system).set(result.response_throughput)
+            self.metrics.gauge("serving_utilization", system=self.system).set(
+                result.utilization)
             self.metrics.gauge("serving_backlog_at_horizon",
-                               system=system).set(backlog)
+                               system=self.system).set(result.backlog_at_end)
         return result
 
 
@@ -732,5 +594,6 @@ def simulate_serving(
     disabled.
     """
     driver = _BatchDriver([scheduler], cost_fn, config or ServingConfig(),
-                          resilience, tracer, metrics, cache)
-    return driver.serve(requests, duration_s, system_name or scheduler.name)
+                          system_name or scheduler.name, resilience, tracer,
+                          metrics, cache)
+    return driver.serve(requests, duration_s)

@@ -149,19 +149,18 @@ class TestLifecycleMutations:
         )
         with EngineTraceRecorder() as rec:
             injector = EngineFaultInjector(plan, 0)
-            engine = Engine(faults=injector)
+            engine = Engine()
             engine.schedule(
                 1.5, EventKind.ARRIVAL,
                 lambda e: e.payload.resolve(RequestState.COMPLETED,
-                                            engine.now),
+                                            engine.now, faults=injector),
                 make_request(9),
             )
             engine.run()
         assert codes(verify_lifecycle(rec)) == ["LIFE603"]
 
     def test_completion_attributed_to_resolving_replica_is_life603(self):
-        # Replicas stretch their own windows (the engine has no injector);
-        # the completion carries the completing replica's injector.
+        # The completion carries the completing replica's injector.
         plan = FaultPlan(
             crashes=(ServerCrash(start_s=1.0, end_s=2.0, server_id=1),)
         )
@@ -186,11 +185,11 @@ class TestLifecycleMutations:
         )
         with EngineTraceRecorder() as rec:
             injector = EngineFaultInjector(plan, 0)
-            engine = Engine(faults=injector)
+            engine = Engine()
             engine.schedule(
                 2.0, EventKind.ARRIVAL,
                 lambda e: e.payload.resolve(RequestState.COMPLETED,
-                                            engine.now),
+                                            engine.now, faults=injector),
                 make_request(9),
             )
             engine.run()

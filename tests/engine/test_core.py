@@ -109,6 +109,8 @@ class TestClockInvariants:
 
 
 class TestAdvance:
+    """Busy windows: ``run_until(end)`` advances the clock over a window."""
+
     def test_advance_dispatches_window_events_at_true_times(self):
         engine = Engine()
         landed = []
@@ -116,7 +118,7 @@ class TestAdvance:
                         lambda e: landed.append(engine.now))
         engine.schedule(0.75, EventKind.ARRIVAL,
                         lambda e: landed.append(engine.now))
-        end = engine.advance(1.0)
+        end = engine.run_until(1.0)
         assert landed == [0.25, 0.75]
         assert end == 1.0
         assert engine.now == 1.0
@@ -124,17 +126,19 @@ class TestAdvance:
     def test_advance_leaves_post_window_events_pending(self):
         engine = Engine()
         engine.schedule(5.0, EventKind.ARRIVAL)
-        engine.advance(1.0)
+        engine.run_until(1.0)
         assert engine.now == 1.0
         assert engine.pending
 
     def test_advance_by_zero_stays_put(self):
         engine = Engine()
-        assert engine.advance(0.0) == 0.0
+        assert engine.run_until(0.0) == 0.0
 
     def test_advance_negative_raises(self):
+        engine = Engine()
+        engine.run_until(1.0)
         with pytest.raises(EngineError):
-            Engine().advance(-0.1)
+            engine.run_until(0.9)
 
 
 class TestArrivalStream:
@@ -231,7 +235,7 @@ class TestBulkArrivals:
                         lambda e: log.append(("retry", engine.now)))
         engine.schedule(0.4, EventKind.ARRIVAL,
                         lambda e: log.append(("heap arrival", engine.now)))
-        engine.advance(1.0)
+        engine.run_until(1.0)
         # An arrival tied with a later kind goes first; one tied with a
         # heap ARRIVAL scheduled after the stream goes by seq.
         assert log == [("bulk", [0, 1]), ("retry", 0.3), ("one", 2),
@@ -359,7 +363,7 @@ class TestTasks:
             log.append(("start", engine.now))
             yield 0.5
             log.append(("mid", engine.now))
-            yield 0.25
+            yield 0.75
             log.append(("end", engine.now))
 
         task = engine.spawn(work())
@@ -369,10 +373,12 @@ class TestTasks:
         assert task.done
 
     def test_task_negative_delay_raises(self):
+        """A task yielding a time before ``now``."""
         engine = Engine()
+        engine.run_until(1.0)
 
         def bad():
-            yield -1.0
+            yield 0.5
 
         with pytest.raises(EngineError):
             engine.spawn(bad())
@@ -408,8 +414,8 @@ class TestInstrumentation:
         assert metrics.gauge("serving_queue_depth").series == [(1.5, 7.0)]
 
     def test_window_end_is_one_wake_dispatch(self):
-        """The advance/run_until marker never enters the heap but is
-        counted and observed exactly like the WAKE event it replaces."""
+        """The run_until marker never enters the heap but is counted and
+        observed exactly like the WAKE event it replaces."""
         metrics = MetricsRegistry()
         engine = Engine(
             instrumentation=EngineInstrumentation(None, metrics))
@@ -417,7 +423,7 @@ class TestInstrumentation:
         engine.add_dispatch_hook(
             lambda e: hooked.append((engine.now, e.kind, e.seq)))
         engine.schedule(0.25, EventKind.ARRIVAL)
-        engine.advance(0.5)
+        engine.run_until(0.5)
         engine.run_until(1.0)
         assert hooked == [(0.25, EventKind.ARRIVAL, 0),
                           (0.5, EventKind.WAKE, 1),
@@ -427,10 +433,10 @@ class TestInstrumentation:
             "engine_events_dispatched_total", kind="wake").value == 2
 
     def test_advance_emits_span_for_labelled_window(self):
+        """A busy window's span: one complete event with its attributes."""
         tracer = Tracer()
-        engine = Engine(
-            instrumentation=EngineInstrumentation(tracer, None))
-        engine.advance(0.5, label="batch x3", tid="gpu", cat="batch", size=3)
+        inst = EngineInstrumentation(tracer, None)
+        inst.span("batch x3", 0.0, 0.5, tid="gpu", cat="batch", size=3)
         spans = [e for e in tracer.events if e.get("ph") == "X"]
         assert len(spans) == 1
         assert spans[0]["name"] == "batch x3"

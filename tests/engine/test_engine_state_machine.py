@@ -2,18 +2,17 @@
 
 The reference is the engine's contract written as plainly as possible:
 every pending event is an entry ``(time, priority, seq)`` in a list, the
-next dispatch is the minimum live entry, ``advance``/``run_until``
-dispatch every entry below a marker ``(end, WAKE, seq)`` and then
-dispatch the marker itself.  Random programs of ``schedule`` /
-``cancel`` (of pending and of already fired events) / ``arrivals`` /
-``step`` / ``step_due`` / ``advance`` / ``run_until`` / ``spawn`` run
-against both, and the combined log — handler calls and dispatch-hook
+next dispatch is the minimum live entry, ``run_until`` dispatches
+every entry below a marker ``(end, WAKE, seq)`` and then dispatches the
+marker itself, and a task resumes at each time it yields.  Random
+programs of ``schedule`` / ``cancel`` (of pending and of already fired
+events) / ``arrivals`` / ``peek`` / ``step`` / ``step_due`` /
+``run_until`` / ``run`` / ``spawn`` run against both, and the combined log — handler calls and dispatch-hook
 calls (markers included), in order — plus the clock, ``pending`` and
 ``events_dispatched`` must agree after every step.
 
 Times are multiples of 0.25 so that ties between kinds, seqs and window
-ends are frequent and exact; a fault stretch doubles busy windows that
-start in [1, 2) s.
+ends are frequent and exact.
 
 A second machine registers a bulk arrival handler and starts with no
 dispatch hook, so windows hand arrivals over in slices until a rule
@@ -145,21 +144,13 @@ class Reference:
         self.observe(*marker, WAKE)
 
 
-class Spike:
-    """Fault stretch: busy windows starting in [1, 2) take twice as long."""
-
-    @staticmethod
-    def stretch(delay, now, _label=None):
-        return 2.0 * delay if 1.0 <= now < 2.0 else delay
-
-
 class EngineMachine(RuleBasedStateMachine):
     #: Register a bulk arrival handler and start unobserved.
     BULK = False
 
     def __init__(self) -> None:
         super().__init__()
-        self.engine = Engine(faults=Spike())
+        self.engine = Engine()
         self.ref = Reference()
         self.log: List[tuple] = []
         self.tags = 0
@@ -213,15 +204,6 @@ class EngineMachine(RuleBasedStateMachine):
         self.engine.cancel(entry.handle)  # idempotent
         entry.cancelled = True
 
-    @rule(delay=DELAYS, child=st.none() | DELAYS)
-    def after(self, delay, child):
-        tag = self._tag()
-        handle = self.engine.after(delay, callback=self._handler(child),
-                                   payload=tag)
-        entry = self.ref.push(self.ref.clock + delay, EventKind.WAKE, tag,
-                              child=child)
-        entry.handle = handle
-
     @precondition(lambda self: self.ref.fired)
     @rule(data=st.data())
     def cancel_fired(self, data):
@@ -268,7 +250,7 @@ class EngineMachine(RuleBasedStateMachine):
         def work():
             self.log.append(("task", engine.now, tag, 0))
             for i, d in enumerate(delays):
-                yield d
+                yield engine.now + d
                 self.log.append(("task", engine.now, tag, i + 1))
 
         engine.spawn(work())
@@ -285,13 +267,6 @@ class EngineMachine(RuleBasedStateMachine):
     def step_due(self):
         self.engine.step_due()
         self.ref.step_due()
-
-    @rule(delay=DELAYS)
-    def advance(self, delay):
-        stretched = Spike.stretch(delay, self.ref.clock)
-        assert self.engine.advance(delay) == self.ref.clock + stretched
-        assert self.engine.last_advance_s == stretched
-        self.ref.run_to(self.ref.clock + stretched)
 
     @rule(delay=DELAYS)
     def run_until(self, delay):

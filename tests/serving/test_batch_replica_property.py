@@ -127,8 +127,8 @@ def test_replica_runs_are_sanitizer_clean(scenario):
                 else LazyPolicy(timeout_s=0.004, max_batch=MAX_BATCH)))
     with EngineTraceRecorder() as rec:
         _BatchDriver([DPBatchScheduler() for _ in range(replicas)], cost,
-                     config, res, policy=routing, max_len=200,
-                     ).serve(reqs, HORIZON, "property")
+                     config, "property", res, policy=routing, max_len=200,
+                     ).serve(reqs, HORIZON)
     errors = [d for d in verify_trace(rec, retry=res.retry)
               if d.severity is Severity.ERROR]
     assert errors == []
