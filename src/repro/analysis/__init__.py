@@ -20,7 +20,9 @@ codes (``GRAPH1xx``/``MEM2xx``/``SCHED3xx``/``DET4xx``/``ENG5xx``/
   for clock/dispatch sanity (ENG5xx), request-lifecycle invariants
   (LIFE6xx) and KV token conservation (MEM22x);
 * :mod:`.sanitizer` — seeded serving and chaos scenarios executed under
-  the recorder (``repro check --sanitize <scenario>``).
+  the recorder (``repro check --sanitize <scenario>``);
+* :mod:`.serving_checks` — a serving run's summary metrics recomputed
+  from its terminal request list.
 """
 
 from .check import (
@@ -77,6 +79,7 @@ from .memory_checks import (
     check_plan,
     fragmentation_report,
 )
+from .serving_checks import verify_serving_metrics
 from .schedule_checks import (
     check_emitted_schedules,
     check_schedule,
@@ -131,6 +134,7 @@ __all__ = [
     "verify_lifecycle",
     "verify_kv_ledger",
     "verify_trace",
+    "verify_serving_metrics",
     "TRACE_SCENARIOS",
     "run_scenario_trace",
     "run_sanitized",

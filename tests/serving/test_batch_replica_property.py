@@ -4,7 +4,8 @@ Random arrivals (same-instant ones included), optional deadlines, random
 fault plans (crash, latency spike, transient failures), retries, breakers
 and a bounded queue, 1–3 replicas under every routing policy, the hungry
 and the lazy trigger — every run must pass the engine-trace sanitizer
-with no ERROR and resolve every request.  A one-server ``simulate_cluster`` must equal
+with no ERROR, resolve every request, and report the serving metrics its
+request list gives (:func:`repro.analysis.verify_serving_metrics`).  A one-server ``simulate_cluster`` must equal
 ``simulate_serving`` on the same inputs: the same driver over the same
 single replica.
 
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import verify_serving_metrics
 from repro.analysis.diagnostics import Severity
 from repro.analysis.engine_checks import EngineTraceRecorder, verify_trace
 from repro.resilience import (
@@ -126,13 +128,15 @@ def test_replica_runs_are_sanitizer_clean(scenario):
         policy=(HungryPolicy() if trigger == "hungry"
                 else LazyPolicy(timeout_s=0.004, max_batch=MAX_BATCH)))
     with EngineTraceRecorder() as rec:
-        _BatchDriver([DPBatchScheduler() for _ in range(replicas)], cost,
-                     config, "property", res, policy=routing, max_len=200,
-                     ).serve(reqs, HORIZON)
+        metrics = _BatchDriver(
+            [DPBatchScheduler() for _ in range(replicas)], cost, config,
+            "property", res, policy=routing, max_len=200,
+        ).serve(reqs, HORIZON)
     errors = [d for d in verify_trace(rec, retry=res.retry)
               if d.severity is Severity.ERROR]
     assert errors == []
     assert all(r.state.is_terminal for r in reqs)
+    assert verify_serving_metrics(metrics, reqs, HORIZON) == {}
 
 
 def outcome(reqs):
@@ -167,13 +171,14 @@ def test_one_server_cluster_equals_single_server(specs, res):
 def test_ebird_runs_are_sanitizer_clean(specs, res, streams, efficiency):
     reqs = build(specs)
     with EngineTraceRecorder() as rec:
-        simulate_ebird_serving(reqs, cost, max_streams=streams,
-                               max_batch=MAX_BATCH, efficiency=efficiency,
-                               duration_s=HORIZON, resilience=res)
+        metrics = simulate_ebird_serving(
+            reqs, cost, max_streams=streams, max_batch=MAX_BATCH,
+            efficiency=efficiency, duration_s=HORIZON, resilience=res)
     errors = [d for d in verify_trace(rec, retry=res.retry)
               if d.severity is Severity.ERROR]
     assert errors == []
     assert all(r.state.is_terminal for r in reqs)
+    assert verify_serving_metrics(metrics, reqs, HORIZON) == {}
 
 
 @settings(max_examples=150, deadline=None,

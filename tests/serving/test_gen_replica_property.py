@@ -5,7 +5,8 @@ busy-window ends of the earliest instant's requests served alone),
 random fault plans (crash, latency spike, transient failures), 1–3
 replicas, chunked prefill and the prefix cache on or off — every run
 must pass the engine-trace sanitizer with no ERROR, resolve every
-request, and leak no KV region.  The request-level control (the same
+request, leak no KV region, and report the serving metrics its request
+list gives (:func:`repro.analysis.verify_serving_metrics`).  The request-level control (the same
 replica under the request-level rule) must do the same, fault-free, on
 an arena small enough that the KV gate splits its DP batches.
 """
@@ -15,6 +16,7 @@ from dataclasses import replace
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import verify_serving_metrics
 from repro.analysis.diagnostics import Severity
 from repro.analysis.engine_checks import EngineTraceRecorder, verify_trace
 from repro.engine import EventKind
@@ -157,19 +159,21 @@ def test_replica_runs_are_sanitizer_clean(scenario):
     with EngineTraceRecorder() as rec:
         if replicas == 1:
             kv = arena()
-            ContinuousBatchingServer(RUNTIME, kv, config,
-                                     resilience=res).serve(reqs,
+            metrics = ContinuousBatchingServer(
+                RUNTIME, kv, config, resilience=res).serve(reqs,
                                                            duration_s=0.1)
             leaks = kv.verify(live_req_ids=[])
         else:
-            leaks = simulate_generation_cluster(
+            cluster = simulate_generation_cluster(
                 reqs, replicas, RUNTIME, arena, duration_s=0.1,
-                resilience=res, config=config).kv_leaks
+                resilience=res, config=config)
+            metrics, leaks = cluster.serving, cluster.kv_leaks
     errors = [d for d in verify_trace(rec, retry=res.retry)
               if d.severity is Severity.ERROR]
     assert errors == []
     assert all(r.state.is_terminal for r in reqs)
     assert leaks == []
+    assert verify_serving_metrics(metrics, reqs, 0.1) == {}
 
 
 @settings(max_examples=100, deadline=None,
@@ -178,10 +182,11 @@ def test_replica_runs_are_sanitizer_clean(scenario):
 def test_request_level_runs_are_sanitizer_clean(reqs, max_batch):
     kv = arena()
     with EngineTraceRecorder() as rec:
-        RequestLevelGenerationServer(RUNTIME, kv, max_batch=max_batch).serve(
-            reqs, duration_s=0.1)
+        metrics = RequestLevelGenerationServer(
+            RUNTIME, kv, max_batch=max_batch).serve(reqs, duration_s=0.1)
     errors = [d for d in verify_trace(rec)
               if d.severity is Severity.ERROR]
     assert errors == []
     assert all(r.state.is_terminal for r in reqs)
     assert kv.verify(live_req_ids=[]) == []
+    assert verify_serving_metrics(metrics, reqs, 0.1) == {}
