@@ -1,0 +1,175 @@
+"""The one serving driver's rules hold for both replica kinds.
+
+Each rule of :mod:`repro.serving.driver` is one test, parametrized over
+the encoder kind (``simulate_serving`` over a
+:class:`~repro.serving.BatchReplica`) and the generation kind
+(``ContinuousBatchingServer`` over a
+:class:`~repro.serving.GenReplica`):
+
+* retry — a failed attempt with no ``RetryPolicy`` ends FAILED (and a
+  KV-pressure preemption, which is no failure, still re-enters);
+* backlog — shed requests are not backlog, and neither is a request
+  whose service starts exactly at the horizon;
+* counters — both kinds publish ``serving_retries_total`` and
+  ``serving_attempt_failures_total``;
+* routing — a lone replica is not routed, so its breaker never commits
+  a half-open probe (``allow``).
+"""
+
+import pytest
+
+from repro.analysis import verify_serving_metrics
+from repro.gpusim import RTX_2060
+from repro.memory import KVCacheArena, kv_bytes_per_token
+from repro.models import build_decode_step_graph, build_prefill_graph, tiny_gpt
+from repro.observability import MetricsRegistry
+from repro.resilience import (
+    CircuitBreaker,
+    FaultPlan,
+    ResilienceConfig,
+    RetryPolicy,
+    TransientFailures,
+)
+from repro.runtime import TURBO_CHARACTERISTICS, GenerationRuntime
+from repro.serving import (
+    ContinuousBatchingConfig,
+    ContinuousBatchingServer,
+    DPBatchScheduler,
+    GenRequest,
+    KVPreemptionPolicy,
+    Request,
+    RequestState,
+    ServingConfig,
+    simulate_serving,
+)
+
+MODEL = tiny_gpt()
+BPT = kv_bytes_per_token(MODEL.num_layers, MODEL.num_heads, MODEL.head_size)
+RUNTIME = GenerationRuntime(build_prefill_graph(MODEL),
+                            build_decode_step_graph(MODEL),
+                            TURBO_CHARACTERISTICS, RTX_2060, stride=1)
+KINDS = ("batch", "gen")
+
+
+def cost(seq_len: int, batch: int) -> float:
+    return 0.002 + 0.00002 * seq_len * batch
+
+
+def request(kind: str, req_id: int, arrival_s: float,
+            seq_len: int = 16) -> Request:
+    if kind == "batch":
+        return Request(req_id=req_id, seq_len=seq_len, arrival_s=arrival_s)
+    return GenRequest(req_id=req_id, seq_len=seq_len, arrival_s=arrival_s,
+                      max_new_tokens=4)
+
+
+def serve(kind: str, reqs, duration_s: float, resilience=None, metrics=None,
+          capacity_tokens: int = 512,
+          config: ContinuousBatchingConfig = ContinuousBatchingConfig()):
+    """Serve ``reqs`` on one replica of ``kind``; assert the reported
+    metrics against the request list on the way out."""
+    if kind == "batch":
+        result = simulate_serving(reqs, DPBatchScheduler(), cost,
+                                  ServingConfig(max_batch=4),
+                                  duration_s=duration_s,
+                                  resilience=resilience, metrics=metrics)
+    else:
+        arena = KVCacheArena(capacity_bytes=capacity_tokens * BPT,
+                             bytes_per_token=BPT, page_tokens=8)
+        result = ContinuousBatchingServer(
+            RUNTIME, arena, config, metrics=metrics,
+            resilience=resilience).serve(reqs, duration_s=duration_s)
+    assert verify_serving_metrics(result, reqs, duration_s) == {}
+    return result
+
+
+def failing(retry=None) -> ResilienceConfig:
+    """Every attempt that runs in the first 10 ms fails."""
+    return ResilienceConfig(
+        faults=FaultPlan(failures=(TransientFailures(0.0, 0.01, 1.0),)),
+        retry=retry)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_failed_attempt_without_retry_policy_fails(kind):
+    reqs = [request(kind, i, 0.0) for i in range(3)]
+    reqs.append(request(kind, 3, 0.05))
+    serve(kind, reqs, 0.1, resilience=failing())
+    assert [r.state for r in reqs] == [RequestState.FAILED] * 3 + [
+        RequestState.COMPLETED]
+    assert all(r.attempt == 0 for r in reqs)
+
+
+def test_kv_preemption_without_retry_policy_reenters():
+    """Preemption is no failure: with no retry policy every victim
+    re-enters at once and completes."""
+    reqs = [GenRequest(req_id=i, seq_len=24, arrival_s=0.001 * i,
+                       max_new_tokens=24) for i in range(8)]
+    result = serve("gen", reqs, 0.01, capacity_tokens=96,
+                   config=ContinuousBatchingConfig(
+                       preemption=KVPreemptionPolicy(1)))
+    assert result.preemptions > 0
+    assert all(r.state is RequestState.COMPLETED for r in reqs)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_shed_requests_are_not_backlog(kind):
+    if kind == "batch":
+        # A one-slot queue sheds every same-instant arrival but the first.
+        reqs = [request(kind, i, 0.0) for i in range(4)]
+        resilience = ResilienceConfig(queue_capacity=1)
+    else:
+        # A prompt no empty arena could hold is shed at ingest.
+        reqs = [request(kind, 0, 0.0), request(kind, 1, 0.0, seq_len=600)]
+        resilience = None
+    # One arrival after the horizon: the run crosses it.
+    reqs.append(request(kind, len(reqs), 0.6))
+    result = serve(kind, reqs, 0.5, resilience=resilience)
+    assert any(r.state is RequestState.SHED for r in reqs)
+    assert result.backlog_at_end == 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_service_starting_at_the_horizon_is_not_backlog(kind):
+    reqs = [request(kind, 0, 0.0), request(kind, 1, 0.5)]
+    result = serve(kind, reqs, 0.5)
+    assert reqs[1].start_s == 0.5
+    assert result.backlog_at_end == 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_both_kinds_publish_retry_counters(kind):
+    registry = MetricsRegistry()
+    reqs = [request(kind, i, 0.0) for i in range(3)]
+    serve(kind, reqs, 0.1, metrics=registry, resilience=failing(
+        RetryPolicy(max_attempts=3, base_backoff_s=0.004, jitter=0.0)))
+    retries = registry.value("serving_retries_total")
+    failures = registry.value("serving_attempt_failures_total")
+    failed = sum(r.state is RequestState.FAILED for r in reqs)
+    assert retries == sum(r.attempt for r in reqs) > 0
+    assert failures == retries + failed
+
+
+class CountingBreaker(CircuitBreaker):
+    def __init__(self) -> None:
+        super().__init__(name="server0")
+        self.commits = 0
+
+    def allow(self, now_s: float) -> bool:
+        self.commits += 1
+        return super().allow(now_s)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_lone_replica_is_not_routed(kind):
+    breakers = []
+
+    def factory(_server_id: int) -> CountingBreaker:
+        breakers.append(CountingBreaker())
+        return breakers[-1]
+
+    reqs = [request(kind, i, 0.01 * i) for i in range(5)]
+    serve(kind, reqs, 0.05,
+          resilience=ResilienceConfig(breaker_factory=factory))
+    assert all(r.state is RequestState.COMPLETED for r in reqs)
+    assert [b.commits for b in breakers] == [0]
