@@ -825,6 +825,9 @@ class _GenDriver(Driver):
                  tracer: Optional[Tracer], metrics: Optional[MetricsRegistry],
                  system_name: str,
                  resilience: Optional["ResilienceConfig"]) -> None:
+        super().__init__(replicas, system_name,
+                         replicas[0].config.warmup_fraction, resilience,
+                         tracer, metrics)
         #: The lone replica its idle-to-busy WAKE just started.
         self._woken: Optional[GenReplica] = None
         self.runtime = replicas[0].runtime
@@ -834,9 +837,6 @@ class _GenDriver(Driver):
         self.overlap_saved_s = self.stall_s = 0.0
         self.prefix_hits = self.prefix_tokens_reused = 0
         self.prefill_saved_s = 0.0
-        super().__init__(replicas, system_name,
-                         replicas[0].config.warmup_fraction, resilience,
-                         tracer, metrics)
 
     def loop(self) -> None:
         if self.trace_on:
