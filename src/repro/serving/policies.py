@@ -79,21 +79,21 @@ class LazyPolicy(TriggerPolicy):
             return False
         if len(queue) >= self.max_batch:
             return True
-        front = queue.front()
-        assert front is not None
-        age = now_s - front.arrival_s
-        if age >= self.timeout_s:
-            return True
-        return age + self.estimated_exec_s >= self.latency_slo_s / 2.0
+        return now_s >= self._fire_at(queue.front())
 
     def next_decision_time(self, queue: MessageQueue, now_s: float) -> float:
         front = queue.front()
         if front is None:
             return float("inf")
+        # A large estimated_exec_s can put the SLO escape in the past; the
+        # decision cannot flip earlier than now, so clamp.
+        return max(self._fire_at(front), now_s)
+
+    def _fire_at(self, front) -> float:
+        """When the front request's timeout or SLO escape fires.  Both
+        ``should_schedule`` and ``next_decision_time`` compare against this
+        one sum, so a trigger armed at it never finds the policy declining
+        (``0.7 + 0.1`` minus ``0.7`` is not ``0.1`` in floating point)."""
         by_timeout = front.arrival_s + self.timeout_s
         by_slo = front.arrival_s + self.latency_slo_s / 2.0 - self.estimated_exec_s
-        # A large estimated_exec_s can push by_slo into the past; an event
-        # simulator advancing to a past trigger makes no progress and falls
-        # into its anti-stall micro-stepping path.  The decision can never
-        # flip earlier than "right now", so clamp.
-        return max(min(by_timeout, by_slo), now_s)
+        return min(by_timeout, by_slo)

@@ -1,8 +1,18 @@
 """Hungry/lazy trigger policies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.serving import HungryPolicy, LazyPolicy, MessageQueue, Request
+from repro.serving import (
+    HungryPolicy,
+    LazyPolicy,
+    MessageQueue,
+    NaiveBatchScheduler,
+    Request,
+    ServingConfig,
+    simulate_serving,
+)
 
 
 def queue_with(arrivals):
@@ -75,8 +85,6 @@ class TestLazy:
         thousands of 1e-9 s anti-stall steps: the number of policy
         decision-time evaluations stays on the order of the request
         count."""
-        from repro.serving import NaiveBatchScheduler, ServingConfig, simulate_serving
-
         calls = []
 
         class CountingLazy(LazyPolicy):
@@ -100,6 +108,38 @@ class TestLazy:
         assert metrics.completed == 20
         assert all(t >= now for now, t in calls)
         assert len(calls) < 200
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrivals=st.lists(st.floats(0.0, 1e4, allow_nan=False),
+                             min_size=1, max_size=5),
+           timeout=st.floats(1e-6, 10.0),
+           slo=st.floats(1e-6, 10.0),
+           estimate=st.floats(0.0, 20.0),
+           after=st.floats(0.0, 1e4, allow_nan=False))
+    def test_fires_at_its_own_decision_time(self, arrivals, timeout, slo,
+                                            estimate, after):
+        """A trigger armed at ``next_decision_time`` never finds the policy
+        declining, whatever the float rounding of the sums."""
+        policy = LazyPolicy(timeout_s=timeout, max_batch=100,
+                            latency_slo_s=slo, estimated_exec_s=estimate)
+        q = queue_with(sorted(arrivals))
+        now = max(arrivals) + after
+        assert policy.should_schedule(q, policy.next_decision_time(q, now))
+
+    def test_timeout_fires_at_the_rounded_sum(self):
+        """Regression: a request arriving at 0.7 s with a 0.1 s timeout is
+        due at ``0.7 + 0.1 == 0.7999999999999999``, where its age reads
+        ``0.09999999999999998``.  The trigger armed there must start it,
+        not leave it waiting for the next arrival at 0.95 s."""
+        requests = [Request(req_id=0, seq_len=10, arrival_s=0.7),
+                    Request(req_id=1, seq_len=10, arrival_s=0.95)]
+        config = ServingConfig(max_batch=8, policy=LazyPolicy(
+            timeout_s=0.1, max_batch=8, latency_slo_s=10.0))
+        simulate_serving(requests, NaiveBatchScheduler(),
+                         lambda seq_len, batch: 0.01, config=config,
+                         duration_s=1.0)
+        assert requests[0].start_s == 0.7 + 0.1
+        assert requests[1].start_s == 0.95 + 0.1
 
     def test_empty_queue_never_fires(self):
         policy = LazyPolicy()
