@@ -20,11 +20,11 @@ the documented order is::
     ARRIVAL (0)  <  RETRY (1)  <  WAKE (2)  <  TRIGGER (3)
 
 i.e. new work enters the queue first, failed attempts re-enter next,
-timer continuations (batch completions, task resumes, recovery wake-ups)
-run after the queues are current, and trigger-policy evaluations observe
-everything that happened at that instant.  ``seq`` (schedule order)
-breaks remaining ties, so two runs of the same workload dispatch
-identically.
+timer continuations (batch completions, task resumes, an idle replica's
+start) run after the queues are current, and the lazy trigger policy's
+decision timer observes everything that happened at that instant.
+``seq`` (schedule order) breaks remaining ties, so two runs of the same
+workload dispatch identically.
 
 Arrivals do not go through the heap.  ``arrivals(sorted_payloads,
 callback)`` reserves one contiguous block of seqs, one per payload, and
@@ -48,8 +48,10 @@ Invariants
 * Cancelled events never fire; cancellation is O(1) (lazy heap deletion)
   and a no-op for an event that already fired.
 
-Busy windows
-------------
+Dispatch
+--------
+Three calls drive a run.  ``step()`` dispatches the next event; the
+serving driver's one dispatch loop calls it until nothing is pending.
 ``run_until(end)`` models a resource busy until ``end`` (a batch
 executing, a decode step, a crash outage), priced and fault-stretched by
 the caller: it reserves the seq of a *virtual* marker WAKE at ``end``,
@@ -61,9 +63,10 @@ one WAKE dispatch: ``events_dispatched``, the instrumentation's per-kind
 counter and every dispatch hook see it, and its :class:`Event` is built
 only when one of the latter two is attached.
 
-``spawn(generator)`` runs a cooperative task: the generator yields the
-absolute end of each window and is resumed by a WAKE timer there, which
-is how a replica beside others runs its windows without a private loop.
+``spawn(generator)``, the third, runs a cooperative task: the generator
+yields the absolute end of each window and is resumed by a WAKE timer
+there, which is how a replica beside others runs its windows without a
+private loop.
 """
 
 from __future__ import annotations
@@ -87,8 +90,8 @@ class EventKind(enum.IntEnum):
 
     ARRIVAL = 0  #: a request entering the system at its arrival timestamp
     RETRY = 1    #: a failed attempt re-entering after its backoff
-    WAKE = 2     #: a timer: busy-window end, task resume, recovery wake-up
-    TRIGGER = 3  #: a trigger-policy decision point
+    WAKE = 2     #: a timer: busy-window end, task resume, replica start
+    TRIGGER = 3  #: the lazy trigger policy's decision timer
 
 
 @dataclass
@@ -223,8 +226,8 @@ class Engine:
         ``events_dispatched`` then read as after per-event dispatch, the
         clock on the slice's last arrival.  Contract: a bulk handler must
         not schedule or cancel events, nor read ``now`` per payload (it
-        sees only the last one's time).  ``step``, ``step_due`` and
-        ``run`` always dispatch arrivals one by one.
+        sees only the last one's time).  ``step`` always dispatches
+        arrivals one by one.
         """
         if self._stream_at < len(self._stream):
             raise EngineError("an arrival stream is still pending")
@@ -325,29 +328,6 @@ class Engine:
             self.instrumentation.observe_dispatch(event)
         for hook in self._dispatch_hooks:
             hook(event)
-
-    def step_due(self) -> List[Event]:
-        """Dispatch the next event plus every event sharing its timestamp.
-
-        Servers that evaluate a policy per *instant* (not per event) use
-        this so simultaneous arrivals are all visible before a round.
-        """
-        dispatched: List[Event] = []
-        event = self.peek()
-        while event is not None:
-            self._dispatch(event)
-            dispatched.append(event)
-            event = self.peek()
-            if event is not None and event.time > self.now:
-                break
-        return dispatched
-
-    def run(self) -> None:
-        """Dispatch until no event is pending."""
-        event = self.peek()
-        while event is not None:
-            self._dispatch(event)
-            event = self.peek()
 
     def _run_to(self, end: float) -> None:
         """Dispatch every event ordered before a virtual WAKE marker at

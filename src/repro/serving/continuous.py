@@ -36,7 +36,8 @@ transitions are methods (admit, prefill round, decode run, evict, crash)
 and :meth:`GenReplica.run` is a generator that yields the end of each
 busy window.  The generation driver is the one serving driver
 (:class:`repro.serving.driver.Driver`, whose backlog, retry, routing,
-window and counter rules it follows) with the generation ingest rule.
+window, counter and wake rules it follows) with the generation ingest
+rule.
 Every generation system is that driver:
 
 * :class:`ContinuousBatchingServer` over one replica;
@@ -55,10 +56,8 @@ The rules every replica follows:
 * **crash truncation** — a pass cut off by a crash is lost at the crash
   instant; its requests lose their KV and go through the retry path, so
   nothing completes inside a crash window;
-* **per-instant admission** — an idle replica starts on a WAKE scheduled
-  at ``now``, so every ARRIVAL and RETRY of that instant (which sort
-  first) is queued before its first admission; a lone replica then runs
-  its windows once that WAKE's dispatch completes;
+* **wake** — the driver's rule: every ARRIVAL and RETRY of an idle
+  replica's instant is queued before its first admission;
 * **queue during an outage** — queued work fails fast to another replica
   only while some other replica is up; otherwise it stays queued while
   the replica sleeps out the outage;
@@ -348,14 +347,9 @@ class GenReplica(Replica):
         return len(self.queue) + len(self.active)
 
     def enqueue(self, r: GenRequest) -> None:
-        """Queue a routed request; an idle replica starts on a WAKE at
-        ``now`` — after every ARRIVAL and RETRY of this instant."""
+        """Queue a routed request, waking the replica if idle."""
         self.queue.append(r)
-        if not self.running:
-            self.running = True
-            engine = self.driver.engine
-            engine.schedule(engine.now, EventKind.WAKE, self.driver.wake,
-                            self)
+        self.schedule_wake()
 
     # -- the loop ---------------------------------------------------------
 
@@ -816,8 +810,8 @@ class GenReplica(Replica):
 
 class _GenDriver(Driver):
     """The driver over a set of :class:`GenReplica`: the generation ingest
-    rule (shed what no empty arena could hold, wake an idle replica), the
-    event loop, preemption re-entry and the counters every replica of the
+    rule (shed what no empty arena could hold, wake an idle replica),
+    preemption re-entry and the counters every replica of the
     run adds to (one accumulator each, in event order).  The replicas
     share one runtime and config."""
 
@@ -828,8 +822,6 @@ class _GenDriver(Driver):
         super().__init__(replicas, system_name,
                          replicas[0].config.warmup_fraction, resilience,
                          tracer, metrics)
-        #: The lone replica its idle-to-busy WAKE just started.
-        self._woken: Optional[GenReplica] = None
         self.runtime = replicas[0].runtime
         self.decode_steps = self.prefills = self.tokens = 0
         self.preemptions = self.tokens_recomputed = self.attempts_failed = 0
@@ -838,38 +830,15 @@ class _GenDriver(Driver):
         self.prefix_hits = self.prefix_tokens_reused = 0
         self.prefill_saved_s = 0.0
 
-    def loop(self) -> None:
-        if self.trace_on:
-            for rep in self.replicas:
-                tid = rep.tid
-                self.tracer.thread_name(tid, f"{tid} (prefill + decode steps)")
-                if rep.chunker is not None:
-                    self.tracer.thread_name(f"{tid}:prefill",
-                                            f"{tid} stream: prefill chunks")
-                    self.tracer.thread_name(f"{tid}:decode",
-                                            f"{tid} stream: decode steps")
-        engine = self.engine
-        engine.arrivals(self.arrivals, self._on_arrival)
-        if self.inline:
-            # The lone replica runs each busy period right after the WAKE
-            # that starts it, outside that WAKE's dispatch.
-            while engine.step() is not None:
-                rep = self._woken
-                if rep is not None:
-                    self._woken = None
-                    self.start(rep, rep.run())
-        else:
-            engine.run()
-
-    def wake(self, event) -> None:
-        """The idle-to-busy WAKE of ``event.payload``: beside other
-        replicas it starts at once; alone, :meth:`loop` starts it once
-        this dispatch completes."""
-        rep = event.payload
-        if self.inline:
-            self._woken = rep
-        else:
-            self.start(rep, rep.run())
+    def name_tracks(self) -> None:
+        for rep in self.replicas:
+            tid = rep.tid
+            self.tracer.thread_name(tid, f"{tid} (prefill + decode steps)")
+            if rep.chunker is not None:
+                self.tracer.thread_name(f"{tid}:prefill",
+                                        f"{tid} stream: prefill chunks")
+                self.tracer.thread_name(f"{tid}:decode",
+                                        f"{tid} stream: decode steps")
 
     # -- request bookkeeping ----------------------------------------------
 

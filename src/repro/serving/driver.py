@@ -9,10 +9,11 @@ on each GPU, and a Nexus-style balancer repeats that loop behind it.
 :class:`~repro.serving.continuous.GenReplica` replicas.  The skeleton
 holds the :class:`~repro.engine.Engine` and its instrumentation, the
 retry state, each replica's fault injector and circuit breaker, the
-router, the arrival and retry events, terminal bookkeeping, how a
-replica's busy windows run, and the finalisation.  A kind supplies its
-ingest rule (:meth:`Driver.ingest`), its dispatch loop
-(:meth:`Driver.loop`) and its extra metric fields (:meth:`Driver.result`).
+router, the arrival and retry events, terminal bookkeeping, the one
+dispatch loop (:meth:`Driver.loop`), how a replica starts and how its
+busy windows run, and the finalisation.  A kind supplies its ingest rule
+(:meth:`Driver.ingest`), its trace track names (:meth:`Driver.name_tracks`)
+and its extra metric fields (:meth:`Driver.result`).
 
 Each of these questions has one rule, the same for both kinds:
 
@@ -34,12 +35,22 @@ Each of these questions has one rule, the same for both kinds:
   Both dispatch in the same order and count one WAKE per window;
 * **counters** — ``serving_attempt_failures_total`` counts failed
   attempts and ``serving_retries_total`` the retries the policy
-  scheduled.
+  scheduled;
+* **wake** — queuing work on an idle replica schedules its one pending
+  WAKE at ``now``.  That WAKE sorts after every ARRIVAL and RETRY of the
+  instant, so the replica's first round or admission sees them all.  A
+  busy replica picks up its queue when a window ends.  A lazy encoder
+  replica that ends its run with work queued arms one TRIGGER, its
+  policy's decision timer, which starts it then.  Beside other replicas
+  the WAKE or TRIGGER starts the replica inside its dispatch; a lone
+  replica starts once that dispatch completes, so its inline windows never
+  nest inside another event's.  A run whose engine drains with work still
+  queued (a trigger policy that never fires) raises ``RuntimeError``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence
 
 from ..engine import Engine, EngineFaultInjector, EngineInstrumentation, \
     EventKind
@@ -76,6 +87,15 @@ class Replica:
                     else f"gpu.r{self.server_id}")
         self.running = False
         self.completed = 0
+
+    def schedule_wake(self) -> None:
+        """Work was queued here: an idle replica schedules its one WAKE at
+        ``now`` (the driver's ``wake`` rule)."""
+        if not self.running:
+            self.running = True
+            engine = self.driver.engine
+            engine.schedule(engine.now, EventKind.WAKE, self.driver.wake,
+                            self)
 
 
 class Driver:
@@ -120,6 +140,11 @@ class Driver:
                        else Router(self.replicas, policy, max_len=max_len))
         self.horizon = 0.0
         self.arrivals: List[Request] = []
+        #: A handler taking a window's arrivals in one call (see
+        #: ``Engine.arrivals``), where an arrival only joins a queue.
+        self.bulk: Optional[Callable[[Sequence[Request]], None]] = None
+        #: The lone replica a WAKE or TRIGGER just started.
+        self._woken: Optional[Replica] = None
         #: Busy seconds inside the horizon, summed over the replicas.
         self.busy_s = 0.0
 
@@ -129,8 +154,8 @@ class Driver:
         """Route and queue ``r``: a new arrival, or a retry re-entering."""
         raise NotImplementedError
 
-    def loop(self) -> None:
-        """Dispatch the whole run: arrivals, retries and replica windows."""
+    def name_tracks(self) -> None:
+        """Name the replicas' trace tracks (called only when tracing)."""
         raise NotImplementedError
 
     def result(self, done: List[Request],
@@ -206,6 +231,16 @@ class Driver:
                                       attempt=r.attempt)
         self.ingest(r, now, False)
 
+    def wake(self, event) -> None:
+        """Start ``event.payload``, the replica a WAKE or TRIGGER found idle:
+        beside other replicas at once; alone, :meth:`loop` starts it once
+        this dispatch completes."""
+        rep = event.payload
+        if self.inline:
+            self._woken = rep
+        else:
+            self.start(rep, rep.run())
+
     # -- the run ----------------------------------------------------------
 
     def start(self, rep: Replica, windows: Iterator[float]) -> None:
@@ -216,14 +251,31 @@ class Driver:
             for end in windows:
                 run_until(end)
         else:
-            rep.running = True
             self.engine.spawn(windows)
+
+    def loop(self) -> None:
+        """Dispatch the whole run, one event at a time; a lone replica
+        runs each busy period right after the event that woke it."""
+        step = self.engine.step
+        while step() is not None:
+            rep = self._woken
+            if rep is not None:
+                self._woken = None
+                self.start(rep, rep.run())
+        stuck = [rep.server_id for rep in self.replicas if rep.queue]
+        if stuck:
+            raise RuntimeError(
+                f"replicas {stuck} ended the run with work queued: "
+                "their trigger policy never fired")
 
     def serve(self, requests: Sequence[Request],
               duration_s: Optional[float]) -> ServingMetrics:
         """Serve ``requests`` to completion; ``duration_s`` is the
         offered-load horizon (the last arrival when ``None``)."""
         self.arrivals, self.horizon = arrival_window(requests, duration_s)
+        if self.trace_on:
+            self.name_tracks()
+        self.engine.arrivals(self.arrivals, self._on_arrival, self.bulk)
         self.loop()
         return self._finalize()
 

@@ -102,7 +102,7 @@ class EbirdReplica(BatchReplica):
                 rate = rate / factor
         return rate
 
-    def run(self, force: bool = False):
+    def run(self):
         d = self.driver
         engine = d.engine
         faults = self.faults

@@ -17,8 +17,8 @@ scheduling rounds — drain, admit, DP-schedule on the active rung, then
 run the batches as busy windows — yielding the end of each window.  The
 encoder driver is the one serving driver
 (:class:`repro.serving.driver.Driver`, whose backlog, retry, routing,
-window and counter rules it follows) with the encoder ingest rule
-(response cache, bounded queue) and a per-instant trigger loop:
+window, counter and wake rules it follows) with the encoder ingest rule
+(response cache, bounded queue):
 :func:`simulate_serving` is that driver over one replica and
 :func:`repro.serving.simulate_cluster` the same driver over N behind the
 :class:`~repro.serving.router.Router` — the paper's picture of one
@@ -27,11 +27,11 @@ server's scheduler repeated behind a Nexus-style balancer.
 replica whose execution rule is processor sharing.  The rules every
 replica follows:
 
-* **per-instant rounds** — a round starts only once every event of its
-  instant has been dispatched (``ARRIVAL < RETRY < WAKE < TRIGGER``), so
-  it sees every arrival and retry of that timestamp; the next round of a
-  busy replica starts at its last batch's end, after the arrivals and
-  retries due then;
+* **wake** — the driver's rule: an idle replica's first round sees every
+  arrival and retry of its instant, and the next round of a busy replica
+  starts at its last batch's end, after the arrivals and retries due
+  then.  A lazy replica whose policy declines arms one TRIGGER at the
+  policy's next decision time;
 * **deadlines** — under resilience, expired requests are dropped at
   admission and each batch re-checks its members when it is dispatched;
 * **crash truncation** — a batch a crash cuts short is lost at the crash
@@ -139,7 +139,7 @@ class BatchReplica(Replica):
         self.degradation = res.degradation if res is not None else None
         #: Committed busy horizon of the current round (routing estimate).
         self.busy_until = 0.0
-        self.trigger = None  # the pending TRIGGER event, if any
+        self.trigger = None  # the policy's decision timer, if armed
 
     # -- routing view -----------------------------------------------------
 
@@ -160,36 +160,40 @@ class BatchReplica(Replica):
         return self.driver.cost_fn
 
     def ensure_trigger(self) -> None:
-        """Keep exactly one pending TRIGGER event at the policy's next
-        decision time (if that time is real and in the future)."""
+        """Keep at most one pending TRIGGER, at the policy's next decision
+        time for the work left queued; none when nothing is queued or the
+        policy names no future time (the next arrival re-asks it)."""
         engine = self.driver.engine
         t = self.policy.next_decision_time(self.queue, engine.now)
         trigger = self.trigger
-        if trigger is not None and not trigger.cancelled:
+        if trigger is not None:
             if t == trigger.time:
                 return
             engine.cancel(trigger)
+            self.trigger = None
+        if engine.now < t < float("inf"):
+            self.trigger = engine.schedule(t, EventKind.TRIGGER, self.fire,
+                                           self)
+
+    def fire(self, event) -> None:
+        """The TRIGGER's callback: an idle replica starts; a running one
+        ignores the stale timer (its run re-arms on ending)."""
         self.trigger = None
-        if t == float("inf") or t <= engine.now:
-            # No future decision point: either the policy never fires
-            # again (the driver's flush handles the remainder) or it
-            # already declined at ``now`` — the next real event
-            # re-evaluates it.
-            return
-        self.trigger = engine.schedule(t, EventKind.TRIGGER)
+        if not self.running:
+            self.running = True
+            self.driver.wake(event)
 
     # -- the loop ---------------------------------------------------------
 
-    def run(self, force: bool = False):
-        """Scheduling rounds while the trigger policy fires (or, with
-        ``force``, while anything is queued); yields the end time of each
-        busy window — a batch, or the rest of an outage."""
+    def run(self):
+        """Scheduling rounds while the trigger policy fires; yields the end
+        time of each busy window — a batch, or the rest of an outage."""
         d = self.driver
         engine = d.engine
         queue = self.queue
         policy = self.policy
         config = d.config
-        while queue and (force or policy.should_schedule(queue, engine.now)):
+        while queue and policy.should_schedule(queue, engine.now):
             now = engine.now
             if self.faults is not None and self.faults.crashed(now):
                 yield self.crash(now)
@@ -224,6 +228,7 @@ class BatchReplica(Replica):
                 self.busy_until = self.projected_end(batches, price, now)
             yield from self.execute(batches, price)
         self.running = False
+        self.ensure_trigger()
 
     def crash(self, now: float) -> float:
         """Down at ``now``: queued work fails fast to the retry path while
@@ -348,10 +353,10 @@ class BatchReplica(Replica):
 
 class _BatchDriver(Driver):
     """The driver over a set of :class:`BatchReplica`: the encoder ingest
-    rule (response cache, bounded queue), the per-instant trigger loop and
-    the batch counters.  ``replica`` builds each replica from
-    ``(server_id, scheduler, policy)``; Ebird's processor sharing is such
-    a replica."""
+    rule (response cache, bounded queue), closed-form rounds for a lone
+    hungry replica nothing observes, and the batch counters.  ``replica``
+    builds each replica from ``(server_id, scheduler, policy)``; Ebird's
+    processor sharing is such a replica."""
 
     def __init__(self, schedulers: Sequence[BatchScheduler], cost_fn: CostFn,
                  config: ServingConfig, system: str,
@@ -379,6 +384,12 @@ class _BatchDriver(Driver):
              for i, scheduler in enumerate(schedulers)],
             system, config.warmup_fraction, resilience, tracer, metrics,
             policy, max_len)
+        # Without a router, cache or observer an arrival only joins the
+        # queue, so a window's arrivals can join it in one call.
+        lone = self.replicas[0]
+        if (self.router is None and cache is None and not self.observed
+                and lone.queue.capacity is None):
+            self.bulk = lone.queue.extend
 
     # -- request bookkeeping ----------------------------------------------
 
@@ -432,8 +443,12 @@ class _BatchDriver(Driver):
             r.start_s = r.arrival_s
             r.resolve(RequestState.COMPLETED, r.arrival_s)
             self.complete(r, "cache")
-        elif not self.route(r, now).queue.push(r):
-            self.drop(r, RequestState.SHED, now)
+        else:
+            rep = self.route(r, now)
+            if rep.queue.push(r):
+                rep.schedule_wake()
+            else:
+                self.drop(r, RequestState.SHED, now)
         if self.trace_on:
             self.tracer.counter("queue", now, {"depth": sum(
                 len(rep.queue) for rep in self.replicas)})
@@ -442,52 +457,22 @@ class _BatchDriver(Driver):
 
     # -- the run ----------------------------------------------------------
 
+    def name_tracks(self) -> None:
+        for rep in self.replicas:
+            self.tracer.thread_name(rep.tid, f"{rep.tid} (batch execution)")
+        self.tracer.thread_name("scheduler", "batch scheduler")
+
     def loop(self) -> None:
-        engine = self.engine
-        replicas = self.replicas
-        if self.trace_on:
-            for rep in replicas:
-                self.tracer.thread_name(rep.tid, f"{rep.tid} (batch execution)")
-            self.tracer.thread_name("scheduler", "batch scheduler")
-        lone = replicas[0] if self.router is None else None
-        # Without a router, cache or observer an arrival only joins the
-        # queue, so a window's arrivals can join it in one call.
-        bulk = (lone.queue.extend if lone is not None and self.cache is None
-                and not self.observed and lone.queue.capacity is None
-                else None)
-        engine.arrivals(self.arrivals, self._on_arrival, bulk)
-        # Closed-form rounds when, beyond that, nothing can see the
-        # replica between batch ends (see ``_serve_rounds``).
-        if (bulk is not None and type(lone) is BatchReplica
+        lone = self.replicas[0]
+        # Closed-form rounds when an arrival only joins the lone queue and,
+        # beyond that, nothing can see the replica between batch ends.
+        if (self.bulk is not None and type(lone) is BatchReplica
                 and type(lone.policy) is HungryPolicy and self.res is None
                 and lone.observe is None and not _resolve_hooks
-                and not engine.observed):
+                and not self.engine.observed):
             self._serve_rounds(lone)
-            return
-        while True:
-            for rep in replicas:
-                if rep.queue and not rep.running:
-                    self.start(rep, rep.run())
-            # Arm the triggers *before* judging idleness: a future policy
-            # decision point is a real pending event, not a reason to
-            # flush.
-            for rep in replicas:
-                if not rep.running:
-                    rep.ensure_trigger()
-            if not engine.pending:
-                stuck = [rep for rep in replicas if rep.queue]
-                if not stuck:
-                    break
-                # No policy will fire again (e.g. a degenerate config):
-                # flush the remainder so the simulation terminates.
-                for rep in stuck:
-                    self.start(rep, rep.run(force=True))
-                continue
-            # Dispatch the next instant in full (all simultaneous events)
-            # before re-evaluating the policies, so a round sees every
-            # arrival of its timestamp — the clock only ever lands on
-            # event times.
-            engine.step_due()
+        else:
+            super().loop()
 
     def _serve_rounds(self, rep: BatchReplica) -> None:
         """The hungry loop of a lone, fault-free, unobserved replica, one
@@ -513,9 +498,12 @@ class _BatchDriver(Driver):
         completed = RequestState.COMPLETED
         while True:
             if not queue:
-                if not engine.pending:
+                # Idle: run on to the next arrival instant, whose arrivals
+                # the window hands to the queue.
+                event = engine.peek()
+                if event is None:
                     return
-                engine.step_due()
+                engine.run_until(event.time)
                 continue
             t = engine.now
             for batch in schedule(queue.drain(limit), price, max_batch):

@@ -31,12 +31,18 @@ def codes(diags):
     return sorted(d.code for d in diags)
 
 
+def drain(engine):
+    """Step until nothing is pending, as the serving driver's loop does."""
+    while engine.step() is not None:
+        pass
+
+
 class TestRecorder:
     def test_detached_recorder_sees_nothing(self):
         rec = EngineTraceRecorder()
         engine = Engine()
         engine.schedule(0.0, EventKind.ARRIVAL, payload=make_request())
-        engine.run()
+        drain(engine)
         assert rec.stats() == {
             "engines": 0, "dispatches": 0, "requests": 0,
             "resolves": 0, "arena_events": 0, "breaker_transitions": 0,
@@ -51,7 +57,7 @@ class TestRecorder:
                 lambda e: e.payload.resolve(RequestState.COMPLETED, 0.5),
                 r,
             )
-            engine.run()
+            drain(engine)
         stats = rec.stats()
         assert stats["engines"] == 1
         assert stats["dispatches"] == 1
@@ -84,7 +90,7 @@ class TestRecorder:
                 arena.release(1)
 
             engine.schedule(0.1, EventKind.ARRIVAL, work, make_request(1))
-            engine.run()
+            drain(engine)
         seqs = ([s for s, *_ in rec.dispatches]
                 + [s for s, *_ in rec.resolves]
                 + [s for s, *_ in rec.arena_events])
@@ -109,7 +115,7 @@ class TestEngineTraceMutations:
             engine = Engine()
             engine.schedule(0.0, EventKind.WAKE,
                             lambda _e: engine.run_until(1.0))
-            engine.run()
+            drain(engine)
         assert codes(verify_engine_trace(rec)) == ["ENG502"]
 
     def test_eng501_and_eng502_deduplicate_per_engine(self):
@@ -124,7 +130,7 @@ class TestEngineTraceMutations:
         with EngineTraceRecorder() as rec:
             engine = Engine()
             engine.schedule(0.0, EventKind.ARRIVAL, payload=make_request(3))
-            engine.run()
+            drain(engine)
         found = codes(verify_trace(rec))
         assert "ENG503" in found and "LIFE601" in found
 
@@ -156,7 +162,7 @@ class TestLifecycleMutations:
                                             engine.now, faults=injector),
                 make_request(9),
             )
-            engine.run()
+            drain(engine)
         assert codes(verify_lifecycle(rec)) == ["LIFE603"]
 
     def test_completion_attributed_to_resolving_replica_is_life603(self):
@@ -174,7 +180,7 @@ class TestLifecycleMutations:
                         RequestState.COMPLETED, engine.now, faults=inj),
                     make_request(req_id),
                 )
-            engine.run()
+            drain(engine)
         [finding] = verify_lifecycle(rec)
         assert finding.code == "LIFE603"
         assert "request 10" in finding.message
@@ -192,7 +198,7 @@ class TestLifecycleMutations:
                                             engine.now, faults=injector),
                 make_request(9),
             )
-            engine.run()
+            drain(engine)
         assert verify_lifecycle(rec) == []
 
     def test_retry_storm_past_max_attempts_is_life604(self):
@@ -202,7 +208,7 @@ class TestLifecycleMutations:
             r = make_request(4)
             for i in range(3):  # max_attempts=2 allows a single retry
                 engine.schedule(0.1 * (i + 1), EventKind.RETRY, payload=r)
-            engine.run()
+            drain(engine)
             r.resolve(RequestState.FAILED)
         assert codes(verify_lifecycle(rec, retry=retry)) == ["LIFE604"]
 
@@ -213,7 +219,7 @@ class TestLifecycleMutations:
             reqs = [make_request(i) for i in range(3)]
             for r in reqs:
                 engine.schedule(0.1, EventKind.RETRY, payload=r)
-            engine.run()
+            drain(engine)
             for r in reqs:
                 r.resolve(RequestState.FAILED)
         assert codes(verify_lifecycle(rec, retry=retry)) == ["LIFE604"]
@@ -225,7 +231,7 @@ class TestLifecycleMutations:
             r = make_request(4)
             engine.schedule(0.1, EventKind.RETRY, payload=r)
             engine.schedule(0.2, EventKind.RETRY, payload=r)
-            engine.run()
+            drain(engine)
             r.resolve(RequestState.COMPLETED, 0.3)
         assert verify_lifecycle(rec, retry=retry) == []
 

@@ -1,4 +1,7 @@
-"""The discrete-event core: ordering, invariants, busy windows, tasks."""
+"""The discrete-event core: ordering, invariants, busy windows, tasks.
+
+Runs are driven the way the serving driver drives them: ``step`` until
+nothing is pending (:func:`drain`), or ``run_until`` over a window."""
 
 import pytest
 
@@ -12,6 +15,12 @@ from repro.observability import MetricsRegistry, Tracer
 from repro.serving.request import Request
 
 
+def drain(engine):
+    """Step until nothing is pending, as the serving driver's loop does."""
+    while engine.step() is not None:
+        pass
+
+
 class TestEventOrdering:
     def _run_scrambled(self):
         """Schedule one event of each kind at the same instant, in an
@@ -22,7 +31,7 @@ class TestEventOrdering:
                      EventKind.ARRIVAL, EventKind.RETRY):
             engine.schedule(1.0, kind,
                             lambda e: order.append(e.kind))
-        engine.run()
+        drain(engine)
         return order
 
     def test_same_time_kinds_dispatch_in_documented_order(self):
@@ -40,7 +49,7 @@ class TestEventOrdering:
         for tag in ("first", "second", "third"):
             engine.schedule(2.0, EventKind.ARRIVAL,
                             lambda e: order.append(e.payload), tag)
-        engine.run()
+        drain(engine)
         assert order == ["first", "second", "third"]
 
     def test_earlier_time_beats_priority(self):
@@ -50,7 +59,7 @@ class TestEventOrdering:
                         lambda e: order.append("early-trigger"))
         engine.schedule(2.0, EventKind.ARRIVAL,
                         lambda e: order.append("late-arrival"))
-        engine.run()
+        drain(engine)
         assert order == ["early-trigger", "late-arrival"]
 
 
@@ -67,7 +76,7 @@ class TestClockInvariants:
         seen = []
         engine.add_dispatch_hook(
             lambda event: seen.append((engine.now, event.time)))
-        engine.run()
+        drain(engine)
         # The clock at each dispatch is the event's own timestamp, no
         # epsilon offsets, and it never lands anywhere else.
         assert [now for now, _ in seen] == times
@@ -80,13 +89,13 @@ class TestClockInvariants:
             engine.schedule(t, EventKind.WAKE)
         trajectory = []
         engine.add_dispatch_hook(lambda _e: trajectory.append(engine.now))
-        engine.run()
+        drain(engine)
         assert trajectory == sorted(trajectory)
 
     def test_scheduling_into_the_past_raises(self):
         engine = Engine()
         engine.schedule(1.0, EventKind.WAKE)
-        engine.run()
+        drain(engine)
         assert engine.now == 1.0
         with pytest.raises(EngineError):
             engine.schedule(0.5, EventKind.ARRIVAL)
@@ -94,10 +103,10 @@ class TestClockInvariants:
     def test_scheduling_at_now_is_allowed(self):
         engine = Engine()
         engine.schedule(1.0, EventKind.WAKE)
-        engine.run()
+        drain(engine)
         fired = []
         engine.schedule(1.0, EventKind.WAKE, lambda e: fired.append(engine.now))
-        engine.run()
+        drain(engine)
         assert fired == [1.0]
 
     def test_step_refuses_to_move_the_clock_backwards(self):
@@ -160,7 +169,7 @@ class TestArrivalStream:
             for p in payloads:
                 engine.schedule(p.arrival_s, EventKind.ARRIVAL, payload=p)
         engine.schedule(0.5, EventKind.RETRY, payload="retry")
-        engine.run()
+        drain(engine)
         return log
 
     def test_stream_dispatches_like_one_event_per_arrival(self):
@@ -171,7 +180,7 @@ class TestArrivalStream:
         engine.arrivals(self._payloads([0.1 * i for i in range(100)]),
                         lambda e: None)
         assert engine.pending and engine._heap == []
-        engine.run()
+        drain(engine)
         assert engine.events_dispatched == 100 and not engine.pending
 
     def test_peeked_arrival_is_the_dispatched_event(self):
@@ -187,7 +196,7 @@ class TestArrivalStream:
         payloads = self._payloads([1.0, 2.0])
         engine.arrivals(payloads, lambda e: seen.append(e.payload))
         engine.cancel(engine.peek())
-        engine.run()
+        drain(engine)
         assert seen == [payloads[1]]
 
     def test_unsorted_past_or_overlapping_streams_rejected(self):
@@ -197,11 +206,11 @@ class TestArrivalStream:
         engine.arrivals(self._payloads([1.0]), lambda e: None)
         with pytest.raises(EngineError):
             engine.arrivals(self._payloads([2.0]), lambda e: None)
-        engine.run()
+        drain(engine)
         with pytest.raises(EngineError):
             engine.arrivals(self._payloads([0.5]), lambda e: None)
         engine.arrivals(self._payloads([1.5]), lambda e: None)
-        engine.run()
+        drain(engine)
         assert engine.now == 1.5
 
 
@@ -259,11 +268,10 @@ class TestBulkArrivals:
         assert log == [("bulk", [0]), ("early arrival", 0.2), ("bulk", [1]),
                        ("urgent", 0.3), ("bulk", [2])]
 
-    def test_step_and_step_due_stay_per_event(self):
+    def test_step_stays_per_event(self):
         log = []
         engine = self._engine([0.1, 0.1, 0.2], log)
-        engine.step_due()
-        engine.step()
+        drain(engine)
         assert log == [("one", 0), ("one", 1), ("one", 2)]
 
     def test_falls_back_per_event_under_a_hook_or_instrumentation(self):
@@ -288,7 +296,7 @@ class TestBulkArrivals:
         assert log == [("bulk", [0])] and head.dispatched
         engine.cancel(head)  # a stale handle: no-op
         assert engine.pending
-        engine.run()
+        drain(engine)
         assert log[-1] == ("one", 1) and not engine.pending
 
     def test_state_matches_per_event_delivery(self):
@@ -318,7 +326,7 @@ class TestCancellation:
         event = engine.schedule(1.0, EventKind.WAKE,
                                 lambda e: fired.append("no"))
         engine.cancel(event)
-        engine.run()
+        drain(engine)
         assert fired == []
         assert not engine.pending
 
@@ -339,21 +347,6 @@ class TestCancellation:
         assert engine.peek() is keep
 
 
-class TestStepDue:
-    def test_step_due_drains_one_instant_in_full(self):
-        engine = Engine()
-        for _ in range(3):
-            engine.schedule(1.0, EventKind.ARRIVAL)
-        engine.schedule(2.0, EventKind.ARRIVAL)
-        dispatched = engine.step_due()
-        assert len(dispatched) == 3
-        assert engine.now == 1.0
-        assert engine.pending
-
-    def test_step_due_on_empty_heap(self):
-        assert Engine().step_due() == []
-
-
 class TestTasks:
     def test_task_first_segment_runs_synchronously(self):
         engine = Engine()
@@ -368,7 +361,7 @@ class TestTasks:
 
         task = engine.spawn(work())
         assert log == [("start", 0.0)]  # ran before any dispatch
-        engine.run()
+        drain(engine)
         assert log == [("start", 0.0), ("mid", 0.5), ("end", 0.75)]
         assert task.done
 
@@ -392,7 +385,7 @@ class TestInstrumentation:
         engine.schedule(1.0, EventKind.ARRIVAL)
         engine.schedule(1.0, EventKind.TRIGGER)  # repro: allow(DET407)
         engine.schedule(2.0, EventKind.ARRIVAL)
-        engine.run()
+        drain(engine)
         assert engine.events_dispatched == 3
         assert metrics.counter(
             "engine_events_dispatched_total", kind="arrival").value == 2

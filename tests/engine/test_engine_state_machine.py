@@ -6,10 +6,11 @@ next dispatch is the minimum live entry, ``run_until`` dispatches
 every entry below a marker ``(end, WAKE, seq)`` and then dispatches the
 marker itself, and a task resumes at each time it yields.  Random
 programs of ``schedule`` / ``cancel`` (of pending and of already fired
-events) / ``arrivals`` / ``peek`` / ``step`` / ``step_due`` /
-``run_until`` / ``run`` / ``spawn`` run against both, and the combined log — handler calls and dispatch-hook
-calls (markers included), in order — plus the clock, ``pending`` and
-``events_dispatched`` must agree after every step.
+events) / ``arrivals`` / ``peek`` / ``step`` (once, or until nothing is
+pending, as the serving driver's loop does) / ``run_until`` / ``spawn``
+run against both, and the combined log — handler calls and dispatch-hook
+calls (markers included), in order — plus the clock, ``pending``,
+``observed`` and ``events_dispatched`` must agree after every step.
 
 Times are multiples of 0.25 so that ties between kinds, seqs and window
 ends are frequent and exact.
@@ -122,15 +123,6 @@ class Reference:
         if done < len(delays):
             self.push(self.clock + delays[done], EventKind.WAKE, tag,
                       task=delays, task_step=done + 1)
-
-    def step_due(self) -> None:
-        if self.step() is None:
-            return
-        while True:
-            entry = self.next()
-            if entry is None or entry.time > self.clock:
-                return
-            self.step()
 
     def run_to(self, end) -> None:
         marker = (end, WAKE, self.seq)
@@ -263,19 +255,15 @@ class EngineMachine(RuleBasedStateMachine):
         entry = self.ref.step()
         assert (event is None) == (entry is None)
 
-    @rule()
-    def step_due(self):
-        self.engine.step_due()
-        self.ref.step_due()
-
     @rule(delay=DELAYS)
     def run_until(self, delay):
         self.engine.run_until(self.engine.now + delay)
         self.ref.run_to(self.ref.clock + delay)
 
     @rule()
-    def run(self):
-        self.engine.run()
+    def drain(self):
+        while self.engine.step() is not None:
+            pass
         while self.ref.step() is not None:
             pass
 

@@ -7,6 +7,10 @@ the sanitizer's dispatch log (advance/run_until markers included) and the
 tracer's span count must stay exactly as they were when every arrival and
 every window end was a real heap event.  The goldens in
 ``golden_observability.json`` were captured from that heap-only engine.
+They have moved since only where the serving loop dispatches differently:
+the lazy TRIGGER now fires at the sum it is armed at, and under the
+driver's one wake rule an idle replica starts on a WAKE of its own at
+the instant its work is queued (so ``wake`` counts those starts too).
 
 Regenerate (only for an intentional behaviour change, with a note)::
 

@@ -13,12 +13,17 @@ the encoder kind (``simulate_serving`` over a
 * counters — both kinds publish ``serving_retries_total`` and
   ``serving_attempt_failures_total``;
 * routing — a lone replica is not routed, so its breaker never commits
-  a half-open probe (``allow``).
+  a half-open probe (``allow``);
+* wake — an idle replica's first round or admission sees every arrival
+  and retry of its instant; a lazy replica's decision timer never starts
+  a replica that is already running; and a run left with work its
+  trigger policy never serves is an error.
 """
 
 import pytest
 
 from repro.analysis import verify_serving_metrics
+from repro.engine import EventKind
 from repro.gpusim import RTX_2060
 from repro.memory import KVCacheArena, kv_bytes_per_token
 from repro.models import build_decode_step_graph, build_prefill_graph, tiny_gpt
@@ -37,11 +42,15 @@ from repro.serving import (
     DPBatchScheduler,
     GenRequest,
     KVPreemptionPolicy,
+    LazyPolicy,
     Request,
     RequestState,
+    RoutingPolicy,
     ServingConfig,
+    TriggerPolicy,
     simulate_serving,
 )
+from repro.serving.server import _BatchDriver
 
 MODEL = tiny_gpt()
 BPT = kv_bytes_per_token(MODEL.num_layers, MODEL.num_heads, MODEL.head_size)
@@ -173,3 +182,75 @@ def test_lone_replica_is_not_routed(kind):
           resilience=ResilienceConfig(breaker_factory=factory))
     assert all(r.state is RequestState.COMPLETED for r in reqs)
     assert [b.commits for b in breakers] == [0]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_idle_replica_sees_its_whole_instant(kind):
+    """Request 0 fails its first attempt and retries at some instant T,
+    when the replica is idle.  Two arrivals at T, which a first run finds,
+    join the retry in the replica's first round or admission there."""
+    def run(extra):
+        reqs = [request(kind, 0, 0.0)]
+        reqs += [request(kind, i, extra) for i in (1, 2) if extra is not None]
+        serve(kind, reqs, 0.1, resilience=failing(
+            RetryPolicy(max_attempts=2, base_backoff_s=0.02, jitter=0.0)))
+        return reqs
+
+    (alone,) = run(None)
+    t = alone.start_s
+    assert alone.attempt == 1 and t > 0.01
+    reqs = run(t)
+    assert [r.start_s for r in reqs] == [t, t, t]
+    assert all(r.state is RequestState.COMPLETED for r in reqs)
+
+
+def test_decision_trigger_never_restarts_a_running_replica():
+    """Two lazy replicas each hold one request and arm a TRIGGER at its
+    timeout.  More arrivals fill both to ``max_batch`` first, so both
+    rounds are still running when the stale TRIGGERs fire; neither may
+    start a second run of its replica."""
+    reqs = [Request(req_id=i, seq_len=16, arrival_s=0.0) for i in range(2)]
+    reqs += [Request(req_id=i, seq_len=16, arrival_s=0.001)
+             for i in range(2, 8)]
+    config = ServingConfig(max_batch=4, policy=LazyPolicy(
+        timeout_s=0.01, max_batch=4, latency_slo_s=10.0))
+    driver = _BatchDriver([DPBatchScheduler(), DPBatchScheduler()],
+                          lambda seq_len, batch: 0.05, config, "lazy-x2",
+                          policy=RoutingPolicy.ROUND_ROBIN)
+    running, triggers = set(), []
+    start = driver.start
+
+    def tracked(rep, windows):
+        assert rep.server_id not in running, "second run of a replica"
+        running.add(rep.server_id)
+
+        def run():
+            yield from windows
+            running.discard(rep.server_id)
+
+        start(rep, run())
+
+    driver.start = tracked
+    driver.engine.add_dispatch_hook(
+        lambda e: triggers.append((e.time, e.payload.server_id))
+        if e.kind is EventKind.TRIGGER else None)
+    result = driver.serve(reqs, 0.1)
+    assert sorted(triggers) == [(0.01, 0), (0.01, 1)]
+    assert all(r.start_s == 0.001 and r.completion_s == 0.001 + 0.05
+               for r in reqs)
+    assert verify_serving_metrics(result, reqs, 0.1) == {}
+
+
+class NeverFires(TriggerPolicy):
+    name = "never"
+
+    def should_schedule(self, queue, now_s):
+        return False
+
+
+def test_policy_that_never_fires_is_rejected():
+    reqs = [Request(req_id=i, seq_len=16, arrival_s=0.01 * i)
+            for i in range(3)]
+    with pytest.raises(RuntimeError, match="never fired"):
+        simulate_serving(reqs, DPBatchScheduler(), cost,
+                         ServingConfig(policy=NeverFires()), duration_s=0.1)
