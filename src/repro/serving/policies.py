@@ -31,8 +31,9 @@ class TriggerPolicy(abc.ABC):
     def next_decision_time(self, queue: MessageQueue, now_s: float) -> float:
         """Earliest future time the decision could flip (for the simulator).
 
-        Defaults to "re-ask on the next arrival" (infinity here; the
-        simulator always re-asks on arrivals)."""
+        Defaults to "re-ask when more work is queued" (infinity here;
+        the driver re-asks an idle replica whenever work joins its
+        queue)."""
         return float("inf")
 
 

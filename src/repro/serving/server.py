@@ -162,7 +162,7 @@ class BatchReplica(Replica):
     def ensure_trigger(self) -> None:
         """Keep at most one pending TRIGGER, at the policy's next decision
         time for the work left queued; none when nothing is queued or the
-        policy names no future time (the next arrival re-asks it)."""
+        policy names no future time (queuing more work re-asks it)."""
         engine = self.driver.engine
         t = self.policy.next_decision_time(self.queue, engine.now)
         trigger = self.trigger

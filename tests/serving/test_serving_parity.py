@@ -74,8 +74,8 @@ def test_serving_run_matches_golden(name, table, golden):
 def test_lazy_run_serves_every_request(table):
     """simulate_serving drains the backlog, so every request of a run
     without resilience completes, whatever the trigger policy — also a
-    lazy run, whose trigger bookkeeping hands TRIGGER events that already
-    fired back to ``Engine.cancel``."""
+    lazy run, most of whose TRIGGER timers fire while a round is already
+    running and must be ignored."""
     requests = generate_requests(2500.0, 0.4, seed=11)
     metrics = simulate_serving(requests, PrunedDPBatchScheduler(),
                                table.cost, CONFIGS["lazy"](), duration_s=0.4)
