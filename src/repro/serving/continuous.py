@@ -330,6 +330,10 @@ class GenReplica(Replica):
         #: Cached-prefix tokens attached at admission, consumed at the
         #: prefill commit (publish + recompute accounting).
         self._cached_len: Dict[int, int] = {}
+        #: This replica's KV-arena trace counter: ``kv_arena`` when it
+        #: serves alone, ``{tid}:kv_arena`` beside other replicas.
+        self.kv_track = ("kv_arena" if driver is None or driver.inline
+                         else f"{self.tid}:kv_arena")
 
     @property
     def emitted_schedules(self) -> List[StreamSchedule]:
@@ -734,7 +738,7 @@ class GenReplica(Replica):
     def _trace_kv(self) -> None:
         d = self.driver
         if d.trace_on:
-            d.tracer.counter("kv_arena", d.engine.now, {
+            d.tracer.counter(self.kv_track, d.engine.now, {
                 "used_mb": self.arena.used_bytes / (1024.0 * 1024.0),
                 "slots": float(len(self.active)),
             })

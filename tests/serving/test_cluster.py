@@ -451,6 +451,32 @@ class TestGenerationCluster:
         assert gen_run_divergences("cluster", plain, featured,
                                    ttft_gate=False) == []
 
+    def test_kv_arena_counter_has_one_track_per_replica(self):
+        """Beside other replicas each arena's samples go to a counter
+        track named after the replica's GPU track, not one shared
+        ``kv_arena`` track where both arenas' series interleave; a lone
+        replica keeps ``kv_arena``."""
+        from repro.observability import Tracer
+        from repro.serving import simulate_generation_cluster
+
+        runtime, arenas, gen_workload = self.gen_setup()
+
+        def kv_samples(replicas):
+            tracer = Tracer()
+            simulate_generation_cluster(
+                gen_workload(600.0, 0.3), replicas, runtime, arenas,
+                duration_s=0.3, tracer=tracer)
+            counts = {}
+            for e in tracer.to_dict()["traceEvents"]:
+                if e["ph"] == "C" and "kv_arena" in e["name"]:
+                    counts[e["name"]] = counts.get(e["name"], 0) + 1
+            return counts
+
+        pair = kv_samples(2)
+        assert set(pair) == {"gpu.r0:kv_arena", "gpu.r1:kv_arena"}
+        assert all(n > 0 for n in pair.values())
+        assert set(kv_samples(1)) == {"kv_arena"}
+
     @pytest.mark.parametrize("chunk_tokens", [None, 16])
     def test_trace_has_one_gpu_track_per_replica(self, chunk_tokens):
         """Each replica's passes land on its own GPU track, and within a
