@@ -59,9 +59,8 @@ dispatches every event whose key sorts below ``(end, WAKE, seq)`` —
 arrivals land in queues at their true timestamps — and returns with the
 clock exactly on ``end``.  A lone serving replica runs its windows
 through it.  The marker never enters the heap, but it still counts as
-one WAKE dispatch: ``events_dispatched``, the instrumentation's per-kind
-counter and every dispatch hook see it, and its :class:`Event` is built
-only when one of the latter two is attached.
+one WAKE dispatch: ``events_dispatched`` and every dispatch hook see it,
+and its :class:`Event` is built only when a hook is attached.
 
 ``spawn(generator)``, the third, runs a cooperative task: the generator
 yields the absolute end of each window and is resumed by a WAKE timer
@@ -77,8 +76,6 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
-
-from .instrument import EngineInstrumentation
 
 
 class EngineError(RuntimeError):
@@ -150,13 +147,9 @@ class Engine:
     """Virtual clock + deterministic event heap + arrival stream +
     cooperative timers."""
 
-    def __init__(
-        self,
-        instrumentation: Optional[EngineInstrumentation] = None,
-    ) -> None:
+    def __init__(self) -> None:
         #: Virtual time.  Only the dispatch loop moves it (DET406).
         self.now = 0.0  # repro: allow(DET406)
-        self.instrumentation = instrumentation
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         self._live = 0
@@ -219,10 +212,9 @@ class Engine:
 
         ``bulk``, if given, takes a whole slice of payloads at once.
         Inside a ``run_until`` window on an unobserved
-        engine (no instrumentation, no dispatch hook), every arrival
-        ordered before the window end and before the heap top goes to one
-        ``bulk(slice)`` call instead
-        of one ``callback(event)`` each; ``now``, ``pending`` and
+        engine (no dispatch hook), every arrival ordered before the window
+        end and before the heap top goes to one ``bulk(slice)`` call
+        instead of one ``callback(event)`` each; ``now``, ``pending`` and
         ``events_dispatched`` then read as after per-event dispatch, the
         clock on the slice's last arrival.  Contract: a bulk handler must
         not schedule or cancel events, nor read ``now`` per payload (it
@@ -287,9 +279,9 @@ class Engine:
 
     @property
     def observed(self) -> bool:
-        """Whether instrumentation or a dispatch hook sees every dispatch
-        (arrivals then go one by one, whatever bulk handler is set)."""
-        return self.instrumentation is not None or bool(self._dispatch_hooks)
+        """Whether a dispatch hook sees every dispatch (arrivals then go
+        one by one, whatever bulk handler is set)."""
+        return bool(self._dispatch_hooks)
 
     def add_dispatch_hook(self, hook: Callable[[Event], None]) -> None:
         """Observe every dispatched event (after its handler ran),
@@ -299,7 +291,7 @@ class Engine:
     # -- dispatch --------------------------------------------------------
     def step(self) -> Optional[Event]:
         """Dispatch the next event: advance the clock to its timestamp,
-        run its callback, then notify instrumentation and hooks."""
+        run its callback, then notify the dispatch hooks."""
         event = self.peek()
         if event is not None:
             self._dispatch(event)
@@ -324,16 +316,14 @@ class Engine:
         self.events_dispatched += 1
         if event.callback is not None:
             event.callback(event)
-        if self.instrumentation is not None:
-            self.instrumentation.observe_dispatch(event)
         for hook in self._dispatch_hooks:
             hook(event)
 
     def _run_to(self, end: float) -> None:
         """Dispatch every event ordered before a virtual WAKE marker at
         ``end`` (seq reserved now), then land the clock on ``end`` and
-        dispatch the marker itself to instrumentation and hooks.  The marker never enters the heap; its Event is built only
-        when someone observes dispatches."""
+        dispatch the marker itself to the hooks.  The marker never enters
+        the heap; its Event is built only when a hook is attached."""
         seq = self._seq
         self._seq += 1
         bulk = None if self.observed else self._stream_bulk
@@ -348,10 +338,8 @@ class Engine:
             self._dispatch(event)
         self.now = end  # repro: allow(DET406)
         self.events_dispatched += 1
-        if self.instrumentation is not None or self._dispatch_hooks:
+        if self._dispatch_hooks:
             marker = Event(end, _WAKE, seq, EventKind.WAKE)
-            if self.instrumentation is not None:
-                self.instrumentation.observe_dispatch(marker)
             for hook in self._dispatch_hooks:
                 hook(marker)
 

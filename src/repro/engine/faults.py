@@ -32,26 +32,22 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.faults import FaultPlan
-    from .instrument import EngineInstrumentation
 
 class EngineFaultInjector:
     """One server's view of a :class:`FaultPlan`, as engine effects.
 
     Counters (``stretches``, ``stretched_seconds``, ``failures_injected``)
-    are deterministic and read by chaos reports; with an
-    :class:`EngineInstrumentation` attached they are also published as
-    ``engine_faults_total{kind=...}`` counters.
+    are deterministic and read by chaos reports; a serving run with a
+    metrics registry publishes the first and last as
+    ``engine_faults_total{kind=...}`` when it ends.
     """
 
-    __slots__ = ("plan", "server_id", "instrumentation", "stretches",
-                 "stretched_seconds", "failures_injected")
+    __slots__ = ("plan", "server_id", "stretches", "stretched_seconds",
+                 "failures_injected")
 
-    def __init__(self, plan: "FaultPlan", server_id: int = 0,
-                 instrumentation: Optional["EngineInstrumentation"] = None,
-                 ) -> None:
+    def __init__(self, plan: "FaultPlan", server_id: int = 0) -> None:
         self.plan = plan
         self.server_id = server_id
-        self.instrumentation = instrumentation
         self.stretches = 0
         self.stretched_seconds = 0.0
         self.failures_injected = 0
@@ -87,8 +83,6 @@ class EngineFaultInjector:
         stretched = delay_s * factor
         self.stretches += 1
         self.stretched_seconds += stretched - delay_s
-        if self.instrumentation is not None:
-            self.instrumentation.fault("stretch")
         return stretched
 
     # -- crash windows -----------------------------------------------------
@@ -112,6 +106,4 @@ class EngineFaultInjector:
         hit = self.plan.attempt_fails(req_id, attempt, self.server_id, now)
         if hit:
             self.failures_injected += 1
-            if self.instrumentation is not None:
-                self.instrumentation.fault("attempt_failure")
         return hit

@@ -89,7 +89,7 @@ from ..gpusim.multistream import StreamSchedule, execute_schedule  # noqa: F401
 from ..memory.kv_arena import KVCacheArena
 from ..observability import MetricsRegistry, Tracer
 from ..runtime.chunked import PrefillChunker
-from .driver import Driver, Replica
+from .driver import Driver, Replica, publish_tally
 from .metrics import LatencyStats, ServingMetrics
 from .request import Request, RequestState
 from .rounds import RoundRecord, round_program, round_timing
@@ -493,9 +493,6 @@ class GenReplica(Replica):
         d.prefills += 1
         self._commit_prefill(admitted, started, d.engine.now)
         self._trace_kv()
-        if d.metrics is not None:
-            d.metrics.counter("gen_prefill_batches_total",
-                              system=d.system).inc()
 
     def _decode_shape(self) -> Tuple[int, int]:
         """``(width, past)`` the next decode step is priced at: live slots
@@ -661,11 +658,6 @@ class GenReplica(Replica):
         self._commit_prefill(admitted, started,
                              started + prefill_total * ratio)
         self._trace_kv()
-        if d.metrics is not None:
-            d.metrics.counter("gen_prefill_batches_total",
-                              system=d.system).inc()
-            d.metrics.counter("gen_prefill_chunks_total",
-                              system=d.system).inc(len(chunks))
 
     # -- commits ----------------------------------------------------------
 
@@ -713,6 +705,7 @@ class GenReplica(Replica):
         d = self.driver
         d.decode_steps += 1
         d.tokens += len(members)
+        d.decode_tokens += len(members)
         finished = 0
         for r in members:
             r.generated += 1
@@ -723,11 +716,6 @@ class GenReplica(Replica):
                 # The token just produced joins the KV cache and is
                 # attended to from the next step on.
                 self.arena.append(r.req_id, 1)
-        if d.metrics is not None:
-            d.metrics.counter("gen_decode_steps_total",
-                              system=d.system).inc()
-            d.metrics.counter("gen_tokens_total",
-                              system=d.system).inc(len(members))
         return finished
 
     def _complete(self, r: GenRequest, now: float) -> None:
@@ -751,9 +739,6 @@ class GenReplica(Replica):
         d = self.driver
         self.arena.preempt(r.req_id)
         d.preemptions += 1
-        if d.metrics is not None:
-            d.metrics.counter("gen_preemptions_total",
-                              system=d.system).inc()
         if failed:
             d.fail(r, self, now)
         else:
@@ -794,11 +779,6 @@ class GenReplica(Replica):
         d = self.driver
         d.prefix_hits += 1
         d.prefix_tokens_reused += matched
-        if d.metrics is not None:
-            d.metrics.counter("gen_prefix_hits_total",
-                              system=d.system).inc()
-            d.metrics.counter("gen_prefix_tokens_reused_total",
-                              system=d.system).inc(matched)
 
     def _publish_prefix(self, r: GenRequest) -> None:
         """Index the request's full prompt pages after a successful
@@ -828,6 +808,7 @@ class _GenDriver(Driver):
                          tracer, metrics)
         self.runtime = replicas[0].runtime
         self.decode_steps = self.prefills = self.tokens = 0
+        self.decode_tokens = 0
         self.preemptions = self.tokens_recomputed = self.attempts_failed = 0
         self.rounds = self.prefill_chunks = 0
         self.overlap_saved_s = self.stall_s = 0.0
@@ -871,9 +852,6 @@ class _GenDriver(Driver):
                 "request", now, r.req_id, cat="request", path="model",
                 ttft_ms=round(r.ttft_s * 1e3, 4), tokens=r.generated,
             )
-        if self.metrics is not None:
-            self.metrics.counter("serving_requests_completed_total",
-                                 path="model").inc()
 
     def requeue(self, r: GenRequest, now: float) -> None:
         """A KV-pressure victim re-enters: through the retry policy if
@@ -908,8 +886,7 @@ class _GenDriver(Driver):
                               for rep in self.replicas),
             preemptions=self.preemptions,
             tokens_recomputed=self.tokens_recomputed,
-            retries=(self.retry_state.retries_used
-                     if self.retry_state is not None else 0),
+            retries=self.retries,
             attempts_failed=self.attempts_failed,
             prefill_chunks=self.prefill_chunks,
             overlap_saved_s=self.overlap_saved_s,
@@ -935,6 +912,17 @@ class _GenDriver(Driver):
                                    system=result.system).set(
                     result.prefill_flops_saved
                 )
+            for name, value in (
+                    ("gen_prefill_batches_total", result.prefill_batches),
+                    ("gen_prefill_chunks_total", result.prefill_chunks),
+                    ("gen_decode_steps_total", result.decode_steps),
+                    ("gen_tokens_total", self.decode_tokens),
+                    ("gen_preemptions_total", result.preemptions),
+                    ("gen_prefix_hits_total", result.prefix_hits),
+                    ("gen_prefix_tokens_reused_total",
+                     result.prefix_tokens_reused)):
+                publish_tally(self.metrics, name, value,
+                              system=result.system)
         return result
 
 

@@ -7,10 +7,9 @@ on each GPU, and a Nexus-style balancer repeats that loop behind it.
 :class:`~repro.serving.server.BatchReplica` replicas and ``_GenDriver``
 (:mod:`repro.serving.continuous`) runs generation
 :class:`~repro.serving.continuous.GenReplica` replicas.  The skeleton
-holds the :class:`~repro.engine.Engine` and its instrumentation, the
-retry state, each replica's fault injector and circuit breaker, the
-router, the arrival and retry events, terminal bookkeeping, the one
-dispatch loop (:meth:`Driver.loop`), how a replica starts and how its
+holds the :class:`~repro.engine.Engine`, the retry state, each replica's
+fault injector and circuit breaker, the router, the arrival and retry
+events, terminal bookkeeping, the one dispatch loop (:meth:`Driver.loop`), how a replica starts and how its
 busy windows run, and the finalisation.  A kind supplies its ingest rule
 (:meth:`Driver.ingest`), its trace track names (:meth:`Driver.name_tracks`)
 and its extra metric fields (:meth:`Driver.result`).
@@ -33,9 +32,14 @@ Each of these questions has one rule, the same for both kinds:
   its windows run inline (``engine.run_until``); beside other replicas
   each replica is an ``Engine.spawn`` task woken at each window end.
   Both dispatch in the same order and count one WAKE per window;
-* **counters** — ``serving_attempt_failures_total`` counts failed
-  attempts and ``serving_retries_total`` the retries the policy
-  scheduled;
+* **counters** — each serving event is counted once, in a plain tally
+  of the run; the metrics are built from those tallies and the terminal
+  request list.  With a registry attached, the run adds each tally to
+  its counter when it ends — here completions, drops, failed attempts,
+  retries and injected faults, in the kind's :meth:`Driver.result` its
+  own — and creates only counters whose tally is above zero.  Only
+  ``engine_events_dispatched_total`` counts as it happens, by a
+  dispatch hook on the engine;
 * **wake** — queuing work on an idle replica schedules its one pending
   WAKE at ``now``.  That WAKE sorts after every ARRIVAL and RETRY of the
   instant, so the replica's first round or admission sees them all.  A
@@ -50,10 +54,10 @@ Each of these questions has one rule, the same for both kinds:
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence
 
-from ..engine import Engine, EngineFaultInjector, EngineInstrumentation, \
-    EventKind
+from ..engine import Engine, EngineFaultInjector, Event, EventKind
 from ..observability import NULL_TRACER, MetricsRegistry, Tracer
 from .metrics import (
     LatencyStats,
@@ -66,6 +70,23 @@ from .router import Router, RoutingPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (resilience -> serving)
     from ..resilience import ResilienceConfig
+
+
+def publish_tally(metrics: MetricsRegistry, name: str, value: float,
+                  **labels: str) -> None:
+    """Add a run's tally to the counter ``name``, which is created only
+    when the tally is above zero."""
+    if value:
+        metrics.counter(name, **labels).inc(value)
+
+
+def dispatch_counter(metrics: MetricsRegistry) -> Callable[[Event], None]:
+    """A dispatch hook counting ``engine_events_dispatched_total`` by
+    event kind."""
+    def count(event: Event) -> None:
+        metrics.counter("engine_events_dispatched_total",
+                        kind=event.kind.name.lower()).inc()
+    return count
 
 
 class Replica:
@@ -117,9 +138,9 @@ class Driver:
         self.trace_on = self.tracer.enabled
         self.metrics = metrics
         self.observed = self.trace_on or metrics is not None
-        self.instrumentation = (EngineInstrumentation(self.tracer, metrics)
-                                if self.observed else None)
-        self.engine = Engine(instrumentation=self.instrumentation)
+        self.engine = Engine()
+        if metrics is not None:
+            self.engine.add_dispatch_hook(dispatch_counter(metrics))
         self.retry_state = None
         if resilience is not None and resilience.retry is not None:
             from ..resilience.retry import RetryState  # deferred: avoids cycle
@@ -133,8 +154,8 @@ class Driver:
             breakers = resilience.breaker_factory
         for rep in self.replicas:
             rep.bind(self,
-                     None if plan is None else EngineFaultInjector(
-                         plan, rep.server_id, self.instrumentation),
+                     None if plan is None
+                     else EngineFaultInjector(plan, rep.server_id),
                      None if breakers is None else breakers(rep.server_id))
         self.router = (None if self.inline
                        else Router(self.replicas, policy, max_len=max_len))
@@ -147,6 +168,8 @@ class Driver:
         self._woken: Optional[Replica] = None
         #: Busy seconds inside the horizon, summed over the replicas.
         self.busy_s = 0.0
+        #: Failed attempts, and requests the response cache answered.
+        self.attempt_failures = self.cache_hits = 0
 
     # -- what a replica kind supplies -------------------------------------
 
@@ -176,17 +199,13 @@ class Driver:
         if self.trace_on:
             self.tracer.async_end("request", now, r.req_id, cat="request",
                                   path=state.value)
-        if self.metrics is not None:
-            self.metrics.counter("serving_requests_dropped_total",
-                                 reason=state.value).inc()
 
     def fail(self, r: Request, rep: Replica, now: float) -> None:
         """One attempt failed on ``rep``: its breaker learns, and ``r``
         retries or, with no retry policy, fails for good."""
         if rep.breaker is not None:
             rep.breaker.record(False, now)
-        if self.metrics is not None:
-            self.metrics.counter("serving_attempt_failures_total").inc()
+        self.attempt_failures += 1
         if self.retry_state is None:
             self.drop(r, RequestState.FAILED, now)
         else:
@@ -202,8 +221,11 @@ class Driver:
             return
         r.attempt += 1
         self.engine.schedule(retry_at, EventKind.RETRY, self._on_retry, r)
-        if self.metrics is not None:
-            self.metrics.counter("serving_retries_total").inc()
+
+    @property
+    def retries(self) -> int:
+        """Retries the policy scheduled so far (0 without a policy)."""
+        return 0 if self.retry_state is None else self.retry_state.retries_used
 
     # -- events -----------------------------------------------------------
 
@@ -308,7 +330,27 @@ class Driver:
             utilization=min(1.0, self.busy_s
                             / (horizon * len(self.replicas))),
         )
-        if self.metrics is not None:
-            self.metrics.gauge("serving_response_throughput",
-                               system=self.system).set(throughput)
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.gauge("serving_response_throughput",
+                          system=self.system).set(throughput)
+            for path, n in (("model", len(completed) - self.cache_hits),
+                            ("cache", self.cache_hits)):
+                publish_tally(metrics, "serving_requests_completed_total",
+                              n, path=path)
+            states = Counter(r.state for r in arrivals)
+            for state in (RequestState.TIMED_OUT, RequestState.FAILED,
+                          RequestState.SHED):
+                publish_tally(metrics, "serving_requests_dropped_total",
+                              states[state], reason=state.value)
+            publish_tally(metrics, "serving_attempt_failures_total",
+                          self.attempt_failures)
+            publish_tally(metrics, "serving_retries_total", self.retries)
+            injectors = [rep.faults for rep in self.replicas
+                         if rep.faults is not None]
+            for kind, n in (
+                    ("stretch", sum(f.stretches for f in injectors)),
+                    ("attempt_failure",
+                     sum(f.failures_injected for f in injectors))):
+                publish_tally(metrics, "engine_faults_total", n, kind=kind)
         return result

@@ -76,7 +76,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from ..engine import EngineFaultInjector, EventKind
 from ..observability import MetricsRegistry, Tracer
-from .driver import Driver, Replica
+from .driver import Driver, Replica, publish_tally
 from .metrics import ResilienceStats, ServingMetrics
 from .mq import MessageQueue
 from .policies import HungryPolicy, LazyPolicy, TriggerPolicy
@@ -218,9 +218,13 @@ class BatchReplica(Replica):
             # actually charge; the rung moves only between rounds.
             price = self.price()
             batches = self.scheduler.schedule(taken, price, config.max_batch)
-            if d.instrumentation is not None:
-                # Pre-drain depth to trace counter and gauge alike.
-                d.instrumentation.queue_depth(now, depth)
+            if d.observed:
+                # One pre-drain depth sample feeds the trace counter and
+                # the gauge alike.
+                if d.metrics is not None:
+                    d.metrics.gauge("serving_queue_depth").set(depth, t=now)
+                if d.trace_on:
+                    d.tracer.counter("queue", now, {"depth": depth})
                 observe_round(batches, now, self.scheduler.name,
                               metrics=d.metrics,
                               tracer=d.tracer if d.trace_on else None)
@@ -286,6 +290,7 @@ class BatchReplica(Replica):
         horizon = d.horizon
         resilient = d.res is not None
         observed = d.observed
+        trace_on = d.trace_on
         faults = self.faults
         breaker = self.breaker
         cache = d.cache
@@ -346,7 +351,7 @@ class BatchReplica(Replica):
                     breaker.record(True, now)
                 if cache is not None and r.payload is not None:
                     cache.put(r.payload, r.req_id)
-                if observed:
+                if trace_on:
                     d.complete(r, "model")
             self.completed += done
 
@@ -394,22 +399,18 @@ class _BatchDriver(Driver):
     # -- request bookkeeping ----------------------------------------------
 
     def complete(self, r: Request, how: str) -> None:
-        """Per-request completion bookkeeping (span end + counter)."""
-        if self.trace_on:
-            self.tracer.async_end(
-                "request", r.completion_s, r.req_id, cat="request",
-                path=how, latency_ms=round(r.latency_s * 1e3, 4),
-            )
-        if self.metrics is not None:
-            self.metrics.counter("serving_requests_completed_total",
-                                 path=how).inc()
+        """End a completed request's trace span."""
+        self.tracer.async_end(
+            "request", r.completion_s, r.req_id, cat="request",
+            path=how, latency_ms=round(r.latency_s * 1e3, 4),
+        )
 
     def record_batch(self, rep: BatchReplica, batch: Batch, started: float,
                      now: float) -> None:
-        """Span, per-request execute marks and counters of one executed
-        batch window ``[started, now]``."""
+        """Span, per-request execute marks and padding counters of one
+        executed batch window ``[started, now]``."""
         if self.trace_on:
-            self.instrumentation.span(
+            self.tracer.complete(
                 f"batch x{batch.size}", started, now - started, tid=rep.tid,
                 cat="batch", size=batch.size, padded_len=batch.padded_len,
                 padding_waste_tokens=batch.padding_waste,
@@ -422,7 +423,6 @@ class _BatchDriver(Driver):
                 )
         metrics = self.metrics
         if metrics is not None:
-            metrics.counter("serving_batches_executed_total").inc()
             metrics.counter("serving_padded_tokens_total").inc(
                 batch.padded_len * batch.cost_batch_size
             )
@@ -442,7 +442,9 @@ class _BatchDriver(Driver):
             # Resp Cache hit: answered without evaluating the model.
             r.start_s = r.arrival_s
             r.resolve(RequestState.COMPLETED, r.arrival_s)
-            self.complete(r, "cache")
+            self.cache_hits += 1
+            if self.trace_on:
+                self.complete(r, "cache")
         else:
             rep = self.route(r, now)
             if rep.queue.push(r):
@@ -452,8 +454,6 @@ class _BatchDriver(Driver):
         if self.trace_on:
             self.tracer.counter("queue", now, {"depth": sum(
                 len(rep.queue) for rep in self.replicas)})
-        if self.metrics is not None:
-            self.metrics.counter("serving_requests_ingested_total").inc()
 
     # -- the run ----------------------------------------------------------
 
@@ -528,8 +528,7 @@ class _BatchDriver(Driver):
             breakers = [rep.breaker for rep in self.replicas
                         if rep.breaker is not None]
             stats = ResilienceStats(
-                retries=(self.retry_state.retries_used
-                         if self.retry_state is not None else 0),
+                retries=self.retries,
                 timed_out=sum(1 for r in arrivals
                               if r.state is RequestState.TIMED_OUT),
                 failed=sum(1 for r in arrivals
@@ -549,6 +548,11 @@ class _BatchDriver(Driver):
                 result.utilization)
             self.metrics.gauge("serving_backlog_at_horizon",
                                system=self.system).set(result.backlog_at_end)
+            publish_tally(self.metrics, "serving_batches_executed_total",
+                          self.batches_executed)
+            # Every offered request and every scheduled retry is ingested.
+            publish_tally(self.metrics, "serving_requests_ingested_total",
+                          result.offered + self.retries)
         return result
 
 

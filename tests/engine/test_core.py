@@ -5,13 +5,10 @@ nothing is pending (:func:`drain`), or ``run_until`` over a window."""
 
 import pytest
 
-from repro.engine import (
-    Engine,
-    EngineError,
-    EngineInstrumentation,
-    EventKind,
-)
+from repro.engine import Engine, EngineError, EventKind
 from repro.observability import MetricsRegistry, Tracer
+from repro.serving import DPBatchScheduler, simulate_serving
+from repro.serving.driver import dispatch_counter
 from repro.serving.request import Request
 
 
@@ -275,6 +272,7 @@ class TestBulkArrivals:
         assert log == [("one", 0), ("one", 1), ("one", 2)]
 
     def test_falls_back_per_event_under_a_hook_or_instrumentation(self):
+        """Any dispatch hook, the registry's dispatch counter included."""
         for observe in ("hook", "instrumentation"):
             log = []
             engine = self._engine([0.1, 0.2], log)
@@ -282,8 +280,7 @@ class TestBulkArrivals:
             if observe == "hook":
                 engine.add_dispatch_hook(lambda e: None)
             else:
-                engine.instrumentation = EngineInstrumentation(
-                    None, MetricsRegistry())
+                engine.add_dispatch_hook(dispatch_counter(MetricsRegistry()))
             assert engine.observed
             engine.run_until(0.5)
             assert log == [("one", 0), ("one", 1)], observe
@@ -378,10 +375,14 @@ class TestTasks:
 
 
 class TestInstrumentation:
+    """What a serving run with a registry and a tracer reports: dispatch
+    counts through the dispatch hook the driver attaches, the queue depth
+    and each batch window's span."""
+
     def test_dispatch_counter_labelled_by_kind(self):
         metrics = MetricsRegistry()
-        engine = Engine(
-            instrumentation=EngineInstrumentation(Tracer(), metrics))
+        engine = Engine()
+        engine.add_dispatch_hook(dispatch_counter(metrics))
         engine.schedule(1.0, EventKind.ARRIVAL)
         engine.schedule(1.0, EventKind.TRIGGER)  # repro: allow(DET407)
         engine.schedule(2.0, EventKind.ARRIVAL)
@@ -395,23 +396,32 @@ class TestInstrumentation:
     def test_queue_depth_fans_out_to_trace_and_gauge(self):
         """One sample feeds both the trace counter and the metrics gauge,
         so the two can never disagree again (the pre-engine loop sampled
-        them at different points and the trace showed ~0)."""
+        them at different points and the trace showed ~0).  Seven
+        requests arrive together: each arrival samples the queue on the
+        trace, then the round's pre-drain sample of 7 goes to both."""
         tracer = Tracer()
         metrics = MetricsRegistry()
-        inst = EngineInstrumentation(tracer, metrics)
-        inst.queue_depth(1.5, 7)
-        counters = [e for e in tracer.events if e.get("ph") == "C"]
+        requests = [Request(req_id=i, seq_len=8, arrival_s=1.5)
+                    for i in range(7)]
+        simulate_serving(requests, DPBatchScheduler(), lambda n, b: 0.01,
+                         duration_s=2.0, tracer=tracer, metrics=metrics)
+        queue = [e for e in tracer.events
+                 if e.get("ph") == "C" and e["name"] == "queue"]
+        assert [e["args"] for e in queue[:7]] == [
+            {"depth": float(d)} for d in range(1, 8)]
+        counters = queue[7:]  # the round's sample
         assert len(counters) == 1
         assert counters[0]["name"] == "queue"
         assert counters[0]["args"] == {"depth": 7.0}
+        assert counters[0]["ts"] == 1.5e6
         assert metrics.gauge("serving_queue_depth").series == [(1.5, 7.0)]
 
     def test_window_end_is_one_wake_dispatch(self):
         """The run_until marker never enters the heap but is counted and
         observed exactly like the WAKE event it replaces."""
         metrics = MetricsRegistry()
-        engine = Engine(
-            instrumentation=EngineInstrumentation(None, metrics))
+        engine = Engine()
+        engine.add_dispatch_hook(dispatch_counter(metrics))
         hooked = []
         engine.add_dispatch_hook(
             lambda e: hooked.append((engine.now, e.kind, e.seq)))
@@ -428,9 +438,13 @@ class TestInstrumentation:
     def test_advance_emits_span_for_labelled_window(self):
         """A busy window's span: one complete event with its attributes."""
         tracer = Tracer()
-        inst = EngineInstrumentation(tracer, None)
-        inst.span("batch x3", 0.0, 0.5, tid="gpu", cat="batch", size=3)
-        spans = [e for e in tracer.events if e.get("ph") == "X"]
+        requests = [Request(req_id=i, seq_len=8, arrival_s=0.0)
+                    for i in range(3)]
+        simulate_serving(requests, DPBatchScheduler(), lambda n, b: 0.5,
+                         duration_s=1.0, tracer=tracer)
+        spans = [e for e in tracer.events
+                 if e.get("ph") == "X" and e["tid"] == "gpu"]
         assert len(spans) == 1
         assert spans[0]["name"] == "batch x3"
         assert spans[0]["args"]["size"] == 3
+        assert (spans[0]["ts"], spans[0]["dur"]) == (0.0, 0.5e6)

@@ -2,21 +2,17 @@
 
 import pytest
 
-from repro.engine import (
-    Engine,
-    EngineError,
-    EngineFaultInjector,
-    EngineInstrumentation,
-    EventKind,
-)
+from repro.engine import Engine, EngineError, EngineFaultInjector, EventKind
 from repro.observability import MetricsRegistry
 from repro.resilience import (
     FaultPlan,
     KernelStall,
     LatencySpike,
+    ResilienceConfig,
     ServerCrash,
     TransientFailures,
 )
+from repro.serving import DPBatchScheduler, Request, simulate_serving
 
 
 def plan(**kw):
@@ -57,12 +53,15 @@ class TestStretch:
         assert inj.stretch(1.0, 5.0, label="gemm_qk") == 4.0
 
     def test_instrumentation_counts_faults(self):
+        """A serving run with a registry publishes its injector's
+        stretches as ``engine_faults_total{kind="stretch"}``."""
         registry = MetricsRegistry()
-        instr = EngineInstrumentation(metrics=registry)
-        inj = EngineFaultInjector(plan(
-            spikes=(LatencySpike(0.0, 10.0, 2.0),)
-        ), 0, instr)
-        inj.stretch(1.0, 5.0)
+        simulate_serving(
+            [Request(req_id=0, seq_len=8, arrival_s=5.0)],
+            DPBatchScheduler(), lambda n, b: 1.0, duration_s=6.0,
+            metrics=registry, resilience=ResilienceConfig(faults=plan(
+                spikes=(LatencySpike(0.0, 10.0, 2.0),))))
+        assert registry.value("engine_faults_total", kind="stretch") == 1
         exported = registry.to_dict()
         names = {(c["name"], tuple(sorted(c["labels"].items())))
                  for c in exported["counters"]}

@@ -5,9 +5,13 @@ fault plans (crash, latency spike, transient failures), retries, breakers
 and a bounded queue, 1–3 replicas under every routing policy, the hungry
 and the lazy trigger — every run must pass the engine-trace sanitizer
 with no ERROR, resolve every request, and report the serving metrics its
-request list gives (:func:`repro.analysis.verify_serving_metrics`).  A one-server ``simulate_cluster`` must equal
-``simulate_serving`` on the same inputs: the same driver over the same
-single replica.
+request list gives (:func:`repro.analysis.verify_serving_metrics`).  A
+run with a metrics registry attached must publish counters equal to its
+``ServingMetrics`` fields, its terminal-state counts, its fault
+injectors' counts and the dispatches the sanitizer recorded, and serve
+every request exactly as the same run without a registry.  A one-server
+``simulate_cluster`` must equal ``simulate_serving`` on the same inputs:
+the same driver over the same single replica.
 
 The Ebird processor-sharing rule (1–4 streams, efficiency in (0.5, 1])
 runs under the same traffic and faults with the same requirements.
@@ -16,6 +20,7 @@ scheduler one batch per round, so it must match ``simulate_serving``
 with ``NaiveBatchScheduler`` and ``round_limit=max_batch``.
 """
 
+from collections import Counter
 from dataclasses import fields
 
 import pytest
@@ -25,6 +30,8 @@ from hypothesis import strategies as st
 from repro.analysis import verify_serving_metrics
 from repro.analysis.diagnostics import Severity
 from repro.analysis.engine_checks import EngineTraceRecorder, verify_trace
+from repro.engine import EventKind
+from repro.observability import MetricsRegistry
 from repro.resilience import (
     CircuitBreaker,
     FaultPlan,
@@ -40,6 +47,7 @@ from repro.serving import (
     LazyPolicy,
     NaiveBatchScheduler,
     Request,
+    RequestState,
     RoutingPolicy,
     ServingConfig,
     simulate_cluster,
@@ -114,29 +122,92 @@ def scenarios(draw):
     trigger = draw(st.sampled_from(("hungry", "lazy")))
     routing = draw(st.sampled_from(list(RoutingPolicy)))
     return (draw(requests()), replicas, trigger, routing,
-            draw(resilience(replicas)))
+            draw(resilience(replicas)), draw(st.booleans()))
 
 
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(scenarios())
-def test_replica_runs_are_sanitizer_clean(scenario):
-    specs, replicas, trigger, routing, res = scenario
+def serve(specs, replicas, trigger, routing, res, registry=None):
+    """One recorded ``_BatchDriver`` run over fresh requests."""
     reqs = build(specs)
     config = ServingConfig(
         max_batch=MAX_BATCH,
         policy=(HungryPolicy() if trigger == "hungry"
                 else LazyPolicy(timeout_s=0.004, max_batch=MAX_BATCH)))
     with EngineTraceRecorder() as rec:
-        metrics = _BatchDriver(
+        driver = _BatchDriver(
             [DPBatchScheduler() for _ in range(replicas)], cost, config,
-            "property", res, policy=routing, max_len=200,
-        ).serve(reqs, HORIZON)
+            "property", res, metrics=registry, policy=routing, max_len=200)
+        metrics = driver.serve(reqs, HORIZON)
+    return reqs, metrics, driver, rec
+
+
+#: The counters :func:`reconciled` accounts for.
+RECONCILED = {"serving_batches_executed_total",
+              "serving_requests_completed_total",
+              "serving_requests_ingested_total",
+              "serving_requests_dropped_total", "serving_retries_total",
+              "serving_attempt_failures_total", "engine_faults_total",
+              "engine_events_dispatched_total"}
+
+
+def published(registry):
+    """``{(name, labels): value}`` of the registry's counters in
+    :data:`RECONCILED`."""
+    return {(c["name"], tuple(sorted(c["labels"].items()))): c["value"]
+            for c in registry.to_dict()["counters"]
+            if c["name"] in RECONCILED}
+
+
+def reconciled(metrics, reqs, driver, rec):
+    """The counters a run must publish, from its metrics, its terminal
+    requests, its fault injectors and the recorder's dispatch log; a zero
+    count publishes nothing."""
+    res = metrics.resilience
+    states = Counter(r.state for r in reqs)
+    injectors = [rep.faults for rep in driver.replicas
+                 if rep.faults is not None]
+    want = {
+        ("serving_batches_executed_total", ()): metrics.batches_executed,
+        ("serving_requests_completed_total", (("path", "model"),)):
+            metrics.completed,
+        ("serving_requests_ingested_total", ()):
+            metrics.offered + res.retries,
+        ("serving_retries_total", ()): res.retries,
+        # A failed attempt either retries or fails its request for good.
+        ("serving_attempt_failures_total", ()): res.retries + res.failed,
+        ("engine_faults_total", (("kind", "stretch"),)):
+            sum(f.stretches for f in injectors),
+        ("engine_faults_total", (("kind", "attempt_failure"),)):
+            sum(f.failures_injected for f in injectors),
+    }
+    for state in (RequestState.TIMED_OUT, RequestState.FAILED,
+                  RequestState.SHED):
+        want[("serving_requests_dropped_total",
+              (("reason", state.value),))] = states[state]
+    for kind, n in Counter(kind for _seq, _idx, _now, _t, kind
+                           in rec.dispatches).items():
+        want[("engine_events_dispatched_total",
+              (("kind", EventKind(kind).name.lower()),))] = n
+    return {key: float(n) for key, n in want.items() if n}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios())
+def test_replica_runs_are_sanitizer_clean(scenario):
+    *run, observed = scenario
+    res = run[-1]
+    registry = MetricsRegistry() if observed else None
+    reqs, metrics, driver, rec = serve(*run, registry)
     errors = [d for d in verify_trace(rec, retry=res.retry)
               if d.severity is Severity.ERROR]
     assert errors == []
     assert all(r.state.is_terminal for r in reqs)
     assert verify_serving_metrics(metrics, reqs, HORIZON) == {}
+    if registry is not None:
+        assert published(registry) == reconciled(metrics, reqs, driver,
+                                                 rec)
+        plain, *_ = serve(*run)
+        assert outcome(reqs) == outcome(plain)
 
 
 def outcome(reqs):

@@ -6,11 +6,16 @@ random fault plans (crash, latency spike, transient failures), 1–3
 replicas, chunked prefill and the prefix cache on or off — every run
 must pass the engine-trace sanitizer with no ERROR, resolve every
 request, leak no KV region, and report the serving metrics its request
-list gives (:func:`repro.analysis.verify_serving_metrics`).  The request-level control (the same
+list gives (:func:`repro.analysis.verify_serving_metrics`).  A run with a
+metrics registry attached must publish counters equal to its
+``GenServingMetrics`` fields, its terminal-state counts and the
+dispatches the sanitizer recorded, and serve every request exactly as
+the same run without a registry.  The request-level control (the same
 replica under the request-level rule) must do the same, fault-free, on
 an arena small enough that the KV gate splits its DP batches.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 from hypothesis import HealthCheck, example, given, settings
@@ -23,6 +28,7 @@ from repro.engine import EventKind
 from repro.gpusim import RTX_2060
 from repro.memory import KVCacheArena, kv_bytes_per_token
 from repro.models import build_decode_step_graph, build_prefill_graph, tiny_gpt
+from repro.observability import MetricsRegistry
 from repro.resilience import (
     FaultPlan,
     LatencySpike,
@@ -38,6 +44,7 @@ from repro.serving import (
     GenRequest,
     KVPreemptionPolicy,
     RequestLevelGenerationServer,
+    RequestState,
     simulate_generation_cluster,
 )
 
@@ -125,7 +132,7 @@ def scenarios(draw):
         preemption=draw(st.none() | st.just(KVPreemptionPolicy(1))),
     )
     return (draw(requests(config)), replicas, config,
-            draw(resilience(replicas)))
+            draw(resilience(replicas)), draw(st.booleans()))
 
 
 def arena(_replica: int = 0) -> KVCacheArena:
@@ -147,7 +154,80 @@ def prefix_overadmission():
         reqs.append(GenRequest(req_id=i, seq_len=len(prompt), arrival_s=0.0,
                                max_new_tokens=new_tokens, prompt_ids=prompt))
     return (reqs, 2, ContinuousBatchingConfig(prefix_cache=True),
-            ResilienceConfig())
+            ResilienceConfig(), False)
+
+
+def serve(reqs, replicas, config, res, registry=None):
+    """One recorded run: ``(metrics, kv_leaks, recorder)``."""
+    with EngineTraceRecorder() as rec:
+        if replicas == 1:
+            kv = arena()
+            metrics = ContinuousBatchingServer(
+                RUNTIME, kv, config, metrics=registry,
+                resilience=res).serve(reqs, duration_s=0.1)
+            leaks = kv.verify(live_req_ids=[])
+        else:
+            cluster = simulate_generation_cluster(
+                reqs, replicas, RUNTIME, arena, duration_s=0.1,
+                resilience=res, config=config, metrics=registry)
+            metrics, leaks = cluster.serving, cluster.kv_leaks
+    return metrics, leaks, rec
+
+
+#: The counters :func:`reconciled` accounts for.
+RECONCILED = {"gen_prefill_batches_total", "gen_prefill_chunks_total",
+              "gen_decode_steps_total", "gen_preemptions_total",
+              "gen_prefix_hits_total", "gen_prefix_tokens_reused_total",
+              "serving_requests_completed_total",
+              "serving_requests_dropped_total", "serving_retries_total",
+              "engine_faults_total", "engine_events_dispatched_total"}
+
+
+def published(registry):
+    """``{(name, labels): value}`` of the registry's counters in
+    :data:`RECONCILED`, injected stretches aside (no metrics field
+    counts them)."""
+    return {(c["name"], tuple(sorted(c["labels"].items()))): c["value"]
+            for c in registry.to_dict()["counters"]
+            if c["name"] in RECONCILED
+            and c["labels"] != {"kind": "stretch"}}
+
+
+def reconciled(metrics, reqs, rec):
+    """The counters a run must publish, from its metrics, its terminal
+    requests and the recorder's dispatch log; a zero count publishes
+    nothing."""
+    system = (("system", metrics.system),)
+    states = Counter(r.state for r in reqs)
+    want = {
+        ("gen_prefill_batches_total", system): metrics.prefill_batches,
+        ("gen_prefill_chunks_total", system): metrics.prefill_chunks,
+        ("gen_decode_steps_total", system): metrics.decode_steps,
+        ("gen_preemptions_total", system): metrics.preemptions,
+        ("gen_prefix_hits_total", system): metrics.prefix_hits,
+        ("gen_prefix_tokens_reused_total", system):
+            metrics.prefix_tokens_reused,
+        ("serving_requests_completed_total", (("path", "model"),)):
+            metrics.completed,
+        ("serving_retries_total", ()): metrics.retries,
+        # Transient failures strike only at the prefill commit.
+        ("engine_faults_total", (("kind", "attempt_failure"),)):
+            metrics.attempts_failed,
+    }
+    for state in (RequestState.TIMED_OUT, RequestState.FAILED,
+                  RequestState.SHED):
+        want[("serving_requests_dropped_total",
+              (("reason", state.value),))] = states[state]
+    for kind, n in Counter(kind for _seq, _idx, _now, _t, kind
+                           in rec.dispatches).items():
+        want[("engine_events_dispatched_total",
+              (("kind", EventKind(kind).name.lower()),))] = n
+    return {key: float(n) for key, n in want.items() if n}
+
+
+def outcome(reqs):
+    return [(r.start_s, r.first_token_s, r.completion_s, r.generated,
+             r.state) for r in sorted(reqs, key=lambda r: r.req_id)]
 
 
 @settings(max_examples=200, deadline=None,
@@ -155,25 +235,29 @@ def prefix_overadmission():
 @given(scenarios())
 @example(prefix_overadmission())
 def test_replica_runs_are_sanitizer_clean(scenario):
-    reqs, replicas, config, res = scenario
-    with EngineTraceRecorder() as rec:
-        if replicas == 1:
-            kv = arena()
-            metrics = ContinuousBatchingServer(
-                RUNTIME, kv, config, resilience=res).serve(reqs,
-                                                           duration_s=0.1)
-            leaks = kv.verify(live_req_ids=[])
-        else:
-            cluster = simulate_generation_cluster(
-                reqs, replicas, RUNTIME, arena, duration_s=0.1,
-                resilience=res, config=config)
-            metrics, leaks = cluster.serving, cluster.kv_leaks
+    reqs, replicas, config, res, observed = scenario
+    registry = MetricsRegistry() if observed else None
+    plain = [replace(r) for r in reqs]
+    metrics, leaks, rec = serve(reqs, replicas, config, res, registry)
     errors = [d for d in verify_trace(rec, retry=res.retry)
               if d.severity is Severity.ERROR]
     assert errors == []
     assert all(r.state.is_terminal for r in reqs)
     assert leaks == []
     assert verify_serving_metrics(metrics, reqs, 0.1) == {}
+    if registry is not None:
+        assert published(registry) == reconciled(metrics, reqs, rec)
+        # Decode tokens: at least one per step, and fewer than all tokens
+        # (each request's first comes from its prefill).
+        decode_tokens = registry.sum_values("gen_tokens_total")
+        assert metrics.decode_steps <= decode_tokens
+        assert decode_tokens <= metrics.tokens_generated - metrics.completed
+        # Every failed attempt at a prefill commit fails its request or
+        # retries; crashes fail attempts too.
+        assert registry.value("serving_attempt_failures_total") \
+            >= metrics.attempts_failed
+        serve(plain, replicas, config, res)
+        assert outcome(reqs) == outcome(plain)
 
 
 @settings(max_examples=100, deadline=None,
