@@ -61,6 +61,12 @@ clock exactly on ``end``.  A lone serving replica runs its windows
 through it.  The marker never enters the heap, but it still counts as
 one WAKE dispatch: ``events_dispatched`` and every dispatch hook see it,
 and its :class:`Event` is built only when a hook is attached.
+``take_until(end)`` is the same window for the stream's one consumer on
+an engine with no hook and no live heap event (a lone encoder replica's
+closed-form rounds): it moves the stream cursor past the window's
+arrivals and returns the new position instead of calling a handler.
+Both windows order an arrival tied with the marker by one rule, ARRIVAL
+before WAKE.
 
 ``spawn(generator)``, the third, runs a cooperative task: the generator
 yields the absolute end of each window and is resumed by a WAKE timer
@@ -107,6 +113,16 @@ class Event:
 
 _ARRIVAL = int(EventKind.ARRIVAL)
 _WAKE = int(EventKind.WAKE)
+
+
+def _arrivals_before(times: Sequence[float], t: float, priority: int,
+                     lo: int, hi: Optional[int] = None) -> int:
+    """End of the run of stream arrivals from ``lo`` ordered before an
+    event of ``priority`` at ``t``.  An arrival at ``t`` goes first only
+    against a later kind; a tie in kind is left to seq, so it stops the
+    run (per-event dispatch orders it)."""
+    cut = bisect_right if priority > _ARRIVAL else bisect_left
+    return cut(times, t, lo, hi)
 
 
 class Task:
@@ -355,25 +371,27 @@ class Engine:
             heapq.heappop(heap)  # repro: allow(DET405)
         times = self._stream_times
         at = self._stream_at
-        stop = bisect_right(times, end, at)
+        stop = _arrivals_before(times, end, _WAKE, at)
         if heap and heap[0][0] <= end:
-            t, priority = heap[0][0], heap[0][1]
-            # An arrival at the heap top's time goes first only against a
-            # later kind; a tie in kind is left to seq.
-            cut = bisect_right if priority > _ARRIVAL else bisect_left
-            stop = cut(times, t, at, stop)
+            stop = _arrivals_before(times, heap[0][0], heap[0][1], at, stop)
         if stop > at:
-            head = self._stream_head
-            if head is not None:  # arrival ``at``, peeked earlier
-                head.dispatched = True
-                self._stream_head = None
-            self._stream_at = stop
-            self._live -= stop - at
-            self.events_dispatched += stop - at
+            self._pass_stream(stop)
             self.now = times[stop - 1]  # repro: allow(DET406)
             bulk(self._stream[at:stop])
         return ((stop == len(times) or times[stop] > end)
                 and (not heap or heap[0][0] > end))
+
+    def _pass_stream(self, stop: int) -> None:
+        """Count the stream's arrivals up to ``stop`` as dispatched and
+        move the cursor past them (the clock is the caller's)."""
+        head = self._stream_head
+        if head is not None:  # the cursor's arrival, peeked earlier
+            head.dispatched = True
+            self._stream_head = None
+        passed = stop - self._stream_at
+        self._stream_at = stop
+        self._live -= passed
+        self.events_dispatched += passed
 
     def run_until(self, t: float) -> float:
         """Dispatch every event due up to absolute time ``t`` and land the
@@ -389,6 +407,35 @@ class Engine:
             raise EngineError(f"cannot run_until {t} < now {self.now}")
         self._run_to(t)
         return self.now
+
+    def take_until(self, end: float) -> int:
+        """``run_until(end)`` for the stream's one consumer: returns the
+        stream position past every arrival ordered before the window's
+        ``(end, WAKE, seq)`` marker instead of handing them to a handler.
+
+        The clock, ``events_dispatched`` and ``pending`` then read as
+        ``run_until`` with a bulk handler leaves them, and the marker's
+        seq is reserved the same way.  The caller reads the taken
+        arrivals off its own payload list.  It needs an engine no hook
+        observes and whose heap holds no live event, since nothing but
+        the stream may dispatch inside the window.
+        """
+        if end < self.now:
+            raise EngineError(f"cannot take_until {end} < now {self.now}")
+        if self._dispatch_hooks:
+            raise EngineError("take_until needs an engine with no "
+                              "dispatch hook")
+        if self._live > len(self._stream) - self._stream_at:
+            raise EngineError("take_until needs an engine whose heap "
+                              "holds no live event")
+        self._seq += 1  # the window-end marker's
+        stop = _arrivals_before(self._stream_times, end, _WAKE,
+                                self._stream_at)
+        if stop > self._stream_at:
+            self._pass_stream(stop)
+        self.now = end  # repro: allow(DET406)
+        self.events_dispatched += 1
+        return stop
 
     # -- tasks -----------------------------------------------------------
     def spawn(self, gen: Generator[float, None, None]) -> Task:

@@ -55,16 +55,12 @@ Each of these questions has one rule, the same for both kinds:
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence
+from typing import (TYPE_CHECKING, Callable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..engine import Engine, EngineFaultInjector, Event, EventKind
 from ..observability import NULL_TRACER, MetricsRegistry, Tracer
-from .metrics import (
-    LatencyStats,
-    ServingMetrics,
-    completed_requests,
-    completed_throughput,
-)
+from .metrics import LatencyStats, ServingMetrics
 from .request import Request, RequestState, arrival_window
 from .router import Router, RoutingPolicy
 
@@ -87,6 +83,45 @@ def dispatch_counter(metrics: MetricsRegistry) -> Callable[[Event], None]:
         metrics.counter("engine_events_dispatched_total",
                         kind=event.kind.name.lower()).inc()
     return count
+
+
+def tally_requests(requests: Sequence[Request], window_start_s: float,
+                   horizon_s: float) -> Tuple[List[Request], List[float],
+                                              int, int]:
+    """One pass over a finished run's requests: the completed ones (the
+    ``is_completed`` rule), their latencies in ms, how many of them
+    complete inside the closed throughput window ``[window_start_s,
+    horizon_s]``, and the horizon backlog (the driver's backlog rule).
+
+    The same as :func:`~repro.serving.metrics.completed_requests`, the
+    latency samples of :meth:`LatencyStats.from_completed`,
+    :func:`~repro.serving.metrics.completed_throughput`'s count and the
+    backlog sum, each its own pass, would give.
+    """
+    if horizon_s <= window_start_s:
+        raise ValueError(f"empty window [{window_start_s}, {horizon_s}]")
+    completed_state = RequestState.COMPLETED
+    pending = RequestState.PENDING
+    shed = RequestState.SHED
+    completed: List[Request] = []
+    latencies_ms: List[float] = []
+    in_window = backlog = 0
+    for r in requests:
+        state = r.state
+        end = r.completion_s
+        if end is not None and (state is completed_state
+                                or state is pending):
+            completed.append(r)
+            latencies_ms.append((end - r.arrival_s) * 1e3)
+            if window_start_s <= end <= horizon_s:
+                in_window += 1
+        # Queue depth alone would undercount the backlog: a round drains
+        # the whole queue into batches long before they execute.
+        if r.arrival_s <= horizon_s and state is not shed:
+            start = r.start_s
+            if start is None or start > horizon_s:
+                backlog += 1
+    return completed, latencies_ms, in_window, backlog
 
 
 class Replica:
@@ -304,23 +339,16 @@ class Driver:
     def _finalize(self) -> ServingMetrics:
         arrivals = self.arrivals
         horizon = self.horizon
-        # One is_completed pass; latency, throughput and the completed
-        # count are all read off the completed list.
-        completed = completed_requests(arrivals)
-        throughput = completed_throughput(
-            completed, horizon * self.warmup_fraction, horizon)
-        # Queue depth alone would undercount the backlog: a round drains
-        # the whole queue into batches long before they execute.
-        backlog = sum(
-            1 for r in arrivals
-            if r.arrival_s <= horizon and r.state is not RequestState.SHED
-            and (r.start_s is None or r.start_s > horizon))
+        window_start = horizon * self.warmup_fraction
+        completed, latencies_ms, in_window, backlog = tally_requests(
+            arrivals, window_start, horizon)
+        throughput = in_window / (horizon - window_start)
         result = self.result(
             completed,
             system=self.system,
             request_rate=len(arrivals) / horizon,
             response_throughput=throughput,
-            latency=LatencyStats.from_completed(completed),
+            latency=LatencyStats.from_values(latencies_ms),
             # Saturated: the backlog left when arrivals stopped takes more
             # than half a second of service capacity to drain.
             saturated=backlog / max(throughput, 1e-9) > 0.5,

@@ -485,28 +485,36 @@ class _BatchDriver(Driver):
         each round is priced once, in the same ``started + exec_s`` float
         sums the windowed path runs ``run_until`` to, its members are
         resolved (with no resolve hook that is all ``resolve`` does) and
-        the engine runs once to the round's end, handing the arrivals of
-        the whole round to the queue.
+        the engine takes the round's arrivals in one ``take_until``.
+
+        Only arrivals feed the queue and rounds drain it in order, so the
+        queue is always ``arrivals[head:due]``: ``due`` is the stream
+        position ``take_until`` returns, and the queue object itself is
+        never filled.
         """
         engine = self.engine
-        queue = rep.queue
+        take_until = engine.take_until
+        arrivals = self.arrivals
         schedule = rep.scheduler.schedule
         price = self.cost_fn
         max_batch = self.config.max_batch
         limit = self.config.round_limit
         horizon = self.horizon
         completed = RequestState.COMPLETED
+        head = due = 0
         while True:
-            if not queue:
-                # Idle: run on to the next arrival instant, whose arrivals
-                # the window hands to the queue.
-                event = engine.peek()
-                if event is None:
+            if head == due:
+                if due == len(arrivals):
                     return
-                engine.run_until(event.time)
+                # Idle: run on to the next arrival instant, whose
+                # arrivals the window takes.
+                due = take_until(arrivals[head].arrival_s)
                 continue
+            stop = due if limit is None else min(due, head + limit)
+            taken = arrivals[head:stop]
+            head = stop
             t = engine.now
-            for batch in schedule(queue.drain(limit), price, max_batch):
+            for batch in schedule(taken, price, max_batch):
                 started = t
                 t = started + batch_execution_cost(batch, price)
                 for r in batch.requests:
@@ -517,7 +525,7 @@ class _BatchDriver(Driver):
                     self.busy_s += min(t, horizon) - started
                 self.batches_executed += 1
                 rep.completed += batch.size
-            engine.run_until(t)
+            due = take_until(t)
 
     def result(self, done: List[Request],
                **common: object) -> ServingMetrics:

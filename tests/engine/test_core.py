@@ -1,9 +1,12 @@
 """The discrete-event core: ordering, invariants, busy windows, tasks.
 
 Runs are driven the way the serving driver drives them: ``step`` until
-nothing is pending (:func:`drain`), or ``run_until`` over a window."""
+nothing is pending (:func:`drain`), ``run_until`` over a window, or
+``take_until`` for a lone replica's closed-form rounds."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import Engine, EngineError, EventKind
 from repro.observability import MetricsRegistry, Tracer
@@ -314,6 +317,75 @@ class TestBulkArrivals:
 
         assert run(True) == run(False)
         assert run(True)[1] == list(range(len(times)))
+
+
+TICK = 1.0 / 64
+
+
+class TestTakeUntil:
+    """``take_until(end)`` is ``run_until(end)`` with a bulk handler, for
+    the stream's one consumer: it returns the stream position instead of
+    handing the arrivals over."""
+
+    _payloads = staticmethod(TestArrivalStream._payloads)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gaps=st.lists(st.sampled_from([0, 0, 1, 2, 5]), max_size=30),
+           steps=st.lists(st.tuples(st.booleans(), st.integers(0, 6)),
+                          min_size=1, max_size=12))
+    def test_matches_run_until_with_a_bulk_handler(self, gaps, steps):
+        """Arrival ticks with same-instant ties; each window end either
+        lands exactly on an arrival at or after the clock or moves a
+        drawn number of ticks on."""
+        times, ticks = [], 0
+        for gap in gaps:
+            ticks += gap
+            times.append(ticks * TICK)
+        ends, end = [], 0.0
+        for on_arrival, move in steps:
+            later = [t for t in times if t >= end]
+            end = later[min(move, len(later) - 1)] if on_arrival and later \
+                else end + move * TICK
+            ends.append(end)
+        payloads = self._payloads(times)
+
+        handed = []
+        windowed = Engine()
+        windowed.arrivals(payloads, lambda e: handed.append(e.payload),
+                          handed.extend)
+        taker = Engine()
+        taker.arrivals(payloads, lambda e: None)
+        taken, at = [], 0
+        for end in ends:
+            windowed.run_until(end)
+            stop = taker.take_until(end)
+            taken.extend(payloads[at:stop])
+            at = stop
+            assert (taker.now, taker.events_dispatched, taker.pending) == (
+                windowed.now, windowed.events_dispatched, windowed.pending)
+            assert taken == handed
+        # Both reserved the same marker seqs.
+        assert taker.schedule(end, EventKind.WAKE).seq == \
+            windowed.schedule(end, EventKind.WAKE).seq
+
+    def test_refuses_a_live_heap_event_or_a_hook(self):
+        engine = Engine()
+        engine.arrivals(self._payloads([0.1, 0.2]), lambda e: None)
+        timer = engine.schedule(0.5, EventKind.WAKE)
+        with pytest.raises(EngineError, match="heap"):
+            engine.take_until(0.15)
+        engine.cancel(timer)  # a cancelled event is not live
+        assert engine.take_until(0.15) == 1
+        engine.add_dispatch_hook(lambda e: None)
+        with pytest.raises(EngineError, match="hook"):
+            engine.take_until(0.3)
+        assert (engine.now, engine.events_dispatched) == (0.15, 2)
+
+    def test_refuses_to_move_the_clock_back(self):
+        engine = Engine()
+        engine.take_until(1.0)
+        with pytest.raises(EngineError):
+            engine.take_until(0.5)
 
 
 class TestCancellation:

@@ -234,9 +234,10 @@ WINDOWED = {
 
 def test_unobserved_lone_replica_takes_closed_form(monkeypatch):
     calls = run_rounds_spy(monkeypatch)
-    simulate_serving(small_workload(), PrunedDPBatchScheduler(),
-                     monotone_cost)
-    assert len(calls) == 1
+    for round_limit in (None, 3):
+        simulate_serving(small_workload(), PrunedDPBatchScheduler(),
+                         monotone_cost, ServingConfig(round_limit=round_limit))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("case", sorted(WINDOWED))

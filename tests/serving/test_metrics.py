@@ -1,8 +1,17 @@
 """Latency/throughput metrics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.serving import LatencyStats, Request, response_throughput
+from repro.serving import (
+    LatencyStats,
+    Request,
+    RequestState,
+    response_throughput,
+)
+from repro.serving.driver import tally_requests
+from repro.serving.metrics import completed_requests, completed_throughput
 
 
 def completed(req_id, arrival, completion, seq_len=10):
@@ -126,3 +135,82 @@ class TestPercentiles:
     def test_empty_percentiles_infinite(self):
         stats = LatencyStats.from_requests([])
         assert stats.p99_ms == float("inf")
+
+
+class TestTallyRequests:
+    """The driver's one pass over a finished run against the four
+    passes it replaces: ``completed_requests``, the latency samples of
+    ``LatencyStats.from_completed``, ``completed_throughput`` and the
+    backlog rule."""
+
+    HORIZON = 1.0
+    WINDOW_START = 0.25
+    #: (state, start set, completion set): every terminal state, a
+    #: legacy ``PENDING`` request carrying a completion, and states a
+    #: run never leaves with a completion.
+    SHAPES = [(state, started, done)
+              for state in RequestState
+              for started in (False, True)
+              for done in (False, True)]
+
+    @staticmethod
+    def reference(requests, window_start, horizon):
+        done = completed_requests(requests)
+        backlog = sum(
+            1 for r in requests
+            if r.arrival_s <= horizon and r.state is not RequestState.SHED
+            and (r.start_s is None or r.start_s > horizon))
+        return (done, LatencyStats.from_completed(done),
+                completed_throughput(done, window_start, horizon), backlog)
+
+    def tally(self, requests):
+        done, latencies_ms, in_window, backlog = tally_requests(
+            requests, self.WINDOW_START, self.HORIZON)
+        return (done, LatencyStats.from_values(latencies_ms),
+                in_window / (self.HORIZON - self.WINDOW_START), backlog)
+
+    @staticmethod
+    def request(req_id, arrival, state, start=None, completion=None):
+        r = Request(req_id=req_id, seq_len=10, arrival_s=arrival)
+        r.state = state
+        r.start_s = start
+        r.completion_s = completion
+        return r
+
+    def test_edge_cases_match_the_four_passes(self):
+        requests = [
+            # A legacy path's completion: PENDING with completion_s set.
+            self.request(0, 0.1, RequestState.PENDING, 0.2, 0.5),
+            # Service starting exactly at the horizon is not backlog.
+            self.request(1, 0.9, RequestState.COMPLETED, 1.0, 1.2),
+            self.request(2, 0.9, RequestState.COMPLETED, 1.1, 1.3),
+            self.request(3, 0.5, RequestState.SHED),
+            self.request(4, 0.5, RequestState.TIMED_OUT, 0.6),
+            self.request(5, 0.6, RequestState.FAILED, 1.5),
+            self.request(6, 1.2, RequestState.COMPLETED, 1.2, 1.4),
+            self.request(7, 0.0, RequestState.COMPLETED, 0.0, 0.25),
+            self.request(8, 0.3, RequestState.PENDING),
+        ]
+        got = self.tally(requests)
+        assert got == self.reference(requests, self.WINDOW_START,
+                                     self.HORIZON)
+        done, stats, _, backlog = got
+        assert [r.req_id for r in done] == [0, 1, 2, 6, 7]
+        assert stats.count == 5 and backlog == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 8),  # arrival, quarter ticks
+                              st.sampled_from(range(len(SHAPES))),
+                              st.integers(0, 4),  # start - arrival
+                              st.integers(0, 4)),  # completion - start
+                    max_size=30))
+    def test_matches_the_four_passes(self, draws):
+        requests = []
+        for req_id, (arrival, shape, wait, service) in enumerate(draws):
+            state, started, done = self.SHAPES[shape]
+            start = (arrival + wait) / 4 if started or done else None
+            completion = (arrival + wait + service) / 4 if done else None
+            requests.append(self.request(req_id, arrival / 4, state, start,
+                                         completion))
+        assert self.tally(requests) == self.reference(
+            requests, self.WINDOW_START, self.HORIZON)
