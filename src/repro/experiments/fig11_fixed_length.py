@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from ..gpusim import RTX_2060, TESLA_V100, DeviceSpec
+from ..gpusim import RTX_2060, DeviceSpec
 from ..models import bert_base, build_encoder_graph
 from ..runtime import (
     fastertransformer_runtime,
@@ -43,10 +43,6 @@ class FixedLengthCase:
 
     def speedup(self, baseline: str) -> float:
         return self.baseline_s[baseline] / self.turbo_s
-
-    @property
-    def turbo_is_best(self) -> bool:
-        return all(self.turbo_s <= s for s in self.baseline_s.values())
 
 
 def run_fig11(
@@ -94,7 +90,3 @@ def format_fig11(device: DeviceSpec = RTX_2060) -> str:
         f"turbo beats {n} in {win_count(cases, n)}/{len(cases)}" for n in names
     )
     return f"[{device.name}] {summary}\n{table}"
-
-
-def run_fig11_both() -> Dict[str, List[FixedLengthCase]]:
-    return {"RTX 2060": run_fig11(RTX_2060), "Tesla V100": run_fig11(TESLA_V100)}

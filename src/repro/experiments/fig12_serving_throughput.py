@@ -131,15 +131,6 @@ class ServingBench:
         return self.run_point(system, overload_rate, duration_s, seed).response_throughput
 
 
-def run_fig12(
-    bench: Optional[ServingBench] = None,
-    rates: Sequence[float] = FIG12_RATES,
-    duration_s: float = DEFAULT_DURATION_S,
-) -> Dict[str, List[ServingMetrics]]:
-    bench = bench or ServingBench()
-    return bench.run_sweep(rates, duration_s)
-
-
 def run_table4(
     bench: Optional[ServingBench] = None,
     duration_s: float = DEFAULT_DURATION_S,

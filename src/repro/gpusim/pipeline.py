@@ -109,8 +109,3 @@ def simulate_warp_allreduce(device: DeviceSpec, x_elems: int) -> int:
         issue_cycles=device.issue_cycles,
     )
     return result.total_cycles
-
-
-def simulate_warp_allreduce_per_row(device: DeviceSpec, x_elems: int) -> float:
-    """Amortized scoreboard cycles per reduced row."""
-    return simulate_warp_allreduce(device, x_elems) / x_elems

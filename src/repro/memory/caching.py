@@ -97,11 +97,6 @@ class CachingAllocator(BaseAllocator):
         self._observe_footprint()
         return self._snapshot(before_alloc, before_stall)
 
-    @property
-    def cached_bytes(self) -> int:
-        """Bytes sitting idle in the free pool (footprint minus live)."""
-        return sum(size * len(handles) for size, handles in self._free_pool.items())
-
     def empty_cache(self) -> None:
         """`torch.cuda.empty_cache()` equivalent: return blocks to device."""
         for handles in self._free_pool.values():

@@ -219,15 +219,6 @@ class KVCacheArena:
             * self.bytes_per_token
 
     @property
-    def worst_case_bytes(self) -> int:
-        """Bytes the live regions could grow to (the no-overflow bound):
-        committed residency plus every region's remaining growth budget.
-        Shared pages are counted once; index-only pages not at all (they
-        are reclaimed before growth could ever need their room)."""
-        return (self._resident_tokens - self._reclaimable_tokens
-                + self._growth_tokens) * self.bytes_per_token
-
-    @property
     def live_requests(self) -> int:
         return len(self._regions)
 

@@ -89,12 +89,6 @@ class AllocationPlan:
         """Total bytes of all chunks the plan uses."""
         return sum(self.chunk_sizes.values())
 
-    def chunk_of(self, name: str) -> Placement:
-        try:
-            return self.placements[name]
-        except KeyError:
-            raise PlanError(f"tensor {name!r} has no placement") from None
-
 
 def validate_plan(plan: AllocationPlan, records: Sequence[TensorUsageRecord]) -> None:
     """Raise :class:`PlanError` on any bounds or aliasing violation.

@@ -23,10 +23,6 @@ class AllocatorWorkloadResult:
         return len(self.per_request)
 
     @property
-    def footprint_timeline_mb(self) -> List[float]:
-        return [r.footprint_mb for r in self.per_request]
-
-    @property
     def max_footprint_mb(self) -> float:
         """High-water device memory across the stream (per-request peaks)."""
         return max((r.peak_mb for r in self.per_request), default=0.0)

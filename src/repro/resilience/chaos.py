@@ -174,11 +174,6 @@ class ChaosReport:
         stats = self.chaos.serving.resilience
         return stats.retries / max(1, self.chaos.serving.offered)
 
-    @property
-    def deadline_miss_rate(self) -> float:
-        stats = self.chaos.serving.resilience
-        return stats.timed_out / max(1, self.chaos.serving.offered)
-
 
 def _workload(scenario: ChaosScenario, seed: int) -> List[Request]:
     """Fresh request objects (same values every call) with deadlines."""

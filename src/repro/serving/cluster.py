@@ -51,6 +51,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
                              GenServingMetrics)
 
 
+def balance_ratio(completed: Sequence[int]) -> float:
+    """max/min completed per replica (1.0 = perfectly balanced)."""
+    return max(completed) / max(min(completed), 1)
+
+
 @dataclass(frozen=True)
 class ClusterMetrics:
     """Cluster-wide outcome plus per-server balance statistics."""
@@ -60,9 +65,7 @@ class ClusterMetrics:
 
     @property
     def balance_ratio(self) -> float:
-        """max/min completed per server (1.0 = perfectly balanced)."""
-        low = min(self.per_server_completed)
-        return max(self.per_server_completed) / max(low, 1)
+        return balance_ratio(self.per_server_completed)
 
 
 def simulate_cluster(
@@ -138,8 +141,7 @@ class GenClusterMetrics:
 
     @property
     def balance_ratio(self) -> float:
-        low = min(self.per_replica_completed)
-        return max(self.per_replica_completed) / max(low, 1)
+        return balance_ratio(self.per_replica_completed)
 
 
 def simulate_generation_cluster(
