@@ -501,20 +501,19 @@ class _BatchDriver(Driver):
         limit = self.config.round_limit
         horizon = self.horizon
         completed = RequestState.COMPLETED
+        n = len(arrivals)
+        busy_s = self.busy_s
+        batches = 0
         head = due = 0
-        while True:
+        while head < n:
             if head == due:
-                if due == len(arrivals):
-                    return
                 # Idle: run on to the next arrival instant, whose
                 # arrivals the window takes.
                 due = take_until(arrivals[head].arrival_s)
                 continue
             stop = due if limit is None else min(due, head + limit)
-            taken = arrivals[head:stop]
-            head = stop
             t = engine.now
-            for batch in schedule(taken, price, max_batch):
+            for batch in schedule(arrivals[head:stop], price, max_batch):
                 started = t
                 t = started + batch_execution_cost(batch, price)
                 for r in batch.requests:
@@ -522,10 +521,13 @@ class _BatchDriver(Driver):
                     r.completion_s = t
                     r.state = completed
                 if started < horizon:
-                    self.busy_s += min(t, horizon) - started
-                self.batches_executed += 1
-                rep.completed += batch.size
+                    busy_s += min(t, horizon) - started
+                batches += 1
+            rep.completed += stop - head
+            head = stop
             due = take_until(t)
+        self.busy_s = busy_s
+        self.batches_executed += batches
 
     def result(self, done: List[Request],
                **common: object) -> ServingMetrics:
