@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import abc
 from bisect import bisect_right, insort
-from operator import attrgetter
-from typing import Callable, List, Optional, Sequence
+from itertools import accumulate
+from operator import attrgetter, itemgetter
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .request import Batch, Request, make_batch, trusted_batch
 
 CostFn = Callable[[int, int], float]
+#: ``(order, ends, costs)``, see :meth:`BatchScheduler.partition`.
+Partition = Tuple[List[Request], List[int], List[float]]
 
 _seq_len = attrgetter("seq_len")
 
@@ -35,6 +38,25 @@ class BatchScheduler(abc.ABC):
         self, requests: Sequence[Request], cost_fn: CostFn, max_batch: int
     ) -> List[Batch]:
         """Return batches covering every request exactly once."""
+
+    def partition(
+        self, requests: Sequence[Request], cost_fn: CostFn, max_batch: int
+    ) -> Partition:
+        """The round as ``(order, ends, costs)``: batch ``k`` is
+        ``order[ends[k - 1]:ends[k]]`` (from 0 for the first) and costs
+        ``costs[k]`` seconds, in execution order.
+
+        This default reads :meth:`schedule` and prices each batch with
+        :func:`batch_execution_cost`, so ``cost_override`` and a padded
+        batch dimension price as they execute."""
+        order: List[Request] = []
+        ends: List[int] = []
+        costs: List[float] = []
+        for batch in self.schedule(requests, cost_fn, max_batch):
+            order.extend(batch.requests)
+            ends.append(len(order))
+            costs.append(batch_execution_cost(batch, cost_fn))
+        return order, ends, costs
 
     @staticmethod
     def _check_args(requests: Sequence[Request], max_batch: int) -> None:
@@ -139,11 +161,14 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
       sorted-length prefix (a queue that only grew, the steady state of a
       hungry server), the DP restarts at the first differing position.
 
-    Two shortcuts cut the per-round constant, which dominates when rounds
-    are short: a one-request round is the DP's base case (one batch, no
-    sort or scan), and batches are built with :func:`trusted_batch`,
-    since a contiguous slice of the sorted order padded to its last
-    member cannot fail :class:`Batch`'s checks.
+    :meth:`partition` is the one DP body.  It hands back the batches as
+    index ranges over the sorted order with the row cells the DP priced
+    them with, so a caller that only needs ``(members, cost)`` per batch
+    (the closed-form serving rounds) builds no :class:`Batch` and prices
+    nothing twice.  :meth:`schedule` is ``partition`` plus one
+    :func:`trusted_batch` per slice, since a contiguous slice of the
+    sorted order padded to its last member cannot fail
+    :class:`Batch`'s checks.
 
     Memoized rows and prefix states are invalidated whenever ``cost_fn``
     or ``max_batch`` differ from the previous call (or via
@@ -200,6 +225,24 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
     def schedule(
         self, requests: Sequence[Request], cost_fn: CostFn, max_batch: int
     ) -> List[Batch]:
+        order, ends, _ = self.partition(requests, cost_fn, max_batch)
+        # Each batch is a non-empty contiguous slice of the sorted order,
+        # padded to its last (longest) member: nothing left to validate.
+        batches: List[Batch] = []
+        start = 0
+        for end in ends:
+            batches.append(trusted_batch(tuple(order[start:end]),
+                                         order[end - 1].seq_len))
+            start = end
+        return batches
+
+    def partition(
+        self, requests: Sequence[Request], cost_fn: CostFn, max_batch: int
+    ) -> Partition:
+        """Algorithm 3, resuming at the sorted prefix shared with the
+        previous round.  ``order`` is the length-sorted queue (batches
+        reordered by cost under ``"spt"``), and each cost is the memoised
+        row cell ``cost_fn(L, size)`` the DP priced the batch with."""
         if max_batch <= 0 or not requests:
             self._check_args(requests, max_batch)
         self.rounds += 1
@@ -207,46 +250,6 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
             self.reset()
             self._cost_fn = cost_fn
             self._max_batch = max_batch
-        if len(requests) == 1:
-            batches = [self._single(requests[0], cost_fn, max_batch)]
-        else:
-            batches = self._partition(requests, cost_fn, max_batch)
-        if self.order_batches == "spt":
-            batches.sort(key=lambda b: cost_fn(b.padded_len, b.size))
-        return batches
-
-    def _single(self, request: Request, cost_fn: CostFn,
-                max_batch: int) -> Batch:
-        """The DP's base case, ``states = [0, row[0]]``: one request is
-        one batch.  The memo ends exactly as :meth:`_partition` would
-        leave it — the same lengths, states, starts, rows and counters."""
-        length = request.seq_len
-        lengths = self._lengths
-        states = self._states
-        starts = self._starts
-        if lengths and lengths[0] == length:
-            del lengths[1:]
-            del states[2:]
-            del starts[2:]
-            self.positions_reused += 1
-        else:
-            # Cut before pricing, so a raising cost_fn leaves the memo
-            # consistent (and empty).
-            lengths.clear()
-            del states[1:]
-            del starts[1:]
-            row = self._rows.get(length)
-            if row is None:
-                row = self._row(length, max_batch, cost_fn)
-            states.append(states[0] + row[0])
-            starts.append(0)
-            lengths.append(length)
-        return trusted_batch((request,), length)
-
-    def _partition(self, requests: Sequence[Request], cost_fn: CostFn,
-                   max_batch: int) -> List[Batch]:
-        """Algorithm 3 over two or more requests, resuming at the sorted
-        prefix shared with the previous round."""
         order = sorted(requests, key=_seq_len)
         n = len(order)
         lengths = [r.seq_len for r in order]
@@ -297,16 +300,25 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
         self.positions_reused += prefix
         self.transitions_pruned += pruned
         self._lengths = lengths
-        # Each batch is a non-empty contiguous slice of the sorted order,
-        # padded to its last (longest) member: nothing left to validate.
-        batches: List[Batch] = []
+        # L21-L26: walk the starts back; batch [start, i) pads to
+        # lengths[i - 1] and costs that row's cell at its size.
+        ends: List[int] = []
+        costs: List[float] = []
         i = n
         while i > 0:
             start = starts[i]
-            batches.append(trusted_batch(tuple(order[start:i]), lengths[i - 1]))
+            ends.append(i)
+            costs.append(rows[lengths[i - 1]][i - start - 1])
             i = start
-        batches.reverse()
-        return batches
+        ends.reverse()
+        costs.reverse()
+        if self.order_batches == "spt" and len(ends) > 1:
+            # A stable sort by cost, as DPBatchScheduler sorts its batches.
+            spans = sorted(zip([0] + ends, ends, costs), key=itemgetter(2))
+            order = [r for lo, hi, _ in spans for r in order[lo:hi]]
+            ends = list(accumulate(hi - lo for lo, hi, _ in spans))
+            costs = [cost for _, _, cost in spans]
+        return order, ends, costs
 
     def stats(self) -> dict:
         """Cumulative fast-path counters (for bench/observability)."""
@@ -459,7 +471,10 @@ def contiguous_optimal_makespan(
     Algorithm 3 recurrence, memoised.  It cross-checks the DP's
     implementations, not the sort-then-partition step they share;
     the tests certify that step against an enumeration of every set
-    partition."""
+    partition.  Like every scheduler, it rejects an empty request list
+    and a non-positive ``max_batch``."""
+    BatchScheduler._check_args(requests,
+                               1 if max_batch is None else max_batch)
     order = sorted(requests, key=lambda r: r.seq_len)
     n = len(order)
     if n > 20:

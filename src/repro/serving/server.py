@@ -47,7 +47,8 @@ replica follows:
 
 When nothing can observe a lone replica between batch ends (hungry,
 fault-free, no tracer, registry, cache or sanitizer), a window is a
-whole scheduling round, priced in closed form
+whole scheduling round, priced in closed form from the scheduler's
+:meth:`~repro.serving.scheduler.BatchScheduler.partition`
 (:meth:`_BatchDriver._serve_rounds`).
 
 Observability: pass a :class:`repro.observability.Tracer` and/or a
@@ -482,10 +483,13 @@ class _BatchDriver(Driver):
         no tracer, registry, response cache or sanitizer hook, no fault,
         retry, deadline, breaker or bounded queue, no adaptive scheduler
         and no TRIGGER event (the engine holds no heap event at all).  So
-        each round is priced once, in the same ``started + exec_s`` float
-        sums the windowed path runs ``run_until`` to, its members are
-        resolved (with no resolve hook that is all ``resolve`` does) and
-        the engine takes the round's arrivals in one ``take_until``.
+        each round is the scheduler's ``partition`` — slices of one
+        request order, each with the cost ``batch_execution_cost`` would
+        charge it, which the pruned DP reads off the rows it priced — run
+        in the same ``started + exec_s`` float sums the windowed path
+        runs ``run_until`` to.  No :class:`Batch` is built.  Its members
+        are resolved (with no resolve hook that is all ``resolve`` does)
+        and the engine takes the round's arrivals in one ``take_until``.
 
         Only arrivals feed the queue and rounds drain it in order, so the
         queue is always ``arrivals[head:due]``: ``due`` is the stream
@@ -495,7 +499,7 @@ class _BatchDriver(Driver):
         engine = self.engine
         take_until = engine.take_until
         arrivals = self.arrivals
-        schedule = rep.scheduler.schedule
+        partition = rep.scheduler.partition
         price = self.cost_fn
         max_batch = self.config.max_batch
         limit = self.config.round_limit
@@ -513,16 +517,20 @@ class _BatchDriver(Driver):
                 continue
             stop = due if limit is None else min(due, head + limit)
             t = engine.now
-            for batch in schedule(arrivals[head:stop], price, max_batch):
+            order, ends, costs = partition(arrivals[head:stop], price,
+                                           max_batch)
+            lo = 0
+            for hi, exec_s in zip(ends, costs):
                 started = t
-                t = started + batch_execution_cost(batch, price)
-                for r in batch.requests:
+                t = started + exec_s
+                for r in order[lo:hi]:
                     r.start_s = started
                     r.completion_s = t
                     r.state = completed
                 if started < horizon:
                     busy_s += min(t, horizon) - started
-                batches += 1
+                lo = hi
+            batches += len(ends)
             rep.completed += stop - head
             head = stop
             due = take_until(t)

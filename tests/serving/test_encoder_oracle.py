@@ -18,8 +18,9 @@ nothing observes it, and batch by batch otherwise; an unobserved run and
 one with a ``MetricsRegistry`` take the two paths.  Both are certified
 against the reference, per request and on every ``ServingMetrics``
 field, and a second differential test compares the two paths directly
-over the DP, pruned-DP and packed schedulers, with horizons placed
-inside a multi-batch round and exactly on a batch end.
+over the DP, pruned-DP (both batch orders), no-batch, naive and packed
+schedulers, with horizons placed inside a multi-batch round and exactly
+on a batch end.
 """
 
 import random
@@ -35,6 +36,8 @@ from repro.serving import (
     AdaptiveBatchScheduler,
     DPBatchScheduler,
     LazyPolicy,
+    NaiveBatchScheduler,
+    NoBatchScheduler,
     PackedBatchScheduler,
     PrunedDPBatchScheduler,
     Request,
@@ -146,7 +149,10 @@ def packed_cost(lengths):
 
 SCHEDULERS = {
     "pruned": PrunedDPBatchScheduler,
+    "pruned-spt": lambda: PrunedDPBatchScheduler("spt"),
     "dp": DPBatchScheduler,
+    "nobatch": NoBatchScheduler,
+    "naive": NaiveBatchScheduler,
     "packed": lambda: PackedBatchScheduler(packed_cost, max_tokens=256),
 }
 
@@ -157,7 +163,7 @@ def batch_windows(timeline):
     return sorted({(start, end) for _, start, end in timeline.values()})
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(arrivals=st.lists(ARRIVAL, min_size=1, max_size=40),
        cost_fn=COST,
        scheduler=st.sampled_from(sorted(SCHEDULERS)),

@@ -1,5 +1,6 @@
 """PrunedDPBatchScheduler: identical partitions to the reference DP."""
 
+import math
 import random
 
 import pytest
@@ -8,8 +9,13 @@ from hypothesis import strategies as st
 
 from repro.serving import (
     DPBatchScheduler,
+    FixedPadScheduler,
+    NaiveBatchScheduler,
+    NoBatchScheduler,
+    PackedBatchScheduler,
     PrunedDPBatchScheduler,
     Request,
+    batch_execution_cost,
     schedule_makespan,
 )
 
@@ -385,3 +391,133 @@ STATS_GOLDEN = [
     {"rounds": 760, "cost_calls": 655, "distinct_lengths": 5,
      "positions_reused": 923, "transitions_pruned": 766},
 ]
+
+
+# -- partition(): the DP's own index ranges and row cells ---------------------
+
+
+def random_cost(seq_len, batch):
+    """Arbitrary positive floats, fixed per cell: no structure at all."""
+    return random.Random(seq_len * 64 + batch).uniform(0.1, 10.0)
+
+
+PARTITION_COSTS = (monotone_cost, jagged_cost, random_cost)
+
+
+def slices(order, ends):
+    """Request ids of each batch of a ``partition()`` result."""
+    return [[r.req_id for r in order[lo:hi]]
+            for lo, hi in zip([0] + ends, ends)]
+
+
+class TestPartition:
+    @settings(max_examples=150, deadline=None)
+    @given(initial=st.lists(LENGTH, min_size=1, max_size=10),
+           steps=st.lists(STEP, min_size=1, max_size=25),
+           order=st.sampled_from(("fifo", "spt")),
+           cost=st.integers(0, len(PARTITION_COSTS) - 1))
+    def test_partition_matches_schedule(self, initial, steps, order, cost):
+        """Over round streams that share sorted prefixes, ``partition``
+        hands back the reference DP's batches as slices of ``order``,
+        each priced bit for bit as ``batch_execution_cost`` prices it,
+        and leaves the memo and counters exactly as ``schedule`` does."""
+        cost_fn = PARTITION_COSTS[cost]
+        by_partition = PrunedDPBatchScheduler(order_batches=order)
+        by_schedule = PrunedDPBatchScheduler(order_batches=order)
+        reference = DPBatchScheduler(order_batches=order)
+        queue, max_batch = list(initial), 4
+        for round_no, step in enumerate([("repeat", None)] + steps):
+            if step[0] == "max_batch":
+                max_batch = step[1]
+            elif step[0] == "reset":
+                by_partition.reset()
+                by_schedule.reset()
+            elif step[0] != "cost":
+                queue = apply_step(queue, step)
+            if not queue:
+                queue = [16]
+            want = reference.schedule(reqs(queue), cost_fn, max_batch)
+            got, ends, costs = by_partition.partition(reqs(queue), cost_fn,
+                                                      max_batch)
+            assert slices(got, ends) == partition(want), f"round {round_no}"
+            assert costs == [batch_execution_cost(b, cost_fn)
+                             for b in want], f"round {round_no}"
+            assert batch_keys(by_schedule.schedule(
+                reqs(queue), cost_fn, max_batch)) == batch_keys(want)
+        assert by_partition.stats() == by_schedule.stats()
+        for attr in ("_lengths", "_states", "_starts", "_rows", "_prunable"):
+            assert getattr(by_partition, attr) == getattr(by_schedule, attr)
+
+    @pytest.mark.parametrize("make", [
+        DPBatchScheduler,
+        NoBatchScheduler,
+        NaiveBatchScheduler,
+        lambda: FixedPadScheduler(pad_len=512, batch_size=4),
+        lambda: PackedBatchScheduler(
+            lambda lengths: 1e-3 * (1 + sum(lengths)), max_tokens=256),
+    ], ids=["dp", "nobatch", "naive", "fixedpad", "packed"])
+    def test_base_default_agrees_with_schedule(self, make):
+        """The base class derives ``partition`` from ``schedule``: the
+        same members in the same order, priced with ``cost_override``
+        and a padded batch dimension where a batch has them."""
+        rng = random.Random(5)
+        for _ in range(40):
+            queue = reqs([rng.randrange(1, 33) * 16
+                          for _ in range(rng.randrange(1, 20))])
+            max_batch = rng.randrange(1, 9)
+            batches = make().schedule(queue, jagged_cost, max_batch)
+            order, ends, costs = make().partition(queue, jagged_cost,
+                                                  max_batch)
+            assert slices(order, ends) == partition(batches)
+            assert costs == [batch_execution_cost(b, jagged_cost)
+                             for b in batches]
+
+
+# -- the measured RTX 2060 table ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def warmed_table():
+    """BERT-base on the RTX 2060, warmed over the serving grid (lengths
+    16..512 by 16, batches 1..20): the table the Fig. 12 server uses."""
+    from repro.gpusim import RTX_2060
+    from repro.models import bert_base, build_encoder_graph
+    from repro.runtime import turbo_runtime, warmup_profile
+
+    runtime = turbo_runtime(graph=build_encoder_graph(bert_base()),
+                            device=RTX_2060)
+    return warmup_profile(runtime, 20, range(16, 513, 16))
+
+
+class TestWarmedTable:
+    def test_seven_cells_break_monotonicity(self, warmed_table):
+        """The measured table is not monotone: four batch sizes of the
+        shortest bucket and three lengths at batch 1 price below their
+        smaller neighbour.  So pruning is off on the serving path."""
+        cost, grid = warmed_table.cost, warmed_table.lengths
+        in_batch = [(length, b) for length in grid for b in range(2, 21)
+                    if cost(length, b) < cost(length, b - 1)]
+        in_length = [(length, b) for shorter, length in zip(grid, grid[1:])
+                     for b in range(1, 21)
+                     if cost(length, b) < cost(shorter, b)]
+        assert in_batch == [(16, 5), (16, 9), (16, 13), (16, 17)]
+        assert in_length == [(80, 1), (144, 1), (208, 1)]
+        scheduler = PrunedDPBatchScheduler()
+        scheduler.partition(reqs(grid), cost, 20)
+        assert not scheduler._prunable
+
+    def test_dp_is_optimal_over_every_set_partition(self, warmed_table):
+        """Sorting and cutting contiguously is optimal only when cost is
+        monotone in length; on this table it still found the optimum of
+        every small instance.  The oracle adds its batches in another
+        order, so the totals agree to rounding, not bit for bit."""
+        cost = warmed_table.cost
+        rng = random.Random(2060)
+        scheduler = PrunedDPBatchScheduler()
+        for trial in range(2000):
+            lengths = [rng.randint(5, 500) for _ in range(rng.randint(1, 7))]
+            max_batch = rng.randint(1, 7)
+            _, _, costs = scheduler.partition(reqs(lengths), cost, max_batch)
+            want = set_partition_optimum(lengths, cost, max_batch)
+            assert math.isclose(sum(costs), want, rel_tol=1e-12), \
+                f"trial {trial}: lengths={lengths} max_batch={max_batch}"

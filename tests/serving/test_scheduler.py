@@ -194,6 +194,20 @@ class TestSetPartitionOracle:
         assert DPBatchScheduler().optimal_makespan(
             reqs([10, 20, 30]), cost, 2) == 101
 
+    @pytest.mark.parametrize("requests,max_batch,match", [
+        ([], 4, "empty request list"),
+        ([], None, "empty request list"),
+        ([10, 20], 0, "max_batch must be positive"),
+        ([10, 20], -1, "max_batch must be positive"),
+    ])
+    def test_contiguous_reference_rejects_what_schedulers_reject(
+            self, requests, max_batch, match):
+        """No ``inf`` for a zero cap and no ``0.0`` for an empty queue:
+        the reference refuses both, with the schedulers' messages."""
+        with pytest.raises(ValueError, match=match):
+            contiguous_optimal_makespan(reqs(requests), affine_cost(),
+                                        max_batch)
+
 
 class TestBaselineSchedulers:
     def test_nobatch_singletons(self):
