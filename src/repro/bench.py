@@ -1007,11 +1007,18 @@ def _verify_scheduler(seed: int) -> List[str]:
     smaller neighbour), which turns it off as in production.  Two round
     streams on one stateful scheduler each: random queues, and a
     singleton-heavy stream whose one-request rounds repeat or break the
-    previous round's sorted prefix."""
+    previous round's sorted prefix.  A second pruned instance answers
+    each round through ``partition``, which the closed-form serving
+    rounds call: its slices must hold the reference batches' ids and
+    its costs must equal ``batch_execution_cost`` bit for bit."""
     import random
 
     from .serving.request import Request
-    from .serving.scheduler import DPBatchScheduler, PrunedDPBatchScheduler
+    from .serving.scheduler import (
+        DPBatchScheduler,
+        PrunedDPBatchScheduler,
+        batch_execution_cost,
+    )
 
     def monotone(length: int, batch: int) -> float:
         return (1.0 + 0.002 * length) * (0.3 + 0.1 * batch) * 1e-3
@@ -1038,22 +1045,35 @@ def _verify_scheduler(seed: int) -> List[str]:
             rng = random.Random(seed)
             ref_sched = DPBatchScheduler()
             fast_sched = PrunedDPBatchScheduler()
+            part_sched = PrunedDPBatchScheduler()
             for trial in range(200):
                 if trial % 50 == 0:
                     max_batch = rng.randrange(1, 16)
                 queue = [Request(req_id=i, seq_len=length, arrival_s=0.0)
                          for i, length in enumerate(draw(rng))]
+                tag = (f"scheduler: {cost_name} cost, {stream} round "
+                       f"{trial} (n={len(queue)}, max_batch={max_batch})")
+                ref_batches = ref_sched.schedule(queue, cost_fn, max_batch)
                 want = [(tuple(r.req_id for r in b.requests), b.padded_len)
-                        for b in ref_sched.schedule(queue, cost_fn,
-                                                    max_batch)]
+                        for b in ref_batches]
                 got = [(tuple(r.req_id for r in b.requests), b.padded_len)
                        for b in fast_sched.schedule(queue, cost_fn,
                                                     max_batch)]
                 if got != want:
-                    problems.append(
-                        f"scheduler: {cost_name} cost, {stream} round "
-                        f"{trial} (n={len(queue)}, max_batch={max_batch}): "
-                        f"{got} != {want}")
+                    problems.append(f"{tag}: {got} != {want}")
+                order, ends, costs = part_sched.partition(queue, cost_fn,
+                                                          max_batch)
+                got_ids = [tuple(r.req_id for r in order[lo:hi])
+                           for lo, hi in zip([0] + ends, ends)]
+                want_ids = [ids for ids, _ in want]
+                if got_ids != want_ids:
+                    problems.append(f"{tag}: partition {got_ids} != "
+                                    f"{want_ids}")
+                want_costs = [batch_execution_cost(b, cost_fn)
+                              for b in ref_batches]
+                if costs != want_costs:
+                    problems.append(f"{tag}: partition costs {costs} != "
+                                    f"{want_costs}")
             if fast_sched._prunable != (cost_fn is monotone):
                 problems.append(
                     f"scheduler: {cost_name} cost, {stream} rounds left "
