@@ -336,8 +336,8 @@ class TestDifferentialRounds:
             want = reference.schedule(reqs(queue), cost_fn, max_batch)
             assert batch_keys(got) == batch_keys(want), \
                 f"round {round_no} after {step}: queue={queue}"
-            # The memo the next round resumes from, whichever path
-            # (one-request or general) this round took.
+            # The memo the next round resumes from, one-request rounds
+            # included.
             lengths = sorted(queue)
             assert pruned._lengths == lengths, f"round {round_no}"
             assert (pruned._states, pruned._starts) == reference_memo(
