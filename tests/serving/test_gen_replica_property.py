@@ -1,7 +1,7 @@
 """Property test: one GenReplica loop under random traffic and faults.
 
 Random arrivals (same-instant ones included, and ones tied with the
-busy-window ends of the earliest instant's requests served alone),
+step ends of the earliest instant's requests served alone),
 random fault plans (crash, latency spike, transient failures), 1–3
 replicas, chunked prefill and the prefix cache on or off — every run
 must pass the engine-trace sanitizer with no ERROR, resolve every
@@ -59,15 +59,19 @@ HEADS = (tuple(range(1, 17)), tuple(range(101, 133)))
 times = st.floats(min_value=0.0, max_value=0.06, allow_nan=False)
 
 
-def window_ends(first: list, config: ContinuousBatchingConfig) -> list:
-    """Busy-window ends of the same-instant requests ``first`` served
-    alone by a fault-free replica: the WAKE instants after their arrival
-    (prefill or round, then each decode step)."""
-    with EngineTraceRecorder() as rec:
-        ContinuousBatchingServer(RUNTIME, arena(), config).serve(
-            [replace(r) for r in first], duration_s=0.1)
-    return sorted({t for _seq, _idx, _now, t, kind in rec.dispatches
-                   if kind == EventKind.WAKE and t > first[0].arrival_s})
+def step_ends(first: list, config: ContinuousBatchingConfig) -> list:
+    """Step-end instants of the same-instant requests ``first`` served
+    alone by a fault-free replica: each one's first token (the end of its
+    prefill or round) and its completion (the end of its last decode
+    step).  They come from the requests, not from the engine's windows,
+    so how the code under test groups steps into windows does not move
+    them."""
+    alone = [replace(r) for r in first]
+    ContinuousBatchingServer(RUNTIME, arena(), config).serve(
+        alone, duration_s=0.1)
+    return sorted({t for r in alone for t in (r.first_token_s,
+                                             r.completion_s)
+                   if t is not None and t > first[0].arrival_s})
 
 
 @st.composite
@@ -86,13 +90,13 @@ def requests(draw, config=ContinuousBatchingConfig()):
         out.append(GenRequest(req_id=i, seq_len=len(prompt),
                               arrival_s=arrival, max_new_tokens=new_tokens,
                               prompt_ids=prompt))
-    # Later requests may arrive exactly on a window end of the earliest
+    # Later requests may arrive exactly on a step end of the earliest
     # instant's requests (served alone until the next arrival), so
     # ordering at window boundaries — ARRIVAL and RETRY before the
     # window's WAKE — is exercised.
     t0 = min(r.arrival_s for r in out)
     first = [r for r in out if r.arrival_s == t0]
-    ends = window_ends(first, config)
+    ends = step_ends(first, config)
     for r in out:
         if r.arrival_s > t0 and ends and draw(st.booleans()):
             r.arrival_s = draw(st.sampled_from(ends))

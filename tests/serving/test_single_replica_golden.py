@@ -8,8 +8,12 @@ Three seeded runs on the tiny GPT must reproduce every request's
 attempt)`` from ``golden_single_replica.json`` exactly:
 
 * ``chat-ties`` — chunked prefill, prefix cache on, a templated chat
-  mix, and every third arrival moved onto a busy-window end of the run
-  so far, so arrivals tie with decode-step and round ends;
+  mix whose arrival times are pinned in
+  ``golden_chat_ties_arrivals.json``: every third arrival was moved onto
+  a busy-window end of the run so far, so arrivals tie with decode-step
+  and round ends.  The list is data, not derived from the code under
+  test, so the workload does not change when the window structure does
+  (a test checks the ties still land on window ends);
 * ``evict-no-retry`` — a tight arena with KV-pressure preemption and a
   crash, but no ``RetryPolicy``: every preempted attempt re-enters
   through a RETRY at the eviction instant, and every attempt the crash
@@ -52,6 +56,7 @@ from repro.serving import (
 )
 
 GOLDEN = Path(__file__).parent / "golden_single_replica.json"
+CHAT_TIES_ARRIVALS = Path(__file__).parent / "golden_chat_ties_arrivals.json"
 MODEL = tiny_gpt()
 BPT = kv_bytes_per_token(MODEL.num_layers, MODEL.num_heads, MODEL.head_size)
 RUNTIME = GenerationRuntime(build_prefill_graph(MODEL),
@@ -95,35 +100,17 @@ def _wake_times(serve: Callable[[List[GenRequest]], None],
                    if kind == EventKind.WAKE})
 
 
-def _on_window_ends(serve: Callable[[List[GenRequest]], None],
-                    specs: List[tuple], every: int) -> List[tuple]:
-    """Move every ``every``-th arrival onto the first window end at or
-    after it of the run of the requests before it.  Later arrivals never
-    change the run before their own instant, so that end is a window end
-    of the full run too; arrivals it would overtake move with it (same
-    instant), which keeps the list sorted."""
-    specs = list(specs)
-    for i in range(every, len(specs), every):
-        arrival = specs[i][0]
-        starts = {a for a, _ids, _new in specs[:i]}
-        later = [t for t in _wake_times(serve, specs[:i])
-                 if t >= arrival and t not in starts]
-        if not later:
-            continue
-        t = later[0]
-        for j in range(i, len(specs)):
-            if specs[j][0] < t:
-                specs[j] = (t,) + specs[j][1:]
-    return specs
-
-
 def _chat_ties():
     config = ContinuousBatchingConfig(chunk_tokens=8, prefix_cache=True)
 
     def serve(reqs: List[GenRequest]) -> None:
         _server(1024, config, None).serve(reqs, duration_s=0.2)
 
-    return serve, _on_window_ends(serve, _population(800.0, 0.2, 11), 3)
+    arrivals = json.loads(CHAT_TIES_ARRIVALS.read_text())
+    population = _population(800.0, 0.2, 11)
+    assert len(arrivals) == len(population)
+    return serve, [(arrival,) + spec[1:]
+                   for arrival, spec in zip(arrivals, population)]
 
 
 def _evict_no_retry():
