@@ -41,7 +41,9 @@ Commands
     the radix prefix cache on (and on + chunked) vs off on multi-tenant
     prefix-population workloads, must produce identical per-request
     token streams and completion sets (and admission orders for the
-    prefix-cache pairs), and TTFT p99 must not regress.
+    prefix-cache pairs), and TTFT p99 must not regress; the compiled
+    prefill and decode pricing must equal the interpretive one, timings
+    and totals, on every shape those runs priced.
     ``--verify`` instead runs the cross-layer equivalence verifier
     (compiled vs. interpretive pricing — encoder runtimes, both
     generation graphs over every shape a gen-profile run prices, and the
@@ -242,7 +244,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("bench --verify-gen: chunked prefill + overlap and radix "
               "prefix caching preserve per-request token streams, "
               "admission order and completion sets; TTFT p99 does not "
-              "regress")
+              "regress; compiled pricing equals the interpretive path on "
+              "every priced shape")
         return 0
 
     payload = run_bench(args.profile, seed=args.seed,

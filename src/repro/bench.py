@@ -509,6 +509,9 @@ def verify_gen_equivalence(profile_name: str = "gen", seed: int = 0,
       admission orders must match too.
 
     TTFT p99 may not regress for the chunked and the cache-on configs.
+    Last, the runtime's compiled prefill and decode models are checked
+    against the interpretive pricing (timings and the float ``total``
+    path, bit for bit) on every shape these runs priced.
     Returns a list of problems (empty = gate passed).
     """
     profile = PROFILES[profile_name]
@@ -555,6 +558,15 @@ def verify_gen_equivalence(profile_name: str = "gen", seed: int = 0,
                  ("prefix+chunked", {"prefix_cache": True, **chunked},
                   False)],
                 same_order=True))
+    rt = bench.runtime
+    problems += _verify_compiled(
+        "gen prefill", rt.prefill_model, rt.prefill_graph.nodes,
+        [{"batch": b, "seq": n} for b, n in sorted(rt._prefill_cache)],
+        rt.chars, rt.device, say)
+    problems += _verify_compiled(
+        "gen decode", rt.decode_model, rt.decode_graph.nodes,
+        [{"batch": b, "past": n} for b, n in sorted(rt._decode_cache)],
+        rt.chars, rt.device, say)
     return problems
 
 

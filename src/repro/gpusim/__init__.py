@@ -10,9 +10,13 @@ from .device import RTX_2060, TESLA_M40, TESLA_V100, DeviceSpec, get_device
 from .kernel import (
     FP32_BYTES,
     KernelTiming,
+    Terms,
+    elementwise_terms,
     elementwise_time,
+    gemm_terms,
     gemm_time,
     gemm_utilization,
+    kernel_total_s,
     memcpy_time,
 )
 from .memory import CUDA_MALLOC_STALL_S, DeviceMemory, OutOfDeviceMemoryError
@@ -36,8 +40,10 @@ from .multistream import (
 from .roofline import RooflinePoint, RooflineReport, ridge_point, roofline_report
 from .reduction import (
     ReductionImpl,
+    layernorm_terms,
     layernorm_time,
     reduction_speedup,
+    softmax_terms,
     softmax_time,
 )
 from .stream import Stream
@@ -56,8 +62,12 @@ __all__ = [
     "RTX_2060",
     "TESLA_M40",
     "KernelTiming",
+    "Terms",
+    "kernel_total_s",
+    "gemm_terms",
     "gemm_time",
     "gemm_utilization",
+    "elementwise_terms",
     "elementwise_time",
     "memcpy_time",
     "FP32_BYTES",
@@ -76,7 +86,9 @@ __all__ = [
     "ridge_point",
     "roofline_report",
     "ReductionImpl",
+    "softmax_terms",
     "softmax_time",
+    "layernorm_terms",
     "layernorm_time",
     "reduction_speedup",
     "Stream",

@@ -9,12 +9,19 @@ bandwidth-bound, and every kernel pays the host launch latency.  GEMM
 efficiency additionally degrades for small problems that cannot fill the
 device (this is what makes batching profitable, Fig. 8, and what makes the
 per-kernel launch overhead dominate tiny inferences, §4.1.1).
+
+Each kernel model has a float core, ``*_terms``, returning ``(compute_s,
+memory_s)``, and a wrapper, ``*_time``, stamping those terms into a
+:class:`KernelTiming`.  The arithmetic lives only in the core; a caller
+that needs just the total (the compiled cost model's running sum) adds
+:func:`kernel_total_s` of the terms without building a timing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 from .device import DeviceSpec
 
@@ -29,6 +36,27 @@ GEMM_TILE = 64
 
 #: Fraction of peak FLOPs elementwise kernels can sustain (no FMA chains).
 ELEMENTWISE_PEAK_EFFICIENCY = 0.25
+
+#: A kernel's ``(compute_s, memory_s)``: the float core of its timing.
+Terms = Tuple[float, float]
+
+
+def _check_term(field: str, value: float) -> None:
+    if value < 0 or not math.isfinite(value):
+        raise ValueError(f"{field} must be finite and >= 0, got {value}")
+
+
+def kernel_total_s(launch_s: float, compute_s: float,
+                   memory_s: float) -> float:
+    """``launch_s + max(compute_s, memory_s)``: the
+    :attr:`KernelTiming.total_s` of these terms, checked the same way
+    (finite and >= 0), without building the timing."""
+    if not (0.0 <= launch_s < math.inf and 0.0 <= compute_s < math.inf
+            and 0.0 <= memory_s < math.inf):
+        _check_term("launch_s", launch_s)
+        _check_term("compute_s", compute_s)
+        _check_term("memory_s", memory_s)
+    return launch_s + max(compute_s, memory_s)
 
 
 @dataclass(frozen=True)
@@ -46,9 +74,7 @@ class KernelTiming:
 
     def __post_init__(self) -> None:
         for field in ("launch_s", "compute_s", "memory_s"):
-            value = getattr(self, field)
-            if value < 0 or not math.isfinite(value):
-                raise ValueError(f"{field} must be finite and >= 0, got {value}")
+            _check_term(field, getattr(self, field))
 
     @property
     def device_s(self) -> float:
@@ -120,16 +146,16 @@ def gemm_utilization(device: DeviceSpec, m: int, n: int, batch: int = 1) -> floa
     return min(1.0, math.sqrt(tiles / slots))
 
 
-def gemm_time(
+def gemm_terms(
     device: DeviceSpec,
     m: int,
     n: int,
     k: int,
     batch: int = 1,
-    name: str = "gemm",
     elem_bytes: int = FP32_BYTES,
-) -> KernelTiming:
-    """Price a (possibly batched) GEMM: C[m,n] += A[m,k] @ B[k,n].
+) -> Terms:
+    """``(compute_s, memory_s)`` of a (possibly batched) GEMM:
+    C[m,n] += A[m,k] @ B[k,n].
 
     ``elem_bytes`` selects the precision: 4 for FP32 (the paper's serving
     mode), 2 for FP16 — halving traffic and doubling the arithmetic rate
@@ -145,6 +171,20 @@ def gemm_time(
     rate = device.peak_fp32_flops * (FP32_BYTES / elem_bytes)
     compute_s = flops / (rate * efficiency)
     memory_s = bytes_moved / device.mem_bandwidth_bytes
+    return compute_s, memory_s
+
+
+def gemm_time(
+    device: DeviceSpec,
+    m: int,
+    n: int,
+    k: int,
+    batch: int = 1,
+    name: str = "gemm",
+    elem_bytes: int = FP32_BYTES,
+) -> KernelTiming:
+    """Price a (possibly batched) GEMM (see :func:`gemm_terms`)."""
+    compute_s, memory_s = gemm_terms(device, m, n, k, batch, elem_bytes)
     return KernelTiming(
         name=name,
         launch_s=device.launch_overhead_s,
@@ -158,16 +198,16 @@ def _check_elem_bytes(elem_bytes: int) -> None:
         raise ValueError(f"elem_bytes must be 2 (FP16) or 4 (FP32), got {elem_bytes}")
 
 
-def elementwise_time(
+def elementwise_terms(
     device: DeviceSpec,
     nelems: int,
     reads: int = 1,
     writes: int = 1,
     flops_per_elem: float = 1.0,
-    name: str = "elementwise",
     elem_bytes: int = FP32_BYTES,
-) -> KernelTiming:
-    """Price an elementwise kernel touching ``nelems`` values.
+) -> Terms:
+    """``(compute_s, memory_s)`` of an elementwise kernel touching
+    ``nelems`` values.
 
     ``reads``/``writes`` count full passes over the data; fusing kernels is
     modeled exactly as reducing these pass counts (and the launch count).
@@ -182,6 +222,21 @@ def elementwise_time(
         device.peak_fp32_flops * ELEMENTWISE_PEAK_EFFICIENCY
     )
     memory_s = bytes_moved / device.mem_bandwidth_bytes
+    return compute_s, memory_s
+
+
+def elementwise_time(
+    device: DeviceSpec,
+    nelems: int,
+    reads: int = 1,
+    writes: int = 1,
+    flops_per_elem: float = 1.0,
+    name: str = "elementwise",
+    elem_bytes: int = FP32_BYTES,
+) -> KernelTiming:
+    """Price an elementwise kernel (see :func:`elementwise_terms`)."""
+    compute_s, memory_s = elementwise_terms(device, nelems, reads, writes,
+                                            flops_per_elem, elem_bytes)
     return KernelTiming(
         name=name,
         launch_s=device.launch_overhead_s,

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 from .device import DeviceSpec
-from .kernel import FP32_BYTES, KernelTiming
+from .kernel import FP32_BYTES, KernelTiming, Terms
 from .warp import (
     boundary_divergence_cycles,
     smem_tree_reduce_cycles,
@@ -148,10 +148,8 @@ def _pytorch_geometry(device: DeviceSpec, row_len: int) -> BlockGeometry:
     )
 
 
-def _reduction_timing(
-    name: str, device: DeviceSpec, stall_s: float, memory_s: float
-) -> KernelTiming:
-    """Assemble a reduction kernel's timing.
+def _reduction_terms(stall_s: float, memory_s: float) -> Terms:
+    """Assemble a reduction kernel's ``(compute_s, memory_s)``.
 
     Unlike streaming kernels, a reduction's barrier/shuffle stalls do NOT
     overlap its memory traffic — while a block sits at ``__syncthreads`` or
@@ -160,23 +158,19 @@ def _reduction_timing(
     so that ``KernelTiming.device_s`` (a max) yields the additive total;
     ``memory_s`` still reports pure traffic for attribution.
     """
-    return KernelTiming(
-        name=name,
-        launch_s=device.launch_overhead_s,
-        compute_s=memory_s + stall_s,
-        memory_s=memory_s,
-    )
+    return memory_s + stall_s, memory_s
 
 
-def softmax_time(
+def softmax_terms(
     device: DeviceSpec,
     rows: int,
     row_len: int,
     impl: ReductionImpl = ReductionImpl.TURBO,
     x_elems: int = 2,
     elem_bytes: int = FP32_BYTES,
-) -> KernelTiming:
-    """Price a batched softmax kernel: ``rows`` independent rows of ``row_len``.
+) -> Terms:
+    """``(compute_s, memory_s)`` of a batched softmax kernel: ``rows``
+    independent rows of ``row_len``.
 
     The kernel computes ``max`` per row, then ``exp(x - max)``, then ``sum``
     per row, then the divide — two sequential reductions with elementwise
@@ -246,18 +240,33 @@ def softmax_time(
     groups = math.ceil(rows / group_rows)
     stall_s = _compute_seconds(device, group_cycles, groups, geometry)
     memory_s = elem_bytes * rows * row_len * memory_passes / device.mem_bandwidth_bytes
-    return _reduction_timing(f"softmax[{impl.value}]", device, stall_s, memory_s)
+    return _reduction_terms(stall_s, memory_s)
 
 
-def layernorm_time(
+def softmax_time(
+    device: DeviceSpec,
+    rows: int,
+    row_len: int,
+    impl: ReductionImpl = ReductionImpl.TURBO,
+    x_elems: int = 2,
+    elem_bytes: int = FP32_BYTES,
+) -> KernelTiming:
+    """Price a batched softmax kernel (see :func:`softmax_terms`)."""
+    compute_s, memory_s = softmax_terms(device, rows, row_len, impl,
+                                        x_elems, elem_bytes)
+    return KernelTiming(f"softmax[{impl.value}]", device.launch_overhead_s,
+                        compute_s, memory_s)
+
+
+def layernorm_terms(
     device: DeviceSpec,
     rows: int,
     row_len: int,
     impl: ReductionImpl = ReductionImpl.TURBO,
     one_pass_variance: bool | None = None,
     elem_bytes: int = FP32_BYTES,
-) -> KernelTiming:
-    """Price a batched LayerNorm kernel.
+) -> Terms:
+    """``(compute_s, memory_s)`` of a batched LayerNorm kernel.
 
     ``one_pass_variance`` selects the Eq. 1 trick (reduce ``x`` and ``x²``
     together as a 2-element batch).  It defaults to True for ``TURBO`` and
@@ -302,7 +311,22 @@ def layernorm_time(
 
     stall_s = _compute_seconds(device, group_cycles, rows, geometry)
     memory_s = elem_bytes * rows * row_len * memory_passes / device.mem_bandwidth_bytes
-    return _reduction_timing(f"layernorm[{impl.value}]", device, stall_s, memory_s)
+    return _reduction_terms(stall_s, memory_s)
+
+
+def layernorm_time(
+    device: DeviceSpec,
+    rows: int,
+    row_len: int,
+    impl: ReductionImpl = ReductionImpl.TURBO,
+    one_pass_variance: bool | None = None,
+    elem_bytes: int = FP32_BYTES,
+) -> KernelTiming:
+    """Price a batched LayerNorm kernel (see :func:`layernorm_terms`)."""
+    compute_s, memory_s = layernorm_terms(device, rows, row_len, impl,
+                                          one_pass_variance, elem_bytes)
+    return KernelTiming(f"layernorm[{impl.value}]", device.launch_overhead_s,
+                        compute_s, memory_s)
 
 
 def reduction_speedup(

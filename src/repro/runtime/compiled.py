@@ -15,20 +15,28 @@ resolution once per graph:
 * nodes whose dims have no free symbols are constant-folded at compile
   time;
 * each cell records the free symbols it depends on, and :meth:`total`
-  memoises the cell's ``total_s`` by their values — a decode-step GEMM
+  memoises the cell's total seconds by their values — a decode-step GEMM
   over ``batch`` alone is priced once per batch width, not once per
   ``(batch, past)`` shape.
 
-Evaluation is then a tight O(nodes) loop over cell results, feeding the
-resolved ints to the *same* pricing functions
-(:func:`~repro.runtime.cost.price_gemm` /
-:func:`~repro.runtime.cost.price_reduction` /
-:func:`~repro.runtime.cost.price_elementwise`) the interpretive path uses.
-Both paths therefore execute identical floating-point operations on
-identical inputs in identical order — bit-identical timings by
-construction, asserted by :func:`verify_equivalence` and the test suite.
-(Sharing a cell across same-shaped nodes is exact, not approximate: the
-node name is display metadata that never enters the arithmetic.)
+A cell evaluates to the float terms ``(compute_s, memory_s)``: it feeds
+the resolved ints to the *same* float cores
+(:func:`~repro.runtime.cost.gemm_node_terms` /
+:func:`~repro.runtime.cost.reduction_node_terms` /
+:func:`~repro.gpusim.elementwise_terms`) the interpretive path's
+``price_*`` wrappers call, and a fused cell adds its parts' terms in
+region order, as ``graph_cost`` does.  Evaluation is then a tight
+O(nodes) loop over cell results.  :meth:`CompiledCostModel.total` sums
+``launch + max(compute, memory)`` per node as plain floats
+(:func:`~repro.gpusim.kernel_total_s`, checked like a
+:class:`~repro.gpusim.KernelTiming`) and builds no timing object;
+:meth:`CompiledCostModel.timings` stamps each node's name onto the same
+terms.  Both paths therefore execute identical floating-point operations
+on identical inputs in identical order — bit-identical timings and
+totals by construction, asserted by :func:`verify_equivalence` and the
+test suite.  (Sharing a cell across same-shaped nodes is exact, not
+approximate: the node name is display metadata that never enters the
+arithmetic.)
 
 The compiled path assumes positive integer bindings (the runtime validates
 request shapes before it gets here); unbound symbols raise ``KeyError``
@@ -49,23 +57,23 @@ from typing import (
     Tuple,
 )
 
-from ..gpusim import DeviceSpec, KernelTiming
+from ..gpusim import DeviceSpec, KernelTiming, Terms, elementwise_terms, \
+    kernel_total_s
 from ..graph import ComputationGraph, DimBindings, OpNode, OpType
 from .cost import (
     DimProduct,
     RuntimeCharacteristics,
+    gemm_node_terms,
     graph_cost,
-    price_elementwise,
-    price_gemm,
-    price_reduction,
+    reduction_node_terms,
 )
 
 #: A lowered dim product: concrete factor plus the free symbol names whose
 #: bound values multiply it at evaluation time.
 LoweredDim = Tuple[int, Tuple[str, ...]]
 
-#: A compiled pricing cell: bindings -> canonical timing (no node name).
-CellEval = Callable[[DimBindings], KernelTiming]
+#: A compiled pricing cell: bindings -> ``(compute_s, memory_s)``.
+CellEval = Callable[[DimBindings], Terms]
 
 #: The free symbol names a cell's timing depends on, sorted.
 Symbols = Tuple[str, ...]
@@ -151,6 +159,8 @@ class CompiledCostModel:
     ) -> None:
         self.chars = chars
         self.device = device
+        #: Every kernel's launch overhead (each kernel model charges it).
+        self.launch_s = device.launch_overhead_s
         self.node_count = len(nodes)
         self.evals = 0
         self._cells: List[CellEval] = []
@@ -168,8 +178,8 @@ class CompiledCostModel:
                 index = len(self._cells)
                 fn, symbols = build()
                 if not symbols:
-                    timing = fn({})  # constant-fold once at compile time
-                    fn = lambda b, t=timing: t  # noqa: E731 - tiny thunk
+                    terms = fn({})  # constant-fold once at compile time
+                    fn = lambda b, t=terms: t  # noqa: E731 - tiny thunk
                 self._cells.append(fn)
                 self._cell_symbols.append(symbols)
                 self._cell_index[key] = index
@@ -200,8 +210,8 @@ class CompiledCostModel:
             def build() -> Tuple[CellEval, Symbols]:
                 m, n, k = (_dim_eval(d) for d in dims)
                 bt = _dim_eval(batch)
-                return (lambda b: price_gemm(m(b), n(b), k(b), bt(b), chars,
-                                             device, name),
+                return (lambda b: gemm_node_terms(m(b), n(b), k(b), bt(b),
+                                                  chars, device),
                         _free_symbols(*dims, batch))
 
             return ("g", dims, batch), name, build
@@ -223,13 +233,12 @@ class CompiledCostModel:
         rows = lower_product(attrs["rows"])
         row_len = lower_product(attrs["row_len"])
 
-        # price_reduction stamps f"{impl name}:{node name}" — the node name
-        # is display-only, so cells may still be shared across nodes; the
-        # cell carries the first sharer's name and timings() re-stamps.
+        # The node name is display-only, so cells may still be shared
+        # across nodes; timings() stamps each node's own name.
         def build() -> Tuple[CellEval, Symbols]:
             r, l = _dim_eval(rows), _dim_eval(row_len)
-            return (lambda b: price_reduction(r(b), l(b), op_type, name,
-                                              chars, device),
+            return (lambda b: reduction_node_terms(r(b), l(b), op_type,
+                                                   chars, device),
                     _free_symbols(rows, row_len))
 
         impl = chars.reduction_impl.value
@@ -262,8 +271,8 @@ class CompiledCostModel:
 
         def build() -> Tuple[CellEval, Symbols]:
             ne = _dim_eval(nelems)
-            return (lambda b: price_elementwise(ne(b), reads, writes, flops,
-                                                device, kname, elem_bytes),
+            return (lambda b: elementwise_terms(device, ne(b), reads, writes,
+                                                flops, elem_bytes),
                     _free_symbols(nelems))
 
         return ("e", nelems, reads, writes, flops), kname, build
@@ -285,22 +294,20 @@ class CompiledCostModel:
                     f"fused node {node.name!r} contains unfusable op {op_type}"
                 )
         name = f"fused:{node.name}"
-        launch_s = self.device.launch_overhead_s
 
         def build() -> Tuple[CellEval, Symbols]:
             built = [b() for _, _, b in lowered]
             parts = [fn for fn, _ in built]
             symbols = tuple(sorted({n for _, names in built for n in names}))
 
-            def fn(b: DimBindings) -> KernelTiming:
+            def fn(b: DimBindings) -> Terms:
                 compute_s = 0.0
                 memory_s = 0.0
                 for part in parts:
-                    timing = part(b)
-                    compute_s += timing.compute_s
-                    memory_s += timing.memory_s
-                return KernelTiming(name=name, launch_s=launch_s,
-                                    compute_s=compute_s, memory_s=memory_s)
+                    part_compute, part_memory = part(b)
+                    compute_s += part_compute
+                    memory_s += part_memory
+                return compute_s, memory_s
 
             return fn, symbols
 
@@ -309,23 +316,24 @@ class CompiledCostModel:
 
     def _cell_total(self, fn: CellEval,
                     names: Symbols) -> Callable[[DimBindings], float]:
-        """``bindings -> fn(bindings).total_s`` for :meth:`total`, memoised
-        by the values of the cell's own free symbols.  A constant cell is
-        read once; a cell bound by every symbol of the graph is priced on
-        each call, since a shape repeats only through the caller's shape
-        memo."""
+        """``bindings -> kernel_total_s(launch, *fn(bindings))`` for
+        :meth:`total`, memoised by the values of the cell's own free
+        symbols.  A constant cell is read once; a cell bound by every
+        symbol of the graph is priced on each call, since a shape repeats
+        only through the caller's shape memo."""
+        launch_s = self.launch_s
         if not names:
-            total_s = fn({}).total_s
+            total_s = kernel_total_s(launch_s, *fn({}))
             return lambda b: total_s
         if names == self.symbols:
-            return lambda b: fn(b).total_s
+            return lambda b: kernel_total_s(launch_s, *fn(b))
         memo: Dict[Tuple[int, ...], float] = {}
 
         def memoised(b: DimBindings) -> float:
             key = tuple([b[n] for n in names])
             total_s = memo.get(key)
             if total_s is None:
-                total_s = memo[key] = fn(b).total_s
+                total_s = memo[key] = kernel_total_s(launch_s, *fn(b))
             return total_s
 
         return memoised
@@ -335,34 +343,32 @@ class CompiledCostModel:
     def timings(self, bindings: DimBindings) -> List[KernelTiming]:
         """Per-node timings — elementwise identical to ``graph_cost``.
 
-        Shared cells are priced once and re-stamped with each node's own
-        kernel name (equal floats in, equal floats out).
+        Shared cells are priced once; each node's own kernel name is
+        stamped onto the cell's terms (equal floats in, equal floats out).
         """
         self.evals += 1
-        cache: List[Optional[KernelTiming]] = [None] * len(self._cells)
+        cache: List[Optional[Terms]] = [None] * len(self._cells)
         out: List[KernelTiming] = []
         cells = self._cells
+        launch_s = self.launch_s
         for ci, name in zip(self._node_cells, self._node_names):
-            timing = cache[ci]
-            if timing is None:
-                timing = cache[ci] = cells[ci](bindings)
-            if timing.name != name:
-                timing = KernelTiming(name=name, launch_s=timing.launch_s,
-                                      compute_s=timing.compute_s,
-                                      memory_s=timing.memory_s)
-            out.append(timing)
+            terms = cache[ci]
+            if terms is None:
+                terms = cache[ci] = cells[ci](bindings)
+            out.append(KernelTiming(name, launch_s, *terms))
         return out
 
     def total(self, bindings: DimBindings) -> Tuple[float, int]:
         """(elapsed_s, launches) accumulated exactly like a Stream.
 
-        Sums ``timing.total_s`` node by node in execution order — the same
-        float additions :meth:`repro.gpusim.Stream.submit` performs — so the
-        result is bit-identical to draining :meth:`timings` through a
-        Stream, without building the timing list or per-kernel breakdowns.
-        Each cell's ``total_s`` is memoised by the values of the symbols it
-        depends on (a decode-step GEMM over ``batch`` alone is priced once
-        per batch width, not once per ``(batch, past)`` shape).
+        Sums each node's ``launch + max(compute, memory)`` in execution
+        order — the same float additions :meth:`repro.gpusim.Stream.submit`
+        performs on ``total_s`` — so the result is bit-identical to
+        draining :meth:`timings` through a Stream, without building a
+        single :class:`KernelTiming`.  Each cell's total is memoised by the
+        values of the symbols it depends on (a decode-step GEMM over
+        ``batch`` alone is priced once per batch width, not once per
+        ``(batch, past)`` shape).
         """
         self.evals += 1
         totals = [total(bindings) for total in self._cell_totals]
@@ -407,8 +413,11 @@ def verify_equivalence(
 ) -> List[str]:
     """Cross-check compiled vs interpretive pricing; return mismatch strings.
 
-    Bit-exact comparison (``==`` on every KernelTiming field, no tolerance):
-    an empty list means the two paths are indistinguishable on these shapes.
+    Bit-exact comparison, no tolerance: ``==`` on every KernelTiming field
+    of :meth:`CompiledCostModel.timings`, and :meth:`CompiledCostModel.total`
+    against the Stream-order sum of the interpretive ``total_s`` (the float
+    path the runtimes price with).  An empty list means the two paths are
+    indistinguishable on these shapes.
     """
     nodes = list(nodes)
     model = compiled or CompiledCostModel(nodes, chars, device)
@@ -427,4 +436,12 @@ def verify_equivalence(
                 problems.append(
                     f"{bindings}: node {node.name!r}: compiled {got} "
                     f"!= interpretive {ref}")
+        stream_s = 0.0
+        for ref in reference:
+            stream_s += ref.total_s
+        total = model.total(bindings)
+        if total != (stream_s, len(reference)):
+            problems.append(
+                f"{bindings}: total {total} != Stream-order sum "
+                f"{(stream_s, len(reference))}")
     return problems

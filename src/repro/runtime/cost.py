@@ -16,11 +16,12 @@ from ..gpusim import (
     DeviceSpec,
     KernelTiming,
     ReductionImpl,
+    Terms,
     elementwise_time,
-    gemm_time,
+    gemm_terms,
     gemm_utilization,
-    layernorm_time,
-    softmax_time,
+    layernorm_terms,
+    softmax_terms,
 )
 from ..graph import DimBindings, OpNode, OpType, resolve_dim
 
@@ -114,15 +115,18 @@ class RuntimeCharacteristics:
 # makes the compiled fast path bit-identical by construction: both paths
 # execute exactly the same floating-point operations on exactly the same
 # resolved integers; only the resolution work is moved to compile time.
+# Each ``price_*`` wraps a ``*_terms`` float core returning ``(compute_s,
+# memory_s)``; the compiled path's totals read the core alone.
 
 
-def price_gemm(
+def gemm_node_terms(
     m: int, n: int, k: int, batch: int,
-    chars: RuntimeCharacteristics, device: DeviceSpec, name: str,
-) -> KernelTiming:
-    """Price a GEMM node from resolved dims (shared by both cost paths)."""
-    timing = gemm_time(device, m, n, k, batch=batch, name=name,
-                       elem_bytes=chars.precision_bytes)
+    chars: RuntimeCharacteristics, device: DeviceSpec,
+) -> Terms:
+    """``(compute_s, memory_s)`` of a GEMM node from resolved dims, under
+    the runtime's precision and GEMM tuning."""
+    compute_s, memory_s = gemm_terms(device, m, n, k, batch,
+                                     chars.precision_bytes)
     if chars.gemm_tuning != 1.0:
         # Boosts (autotuning) only recover underfill: cap at the efficiency
         # a fully-utilized cuBLAS GEMM already achieves.  Derates apply as-is.
@@ -130,13 +134,31 @@ def price_gemm(
         effective = min(1.0, utilization * max(chars.gemm_tuning, 1.0))
         effective *= min(chars.gemm_tuning, 1.0)
         scale = effective / utilization  # > 1 speeds up, < 1 slows down
-        timing = KernelTiming(
-            name=timing.name,
-            launch_s=timing.launch_s,
-            compute_s=timing.compute_s / scale,
-            memory_s=timing.memory_s,
-        )
-    return timing
+        compute_s = compute_s / scale
+    return compute_s, memory_s
+
+
+def price_gemm(
+    m: int, n: int, k: int, batch: int,
+    chars: RuntimeCharacteristics, device: DeviceSpec, name: str,
+) -> KernelTiming:
+    """Price a GEMM node from resolved dims (shared by both cost paths)."""
+    compute_s, memory_s = gemm_node_terms(m, n, k, batch, chars, device)
+    return KernelTiming(name, device.launch_overhead_s, compute_s, memory_s)
+
+
+def reduction_node_terms(
+    rows: int, row_len: int, op_type: OpType,
+    chars: RuntimeCharacteristics, device: DeviceSpec,
+) -> Terms:
+    """``(compute_s, memory_s)`` of a Softmax/LayerNorm node from resolved
+    dims, under the runtime's reduction kernels."""
+    if op_type is OpType.SOFTMAX:
+        return softmax_terms(device, rows, row_len, chars.reduction_impl,
+                             x_elems=chars.reduction_x_elems,
+                             elem_bytes=chars.precision_bytes)
+    return layernorm_terms(device, rows, row_len, chars.reduction_impl,
+                           elem_bytes=chars.precision_bytes)
 
 
 def price_reduction(
@@ -144,19 +166,11 @@ def price_reduction(
     chars: RuntimeCharacteristics, device: DeviceSpec,
 ) -> KernelTiming:
     """Price a Softmax/LayerNorm node from resolved dims."""
-    if op_type is OpType.SOFTMAX:
-        timing = softmax_time(device, rows, row_len, chars.reduction_impl,
-                              x_elems=chars.reduction_x_elems,
-                              elem_bytes=chars.precision_bytes)
-    else:
-        timing = layernorm_time(device, rows, row_len, chars.reduction_impl,
-                                elem_bytes=chars.precision_bytes)
-    return KernelTiming(
-        name=f"{timing.name}:{name}",
-        launch_s=timing.launch_s,
-        compute_s=timing.compute_s,
-        memory_s=timing.memory_s,
-    )
+    compute_s, memory_s = reduction_node_terms(rows, row_len, op_type,
+                                               chars, device)
+    kernel = "softmax" if op_type is OpType.SOFTMAX else "layernorm"
+    return KernelTiming(f"{kernel}[{chars.reduction_impl.value}]:{name}",
+                        device.launch_overhead_s, compute_s, memory_s)
 
 
 def price_elementwise(

@@ -2,13 +2,30 @@
 
 import pytest
 
-from repro.graph import UsageRecordTemplates, tensor_usage_records
-from repro.models import bert_base, build_encoder_graph, tiny_bert
+from repro.gpusim import RTX_2060
+from repro.graph import (
+    OpNode,
+    OpType,
+    UsageRecordTemplates,
+    tensor_usage_records,
+)
+from repro.models import (
+    bert_base,
+    build_decode_step_graph,
+    build_encoder_graph,
+    build_prefill_graph,
+    gpt_small,
+    tiny_bert,
+)
 from repro.runtime import (
+    PYTORCH_CHARACTERISTICS,
     RUNTIME_FACTORIES,
+    TURBO_CHARACTERISTICS,
     CompiledCostModel,
+    GenerationRuntime,
     compile_graph,
     lower_product,
+    turbo_fp16_runtime,
     turbo_runtime,
     verify_equivalence,
 )
@@ -17,6 +34,62 @@ from repro.runtime.cost import graph_cost
 #: Shapes straddling the tensorrt/xla padding boundaries (16/64-multiples).
 SHAPES = [(1, 1), (1, 16), (1, 17), (2, 63), (2, 64), (2, 65),
           (4, 128), (7, 100), (8, 512)]
+
+
+def _encoder_case(factory):
+    def case():
+        runtime = factory()
+        return (runtime.graph.nodes, runtime.chars, runtime.device,
+                [{"batch": b, "seq": runtime.chars.padded_length(s)}
+                 for b, s in SHAPES])
+
+    return case
+
+
+def _gpt_case(chars, graph):
+    def case():
+        runtime = GenerationRuntime(build_prefill_graph(gpt_small()),
+                                    build_decode_step_graph(gpt_small()),
+                                    chars, RTX_2060)
+        if graph == "prefill":
+            return (runtime.prefill_graph.nodes, chars, RTX_2060,
+                    [{"batch": b, "seq": s} for b, s in SHAPES])
+        return (runtime.decode_graph.nodes, chars, RTX_2060,
+                [{"batch": b, "past": s} for b, s in SHAPES])
+
+    return case
+
+
+def _fused_mixed_case():
+    """One fused kernel over four unlike parts, so the order its parts'
+    terms are added in shows in the last bits on about a third of a
+    dense shape grid (the fused regions of the model graphs add at most
+    two distinct values, which commute)."""
+    parts = [("ew", OpType.ELEMENTWISE,
+              {"nelems": ("batch", "seq", 768), "flops_per_elem": 7.0}),
+             ("sm", OpType.SOFTMAX,
+              {"rows": ("batch", 12, "seq"), "row_len": "seq"}),
+             ("ln", OpType.LAYERNORM,
+              {"rows": ("batch", "seq"), "row_len": 768}),
+             ("tr", OpType.TRANSPOSE, {"nelems": ("batch", 3, "seq", 64)})]
+    node = OpNode("fused(ew+sm+ln+tr)", OpType.FUSED, ("x",), ("y",), {
+        "fused_ops": [{"name": name, "op_type": op.value, "attrs": attrs}
+                      for name, op, attrs in parts]})
+    return ([node], TURBO_CHARACTERISTICS, RTX_2060,
+            [{"batch": b, "seq": s} for b in range(1, 9)
+             for s in range(1, 300, 7)])
+
+
+#: Graph, characteristics, device and shapes of each float-path case.
+TOTAL_CASES = {
+    "fused-mixed": _fused_mixed_case,
+    **{name: _encoder_case(factory)
+       for name, factory in RUNTIME_FACTORIES.items()},
+    "turbo-fp16": _encoder_case(turbo_fp16_runtime),
+    **{f"gpt-{chars.name}-{graph}": _gpt_case(chars, graph)
+       for chars in (TURBO_CHARACTERISTICS, PYTORCH_CHARACTERISTICS)
+       for graph in ("prefill", "decode")},
+}
 
 
 class TestLowerProduct:
@@ -65,18 +138,21 @@ class TestCompiledEquivalence:
                                   runtime.chars, runtime.device) == []
 
     def test_total_matches_stream_accumulation(self):
-        runtime = turbo_runtime()
-        compiled = runtime.compiled_model()
-        for batch, seq in SHAPES:
-            bindings = {"batch": batch, "seq": seq}
-            elapsed, launches = compiled.total(bindings)
-            timings = graph_cost(runtime.graph.nodes, bindings,
-                                 runtime.chars, runtime.device)
-            reference = 0.0
-            for t in timings:
-                reference += t.total_s
-            assert elapsed == reference
-            assert launches == len(timings)
+        """The float path (``total``) equals draining the interpretive
+        timings through a Stream, bit for bit, on every runtime (each
+        reduction kernel, GEMM tuning above and below 1), FP16 and both
+        GPT generation graphs."""
+        for case, build in sorted(TOTAL_CASES.items()):
+            nodes, chars, device, bindings_list = build()
+            compiled = CompiledCostModel(nodes, chars, device)
+            for bindings in bindings_list:
+                elapsed, launches = compiled.total(bindings)
+                timings = graph_cost(nodes, bindings, chars, device)
+                reference = 0.0
+                for t in timings:
+                    reference += t.total_s
+                assert elapsed == reference, (case, bindings)
+                assert launches == len(timings), case
 
     def test_cells_deduplicate_repeated_layers(self, bert_graph):
         runtime = turbo_runtime(graph=bert_graph)
