@@ -67,8 +67,10 @@ The rules every replica follows:
 * **faults** — each replica stretches its own busy windows under its
   injector's latency spikes.
 
-A decode run steps the live batch back to back, one window per step,
-while the queue is empty.
+A decode run steps the live batch back to back while the queue is
+empty, as one window up to the engine's next live event: a step ending
+strictly before that event commits without yielding, and the run yields
+at the step that reaches it, at a crash cut and before it returns.
 
 Everything is simulator-time and deterministic given the workload; costs
 come from :class:`~repro.runtime.GenerationRuntime` (prefill and per-step
@@ -77,6 +79,7 @@ decode against the growing KV cache).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
@@ -260,6 +263,12 @@ class ContinuousBatchingConfig:
             raise ValueError(
                 f"chunk_tokens must be positive, got {self.chunk_tokens}"
             )
+
+
+def _next_event_time(engine) -> float:
+    """When the engine's next live event is due (``inf`` with none)."""
+    event = engine.peek()
+    return math.inf if event is None else event.time
 
 
 def _window_overlap(start: float, dur: float, horizon: float) -> float:
@@ -492,7 +501,7 @@ class GenReplica(Replica):
             d.stall_s += dur
         d.prefills += 1
         self._commit_prefill(admitted, started, d.engine.now)
-        self._trace_kv()
+        self._trace_kv(d.engine.now)
 
     def _decode_shape(self) -> Tuple[int, int]:
         """``(width, past)`` the next decode step is priced at: live slots
@@ -503,43 +512,61 @@ class GenReplica(Replica):
 
     def decode_run(self):
         """Decode steps back to back over the live batch while the queue
-        is empty, so admission would take nothing.  Each step is one busy
-        window at :meth:`_decode_shape` and commits at its own end; the
-        shape is recomputed only when a member finishes — otherwise every
-        member gained one token, so ``past`` grows by one.  A step needs
-        no crash check before the next: a crash starting inside a step or
-        at its end cuts that step (:meth:`_window`), so a step that
-        completes never ends inside a crash window."""
+        is empty, so admission would take nothing.  Each step is priced
+        at :meth:`_decode_shape` and commits at its own end; the shape is
+        recomputed only when a member finishes — otherwise every member
+        gained one token, so ``past`` grows by one.
+
+        A step whose end falls strictly before the engine's next live
+        event (:meth:`Engine.peek`) commits without yielding: nothing can
+        happen inside it, so its own window would dispatch only its end.
+        The run yields the end of the step that reaches that event (the
+        event dispatches first, as in a window of its own), the cut of a
+        crash, and, before returning (the batch drained or the queue is
+        non-empty), the last step's end — so the clock is on it whenever
+        :meth:`run` reads it.  The rule is the same for a lone replica and
+        one beside others.  A step needs no crash check before the next:
+        a crash starting inside a step or at its end cuts that step
+        (:meth:`_window`), so a step that completes never ends inside a
+        crash window."""
         d = self.driver
         engine = d.engine
         runtime = self.runtime
         b, past = self._decode_shape()
+        end = engine.now
+        next_at = _next_event_time(engine)
         while True:
-            started = engine.now
+            started = end
             step_s = runtime.decode_step_latency(b, past)
             runtime.trace_decode_stride(d.tracer, started, step_s, b, past,
                                         tokens=len(self.active),
                                         tid=self.tid)
             dur, cut = self._window(started, step_s)
-            yield started + dur if cut is None else cut
             if cut is not None:
+                yield cut
                 self._lose(self.active)
                 self.active = []
                 return
+            end = started + dur
+            landed = end >= next_at
+            if landed:
+                yield end
+                next_at = _next_event_time(engine)
             d.busy_s += _window_overlap(started, dur, d.horizon)
-            now = engine.now
-            if self._commit_decode(self.active, now):
+            if self._commit_decode(self.active, end):
                 self.active = [r for r in self.active
                                if r.generated < r.max_new_tokens]
-                self._trace_kv()
+                self._trace_kv(end)
                 if not self.active:
-                    return
+                    break
                 b, past = self._decode_shape()
             else:
-                self._trace_kv()
+                self._trace_kv(end)
                 past += 1
             if self.queue:
-                return
+                break
+        if not landed:
+            yield end
 
     def overlapped_round(self, admitted: List[GenRequest]):
         """One chunked round: prefill chunks on the ``prefill`` stream
@@ -657,7 +684,7 @@ class GenReplica(Replica):
         # so the queue drains sooner).
         self._commit_prefill(admitted, started,
                              started + prefill_total * ratio)
-        self._trace_kv()
+        self._trace_kv(d.engine.now)
 
     # -- commits ----------------------------------------------------------
 
@@ -723,10 +750,11 @@ class GenReplica(Replica):
         self.completed += 1
         self.arena.release(r.req_id)
 
-    def _trace_kv(self) -> None:
+    def _trace_kv(self, now: float) -> None:
+        """Sample this replica's KV use and live slots at ``now``."""
         d = self.driver
         if d.trace_on:
-            d.tracer.counter(self.kv_track, d.engine.now, {
+            d.tracer.counter(self.kv_track, now, {
                 "used_mb": self.arena.used_bytes / (1024.0 * 1024.0),
                 "slots": float(len(self.active)),
             })
