@@ -75,12 +75,13 @@ class GenerationRuntime:
         if batch <= 0 or past <= 0:
             raise ValueError(f"batch and past must be positive, got {batch}, {past}")
         key = (batch, past)
-        if key not in self._decode_cache:
-            self._decode_cache[key] = (
+        step_s = self._decode_cache.get(key)
+        if step_s is None:
+            step_s = self._decode_cache[key] = (
                 self.decode_model.kernel_s({"batch": batch, "past": past})
                 + self.step_overhead_s
             )
-        return self._decode_cache[key]
+        return step_s
 
     def generate_latency(
         self, prompt_len: int, new_tokens: int, batch: int = 1

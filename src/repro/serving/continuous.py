@@ -538,9 +538,10 @@ class GenReplica(Replica):
         while True:
             started = end
             step_s = runtime.decode_step_latency(b, past)
-            runtime.trace_decode_stride(d.tracer, started, step_s, b, past,
-                                        tokens=len(self.active),
-                                        tid=self.tid)
+            if d.trace_on:
+                runtime.trace_decode_stride(d.tracer, started, step_s, b,
+                                            past, tokens=len(self.active),
+                                            tid=self.tid)
             dur, cut = self._window(started, step_s)
             if cut is not None:
                 yield cut
