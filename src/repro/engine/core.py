@@ -53,7 +53,7 @@ Dispatch
 Three calls drive a run.  ``step()`` dispatches the next event; the
 serving driver's one dispatch loop calls it until nothing is pending.
 ``run_until(end)`` models a resource busy until ``end`` (a batch
-executing, a decode step, a crash outage), priced and fault-stretched by
+executing, a decode run, a crash outage), priced and fault-stretched by
 the caller: it reserves the seq of a *virtual* marker WAKE at ``end``,
 dispatches every event whose key sorts below ``(end, WAKE, seq)`` —
 arrivals land in queues at their true timestamps — and returns with the
@@ -400,8 +400,11 @@ class Engine:
         The caller has already priced (and fault-stretched) the window.
         A lone serving replica — encoder or generation — runs each busy
         window this way, a batch, a prefill, a chunked round, a decode
-        step or a crash outage, so arrivals and retries due inside still
-        land in queues at their true timestamps.
+        run or a crash outage, so arrivals and retries due inside still
+        land in queues at their true timestamps.  A decode run's window
+        ends at the first step end that reaches the next live event (or
+        at the run's last step), its earlier steps having committed
+        without a window of their own.
         """
         if t < self.now:
             raise EngineError(f"cannot run_until {t} < now {self.now}")

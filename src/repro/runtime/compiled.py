@@ -57,8 +57,13 @@ from typing import (
     Tuple,
 )
 
-from ..gpusim import DeviceSpec, KernelTiming, Terms, elementwise_terms, \
-    kernel_total_s
+from ..gpusim import (
+    DeviceSpec,
+    KernelTiming,
+    Terms,
+    elementwise_terms,
+    kernel_total_s,
+)
 from ..graph import ComputationGraph, DimBindings, OpNode, OpType
 from .cost import (
     DimProduct,
@@ -159,8 +164,8 @@ class CompiledCostModel:
     ) -> None:
         self.chars = chars
         self.device = device
-        #: Every kernel's launch overhead (each kernel model charges it).
-        self.launch_s = device.launch_overhead_s
+        # Every kernel model charges the device's launch overhead.
+        self._launch_s = device.launch_overhead_s
         self.node_count = len(nodes)
         self.evals = 0
         self._cells: List[CellEval] = []
@@ -321,7 +326,7 @@ class CompiledCostModel:
         symbols.  A constant cell is read once; a cell bound by every
         symbol of the graph is priced on each call, since a shape repeats
         only through the caller's shape memo."""
-        launch_s = self.launch_s
+        launch_s = self._launch_s
         if not names:
             total_s = kernel_total_s(launch_s, *fn({}))
             return lambda b: total_s
@@ -350,7 +355,7 @@ class CompiledCostModel:
         cache: List[Optional[Terms]] = [None] * len(self._cells)
         out: List[KernelTiming] = []
         cells = self._cells
-        launch_s = self.launch_s
+        launch_s = self._launch_s
         for ci, name in zip(self._node_cells, self._node_names):
             terms = cache[ci]
             if terms is None:

@@ -31,7 +31,11 @@ Each of these questions has one rule, the same for both kinds:
   of each busy window.  A lone replica cannot overlap with another, so
   its windows run inline (``engine.run_until``); beside other replicas
   each replica is an ``Engine.spawn`` task woken at each window end.
-  Both dispatch in the same order and count one WAKE per window;
+  Both dispatch in the same order and count one WAKE per window.  A
+  window is a batch, a prefill, a chunked round, a crash outage or a
+  generation decode run, whose steps ending strictly before the
+  engine's next live event commit inside it without a window of their
+  own;
 * **counters** — each serving event is counted once, in a plain tally
   of the run; the metrics are built from those tallies and the terminal
   request list.  With a registry attached, the run adds each tally to

@@ -9,6 +9,7 @@ from repro.gpusim import (
     elementwise_time,
     gemm_time,
     gemm_utilization,
+    kernel_total_s,
     memcpy_time,
 )
 
@@ -27,6 +28,21 @@ class TestKernelTiming:
     def test_negative_component_rejected(self):
         with pytest.raises(ValueError):
             KernelTiming("k", launch_s=-1e-6, compute_s=0.0, memory_s=1e-6)
+
+    @pytest.mark.parametrize("terms", [(1e-6, 5e-6, 3e-6), (0.0, 1e-6, 9e-6),
+                                       (3e-7, 0.0, 0.0)])
+    def test_kernel_total_s_is_total_s(self, terms):
+        assert kernel_total_s(*terms) == KernelTiming("k", *terms).total_s
+
+    @pytest.mark.parametrize("terms", [(-1e-6, 0.0, 1e-6),
+                                       (0.0, float("nan"), 1e-6),
+                                       (0.0, 1e-6, float("inf"))])
+    def test_kernel_total_s_rejects_like_kernel_timing(self, terms):
+        with pytest.raises(ValueError) as timing:
+            KernelTiming("k", *terms)
+        with pytest.raises(ValueError) as total:
+            kernel_total_s(*terms)
+        assert str(total.value) == str(timing.value)
 
     def test_scaled(self):
         t = KernelTiming("k", launch_s=1e-6, compute_s=4e-6, memory_s=2e-6)
