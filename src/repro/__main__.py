@@ -48,9 +48,11 @@ Commands
     (compiled vs. interpretive pricing — encoder runtimes, both
     generation graphs over every shape a gen-profile run prices, and the
     decoder step graph — fast vs. reference ``latency()``,
-    pruned vs. reference DP partitions, cached vs. uncached plans) and
-    exits non-zero on any divergence.  ``--diff A B`` compares the
-    deterministic fields of two payloads (CI determinism gate).
+    pruned vs. reference DP partitions, cached vs. uncached plans, the
+    fault injector's cached segments vs. the plan scans for every chaos
+    scenario plan) and exits non-zero on any divergence.  ``--diff A B``
+    compares the deterministic fields of two payloads (CI determinism
+    gate).
 ``check [--format text|json] [--out PATH] [--seed N]
         [--family graph|memory|schedule|determinism|engine|lifecycle ...]
         [--families A,B] [--lint-root DIR] [--select CODE] [--ignore CODE]
@@ -229,7 +231,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             return 1
         print("bench --verify: fast path is equivalent to the reference "
               "path (compiled pricing incl. generation and decoder "
-              "graphs, latency, partitions, plans)")
+              "graphs, latency, partitions, plans, fault segments)")
         return 0
 
     if args.verify_gen:

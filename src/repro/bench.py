@@ -900,7 +900,9 @@ def verify_host_fast_path(seed: int = 0,
       identical outcomes, per-tensor ``(chunk_id, offset)`` and chunk
       lists;
     * the CostTable warm-up with deferred planning vs. one that plans
-      every pass, cell by cell, and both allocators' state afterwards.
+      every pass, cell by cell, and both allocators' state afterwards;
+    * the fault injector's cached segments vs. the plan scans for every
+      server of every chaos scenario plan (:func:`_verify_fault_segments`).
     """
     problems: List[str] = []
     say = progress or (lambda _msg: None)
@@ -947,6 +949,7 @@ def verify_host_fast_path(seed: int = 0,
         )
     problems.extend(plan_layout_divergences(ref_layouts, fast_layouts))
     problems.extend(_verify_deferred_warmup())
+    problems.extend(_verify_fault_segments(seed))
     return problems
 
 
@@ -1008,6 +1011,59 @@ def _verify_deferred_warmup() -> List[str]:
         for key in want:
             if got[key] != want[key]:
                 problems.append(f"{tag}: allocator {key} differs after flush")
+    return problems
+
+
+def _verify_fault_segments(seed: int) -> List[str]:
+    """``EngineFaultInjector.window`` and ``crashed``, which answer from a
+    cached segment of the plan's edges, vs. a second injector's
+    ``stretch`` + ``crashed_during`` and ``plan.crashed``, for every
+    server of each ``repro chaos`` scenario plan.  Windows start at
+    every boundary, one ULP either side of it and every segment
+    midpoint, and end at each such point at or after the start; the
+    starts are visited forwards, then backwards, and the stretch
+    counters must agree at the end."""
+    import math
+
+    from .engine import EngineFaultInjector
+    from .resilience.chaos import GEN_SCENARIOS, SCENARIOS
+
+    problems: List[str] = []
+    windows = 0
+    for name, build in {**SCENARIOS, **GEN_SCENARIOS}.items():
+        scenario = build(seed)
+        plan = scenario.faults
+        servers = getattr(scenario, "num_servers", None) \
+            or scenario.num_replicas
+        for sid in range(servers):
+            edges = plan.boundaries(sid)
+            points = sorted(
+                {p for e in edges for p in (math.nextafter(e, -math.inf), e,
+                                            math.nextafter(e, math.inf))}
+                | {(a + b) / 2 for a, b in zip(edges, edges[1:])})
+            fast = EngineFaultInjector(plan, sid)
+            ref = EngineFaultInjector(plan, sid)
+            tag = f"fault segments: {name} server {sid}"
+            for started in points + points[::-1]:
+                if fast.crashed(started) != plan.crashed(sid, started):
+                    problems.append(f"{tag}: crashed({started!r}) differs")
+                for end in points:
+                    if end < started:
+                        continue
+                    dur = end - started
+                    want_dur = ref.stretch(dur, started, "decode")
+                    want = (want_dur,
+                            ref.crashed_during(started, started + want_dur))
+                    got = fast.window(started, dur, "decode")
+                    windows += 1
+                    if got != want:
+                        problems.append(f"{tag}: window({started!r}, "
+                                        f"{dur!r}) {got} != {want}")
+            if (fast.stretches, fast.stretched_seconds) != \
+                    (ref.stretches, ref.stretched_seconds):
+                problems.append(f"{tag}: stretch counters differ")
+    if not windows:
+        problems.append("fault segments: no window was checked")
     return problems
 
 

@@ -44,9 +44,20 @@ Invariants
   window end, never by epsilon nudges, and ``step`` refuses to move it
   backwards.  Zero-progress rounds are impossible by construction.
 * Scheduling into the past raises :class:`EngineError`; scheduling *at*
-  ``now`` is allowed (the event dispatches before time moves on).
+  ``now`` is allowed (the event dispatches before time moves on).  Every
+  time the engine takes (``schedule``, ``arrivals``, ``run_until``,
+  ``take_until``, a task's yield) must compare ``>= now``, so a NaN is
+  rejected the same way.
 * Cancelled events never fire; cancellation is O(1) (lazy heap deletion)
   and a no-op for an event that already fired.
+
+The Event record
+----------------
+:class:`Event` is a slotted record built by a plain positional
+constructor: ``schedule`` makes one per timer with one priority lookup
+and one heap push.  An Event compares by identity and is never reused
+after it fires, so a dispatch hook may keep the events it receives and
+read each one's ``(time, kind, seq)`` after the run.
 
 Dispatch
 --------
@@ -80,7 +91,6 @@ import enum
 import heapq
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 
@@ -97,22 +107,46 @@ class EventKind(enum.IntEnum):
     TRIGGER = 3  #: the lazy trigger policy's decision timer
 
 
-@dataclass
 class Event:
-    """One scheduled occurrence.  Sorts by ``(time, priority, seq)``."""
+    """One scheduled occurrence.  Sorts by ``(time, priority, seq)``.
 
-    time: float
-    priority: int
-    seq: int
-    kind: EventKind
-    callback: Optional[Callable[["Event"], None]] = None
-    payload: Any = None
-    cancelled: bool = field(default=False, compare=False)
-    dispatched: bool = field(default=False, compare=False)
+    A slotted record with a plain positional constructor (the engine
+    builds one per scheduled timer).  Each Event is its own occurrence:
+    it compares by identity, and the engine never reuses one, so a hook
+    that keeps the events it sees reads each dispatch's own fields later.
+    """
+
+    __slots__ = ("time", "priority", "seq", "kind", "callback", "payload",
+                 "cancelled", "dispatched")
+
+    def __init__(self, time: float, priority: int, seq: int,
+                 kind: EventKind,
+                 callback: Optional[Callable[["Event"], None]] = None,
+                 payload: Any = None) -> None:
+        self.time = time
+        self.priority = priority
+        self.seq = seq
+        self.kind = kind
+        self.callback = callback
+        self.payload = payload
+        self.cancelled = False
+        self.dispatched = False
+
+    def __repr__(self) -> str:
+        return (f"Event(time={self.time!r}, priority={self.priority!r}, "
+                f"seq={self.seq!r}, kind={self.kind!r}, "
+                f"callback={self.callback!r}, payload={self.payload!r}, "
+                f"cancelled={self.cancelled!r}, "
+                f"dispatched={self.dispatched!r})")
 
 
 _ARRIVAL = int(EventKind.ARRIVAL)
 _WAKE = int(EventKind.WAKE)
+#: The member itself, read once: an enum attribute read costs several
+#: times a global one, and every task resume schedules a WAKE.
+_WAKE_KIND = EventKind.WAKE
+#: Each kind's default priority, its value (one dict lookup per schedule).
+_PRIORITY = {kind: int(kind) for kind in EventKind}
 
 
 def _arrivals_before(times: Sequence[float], t: float, priority: int,
@@ -149,7 +183,7 @@ class Task:
         except StopIteration:
             self.done = True
             return
-        self.engine.schedule(end, EventKind.WAKE, self._resume)
+        self.engine.schedule(end, _WAKE_KIND, self._resume)
 
 
 #: Observers notified with every newly constructed :class:`Engine`.
@@ -194,22 +228,17 @@ class Engine:
         payload: Any = None,
         priority: Optional[int] = None,
     ) -> Event:
-        """Schedule an event; ``time`` must be >= ``now``."""
-        if time < self.now:
+        """Schedule an event; ``time`` must be >= ``now`` (NaN never is)."""
+        if not time >= self.now:
             raise EngineError(
                 f"cannot schedule {kind.name} at {time} < now {self.now}"
             )
-        event = Event(
-            time=time,
-            priority=int(kind) if priority is None else priority,
-            seq=self._seq,
-            kind=kind,
-            callback=callback,
-            payload=payload,
-        )
-        self._seq += 1
-        heapq.heappush(self._heap, (event.time, event.priority,  # repro: allow(DET405)
-                                    event.seq, event))
+        seq = self._seq
+        self._seq = seq + 1
+        if priority is None:
+            priority = _PRIORITY[kind]
+        event = Event(time, priority, seq, kind, callback, payload)
+        heapq.heappush(self._heap, (time, priority, seq, event))  # repro: allow(DET405)
         self._live += 1
         return event
 
@@ -240,11 +269,11 @@ class Engine:
         if self._stream_at < len(self._stream):
             raise EngineError("an arrival stream is still pending")
         times = [p.arrival_s for p in payloads]
-        if times and times[0] < self.now:
+        if times and not times[0] >= self.now:
             raise EngineError(
                 f"cannot schedule ARRIVAL at {times[0]} < now {self.now}"
             )
-        if any(map(operator.gt, times, times[1:])):
+        if not all(map(operator.le, times, times[1:])):
             raise EngineError("arrival stream is not sorted by arrival_s")
         self._stream = payloads
         self._stream_times = times
@@ -324,7 +353,7 @@ class Engine:
         self._live -= 1
         event.dispatched = True
         t = event.time
-        if t < self.now:
+        if not t >= self.now:
             raise EngineError(
                 f"clock cannot move backwards: {t} < {self.now}"
             )
@@ -406,7 +435,7 @@ class Engine:
         at the run's last step), its earlier steps having committed
         without a window of their own.
         """
-        if t < self.now:
+        if not t >= self.now:
             raise EngineError(f"cannot run_until {t} < now {self.now}")
         self._run_to(t)
         return self.now
@@ -423,7 +452,7 @@ class Engine:
         observes and whose heap holds no live event, since nothing but
         the stream may dispatch inside the window.
         """
-        if end < self.now:
+        if not end >= self.now:
             raise EngineError(f"cannot take_until {end} < now {self.now}")
         if self._dispatch_hooks:
             raise EngineError("take_until needs an engine with no "

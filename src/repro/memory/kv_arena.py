@@ -79,7 +79,7 @@ def kv_bytes_per_token(num_layers: int, num_heads: int, head_size: int,
     return 2 * num_layers * num_heads * head_size * dtype_bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class KVPage:
     """One physical KV page: ``tokens`` positions, shared by refcount.
 
@@ -304,25 +304,29 @@ class KVCacheArena:
         pages if the arena is at capacity (the admission gates guarantee
         the regions alone always fit, so reclaim can never come up
         short)."""
-        needed = self.used_bytes + self.page_bytes - self.capacity_bytes
-        if needed > 0 and self._index is not None:
-            freed = self._index.reclaim(-(-needed // self.bytes_per_token))
-            self.pages_reclaimed += freed // self.page_tokens
-        if self.used_bytes + self.page_bytes \
-                > self.capacity_bytes:  # pragma: no cover - gate invariant
-            raise KVArenaError(
-                "KV arena overflow — admission invariant violated"
-            )
+        tokens = self.page_tokens
+        needed = (self._resident_tokens + tokens) * self.bytes_per_token \
+            - self.capacity_bytes
+        if needed > 0:
+            if self._index is not None:
+                freed = self._index.reclaim(
+                    -(-needed // self.bytes_per_token))
+                self.pages_reclaimed += freed // tokens
+            if self.used_bytes + self.page_bytes \
+                    > self.capacity_bytes:  # pragma: no cover - gate invariant
+                raise KVArenaError(
+                    "KV arena overflow — admission invariant violated"
+                )
         if self._free_slots:
             slot = self._free_slots.pop()
         else:
             slot = self.slots_high_water
             self.slots_high_water += 1
-        page = KVPage(page_id=self._next_page_id, tokens=self.page_tokens,
-                      refcount=1, slot=slot)
-        self._next_page_id += 1
-        self._pages[page.page_id] = page
-        self._resident_tokens += page.tokens
+        page_id = self._next_page_id
+        page = KVPage(page_id, tokens, 1, False, slot)
+        self._next_page_id = page_id + 1
+        self._pages[page_id] = page
+        self._resident_tokens += tokens
         return page
 
     def _validated_shared(self, shared_pages: Sequence[KVPage],
@@ -487,19 +491,24 @@ class KVCacheArena:
         """
         if tokens <= 0:
             raise ValueError(f"tokens must be positive, got {tokens}")
-        region = self.region_of(req_id)
+        try:
+            region = self._regions[req_id]
+        except KeyError:
+            raise KVArenaError(f"request {req_id} has no KV region") from None
         region.tokens += tokens
-        if region.tokens > region.worst_case_tokens:
+        length = region.tokens
+        if length > region.worst_case_tokens:
             raise KVArenaError(
-                f"request {req_id} grew to {region.tokens} tokens past its "
+                f"request {req_id} grew to {length} tokens past its "
                 f"admitted worst case {region.worst_case_tokens}"
             )
-        grew = False
-        while region.tokens > region.reserved_tokens:
-            region.pages.append(self._alloc_page())
-            self._growth_tokens -= self.page_tokens
-            grew = True
-        if grew:
+        pages = region.pages
+        page_tokens = self.page_tokens
+        # ``len(pages) * page_tokens`` is ``region.reserved_tokens``.
+        if length > len(pages) * page_tokens:
+            while length > len(pages) * page_tokens:
+                pages.append(self._alloc_page())
+                self._growth_tokens -= page_tokens
             self._layout_changed()
         if _arena_hooks:
             _notify(self, "append", req_id, tokens)

@@ -469,8 +469,7 @@ class GenReplica(Replica):
         there."""
         if self.faults is None:
             return dur, None
-        dur = self.faults.stretch(dur, started)
-        return dur, self.faults.crashed_during(started, started + dur)
+        return self.faults.window(started, dur)
 
     def prefill(self, admitted: List[GenRequest]):
         """One serial prefill pass over the admitted set; it blocks every
@@ -532,6 +531,7 @@ class GenReplica(Replica):
         d = self.driver
         engine = d.engine
         runtime = self.runtime
+        horizon = d.horizon
         b, past = self._decode_shape()
         end = engine.now
         next_at = _next_event_time(engine)
@@ -553,7 +553,10 @@ class GenReplica(Replica):
             if landed:
                 yield end
                 next_at = _next_event_time(engine)
-            d.busy_s += _window_overlap(started, dur, d.horizon)
+            if end <= horizon:
+                d.busy_s += end - started  # _window_overlap, bit for bit
+            else:
+                d.busy_s += _window_overlap(started, dur, horizon)
             if self._commit_decode(self.active, end):
                 self.active = [r for r in self.active
                                if r.generated < r.max_new_tokens]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, \
@@ -78,11 +79,12 @@ class Request:
     def __post_init__(self) -> None:
         if self.seq_len <= 0:
             raise ValueError(f"seq_len must be positive, got {self.seq_len}")
-        if self.arrival_s < 0:
-            raise ValueError(f"arrival_s must be >= 0, got {self.arrival_s}")
+        if not 0.0 <= self.arrival_s < math.inf:
+            raise ValueError(
+                f"arrival_s must be finite and >= 0, got {self.arrival_s}")
         if self.priority < 0:
             raise ValueError(f"priority must be >= 0, got {self.priority}")
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not self.deadline_s > 0:
             raise ValueError(f"deadline_s must be positive, got {self.deadline_s}")
         if self.attempt < 0:
             raise ValueError(f"attempt must be >= 0, got {self.attempt}")

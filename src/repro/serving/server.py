@@ -314,9 +314,8 @@ class BatchReplica(Replica):
             crashed_at = None
             failing = False
             if faults is not None:
-                exec_s = faults.stretch(exec_s, started,
-                                        f"batch x{batch.size}")
-                crashed_at = faults.crashed_during(started, started + exec_s)
+                exec_s, crashed_at = faults.window(started, exec_s,
+                                                   f"batch x{batch.size}")
                 failing = faults.plan.failure_rate(self.server_id,
                                                    started) > 0.0
             members = batch.requests

@@ -117,6 +117,95 @@ class TestClockInvariants:
             engine.step()
 
 
+class TestNonFiniteTimes:
+    """A NaN compares False with everything, so ``time < now`` would let
+    it through; every time the engine takes must compare ``>= now``."""
+
+    NAN = float("nan")
+
+    def test_schedule_rejects_nan(self):
+        engine = Engine()
+        with pytest.raises(EngineError):
+            engine.schedule(self.NAN, EventKind.WAKE)
+        assert not engine.pending
+        engine.schedule(1.0, EventKind.WAKE)
+        drain(engine)
+        assert engine.now == 1.0
+
+    def test_run_until_and_take_until_reject_nan(self):
+        engine = Engine()
+        with pytest.raises(EngineError):
+            engine.run_until(self.NAN)
+        with pytest.raises(EngineError):
+            engine.take_until(self.NAN)
+        assert (engine.now, engine.events_dispatched) == (0.0, 0)
+
+    @pytest.mark.parametrize("times", [
+        [float("nan")], [0.5, float("nan")], [float("nan"), 0.5],
+        [0.5, float("nan"), 1.0],
+    ])
+    def test_arrivals_reject_nan(self, times):
+        engine = Engine()
+        payloads = [type("P", (), {"arrival_s": t})() for t in times]
+        with pytest.raises(EngineError):
+            engine.arrivals(payloads, lambda e: None)
+        assert not engine.pending
+
+    def test_task_yielding_nan_raises(self):
+        engine = Engine()
+        fired = []
+
+        def work():
+            yield 0.5
+            fired.append(engine.now)
+            yield float("nan")
+
+        engine.spawn(work())
+        with pytest.raises(EngineError):
+            drain(engine)
+        assert fired == [0.5] and engine.now == 0.5
+
+    def test_nan_cost_fn_fails_the_serving_run(self):
+        """A cost model returning NaN used to finish with NaN latencies."""
+        requests = [Request(req_id=i, seq_len=8, arrival_s=0.1 * i)
+                    for i in range(3)]
+        with pytest.raises(EngineError):
+            simulate_serving(requests, DPBatchScheduler(),
+                             lambda n, b: float("nan"), duration_s=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("arrival_s", float("nan")), ("arrival_s", float("inf")),
+        ("arrival_s", -1.0), ("deadline_s", float("nan")),
+        ("deadline_s", 0.0),
+    ])
+    def test_requests_reject_non_finite_times(self, field, value):
+        from repro.serving.continuous import GenRequest
+
+        kwargs = dict(req_id=0, seq_len=8, arrival_s=0.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError):
+            Request(**kwargs)
+        with pytest.raises(ValueError):
+            GenRequest(**kwargs)
+
+
+class TestEventRecord:
+    def test_fields_repr_and_identity(self):
+        engine = Engine()
+        a = engine.schedule(1.0, EventKind.WAKE, payload="x")
+        b = engine.schedule(1.0, EventKind.ARRIVAL, priority=5)
+        assert (a.time, a.priority, a.seq, a.kind, a.callback, a.payload,
+                a.cancelled, a.dispatched) == \
+            (1.0, 2, 0, EventKind.WAKE, None, "x", False, False)
+        assert b.priority == 5
+        assert repr(a) == (
+            "Event(time=1.0, priority=2, seq=0, kind=<EventKind.WAKE: 2>, "
+            "callback=None, payload='x', cancelled=False, dispatched=False)")
+        assert a == a and a != b
+        with pytest.raises(AttributeError):
+            a.extra = 1  # slotted: no per-instance __dict__
+
+
 class TestAdvance:
     """Busy windows: ``run_until(end)`` advances the clock over a window."""
 

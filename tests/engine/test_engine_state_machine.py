@@ -10,7 +10,10 @@ events) / ``arrivals`` / ``peek`` / ``step`` (once, or until nothing is
 pending, as the serving driver's loop does) / ``run_until`` / ``spawn``
 run against both, and the combined log — handler calls and dispatch-hook
 calls (markers included), in order — plus the clock, ``pending``,
-``observed`` and ``events_dispatched`` must agree after every step.
+``observed`` and ``events_dispatched`` must agree after every step.  The
+hook also keeps every :class:`Event` it receives: each must still read
+its own dispatch's ``(time, priority, seq, kind)`` after later
+dispatches, so the engine never reuses a record it handed out.
 
 Times are multiples of 0.25 so that ties between kinds, seqs and window
 ends are frequent and exact.
@@ -145,14 +148,21 @@ class EngineMachine(RuleBasedStateMachine):
         self.engine = Engine()
         self.ref = Reference()
         self.log: List[tuple] = []
+        #: ``(event, (time, priority, seq, kind))`` of every hooked dispatch.
+        self.retained: List[tuple] = []
         self.tags = 0
         if not self.BULK:
             self._hook()
 
     def _hook(self) -> None:
         engine = self.engine
-        engine.add_dispatch_hook(lambda e: self.log.append(
-            ("hook", engine.now, e.time, e.priority, e.seq, int(e.kind))))
+
+        def hook(e) -> None:
+            key = (e.time, e.priority, e.seq, int(e.kind))
+            self.log.append(("hook", engine.now) + key)
+            self.retained.append((e, key))
+
+        engine.add_dispatch_hook(hook)
 
     def _tag(self) -> int:
         self.tags += 1
@@ -279,6 +289,8 @@ class EngineMachine(RuleBasedStateMachine):
         assert self.engine.now == self.ref.clock
         assert self.engine.pending == bool(self.ref.live())
         assert self.engine.events_dispatched == self.ref.dispatched
+        assert all((e.time, e.priority, e.seq, int(e.kind)) == key
+                   for e, key in self.retained)
 
 
 def bulk_view(log: List[tuple]) -> List[tuple]:

@@ -1,6 +1,11 @@
-"""Engine-level fault injection: stretch, crash queries, attempt verdicts."""
+"""Engine-level fault injection: stretch, crash queries, attempt verdicts,
+and the segment cache behind ``window`` and ``crashed``."""
+
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import Engine, EngineError, EngineFaultInjector, EventKind
 from repro.observability import MetricsRegistry
@@ -86,6 +91,98 @@ class TestCrashQueries:
         assert inj.crashed_during(0.0, 1.0) is None
         assert inj.crashed_during(1.5, 2.5) == 2.0
         assert inj.crashed_during(2.2, 2.8) == pytest.approx(2.2)
+
+
+#: Fault edges on a quarter-second grid, so windows share edges often.
+EDGE = st.integers(0, 12).map(lambda i: i * 0.25)
+SERVER = st.sampled_from([None, 0, 1])
+LABELS = [None, "batch x4", "decode"]
+
+
+def _span(draw):
+    start = draw(EDGE)
+    return start, start + draw(st.integers(1, 6)) * 0.25
+
+
+@st.composite
+def fault_plans(draw):
+    """Spikes of every server binding, stalls a label matches or not,
+    transient failures and crashes, all on the edge grid."""
+    def group(build, max_size):
+        return tuple(build() for _ in range(draw(st.integers(0, max_size))))
+
+    return FaultPlan(
+        seed=0,
+        spikes=group(lambda: LatencySpike(
+            *_span(draw), draw(st.sampled_from([1.0, 1.5, 3.0])),
+            server_id=draw(SERVER)), 3),
+        stalls=group(lambda: KernelStall(
+            *_span(draw), draw(st.sampled_from([1.0, 2.0])),
+            name_contains=draw(st.sampled_from(["", "batch", "gemm"]))), 2),
+        failures=group(lambda: TransientFailures(
+            *_span(draw), draw(st.sampled_from([0.0, 0.5, 1.0])),
+            server_id=draw(SERVER)), 2),
+        crashes=group(lambda: ServerCrash(
+            *_span(draw), server_id=draw(st.sampled_from([0, 1]))), 3),
+    )
+
+
+def _probe_times(plan):
+    """Every edge of either server, one ULP either side of it, the
+    midpoints between edges and points before and past them all."""
+    edges = sorted(set(plan.boundaries(0)) | set(plan.boundaries(1))
+                   | {0.0, 0.25})
+    points = {-0.0, 5.0, 9.5}
+    for e in edges:
+        points.update((e, math.nextafter(e, -math.inf),
+                       math.nextafter(e, math.inf)))
+    points.update((a + b) / 2 for a, b in zip(edges, edges[1:]))
+    return sorted(p for p in points if p >= 0.0)
+
+
+class TestSegmentCache:
+    """``window`` and ``crashed`` answer from a cached segment of the
+    plan's edges; they must equal the plan scans for queries in any
+    order, with starts and ends on edges and one ULP from them."""
+
+    @given(plan=fault_plans(), data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_segment_answers_equal_the_plan(self, plan, data):
+        points = _probe_times(plan)
+        point = st.sampled_from(points)
+        for sid in (0, 1):
+            inj = EngineFaultInjector(plan, sid)
+            ref = EngineFaultInjector(plan, sid)
+            for _ in range(data.draw(st.integers(1, 25))):
+                started = data.draw(point)
+                end = data.draw(point)
+                dur = (end - started if end >= started
+                       else data.draw(st.sampled_from([0.0, 0.1, 0.25])))
+                label = data.draw(st.sampled_from(LABELS))
+                want_dur = ref.stretch(dur, started, label)
+                want = (want_dur, ref.crashed_during(started,
+                                                     started + want_dur))
+                assert inj.window(started, dur, label) == want
+                t = data.draw(point)
+                assert inj.crashed(t) == plan.crashed(sid, t)
+                assert inj.crashed(started) == plan.crashed(sid, started)
+                assert (inj.stretches, inj.stretched_seconds) == \
+                    (ref.stretches, ref.stretched_seconds)
+
+    def test_crash_starting_at_the_window_end_cuts_it(self):
+        inj = EngineFaultInjector(plan(
+            crashes=(ServerCrash(2.0, 3.0, server_id=0),)))
+        assert inj.window(1.0, 0.5) == (0.5, None)
+        assert inj.window(1.5, 0.5) == (0.5, 2.0)
+        assert inj.window(0.5, 0.25) == (0.25, None)  # a backwards query
+
+    def test_quiet_window_returns_the_same_float(self):
+        inj = EngineFaultInjector(plan(
+            spikes=(LatencySpike(4.0, 5.0, 2.0),)))
+        d = 0.125
+        dur, cut = inj.window(1.0, d)
+        assert dur is d and cut is None
+        assert inj.stretches == 0
 
 
 class TestAttemptVerdicts:

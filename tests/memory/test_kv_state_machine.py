@@ -8,7 +8,11 @@ keeps a dict of page refcounts, recomputes every admission gate from
 scratch and picks eviction victims with an O(n) scan for the minimum
 ``(last_used, page_id)`` over unpinned leaves.  After every step the two
 must agree on gate decisions, lookups, victims, refcounts and byte
-counters; ``verify()`` must be clean; every live region's O(1)
+counters, on ``replans`` (one per layout-changing call, however many
+pages an append adds) and ``pages_reclaimed``, and on the order pages
+are allocated with their ids and pool slots (a freed slot is reused LIFO,
+and a reclaim frees its slots before the page that needed it takes one);
+``verify()`` must be clean; every live region's O(1)
 ``reserved_tokens`` must equal its page sum; and the slot pool's
 footprint must equal the peak number of distinct resident pages.
 """
@@ -37,11 +41,18 @@ def prompt_ids(family: int, shared: int, n: int, req: int) -> Tuple[int, ...]:
 
 
 class LoggingArena(KVCacheArena):
-    """Records the page of every index eviction, in order."""
+    """Records the page of every index eviction and the ``(page_id,
+    slot)`` of every allocation, in order."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.evicted: List[int] = []
+        self.allocated: List[Tuple[int, int]] = []
+
+    def _alloc_page(self):
+        page = super()._alloc_page()
+        self.allocated.append((page.page_id, page.slot))
+        return page
 
     def index_unref(self, page) -> None:
         self.evicted.append(page.page_id)
@@ -72,6 +83,13 @@ class Reference:
         self.nodes: Dict[Tuple[Tuple[int, ...], ...], Tuple[int, int]] = {}
         self.clock = 0
         self.victims: List[int] = []
+        # The slot pool: LIFO free list, high-water mark, page -> slot.
+        self.free_slots: List[int] = []
+        self.high_water = 0
+        self.slot_of: Dict[int, int] = {}
+        self.allocated: List[Tuple[int, int]] = []
+        self.replans = 0
+        self.pages_reclaimed = 0
 
     # -- pages ----------------------------------------------------------------
 
@@ -88,16 +106,25 @@ class Reference:
         self.refs[pid] -= 1
         if self.refs[pid] == 0:
             del self.refs[pid]
+            self.free_slots.append(self.slot_of.pop(pid))
 
     def alloc(self) -> int:
         needed = (len(self.refs) + 1) * self.P * self.bpt - self.capacity
         if needed > 0:
-            self.reclaim(-(-needed // self.bpt))
+            self.pages_reclaimed += self.reclaim(-(-needed // self.bpt)) \
+                // self.P
         assert (len(self.refs) + 1) * self.P * self.bpt <= self.capacity, \
             "reference overflow: an admitted region could not grow"
         pid = self.next_pid
         self.next_pid += 1
         self.refs[pid] = 1
+        if self.free_slots:
+            slot = self.free_slots.pop()
+        else:
+            slot = self.high_water
+            self.high_water += 1
+        self.slot_of[pid] = slot
+        self.allocated.append((pid, slot))
         self.peak_pages = max(self.peak_pages, len(self.refs))
         return pid
 
@@ -129,6 +156,7 @@ class Reference:
         while len(pages) * self.P < tokens:
             pages.append(self.alloc())
         self.regions[req] = RefRegion(tokens, self.rounded(max_total), pages)
+        self.replans += 1
         return True
 
     def fork(self, parent: int, child: int, max_total: int) -> bool:
@@ -139,6 +167,8 @@ class Reference:
     def append(self, req: int, k: int) -> None:
         region = self.regions[req]
         region.tokens += k
+        if len(region.pages) * self.P < region.tokens:
+            self.replans += 1
         while len(region.pages) * self.P < region.tokens:
             region.pages.append(self.alloc())
 
@@ -146,6 +176,7 @@ class Reference:
         region = self.regions.pop(req)
         for pid in region.pages:
             self.unref(pid)
+        self.replans += 1
         return region.tokens
 
     # -- index ----------------------------------------------------------------
@@ -331,6 +362,9 @@ class KVArenaMachine(RuleBasedStateMachine):
     def agrees_with_reference(self):
         arena, ref = self.arena, self.ref
         assert arena.evicted == ref.victims
+        assert arena.allocated == ref.allocated
+        assert (arena.replans, arena.pages_reclaimed) == \
+            (ref.replans, ref.pages_reclaimed)
         assert arena.verify(live_req_ids=sorted(self.live)) == []
         for req, region in ref.regions.items():
             reserved = arena.region_of(req).reserved_tokens
