@@ -33,9 +33,7 @@ stream's next ``(arrival_s, ARRIVAL, seq)`` key with the heap top, and
 build that arrival's :class:`Event` only when it is peeked or
 dispatched.  The order is exactly that of scheduling every ARRIVAL one by
 one, but the heap holds only the few live timers instead of the whole
-workload.  With a bulk handler on an unobserved engine, a busy window
-hands the stream's due arrivals over in slices, building no Event (see
-:meth:`Engine.arrivals`).
+workload.
 
 Invariants
 ----------
@@ -76,8 +74,10 @@ and its :class:`Event` is built only when a hook is attached.
 an engine with no hook and no live heap event (a lone encoder replica's
 closed-form rounds): it moves the stream cursor past the window's
 arrivals and returns the new position instead of calling a handler.
-Both windows order an arrival tied with the marker by one rule, ARRIVAL
-before WAKE.
+So an arrival reaches its consumer one of two ways: its own dispatch to
+the stream's callback (``step``, ``run_until``), or the cursor
+``take_until`` returns.  Both windows order an arrival tied with the
+marker by one rule, ARRIVAL before WAKE (``_arrivals_before``).
 
 ``spawn(generator)``, the third, runs a cooperative task: the generator
 yields the absolute end of each window and is resumed by a WAKE timer
@@ -90,7 +90,7 @@ from __future__ import annotations
 import enum
 import heapq
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 
@@ -149,14 +149,11 @@ _WAKE_KIND = EventKind.WAKE
 _PRIORITY = {kind: int(kind) for kind in EventKind}
 
 
-def _arrivals_before(times: Sequence[float], t: float, priority: int,
-                     lo: int, hi: Optional[int] = None) -> int:
-    """End of the run of stream arrivals from ``lo`` ordered before an
-    event of ``priority`` at ``t``.  An arrival at ``t`` goes first only
-    against a later kind; a tie in kind is left to seq, so it stops the
-    run (per-event dispatch orders it)."""
-    cut = bisect_right if priority > _ARRIVAL else bisect_left
-    return cut(times, t, lo, hi)
+def _arrivals_before(times: Sequence[float], end: float, lo: int) -> int:
+    """End of the run of stream arrivals from ``lo`` ordered before a
+    window's ``(end, WAKE, seq)`` marker: an arrival at ``end`` goes
+    first, ARRIVAL before WAKE, as per-event dispatch orders it."""
+    return bisect_right(times, end, lo)
 
 
 class Task:
@@ -208,7 +205,6 @@ class Engine:
         # is the built Event of the next one (None until peeked).
         self._stream: Sequence[Any] = ()
         self._stream_times: List[float] = []
-        self._stream_bulk: Optional[Callable[[Sequence[Any]], None]] = None
         self._stream_at = 0
         self._stream_seq0 = 0
         self._stream_callback: Optional[Callable[[Event], None]] = None
@@ -243,9 +239,7 @@ class Engine:
         return event
 
     def arrivals(self, payloads: Sequence[Any],
-                 callback: Callable[[Event], None],
-                 bulk: Optional[Callable[[Sequence[Any]], None]] = None,
-                 ) -> None:
+                 callback: Callable[[Event], None]) -> None:
         """Schedule one ARRIVAL per payload, at its ``arrival_s``.
 
         ``payloads`` must be sorted by ``arrival_s``, start at or after
@@ -253,18 +247,9 @@ class Engine:
         reserves one contiguous block of seqs, so dispatch order is
         exactly that of scheduling the same ARRIVALs one by one, but the
         stream stays out of the heap: its next arrival is merged in at
-        ``peek``/``step`` and its Event built only then.
-
-        ``bulk``, if given, takes a whole slice of payloads at once.
-        Inside a ``run_until`` window on an unobserved
-        engine (no dispatch hook), every arrival ordered before the window
-        end and before the heap top goes to one ``bulk(slice)`` call
-        instead of one ``callback(event)`` each; ``now``, ``pending`` and
-        ``events_dispatched`` then read as after per-event dispatch, the
-        clock on the slice's last arrival.  Contract: a bulk handler must
-        not schedule or cancel events, nor read ``now`` per payload (it
-        sees only the last one's time).  ``step`` always dispatches
-        arrivals one by one.
+        ``peek``/``step`` and its Event built only then.  ``step`` and
+        ``run_until`` dispatch each arrival to ``callback``; only
+        ``take_until`` passes them without a call.
         """
         if self._stream_at < len(self._stream):
             raise EngineError("an arrival stream is still pending")
@@ -277,7 +262,6 @@ class Engine:
             raise EngineError("arrival stream is not sorted by arrival_s")
         self._stream = payloads
         self._stream_times = times
-        self._stream_bulk = bulk
         self._stream_at = 0
         self._stream_seq0 = self._seq
         self._stream_callback = callback
@@ -324,8 +308,8 @@ class Engine:
 
     @property
     def observed(self) -> bool:
-        """Whether a dispatch hook sees every dispatch (arrivals then go
-        one by one, whatever bulk handler is set)."""
+        """Whether a dispatch hook sees every dispatch (``take_until``
+        refuses then)."""
         return bool(self._dispatch_hooks)
 
     def add_dispatch_hook(self, hook: Callable[[Event], None]) -> None:
@@ -371,10 +355,7 @@ class Engine:
         the heap; its Event is built only when a hook is attached."""
         seq = self._seq
         self._seq += 1
-        bulk = None if self.observed else self._stream_bulk
         while True:
-            if bulk is not None and self._deliver_slice(end, bulk):
-                break
             event = self.peek()
             if event is None or event.time > end or (
                     event.time == end
@@ -387,28 +368,6 @@ class Engine:
             marker = Event(end, _WAKE, seq, EventKind.WAKE)
             for hook in self._dispatch_hooks:
                 hook(marker)
-
-    def _deliver_slice(self, end: float,
-                       bulk: Callable[[Sequence[Any]], None]) -> bool:
-        """Hand ``bulk`` every stream arrival ordered before the window
-        end ``end`` and before the heap top; what stops the slice (a heap
-        event, an arrival tied with one) is left to per-event dispatch.
-        Returns whether nothing more is due by ``end``, so the caller need
-        not peek (and build an Event) to find out."""
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)  # repro: allow(DET405)
-        times = self._stream_times
-        at = self._stream_at
-        stop = _arrivals_before(times, end, _WAKE, at)
-        if heap and heap[0][0] <= end:
-            stop = _arrivals_before(times, heap[0][0], heap[0][1], at, stop)
-        if stop > at:
-            self._pass_stream(stop)
-            self.now = times[stop - 1]  # repro: allow(DET406)
-            bulk(self._stream[at:stop])
-        return ((stop == len(times) or times[stop] > end)
-                and (not heap or heap[0][0] > end))
 
     def _pass_stream(self, stop: int) -> None:
         """Count the stream's arrivals up to ``stop`` as dispatched and
@@ -446,9 +405,10 @@ class Engine:
         ``(end, WAKE, seq)`` marker instead of handing them to a handler.
 
         The clock, ``events_dispatched`` and ``pending`` then read as
-        ``run_until`` with a bulk handler leaves them, and the marker's
-        seq is reserved the same way.  The caller reads the taken
-        arrivals off its own payload list.  It needs an engine no hook
+        ``run_until`` leaves them after dispatching those arrivals one by
+        one, and the marker's seq is reserved the same way; no arrival
+        :class:`Event` is built and no callback runs.  The caller reads
+        the taken arrivals off its own payload list.  It needs an engine no hook
         observes and whose heap holds no live event, since nothing but
         the stream may dispatch inside the window.
         """
@@ -461,8 +421,7 @@ class Engine:
             raise EngineError("take_until needs an engine whose heap "
                               "holds no live event")
         self._seq += 1  # the window-end marker's
-        stop = _arrivals_before(self._stream_times, end, _WAKE,
-                                self._stream_at)
+        stop = _arrivals_before(self._stream_times, end, self._stream_at)
         if stop > self._stream_at:
             self._pass_stream(stop)
         self.now = end  # repro: allow(DET406)

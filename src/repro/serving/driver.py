@@ -200,9 +200,6 @@ class Driver:
                        else Router(self.replicas, policy, max_len=max_len))
         self.horizon = 0.0
         self.arrivals: List[Request] = []
-        #: A handler taking a window's arrivals in one call (see
-        #: ``Engine.arrivals``), where an arrival only joins a queue.
-        self.bulk: Optional[Callable[[Sequence[Request]], None]] = None
         #: The lone replica a WAKE or TRIGGER just started.
         self._woken: Optional[Replica] = None
         #: Busy seconds inside the horizon, summed over the replicas.
@@ -336,7 +333,7 @@ class Driver:
         self.arrivals, self.horizon = arrival_window(requests, duration_s)
         if self.trace_on:
             self.name_tracks()
-        self.engine.arrivals(self.arrivals, self._on_arrival, self.bulk)
+        self.engine.arrivals(self.arrivals, self._on_arrival)
         self.loop()
         return self._finalize()
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Sequence
+from typing import Deque, List, Optional
 
 from .request import Request
 
@@ -39,19 +39,6 @@ class MessageQueue:
         if depth > self.peak_depth:
             self.peak_depth = depth
         return True
-
-    def extend(self, requests: Sequence[Request]) -> None:
-        """Enqueue ``requests`` in order, as that many ``push`` calls
-        would on an unbounded queue (a bounded one must shed per push)."""
-        if self.capacity is not None:
-            raise ValueError("extend needs an unbounded queue")
-        queue = self._queue
-        queue.extend(requests)
-        self.total_enqueued += len(requests)
-        # Pushes only deepen the queue, so the last depth is the peak.
-        depth = len(queue)
-        if depth > self.peak_depth:
-            self.peak_depth = depth
 
     def drain(self, limit: Optional[int] = None) -> List[Request]:
         """Pop up to ``limit`` requests in arrival order (all if None)."""

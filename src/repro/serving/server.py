@@ -45,10 +45,15 @@ replica follows:
   injector's latency spikes, and transient failures strike at the batch
   completion.
 
-When nothing can observe a lone replica between batch ends (hungry,
-fault-free, no tracer, registry, cache or sanitizer), a window is a
-whole scheduling round, priced in closed form from the scheduler's
-:meth:`~repro.serving.scheduler.BatchScheduler.partition`
+Every arrival reaches a queue by its own ARRIVAL dispatch, whether the
+driver steps the engine or a busy window runs ``run_until``.  The one
+exception: when nothing can observe a lone replica between batch ends
+(hungry, fault-free, no tracer, registry, cache, sanitizer or adaptive
+scheduler; the predicate is one expression in :meth:`_BatchDriver.loop`),
+a window is a whole scheduling round, priced in closed form from the
+scheduler's :meth:`~repro.serving.scheduler.BatchScheduler.partition`,
+and the round reads its arrivals off the engine's stream cursor
+(``Engine.take_until``) without queueing them
 (:meth:`_BatchDriver._serve_rounds`).
 
 Observability: pass a :class:`repro.observability.Tracer` and/or a
@@ -81,7 +86,7 @@ from .driver import Driver, Replica, publish_tally
 from .metrics import ResilienceStats, ServingMetrics
 from .mq import MessageQueue
 from .policies import HungryPolicy, LazyPolicy, TriggerPolicy
-from .request import Batch, Request, RequestState, _resolve_hooks, make_batch
+from .request import Batch, Request, RequestState, make_batch
 from .router import RoutingPolicy, other_replica_up
 from .scheduler import BatchScheduler, CostFn, batch_execution_cost, observe_round
 
@@ -389,12 +394,6 @@ class _BatchDriver(Driver):
              for i, scheduler in enumerate(schedulers)],
             system, config.warmup_fraction, resilience, tracer, metrics,
             policy, max_len)
-        # Without a router, cache or observer an arrival only joins the
-        # queue, so a window's arrivals can join it in one call.
-        lone = self.replicas[0]
-        if (self.router is None and cache is None and not self.observed
-                and lone.queue.capacity is None):
-            self.bulk = lone.queue.extend
 
     # -- request bookkeeping ----------------------------------------------
 
@@ -464,12 +463,14 @@ class _BatchDriver(Driver):
 
     def loop(self) -> None:
         lone = self.replicas[0]
-        # Closed-form rounds when an arrival only joins the lone queue and,
-        # beyond that, nothing can see the replica between batch ends.
-        if (self.bulk is not None and type(lone) is BatchReplica
+        # Closed-form rounds when nothing can see the lone replica between
+        # batch ends.  ``engine.observed`` covers the registry's dispatch
+        # counter and the sanitizer, which hooks every engine built while
+        # it is attached; only resilience bounds a queue.
+        if (self.inline and type(lone) is BatchReplica
                 and type(lone.policy) is HungryPolicy and self.res is None
-                and lone.observe is None and not _resolve_hooks
-                and not self.engine.observed):
+                and self.cache is None and not self.trace_on
+                and not self.engine.observed and lone.observe is None):
             self._serve_rounds(lone)
         else:
             super().loop()
@@ -478,17 +479,21 @@ class _BatchDriver(Driver):
         """The hungry loop of a lone, fault-free, unobserved replica, one
         engine window per scheduling round.
 
-        Nothing outside the replica can see its state between batch ends:
-        no tracer, registry, response cache or sanitizer hook, no fault,
-        retry, deadline, breaker or bounded queue, no adaptive scheduler
-        and no TRIGGER event (the engine holds no heap event at all).  So
-        each round is the scheduler's ``partition`` — slices of one
-        request order, each with the cost ``batch_execution_cost`` would
-        charge it, which the pruned DP reads off the rows it priced — run
-        in the same ``started + exec_s`` float sums the windowed path
-        runs ``run_until`` to.  No :class:`Batch` is built.  Its members
-        are resolved (with no resolve hook that is all ``resolve`` does)
-        and the engine takes the round's arrivals in one ``take_until``.
+        :meth:`loop` takes this path only under its one predicate, so
+        nothing outside the replica can see its state between batch
+        ends: no tracer, dispatch hook (the registry's counter or the
+        sanitizer), response cache or adaptive scheduler, no fault,
+        retry, deadline, breaker or bounded queue (all need resilience),
+        and no TRIGGER event (the engine holds no heap event at all).
+        So each round is the
+        scheduler's ``partition`` — slices of one request order, each
+        with the cost ``batch_execution_cost`` would charge it, which the
+        pruned DP reads off the rows it priced — run in the same
+        ``started + exec_s`` float sums the windowed path runs
+        ``run_until`` to.  No :class:`Batch` is built.  Its members are
+        resolved (the sanitizer, the only resolve hook, would have hooked
+        the engine, so that is all ``resolve`` does) and the engine takes
+        the round's arrivals in one ``take_until``.
 
         Only arrivals feed the queue and rounds drain it in order, so the
         queue is always ``arrivals[head:due]``: ``due`` is the stream

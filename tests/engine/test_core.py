@@ -303,118 +303,13 @@ class TestArrivalStream:
         assert engine.now == 1.5
 
 
-class TestBulkArrivals:
-    """``arrivals(..., bulk=...)``: inside a window an unobserved engine
-    hands every arrival no heap event separates to one call."""
-
-    _payloads = staticmethod(TestArrivalStream._payloads)
-
-    @staticmethod
-    def _engine(times, log, bulk=True):
-        engine = Engine()
-        payloads = TestBulkArrivals._payloads(times)
-        engine.arrivals(
-            payloads, lambda e: log.append(("one", e.payload.req_id)),
-            (lambda ps: log.append(("bulk", [p.req_id for p in ps])))
-            if bulk else None)
-        return engine
-
-    def test_window_arrivals_go_in_one_slice(self):
-        log = []
-        engine = self._engine([0.1, 0.2, 0.2, 0.5, 0.9], log)
-        engine.run_until(0.5)
-        assert log == [("bulk", [0, 1, 2, 3])]
-        assert (engine.now, engine.events_dispatched) == (0.5, 5)
-
-    def test_slice_stops_at_a_heap_event(self):
-        log = []
-        engine = self._engine([0.1, 0.3, 0.4, 0.6], log)
-        engine.schedule(0.3, EventKind.RETRY,
-                        lambda e: log.append(("retry", engine.now)))
-        engine.schedule(0.4, EventKind.ARRIVAL,
-                        lambda e: log.append(("heap arrival", engine.now)))
-        engine.run_until(1.0)
-        # An arrival tied with a later kind goes first; one tied with a
-        # heap ARRIVAL scheduled after the stream goes by seq.
-        assert log == [("bulk", [0, 1]), ("retry", 0.3), ("one", 2),
-                       ("heap arrival", 0.4), ("bulk", [3])]
-
-    def test_heap_event_that_sorts_first_at_a_tie_goes_first(self):
-        """At one instant a heap event of priority below ARRIVAL, or an
-        ARRIVAL scheduled before the stream, precedes the stream's."""
-        log = []
-        engine = Engine()
-        engine.schedule(0.2, EventKind.ARRIVAL,
-                        lambda e: log.append(("early arrival", engine.now)))
-        engine.arrivals(
-            self._payloads([0.1, 0.2, 0.3]),
-            lambda e: log.append(("one", e.payload.req_id)),
-            lambda ps: log.append(("bulk", [p.req_id for p in ps])))
-        engine.schedule(0.3, EventKind.WAKE,
-                        lambda e: log.append(("urgent", engine.now)),
-                        priority=-1)
-        engine.run_until(1.0)
-        assert log == [("bulk", [0]), ("early arrival", 0.2), ("bulk", [1]),
-                       ("urgent", 0.3), ("bulk", [2])]
-
-    def test_step_stays_per_event(self):
-        log = []
-        engine = self._engine([0.1, 0.1, 0.2], log)
-        drain(engine)
-        assert log == [("one", 0), ("one", 1), ("one", 2)]
-
-    def test_falls_back_per_event_under_a_hook_or_instrumentation(self):
-        """Any dispatch hook, the registry's dispatch counter included."""
-        for observe in ("hook", "instrumentation"):
-            log = []
-            engine = self._engine([0.1, 0.2], log)
-            assert not engine.observed
-            if observe == "hook":
-                engine.add_dispatch_hook(lambda e: None)
-            else:
-                engine.add_dispatch_hook(dispatch_counter(MetricsRegistry()))
-            assert engine.observed
-            engine.run_until(0.5)
-            assert log == [("one", 0), ("one", 1)], observe
-
-    def test_peeked_head_is_dropped_once_delivered(self):
-        log = []
-        engine = self._engine([0.1, 0.2], log)
-        head = engine.peek()
-        engine.run_until(0.15)
-        assert log == [("bulk", [0])] and head.dispatched
-        engine.cancel(head)  # a stale handle: no-op
-        assert engine.pending
-        drain(engine)
-        assert log[-1] == ("one", 1) and not engine.pending
-
-    def test_state_matches_per_event_delivery(self):
-        times = [0.0, 0.25, 0.25, 0.5, 0.75, 1.0, 1.0, 1.75]
-
-        def run(bulk):
-            log = []
-            engine = self._engine(times, log, bulk)
-            engine.schedule(0.75, EventKind.WAKE)
-            states = []
-            for end in (0.25, 0.6, 1.0, 1.5, 2.0):
-                engine.run_until(end)
-                states.append((engine.now, engine.pending,
-                               engine.events_dispatched))
-            delivered = [i for kind, ids in log
-                         for i in (ids if kind == "bulk" else [ids])]
-            return states, delivered
-
-        assert run(True) == run(False)
-        assert run(True)[1] == list(range(len(times)))
-
-
 TICK = 1.0 / 64
 
 
 class TestTakeUntil:
-    """``take_until(end)`` is ``run_until(end)`` with a bulk handler, for
-    the stream's one consumer: it returns the stream position instead of
-    handing the arrivals over."""
+    """``take_until(end)`` is ``run_until(end)`` for the stream's one
+    consumer: it returns the stream position instead of dispatching the
+    arrivals one by one."""
 
     _payloads = staticmethod(TestArrivalStream._payloads)
 
@@ -440,8 +335,7 @@ class TestTakeUntil:
 
         handed = []
         windowed = Engine()
-        windowed.arrivals(payloads, lambda e: handed.append(e.payload),
-                          handed.extend)
+        windowed.arrivals(payloads, lambda e: handed.append(e.payload))
         taker = Engine()
         taker.arrivals(payloads, lambda e: None)
         taken, at = [], 0
@@ -456,6 +350,22 @@ class TestTakeUntil:
         # Both reserved the same marker seqs.
         assert taker.schedule(end, EventKind.WAKE).seq == \
             windowed.schedule(end, EventKind.WAKE).seq
+
+    def test_peeked_head_is_dropped_once_delivered(self):
+        """An arrival peeked (its Event built) before the window is taken
+        with it; the stale handle then cancels nothing."""
+        log = []
+        engine = Engine()
+        engine.arrivals(self._payloads([0.1, 0.2]),
+                        lambda e: log.append(e.payload.req_id))
+        head = engine.peek()
+        assert engine.take_until(0.15) == 1
+        assert head.dispatched and log == []
+        engine.cancel(head)  # a stale handle: no-op
+        assert engine.pending
+        drain(engine)
+        assert log == [1] and not engine.pending
+        assert engine.events_dispatched == 3
 
     def test_refuses_a_live_heap_event_or_a_hook(self):
         engine = Engine()

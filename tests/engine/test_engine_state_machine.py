@@ -18,10 +18,9 @@ dispatches, so the engine never reuses a record it handed out.
 Times are multiples of 0.25 so that ties between kinds, seqs and window
 ends are frequent and exact.
 
-A second machine registers a bulk arrival handler and starts with no
-dispatch hook, so windows hand arrivals over in slices until a rule
-attaches a hook; its arrival entries are compared without their clock
-(a bulk handler does not read it per payload) and without hook entries.
+A second machine starts with no dispatch hook, which a rule may attach
+mid-run; its log is compared without hook entries, arrival clocks
+included, so an unobserved engine dispatches exactly as an observed one.
 """
 
 from dataclasses import dataclass, field
@@ -140,8 +139,8 @@ class Reference:
 
 
 class EngineMachine(RuleBasedStateMachine):
-    #: Register a bulk arrival handler and start unobserved.
-    BULK = False
+    #: Start with no dispatch hook.
+    UNOBSERVED = False
 
     def __init__(self) -> None:
         super().__init__()
@@ -151,7 +150,7 @@ class EngineMachine(RuleBasedStateMachine):
         #: ``(event, (time, priority, seq, kind))`` of every hooked dispatch.
         self.retained: List[tuple] = []
         self.tags = 0
-        if not self.BULK:
+        if not self.UNOBSERVED:
             self._hook()
 
     def _hook(self) -> None:
@@ -233,13 +232,9 @@ class EngineMachine(RuleBasedStateMachine):
     def arrivals(self, delays):
         times = sorted(self.engine.now + d for d in delays)
         payloads = [Arrival(t, -self._tag()) for t in times]
-        bulk = None
-        if self.BULK:
-            def bulk(sliced):
-                self.log.extend(("cb", None, p.tag) for p in sliced)
         self.engine.arrivals(
             payloads, lambda e: self.log.append(
-                ("cb", self.engine.now, e.payload.tag)), bulk)
+                ("cb", self.engine.now, e.payload.tag)))
         for p in payloads:
             self.ref.push(p.arrival_s, EventKind.ARRIVAL, p.tag)
         self.ref.stream_left = len(payloads)
@@ -281,8 +276,8 @@ class EngineMachine(RuleBasedStateMachine):
 
     @invariant()
     def agrees_with_reference(self):
-        if self.BULK:
-            assert bulk_view(self.log) == bulk_view(self.ref.log)
+        if self.UNOBSERVED:
+            assert unhooked(self.log) == unhooked(self.ref.log)
         else:
             assert self.log == self.ref.log
             assert self.engine.observed
@@ -293,25 +288,24 @@ class EngineMachine(RuleBasedStateMachine):
                    for e, key in self.retained)
 
 
-def bulk_view(log: List[tuple]) -> List[tuple]:
-    """A log without hook entries, arrival entries without their clock."""
-    return [("cb", None, entry[2]) if entry[0] == "cb" and entry[2] < 0
-            else entry for entry in log if entry[0] != "hook"]
+def unhooked(log: List[tuple]) -> List[tuple]:
+    """A log without hook entries."""
+    return [entry for entry in log if entry[0] != "hook"]
 
 
-class BulkEngineMachine(EngineMachine):
-    BULK = True
+class UnobservedEngineMachine(EngineMachine):
+    UNOBSERVED = True
 
     @precondition(lambda self: not self.engine.observed)
     @rule()
     def attach_hook(self):
-        """From here on arrivals must go one by one."""
+        """From here on the hook sees every dispatch."""
         self._hook()
 
 
 EngineMachine.TestCase.settings = settings(
     max_examples=150, stateful_step_count=40, deadline=None)
 TestEngineStateMachine = EngineMachine.TestCase
-BulkEngineMachine.TestCase.settings = settings(
+UnobservedEngineMachine.TestCase.settings = settings(
     max_examples=300, stateful_step_count=40, deadline=None)
-TestBulkEngineStateMachine = BulkEngineMachine.TestCase
+TestBulkEngineStateMachine = UnobservedEngineMachine.TestCase
