@@ -68,11 +68,13 @@ class LazyPolicy(TriggerPolicy):
     name: str = "lazy"
 
     def __post_init__(self) -> None:
-        if self.timeout_s <= 0:
+        # ``not x > 0`` rejects NaN too: a NaN timeout would never fire
+        # and a NaN SLO would silently disable the escape hatch.
+        if not self.timeout_s > 0:
             raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
         if self.max_batch <= 0:
             raise ValueError(f"max_batch must be positive, got {self.max_batch}")
-        if self.latency_slo_s <= 0:
+        if not self.latency_slo_s > 0:
             raise ValueError(f"latency_slo_s must be positive, got {self.latency_slo_s}")
 
     def should_schedule(self, queue: MessageQueue, now_s: float) -> bool:

@@ -148,6 +148,7 @@ class TestLazy:
 
     @pytest.mark.parametrize("kwargs", [
         {"timeout_s": 0.0}, {"max_batch": 0}, {"latency_slo_s": 0.0},
+        {"timeout_s": float("nan")}, {"latency_slo_s": float("nan")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
