@@ -119,8 +119,6 @@ def simulate_cluster(
                 if count:
                     metrics.counter("cluster_requests_dropped_total",
                                     reason=reason).inc(count)
-            metrics.counter("cluster_timed_out_total").inc(stats.timed_out)
-            metrics.counter("cluster_failed_total").inc(stats.failed)
     return ClusterMetrics(serving=serving, per_server_completed=per_server)
 
 
