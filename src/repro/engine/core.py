@@ -408,9 +408,9 @@ class Engine:
         ``run_until`` leaves them after dispatching those arrivals one by
         one, and the marker's seq is reserved the same way; no arrival
         :class:`Event` is built and no callback runs.  The caller reads
-        the taken arrivals off its own payload list.  It needs an engine no hook
-        observes and whose heap holds no live event, since nothing but
-        the stream may dispatch inside the window.
+        the taken arrivals off its own payload list.  It needs an engine
+        no hook observes and whose heap holds no live event, since
+        nothing but the stream may dispatch inside the window.
         """
         if not end >= self.now:
             raise EngineError(f"cannot take_until {end} < now {self.now}")

@@ -485,12 +485,11 @@ class _BatchDriver(Driver):
         sanitizer), response cache or adaptive scheduler, no fault,
         retry, deadline, breaker or bounded queue (all need resilience),
         and no TRIGGER event (the engine holds no heap event at all).
-        So each round is the
-        scheduler's ``partition`` — slices of one request order, each
-        with the cost ``batch_execution_cost`` would charge it, which the
-        pruned DP reads off the rows it priced — run in the same
-        ``started + exec_s`` float sums the windowed path runs
-        ``run_until`` to.  No :class:`Batch` is built.  Its members are
+        So each round is the scheduler's ``partition`` — slices of one
+        request order, each with the cost ``batch_execution_cost`` would
+        charge it, which the pruned DP reads off the rows it priced — run
+        in the same ``started + exec_s`` float sums the windowed path
+        runs ``run_until`` to.  No :class:`Batch` is built.  Its members are
         resolved (the sanitizer, the only resolve hook, would have hooked
         the engine, so that is all ``resolve`` does) and the engine takes
         the round's arrivals in one ``take_until``.
