@@ -93,11 +93,11 @@ def chaos_recovery() -> None:
     from repro.resilience import run_chaos
 
     report = run_chaos("smoke", seed=0)
-    stats = report.chaos.serving.resilience
-    print(f"   {report.chaos.serving.offered} requests on "
-          f"{report.scenario.num_servers} servers; faults: 1 crash, "
+    stats = report.chaos.resilience
+    print(f"   {report.chaos.offered} requests on "
+          f"{report.scenario.num_replicas} servers; faults: 1 crash, "
           f"1 latency spike, 1 transient-failure window")
-    print(f"   outcome: {report.chaos.serving.completed} completed, "
+    print(f"   outcome: {report.chaos.completed} completed, "
           f"{stats.retries} retries, {stats.dropped} dropped, "
           f"{len(report.breaker_transitions)} breaker transition(s)")
     print(f"   post-fault goodput {report.goodput_chaos:.1f} resp/s = "

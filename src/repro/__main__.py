@@ -22,11 +22,12 @@ Commands
     Run one scripted fault-injection scenario (baseline + chaos pair over
     the same workload), print resilience metrics (retries, deadline
     misses, breaker transitions, post-fault goodput vs. baseline) and exit
-    non-zero unless goodput recovers past the scenario threshold.  The
-    ``gen-*`` scenarios exercise generation serving — replica crashes with
-    KV loss and recompute-on-resume (``gen-blackout``), KV-pressure
-    preemption under a transient-failure storm (``gen-storm``) — and
-    additionally require a clean end-of-run KV leak audit.
+    non-zero unless goodput recovers past the scenario threshold and the
+    end-of-run KV leak audit is clean.  The choices are the one chaos
+    registry (``repro.resilience.chaos.SCENARIOS``); the ``gen-*``
+    scenarios exercise generation serving — replica crashes with KV loss
+    and recompute-on-resume (``gen-blackout``), KV-pressure preemption
+    under a transient-failure storm (``gen-storm``).
     Deterministic given the seed: two runs write byte-identical metrics.
 ``bench [--profile smoke|full|gen] [--seed N] [--out BENCH_host.json]``
     Wall-clock benchmarks of the host fast path (compiled cost models,
@@ -164,36 +165,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .resilience.chaos import (
-        GEN_SCENARIOS,
-        SCENARIOS,
-        format_gen_report,
-        format_report,
-        run_chaos,
-        run_gen_chaos,
-    )
+    from .resilience.chaos import format_report, run_chaos
 
-    if args.scenario in GEN_SCENARIOS:
-        report = run_gen_chaos(scenario_name=args.scenario, seed=args.seed)
-        print(format_gen_report(report))
-        if args.metrics_out:
-            report.registry.save(args.metrics_out)
-            print(f"metrics:   {args.metrics_out} "
-                  f"({len(report.registry)} series)")
-        if args.no_check:
-            return 0
-        return 0 if report.recovered and report.leak_free else 1
-    if args.scenario not in SCENARIOS:  # argparse choices guard; belt and braces
-        print(f"unknown scenario {args.scenario!r}", file=sys.stderr)
-        return 2
-    report = run_chaos(scenario_name=args.scenario, seed=args.seed)
+    report = run_chaos(args.scenario, args.seed)
     print(format_report(report))
     if args.metrics_out:
         report.registry.save(args.metrics_out)
         print(f"metrics:   {args.metrics_out} ({len(report.registry)} series)")
     if args.no_check:
         return 0
-    return 0 if report.recovered else 1
+    return 0 if report.recovered and report.leak_free else 1
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -318,7 +299,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="TurboTransformers reproduction command line",
@@ -360,9 +341,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "chaos",
         help="run a scripted fault scenario and check goodput recovery",
     )
-    chaos.add_argument("--scenario",
-                       choices=("smoke", "blackout", "storm",
-                                "gen-blackout", "gen-storm"),
+    from .resilience.chaos import SCENARIOS
+
+    chaos.add_argument("--scenario", choices=sorted(SCENARIOS),
                        default="smoke")
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument("--metrics-out", default="chaos_metrics.json",
@@ -439,8 +420,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "engine-trace sanitizer instead of the static "
                             "families (see repro.analysis.sanitize_scenarios)")
     check.set_defaults(func=_cmd_check)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

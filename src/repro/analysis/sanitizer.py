@@ -25,12 +25,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.chaos import (
-    GEN_SCENARIOS,
     SCENARIOS,
     _linear_cost,
     replace_deadline,
     run_chaos,
-    run_gen_chaos,
 )
 from ..resilience.config import ResilienceConfig
 from ..resilience.faults import (
@@ -218,23 +216,14 @@ _LIGHT_RUNNERS: Dict[str, ScenarioRunner] = {
 
 def _chaos_runner(name: str) -> ScenarioRunner:
     def run(seed: int) -> ScenarioOutcome:
-        run_chaos(name, seed=seed)
-        return ScenarioOutcome(retry=SCENARIOS[name](seed).retry)
-
-    return run
-
-
-def _gen_chaos_runner(name: str) -> ScenarioRunner:
-    def run(seed: int) -> ScenarioOutcome:
-        run_gen_chaos(name, seed=seed)
-        return ScenarioOutcome(retry=GEN_SCENARIOS[name](seed).retry)
+        return ScenarioOutcome(retry=run_chaos(name, seed).scenario.retry)
 
     return run
 
 
 def sanitize_scenarios() -> Tuple[str, ...]:
     """Every scenario name ``run_sanitized`` accepts, sorted."""
-    return tuple(sorted({*_LIGHT_RUNNERS, *SCENARIOS, *GEN_SCENARIOS}))
+    return tuple(sorted({*_LIGHT_RUNNERS, *SCENARIOS}))
 
 
 def _runner_for(name: str) -> ScenarioRunner:
@@ -242,8 +231,6 @@ def _runner_for(name: str) -> ScenarioRunner:
         return _LIGHT_RUNNERS[name]
     if name in SCENARIOS:
         return _chaos_runner(name)
-    if name in GEN_SCENARIOS:
-        return _gen_chaos_runner(name)
     raise ValueError(f"unknown sanitize scenario {name!r}; "
                      f"pick from {', '.join(sanitize_scenarios())}")
 

@@ -1026,16 +1026,14 @@ def _verify_fault_segments(seed: int) -> List[str]:
     import math
 
     from .engine import EngineFaultInjector
-    from .resilience.chaos import GEN_SCENARIOS, SCENARIOS
+    from .resilience.chaos import SCENARIOS
 
     problems: List[str] = []
     windows = 0
-    for name, build in {**SCENARIOS, **GEN_SCENARIOS}.items():
+    for name, build in SCENARIOS.items():
         scenario = build(seed)
         plan = scenario.faults
-        servers = getattr(scenario, "num_servers", None) \
-            or scenario.num_replicas
-        for sid in range(servers):
+        for sid in range(scenario.num_replicas):
             edges = plan.boundaries(sid)
             points = sorted(
                 {p for e in edges for p in (math.nextafter(e, -math.inf), e,

@@ -16,8 +16,9 @@ Four independent, composable mechanisms, all deterministic and seeded:
   under stress, with shedding as the optional last rung.
 
 :class:`ResilienceConfig` bundles them for ``simulate_serving`` /
-``simulate_cluster``; :func:`run_chaos` (:mod:`.chaos`) drives scripted
-scenarios end to end and asserts recovery (``python -m repro chaos``).
+``simulate_cluster``; :func:`run_chaos` (:mod:`.chaos`) drives any
+scenario of the one :data:`SCENARIOS` registry, encoder or generation,
+end to end and asserts recovery (``python -m repro chaos``).
 """
 
 from .breaker import BreakerState, CircuitBreaker
@@ -57,11 +58,6 @@ __all__ = [
     "SCENARIOS",
     "run_chaos",
     "format_report",
-    "GenChaosReport",
-    "GenChaosScenario",
-    "GEN_SCENARIOS",
-    "run_gen_chaos",
-    "format_gen_report",
 ]
 
 
@@ -69,8 +65,7 @@ def __getattr__(name: str):
     # The chaos harness imports the serving layer; loading it lazily keeps
     # ``repro.serving`` free to import this package without a cycle.
     if name in ("ChaosReport", "ChaosScenario", "SCENARIOS", "run_chaos",
-                "format_report", "GenChaosReport", "GenChaosScenario",
-                "GEN_SCENARIOS", "run_gen_chaos", "format_gen_report"):
+                "format_report"):
         from . import chaos
 
         return getattr(chaos, name)

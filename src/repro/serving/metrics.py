@@ -85,7 +85,8 @@ class ResilienceStats:
     """Fault-handling outcome of one (resilient) serving run.
 
     All counts are whole-run totals; rates are derived against ``offered``
-    by the caller (see :class:`repro.resilience.chaos.ChaosReport`).
+    by the caller (see
+    :meth:`repro.resilience.chaos.EncoderChaosScenario.publish`).
     """
 
     retries: int = 0

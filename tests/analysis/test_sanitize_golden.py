@@ -1,8 +1,8 @@
 """Sanitizer summaries of the serving scenarios are pinned byte for byte.
 
 ``python -m repro check --sanitize <name> --format json --out X`` must
-write exactly ``golden_sanitize/<name>.json`` for the generation
-scenarios (the chunked prefix-cached ``continuous`` one and the
+write exactly ``golden_sanitize/<name>.json`` for every name
+``sanitize_scenarios()`` accepts: the generation scenarios (the chunked prefix-cached ``continuous`` one and the
 ``gen-blackout`` and ``gen-storm`` chaos scenarios) and for the encoder
 ones (the ``smoke``, ``blackout`` and ``storm`` chaos scenarios and the
 ``cluster``, ``ebird`` and ``oneshot`` serving scenarios).  The summary
@@ -22,10 +22,10 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
+from repro.analysis.sanitizer import sanitize_scenarios
 
 GOLDEN = Path(__file__).parent / "golden_sanitize"
-SCENARIOS = ("continuous", "gen-blackout", "gen-storm", "smoke", "blackout",
-             "storm", "cluster", "ebird", "oneshot")
+SCENARIOS = sanitize_scenarios()
 
 
 def sanitize_json(name: str, out: Path) -> str:

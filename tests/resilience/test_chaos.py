@@ -23,11 +23,10 @@ class TestSmokeScenario:
         assert "open" in states
 
     def test_faults_actually_bite(self, report):
-        assert report.chaos.serving.resilience.retries > 0
-        assert report.retry_rate > 0
+        assert report.chaos.resilience.retries > 0
 
     def test_accounting_reconciles(self, report):
-        s = report.chaos.serving
+        s = report.chaos
         assert s.completed + s.resilience.dropped == s.offered
 
     def test_metrics_exported(self, report):
@@ -40,11 +39,12 @@ class TestSmokeScenario:
 
 
 class TestDeterminism:
-    def test_two_runs_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("name", ["smoke", "gen-storm"])
+    def test_two_runs_byte_identical(self, name, tmp_path):
         paths = []
         for run in ("a", "b"):
             registry = MetricsRegistry()
-            run_chaos("smoke", seed=0, metrics=registry)
+            run_chaos(name, seed=0, metrics=registry)
             path = tmp_path / f"chaos_{run}.json"
             registry.save(path)
             paths.append(path)
@@ -63,7 +63,7 @@ class TestDeterminism:
         b = run_chaos("storm", seed=0)
         assert a.breaker_transitions == b.breaker_transitions
         assert a.goodput_chaos == b.goodput_chaos
-        assert a.chaos.serving == b.chaos.serving
+        assert a.chaos == b.chaos
 
 
 class TestScenarios:
@@ -71,15 +71,17 @@ class TestScenarios:
     def test_all_scenarios_recover(self, name):
         report = run_chaos(name, seed=0)
         assert report.recovered, format_report(report)
+        assert report.leak_free
 
     def test_storm_respects_retry_budget(self):
         report = run_chaos("storm", seed=0)
         scenario = report.scenario
-        assert report.chaos.serving.resilience.retries <= scenario.retry.budget
+        assert report.chaos.resilience.retries <= scenario.retry.budget
 
-    def test_unknown_scenario_rejected(self):
+    @pytest.mark.parametrize("name", ["nope", "gen-nope"])
+    def test_unknown_scenario_rejected(self, name):
         with pytest.raises(ValueError):
-            run_chaos("nope", seed=0)
+            run_chaos(name, seed=0)
 
     def test_tracer_gets_breaker_instants(self):
         tracer = Tracer()
@@ -115,29 +117,21 @@ class TestGenScenarios:
 
     @pytest.fixture(scope="class")
     def blackout(self):
-        from repro.resilience import run_gen_chaos
-
-        return run_gen_chaos("gen-blackout", seed=0)
+        return run_chaos("gen-blackout", seed=0)
 
     @pytest.fixture(scope="class")
     def storm(self):
-        from repro.resilience import run_gen_chaos
-
-        return run_gen_chaos("gen-storm", seed=0)
+        return run_chaos("gen-storm", seed=0)
 
     def test_blackout_recovers_leak_free(self, blackout):
-        from repro.resilience import format_gen_report
-
-        assert blackout.recovered, format_gen_report(blackout)
+        assert blackout.recovered, format_report(blackout)
         assert blackout.leak_free
         # The crash actually bit: KV was lost and recomputed elsewhere.
         assert blackout.chaos.preemptions > 0
         assert blackout.chaos.tokens_recomputed > 0
 
     def test_storm_preempts_and_recovers(self, storm):
-        from repro.resilience import format_gen_report
-
-        assert storm.recovered, format_gen_report(storm)
+        assert storm.recovered, format_report(storm)
         assert storm.leak_free
         # The storm drives KV pressure: many preemptions, honest recompute.
         assert storm.chaos.preemptions > 10
@@ -158,24 +152,6 @@ class TestGenScenarios:
         assert "chaos_tokens_recomputed_total" in counters
         assert "chaos_kv_leaks" in gauges
 
-    def test_two_runs_byte_identical(self, tmp_path):
-        from repro.resilience import run_gen_chaos
-
-        paths = []
-        for run in ("a", "b"):
-            registry = MetricsRegistry()
-            run_gen_chaos("gen-storm", seed=0, metrics=registry)
-            path = tmp_path / f"gen_chaos_{run}.json"
-            registry.save(path)
-            paths.append(path)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-
-    def test_unknown_gen_scenario_rejected(self):
-        from repro.resilience import run_gen_chaos
-
-        with pytest.raises(ValueError):
-            run_gen_chaos("gen-nope", seed=0)
-
 
 class TestGenCli:
     def test_gen_scenario_dispatches_and_writes_metrics(self, tmp_path,
@@ -192,3 +168,23 @@ class TestGenCli:
         exported = json.loads(out.read_text())
         assert any(c["name"] == "chaos_preemptions_total"
                    for c in exported["counters"])
+
+
+def test_registry_names_agree_everywhere():
+    """The CLI, the sanitizer and both golden sets read the one registry."""
+    import argparse
+    from pathlib import Path
+
+    from repro.__main__ import build_parser
+    from repro.analysis.sanitizer import sanitize_scenarios
+
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    scenario = next(a for a in commands.choices["chaos"]._actions
+                    if a.dest == "scenario")
+    assert list(scenario.choices) == sorted(SCENARIOS)
+    assert set(SCENARIOS) <= set(sanitize_scenarios())
+    tests = Path(__file__).parents[1]
+    for name in SCENARIOS:
+        assert (tests / "resilience" / "golden_chaos" / f"{name}.json").is_file()
+        assert (tests / "analysis" / "golden_sanitize" / f"{name}.json").is_file()

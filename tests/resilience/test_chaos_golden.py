@@ -1,9 +1,9 @@
 """Chaos reports are pinned byte for byte.
 
 ``python -m repro chaos --scenario <name> --seed 0 --metrics-out X``
-must write exactly ``golden_chaos/<name>.json`` for the three encoder
-cluster scenarios and the two generation ones (``gen-blackout``,
-``gen-storm``): every counter, gauge and breaker-state series of the
+must write exactly ``golden_chaos/<name>.json`` for every scenario of
+the one registry (``repro.resilience.chaos.SCENARIOS``: the three
+encoder cluster scenarios and ``gen-blackout`` and ``gen-storm``): every counter, gauge and breaker-state series of the
 fault-free baseline and the chaos run.  A change to the serving loop or
 the router that moves one routing decision, retry or breaker transition
 shows up here.
@@ -18,9 +18,9 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
+from repro.resilience.chaos import SCENARIOS
 
 GOLDEN = Path(__file__).parent / "golden_chaos"
-SCENARIOS = ("smoke", "blackout", "storm", "gen-blackout", "gen-storm")
 
 
 def metrics_json(name: str, out: Path) -> str:
@@ -29,7 +29,7 @@ def metrics_json(name: str, out: Path) -> str:
     return out.read_text()
 
 
-@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_chaos_metrics_match_golden(name, tmp_path, capsys):
     got = metrics_json(name, tmp_path / f"{name}.json")
     capsys.readouterr()
