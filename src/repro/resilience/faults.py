@@ -42,19 +42,27 @@ experiences faults through one code path.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 
 def _check_window(start_s: float, end_s: float) -> None:
-    if start_s < 0 or end_s <= start_s:
+    # Written so that NaN fails; ``end_s = inf`` is a fault that never clears.
+    if not 0 <= start_s < end_s:
         raise ValueError(f"bad fault window [{start_s}, {end_s})")
+
+
+def _check_multiplier(multiplier: float) -> None:
+    if not 1.0 <= multiplier < math.inf:
+        raise ValueError(f"multiplier must be finite and >= 1, got {multiplier}")
 
 
 @dataclass(frozen=True)
 class LatencySpike:
     """Batch execution on ``server_id`` runs ``multiplier`` x slower
-    during ``[start_s, end_s)``; ``server_id=None`` hits every server."""
+    during ``[start_s, end_s)``; ``server_id=None`` hits every server.
+    ``end_s`` may be ``inf``; ``multiplier`` must be finite."""
 
     start_s: float
     end_s: float
@@ -63,8 +71,7 @@ class LatencySpike:
 
     def __post_init__(self) -> None:
         _check_window(self.start_s, self.end_s)
-        if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
+        _check_multiplier(self.multiplier)
 
     def active(self, server_id: int, t: float) -> bool:
         return (self.server_id is None or self.server_id == server_id) and \
@@ -74,7 +81,8 @@ class LatencySpike:
 @dataclass(frozen=True)
 class KernelStall:
     """Kernels whose name contains ``name_contains`` run ``multiplier`` x
-    slower while the stream clock is inside ``[start_s, end_s)``."""
+    slower while the stream clock is inside ``[start_s, end_s)``.
+    ``end_s`` may be ``inf``; ``multiplier`` must be finite."""
 
     start_s: float
     end_s: float
@@ -83,8 +91,7 @@ class KernelStall:
 
     def __post_init__(self) -> None:
         _check_window(self.start_s, self.end_s)
-        if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
+        _check_multiplier(self.multiplier)
 
     def active(self, name: str, t: float) -> bool:
         return self.name_contains in name and self.start_s <= t < self.end_s
@@ -93,7 +100,8 @@ class KernelStall:
 @dataclass(frozen=True)
 class TransientFailures:
     """Request attempts finishing on ``server_id`` inside the window fail
-    with probability ``failure_rate`` (seeded per attempt, not iid draws)."""
+    with probability ``failure_rate`` (seeded per attempt, not iid draws).
+    ``end_s`` may be ``inf``."""
 
     start_s: float
     end_s: float
@@ -115,7 +123,7 @@ class TransientFailures:
 @dataclass(frozen=True)
 class ServerCrash:
     """``server_id`` is down (fails all work instantly) during the window
-    and recovers at ``end_s``."""
+    and recovers at ``end_s``; ``end_s = inf`` is a permanent crash."""
 
     start_s: float
     end_s: float

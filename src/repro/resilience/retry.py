@@ -15,6 +15,7 @@ matter how many requests keep failing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,14 +46,20 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_backoff_s <= 0:
+        # Each rule fails NaN; an infinite backoff would park a retry
+        # forever, so backoffs and the multiplier must be finite.
+        if not 0 < self.base_backoff_s < math.inf:
             raise ValueError(
-                f"base_backoff_s must be positive, got {self.base_backoff_s}"
+                f"base_backoff_s must be positive and finite, "
+                f"got {self.base_backoff_s}"
             )
-        if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-        if self.max_backoff_s < self.base_backoff_s:
-            raise ValueError("max_backoff_s must be >= base_backoff_s")
+        if not 1.0 <= self.multiplier < math.inf:
+            raise ValueError(
+                f"multiplier must be finite and >= 1, got {self.multiplier}")
+        if not self.base_backoff_s <= self.max_backoff_s < math.inf:
+            raise ValueError(
+                "max_backoff_s must be finite and >= base_backoff_s, "
+                f"got {self.max_backoff_s}")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
         if self.budget is not None and self.budget < 0:

@@ -75,6 +75,23 @@ class TestWindows:
         with pytest.raises(ValueError):
             ServerCrash(start_s=0.0, end_s=1.0, server_id=-1)
 
+    @pytest.mark.parametrize("make", [
+        lambda: LatencySpike(start_s=float("nan"), end_s=1.0, multiplier=2.0),
+        lambda: LatencySpike(start_s=0.0, end_s=1.0, multiplier=float("nan")),
+        lambda: LatencySpike(start_s=0.0, end_s=1.0, multiplier=float("inf")),
+        lambda: KernelStall(start_s=0.0, end_s=1.0, multiplier=float("inf")),
+        lambda: TransientFailures(start_s=0.0, end_s=float("nan"),
+                                  failure_rate=0.5),
+    ], ids=["spike-nan-start", "spike-nan-multiplier", "spike-inf-multiplier",
+            "stall-inf-multiplier", "failures-nan-end"])
+    def test_rejects_nan_and_infinite_inputs(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_open_ended_window_is_legal(self):
+        crash = ServerCrash(start_s=0.5, end_s=float("inf"), server_id=0)
+        assert FaultPlan(crashes=(crash,)).crashed(0, 1e9)
+
 
 class TestDeterminism:
     def test_unit_hash_stable_and_uniform_ish(self):

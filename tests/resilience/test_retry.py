@@ -49,6 +49,16 @@ class TestBackoff:
         with pytest.raises(ValueError):
             RetryPolicy().backoff_s(0, req_id=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"base_backoff_s": float("nan")},
+        {"multiplier": float("nan")},
+        {"max_backoff_s": float("nan")},
+        {"base_backoff_s": float("inf"), "max_backoff_s": float("inf")},
+    ], ids=["nan-base", "nan-multiplier", "nan-max", "inf-backoffs"])
+    def test_rejects_nan_and_infinite_backoffs(self, kwargs):
+        with pytest.raises(ValueError):
+            RetryPolicy(**kwargs)
+
 
 class TestRetryState:
     def test_grants_until_max_attempts(self):
