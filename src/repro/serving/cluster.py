@@ -91,8 +91,9 @@ def simulate_cluster(
     sheds, and execution slows under latency spikes.  A degradation
     ladder steps one replica, so it is refused for more than one server.
 
-    ``metrics`` receives the cluster summary: response throughput,
-    completions per server, and retry and drop totals.
+    ``metrics`` receives the driver's ``serving_*``, ``scheduler_*`` and
+    ``engine_*`` series, labelled ``system="cluster[<policy>x<n>]"``,
+    plus completions per server.
     """
     if num_servers <= 0:
         raise ValueError(f"num_servers must be positive, got {num_servers}")
@@ -100,25 +101,13 @@ def simulate_cluster(
         [scheduler_factory() for _ in range(num_servers)], cost_fn,
         ServingConfig(max_batch=max_batch),
         f"cluster[{policy.value}x{num_servers}]", resilience,
-        policy=policy, max_len=max_len)
+        metrics=metrics, policy=policy, max_len=max_len)
     serving = driver.serve(requests, duration_s)
     per_server = [rep.completed for rep in driver.replicas]
     if metrics is not None:
-        metrics.gauge("cluster_response_throughput").set(
-            serving.response_throughput)
         for rep in driver.replicas:
             metrics.gauge("cluster_server_completed",
                           server=str(rep.server_id)).set(rep.completed)
-        stats = serving.resilience
-        if stats is not None:
-            if stats.retries:
-                metrics.counter("cluster_retries_total").inc(stats.retries)
-            for reason, count in (("timed_out", stats.timed_out),
-                                  ("failed", stats.failed),
-                                  ("shed", stats.shed)):
-                if count:
-                    metrics.counter("cluster_requests_dropped_total",
-                                    reason=reason).inc(count)
     return ClusterMetrics(serving=serving, per_server_completed=per_server)
 
 

@@ -237,7 +237,7 @@ class TestQueueCapacity:
         assert result.resilience.shed == result.resilience.rejected
         assert result.completed + result.resilience.dropped == result.offered
         shed = [c["value"] for c in registry.to_dict()["counters"]
-                if c["name"] == "cluster_requests_dropped_total"
+                if c["name"] == "serving_requests_dropped_total"
                 and c["labels"] == {"reason": "shed"}]
         assert shed == [result.resilience.shed]
 
