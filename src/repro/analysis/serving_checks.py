@@ -21,11 +21,17 @@ The definitions, for an offered-load ``horizon`` and a warm-up of
 * ``latency`` — arrival-to-completion milliseconds of the completed
   requests;
 * ``saturated`` — the backlog takes more than half a second of that
-  throughput to drain.
+  throughput to drain;
+* ``resilience`` (when reported) — ``retries`` is the sum of every
+  request's ``attempt``, which only a granted retry raises, and
+  ``timed_out``, ``failed`` and ``shed`` count the requests that ended
+  in that state.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
 from typing import Dict, Sequence, Tuple
 
 from ..serving.metrics import LatencyStats, ServingMetrics
@@ -56,6 +62,14 @@ def verify_serving_metrics(metrics: ServingMetrics,
             [(r.completion_s - r.arrival_s) * 1e3 for r in done]),
         "saturated": backlog / max(throughput, 1e-9) > 0.5,
     }
+    stats = metrics.resilience
+    if stats is not None:
+        states = Counter(r.state for r in requests)
+        expected["resilience"] = replace(
+            stats, retries=sum(r.attempt for r in requests),
+            timed_out=states[RequestState.TIMED_OUT],
+            failed=states[RequestState.FAILED],
+            shed=states[RequestState.SHED])
     return {name: (getattr(metrics, name), value)
             for name, value in expected.items()
             if getattr(metrics, name) != value}

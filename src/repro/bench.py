@@ -398,25 +398,24 @@ def _bench_fig12(profile: Dict[str, object], seed: int) -> Dict[str, Dict[str, o
 
 
 def _gen_point_summary(m) -> Dict[str, object]:
-    """Deterministic scalar view of one generative serving run."""
+    """Deterministic scalar view of one generative serving run's
+    :class:`~repro.serving.GenServingMetrics`."""
     return {
         "offered": m.offered,
         "completed": m.completed,
         "response_throughput": m.response_throughput,
-        "ttft_avg_ms": getattr(m, "ttft", None).avg_ms
-        if hasattr(m, "ttft") else None,
-        "ttft_p99_ms": getattr(m, "ttft", None).p99_ms
-        if hasattr(m, "ttft") else None,
-        "tpot_ms_avg": getattr(m, "tpot_ms_avg", None),
-        "tokens": getattr(m, "tokens_generated", None),
-        "decode_steps": getattr(m, "decode_steps", None),
-        "kv_denials": getattr(m, "kv_denials", None),
-        "prefill_chunks": getattr(m, "prefill_chunks", None),
-        "overlap_saved_s": getattr(m, "overlap_saved_s", None),
-        "stall_s": getattr(m, "stall_s", None),
-        "prefix_hits": getattr(m, "prefix_hits", None),
-        "prefix_tokens_reused": getattr(m, "prefix_tokens_reused", None),
-        "prefill_flops_saved": getattr(m, "prefill_flops_saved", None),
+        "ttft_avg_ms": m.ttft.avg_ms,
+        "ttft_p99_ms": m.ttft.p99_ms,
+        "tpot_ms_avg": m.tpot_ms_avg,
+        "tokens": m.tokens_generated,
+        "decode_steps": m.decode_steps,
+        "kv_denials": m.kv_denials,
+        "prefill_chunks": m.prefill_chunks,
+        "overlap_saved_s": m.overlap_saved_s,
+        "stall_s": m.stall_s,
+        "prefix_hits": m.prefix_hits,
+        "prefix_tokens_reused": m.prefix_tokens_reused,
+        "prefill_flops_saved": m.prefill_flops_saved,
         "saturated": m.saturated,
     }
 

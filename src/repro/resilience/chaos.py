@@ -170,13 +170,8 @@ class EncoderChaosScenario(ChaosScenario):
 
     def publish(self, registry: MetricsRegistry, chaos: ServingMetrics,
                 kv_leaks: List[str]) -> None:
-        stats = chaos.resilience
-        for series, value in (("chaos_retries_total", stats.retries),
-                              ("chaos_timed_out_total", stats.timed_out),
-                              ("chaos_failed_total", stats.failed)):
-            registry.counter(series, scenario=self.name).inc(value)
         registry.gauge("chaos_deadline_miss_rate", scenario=self.name).set(
-            stats.timed_out / max(1, chaos.offered))
+            chaos.resilience.timed_out / max(1, chaos.offered))
 
     def headline(self, report: "ChaosReport") -> str:
         return (f"chaos scenario '{self.name}' (seed {report.seed}): "
@@ -293,12 +288,8 @@ class GenerationChaosScenario(ChaosScenario):
 
     def publish(self, registry: MetricsRegistry, chaos: ServingMetrics,
                 kv_leaks: List[str]) -> None:
-        for series, value in (
-                ("chaos_preemptions_total", chaos.preemptions),
-                ("chaos_tokens_recomputed_total", chaos.tokens_recomputed),
-                ("chaos_retries_total", chaos.retries),
-                ("chaos_attempts_failed_total", chaos.attempts_failed)):
-            registry.counter(series, scenario=self.name).inc(value)
+        registry.counter("chaos_tokens_recomputed_total",
+                         scenario=self.name).inc(chaos.tokens_recomputed)
         registry.gauge("chaos_kv_leaks", scenario=self.name).set(len(kv_leaks))
 
     def headline(self, report: "ChaosReport") -> str:

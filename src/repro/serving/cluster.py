@@ -103,12 +103,9 @@ def simulate_cluster(
         f"cluster[{policy.value}x{num_servers}]", resilience,
         metrics=metrics, policy=policy, max_len=max_len)
     serving = driver.serve(requests, duration_s)
-    per_server = [rep.completed for rep in driver.replicas]
-    if metrics is not None:
-        for rep in driver.replicas:
-            metrics.gauge("cluster_server_completed",
-                          server=str(rep.server_id)).set(rep.completed)
-    return ClusterMetrics(serving=serving, per_server_completed=per_server)
+    return ClusterMetrics(
+        serving=serving,
+        per_server_completed=[rep.completed for rep in driver.replicas])
 
 
 # ---------------------------------------------------------------------------

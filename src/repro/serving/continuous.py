@@ -704,7 +704,6 @@ class GenReplica(Replica):
             if self.faults is not None and self.faults.attempt_fails(
                 r.req_id, r.attempt, started
             ):
-                d.attempts_failed += 1
                 self.arena.preempt(r.req_id)
                 d.fail(r, self, now)
                 continue
@@ -841,7 +840,7 @@ class _GenDriver(Driver):
         self.runtime = replicas[0].runtime
         self.decode_steps = self.prefills = self.tokens = 0
         self.decode_tokens = 0
-        self.preemptions = self.tokens_recomputed = self.attempts_failed = 0
+        self.preemptions = self.tokens_recomputed = 0
         self.rounds = self.prefill_chunks = 0
         self.overlap_saved_s = self.stall_s = 0.0
         self.prefix_hits = self.prefix_tokens_reused = 0
@@ -919,7 +918,7 @@ class _GenDriver(Driver):
             preemptions=self.preemptions,
             tokens_recomputed=self.tokens_recomputed,
             retries=self.retries,
-            attempts_failed=self.attempts_failed,
+            attempts_failed=self.failures_injected,
             prefill_chunks=self.prefill_chunks,
             overlap_saved_s=self.overlap_saved_s,
             stall_s=self.stall_s,

@@ -37,11 +37,17 @@ Each of these questions has one rule, the same for both kinds:
   engine's next live event commit inside it without a window of their
   own;
 * **counters** — each serving event is counted once, in a plain tally
-  of the run; the metrics are built from those tallies and the terminal
-  request list.  With a registry attached, the run adds each tally to
-  its counter when it ends — here completions, drops, failed attempts,
-  retries and injected faults, in the kind's :meth:`Driver.result` its
-  own — and creates only counters whose tally is above zero.  Only
+  of the run; the metrics, and the ``ResilienceStats`` of any run with a
+  resilience config, are built from those tallies and the terminal
+  request list.  With a registry attached, the run adds each tally
+  above zero to its counter when it ends — for both kinds
+  ``serving_requests_{completed,dropped,ingested}_total``,
+  ``serving_{attempt_failures,retries,batches_executed}_total`` and
+  ``engine_faults_total``, with the gauges
+  ``serving_{response_throughput,utilization,backlog_at_horizon}`` and,
+  beside other replicas, ``cluster_server_completed``; the kind's
+  :meth:`Driver.result` adds its own.  A request is ingested once per
+  arrival and once per RETRY dispatch.  Only
   ``engine_events_dispatched_total`` counts as it happens, by a
   dispatch hook on the engine;
 * **wake** — queuing work on an idle replica schedules its one pending
@@ -64,7 +70,7 @@ from typing import (TYPE_CHECKING, Callable, Iterator, List, Optional,
 
 from ..engine import Engine, EngineFaultInjector, Event, EventKind
 from ..observability import NULL_TRACER, MetricsRegistry, Tracer
-from .metrics import LatencyStats, ServingMetrics
+from .metrics import LatencyStats, ResilienceStats, ServingMetrics
 from .request import Request, RequestState, arrival_window
 from .router import Router, RoutingPolicy
 
@@ -204,8 +210,10 @@ class Driver:
         self._woken: Optional[Replica] = None
         #: Busy seconds inside the horizon, summed over the replicas.
         self.busy_s = 0.0
-        #: Failed attempts, and requests the response cache answered.
+        #: Failed attempts, requests the response cache answered, arrivals
+        #: a full queue shed, and RETRY dispatches.
         self.attempt_failures = self.cache_hits = 0
+        self.rejected = self.reentries = 0
 
     # -- what a replica kind supplies -------------------------------------
 
@@ -263,6 +271,12 @@ class Driver:
         """Retries the policy scheduled so far (0 without a policy)."""
         return 0 if self.retry_state is None else self.retry_state.retries_used
 
+    @property
+    def failures_injected(self) -> int:
+        """Transient attempt failures the fault plan injected so far."""
+        return sum(rep.faults.failures_injected for rep in self.replicas
+                   if rep.faults is not None)
+
     # -- events -----------------------------------------------------------
 
     def route(self, r: Request, now: float) -> Replica:
@@ -283,6 +297,7 @@ class Driver:
         """A failed or preempted attempt re-enters, re-routed."""
         r = event.payload
         now = self.engine.now
+        self.reentries += 1
         if self.trace_on:
             self.tracer.async_instant("request", now, r.req_id,
                                       cat="request", stage="requeue",
@@ -344,6 +359,23 @@ class Driver:
         completed, latencies_ms, in_window, backlog = tally_requests(
             arrivals, window_start, horizon)
         throughput = in_window / (horizon - window_start)
+        utilization = min(1.0, self.busy_s / (horizon * len(self.replicas)))
+        res = self.res
+        metrics = self.metrics
+        # Only a resilient or observed run reads the terminal states.
+        states = (Counter(r.state for r in arrivals)
+                  if res is not None or metrics is not None else None)
+        stats = None if res is None else ResilienceStats(
+            retries=self.retries,
+            timed_out=states[RequestState.TIMED_OUT],
+            failed=states[RequestState.FAILED],
+            shed=states[RequestState.SHED],
+            rejected=self.rejected,
+            breaker_transitions=sum(len(rep.breaker.transitions)
+                                    for rep in self.replicas
+                                    if rep.breaker is not None),
+            degradation_switches=(0 if res.degradation is None
+                                  else len(res.degradation.switches)))
         result = self.result(
             completed,
             system=self.system,
@@ -356,30 +388,38 @@ class Driver:
             completed=len(completed),
             offered=len(arrivals),
             backlog_at_end=backlog,
-            utilization=min(1.0, self.busy_s
-                            / (horizon * len(self.replicas))),
+            utilization=utilization,
+            resilience=stats,
         )
-        metrics = self.metrics
         if metrics is not None:
-            metrics.gauge("serving_response_throughput",
-                          system=self.system).set(throughput)
+            for name, value in (("serving_response_throughput", throughput),
+                                ("serving_utilization", utilization),
+                                ("serving_backlog_at_horizon", backlog)):
+                metrics.gauge(name, system=self.system).set(value)
             for path, n in (("model", len(completed) - self.cache_hits),
                             ("cache", self.cache_hits)):
                 publish_tally(metrics, "serving_requests_completed_total",
                               n, path=path)
-            states = Counter(r.state for r in arrivals)
             for state in (RequestState.TIMED_OUT, RequestState.FAILED,
                           RequestState.SHED):
                 publish_tally(metrics, "serving_requests_dropped_total",
                               states[state], reason=state.value)
-            publish_tally(metrics, "serving_attempt_failures_total",
-                          self.attempt_failures)
-            publish_tally(metrics, "serving_retries_total", self.retries)
-            injectors = [rep.faults for rep in self.replicas
-                         if rep.faults is not None]
-            for kind, n in (
-                    ("stretch", sum(f.stretches for f in injectors)),
-                    ("attempt_failure",
-                     sum(f.failures_injected for f in injectors))):
+            for name, n in (
+                    ("serving_requests_ingested_total",
+                     len(arrivals) + self.reentries),
+                    ("serving_batches_executed_total",
+                     result.batches_executed),
+                    ("serving_attempt_failures_total", self.attempt_failures),
+                    ("serving_retries_total", self.retries)):
+                publish_tally(metrics, name, n)
+            stretches = sum(rep.faults.stretches for rep in self.replicas
+                            if rep.faults is not None)
+            for kind, n in (("stretch", stretches),
+                            ("attempt_failure", self.failures_injected)):
                 publish_tally(metrics, "engine_faults_total", n, kind=kind)
+            if not self.inline:
+                for rep in self.replicas:
+                    metrics.gauge("cluster_server_completed",
+                                  server=str(rep.server_id)).set(
+                        rep.completed)
         return result

@@ -82,7 +82,8 @@ class LatencyStats:
 
 @dataclass(frozen=True)
 class ResilienceStats:
-    """Fault-handling outcome of one (resilient) serving run.
+    """Fault-handling outcome of one serving run with a resilience config,
+    of either replica kind, built once by the driver's finalisation.
 
     All counts are whole-run totals; rates are derived against ``offered``
     by the caller (see

@@ -59,6 +59,9 @@ class LazyPolicy(TriggerPolicy):
         age plus ``estimated_exec_s`` exceeds half of it.
     estimated_exec_s: rough execution time of the pending batch (updated by
         the server from its cost table).
+
+    Either ``timeout_s`` or ``latency_slo_s`` alone may be infinite (that
+    trigger is off), but not both: then a partial batch never fires.
     """
 
     timeout_s: float = 0.010
@@ -76,6 +79,9 @@ class LazyPolicy(TriggerPolicy):
             raise ValueError(f"max_batch must be positive, got {self.max_batch}")
         if not self.latency_slo_s > 0:
             raise ValueError(f"latency_slo_s must be positive, got {self.latency_slo_s}")
+        if self.timeout_s == self.latency_slo_s == float("inf"):
+            raise ValueError("timeout_s and latency_slo_s are both infinite: "
+                             "a partial batch would never fire")
 
     def should_schedule(self, queue: MessageQueue, now_s: float) -> bool:
         if not queue:

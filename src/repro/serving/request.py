@@ -152,8 +152,11 @@ def arrival_window(requests: Sequence[R],
                 "duration_s is required when every request arrives at t=0 "
                 "(the default horizon is the last arrival)"
             )
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
+    # ``not 0 < x < inf`` rejects NaN too: a NaN horizon would report
+    # utilization 1.0 and a NaN throughput, an infinite one an empty window.
+    if not 0 < duration_s < math.inf:
+        raise ValueError(
+            f"duration must be positive and finite, got {duration_s}")
     return arrivals, duration_s
 
 

@@ -82,8 +82,8 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from ..engine import EngineFaultInjector, EventKind
 from ..observability import MetricsRegistry, Tracer
-from .driver import Driver, Replica, publish_tally
-from .metrics import ResilienceStats, ServingMetrics
+from .driver import Driver, Replica
+from .metrics import ServingMetrics
 from .mq import MessageQueue
 from .policies import HungryPolicy, LazyPolicy, TriggerPolicy
 from .request import Batch, Request, RequestState, make_batch
@@ -449,6 +449,7 @@ class _BatchDriver(Driver):
             if rep.queue.push(r):
                 rep.schedule_wake()
             else:
+                self.rejected += 1
                 self.drop(r, RequestState.SHED, now)
         if self.trace_on:
             self.tracer.counter("queue", now, {"depth": sum(
@@ -542,39 +543,8 @@ class _BatchDriver(Driver):
 
     def result(self, done: List[Request],
                **common: object) -> ServingMetrics:
-        stats: Optional[ResilienceStats] = None
-        res = self.res
-        if res is not None:
-            arrivals = self.arrivals
-            breakers = [rep.breaker for rep in self.replicas
-                        if rep.breaker is not None]
-            stats = ResilienceStats(
-                retries=self.retries,
-                timed_out=sum(1 for r in arrivals
-                              if r.state is RequestState.TIMED_OUT),
-                failed=sum(1 for r in arrivals
-                           if r.state is RequestState.FAILED),
-                shed=sum(1 for r in arrivals if r.state is RequestState.SHED),
-                rejected=sum(rep.queue.total_rejected
-                             for rep in self.replicas),
-                breaker_transitions=sum(len(b.transitions) for b in breakers),
-                degradation_switches=(len(res.degradation.switches)
-                                      if res.degradation is not None else 0),
-            )
-        result = ServingMetrics(**common,
-                                batches_executed=self.batches_executed,
-                                resilience=stats)
-        if self.metrics is not None:
-            self.metrics.gauge("serving_utilization", system=self.system).set(
-                result.utilization)
-            self.metrics.gauge("serving_backlog_at_horizon",
-                               system=self.system).set(result.backlog_at_end)
-            publish_tally(self.metrics, "serving_batches_executed_total",
-                          self.batches_executed)
-            # Every offered request and every scheduled retry is ingested.
-            publish_tally(self.metrics, "serving_requests_ingested_total",
-                          result.offered + self.retries)
-        return result
+        return ServingMetrics(**common,
+                              batches_executed=self.batches_executed)
 
 
 def simulate_serving(

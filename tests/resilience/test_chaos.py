@@ -35,7 +35,7 @@ class TestSmokeScenario:
         assert "chaos_recovery_ratio" in gauges
         assert "chaos_goodput_baseline" in gauges
         counters = {c["name"] for c in exported["counters"]}
-        assert "chaos_retries_total" in counters
+        assert "serving_retries_total" in counters
 
 
 class TestDeterminism:
@@ -148,7 +148,7 @@ class TestGenScenarios:
         gauges = {g["name"] for g in exported["gauges"]}
         assert "chaos_recovery_ratio" in gauges
         counters = {c["name"] for c in exported["counters"]}
-        assert "chaos_preemptions_total" in counters
+        assert "gen_preemptions_total" in counters
         assert "chaos_tokens_recomputed_total" in counters
         assert "chaos_kv_leaks" in gauges
 
@@ -166,7 +166,7 @@ class TestGenCli:
         assert "recovery:  OK" in printed
         assert "leak audit: clean" in printed
         exported = json.loads(out.read_text())
-        assert any(c["name"] == "chaos_preemptions_total"
+        assert any(c["name"] == "gen_preemptions_total"
                    for c in exported["counters"])
 
 

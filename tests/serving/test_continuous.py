@@ -343,7 +343,8 @@ class TestResilientContinuous:
         res = ContinuousBatchingServer(
             runtime, make_arena(), resilience=ResilienceConfig()
         ).serve(workload(300.0, 0.3), duration_s=0.3)
-        assert res == base
+        assert res.resilience is not None  # the only permitted difference
+        assert base == type(base)(**{**res.__dict__, "resilience": None})
 
     def test_transient_failures_exhaust_attempts_to_failed(self, runtime):
         from repro.resilience import FaultPlan, TransientFailures

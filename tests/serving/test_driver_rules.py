@@ -11,7 +11,10 @@ the encoder kind (``simulate_serving`` over a
 * backlog — shed requests are not backlog, and neither is a request
   whose service starts exactly at the horizon;
 * counters — both kinds publish ``serving_retries_total`` and
-  ``serving_attempt_failures_total``;
+  ``serving_attempt_failures_total``, report resilience counts their
+  terminal requests give, and publish the run-level series
+  (utilization, horizon backlog, batches, ingested requests and, beside
+  other replicas, completions per replica);
 * routing — a lone replica is not routed, so its breaker never commits
   a half-open probe (``allow``);
 * wake — an idle replica's first round or admission sees every arrival
@@ -48,6 +51,8 @@ from repro.serving import (
     RoutingPolicy,
     ServingConfig,
     TriggerPolicy,
+    simulate_cluster,
+    simulate_generation_cluster,
     simulate_serving,
 )
 from repro.serving.server import _BatchDriver
@@ -157,6 +162,66 @@ def test_both_kinds_publish_retry_counters(kind):
     failed = sum(r.state is RequestState.FAILED for r in reqs)
     assert retries == sum(r.attempt for r in reqs) > 0
     assert failures == retries + failed
+
+
+def test_resilience_counts_reconcile_with_the_requests():
+    """An encoder run that retries, times out, fails and sheds reports
+    each count its terminal requests give."""
+    # Eight same-instant arrivals on a six-slot queue, half with a 20 ms
+    # deadline, and every attempt in the first 20 ms fails.
+    reqs = [Request(req_id=i, seq_len=16, arrival_s=0.0,
+                    deadline_s=0.02 if i % 2 else None) for i in range(8)]
+    resilience = ResilienceConfig(
+        faults=FaultPlan(failures=(TransientFailures(0.0, 0.02, 1.0),)),
+        retry=RetryPolicy(max_attempts=2, base_backoff_s=0.004, jitter=0.0),
+        queue_capacity=6)
+    result = simulate_serving(reqs, DPBatchScheduler(),
+                              lambda seq_len, batch: 0.006,
+                              ServingConfig(max_batch=2), duration_s=0.1,
+                              resilience=resilience)
+    assert verify_serving_metrics(result, reqs, 0.1) == {}
+    stats = result.resilience
+    assert stats.retries and stats.timed_out and stats.failed and stats.shed
+    assert stats.rejected == stats.shed
+
+
+def cluster(kind: str, reqs, metrics: MetricsRegistry):
+    """Serve ``reqs`` on two resilient replicas of ``kind``."""
+    resilience = failing(RetryPolicy(max_attempts=3, base_backoff_s=0.004,
+                                     jitter=0.0))
+    if kind == "batch":
+        return simulate_cluster(reqs, 2, DPBatchScheduler, cost,
+                                duration_s=0.1, resilience=resilience,
+                                metrics=metrics).serving
+    return simulate_generation_cluster(
+        reqs, 2, RUNTIME,
+        lambda _replica: KVCacheArena(capacity_bytes=512 * BPT,
+                                      bytes_per_token=BPT, page_tokens=8),
+        duration_s=0.1, resilience=resilience, metrics=metrics).serving
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_both_kinds_publish_the_run_level_series(kind):
+    registry = MetricsRegistry()
+    reqs = [request(kind, i, 0.002 * i) for i in range(6)]
+    result = cluster(kind, reqs, registry)
+    assert result.resilience is not None
+    system = {"system": result.system}
+    assert registry.value("serving_response_throughput", **system) \
+        == result.response_throughput
+    assert registry.value("serving_utilization", **system) \
+        == result.utilization
+    assert registry.value("serving_backlog_at_horizon", **system) \
+        == result.backlog_at_end
+    assert registry.value("serving_batches_executed_total") \
+        == result.batches_executed
+    assert registry.value("serving_requests_ingested_total") \
+        == result.offered + result.resilience.retries
+    per_replica = {g["labels"]["server"]: g["value"]
+                   for g in registry.to_dict()["gauges"]
+                   if g["name"] == "cluster_server_completed"}
+    assert sorted(per_replica) == ["0", "1"]
+    assert sum(per_replica.values()) == result.completed
 
 
 class CountingBreaker(CircuitBreaker):

@@ -6,8 +6,8 @@ random fault plans (crash, latency spike, transient failures), 1–3
 replicas, chunked prefill and the prefix cache on or off — every run
 must pass the engine-trace sanitizer with no ERROR, resolve every
 request, leak no KV region, and report the serving metrics its request
-list gives (:func:`repro.analysis.verify_serving_metrics`).  A run with a
-metrics registry attached must publish counters equal to its
+list gives (:func:`repro.analysis.verify_serving_metrics`, its resilience
+counts included).  A run with a metrics registry attached must publish counters equal to its
 ``GenServingMetrics`` fields, its terminal-state counts and the
 dispatches the sanitizer recorded, and serve every request exactly as
 the same run without a registry.  The request-level control (the same
@@ -248,6 +248,9 @@ def test_replica_runs_are_sanitizer_clean(scenario):
     assert errors == []
     assert all(r.state.is_terminal for r in reqs)
     assert leaks == []
+    # Every draw is resilient, so the run reports resilience counts, and
+    # the verifier reconciles them with the terminal requests.
+    assert metrics.resilience is not None
     assert verify_serving_metrics(metrics, reqs, 0.1) == {}
     if registry is not None:
         assert published(registry) == reconciled(metrics, reqs, rec)

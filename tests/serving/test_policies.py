@@ -34,6 +34,16 @@ class TestHungry:
 
 
 class TestLazy:
+    def test_both_triggers_infinite_rejected(self):
+        """With no timeout and no SLO escape a partial batch never fires,
+        so the run would end with work queued."""
+        inf = float("inf")
+        with pytest.raises(ValueError, match="both infinite"):
+            LazyPolicy(timeout_s=inf, latency_slo_s=inf)
+        # Either one alone is off; the other still fires.
+        LazyPolicy(timeout_s=inf)
+        LazyPolicy(latency_slo_s=inf)
+
     def test_waits_below_thresholds(self):
         policy = LazyPolicy(timeout_s=0.01, max_batch=4, latency_slo_s=10.0)
         q = queue_with([0.0, 0.0])

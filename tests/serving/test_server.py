@@ -115,6 +115,14 @@ class TestSimulation:
         with pytest.raises(ValueError):
             simulate_serving([], NoBatchScheduler(), constant_cost())
 
+    @pytest.mark.parametrize("duration_s", [float("nan"), float("inf")])
+    def test_non_finite_horizon_rejected(self, duration_s):
+        """A NaN horizon would report utilization 1.0 with a NaN
+        throughput, and an infinite one fail late on an empty window."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            simulate_serving(sparse_requests(0.001, 5), NoBatchScheduler(),
+                             constant_cost(), duration_s=duration_s)
+
     def test_round_limit_bounds_scheduling_scope(self):
         requests = sparse_requests(0.0, 30)  # all arrive at t=0
         config = ServingConfig(max_batch=20, round_limit=5)
