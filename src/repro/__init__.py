@@ -30,19 +30,9 @@ Subpackages
 
 __version__ = "1.0.0"
 
-from . import (
-    graph,
-    gpusim,
-    kernels,
-    memory,
-    models,
-    observability,
-    runtime,
-    serving,
-    text,
-)
+from ._exports import lazy_exports
 
-__all__ = [
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {}, modules=(
     "gpusim",
     "kernels",
     "graph",
@@ -52,5 +42,5 @@ __all__ = [
     "runtime",
     "serving",
     "text",
-    "__version__",
-]
+))
+__all__.append("__version__")

@@ -25,119 +25,60 @@ codes (``GRAPH1xx``/``MEM2xx``/``SCHED3xx``/``DET4xx``/``ENG5xx``/
   from its terminal request list.
 """
 
-from .check import (
-    FAMILIES,
-    build_serving_schedule,
-    builtin_graphs,
-    default_lint_root,
-    default_lint_roots,
-    plan_double_buffered,
-    run_check,
-    run_determinism_checks,
-    run_engine_lifecycle_checks,
-    run_graph_checks,
-    run_memory_checks,
-    run_schedule_checks,
-)
-from .determinism import lint_file, lint_paths, lint_source, parse_pragmas
-from .diagnostics import (
-    CATALOG_FAMILIES,
-    CODES,
-    Diagnostic,
-    DiagnosticReport,
-    Location,
-    Severity,
-    catalog_family,
-    code_title,
-    default_severity,
-    diag,
-    render_code_catalog,
-    report_from_dicts,
-)
-from .engine_checks import (
-    EngineTraceRecorder,
-    verify_engine_trace,
-    verify_kv_ledger,
-    verify_lifecycle,
-    verify_trace,
-)
-from .sanitizer import (
-    TRACE_SCENARIOS,
-    ScenarioOutcome,
-    run_sanitized,
-    run_scenario_trace,
-    run_trace_checks,
-    sanitize_scenarios,
-)
-from .graph_checks import check_fusion, check_graph, fusion_invariant_holds
-from .memory_checks import (
-    ChunkStats,
-    FragmentationReport,
-    arena_diag_code,
-    check_cross_request,
-    check_fragmentation,
-    check_plan,
-    fragmentation_report,
-)
-from .serving_checks import verify_serving_metrics
-from .schedule_checks import (
-    check_emitted_schedules,
-    check_schedule,
-    schedule_is_race_free,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "CODES",
-    "Severity",
-    "Location",
-    "Diagnostic",
-    "DiagnosticReport",
-    "diag",
-    "code_title",
-    "default_severity",
-    "report_from_dicts",
-    "check_graph",
-    "check_fusion",
-    "fusion_invariant_holds",
-    "check_plan",
-    "arena_diag_code",
-    "check_cross_request",
-    "check_fragmentation",
-    "fragmentation_report",
-    "FragmentationReport",
-    "ChunkStats",
-    "check_schedule",
-    "check_emitted_schedules",
-    "schedule_is_race_free",
-    "ScenarioOutcome",
-    "lint_source",
-    "lint_file",
-    "lint_paths",
-    "parse_pragmas",
-    "FAMILIES",
-    "run_check",
-    "run_graph_checks",
-    "run_memory_checks",
-    "run_schedule_checks",
-    "run_determinism_checks",
-    "run_engine_lifecycle_checks",
-    "builtin_graphs",
-    "build_serving_schedule",
-    "plan_double_buffered",
-    "default_lint_root",
-    "default_lint_roots",
-    "CATALOG_FAMILIES",
-    "catalog_family",
-    "render_code_catalog",
-    "EngineTraceRecorder",
-    "verify_engine_trace",
-    "verify_lifecycle",
-    "verify_kv_ledger",
-    "verify_trace",
-    "verify_serving_metrics",
-    "TRACE_SCENARIOS",
-    "run_scenario_trace",
-    "run_sanitized",
-    "run_trace_checks",
-    "sanitize_scenarios",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "FAMILIES": "check",
+    "build_serving_schedule": "check",
+    "builtin_graphs": "check",
+    "default_lint_root": "check",
+    "default_lint_roots": "check",
+    "plan_double_buffered": "check",
+    "run_check": "check",
+    "run_determinism_checks": "check",
+    "run_engine_lifecycle_checks": "check",
+    "run_graph_checks": "check",
+    "run_memory_checks": "check",
+    "run_schedule_checks": "check",
+    "lint_file": "determinism",
+    "lint_paths": "determinism",
+    "lint_source": "determinism",
+    "parse_pragmas": "determinism",
+    "CATALOG_FAMILIES": "diagnostics",
+    "CODES": "diagnostics",
+    "Diagnostic": "diagnostics",
+    "DiagnosticReport": "diagnostics",
+    "Location": "diagnostics",
+    "Severity": "diagnostics",
+    "catalog_family": "diagnostics",
+    "code_title": "diagnostics",
+    "default_severity": "diagnostics",
+    "diag": "diagnostics",
+    "render_code_catalog": "diagnostics",
+    "report_from_dicts": "diagnostics",
+    "EngineTraceRecorder": "engine_checks",
+    "verify_engine_trace": "engine_checks",
+    "verify_kv_ledger": "engine_checks",
+    "verify_lifecycle": "engine_checks",
+    "verify_trace": "engine_checks",
+    "TRACE_SCENARIOS": "sanitizer",
+    "ScenarioOutcome": "sanitizer",
+    "run_sanitized": "sanitizer",
+    "run_scenario_trace": "sanitizer",
+    "run_trace_checks": "sanitizer",
+    "sanitize_scenarios": "sanitizer",
+    "check_fusion": "graph_checks",
+    "check_graph": "graph_checks",
+    "fusion_invariant_holds": "graph_checks",
+    "ChunkStats": "memory_checks",
+    "FragmentationReport": "memory_checks",
+    "arena_diag_code": "memory_checks",
+    "check_cross_request": "memory_checks",
+    "check_fragmentation": "memory_checks",
+    "check_plan": "memory_checks",
+    "fragmentation_report": "memory_checks",
+    "verify_serving_metrics": "serving_checks",
+    "check_emitted_schedules": "schedule_checks",
+    "check_schedule": "schedule_checks",
+    "schedule_is_race_free": "schedule_checks",
+})

@@ -8,14 +8,13 @@ The engine reports what it dispatches through dispatch hooks
 attaches one that counts ``engine_events_dispatched_total{kind=...}``.
 """
 
-from .core import Engine, EngineError, Event, EventKind, Task
-from .faults import EngineFaultInjector
+from .._exports import lazy_exports
 
-__all__ = [
-    "Engine",
-    "EngineError",
-    "EngineFaultInjector",
-    "Event",
-    "EventKind",
-    "Task",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Engine": "core",
+    "EngineError": "core",
+    "Event": "core",
+    "EventKind": "core",
+    "Task": "core",
+    "EngineFaultInjector": "faults",
+})

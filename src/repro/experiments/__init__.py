@@ -1,32 +1,17 @@
 """Experiment harnesses: one module per paper table/figure (DESIGN.md §4).
 
-The report generator, :mod:`repro.experiments.report`, is not imported
-here: it runs as ``python -m repro.experiments.report``, and importing it
-with the package would load it twice.
+The report generator, :mod:`repro.experiments.report`, is not exported
+here: it runs as ``python -m repro.experiments.report``, and a star
+import of the package would load it a second time.
 """
 
-from . import (
-    fig5_batch_reduction,
-    profile_breakdown,
-    fig6_allocation_example,
-    fig7_allocator_comparison,
-    fig8_batching_gain,
-    fig9_scheduler_example,
-    fig10_variable_length,
-    fig11_fixed_length,
-    fig12_serving_throughput,
-    gen_serving_throughput,
-    prefix_cache_sweep,
-    table1_runtime_matrix,
-    table2_reduction_share,
-)
-from .tables import format_table
+from .._exports import lazy_exports
 
-__all__ = [
-    "format_table",
-    "table1_runtime_matrix",
-    "table2_reduction_share",
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "format_table": "tables",
+}, modules=(
     "fig5_batch_reduction",
+    "profile_breakdown",
     "fig6_allocation_example",
     "fig7_allocator_comparison",
     "fig8_batching_gain",
@@ -36,5 +21,6 @@ __all__ = [
     "fig12_serving_throughput",
     "gen_serving_throughput",
     "prefix_cache_sweep",
-    "profile_breakdown",
-]
+    "table1_runtime_matrix",
+    "table2_reduction_share",
+))

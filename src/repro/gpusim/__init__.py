@@ -6,103 +6,56 @@ inputs — no randomness, no wall clock — so every experiment built on it is
 bit-reproducible.
 """
 
-from .device import RTX_2060, TESLA_M40, TESLA_V100, DeviceSpec, get_device
-from .kernel import (
-    FP32_BYTES,
-    KernelTiming,
-    Terms,
-    elementwise_terms,
-    elementwise_time,
-    gemm_terms,
-    gemm_time,
-    gemm_utilization,
-    kernel_total_s,
-    memcpy_time,
-)
-from .memory import CUDA_MALLOC_STALL_S, DeviceMemory, OutOfDeviceMemoryError
-from .occupancy import (
-    KernelResources,
-    OccupancyResult,
-    device_resident_blocks,
-    occupancy,
-)
-from .pipeline import Instruction, schedule, simulate_warp_allreduce
-from .multistream import (
-    DeviceSync,
-    EventRecord,
-    EventWait,
-    KernelLaunch,
-    OpTiming,
-    ScheduleTiming,
-    StreamSchedule,
-    execute_schedule,
-)
-from .roofline import RooflinePoint, RooflineReport, ridge_point, roofline_report
-from .reduction import (
-    ReductionImpl,
-    layernorm_terms,
-    layernorm_time,
-    reduction_speedup,
-    softmax_terms,
-    softmax_time,
-)
-from .stream import Stream
-from .warp import (
-    boundary_divergence_cycles,
-    reduction_levels,
-    smem_tree_reduce_cycles,
-    warp_allreduce_cycles,
-    warp_allreduce_cycles_per_row,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "DeviceSpec",
-    "get_device",
-    "TESLA_V100",
-    "RTX_2060",
-    "TESLA_M40",
-    "KernelTiming",
-    "Terms",
-    "kernel_total_s",
-    "gemm_terms",
-    "gemm_time",
-    "gemm_utilization",
-    "elementwise_terms",
-    "elementwise_time",
-    "memcpy_time",
-    "FP32_BYTES",
-    "DeviceMemory",
-    "OutOfDeviceMemoryError",
-    "CUDA_MALLOC_STALL_S",
-    "KernelResources",
-    "OccupancyResult",
-    "occupancy",
-    "device_resident_blocks",
-    "Instruction",
-    "schedule",
-    "simulate_warp_allreduce",
-    "RooflinePoint",
-    "RooflineReport",
-    "ridge_point",
-    "roofline_report",
-    "ReductionImpl",
-    "softmax_terms",
-    "softmax_time",
-    "layernorm_terms",
-    "layernorm_time",
-    "reduction_speedup",
-    "Stream",
-    "StreamSchedule",
-    "KernelLaunch",
-    "EventRecord",
-    "EventWait",
-    "DeviceSync",
-    "OpTiming",
-    "ScheduleTiming",
-    "execute_schedule",
-    "warp_allreduce_cycles",
-    "warp_allreduce_cycles_per_row",
-    "smem_tree_reduce_cycles",
-    "boundary_divergence_cycles",
-    "reduction_levels",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "RTX_2060": "device",
+    "TESLA_M40": "device",
+    "TESLA_V100": "device",
+    "DeviceSpec": "device",
+    "get_device": "device",
+    "FP32_BYTES": "kernel",
+    "KernelTiming": "kernel",
+    "Terms": "kernel",
+    "elementwise_terms": "kernel",
+    "elementwise_time": "kernel",
+    "gemm_terms": "kernel",
+    "gemm_time": "kernel",
+    "gemm_utilization": "kernel",
+    "kernel_total_s": "kernel",
+    "memcpy_time": "kernel",
+    "CUDA_MALLOC_STALL_S": "memory",
+    "DeviceMemory": "memory",
+    "OutOfDeviceMemoryError": "memory",
+    "KernelResources": "occupancy",
+    "OccupancyResult": "occupancy",
+    "device_resident_blocks": "occupancy",
+    "occupancy": "occupancy",
+    "Instruction": "pipeline",
+    "schedule": "pipeline",
+    "simulate_warp_allreduce": "pipeline",
+    "DeviceSync": "multistream",
+    "EventRecord": "multistream",
+    "EventWait": "multistream",
+    "KernelLaunch": "multistream",
+    "OpTiming": "multistream",
+    "ScheduleTiming": "multistream",
+    "StreamSchedule": "multistream",
+    "execute_schedule": "multistream",
+    "RooflinePoint": "roofline",
+    "RooflineReport": "roofline",
+    "ridge_point": "roofline",
+    "roofline_report": "roofline",
+    "ReductionImpl": "reduction",
+    "layernorm_terms": "reduction",
+    "layernorm_time": "reduction",
+    "reduction_speedup": "reduction",
+    "softmax_terms": "reduction",
+    "softmax_time": "reduction",
+    "Stream": "stream",
+    "boundary_divergence_cycles": "warp",
+    "reduction_levels": "pipeline",
+    "smem_tree_reduce_cycles": "warp",
+    "warp_allreduce_cycles": "warp",
+    "warp_allreduce_cycles_per_row": "warp",
+})

@@ -12,11 +12,18 @@ Fig. 5 results rest on a mechanically-verified model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from .device import DeviceSpec
-from .warp import reduction_levels
+
+
+def reduction_levels(warp_size: int) -> int:
+    """Number of butterfly levels for a full-warp shuffle reduction."""
+    if warp_size <= 0 or warp_size & (warp_size - 1):
+        raise ValueError(f"warp_size must be a power of two, got {warp_size}")
+    return int(math.log2(warp_size))
 
 
 @dataclass(frozen=True)

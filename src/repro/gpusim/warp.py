@@ -29,14 +29,7 @@ from __future__ import annotations
 import math
 
 from .device import DeviceSpec
-
-
-def reduction_levels(warp_size: int) -> int:
-    """Number of butterfly levels for a full-warp shuffle reduction."""
-    if warp_size <= 0 or warp_size & (warp_size - 1):
-        raise ValueError(f"warp_size must be a power of two, got {warp_size}")
-    return int(math.log2(warp_size))
-
+from .pipeline import reduction_levels, simulate_warp_allreduce
 
 _ALLREDUCE_CACHE: dict = {}
 
@@ -65,8 +58,6 @@ def warp_allreduce_cycles(device: DeviceSpec, x_elems: int = 1) -> float:
            device.alu_latency_cycles, device.issue_cycles, x_elems)
     cached = _ALLREDUCE_CACHE.get(key)
     if cached is None:
-        from .pipeline import simulate_warp_allreduce
-
         cached = float(simulate_warp_allreduce(device, x_elems))
         _ALLREDUCE_CACHE[key] = cached
     return cached

@@ -1,32 +1,26 @@
 """Computation-graph representation, fusion pass and lifetime analysis."""
 
-from .fusion import count_kernels, eliminated_tensor_names, fuse_graph
-from .graph import ComputationGraph, GraphError
-from .lifetime import UsageRecordTemplates, tensor_usage_records
-from .node import OpNode, OpType
-from .serialize import graph_from_dict, graph_to_dict, load_graph, save_graph
-from .tensor import Dim, DimBindings, TensorKind, TensorSpec, resolve_dim
-from .transform import cast_graph_precision, graph_weight_bytes
+from .._exports import lazy_exports
 
-__all__ = [
-    "ComputationGraph",
-    "GraphError",
-    "OpNode",
-    "OpType",
-    "TensorSpec",
-    "TensorKind",
-    "Dim",
-    "DimBindings",
-    "resolve_dim",
-    "fuse_graph",
-    "count_kernels",
-    "eliminated_tensor_names",
-    "tensor_usage_records",
-    "UsageRecordTemplates",
-    "graph_to_dict",
-    "graph_from_dict",
-    "save_graph",
-    "load_graph",
-    "cast_graph_precision",
-    "graph_weight_bytes",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "count_kernels": "fusion",
+    "eliminated_tensor_names": "fusion",
+    "fuse_graph": "fusion",
+    "ComputationGraph": "graph",
+    "GraphError": "graph",
+    "UsageRecordTemplates": "lifetime",
+    "tensor_usage_records": "lifetime",
+    "OpNode": "node",
+    "OpType": "node",
+    "graph_from_dict": "serialize",
+    "graph_to_dict": "serialize",
+    "load_graph": "serialize",
+    "save_graph": "serialize",
+    "Dim": "tensor",
+    "DimBindings": "tensor",
+    "TensorKind": "tensor",
+    "TensorSpec": "tensor",
+    "resolve_dim": "tensor",
+    "cast_graph_precision": "transform",
+    "graph_weight_bytes": "transform",
+})

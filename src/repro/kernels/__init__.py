@@ -5,51 +5,33 @@ CUDA kernels lives in :mod:`repro.gpusim`.  Fused variants use in-place
 passes and combined sweeps exactly where the paper's fused CUDA kernels do.
 """
 
-from .activation import add_bias, add_bias_gelu, add_bias_relu, gelu, relu
-from .attention import (
-    AttentionWeights,
-    multi_head_attention,
-    padding_mask_from_lengths,
-    scaled_dot_product_attention,
-)
-from .embedding import bert_embeddings, embedding_lookup
-from .gemm import gemm, linear
-from .layernorm import add_bias_layernorm, layernorm_one_pass, layernorm_reference
-from .quantize import (
-    INT8_MAX,
-    QuantizedLinear,
-    dequantize,
-    quantization_error,
-    quantize_symmetric,
-)
-from .softmax import softmax_fused, softmax_reference
-from .transpose import add_bias_transpose_for_heads, merge_heads, split_heads
+from .._exports import lazy_exports
 
-__all__ = [
-    "gelu",
-    "relu",
-    "add_bias",
-    "add_bias_gelu",
-    "add_bias_relu",
-    "softmax_reference",
-    "softmax_fused",
-    "layernorm_reference",
-    "layernorm_one_pass",
-    "add_bias_layernorm",
-    "quantize_symmetric",
-    "dequantize",
-    "QuantizedLinear",
-    "quantization_error",
-    "INT8_MAX",
-    "gemm",
-    "linear",
-    "embedding_lookup",
-    "bert_embeddings",
-    "split_heads",
-    "merge_heads",
-    "add_bias_transpose_for_heads",
-    "AttentionWeights",
-    "scaled_dot_product_attention",
-    "multi_head_attention",
-    "padding_mask_from_lengths",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "add_bias": "activation",
+    "add_bias_gelu": "activation",
+    "add_bias_relu": "activation",
+    "gelu": "activation",
+    "relu": "activation",
+    "AttentionWeights": "attention",
+    "multi_head_attention": "attention",
+    "padding_mask_from_lengths": "attention",
+    "scaled_dot_product_attention": "attention",
+    "bert_embeddings": "embedding",
+    "embedding_lookup": "embedding",
+    "gemm": "gemm",
+    "linear": "gemm",
+    "add_bias_layernorm": "layernorm",
+    "layernorm_one_pass": "layernorm",
+    "layernorm_reference": "layernorm",
+    "INT8_MAX": "quantize",
+    "QuantizedLinear": "quantize",
+    "dequantize": "quantize",
+    "quantization_error": "quantize",
+    "quantize_symmetric": "quantize",
+    "softmax_fused": "softmax",
+    "softmax_reference": "softmax",
+    "add_bias_transpose_for_heads": "transpose",
+    "merge_heads": "transpose",
+    "split_heads": "transpose",
+})

@@ -16,6 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..gpusim import DeviceSpec, RTX_2060
+from ..runtime.base import DecoderRuntime, InferenceRuntime
 from .bert import build_encoder_graph, encoder_forward
 from .config import Seq2SeqConfig, TransformerConfig
 from .decoder import BeamHypothesis, beam_search, build_decoder_step_graph
@@ -88,8 +89,7 @@ class Seq2SeqLatencyModel:
     """End-to-end translation latency: one encoder pass + T decode steps.
 
     The encoder runs once per request over the source; the decoder is the
-    per-step model of :class:`repro.runtime.DecoderRuntime`.  Constructed
-    lazily to avoid importing the runtime package at models-import time.
+    per-step model of :class:`repro.runtime.DecoderRuntime`.
     """
 
     def __init__(
@@ -99,8 +99,6 @@ class Seq2SeqLatencyModel:
         device: DeviceSpec = RTX_2060,
         step_overhead_s: float = 0.0,
     ) -> None:
-        from ..runtime.base import DecoderRuntime, InferenceRuntime
-
         self.config = config
         encoder_graph = build_encoder_graph(encoder_config_for(config))
         self.encoder_runtime = InferenceRuntime(encoder_graph, chars, device)

@@ -10,48 +10,26 @@ Three pieces (ISSUE 1):
   path: no-op emitters, so instrumented hot loops cost nothing when
   observability is off.
 
-``repro.observability.harness.run_traced_workload`` (lazily re-exported
-here) runs one fully instrumented serving workload; ``python -m repro
-trace`` is its CLI face.  This package itself depends only on the stdlib
-so every other layer can import it freely.
+``repro.observability.harness.run_traced_workload`` runs one fully
+instrumented serving workload; ``python -m repro trace`` is its CLI face.
+The metrics and tracer modules depend only on the stdlib, so every other
+layer can import them freely; the harness, which imports the serving
+layer, loads only when one of its names is read.
 """
 
-from .metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from .tracer import (
-    NULL_TRACER,
-    VALID_PHASES,
-    NullTracer,
-    Tracer,
-    validate_trace_dict,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "DEFAULT_BUCKETS",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "VALID_PHASES",
-    "validate_trace_dict",
-    "run_traced_workload",
-    "TraceRunResult",
-]
-
-
-def __getattr__(name: str):
-    # The harness pulls in serving/runtime/models; importing it lazily keeps
-    # this package dependency-free so those same layers can import us.
-    if name in ("run_traced_workload", "TraceRunResult"):
-        from . import harness
-
-        return getattr(harness, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "DEFAULT_BUCKETS": "metrics",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "NULL_TRACER": "tracer",
+    "VALID_PHASES": "tracer",
+    "NullTracer": "tracer",
+    "Tracer": "tracer",
+    "validate_trace_dict": "tracer",
+    "run_traced_workload": "harness",
+    "TraceRunResult": "harness",
+})

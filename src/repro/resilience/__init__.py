@@ -21,52 +21,26 @@ scenario of the one :data:`SCENARIOS` registry, encoder or generation,
 end to end and asserts recovery (``python -m repro chaos``).
 """
 
-from .breaker import BreakerState, CircuitBreaker
-from .config import ResilienceConfig
-from .degradation import (
-    DegradationController,
-    DegradationLadder,
-    DegradationRung,
-)
-from .faults import (
-    FaultPlan,
-    KernelStall,
-    LatencySpike,
-    ServerCrash,
-    TransientFailures,
-    unit_hash,
-)
-from .retry import RetryPolicy, RetryState
+from .._exports import lazy_exports
 
-__all__ = [
-    "BreakerState",
-    "CircuitBreaker",
-    "ResilienceConfig",
-    "DegradationController",
-    "DegradationLadder",
-    "DegradationRung",
-    "FaultPlan",
-    "KernelStall",
-    "LatencySpike",
-    "ServerCrash",
-    "TransientFailures",
-    "unit_hash",
-    "RetryPolicy",
-    "RetryState",
-    "ChaosReport",
-    "ChaosScenario",
-    "SCENARIOS",
-    "run_chaos",
-    "format_report",
-]
-
-
-def __getattr__(name: str):
-    # The chaos harness imports the serving layer; loading it lazily keeps
-    # ``repro.serving`` free to import this package without a cycle.
-    if name in ("ChaosReport", "ChaosScenario", "SCENARIOS", "run_chaos",
-                "format_report"):
-        from . import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "BreakerState": "breaker",
+    "CircuitBreaker": "breaker",
+    "ResilienceConfig": "config",
+    "DegradationController": "degradation",
+    "DegradationLadder": "degradation",
+    "DegradationRung": "degradation",
+    "FaultPlan": "faults",
+    "KernelStall": "faults",
+    "LatencySpike": "faults",
+    "ServerCrash": "faults",
+    "TransientFailures": "faults",
+    "unit_hash": "faults",
+    "RetryPolicy": "retry",
+    "RetryState": "retry",
+    "ChaosReport": "chaos",
+    "ChaosScenario": "chaos",
+    "SCENARIOS": "chaos",
+    "run_chaos": "chaos",
+    "format_report": "chaos",
+})

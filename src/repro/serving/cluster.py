@@ -37,18 +37,18 @@ from typing import (
     Sequence,
 )
 
+from .continuous import (ContinuousBatchingConfig, GenReplica, GenRequest,
+                         GenServingMetrics, _GenDriver)
 from .metrics import ServingMetrics
 from .request import Request
 from .router import RoutingPolicy
 from .scheduler import BatchScheduler, CostFn
 from .server import ServingConfig, _BatchDriver
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..memory.kv_arena import KVCacheArena
     from ..observability import MetricsRegistry, Tracer
     from ..resilience import ResilienceConfig
-    from .continuous import (ContinuousBatchingConfig, GenRequest,
-                             GenServingMetrics)
 
 
 def balance_ratio(completed: Sequence[int]) -> float:
@@ -119,7 +119,7 @@ class GenClusterMetrics:
     end-of-run KV leak audit (must be empty — no region outlives its
     request across crashes and preemptions)."""
 
-    serving: "GenServingMetrics"
+    serving: GenServingMetrics
     per_replica_completed: List[int]
     kv_leaks: List[str]
 
@@ -129,13 +129,13 @@ class GenClusterMetrics:
 
 
 def simulate_generation_cluster(
-    requests: Sequence["GenRequest"],
+    requests: Sequence[GenRequest],
     num_replicas: int,
     runtime,
     arena_factory: Callable[[int], "KVCacheArena"],
     duration_s: Optional[float] = None,
     resilience: Optional["ResilienceConfig"] = None,
-    config: Optional["ContinuousBatchingConfig"] = None,
+    config: Optional[ContinuousBatchingConfig] = None,
     tracer: Optional["Tracer"] = None,
     metrics: Optional["MetricsRegistry"] = None,
     system_name: str = "Turbo-Gen-Cluster",
@@ -163,8 +163,6 @@ def simulate_generation_cluster(
     """
     if num_replicas <= 0:
         raise ValueError(f"num_replicas must be positive, got {num_replicas}")
-    from .continuous import ContinuousBatchingConfig, GenReplica, _GenDriver
-
     config = config or ContinuousBatchingConfig()
     replicas = [GenReplica(i, runtime, arena_factory(i), config)
                 for i in range(num_replicas)]

@@ -90,6 +90,7 @@ from ..engine import EngineFaultInjector, EventKind
 # ``round_timing``.
 from ..gpusim.multistream import StreamSchedule, execute_schedule  # noqa: F401
 from ..memory.kv_arena import KVCacheArena
+from ..memory.prefix_index import RadixPrefixIndex
 from ..observability import MetricsRegistry, Tracer
 from ..runtime.chunked import PrefillChunker
 from .driver import Driver, Replica, publish_tally
@@ -319,10 +320,6 @@ class GenReplica(Replica):
             self.chunker = PrefillChunker(config.chunk_tokens)
         self.prefix_index = None
         if config.prefix_cache:
-            # Lazy import keeps repro.memory's import graph acyclic when
-            # prefix caching is off.
-            from ..memory.prefix_index import RadixPrefixIndex
-
             self.prefix_index = RadixPrefixIndex(arena)
         self.bind(None, None, None)
 

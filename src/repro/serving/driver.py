@@ -188,7 +188,9 @@ class Driver:
             self.engine.add_dispatch_hook(dispatch_counter(metrics))
         self.retry_state = None
         if resilience is not None and resilience.retry is not None:
-            from ..resilience.retry import RetryState  # deferred: avoids cycle
+            # Only resilient runs need it, and their ResilienceConfig has
+            # already imported it.
+            from ..resilience.retry import RetryState
 
             self.retry_state = RetryState(resilience.retry)
         self.inline = len(self.replicas) == 1

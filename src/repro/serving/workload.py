@@ -13,6 +13,7 @@ from typing import Callable, List
 
 import numpy as np
 
+from .continuous import GenRequest
 from .request import Request
 
 LengthSampler = Callable[[np.random.Generator, int], np.ndarray]
@@ -113,15 +114,13 @@ def generate_generation_requests(
     seed: int = 0,
     prompt_sampler: LengthSampler = normal_lengths,
     output_sampler: Callable[[np.random.Generator, int], np.ndarray] = None,
-) -> List["GenRequest"]:
+) -> List[GenRequest]:
     """Generative-serving workload: Poisson arrivals x (prompt, output) lengths.
 
     Returns :class:`~repro.serving.continuous.GenRequest` objects whose
     ``seq_len`` is the prompt length and ``max_new_tokens`` the sampled
     output budget.  Deterministic given ``seed``.
     """
-    from .continuous import GenRequest  # deferred: continuous imports workload
-
     rng = np.random.default_rng(seed)
     arrivals = poisson_arrivals(rng, rate_per_s, duration_s)
     prompts = prompt_sampler(rng, arrivals.size)
@@ -152,7 +151,7 @@ def generate_prefix_population_requests(
     suffix_hi: int = 16,
     vocab: int = 50_000,
     output_sampler: Callable[[np.random.Generator, int], np.ndarray] = None,
-) -> List["GenRequest"]:
+) -> List[GenRequest]:
     """Multi-tenant prompt population with shared prefixes (prefix caching).
 
     Real serving traffic is dominated by templated prompts: one
@@ -173,8 +172,6 @@ def generate_prefix_population_requests(
     ``seq_len`` is ``len(prompt_ids)``; output budgets default to the
     heavy-tailed geometric mix.  Deterministic given ``seed``.
     """
-    from .continuous import GenRequest  # deferred: continuous imports workload
-
     if not 0.0 <= sharing_ratio <= 1.0:
         raise ValueError(f"sharing_ratio must be in [0, 1], got {sharing_ratio}")
     if num_tenants < 1:
@@ -194,7 +191,7 @@ def generate_prefix_population_requests(
         outputs = geometric_output_lengths(rng, n, mean=16.0)
     else:
         outputs = output_sampler(rng, n)
-    requests: List["GenRequest"] = []
+    requests: List[GenRequest] = []
     for i in range(n):
         suffix = rng.integers(0, vocab, size=int(suffix_lens[i]))
         if templated[i]:

@@ -1,27 +1,17 @@
 """Text substrate: WordPiece tokenizer + classification head (§6.2 app)."""
 
-from .classifier import ClassifierHead, TextClassifier, init_classifier_head
-from .tokenizer import (
-    CLS,
-    PAD,
-    SEP,
-    SPECIAL_TOKENS,
-    UNK,
-    WordPieceTokenizer,
-    basic_tokenize,
-    pad_batch,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "WordPieceTokenizer",
-    "basic_tokenize",
-    "pad_batch",
-    "PAD",
-    "UNK",
-    "CLS",
-    "SEP",
-    "SPECIAL_TOKENS",
-    "ClassifierHead",
-    "TextClassifier",
-    "init_classifier_head",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ClassifierHead": "classifier",
+    "TextClassifier": "classifier",
+    "init_classifier_head": "classifier",
+    "CLS": "tokenizer",
+    "PAD": "tokenizer",
+    "SEP": "tokenizer",
+    "SPECIAL_TOKENS": "tokenizer",
+    "UNK": "tokenizer",
+    "WordPieceTokenizer": "tokenizer",
+    "basic_tokenize": "tokenizer",
+    "pad_batch": "tokenizer",
+})
