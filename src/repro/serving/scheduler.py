@@ -14,6 +14,7 @@ makes the O(n²) DP optimal over this family of schedules.
 from __future__ import annotations
 
 import abc
+import math
 from bisect import bisect_right, insort
 from itertools import accumulate
 from operator import attrgetter, itemgetter
@@ -26,6 +27,12 @@ CostFn = Callable[[int, int], float]
 Partition = Tuple[List[Request], List[int], List[float]]
 
 _seq_len = attrgetter("seq_len")
+
+
+def _bad_cost(seq_len: int, batch: int, cost: float) -> ValueError:
+    return ValueError(
+        f"cost_fn({seq_len}, {batch}) returned {cost!r}: the cost of the "
+        f"(seq_len, batch) cell must be a finite number of seconds >= 0")
 
 
 class BatchScheduler(abc.ABC):
@@ -203,6 +210,9 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
         if row is None:
             row = [cost_fn(length, s) for s in range(1, max_batch + 1)]
             self.cost_calls += len(row)
+            for s, cost in enumerate(row, 1):
+                if not 0.0 <= cost < math.inf:
+                    raise _bad_cost(length, s, cost)
             self._rows[length] = row
             # Pruning soundness needs cost_fn non-decreasing in batch size
             # *and* length (=> DP prefix costs non-decreasing).  Verify:
@@ -440,10 +450,15 @@ def observe_round(
 
 def batch_execution_cost(batch: Batch, cost_fn: CostFn) -> float:
     """Latency of executing one batch under the profiled cost function
-    (schedulers with their own cost model may pin it via cost_override)."""
+    (schedulers with their own cost model may pin it via cost_override).
+    A cost that is NaN, negative or infinite raises :class:`ValueError`
+    naming its ``(seq_len, batch)`` cell."""
     if batch.cost_override is not None:
         return batch.cost_override
-    return cost_fn(batch.padded_len, batch.cost_batch_size)
+    cost = cost_fn(batch.padded_len, batch.cost_batch_size)
+    if not 0.0 <= cost < math.inf:
+        raise _bad_cost(batch.padded_len, batch.cost_batch_size, cost)
+    return cost
 
 
 def schedule_makespan(

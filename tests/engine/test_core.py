@@ -166,10 +166,12 @@ class TestNonFiniteTimes:
         assert fired == [0.5] and engine.now == 0.5
 
     def test_nan_cost_fn_fails_the_serving_run(self):
-        """A cost model returning NaN used to finish with NaN latencies."""
+        """A cost model returning NaN used to finish with NaN latencies,
+        then failed late in the engine; it now fails where the batch is
+        priced, naming the cell."""
         requests = [Request(req_id=i, seq_len=8, arrival_s=0.1 * i)
                     for i in range(3)]
-        with pytest.raises(EngineError):
+        with pytest.raises(ValueError, match=r"cost_fn\(8, 1\) returned nan"):
             simulate_serving(requests, DPBatchScheduler(),
                              lambda n, b: float("nan"), duration_s=1.0)
 
