@@ -15,10 +15,10 @@ codes (``GRAPH1xx``/``MEM2xx``/``SCHED3xx``/``DET4xx``/``ENG5xx``/
 * :mod:`.determinism` — AST lint for unseeded RNG, wall-clock reads,
   unordered-set iteration and engine-API misuse, with
   ``# repro: allow(<code>)`` pragmas;
-* :mod:`.engine_checks` — the :class:`EngineTraceRecorder` (hooks into
-  the live engine/request/KV-arena/breaker layers) plus trace verifiers
-  for clock/dispatch sanity (ENG5xx), request-lifecycle invariants
-  (LIFE6xx) and KV token conservation (MEM22x);
+* :mod:`.engine_checks` — the :class:`EngineTraceRecorder` (a run
+  observer of the engine/request/KV-arena/breaker layers) plus trace
+  verifiers for clock/dispatch sanity (ENG5xx), request-lifecycle
+  invariants (LIFE6xx) and KV token conservation (MEM22x);
 * :mod:`.sanitizer` — seeded serving and chaos scenarios executed under
   the recorder (``repro check --sanitize <scenario>``);
 * :mod:`.serving_checks` — a serving run's summary metrics recomputed

@@ -2,9 +2,10 @@
 
 The static checkers in this package prove properties of *artifacts*
 (graphs, plans, schedules, source).  This module proves properties of
-*executions*: an :class:`EngineTraceRecorder` attaches to the hook points
-the engine/serving/memory/resilience layers expose and records one
-deterministic event log per run — engine dispatches, request state
+*executions*: an :class:`EngineTraceRecorder` attaches to the one run
+observer list (:mod:`repro._observers`) that the engine, serving, memory
+and resilience layers emit to, and records one deterministic event log
+per run — engine dispatches, request state
 transitions (via :meth:`Request.resolve`, with the resolving replica's
 fault injector), KV-arena mutations, breaker transitions — and
 :func:`verify_trace` replays that log against the invariants every
@@ -26,9 +27,10 @@ scheduler on the shared engine must uphold:
   the region (MEM223), and at drain no region outlives its request
   (MEM221, cross-checked against :meth:`KVCacheArena.verify`).
 
-Recording is strictly opt-in: every hook point is an empty module-level
-list in normal runs, so the zero-tolerance bench-equivalence gates see
-byte-identical behaviour with the recorder detached.  New schedulers opt
+Recording is strictly opt-in: the observer list is empty in normal runs,
+and every emitter tests it before building a notification, so the
+zero-tolerance bench-equivalence gates see byte-identical behaviour with
+the recorder detached.  New schedulers opt
 in for free by construction — they run on the shared :class:`Engine`,
 resolve requests through :meth:`Request.resolve`, and touch KV through
 :class:`KVCacheArena`, which is exactly the surface the recorder taps.
@@ -38,15 +40,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..engine import core as _engine_core
+from .._observers import observers
 from ..engine.core import Engine, Event, EventKind
 from ..engine.faults import EngineFaultInjector
-from ..memory import kv_arena as _kv_arena
 from ..memory.kv_arena import KVCacheArena
-from ..resilience import breaker as _breaker
 from ..resilience.breaker import BreakerState, CircuitBreaker
 from ..resilience.retry import RetryPolicy
-from ..serving import request as _request
 from ..serving.request import Request, RequestState
 from .diagnostics import Diagnostic, diag
 from .memory_checks import arena_diag_code
@@ -71,10 +70,11 @@ class EngineTraceRecorder:
             simulate_serving(requests, scheduler, cost_fn, resilience=res)
         diagnostics = verify_trace(rec, retry=res.retry)
 
-    Attaching installs observers on the module-level hook lists in
-    ``engine.core``, ``serving.request``, ``memory.kv_arena`` and
-    ``resilience.breaker``; detaching removes them.  Every engine
-    constructed while attached also gets a dispatch hook (via
+    The recorder is a run observer (:mod:`repro._observers`): attaching
+    appends it to the one observer list, detaching removes it, and its
+    ``on_engine``, ``on_resolve``, ``on_arena`` and ``on_breaker``
+    methods record what the emitters report.  Every engine constructed
+    while attached also gets a dispatch hook (via
     :meth:`Engine.add_dispatch_hook`) that attributes ARRIVAL / RETRY
     payloads to that engine.  All records carry one global,
     monotonically increasing sequence number so cross-layer ordering is
@@ -104,15 +104,13 @@ class EngineTraceRecorder:
         #: (seq, request_key) for every RETRY dispatch carrying a request.
         self.retry_dispatches: List[Tuple[int, int]] = []
 
-    # -- hook plumbing ----------------------------------------------------
+    # -- observer methods -------------------------------------------------
 
     def _next(self) -> int:
         self._seq += 1
         return self._seq
 
-    def _on_engine(self, engine: Engine) -> None:
-        if not self._recording:
-            return
+    def on_engine(self, engine: Engine) -> None:
         idx = len(self.engines)
         self.engines.append(engine)
 
@@ -130,16 +128,13 @@ class EngineTraceRecorder:
 
         engine.add_dispatch_hook(on_dispatch)
 
-    def _on_resolve(self, request: Request, state: RequestState,
-                    faults: Optional[EngineFaultInjector]) -> None:
-        if self._recording:
-            self.resolves.append((self._next(), id(request), request, state,
-                                  faults))
+    def on_resolve(self, request: Request, state: RequestState,
+                   faults: Optional[EngineFaultInjector]) -> None:
+        self.resolves.append((self._next(), id(request), request, state,
+                              faults))
 
-    def _on_arena(self, arena: KVCacheArena, op: str, req_id: int,
-                  tokens: int) -> None:
-        if not self._recording:
-            return
+    def on_arena(self, arena: KVCacheArena, op: str, req_id: int,
+                 tokens: int) -> None:
         idx = self._arena_ids.get(id(arena))
         if idx is None:
             idx = len(self.arenas)
@@ -147,34 +142,23 @@ class EngineTraceRecorder:
             self.arenas.append(arena)
         self.arena_events.append((self._next(), idx, op, req_id, tokens))
 
-    def _on_breaker(self, breaker: CircuitBreaker, now_s: float,
-                    frm: BreakerState, to: BreakerState) -> None:
-        if self._recording:
-            self.breaker_events.append((self._next(), breaker.name, now_s,
-                                        frm, to))
+    def on_breaker(self, breaker: CircuitBreaker, now_s: float,
+                   frm: BreakerState, to: BreakerState) -> None:
+        self.breaker_events.append((self._next(), breaker.name, now_s, frm,
+                                    to))
 
     def attach(self) -> "EngineTraceRecorder":
         if self._recording:
             raise RuntimeError("recorder is already attached")
         self._recording = True
-        _engine_core._engine_hooks.append(self._on_engine)
-        _request._resolve_hooks.append(self._on_resolve)
-        _kv_arena._arena_hooks.append(self._on_arena)
-        _breaker._transition_hooks.append(self._on_breaker)
+        observers.append(self)
         return self
 
     def detach(self) -> None:
         if not self._recording:
             return
         self._recording = False
-        for hooks, hook in (
-            (_engine_core._engine_hooks, self._on_engine),
-            (_request._resolve_hooks, self._on_resolve),
-            (_kv_arena._arena_hooks, self._on_arena),
-            (_breaker._transition_hooks, self._on_breaker),
-        ):
-            if hook in hooks:
-                hooks.remove(hook)
+        observers.remove(self)
 
     def __enter__(self) -> "EngineTraceRecorder":
         return self.attach()

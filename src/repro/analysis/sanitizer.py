@@ -5,7 +5,8 @@ Two tiers of scenarios, both driven through
 
 * **Light scenarios** (``oneshot``, ``ebird``, ``cluster``,
   ``continuous``) — small seeded workloads over each serving loop, with
-  faults, retries and breakers in play so the trace exercises every hook.
+  faults, retries and breakers in play so the trace exercises every
+  observer method.
   These back the ``engine`` and ``lifecycle`` families of
   ``python -m repro check`` and finish in a few seconds.
 * **Chaos scenarios** — the full ``repro chaos`` scenarios (``smoke``,

@@ -93,6 +93,8 @@ import operator
 from bisect import bisect_right
 from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
+from .._observers import notify, observers
+
 
 class EngineError(RuntimeError):
     """An engine invariant was violated (e.g. scheduling into the past)."""
@@ -183,13 +185,6 @@ class Task:
         self.engine.schedule(end, _WAKE_KIND, self._resume)
 
 
-#: Observers notified with every newly constructed :class:`Engine`.
-#: :class:`repro.analysis.engine_checks.EngineTraceRecorder` appends here
-#: while attached; the list is empty — and the notification a no-op — in
-#: every normal run, so bench equivalence baselines are unaffected.
-_engine_hooks: List[Callable[["Engine"], None]] = []
-
-
 class Engine:
     """Virtual clock + deterministic event heap + arrival stream +
     cooperative timers."""
@@ -211,9 +206,8 @@ class Engine:
         self._stream_head: Optional[Event] = None
         self._dispatch_hooks: List[Callable[[Event], None]] = []
         self.events_dispatched = 0
-        if _engine_hooks:
-            for hook in list(_engine_hooks):
-                hook(self)
+        if observers:
+            notify("on_engine", self)
 
     # -- scheduling ------------------------------------------------------
     def schedule(

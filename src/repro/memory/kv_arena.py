@@ -50,25 +50,13 @@ episode through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
+
+from .._observers import notify, observers
 
 
 class KVArenaError(RuntimeError):
     """An arena invariant was violated (unknown request, capacity breach)."""
-
-
-#: Observers notified after every successful arena mutation, as
-#: ``hook(arena, op, req_id, tokens)`` with ``op`` one of ``admit`` /
-#: ``append`` / ``release`` / ``preempt`` / ``restore`` and ``tokens``
-#: the operation's token delta (region size for release/preempt).  The
-#: engine-trace sanitizer's conservation ledger attaches here; the list
-#: is empty — a no-op — in normal runs.
-_arena_hooks: List[Callable[["KVCacheArena", str, int, int], None]] = []
-
-
-def _notify(arena: "KVCacheArena", op: str, req_id: int, tokens: int) -> None:
-    for hook in list(_arena_hooks):
-        hook(arena, op, req_id, tokens)
 
 
 def kv_bytes_per_token(num_layers: int, num_heads: int, head_size: int,
@@ -442,8 +430,8 @@ class KVCacheArena:
         if self.metrics is not None:
             self.metrics.counter("kv_arena_admissions_total").inc()
         self._layout_changed()
-        if _arena_hooks:
-            _notify(self, "admit", req_id, prompt_tokens)
+        if observers:
+            notify("on_arena", self, "admit", req_id, prompt_tokens)
         return True
 
     def fork(self, parent_req_id: int, child_req_id: int,
@@ -475,8 +463,8 @@ class KVCacheArena:
                           shared_pages)
         self.forks += 1
         self._layout_changed()
-        if _arena_hooks:
-            _notify(self, "admit", child_req_id, parent.tokens)
+        if observers:
+            notify("on_arena", self, "admit", child_req_id, parent.tokens)
         return True
 
     # -- growth / release -----------------------------------------------------
@@ -510,8 +498,8 @@ class KVCacheArena:
                 pages.append(self._alloc_page())
                 self._growth_tokens -= page_tokens
             self._layout_changed()
-        if _arena_hooks:
-            _notify(self, "append", req_id, tokens)
+        if observers:
+            notify("on_arena", self, "append", req_id, tokens)
 
     def _drop_region(self, req_id: int) -> KVRegion:
         self.region_of(req_id)  # raises KVArenaError on unknown requests
@@ -531,8 +519,8 @@ class KVCacheArena:
         if self.metrics is not None:
             self.metrics.counter("kv_arena_releases_total").inc()
         self._layout_changed()
-        if _arena_hooks:
-            _notify(self, "release", req_id, tokens)
+        if observers:
+            notify("on_arena", self, "release", req_id, tokens)
 
     # -- preemption / recovery ------------------------------------------------
 
@@ -554,8 +542,8 @@ class KVCacheArena:
         if self.metrics is not None:
             self.metrics.counter("kv_arena_preemptions_total").inc()
         self._layout_changed()
-        if _arena_hooks:
-            _notify(self, "preempt", req_id, tokens)
+        if observers:
+            notify("on_arena", self, "preempt", req_id, tokens)
         return tokens
 
     def restore(self, req_id: int, tokens: int, max_total_tokens: int,
@@ -578,8 +566,8 @@ class KVCacheArena:
         if self.metrics is not None:
             self.metrics.counter("kv_arena_restores_total").inc()
         self._layout_changed()
-        if _arena_hooks:
-            _notify(self, "restore", req_id, tokens)
+        if observers:
+            notify("on_arena", self, "restore", req_id, tokens)
         return True
 
     # -- accounting and audits ------------------------------------------------

@@ -18,21 +18,15 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
+
+from .._observers import notify, observers
 
 
 class BreakerState(enum.Enum):
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half_open"
-
-
-#: Observers notified on every breaker transition, as
-#: ``hook(breaker, now_s, frm, to)``.  The engine-trace sanitizer checks
-#: transition legality through this; empty — a no-op — in normal runs.
-_transition_hooks: List[
-    Callable[["CircuitBreaker", float, BreakerState, BreakerState], None]
-] = []
 
 
 #: Gauge encoding of breaker states (for exported time series).
@@ -97,9 +91,8 @@ class CircuitBreaker:
             return
         self._state = to
         self.transitions.append((now_s, frm, to))
-        if _transition_hooks:
-            for hook in list(_transition_hooks):
-                hook(self, now_s, frm, to)
+        if observers:
+            notify("on_breaker", self, now_s, frm, to)
         if to is BreakerState.OPEN:
             self._opened_at = now_s
         elif to is BreakerState.HALF_OPEN:

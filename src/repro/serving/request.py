@@ -6,8 +6,10 @@ import enum
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, \
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, \
     TypeVar
+
+from .._observers import notify, observers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.faults import EngineFaultInjector
@@ -15,13 +17,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class RequestNotCompleted(ValueError):
     """Raised when latency is read off a request that never completed."""
-
-
-#: Observers notified on every :meth:`Request.resolve` call with
-#: ``(request, state, faults)`` (used by the engine-trace sanitizer;
-#: empty — a no-op — in normal runs).
-_resolve_hooks: List[Callable[
-    ["Request", "RequestState", Optional["EngineFaultInjector"]], None]] = []
 
 
 class RequestState(enum.Enum):
@@ -119,8 +114,10 @@ class Request:
         """Move to a terminal state (``COMPLETED`` also records the time).
 
         ``faults`` is the fault injector of the replica that resolved the
-        request, if it has one: the trace sanitizer checks a completion
-        against that replica's crash windows (LIFE603).
+        request, if it has one.  Each attached run observer
+        (:mod:`repro._observers`) gets ``on_resolve(self, state, faults)``:
+        the trace sanitizer checks a completion against that replica's
+        crash windows (LIFE603).
         """
         if state is RequestState.PENDING:
             raise ValueError(f"resolve() needs a terminal state, got {state}")
@@ -129,9 +126,8 @@ class Request:
             if completion_s is None:
                 raise ValueError("COMPLETED requires a completion time")
             self.completion_s = completion_s
-        if _resolve_hooks:
-            for hook in list(_resolve_hooks):
-                hook(self, state, faults)
+        if observers:
+            notify("on_resolve", self, state, faults)
 
 
 R = TypeVar("R", bound=Request)

@@ -466,8 +466,9 @@ class _BatchDriver(Driver):
         lone = self.replicas[0]
         # Closed-form rounds when nothing can see the lone replica between
         # batch ends.  ``engine.observed`` covers the registry's dispatch
-        # counter and the sanitizer, which hooks every engine built while
-        # it is attached; only resilience bounds a queue.
+        # counter and the sanitizer, whose recorder adds a dispatch hook
+        # to every engine built while it is attached; only resilience
+        # bounds a queue.
         if (self.inline and type(lone) is BatchReplica
                 and type(lone.policy) is HungryPolicy and self.res is None
                 and self.cache is None and not self.trace_on
@@ -491,9 +492,10 @@ class _BatchDriver(Driver):
         charge it, which the pruned DP reads off the rows it priced — run
         in the same ``started + exec_s`` float sums the windowed path
         runs ``run_until`` to.  No :class:`Batch` is built.  Its members are
-        resolved (the sanitizer, the only resolve hook, would have hooked
-        the engine, so that is all ``resolve`` does) and the engine takes
-        the round's arrivals in one ``take_until``.
+        resolved by setting their fields: ``resolve`` would also notify
+        the run observers, and an attached one (the sanitizer) would have
+        added a dispatch hook to the engine, so none is attached here.
+        The engine takes the round's arrivals in one ``take_until``.
 
         Only arrivals feed the queue and rounds drain it in order, so the
         queue is always ``arrivals[head:due]``: ``due`` is the stream
