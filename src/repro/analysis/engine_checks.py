@@ -317,7 +317,7 @@ def verify_lifecycle(rec: EngineTraceRecorder,
                     node=f"req{req_id}",
                 ))
         total = sum(per_request.values())
-        if total > retry.budget:
+        if retry.budget is not None and total > retry.budget:
             out.append(diag(
                 "LIFE604",
                 f"{context}: {total} retries dispatched across the trace "

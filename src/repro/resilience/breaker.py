@@ -5,7 +5,9 @@ When the windowed failure rate crosses ``failure_threshold`` (with at
 least ``min_samples`` observations) it *opens*: the router stops sending
 work there.  After ``cooldown_s`` it becomes *half-open* and admits up to
 ``half_open_probes`` probe requests; one probe failure re-opens it, a full
-set of probe successes closes it again.
+set of probe successes closes it again.  ``cooldown_s`` must be positive
+(NaN is rejected); ``inf`` is legal and means an open breaker never
+half-opens.
 
 Everything is driven by the caller's (virtual) clock, so breaker behaviour
 is deterministic and replayable.  Transitions are recorded on the breaker
@@ -60,7 +62,7 @@ class CircuitBreaker:
             raise ValueError(
                 f"min_samples must be in [1, window], got {min_samples}"
             )
-        if cooldown_s <= 0:
+        if not cooldown_s > 0:  # written so that NaN fails
             raise ValueError(f"cooldown_s must be positive, got {cooldown_s}")
         if half_open_probes < 1:
             raise ValueError(

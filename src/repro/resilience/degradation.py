@@ -29,8 +29,10 @@ class DegradationRung:
 
     ``cost_fn`` prices batches at this rung; ``shed_age_s`` (optional)
     additionally sheds queued requests older than that age — set it on the
-    last rung to bound the queue under extreme stress.  ``label`` names the
-    rung in metrics/traces (e.g. ``bert@v2``, ``distilled``, ``shed``).
+    last rung to bound the queue under extreme stress.  It must be
+    positive (NaN is rejected); ``inf`` is legal and sheds nothing, like
+    ``None``.  ``label`` names the rung in metrics/traces (e.g.
+    ``bert@v2``, ``distilled``, ``shed``).
     """
 
     label: str
@@ -40,7 +42,8 @@ class DegradationRung:
     def __post_init__(self) -> None:
         if not self.label:
             raise ValueError("rung label must be non-empty")
-        if self.shed_age_s is not None and self.shed_age_s <= 0:
+        # Written so that NaN fails.
+        if self.shed_age_s is not None and not self.shed_age_s > 0:
             raise ValueError(f"shed_age_s must be positive, got {self.shed_age_s}")
 
 

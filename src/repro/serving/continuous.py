@@ -58,9 +58,11 @@ The rules every replica follows:
   nothing completes inside a crash window;
 * **wake** — the driver's rule: every ARRIVAL and RETRY of an idle
   replica's instant is queued before its first admission;
-* **queue during an outage** — queued work fails fast to another replica
-  only while some other replica is up; otherwise it stays queued while
-  the replica sleeps out the outage;
+* **queue during an outage** — queued work fails fast to the retry path
+  while some other replica is up, or at once when the outage never ends;
+  otherwise it stays queued while the replica sleeps out the outage.  A
+  replica down for good yields no window: work that reaches it later
+  fails fast the same way;
 * **preemption** — a KV-pressure victim re-enters through the retry
   policy, or at once without one; breakers record failures for crashes
   and failed attempts, not for KV-pressure preemption;
@@ -97,7 +99,7 @@ from .driver import Driver, Replica, publish_tally
 from .metrics import LatencyStats, ServingMetrics
 from .request import Request, RequestState
 from .rounds import RoundRecord, round_program, round_timing
-from .router import crashed, other_replica_up
+from .router import crashed, queue_fails_fast
 from .scheduler import BatchScheduler, CostFn, PrunedDPBatchScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -370,8 +372,10 @@ class GenReplica(Replica):
         while True:
             now = engine.now
             if crashed(self, now):
-                self.crash(now)
-                yield self.faults.crash_end(now)
+                end = self.crash(now)
+                if end == math.inf:
+                    break
+                yield end
                 continue
             admitted = self.admit(now)
             if admitted is None:
@@ -779,15 +783,19 @@ class GenReplica(Replica):
             self._cached_len.pop(r.req_id, None)
             self.evict(r, now, failed=True)
 
-    def crash(self, now: float) -> None:
-        """Down: in-flight KV is gone; queued work fails fast to another
-        replica only while one is up (else it waits out the outage)."""
+    def crash(self, now: float) -> float:
+        """Down: in-flight KV is gone; queued work fails fast to the retry
+        path while another replica is up or when the outage never ends
+        (else it waits out the outage).  Returns the recovery time,
+        ``inf`` for a crash that never ends."""
         for r in self.active:
             self.evict(r, now, failed=True)
         self.active = []
-        if other_replica_up(self.driver.replicas, self, now):
+        end = self.faults.crash_end(now)
+        if queue_fails_fast(self.driver.replicas, self, now, end):
             while self.queue:
                 self.driver.fail(self.queue.popleft(), self, now)
+        return end
 
     # -- prefix cache -----------------------------------------------------
 

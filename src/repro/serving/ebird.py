@@ -24,6 +24,7 @@ saturation and the warmup window.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
@@ -126,7 +127,10 @@ class EbirdReplica(BatchReplica):
                     for r in b.batch.requests:
                         d.fail(r, self, now)
                 active.clear()
-                yield self.crash(now)
+                end = self.crash(now)
+                if end == math.inf:
+                    break
+                yield end
                 continue
             finished = [b for b in active if b.remaining_work_s <= 1e-12]
             if finished:

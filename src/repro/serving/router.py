@@ -36,6 +36,7 @@ A replica only needs ``faults`` (an
 from __future__ import annotations
 
 import enum
+import math
 from typing import Sequence
 
 from .request import Request
@@ -59,10 +60,14 @@ def healthy(replica, now: float) -> bool:
         replica.breaker is None or replica.breaker.probe_available(now))
 
 
-def other_replica_up(replicas: Sequence, replica, now: float) -> bool:
-    """Is any replica other than ``replica`` outside a crash window?
-    (Queued work on a crashed replica fails fast only then.)"""
-    return any(o is not replica and not crashed(o, now) for o in replicas)
+def queue_fails_fast(replicas: Sequence, replica, now: float,
+                     recovery_s: float) -> bool:
+    """Does work queued on ``replica``, down from ``now`` until
+    ``recovery_s``, fail fast to the retry path?  Yes while any other
+    replica is outside a crash window, or when the outage never ends
+    (``recovery_s`` is ``inf``); otherwise it waits out the outage."""
+    return recovery_s == math.inf or any(
+        o is not replica and not crashed(o, now) for o in replicas)
 
 
 class Router:

@@ -38,9 +38,11 @@ replica follows:
   instant, and the rest of its round fails there too; every lost request
   goes through the retry path, so nothing completes inside a crash
   window;
-* **queue during an outage** — queued work fails fast only while another
-  replica is up; otherwise it stays queued while the replica sleeps out
-  the outage;
+* **queue during an outage** — queued work fails fast while another
+  replica is up, or at once when the outage never ends; otherwise it
+  stays queued while the replica sleeps out the outage.  No window ends
+  at ``inf``: a replica down for good yields none, and work that reaches
+  it later fails fast the same way;
 * **faults** — each replica stretches its own busy windows under its
   injector's latency spikes, and transient failures strike at the batch
   completion.
@@ -77,6 +79,7 @@ gives.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
@@ -87,7 +90,7 @@ from .metrics import ServingMetrics
 from .mq import MessageQueue
 from .policies import HungryPolicy, LazyPolicy, TriggerPolicy
 from .request import Batch, Request, RequestState, make_batch
-from .router import RoutingPolicy, other_replica_up
+from .router import RoutingPolicy, queue_fails_fast
 from .scheduler import BatchScheduler, CostFn, batch_execution_cost, observe_round
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (resilience -> serving)
@@ -202,7 +205,10 @@ class BatchReplica(Replica):
         while queue and policy.should_schedule(queue, engine.now):
             now = engine.now
             if self.faults is not None and self.faults.crashed(now):
-                yield self.crash(now)
+                end = self.crash(now)
+                if end == math.inf:
+                    break
+                yield end
                 continue
             if self.lazy is not None:
                 self.lazy.estimated_exec_s = self.price()(
@@ -242,14 +248,16 @@ class BatchReplica(Replica):
 
     def crash(self, now: float) -> float:
         """Down at ``now``: queued work fails fast to the retry path while
-        another replica is up (else it waits out the outage).  Returns the
-        recovery time."""
+        another replica is up or when the outage never ends (else it
+        waits out the outage).  Returns the recovery time, ``inf`` for a
+        crash that never ends."""
         d = self.driver
-        if other_replica_up(d.replicas, self, now):
+        end = self.faults.crash_end(now)
+        if queue_fails_fast(d.replicas, self, now, end):
             for r in self.queue.drain():
                 d.fail(r, self, now)
-        self.busy_until = self.faults.crash_end(now)
-        return self.busy_until
+        self.busy_until = end
+        return end
 
     def admit(self, taken: List[Request], now: float) -> List[Request]:
         """Deadline-aware admission: expired work never reaches a batch.

@@ -7,6 +7,7 @@ broken on purpose and must produce exactly the matching stable code.
 
 import pytest
 
+from repro._observers import observers
 from repro.analysis.engine_checks import (
     EngineTraceRecorder,
     verify_engine_trace,
@@ -37,7 +38,74 @@ def drain(engine):
         pass
 
 
+def emit_every_site():
+    """Reach each of the nine emission sites once: ``Engine.__init__``,
+    ``Request.resolve`` (from an ARRIVAL dispatch), the six arena
+    mutations and one breaker transition."""
+    engine = Engine()
+    engine.schedule(0.0, EventKind.ARRIVAL,
+                    lambda e: e.payload.resolve(RequestState.COMPLETED, 0.0),
+                    make_request(1))
+    drain(engine)
+    arena = KVCacheArena(capacity_bytes=8192, bytes_per_token=16,
+                         page_tokens=4)
+    arena.admit(1, prompt_tokens=8, max_total_tokens=32)
+    arena.fork(1, 2, max_total_tokens=32)
+    arena.append(2, 1)
+    tokens = arena.preempt(2)
+    arena.restore(2, tokens=tokens, max_total_tokens=32)
+    arena.release(2)
+    CircuitBreaker(min_samples=1, name="b").record(False, 0.5)
+
+
+def log(rec):
+    """Everything a recorder keeps, sequence numbers included."""
+    return (rec.engines, rec.dispatches, rec.requests, rec.resolves,
+            rec.arena_events, rec.breaker_events, rec.retry_dispatches)
+
+
+ONE_RUN = {"engines": 1, "dispatches": 1, "requests": 1, "resolves": 1,
+           "arena_events": 6, "breaker_transitions": 1}
+
+
 class TestRecorder:
+    def test_each_emission_site_reaches_the_recorder_once(self):
+        with EngineTraceRecorder() as rec:
+            emit_every_site()
+        assert rec.stats() == ONE_RUN
+        assert [(op, req_id, tokens) for _, _, op, req_id, tokens
+                in rec.arena_events] == [
+            ("admit", 1, 8), ("admit", 2, 8), ("append", 2, 1),
+            ("preempt", 2, 9), ("restore", 2, 9), ("release", 2, 9)]
+        assert [(name, now, frm, to) for _, name, now, frm, to
+                in rec.breaker_events] == [
+            ("b", 0.5, BreakerState.CLOSED, BreakerState.OPEN)]
+        (_, _, _, state, faults), = rec.resolves
+        assert state is RequestState.COMPLETED and faults is None
+        seqs = sorted(s for entries in (rec.dispatches, rec.resolves,
+                                        rec.arena_events, rec.breaker_events)
+                      for s, *_ in entries)
+        assert seqs == list(range(1, 10))
+
+    def test_no_site_reaches_a_detached_recorder(self):
+        before = observers
+        rec = EngineTraceRecorder().attach()
+        assert observers == [rec]
+        rec.detach()
+        assert observers == [] and observers is before
+        emit_every_site()
+        assert set(rec.stats().values()) == {0}
+
+    def test_two_recorders_record_identical_logs(self):
+        first, second = EngineTraceRecorder(), EngineTraceRecorder()
+        with first, second:
+            emit_every_site()
+            assert log(first) == log(second)
+            first.detach()
+            emit_every_site()
+        assert first.stats() == ONE_RUN
+        assert second.stats() == {k: 2 * v for k, v in ONE_RUN.items()}
+
     def test_detached_recorder_sees_nothing(self):
         rec = EngineTraceRecorder()
         engine = Engine()
@@ -223,6 +291,18 @@ class TestLifecycleMutations:
             for r in reqs:
                 r.resolve(RequestState.FAILED)
         assert codes(verify_lifecycle(rec, retry=retry)) == ["LIFE604"]
+
+    def test_unlimited_budget_only_checks_attempts(self):
+        retry = RetryPolicy(max_attempts=2)  # budget=None: no run-wide cap
+        with EngineTraceRecorder() as rec:
+            engine = Engine()
+            reqs = [make_request(i) for i in range(3)]
+            for r in reqs:
+                engine.schedule(0.1, EventKind.RETRY, payload=r)
+            drain(engine)
+            for r in reqs:
+                r.resolve(RequestState.FAILED)
+        assert verify_lifecycle(rec, retry=retry) == []
 
     def test_retries_within_limits_are_clean(self):
         retry = RetryPolicy(max_attempts=3, budget=100)

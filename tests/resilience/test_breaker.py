@@ -55,6 +55,12 @@ class TestRecovery:
         assert b.state(1.03) is BreakerState.HALF_OPEN
         assert b.allow(1.03)
 
+    def test_infinite_cooldown_never_half_opens(self):
+        b = breaker(cooldown_s=float("inf"))
+        self.trip(b)
+        assert b.state(1e12) is BreakerState.OPEN
+        assert not b.allow(1e12)
+
     def test_probe_failure_reopens(self):
         b = breaker()
         self.trip(b)
@@ -154,5 +160,7 @@ class TestReporting:
             CircuitBreaker(window=5, min_samples=6)
         with pytest.raises(ValueError):
             CircuitBreaker(cooldown_s=0.0)
+        with pytest.raises(ValueError, match="cooldown_s"):
+            CircuitBreaker(cooldown_s=float("nan"))
         with pytest.raises(ValueError):
             CircuitBreaker(half_open_probes=0)

@@ -261,6 +261,28 @@ class TestDegradation:
         assert ctl.level == 0
         assert [(frm, to) for (_, frm, to) in ctl.switches] == [(0, 1), (1, 0)]
 
+    @pytest.mark.parametrize("age", [0.0, -1.0, float("nan")])
+    def test_rung_rejects_a_shed_age_that_is_not_positive(self, age):
+        with pytest.raises(ValueError, match="shed_age_s"):
+            DegradationRung(label="shed", cost_fn=cost, shed_age_s=age)
+
+    def test_infinite_shed_age_sheds_nothing(self):
+        def run(shed_age_s):
+            return simulate_serving(
+                workload(rate=700, duration=1.0), NaiveBatchScheduler(),
+                cost, ServingConfig(max_batch=8), duration_s=1.0,
+                resilience=ResilienceConfig(degradation=DegradationController(
+                    DegradationLadder([
+                        DegradationRung(label="full", cost_fn=cost),
+                        DegradationRung(label="shed", cost_fn=cheap_cost,
+                                        shed_age_s=shed_age_s)]),
+                    depth_threshold=20)))
+
+        never, off = run(float("inf")), run(None)
+        assert never.resilience.degradation_switches > 0
+        assert never.resilience.shed == 0
+        assert never == off
+
     def test_breaker_open_escalates(self):
         ctl = DegradationController(self.ladder(), depth_threshold=1000)
         ctl.on_round(queue_depth=0, breaker_open=True, now_s=1.0)

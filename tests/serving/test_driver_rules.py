@@ -17,15 +17,23 @@ the encoder kind (``simulate_serving`` over a
   other replicas, completions per replica);
 * routing — a lone replica is not routed, so its breaker never commits
   a half-open probe (``allow``);
+* queue during an outage — a crash that never ends fails the replica's
+  queued and later work at once through the retry path, alone, beside
+  another replica that is down for good, and under Ebird's processor
+  sharing, and beside a live replica it serves as a crash that outlasts
+  the run does;
 * wake — an idle replica's first round or admission sees every arrival
   and retry of its instant; a lazy replica's decision timer never starts
   a replica that is already running; and a run left with work its
   trigger policy never serves is an error.
 """
 
+import math
+
 import pytest
 
 from repro.analysis import verify_serving_metrics
+from repro.analysis.engine_checks import EngineTraceRecorder, verify_trace
 from repro.engine import EventKind
 from repro.gpusim import RTX_2060
 from repro.memory import KVCacheArena, kv_bytes_per_token
@@ -36,6 +44,7 @@ from repro.resilience import (
     FaultPlan,
     ResilienceConfig,
     RetryPolicy,
+    ServerCrash,
     TransientFailures,
 )
 from repro.runtime import TURBO_CHARACTERISTICS, GenerationRuntime
@@ -52,6 +61,7 @@ from repro.serving import (
     ServingConfig,
     TriggerPolicy,
     simulate_cluster,
+    simulate_ebird_serving,
     simulate_generation_cluster,
     simulate_serving,
 )
@@ -71,7 +81,7 @@ def cost(seq_len: int, batch: int) -> float:
 
 def request(kind: str, req_id: int, arrival_s: float,
             seq_len: int = 16) -> Request:
-    if kind == "batch":
+    if kind != "gen":
         return Request(req_id=req_id, seq_len=seq_len, arrival_s=arrival_s)
     return GenRequest(req_id=req_id, seq_len=seq_len, arrival_s=arrival_s,
                       max_new_tokens=4)
@@ -87,6 +97,10 @@ def serve(kind: str, reqs, duration_s: float, resilience=None, metrics=None,
                                   ServingConfig(max_batch=4),
                                   duration_s=duration_s,
                                   resilience=resilience, metrics=metrics)
+    elif kind == "ebird":
+        result = simulate_ebird_serving(reqs, cost, max_batch=4,
+                                        duration_s=duration_s,
+                                        resilience=resilience)
     else:
         arena = KVCacheArena(capacity_bytes=capacity_tokens * BPT,
                              bytes_per_token=BPT, page_tokens=8)
@@ -247,6 +261,85 @@ def test_lone_replica_is_not_routed(kind):
           resilience=ResilienceConfig(breaker_factory=factory))
     assert all(r.state is RequestState.COMPLETED for r in reqs)
     assert [b.commits for b in breakers] == [0]
+
+
+def down_for_good(*servers: int, end_s: float = math.inf,
+                  retry=None) -> ResilienceConfig:
+    """Each of ``servers`` crashes at 50 ms and stays down until
+    ``end_s``, by default for good."""
+    return ResilienceConfig(faults=FaultPlan(crashes=tuple(
+        ServerCrash(0.05, end_s, server_id=i) for i in servers)),
+        retry=retry)
+
+
+RETRIES = {"no-retry": None,
+           "retry": RetryPolicy(max_attempts=3, base_backoff_s=0.004,
+                                jitter=0.0)}
+
+
+def serve_cluster(kind: str, reqs, resilience: ResilienceConfig):
+    """Serve ``reqs`` on two replicas of ``kind`` for a 0.1 s horizon."""
+    if kind == "batch":
+        return simulate_cluster(reqs, 2, DPBatchScheduler, cost,
+                                duration_s=0.1, resilience=resilience)
+    return simulate_generation_cluster(
+        reqs, 2, RUNTIME,
+        lambda _replica: KVCacheArena(capacity_bytes=512 * BPT,
+                                      bytes_per_token=BPT, page_tokens=8),
+        duration_s=0.1, resilience=resilience)
+
+
+def assert_down_for_good(reqs, rec, retry) -> None:
+    """Every request resolves at a finite time: what finished before the
+    crash at 50 ms completed, the rest failed, and the sanitizer is
+    clean."""
+    assert verify_trace(rec, retry=retry) == []
+    assert all(r.state.is_terminal for r in reqs)
+    done = [r for r in reqs if r.state is RequestState.COMPLETED]
+    assert done and all(r.completion_s <= 0.05 for r in done)
+    assert all(r.state is RequestState.FAILED for r in reqs
+               if r.arrival_s >= 0.05)
+    if retry is not None:
+        assert any(r.attempt for r in reqs)
+
+
+@pytest.mark.parametrize("retry", sorted(RETRIES))
+@pytest.mark.parametrize("kind", KINDS + ("ebird",))
+def test_lone_replica_down_for_good_fails_its_work(kind, retry):
+    """With no other replica to take it, work queued on a replica that
+    never recovers fails at once, and so does work that reaches it later:
+    no window ends at ``inf``."""
+    reqs = [request(kind, i, 0.01 * i) for i in range(10)]
+    with EngineTraceRecorder() as rec:
+        serve(kind, reqs, 0.1,
+              resilience=down_for_good(0, retry=RETRIES[retry]))
+    assert_down_for_good(reqs, rec, RETRIES[retry])
+
+
+@pytest.mark.parametrize("retry", sorted(RETRIES))
+@pytest.mark.parametrize("kind", KINDS)
+def test_cluster_down_for_good_fails_its_work(kind, retry):
+    reqs = [request(kind, i, 0.01 * i) for i in range(10)]
+    with EngineTraceRecorder() as rec:
+        serve_cluster(kind, reqs, down_for_good(0, 1, retry=RETRIES[retry]))
+    assert_down_for_good(reqs, rec, RETRIES[retry])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_down_for_good_beside_a_live_replica_fails_over(kind):
+    """Beside a live replica, a crash that never ends serves every request
+    as a crash that outlasts the run does."""
+    def run(end_s):
+        reqs = [request(kind, i, 0.005 * i) for i in range(20)]
+        result = serve_cluster(kind, reqs, down_for_good(
+            0, end_s=end_s, retry=RETRIES["retry"]))
+        return result, [(r.req_id, r.start_s, r.completion_s, r.state,
+                         r.attempt) for r in reqs]
+
+    forever, outlasting = run(math.inf), run(1e3)
+    assert forever == outlasting
+    assert all(state is RequestState.COMPLETED
+               for *_, state, _attempt in forever[1])
 
 
 @pytest.mark.parametrize("kind", KINDS)
