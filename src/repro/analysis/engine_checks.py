@@ -5,11 +5,11 @@ The static checkers in this package prove properties of *artifacts*
 *executions*: an :class:`EngineTraceRecorder` attaches to the one run
 observer list (:mod:`repro._observers`) that the engine, serving, memory
 and resilience layers emit to, and records one deterministic event log
-per run — engine dispatches, request state
-transitions (via :meth:`Request.resolve`, with the resolving replica's
-fault injector), KV-arena mutations, breaker transitions — and
-:func:`verify_trace` replays that log against the invariants every
-scheduler on the shared engine must uphold:
+per run — engine dispatches, request state transitions (via
+:meth:`Request.resolve`, with the resolving replica's fault injector),
+KV-arena mutations, breaker transitions — and :func:`verify_trace`
+replays that log against the invariants every scheduler on the shared
+engine must uphold:
 
 * **ENG5xx** — the clock never moves backwards (ENG501), no event is
   observed with the clock off its scheduled time (ENG502: not reached yet,
@@ -30,10 +30,10 @@ scheduler on the shared engine must uphold:
 Recording is strictly opt-in: the observer list is empty in normal runs,
 and every emitter tests it before building a notification, so the
 zero-tolerance bench-equivalence gates see byte-identical behaviour with
-the recorder detached.  New schedulers opt
-in for free by construction — they run on the shared :class:`Engine`,
-resolve requests through :meth:`Request.resolve`, and touch KV through
-:class:`KVCacheArena`, which is exactly the surface the recorder taps.
+the recorder detached.  New schedulers opt in for free by construction —
+they run on the shared :class:`Engine`, resolve requests through
+:meth:`Request.resolve`, and touch KV through :class:`KVCacheArena`,
+which is exactly the surface the recorder taps.
 """
 
 from __future__ import annotations
