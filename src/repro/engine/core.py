@@ -76,8 +76,9 @@ closed-form rounds): it moves the stream cursor past the window's
 arrivals and returns the new position instead of calling a handler.
 So an arrival reaches its consumer one of two ways: its own dispatch to
 the stream's callback (``step``, ``run_until``), or the cursor
-``take_until`` returns.  Both windows order an arrival tied with the
-marker by one rule, ARRIVAL before WAKE (``_arrivals_before``).
+``take_until`` returns, which it finds by galloping from the cursor.
+Both windows order an arrival tied with the marker by one rule, ARRIVAL
+before WAKE.
 
 ``spawn(generator)``, the third, runs a cooperative task: the generator
 yields the absolute end of each window and is resumed by a WAKE timer
@@ -149,13 +150,6 @@ _WAKE = int(EventKind.WAKE)
 _WAKE_KIND = EventKind.WAKE
 #: Each kind's default priority, its value (one dict lookup per schedule).
 _PRIORITY = {kind: int(kind) for kind in EventKind}
-
-
-def _arrivals_before(times: Sequence[float], end: float, lo: int) -> int:
-    """End of the run of stream arrivals from ``lo`` ordered before a
-    window's ``(end, WAKE, seq)`` marker: an arrival at ``end`` goes
-    first, ARRIVAL before WAKE, as per-event dispatch orders it."""
-    return bisect_right(times, end, lo)
 
 
 class Task:
@@ -363,18 +357,6 @@ class Engine:
             for hook in self._dispatch_hooks:
                 hook(marker)
 
-    def _pass_stream(self, stop: int) -> None:
-        """Count the stream's arrivals up to ``stop`` as dispatched and
-        move the cursor past them (the clock is the caller's)."""
-        head = self._stream_head
-        if head is not None:  # the cursor's arrival, peeked earlier
-            head.dispatched = True
-            self._stream_head = None
-        passed = stop - self._stream_at
-        self._stream_at = stop
-        self._live -= passed
-        self.events_dispatched += passed
-
     def run_until(self, t: float) -> float:
         """Dispatch every event due up to absolute time ``t`` and land the
         clock exactly there.
@@ -397,6 +379,13 @@ class Engine:
         """``run_until(end)`` for the stream's one consumer: returns the
         stream position past every arrival ordered before the window's
         ``(end, WAKE, seq)`` marker instead of handing them to a handler.
+        An arrival at ``end`` itself is taken: ARRIVAL sorts before WAKE,
+        as per-event dispatch orders it.
+
+        The position is found by galloping from the cursor: probes at
+        offsets 0, 1, 3, 7, … (gaps 1, 2, 4, …) until one lies past the
+        window, then a bisect of the last gap.  A window holding ``k``
+        arrivals costs O(log k), whatever the stream's length.
 
         The clock, ``events_dispatched`` and ``pending`` then read as
         ``run_until`` leaves them after dispatching those arrivals one by
@@ -411,15 +400,32 @@ class Engine:
         if self._dispatch_hooks:
             raise EngineError("take_until needs an engine with no "
                               "dispatch hook")
-        if self._live > len(self._stream) - self._stream_at:
+        at = self._stream_at
+        times = self._stream_times
+        n = len(times)
+        if self._live > n - at:
             raise EngineError("take_until needs an engine whose heap "
                               "holds no live event")
         self._seq += 1  # the window-end marker's
-        stop = _arrivals_before(self._stream_times, end, self._stream_at)
-        if stop > self._stream_at:
-            self._pass_stream(stop)
+        # Gallop: every arrival before ``lo`` is in the window, and the
+        # one at ``hi`` (if any) is past it.
+        lo = hi = at
+        gap = 1
+        while hi < n and times[hi] <= end:
+            lo = hi + 1
+            hi += gap
+            gap += gap
+        stop = bisect_right(times, end, lo, hi if hi < n else n) \
+            if lo < hi else lo
+        if stop > at:
+            head = self._stream_head
+            if head is not None:  # the cursor's arrival, peeked earlier
+                head.dispatched = True
+                self._stream_head = None
+            self._stream_at = stop
+            self._live -= stop - at
         self.now = end  # repro: allow(DET406)
-        self.events_dispatched += 1
+        self.events_dispatched += stop - at + 1  # and the marker
         return stop
 
     # -- tasks -----------------------------------------------------------

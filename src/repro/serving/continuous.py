@@ -95,7 +95,7 @@ from ..memory.kv_arena import KVCacheArena
 from ..memory.prefix_index import RadixPrefixIndex
 from ..observability import MetricsRegistry, Tracer
 from ..runtime.chunked import PrefillChunker
-from .driver import Driver, Replica, publish_tally
+from .driver import Driver, Replica, check_size, publish_tally
 from .metrics import LatencyStats, ServingMetrics
 from .request import Request, RequestState
 from .rounds import RoundRecord, round_program, round_timing
@@ -256,16 +256,12 @@ class ContinuousBatchingConfig:
     prefix_cache: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_batch is not None and self.max_batch <= 0:
-            raise ValueError(f"max_batch must be positive, got {self.max_batch}")
+        check_size("max_batch", self.max_batch, optional=True)
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError(
                 f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}"
             )
-        if self.chunk_tokens is not None and self.chunk_tokens <= 0:
-            raise ValueError(
-                f"chunk_tokens must be positive, got {self.chunk_tokens}"
-            )
+        check_size("chunk_tokens", self.chunk_tokens, optional=True)
 
 
 def _next_event_time(engine) -> float:

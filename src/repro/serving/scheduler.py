@@ -167,6 +167,8 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
       first ``i`` sorted lengths, so when consecutive rounds share a
       sorted-length prefix (a queue that only grew, the steady state of a
       hungry server), the DP restarts at the first differing position.
+      A round whose first length differs shares nothing, so it starts
+      from fresh lists without scanning the memo.
 
     :meth:`partition` is the one DP body.  It hands back the batches as
     index ranges over the sorted order with the row cells the DP priced
@@ -260,24 +262,35 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
             self.reset()
             self._cost_fn = cost_fn
             self._max_batch = max_batch
-        order = sorted(requests, key=_seq_len)
-        n = len(order)
-        lengths = [r.seq_len for r in order]
-        # Longest sorted-length prefix shared with the previous round:
-        # states/starts up to it are still valid, so the memoised lists
-        # are cut back to it in place and the DP resumes there.  The
-        # memoised lengths are cut too, so a cost_fn that raises midway
-        # leaves a consistent (shorter) memo behind.
+        n = len(requests)
+        if n == 1:  # already sorted (the common round of a light load)
+            order = list(requests)
+            lengths = [order[0].seq_len]
+        else:
+            order = sorted(requests, key=_seq_len)
+            lengths = list(map(_seq_len, order))
+        # The memoised states/starts depend only on the sorted lengths
+        # before them, so a round whose first length matches the last
+        # round's resumes at the longest shared prefix: the lists are cut
+        # back to it in place.  Any other round starts from fresh lists.
+        # The memoised lengths are cut before the DP runs, so a cost_fn
+        # that raises midway leaves a consistent (shorter) memo behind.
         prev = self._lengths
-        limit = min(len(prev), n)
-        prefix = 0
-        while prefix < limit and prev[prefix] == lengths[prefix]:
-            prefix += 1
-        del prev[prefix:]
-        states = self._states
-        starts = self._starts
-        del states[prefix + 1:]
-        del starts[prefix + 1:]
+        if prev and prev[0] == lengths[0]:
+            limit = min(len(prev), n)
+            prefix = 1
+            while prefix < limit and prev[prefix] == lengths[prefix]:
+                prefix += 1
+            del prev[prefix:]
+            states = self._states
+            starts = self._starts
+            del states[prefix + 1:]
+            del starts[prefix + 1:]
+        else:
+            prefix = 0
+            self._lengths = []
+            states = self._states = [0.0]
+            starts = self._starts = [0]
         rows = self._rows
         can_prune = self._prunable
         pruned = 0
@@ -307,11 +320,15 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
                     best_start = i - size
             states.append(best_cost)
             starts.append(best_start)
-        self.positions_reused += prefix
-        self.transitions_pruned += pruned
+        if prefix:
+            self.positions_reused += prefix
+        if pruned:
+            self.transitions_pruned += pruned
         self._lengths = lengths
         # L21-L26: walk the starts back; batch [start, i) pads to
         # lengths[i - 1] and costs that row's cell at its size.
+        if not starts[n]:  # one batch, the common round
+            return order, [n], [rows[lengths[-1]][n - 1]]
         ends: List[int] = []
         costs: List[float] = []
         i = n
@@ -322,7 +339,7 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
             i = start
         ends.reverse()
         costs.reverse()
-        if self.order_batches == "spt" and len(ends) > 1:
+        if self.order_batches == "spt":
             # A stable sort by cost, as DPBatchScheduler sorts its batches.
             spans = sorted(zip([0] + ends, ends, costs), key=itemgetter(2))
             order = [r for lo, hi, _ in spans for r in order[lo:hi]]

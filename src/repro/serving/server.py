@@ -85,7 +85,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from ..engine import EngineFaultInjector, EventKind
 from ..observability import MetricsRegistry, Tracer
-from .driver import Driver, Replica
+from .driver import Driver, Replica, check_size
 from .metrics import ServingMetrics
 from .mq import MessageQueue
 from .policies import HungryPolicy, LazyPolicy, TriggerPolicy
@@ -107,12 +107,8 @@ class ServingConfig:
     warmup_fraction: float = 0.1  # excluded from the throughput window
 
     def __post_init__(self) -> None:
-        if self.max_batch <= 0:
-            raise ValueError(f"max_batch must be positive, got {self.max_batch}")
-        if self.round_limit is not None and self.round_limit <= 0:
-            raise ValueError(
-                f"round_limit must be positive or None, got {self.round_limit}"
-            )
+        check_size("max_batch", self.max_batch)
+        check_size("round_limit", self.round_limit, optional=True)
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError(
                 f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}"
@@ -530,6 +526,7 @@ class _BatchDriver(Driver):
                 due = take_until(arrivals[head].arrival_s)
                 continue
             stop = due if limit is None else min(due, head + limit)
+            size = stop - head
             t = engine.now
             order, ends, costs = partition(arrivals[head:stop], price,
                                            max_batch)
@@ -537,19 +534,20 @@ class _BatchDriver(Driver):
             for hi, exec_s in zip(ends, costs):
                 started = t
                 t = started + exec_s
-                for r in order[lo:hi]:
+                # A one-batch round's members are the whole order.
+                for r in order[lo:hi] if lo or hi != size else order:
                     r.start_s = started
                     r.completion_s = t
                     r.state = completed
                 if started < horizon:
-                    busy_s += min(t, horizon) - started
+                    busy_s += (t if t < horizon else horizon) - started
                 lo = hi
             batches += len(ends)
-            rep.completed += stop - head
             head = stop
             due = take_until(t)
         self.busy_s = busy_s
         self.batches_executed += batches
+        rep.completed += n  # the rounds drained every arrival
 
     def result(self, done: List[Request],
                **common: object) -> ServingMetrics:

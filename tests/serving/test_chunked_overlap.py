@@ -153,6 +153,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ContinuousBatchingConfig(chunk_tokens=0)
 
+    @pytest.mark.parametrize("chunk_tokens", [2.5, 64.5, float("inf"), True])
+    def test_chunk_tokens_must_be_an_int(self, chunk_tokens):
+        """A fractional chunk used to serve a whole workload, pricing
+        fractional prefill chunks."""
+        with pytest.raises(TypeError, match="chunk_tokens must be an int"):
+            ContinuousBatchingConfig(chunk_tokens=chunk_tokens)
+
 
 class TestMergedBusyInHorizon:
     def test_disjoint_spans_clip_per_span(self):

@@ -188,6 +188,12 @@ class TestContinuousLoop:
         with pytest.raises(ValueError):
             ContinuousBatchingConfig(warmup_fraction=1.0)
 
+    @pytest.mark.parametrize("max_batch", [2.5, float("inf"), True])
+    def test_non_integer_max_batch_rejected(self, max_batch):
+        """A fractional slot cap used to serve a whole workload."""
+        with pytest.raises(TypeError, match="max_batch must be an int"):
+            ContinuousBatchingConfig(max_batch=max_batch)
+
 
 class TestRequestLevelControl:
     def test_everything_completes(self, runtime):

@@ -344,6 +344,89 @@ class TestDifferentialRounds:
                 lengths, cost_fn, max_batch), f"round {round_no}"
 
 
+def gapped_cost(seq_len, batch):
+    """``monotone_cost`` with no cell at the odd half-steps (lengths 8
+    mod 16): a round raises when its DP first prices such a row."""
+    if seq_len % 16 == 8:
+        raise KeyError(f"no profile for seq_len {seq_len}")
+    return monotone_cost(seq_len, batch)
+
+
+def common_prefix(a, b):
+    n = 0
+    while n < min(len(a), len(b)) and a[n] == b[n]:
+        n += 1
+    return n
+
+
+MEMO_STEP = st.one_of(
+    st.tuples(st.just("grow"), st.lists(LENGTH, min_size=1, max_size=6)),
+    st.tuples(st.just("disjoint"), st.lists(LENGTH, min_size=1, max_size=8)),
+    # The first sorted length matches, the rest diverges from position k.
+    st.tuples(st.just("diverge"), st.integers(1, 6),
+              st.lists(LENGTH, min_size=0, max_size=6)),
+    st.tuples(st.just("raise"), st.booleans(),
+              st.lists(LENGTH, min_size=0, max_size=6), st.integers(0, 20)),
+)
+
+
+class TestPrefixMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(initial=st.lists(LENGTH, min_size=1, max_size=8),
+           steps=st.lists(MEMO_STEP, min_size=1, max_size=20))
+    def test_reuse_is_the_common_prefix_of_consecutive_rounds(
+            self, initial, steps):
+        """``positions_reused`` grows by the longest common prefix of the
+        memoised and the new sorted lengths, on every round that
+        completes.  A round whose ``cost_fn`` raises cuts the memo at
+        that prefix and adds nothing, whether it started from fresh
+        lists (its first length differs) or resumed a shared prefix, and
+        rerunning the queue it interrupted then matches the reference."""
+        scheduler = PrunedDPBatchScheduler()
+        reference = DPBatchScheduler()
+        queue = list(initial)
+        memo, reused = [], 0
+
+        def run(lengths, raises):
+            nonlocal memo, reused
+            shared = common_prefix(memo, sorted(lengths))
+            if raises:
+                with pytest.raises(KeyError):
+                    scheduler.partition(reqs(lengths), gapped_cost, 4)
+                memo = memo[:shared]
+            else:
+                order, ends, _ = scheduler.partition(reqs(lengths),
+                                                     gapped_cost, 4)
+                want = reference.schedule(reqs(lengths), gapped_cost, 4)
+                assert slices(order, ends) == partition(want)
+                reused += shared
+                memo = sorted(lengths)
+            assert scheduler.positions_reused == reused
+            assert scheduler._lengths == memo
+            kept = len(memo) + 1
+            assert (scheduler._states[:kept], scheduler._starts[:kept]) == \
+                reference_memo(memo, gapped_cost, 4)
+
+        run(queue, False)
+        for step in steps:
+            kind = step[0]
+            if kind == "grow":
+                queue = queue + step[1]
+            elif kind == "disjoint":
+                queue = [l for l in step[1] if l not in queue] or step[1]
+            elif kind == "diverge":
+                queue = sorted(queue)[:step[1]] + [
+                    max(l, min(queue)) for l in step[2]]
+            else:
+                # A first length equal to the memo's resumes it; any
+                # other starts fresh.  The gap row comes after it.
+                first = memo[0] if step[1] and memo else (
+                    32 if memo[:1] == [16] else 16)
+                extra = [max(l, first) for l in step[2]]
+                run([first] + extra + [first + 8 + 16 * step[3]], True)
+            run(queue, False)
+
+
 class TestStatsGolden:
     def test_fixed_seed_counters(self):
         """Fast-path counters of a fixed round sequence — growing and

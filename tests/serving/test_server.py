@@ -199,6 +199,20 @@ class TestServingConfig:
         with pytest.raises(ValueError, match="round_limit"):
             ServingConfig(round_limit=round_limit)
 
+    @pytest.mark.parametrize("max_batch", [2.5, float("inf"), True])
+    def test_non_integer_max_batch_rejected(self, max_batch):
+        """A fractional or infinite batch cap used to fail on the first
+        round, inside the DP's row build; ``True`` ran as a cap of 1."""
+        with pytest.raises(TypeError, match="max_batch must be an int"):
+            ServingConfig(max_batch=max_batch)
+
+    @pytest.mark.parametrize("round_limit", [1.5, float("inf"), True])
+    def test_non_integer_round_limit_rejected(self, round_limit):
+        """A fractional round limit used to run, draining a request
+        count that no round can take."""
+        with pytest.raises(TypeError, match="round_limit must be an int"):
+            ServingConfig(round_limit=round_limit)
+
     def test_round_limit_of_one_serves_everything(self):
         metrics = simulate_serving(sparse_requests(0.0, 5),
                                    NaiveBatchScheduler(), constant_cost(),
