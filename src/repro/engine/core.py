@@ -76,9 +76,8 @@ closed-form rounds): it moves the stream cursor past the window's
 arrivals and returns the new position instead of calling a handler.
 So an arrival reaches its consumer one of two ways: its own dispatch to
 the stream's callback (``step``, ``run_until``), or the cursor
-``take_until`` returns, which it finds by galloping from the cursor.
-Both windows order an arrival tied with the marker by one rule, ARRIVAL
-before WAKE.
+``take_until`` returns.  Both windows order an arrival tied with the
+marker by one rule, ARRIVAL before WAKE.
 
 ``spawn(generator)``, the third, runs a cooperative task: the generator
 yields the absolute end of each window and is resumed by a WAKE timer
@@ -382,11 +381,6 @@ class Engine:
         An arrival at ``end`` itself is taken: ARRIVAL sorts before WAKE,
         as per-event dispatch orders it.
 
-        The position is found by galloping from the cursor: probes at
-        offsets 0, 1, 3, 7, … (gaps 1, 2, 4, …) until one lies past the
-        window, then a bisect of the last gap.  A window holding ``k``
-        arrivals costs O(log k), whatever the stream's length.
-
         The clock, ``events_dispatched`` and ``pending`` then read as
         ``run_until`` leaves them after dispatching those arrivals one by
         one, and the marker's seq is reserved the same way; no arrival
@@ -402,21 +396,11 @@ class Engine:
                               "dispatch hook")
         at = self._stream_at
         times = self._stream_times
-        n = len(times)
-        if self._live > n - at:
+        if self._live > len(times) - at:
             raise EngineError("take_until needs an engine whose heap "
                               "holds no live event")
         self._seq += 1  # the window-end marker's
-        # Gallop: every arrival before ``lo`` is in the window, and the
-        # one at ``hi`` (if any) is past it.
-        lo = hi = at
-        gap = 1
-        while hi < n and times[hi] <= end:
-            lo = hi + 1
-            hi += gap
-            gap += gap
-        stop = bisect_right(times, end, lo, hi if hi < n else n) \
-            if lo < hi else lo
+        stop = bisect_right(times, end, at)
         if stop > at:
             head = self._stream_head
             if head is not None:  # the cursor's arrival, peeked earlier

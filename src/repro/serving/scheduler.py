@@ -263,18 +263,19 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
             self._cost_fn = cost_fn
             self._max_batch = max_batch
         n = len(requests)
-        if n == 1:  # already sorted (the common round of a light load)
+        if n == 1:  # already sorted (half the rounds of a light load)
             order = list(requests)
             lengths = [order[0].seq_len]
         else:
             order = sorted(requests, key=_seq_len)
-            lengths = list(map(_seq_len, order))
+            lengths = [r.seq_len for r in order]
         # The memoised states/starts depend only on the sorted lengths
         # before them, so a round whose first length matches the last
         # round's resumes at the longest shared prefix: the lists are cut
-        # back to it in place.  Any other round starts from fresh lists.
-        # The memoised lengths are cut before the DP runs, so a cost_fn
-        # that raises midway leaves a consistent (shorter) memo behind.
+        # back to it in place.  Any other round shares nothing and starts
+        # from fresh lists, skipping the scan and the cuts.  The memoised
+        # lengths are cut before the DP runs, so a cost_fn that raises
+        # midway leaves a consistent (shorter) memo behind.
         prev = self._lengths
         if prev and prev[0] == lengths[0]:
             limit = min(len(prev), n)
@@ -320,6 +321,7 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
                     best_start = i - size
             states.append(best_cost)
             starts.append(best_start)
+        # Both are 0 on most rounds; skipping the stores is measurable.
         if prefix:
             self.positions_reused += prefix
         if pruned:
@@ -327,8 +329,6 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
         self._lengths = lengths
         # L21-L26: walk the starts back; batch [start, i) pads to
         # lengths[i - 1] and costs that row's cell at its size.
-        if not starts[n]:  # one batch, the common round
-            return order, [n], [rows[lengths[-1]][n - 1]]
         ends: List[int] = []
         costs: List[float] = []
         i = n
@@ -339,7 +339,7 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
             i = start
         ends.reverse()
         costs.reverse()
-        if self.order_batches == "spt":
+        if self.order_batches == "spt" and len(ends) > 1:
             # A stable sort by cost, as DPBatchScheduler sorts its batches.
             spans = sorted(zip([0] + ends, ends, costs), key=itemgetter(2))
             order = [r for lo, hi, _ in spans for r in order[lo:hi]]

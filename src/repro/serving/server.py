@@ -526,7 +526,6 @@ class _BatchDriver(Driver):
                 due = take_until(arrivals[head].arrival_s)
                 continue
             stop = due if limit is None else min(due, head + limit)
-            size = stop - head
             t = engine.now
             order, ends, costs = partition(arrivals[head:stop], price,
                                            max_batch)
@@ -534,20 +533,21 @@ class _BatchDriver(Driver):
             for hi, exec_s in zip(ends, costs):
                 started = t
                 t = started + exec_s
-                # A one-batch round's members are the whole order.
-                for r in order[lo:hi] if lo or hi != size else order:
+                for r in order[lo:hi]:
                     r.start_s = started
                     r.completion_s = t
                     r.state = completed
                 if started < horizon:
+                    # A conditional, not min(): one builtin call per
+                    # batch is a measurable share of this loop.
                     busy_s += (t if t < horizon else horizon) - started
                 lo = hi
             batches += len(ends)
+            rep.completed += stop - head
             head = stop
             due = take_until(t)
         self.busy_s = busy_s
         self.batches_executed += batches
-        rep.completed += n  # the rounds drained every arrival
 
     def result(self, done: List[Request],
                **common: object) -> ServingMetrics:

@@ -353,40 +353,6 @@ class TestTakeUntil:
         assert taker.schedule(end, EventKind.WAKE).seq == \
             windowed.schedule(end, EventKind.WAKE).seq
 
-    @settings(max_examples=150, deadline=None)
-    @given(runs=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 40)),
-                         min_size=1, max_size=40),
-           windows=st.lists(st.tuples(st.sampled_from(("ticks", "arrival")),
-                                      st.integers(0, 300)),
-                            min_size=1, max_size=20))
-    def test_gallop_matches_run_until_over_long_streams(self, runs, windows):
-        """Hundreds of arrivals in same-instant runs of up to 40 (past
-        the gallop's 16-step), windows ending exactly on an arrival far
-        ahead of the cursor or a drawn number of ticks on, often past the
-        last arrival: the gallop and its final bisect find the per-event
-        position."""
-        times, ticks = [], 0
-        for gap, count in runs:
-            ticks += gap
-            times.extend([ticks * TICK] * count)
-        payloads = self._payloads(times)
-        windowed = Engine()
-        handed = []
-        windowed.arrivals(payloads, lambda e: handed.append(e.payload))
-        taker = Engine()
-        taker.arrivals(payloads, lambda e: None)
-        end = 0.0
-        for kind, move in windows:
-            if kind == "arrival":
-                ahead = [t for t in times[len(handed):] if t >= end]
-                end = ahead[min(move, len(ahead) - 1)] if ahead else end
-            else:
-                end += move * TICK
-            windowed.run_until(end)
-            assert taker.take_until(end) == len(handed)
-            assert (taker.now, taker.events_dispatched, taker.pending) == (
-                windowed.now, windowed.events_dispatched, windowed.pending)
-
     def test_peeked_head_is_dropped_once_delivered(self):
         """An arrival peeked (its Event built) before the window is taken
         with it; the stale handle then cancels nothing."""
