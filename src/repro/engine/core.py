@@ -43,9 +43,9 @@ Invariants
   backwards.  Zero-progress rounds are impossible by construction.
 * Scheduling into the past raises :class:`EngineError`; scheduling *at*
   ``now`` is allowed (the event dispatches before time moves on).  Every
-  time the engine takes (``schedule``, ``arrivals``, ``run_until``,
-  ``take_until``, a task's yield) must compare ``>= now``, so a NaN is
-  rejected the same way.
+  time the engine takes (``schedule``, ``arrivals``, ``run_until``, a
+  task's yield) must compare ``>= now``, so a NaN is rejected the same
+  way.
 * Cancelled events never fire; cancellation is O(1) (lazy heap deletion)
   and a no-op for an event that already fired.
 
@@ -70,14 +70,9 @@ clock exactly on ``end``.  A lone serving replica runs its windows
 through it.  The marker never enters the heap, but it still counts as
 one WAKE dispatch: ``events_dispatched`` and every dispatch hook see it,
 and its :class:`Event` is built only when a hook is attached.
-``take_until(end)`` is the same window for the stream's one consumer on
-an engine with no hook and no live heap event (a lone encoder replica's
-closed-form rounds): it moves the stream cursor past the window's
-arrivals and returns the new position instead of calling a handler.
-So an arrival reaches its consumer one of two ways: its own dispatch to
-the stream's callback (``step``, ``run_until``), or the cursor
-``take_until`` returns.  Both windows order an arrival tied with the
-marker by one rule, ARRIVAL before WAKE.
+An arrival reaches its consumer one way: its own dispatch to the
+stream's callback, from ``step`` or inside a window, where an arrival
+tied with the marker sorts first (ARRIVAL before WAKE).
 
 ``spawn(generator)``, the third, runs a cooperative task: the generator
 yields the absolute end of each window and is resumed by a WAKE timer
@@ -90,7 +85,6 @@ from __future__ import annotations
 import enum
 import heapq
 import operator
-from bisect import bisect_right
 from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 from .._observers import notify, observers
@@ -192,7 +186,6 @@ class Engine:
         # holding the reserved seq ``_stream_seq0 + i``; ``_stream_head``
         # is the built Event of the next one (None until peeked).
         self._stream: Sequence[Any] = ()
-        self._stream_times: List[float] = []
         self._stream_at = 0
         self._stream_seq0 = 0
         self._stream_callback: Optional[Callable[[Event], None]] = None
@@ -235,8 +228,7 @@ class Engine:
         exactly that of scheduling the same ARRIVALs one by one, but the
         stream stays out of the heap: its next arrival is merged in at
         ``peek``/``step`` and its Event built only then.  ``step`` and
-        ``run_until`` dispatch each arrival to ``callback``; only
-        ``take_until`` passes them without a call.
+        ``run_until`` dispatch each arrival to ``callback``.
         """
         if self._stream_at < len(self._stream):
             raise EngineError("an arrival stream is still pending")
@@ -248,7 +240,6 @@ class Engine:
         if not all(map(operator.le, times, times[1:])):
             raise EngineError("arrival stream is not sorted by arrival_s")
         self._stream = payloads
-        self._stream_times = times
         self._stream_at = 0
         self._stream_seq0 = self._seq
         self._stream_callback = callback
@@ -295,8 +286,7 @@ class Engine:
 
     @property
     def observed(self) -> bool:
-        """Whether a dispatch hook sees every dispatch (``take_until``
-        refuses then)."""
+        """Whether a dispatch hook sees every dispatch."""
         return bool(self._dispatch_hooks)
 
     def add_dispatch_hook(self, hook: Callable[[Event], None]) -> None:
@@ -373,44 +363,6 @@ class Engine:
             raise EngineError(f"cannot run_until {t} < now {self.now}")
         self._run_to(t)
         return self.now
-
-    def take_until(self, end: float) -> int:
-        """``run_until(end)`` for the stream's one consumer: returns the
-        stream position past every arrival ordered before the window's
-        ``(end, WAKE, seq)`` marker instead of handing them to a handler.
-        An arrival at ``end`` itself is taken: ARRIVAL sorts before WAKE,
-        as per-event dispatch orders it.
-
-        The clock, ``events_dispatched`` and ``pending`` then read as
-        ``run_until`` leaves them after dispatching those arrivals one by
-        one, and the marker's seq is reserved the same way; no arrival
-        :class:`Event` is built and no callback runs.  The caller reads
-        the taken arrivals off its own payload list.  It needs an engine
-        no hook observes and whose heap holds no live event, since
-        nothing but the stream may dispatch inside the window.
-        """
-        if not end >= self.now:
-            raise EngineError(f"cannot take_until {end} < now {self.now}")
-        if self._dispatch_hooks:
-            raise EngineError("take_until needs an engine with no "
-                              "dispatch hook")
-        at = self._stream_at
-        times = self._stream_times
-        if self._live > len(times) - at:
-            raise EngineError("take_until needs an engine whose heap "
-                              "holds no live event")
-        self._seq += 1  # the window-end marker's
-        stop = bisect_right(times, end, at)
-        if stop > at:
-            head = self._stream_head
-            if head is not None:  # the cursor's arrival, peeked earlier
-                head.dispatched = True
-                self._stream_head = None
-            self._stream_at = stop
-            self._live -= stop - at
-        self.now = end  # repro: allow(DET406)
-        self.events_dispatched += stop - at + 1  # and the marker
-        return stop
 
     # -- tasks -----------------------------------------------------------
     def spawn(self, gen: Generator[float, None, None]) -> Task:

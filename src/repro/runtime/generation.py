@@ -16,6 +16,7 @@ per decode stride on the GPU track.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -40,8 +41,10 @@ class GenerationRuntime:
     ) -> None:
         if stride <= 0:
             raise ValueError(f"stride must be positive, got {stride}")
-        if step_overhead_s < 0:
-            raise ValueError(f"step_overhead_s must be >= 0, got {step_overhead_s}")
+        # NaN fails the range too: it would price every decode step NaN.
+        if not 0 <= step_overhead_s < math.inf:
+            raise ValueError("step_overhead_s must be >= 0 and finite, "
+                             f"got {step_overhead_s}")
         if chars.fuse_kernels:
             prefill_graph = fuse_graph(prefill_graph)
             decode_graph = fuse_graph(decode_graph)

@@ -21,6 +21,7 @@ scheduler checks monotonicity before it prunes rather than assume it.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
@@ -79,8 +80,11 @@ class CostTable:
             )
         if batch <= 0 or batch > self.max_batch:
             raise ValueError(f"batch must be in [1, {self.max_batch}], got {batch}")
-        if seconds <= 0:
-            raise ValueError(f"cost must be positive, got {seconds}")
+        # ``not 0 < x < inf`` rejects NaN too, which ``json`` writes and
+        # reads back, so a persisted table cannot smuggle one in.
+        if not 0 < seconds < math.inf:
+            raise ValueError(f"cost of cell ({seq_len}, {batch}) must be "
+                             f"positive and finite, got {seconds}")
         self._table.setdefault(seq_len, {})[batch] = seconds
 
     def cost(self, seq_len: int, batch: int) -> float:

@@ -35,7 +35,9 @@ class AdaptiveBatchScheduler(BatchScheduler):
         multiplicative_backoff: float = 0.5,
         initial_cap: int = 1,
     ) -> None:
-        if latency_slo_s <= 0:
+        # ``not x > 0`` rejects NaN too, under which every ``cost <= slo``
+        # test fails; an infinite SLO is legal and means none.
+        if not latency_slo_s > 0:
             raise ValueError(f"latency_slo_s must be positive, got {latency_slo_s}")
         if additive_step < 1:
             raise ValueError(f"additive_step must be >= 1, got {additive_step}")

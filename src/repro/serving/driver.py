@@ -342,8 +342,10 @@ class Driver:
             self.engine.spawn(windows)
 
     def loop(self) -> None:
-        """Dispatch the whole run, one event at a time; a lone replica
-        runs each busy period right after the event that woke it."""
+        """Dispatch the whole run, one event at a time, from the arrival
+        stream it registers; a lone replica runs each busy period right
+        after the event that woke it."""
+        self.engine.arrivals(self.arrivals, self._on_arrival)
         step = self.engine.step
         while step() is not None:
             rep = self._woken
@@ -363,7 +365,6 @@ class Driver:
         self.arrivals, self.horizon = arrival_window(requests, duration_s)
         if self.trace_on:
             self.name_tracks()
-        self.engine.arrivals(self.arrivals, self._on_arrival)
         self.loop()
         return self._finalize()
 

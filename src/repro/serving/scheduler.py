@@ -263,12 +263,28 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
             self._cost_fn = cost_fn
             self._max_batch = max_batch
         n = len(requests)
-        if n == 1:  # already sorted (half the rounds of a light load)
-            order = list(requests)
-            lengths = [order[0].seq_len]
-        else:
-            order = sorted(requests, key=_seq_len)
-            lengths = [r.seq_len for r in order]
+        if n == 1:
+            # Half the rounds of a light load.  Once its row is priced, a
+            # lone request is one batch at the row's first cell, and the
+            # memo ends as the DP below would leave it: the first position
+            # is shared when the first length repeats, else fresh.
+            r = requests[0]
+            length = r.seq_len
+            row = self._rows.get(length)
+            if row is not None:
+                prev = self._lengths
+                if prev and prev[0] == length:
+                    del prev[1:]
+                    del self._states[2:]
+                    del self._starts[2:]
+                    self.positions_reused += 1
+                else:
+                    self._lengths = [length]
+                    self._states = [0.0, row[0]]
+                    self._starts = [0, 0]
+                return [r], [1], [row[0]]
+        order = sorted(requests, key=_seq_len)
+        lengths = [r.seq_len for r in order]
         # The memoised states/starts depend only on the sorted lengths
         # before them, so a round whose first length matches the last
         # round's resumes at the longest shared prefix: the lists are cut

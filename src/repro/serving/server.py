@@ -52,10 +52,10 @@ driver steps the engine or a busy window runs ``run_until``.  The one
 exception: when nothing can observe a lone replica between batch ends
 (hungry, fault-free, no tracer, registry, cache, sanitizer or adaptive
 scheduler; the predicate is one expression in :meth:`_BatchDriver.loop`),
-a window is a whole scheduling round, priced in closed form from the
-scheduler's :meth:`~repro.serving.scheduler.BatchScheduler.partition`,
-and the round reads its arrivals off the engine's stream cursor
-(``Engine.take_until``) without queueing them
+each scheduling round is priced in closed form from the scheduler's
+:meth:`~repro.serving.scheduler.BatchScheduler.partition` and reads its
+arrivals off the driver's own cursor over the arrival times, without
+queueing them or running the engine
 (:meth:`_BatchDriver._serve_rounds`).
 
 Observability: pass a :class:`repro.observability.Tracer` and/or a
@@ -80,6 +80,7 @@ from __future__ import annotations
 
 import copy
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
@@ -483,32 +484,34 @@ class _BatchDriver(Driver):
 
     def _serve_rounds(self, rep: BatchReplica) -> None:
         """The hungry loop of a lone, fault-free, unobserved replica, one
-        engine window per scheduling round.
+        closed-form scheduling round at a time, without the engine.
 
         :meth:`loop` takes this path only under its one predicate, so
         nothing outside the replica can see its state between batch
         ends: no tracer, dispatch hook (the registry's counter or the
         sanitizer), response cache or adaptive scheduler, no fault,
         retry, deadline, breaker or bounded queue (all need resilience),
-        and no TRIGGER event (the engine holds no heap event at all).
-        So each round is the scheduler's ``partition`` — slices of one
+        and no TRIGGER event.  Only arrivals feed the queue and rounds
+        drain it in order, so the queue is always ``arrivals[head:due]``
+        and the loop keeps its own cursor over the arrival times: after
+        a round ending at ``t``, ``due`` is ``bisect_right(times, t)``,
+        so an arrival at ``t`` itself is taken, as ARRIVAL sorts before
+        the window-end WAKE in per-event dispatch.  An idle replica jumps
+        to the next arrival instant and takes every arrival there.  The
+        queue object is never filled and no engine event is dispatched
+        or counted.
+
+        Each round is the scheduler's ``partition`` — slices of one
         request order, each with the cost ``batch_execution_cost`` would
         charge it, which the pruned DP reads off the rows it priced — run
         in the same ``started + exec_s`` float sums the windowed path
-        runs ``run_until`` to.  No :class:`Batch` is built.  Its members are
+        runs ``run_until`` to.  No :class:`Batch` is built.  Members are
         resolved by setting their fields: ``resolve`` would also notify
         the run observers, and an attached one (the sanitizer) would have
         added a dispatch hook to the engine, so none is attached here.
-        The engine takes the round's arrivals in one ``take_until``.
-
-        Only arrivals feed the queue and rounds drain it in order, so the
-        queue is always ``arrivals[head:due]``: ``due`` is the stream
-        position ``take_until`` returns, and the queue object itself is
-        never filled.
         """
-        engine = self.engine
-        take_until = engine.take_until
         arrivals = self.arrivals
+        times = [r.arrival_s for r in arrivals]
         partition = rep.scheduler.partition
         price = self.cost_fn
         max_batch = self.config.max_batch
@@ -521,12 +524,10 @@ class _BatchDriver(Driver):
         head = due = 0
         while head < n:
             if head == due:
-                # Idle: run on to the next arrival instant, whose
-                # arrivals the window takes.
-                due = take_until(arrivals[head].arrival_s)
-                continue
+                # Idle: run on to the next arrival instant.
+                t = times[head]
+                due = bisect_right(times, t, head)
             stop = due if limit is None else min(due, head + limit)
-            t = engine.now
             order, ends, costs = partition(arrivals[head:stop], price,
                                            max_batch)
             lo = 0
@@ -543,9 +544,9 @@ class _BatchDriver(Driver):
                     busy_s += (t if t < horizon else horizon) - started
                 lo = hi
             batches += len(ends)
-            rep.completed += stop - head
             head = stop
-            due = take_until(t)
+            due = bisect_right(times, t, due)
+        rep.completed += n
         self.busy_s = busy_s
         self.batches_executed += batches
 

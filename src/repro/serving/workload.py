@@ -9,6 +9,7 @@ results depend only on lengths and arrival times, not on text content.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List
 
 import numpy as np
@@ -58,10 +59,13 @@ def poisson_arrivals(
     rng: np.random.Generator, rate_per_s: float, duration_s: float
 ) -> np.ndarray:
     """Arrival timestamps of a Poisson process over [0, duration)."""
-    if rate_per_s <= 0:
-        raise ValueError(f"rate must be positive, got {rate_per_s}")
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
+    # ``not 0 < x < inf`` rejects NaN too; numpy would fail later on the
+    # integer conversion of the draw count.
+    if not 0 < rate_per_s < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate_per_s}")
+    if not 0 < duration_s < math.inf:
+        raise ValueError(
+            f"duration must be positive and finite, got {duration_s}")
     # Draw enough exponential gaps to cover the horizon with margin.
     expected = rate_per_s * duration_s
     n = max(16, int(expected + 6 * np.sqrt(expected) + 16))

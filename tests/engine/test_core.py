@@ -1,8 +1,9 @@
 """The discrete-event core: ordering, invariants, busy windows, tasks.
 
 Runs are driven the way the serving driver drives them: ``step`` until
-nothing is pending (:func:`drain`), ``run_until`` over a window, or
-``take_until`` for a lone replica's closed-form rounds."""
+nothing is pending (:func:`drain`) or ``run_until`` over a window."""
+
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -132,12 +133,10 @@ class TestNonFiniteTimes:
         drain(engine)
         assert engine.now == 1.0
 
-    def test_run_until_and_take_until_reject_nan(self):
+    def test_run_until_rejects_nan(self):
         engine = Engine()
         with pytest.raises(EngineError):
             engine.run_until(self.NAN)
-        with pytest.raises(EngineError):
-            engine.take_until(self.NAN)
         assert (engine.now, engine.events_dispatched) == (0.0, 0)
 
     @pytest.mark.parametrize("times", [
@@ -304,89 +303,35 @@ class TestArrivalStream:
         drain(engine)
         assert engine.now == 1.5
 
-
-TICK = 1.0 / 64
-
-
-class TestTakeUntil:
-    """``take_until(end)`` is ``run_until(end)`` for the stream's one
-    consumer: it returns the stream position instead of dispatching the
-    arrivals one by one."""
-
-    _payloads = staticmethod(TestArrivalStream._payloads)
-
     @settings(max_examples=300, deadline=None)
     @given(gaps=st.lists(st.sampled_from([0, 0, 1, 2, 5]), max_size=30),
            steps=st.lists(st.tuples(st.booleans(), st.integers(0, 6)),
                           min_size=1, max_size=12))
-    def test_matches_run_until_with_a_bulk_handler(self, gaps, steps):
-        """Arrival ticks with same-instant ties; each window end either
-        lands exactly on an arrival at or after the clock or moves a
-        drawn number of ticks on."""
+    def test_window_hands_over_arrivals_up_to_bisect_right(self, gaps,
+                                                           steps):
+        """A ``run_until(end)`` window hands over exactly the arrivals
+        ``bisect_right(times, end)`` counts, ties with ``end`` included
+        (ARRIVAL sorts before the window's WAKE): the cursor rule of the
+        encoder's closed-form rounds.  Arrival ticks have same-instant
+        ties; each window end either lands exactly on an arrival at or
+        after the clock or moves a drawn number of ticks on."""
+        tick = 1.0 / 64
         times, ticks = [], 0
         for gap in gaps:
             ticks += gap
-            times.append(ticks * TICK)
-        ends, end = [], 0.0
+            times.append(ticks * tick)
+        payloads = self._payloads(times)
+        handed = []
+        engine = Engine()
+        engine.arrivals(payloads, lambda e: handed.append(e.payload))
+        end = 0.0
         for on_arrival, move in steps:
             later = [t for t in times if t >= end]
             end = later[min(move, len(later) - 1)] if on_arrival and later \
-                else end + move * TICK
-            ends.append(end)
-        payloads = self._payloads(times)
-
-        handed = []
-        windowed = Engine()
-        windowed.arrivals(payloads, lambda e: handed.append(e.payload))
-        taker = Engine()
-        taker.arrivals(payloads, lambda e: None)
-        taken, at = [], 0
-        for end in ends:
-            windowed.run_until(end)
-            stop = taker.take_until(end)
-            taken.extend(payloads[at:stop])
-            at = stop
-            assert (taker.now, taker.events_dispatched, taker.pending) == (
-                windowed.now, windowed.events_dispatched, windowed.pending)
-            assert taken == handed
-        # Both reserved the same marker seqs.
-        assert taker.schedule(end, EventKind.WAKE).seq == \
-            windowed.schedule(end, EventKind.WAKE).seq
-
-    def test_peeked_head_is_dropped_once_delivered(self):
-        """An arrival peeked (its Event built) before the window is taken
-        with it; the stale handle then cancels nothing."""
-        log = []
-        engine = Engine()
-        engine.arrivals(self._payloads([0.1, 0.2]),
-                        lambda e: log.append(e.payload.req_id))
-        head = engine.peek()
-        assert engine.take_until(0.15) == 1
-        assert head.dispatched and log == []
-        engine.cancel(head)  # a stale handle: no-op
-        assert engine.pending
-        drain(engine)
-        assert log == [1] and not engine.pending
-        assert engine.events_dispatched == 3
-
-    def test_refuses_a_live_heap_event_or_a_hook(self):
-        engine = Engine()
-        engine.arrivals(self._payloads([0.1, 0.2]), lambda e: None)
-        timer = engine.schedule(0.5, EventKind.WAKE)
-        with pytest.raises(EngineError, match="heap"):
-            engine.take_until(0.15)
-        engine.cancel(timer)  # a cancelled event is not live
-        assert engine.take_until(0.15) == 1
-        engine.add_dispatch_hook(lambda e: None)
-        with pytest.raises(EngineError, match="hook"):
-            engine.take_until(0.3)
-        assert (engine.now, engine.events_dispatched) == (0.15, 2)
-
-    def test_refuses_to_move_the_clock_back(self):
-        engine = Engine()
-        engine.take_until(1.0)
-        with pytest.raises(EngineError):
-            engine.take_until(0.5)
+                else end + move * tick
+            engine.run_until(end)
+            assert handed == payloads[:bisect_right(times, end)]
+            assert engine.now == end
 
 
 class TestCancellation:

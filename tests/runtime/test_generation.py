@@ -1,5 +1,7 @@
 """GenerationRuntime: prefill/decode latency model."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +86,14 @@ class TestDecode:
             turbo.decode_step_latency(1, 0)
         with pytest.raises(ValueError):
             turbo.generate_latency(10, 0)
+
+    @pytest.mark.parametrize("overhead", [math.nan, math.inf])
+    def test_rejects_non_finite_step_overhead(self, runtimes, overhead):
+        turbo, _ = runtimes
+        with pytest.raises(ValueError, match="finite"):
+            GenerationRuntime(turbo.prefill_graph, turbo.decode_graph,
+                              TURBO_CHARACTERISTICS, RTX_2060,
+                              step_overhead_s=overhead)
 
 
 class TestInstrumentation:

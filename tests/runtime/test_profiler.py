@@ -1,6 +1,7 @@
 """Warm-up cost table (Alg. 3's cached_cost)."""
 
 import json
+import math
 
 import pytest
 
@@ -69,6 +70,14 @@ class TestCostTable:
     def test_set_rejects_nonpositive_cost(self, table):
         with pytest.raises(ValueError):
             table.set(16, 1, 0.0)
+
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf])
+    def test_set_rejects_non_finite_cost(self, seconds):
+        table = CostTable([16, 32], max_batch=2)
+        with pytest.raises(ValueError, match=r"cell \(16, 1\)"):
+            table.set(16, 1, seconds)
+        with pytest.raises(KeyError, match="warm-up"):
+            table.cost(16, 1)
 
     def test_set_rejects_length_off_the_grid(self):
         table = CostTable([16, 32], max_batch=2)
@@ -157,6 +166,17 @@ class TestPersistence:
         reloaded = CostTable.from_json(path)
         assert not reloaded.interpolate
         assert reloaded.cost(20, 1) == 1.0
+
+    def test_json_nan_cell_rejected(self, tmp_path):
+        """``json`` writes a NaN cost as ``NaN`` and reads it back."""
+        path = tmp_path / "cost.json"
+        path.write_text(json.dumps({
+            "lengths": [16, 32], "max_batch": 1,
+            "table": {"16": {"1": 0.5}, "32": {"1": math.nan}},
+        }))
+        assert "NaN" in path.read_text()
+        with pytest.raises(ValueError, match=r"cell \(32, 1\)"):
+            CostTable.from_json(path)
 
     @pytest.mark.parametrize("row, cell", [("20", "1"), ("16", "2"),
                                            ("16", "0")])

@@ -1,5 +1,7 @@
 """Clipper-style adaptive batching: SLO bounding + AIMD feedback."""
 
+import math
+
 import pytest
 
 from repro.serving import (
@@ -91,10 +93,17 @@ class TestAimd:
         {"additive_step": 0},
         {"multiplicative_backoff": 1.0},
         {"initial_cap": 0},
+        {"latency_slo_s": math.nan},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             AdaptiveBatchScheduler(**kwargs)
+
+    def test_infinite_slo_means_none(self):
+        scheduler = AdaptiveBatchScheduler(latency_slo_s=math.inf)
+        batch = make_batch([Request(req_id=0, seq_len=16, arrival_s=0.0)])
+        scheduler.observe(batch, 1e9)
+        assert scheduler.slo_violations == 0
 
 
 class TestVsDp:

@@ -1,11 +1,12 @@
 """A user cost function's bad value fails where it is charged to a batch.
 
-A NaN, negative or infinite ``cost_fn(seq_len, batch)`` used to fail late
-in the engine ("cannot take_until nan < now ...") or finish with infinite
+A NaN, negative or infinite ``cost_fn(seq_len, batch)`` would otherwise
+turn into a NaN or infinite round end, or finish with infinite
 latencies.  The pruned DP checks each cell of a cost row as it prices it
-(the closed-form rounds), and :func:`batch_execution_cost` checks the cell
-it charges (the batch-by-batch path); both raise :class:`ValueError`
-naming the ``(seq_len, batch)`` cell.
+(the closed-form rounds, which run without the engine and its clock
+checks), and :func:`batch_execution_cost` checks the cell it charges
+(the batch-by-batch path and every other scheduler's ``partition``);
+both raise :class:`ValueError` naming the ``(seq_len, batch)`` cell.
 """
 
 import math

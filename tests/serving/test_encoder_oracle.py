@@ -13,14 +13,16 @@ and arrivals often land on a window end or share an instant; a third
 cost family draws arbitrary floats.  Scope: one fault-free replica under
 the hungry trigger.
 
-Such a replica runs each scheduling round as one engine window when
-nothing observes it, and batch by batch otherwise; an unobserved run and
+Such a replica runs each scheduling round in closed form, without the
+engine, when nothing observes it, and batch by batch otherwise; an unobserved run and
 one with a ``MetricsRegistry`` take the two paths.  Both are certified
 against the reference, per request and on every ``ServingMetrics``
 field, and a second differential test compares the two paths directly
 over the DP, pruned-DP (both batch orders), no-batch, naive and packed
 schedulers, with horizons placed inside a multi-batch round and exactly
-on a batch end.
+on a batch end.  Two laws hold on both paths: scaling every time input
+by 4 scales every time output by exactly 4, and dropping the arrivals
+after an instant changes no time before it.
 """
 
 import random
@@ -140,6 +142,72 @@ def test_per_request_timeline_matches_reference(arrivals, cost_fn, max_batch,
         assert got == want, path
         assert result == reference_metrics(
             triples, timeline, windows, horizon, result.system), path
+
+
+def scaled(cost_fn, k):
+    return lambda seq_len, batch: k * cost_fn(seq_len, batch)
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrivals=st.lists(ARRIVAL, min_size=1, max_size=40),
+       cost_fn=COST,
+       max_batch=st.integers(1, 8),
+       round_limit=st.one_of(st.none(), st.integers(1, 6)))
+def test_time_scale_law(arrivals, cost_fn, max_batch, round_limit):
+    """Arrivals, costs and the horizon all ×4 (exact in binary floating
+    point): every time comes out exactly ×4, throughput exactly ¼ and
+    utilization bit for bit the same, so no path adds time of its own."""
+    triples = as_triples(arrivals)
+    horizon = triples[-1][2] + TICK
+    quad = [(i, l, 4 * a) for i, l, a in triples]
+    args = (max_batch, round_limit)
+    for path, registry in PATHS.items():
+        base, result = serve(triples, PrunedDPBatchScheduler(), cost_fn,
+                             *args, horizon, registry())
+        big, big_result = serve(quad, PrunedDPBatchScheduler(),
+                                scaled(cost_fn, 4), *args, 4 * horizon,
+                                registry())
+        assert big == {i: (state, 4 * start, 4 * end)
+                       for i, (state, start, end) in base.items()}, path
+        assert big_result.response_throughput \
+            == result.response_throughput / 4, path
+        assert big_result.utilization == result.utilization, path
+
+
+@settings(max_examples=400, deadline=None)
+@given(arrivals=st.lists(ARRIVAL, min_size=1, max_size=40),
+       cost_fn=COST,
+       max_batch=st.integers(1, 8),
+       round_limit=st.one_of(st.none(), st.integers(1, 6)),
+       where=st.sampled_from(["arrival", "after_end", "drawn"]),
+       cut=st.integers(0, 4000),
+       data=st.data())
+def test_causality(arrivals, cost_fn, max_batch, round_limit, where, cut,
+                   data):
+    """Dropping every arrival after T changes no time before T.  T is an
+    arrival instant (its arrivals are kept), half a tick past a batch end
+    (a later arrival taken early would change that batch) or a drawn half
+    tick."""
+    triples = as_triples(arrivals)
+    args = (max_batch, round_limit, triples[-1][2] + TICK)
+    full = {path: serve(triples, PrunedDPBatchScheduler(), cost_fn, *args,
+                        registry())[0]
+            for path, registry in PATHS.items()}
+    if where == "arrival":
+        cut_s = data.draw(st.sampled_from([a for _, _, a in triples]))
+    elif where == "after_end":
+        ends = sorted({end for _, _, end in full["closed"].values()})
+        cut_s = data.draw(st.sampled_from(ends)) + TICK / 2
+    else:
+        cut_s = max(triples[0][2], cut * TICK / 2)
+    kept = [t for t in triples if t[2] <= cut_s]
+    for path, registry in PATHS.items():
+        early, _ = serve(kept, PrunedDPBatchScheduler(), cost_fn, *args,
+                         registry())
+        for i, times in early.items():
+            for got, want in zip(times[1:], full[path][i][1:]):
+                if got < cut_s or want < cut_s:
+                    assert got == want, (path, i)
 
 
 def packed_cost(lengths):

@@ -367,6 +367,9 @@ MEMO_STEP = st.one_of(
               st.lists(LENGTH, min_size=0, max_size=6)),
     st.tuples(st.just("raise"), st.booleans(),
               st.lists(LENGTH, min_size=0, max_size=6), st.integers(0, 20)),
+    # A one-request round: None repeats the memo's first length, a drawn
+    # length usually breaks it.
+    st.tuples(st.just("single"), st.one_of(st.none(), LENGTH)),
 )
 
 
@@ -381,7 +384,9 @@ class TestPrefixMemo:
         completes.  A round whose ``cost_fn`` raises cuts the memo at
         that prefix and adds nothing, whether it started from fresh
         lists (its first length differs) or resumed a shared prefix, and
-        rerunning the queue it interrupted then matches the reference."""
+        rerunning the queue it interrupted then matches the reference.
+        One-request rounds, which skip the DP once their row is priced,
+        keep the same memo and count."""
         scheduler = PrunedDPBatchScheduler()
         reference = DPBatchScheduler()
         queue = list(initial)
@@ -417,6 +422,8 @@ class TestPrefixMemo:
             elif kind == "diverge":
                 queue = sorted(queue)[:step[1]] + [
                     max(l, min(queue)) for l in step[2]]
+            elif kind == "single":
+                queue = [memo[0] if step[1] is None else step[1]]
             else:
                 # A first length equal to the memo's resumes it; any
                 # other starts fresh.  The gap row comes after it.

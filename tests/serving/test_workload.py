@@ -1,5 +1,7 @@
 """Workload generation: length distributions and Poisson arrivals."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,12 @@ class TestPoisson:
             poisson_arrivals(rng, 0, 1.0)
         with pytest.raises(ValueError):
             poisson_arrivals(rng, 10, 0)
+
+    @pytest.mark.parametrize("rate, duration", [
+        (math.nan, 1.0), (math.inf, 1.0), (10, math.nan), (10, math.inf)])
+    def test_rejects_non_finite(self, rng, rate, duration):
+        with pytest.raises(ValueError, match="positive and finite"):
+            poisson_arrivals(rng, rate, duration)
 
 
 class TestGenerateRequests:
