@@ -3,7 +3,7 @@
 The paper's thesis is that host-side work (cost lookup, allocation
 planning, batch scheduling) must stay negligible next to kernel time.
 This harness times the *simulator's own* host path — the compiled cost
-models, the allocation-plan cache, and the pruned DP scheduler — against
+models, the allocation-plan cache, and the row-memoising DP scheduler — against
 the interpretive/uncached baselines they replaced, and writes the result
 to ``BENCH_host.json`` so the repo carries a perf trajectory.
 
@@ -256,6 +256,10 @@ def _bench_plans(profile: Dict[str, object], seed: int) -> Dict[str, Dict[str, o
 
 
 def _sched_workload(profile: Dict[str, object], seed: int):
+    """A synthetic round stream: each round's queue keeps most of the
+    previous one and grows, so consecutive rounds share requests.  A
+    hungry server drains its whole queue every round, so this is not
+    the stream it sees; it times the DP over longer queues."""
     import random
 
     from .serving.request import Request
@@ -265,7 +269,7 @@ def _sched_workload(profile: Dict[str, object], seed: int):
     queue: List[Request] = []
     req_id = 0
     for _ in range(profile["sched_rounds"]):
-        # A hungry server's queue: grows, then periodically drains.
+        # The queue grows, then periodically loses its older half.
         if queue and rng.random() < 0.3:
             queue = queue[len(queue) // 2:]
         for _ in range(rng.randrange(1, profile["sched_queue"] // 4 + 2)):
@@ -291,7 +295,7 @@ def _run_scheduler(scheduler, rounds, cost_fn, max_batch: int) -> Dict[str, obje
 
 
 def _bench_scheduler(profile: Dict[str, object], seed: int) -> Dict[str, Dict[str, object]]:
-    """Scheduling rounds/sec: pruned+bucketed+incremental DP vs. Alg. 3."""
+    """Scheduling rounds/sec: DP with memoised cost rows vs. Alg. 3."""
     from .serving.scheduler import DPBatchScheduler, PrunedDPBatchScheduler
 
     rounds = _sched_workload(profile, seed)
@@ -892,9 +896,10 @@ def verify_host_fast_path(seed: int = 0,
       (shape counts go to ``progress``);
     * fast ``latency()`` vs. the seed double-``infer()`` path, bit-exact,
       across a shape grid including padding boundaries;
-    * pruned DP batches vs. ``DPBatchScheduler``, identical ids and
-      padded length per batch, under a monotone and a non-monotone cost,
-      over random queues and singleton-heavy round streams;
+    * ``PrunedDPBatchScheduler`` batches vs. ``DPBatchScheduler``,
+      identical ids and padded length per batch, under a monotone and a
+      non-monotone cost, over random queues and singleton-heavy round
+      streams;
     * plan-cached allocator vs. the uncached reference gap search:
       identical outcomes, per-tensor ``(chunk_id, offset)`` and chunk
       lists;
@@ -1067,15 +1072,14 @@ def _verify_fault_segments(seed: int) -> List[str]:
 def _verify_scheduler(seed: int) -> List[str]:
     """``PrunedDPBatchScheduler`` vs. the reference ``DPBatchScheduler``,
     batch by batch (``(ids, padded_len)``).  Two cost functions: a
-    monotone one, which keeps pruning on, and a non-monotone one shaped
-    like a warmed table (some batch sizes and lengths price below their
-    smaller neighbour), which turns it off as in production.  Two round
-    streams on one stateful scheduler each: random queues, and a
-    singleton-heavy stream whose one-request rounds repeat or break the
-    previous round's sorted prefix.  A second pruned instance answers
-    each round through ``partition``, which the closed-form serving
-    rounds call: its slices must hold the reference batches' ids and
-    its costs must equal ``batch_execution_cost`` bit for bit."""
+    monotone one, and a non-monotone one shaped like a warmed table
+    (some batch sizes and lengths price below their smaller neighbour).
+    Two round streams on one stateful scheduler each: random queues, and
+    a singleton-heavy stream whose one-request rounds mostly find their
+    row already priced.  A second instance answers each round through
+    ``partition``, which the closed-form serving rounds call: its slices
+    must hold the reference batches' ids and its costs must equal
+    ``batch_execution_cost`` bit for bit."""
     import random
 
     from .serving.request import Request
@@ -1139,10 +1143,6 @@ def _verify_scheduler(seed: int) -> List[str]:
                 if costs != want_costs:
                     problems.append(f"{tag}: partition costs {costs} != "
                                     f"{want_costs}")
-            if fast_sched._prunable != (cost_fn is monotone):
-                problems.append(
-                    f"scheduler: {cost_name} cost, {stream} rounds left "
-                    f"pruning {'on' if fast_sched._prunable else 'off'}")
     return problems
 
 

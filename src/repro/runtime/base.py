@@ -10,6 +10,7 @@ benchmark sweeps stay fast and deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -439,8 +440,9 @@ class DecoderRuntime:
             raise ValueError(f"beam_size must be positive, got {beam_size}")
         if stride <= 0:
             raise ValueError(f"stride must be positive, got {stride}")
-        if step_overhead_s < 0:
-            raise ValueError(f"step_overhead_s must be >= 0, got {step_overhead_s}")
+        if not 0 <= step_overhead_s < math.inf:
+            raise ValueError("step_overhead_s must be >= 0 and finite, "
+                             f"got {step_overhead_s}")
         self.step_graph = fuse_graph(step_graph) if chars.fuse_kernels else step_graph
         self.chars = chars
         self.device = device

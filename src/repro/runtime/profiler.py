@@ -14,8 +14,9 @@ the RTX 2060 (lengths 16..512 step 16, batches 1..20) has 7 such cells —
 lengths 80, 144 and 208 at batch 1 each price below the length 16
 shorter, and batches 5, 9, 13 and 17 at length 16 each price below one
 request fewer.  Algorithm 3's sort-then-partition step is provably
-optimal only under a cost monotone in length, and the pruned DP
-scheduler checks monotonicity before it prunes rather than assume it.
+optimal only under a cost monotone in length, and a bound that prunes
+DP transitions is sound only under a cost monotone in both, so the DP
+scheduler prunes nothing and runs every transition.
 """
 
 from __future__ import annotations

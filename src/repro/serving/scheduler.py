@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import abc
 import math
-from bisect import bisect_right, insort
 from itertools import accumulate
 from operator import attrgetter, itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -140,35 +139,21 @@ class DPBatchScheduler(BatchScheduler):
 
 
 class PrunedDPBatchScheduler(DPBatchScheduler):
-    """Algorithm 3 with the host fast path: bucketed pricing, a monotone
-    pruning bound, and incremental prefix reuse.
+    """Algorithm 3 with the host fast path: cost rows memoised per
+    distinct length.
 
     Produces the *identical* partition to :class:`DPBatchScheduler` (not
-    merely one of equal makespan) — the three optimizations are exact:
-
-    * **Run-length bucketed pricing** — every transition for a position
-      inside a run of equal sequence lengths prices batches from the same
-      cost row ``C_L[s] = cost_fn(L, s)``.  Rows are built once per
-      distinct length and memoized across rounds, so ``cost_fn`` is
-      evaluated O(#distinct lengths x max_batch) times instead of
-      O(n x max_batch) per round.
-    * **Monotone pruning bound** — when ``cost_fn`` is non-decreasing in
-      both batch size and padded length (not guaranteed: a warmed
-      profile can price a batch or length below its smaller neighbour),
-      DP prefix costs are non-decreasing, so once
-      ``states[lower] + C_L[s] >= best`` no larger batch ending at the
-      same position can *strictly* beat the incumbent and the inner loop
-      breaks.  Monotonicity is *verified*, not assumed: each new row is
-      checked in ``s`` and against its sorted-length neighbours, and any
-      violation disables pruning (the loop then runs in full).  Because
-      the reference DP updates on strict ``<`` only, breaking when no
-      strict improvement is possible preserves its exact argmin.
-    * **Incremental prefix reuse** — ``states[i]`` depends only on the
-      first ``i`` sorted lengths, so when consecutive rounds share a
-      sorted-length prefix (a queue that only grew, the steady state of a
-      hungry server), the DP restarts at the first differing position.
-      A round whose first length differs shares nothing, so it starts
-      from fresh lists without scanning the memo.
+    merely one of equal makespan).  Every transition for a position
+    inside a run of equal sequence lengths prices batches from the same
+    cost row ``C_L[s] = cost_fn(L, s)``.  Rows are built once per
+    distinct length and memoized across rounds, so ``cost_fn`` is
+    evaluated O(#distinct lengths x max_batch) times in all instead of
+    O(n x max_batch) per round.  Each round runs the DP in full from
+    fresh state lists: a hungry round drains the whole queue, so
+    consecutive rounds share no request to resume from.  The name is
+    kept for the CLI and callers (``"dp-pruned"``); no transition is
+    pruned, since a warmed profile is not monotone (see
+    :mod:`repro.runtime.profiler`).
 
     :meth:`partition` is the one DP body.  It hands back the batches as
     index ranges over the sorted order with the row cells the DP priced
@@ -179,10 +164,10 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
     sorted order padded to its last member cannot fail
     :class:`Batch`'s checks.
 
-    Memoized rows and prefix states are invalidated whenever ``cost_fn``
-    or ``max_batch`` differ from the previous call (or via
-    :meth:`reset`).  Instances are therefore stateful; share one per
-    (server, cost table) like the other schedulers.
+    Memoized rows are invalidated whenever ``cost_fn`` or ``max_batch``
+    differ from the previous call (or via :meth:`reset`).  Instances are
+    therefore stateful; share one per (server, cost table) like the
+    other schedulers.
     """
 
     name = "dp-pruned"
@@ -193,45 +178,22 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
         # Cumulative fast-path counters (read by ``repro bench``).
         self.rounds = 0
         self.cost_calls = 0
-        self.positions_reused = 0
-        self.transitions_pruned = 0
 
     def reset(self) -> None:
-        """Drop memoized cost rows and prefix states."""
+        """Drop memoized cost rows."""
         self._cost_fn: Optional[CostFn] = None
         self._max_batch: Optional[int] = None
-        self._rows: dict = {}       # length -> [cost_fn(length, s) for s=1..max_batch]
-        self._row_lengths: List[int] = []  # sorted keys of _rows
-        self._prunable = True  # every verified monotonicity check passed
-        self._lengths: List[int] = []
-        self._states: List[float] = [0.0]
-        self._starts: List[int] = [0]
+        self._rows: dict = {}  # length -> [cost_fn(length, s) for s=1..max_batch]
 
     def _row(self, length: int, max_batch: int, cost_fn: CostFn) -> List[float]:
-        row = self._rows.get(length)
-        if row is None:
-            row = [cost_fn(length, s) for s in range(1, max_batch + 1)]
-            self.cost_calls += len(row)
-            for s, cost in enumerate(row, 1):
-                if not 0.0 <= cost < math.inf:
-                    raise _bad_cost(length, s, cost)
-            self._rows[length] = row
-            # Pruning soundness needs cost_fn non-decreasing in batch size
-            # *and* length (=> DP prefix costs non-decreasing).  Verify:
-            # in ``s`` within the row, and elementwise against the sorted
-            # neighbouring rows (pairwise dominance is transitive).
-            if self._prunable:
-                pos = bisect_right(self._row_lengths, length)
-                ok = all(row[s] >= row[s - 1] for s in range(1, len(row)))
-                if ok and pos > 0:
-                    left = self._rows[self._row_lengths[pos - 1]]
-                    ok = all(a <= b for a, b in zip(left, row))
-                if ok and pos < len(self._row_lengths):
-                    right = self._rows[self._row_lengths[pos]]
-                    ok = all(a <= b for a, b in zip(row, right))
-                if not ok:
-                    self._prunable = False
-            insort(self._row_lengths, length)
+        """Price and memoise the row of ``length``.  A raising ``cost_fn``
+        or a rejected cell stores no row and counts no calls."""
+        row = [cost_fn(length, s) for s in range(1, max_batch + 1)]
+        for s, cost in enumerate(row, 1):
+            if not 0.0 <= cost < math.inf:
+                raise _bad_cost(length, s, cost)
+        self.cost_calls += len(row)
+        self._rows[length] = row
         return row
 
     def schedule(
@@ -251,10 +213,10 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
     def partition(
         self, requests: Sequence[Request], cost_fn: CostFn, max_batch: int
     ) -> Partition:
-        """Algorithm 3, resuming at the sorted prefix shared with the
-        previous round.  ``order`` is the length-sorted queue (batches
-        reordered by cost under ``"spt"``), and each cost is the memoised
-        row cell ``cost_fn(L, size)`` the DP priced the batch with."""
+        """Algorithm 3 over the round's queue.  ``order`` is the
+        length-sorted queue (batches reordered by cost under ``"spt"``),
+        and each cost is the memoised row cell ``cost_fn(L, size)`` the
+        DP priced the batch with."""
         if max_batch <= 0 or not requests:
             self._check_args(requests, max_batch)
         self.rounds += 1
@@ -262,87 +224,35 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
             self.reset()
             self._cost_fn = cost_fn
             self._max_batch = max_batch
-        n = len(requests)
-        if n == 1:
-            # Half the rounds of a light load.  Once its row is priced, a
-            # lone request is one batch at the row's first cell, and the
-            # memo ends as the DP below would leave it: the first position
-            # is shared when the first length repeats, else fresh.
+        rows = self._rows
+        if len(requests) == 1:
+            # Half the rounds of a light load: once its row is priced, a
+            # lone request is one batch at the row's first cell.
             r = requests[0]
-            length = r.seq_len
-            row = self._rows.get(length)
+            row = rows.get(r.seq_len)
             if row is not None:
-                prev = self._lengths
-                if prev and prev[0] == length:
-                    del prev[1:]
-                    del self._states[2:]
-                    del self._starts[2:]
-                    self.positions_reused += 1
-                else:
-                    self._lengths = [length]
-                    self._states = [0.0, row[0]]
-                    self._starts = [0, 0]
                 return [r], [1], [row[0]]
         order = sorted(requests, key=_seq_len)
         lengths = [r.seq_len for r in order]
-        # The memoised states/starts depend only on the sorted lengths
-        # before them, so a round whose first length matches the last
-        # round's resumes at the longest shared prefix: the lists are cut
-        # back to it in place.  Any other round shares nothing and starts
-        # from fresh lists, skipping the scan and the cuts.  The memoised
-        # lengths are cut before the DP runs, so a cost_fn that raises
-        # midway leaves a consistent (shorter) memo behind.
-        prev = self._lengths
-        if prev and prev[0] == lengths[0]:
-            limit = min(len(prev), n)
-            prefix = 1
-            while prefix < limit and prev[prefix] == lengths[prefix]:
-                prefix += 1
-            del prev[prefix:]
-            states = self._states
-            starts = self._starts
-            del states[prefix + 1:]
-            del starts[prefix + 1:]
-        else:
-            prefix = 0
-            self._lengths = []
-            states = self._states = [0.0]
-            starts = self._starts = [0]
-        rows = self._rows
-        can_prune = self._prunable
-        pruned = 0
-        for i in range(prefix + 1, n + 1):
+        n = len(order)
+        states = [0.0]
+        starts = [0]
+        for i in range(1, n + 1):
             row = rows.get(lengths[i - 1])
             if row is None:
                 row = self._row(lengths[i - 1], max_batch, cost_fn)
-                # A new row may have failed the monotonicity check.
-                can_prune = self._prunable
             lower = i - max_batch if i > max_batch else 0
-            low_state = states[lower]
             # Batch sizes ascending == the reference DP's descending j;
             # strict-< updates keep its exact tie-breaking.
             best_cost = states[i - 1] + row[0]
             best_start = i - 1
             for size in range(2, i - lower + 1):
-                batch_cost = row[size - 1]
-                if can_prune and low_state + batch_cost >= best_cost:
-                    # states[start] >= low_state for every remaining start
-                    # and the row is non-decreasing: nothing ahead can be
-                    # strictly cheaper than the incumbent.
-                    pruned += i - lower + 1 - size
-                    break
-                candidate = states[i - size] + batch_cost
+                candidate = states[i - size] + row[size - 1]
                 if candidate < best_cost:
                     best_cost = candidate
                     best_start = i - size
             states.append(best_cost)
             starts.append(best_start)
-        # Both are 0 on most rounds; skipping the stores is measurable.
-        if prefix:
-            self.positions_reused += prefix
-        if pruned:
-            self.transitions_pruned += pruned
-        self._lengths = lengths
         # L21-L26: walk the starts back; batch [start, i) pads to
         # lengths[i - 1] and costs that row's cell at its size.
         ends: List[int] = []
@@ -369,8 +279,6 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
             "rounds": self.rounds,
             "cost_calls": self.cost_calls,
             "distinct_lengths": len(self._rows),
-            "positions_reused": self.positions_reused,
-            "transitions_pruned": self.transitions_pruned,
         }
 
 

@@ -1,5 +1,7 @@
 """InferenceRuntime and DecoderRuntime behaviour."""
 
+import math
+
 import pytest
 
 from repro.gpusim import RTX_2060
@@ -132,3 +134,12 @@ class TestDecoderRuntime:
                 build_decoder_step_graph(seq2seq_decoder()),
                 TURBO_CHARACTERISTICS, RTX_2060, beam_size=0,
             )
+
+    @pytest.mark.parametrize("overhead", [math.nan, math.inf])
+    def test_rejects_non_finite_step_overhead(self, overhead):
+        """A NaN or infinite overhead would price every decode step NaN
+        or inf; the runtime takes the rule ``GenerationRuntime`` uses."""
+        with pytest.raises(ValueError, match="finite"):
+            DecoderRuntime(build_decoder_step_graph(seq2seq_decoder()),
+                           TURBO_CHARACTERISTICS, RTX_2060, beam_size=4,
+                           step_overhead_s=overhead)

@@ -64,6 +64,9 @@ def test_pruned_row_rejects_the_cell(bad):
     scheduler = PrunedDPBatchScheduler()
     with pytest.raises(ValueError, match=r"cost_fn\(16, 1\) returned "):
         scheduler.partition(requests(), cost_with(bad), 4)
+    # Only the length-8 row priced before it is stored and counted.
+    stats = scheduler.stats()
+    assert (stats["cost_calls"], stats["distinct_lengths"]) == (4, 1)
 
 
 def test_zero_and_finite_costs_still_price():

@@ -20,11 +20,13 @@ against the reference, per request and on every ``ServingMetrics``
 field, and a second differential test compares the two paths directly
 over the DP, pruned-DP (both batch orders), no-batch, naive and packed
 schedulers, with horizons placed inside a multi-batch round and exactly
-on a batch end.  Two laws hold on both paths: scaling every time input
-by 4 scales every time output by exactly 4, and dropping the arrivals
-after an instant changes no time before it.
+on a batch end.  Two laws hold on both paths, and on the windowed path
+under ``LazyPolicy`` too: scaling every time input by 4 scales every
+time output by exactly 4, and dropping the arrivals after an instant
+changes no time before it.
 """
 
+import math
 import random
 
 import pytest
@@ -37,6 +39,7 @@ from repro.resilience import ResilienceConfig
 from repro.serving import (
     AdaptiveBatchScheduler,
     DPBatchScheduler,
+    HungryPolicy,
     LazyPolicy,
     NaiveBatchScheduler,
     NoBatchScheduler,
@@ -97,6 +100,31 @@ ARRIVAL = st.tuples(st.one_of(st.just(0), st.integers(0, 48)),  # gap, ticks
 #: run, batch-by-batch windows under a metrics registry.
 PATHS = {"closed": lambda: None, "windowed": MetricsRegistry}
 
+#: ``LazyPolicy`` knobs in ticks: the timeout, the SLO (None: no SLO) and
+#: the queue depth that fires at once.
+LAZY = st.tuples(st.integers(1, 64), st.one_of(st.none(), st.integers(1, 256)),
+                 st.integers(1, 10))
+
+
+def lazy_policy(knobs, k):
+    """A fresh ``LazyPolicy`` (the server writes its estimate into it)
+    with its timeout and SLO, both times, scaled by ``k``."""
+    timeout, slo, depth = knobs
+    return LazyPolicy(timeout_s=k * timeout * TICK,
+                      latency_slo_s=math.inf if slo is None
+                      else k * slo * TICK,
+                      max_batch=depth)
+
+
+#: The runs the time-scale and causality laws cover, each as
+#: ``(knobs, k) -> (metrics, policy)``: both hungry paths, and the lazy
+#: trigger, which runs on the windowed path only.
+LAW_RUNS = {
+    "closed": lambda knobs, k: (None, None),
+    "windowed": lambda knobs, k: (MetricsRegistry(), None),
+    "lazy": lambda knobs, k: (None, lazy_policy(knobs, k)),
+}
+
 
 def as_triples(arrivals):
     """``(gap_ticks, seq_len)`` draws -> ``(req_id, seq_len, arrival_s)``."""
@@ -109,14 +137,15 @@ def as_triples(arrivals):
 
 
 def serve(triples, scheduler, cost_fn, max_batch, round_limit, duration_s,
-          metrics=None):
-    """One ``simulate_serving`` run: per request ``(state, start_s,
-    completion_s)`` and the ``ServingMetrics``."""
+          metrics=None, policy=None):
+    """One ``simulate_serving`` run, under the hungry trigger unless a
+    ``policy`` is given: per request ``(state, start_s, completion_s)``
+    and the ``ServingMetrics``."""
     requests = [Request(req_id=i, seq_len=l, arrival_s=a)
                 for i, l, a in triples]
-    result = simulate_serving(requests, scheduler, cost_fn,
-                              ServingConfig(max_batch=max_batch,
-                                            round_limit=round_limit),
+    config = ServingConfig(max_batch=max_batch, round_limit=round_limit,
+                           policy=policy or HungryPolicy())
+    result = simulate_serving(requests, scheduler, cost_fn, config,
                               duration_s=duration_s, metrics=metrics)
     timeline = {r.req_id: (r.state, r.start_s, r.completion_s)
                 for r in requests}
@@ -152,21 +181,23 @@ def scaled(cost_fn, k):
 @given(arrivals=st.lists(ARRIVAL, min_size=1, max_size=40),
        cost_fn=COST,
        max_batch=st.integers(1, 8),
-       round_limit=st.one_of(st.none(), st.integers(1, 6)))
-def test_time_scale_law(arrivals, cost_fn, max_batch, round_limit):
-    """Arrivals, costs and the horizon all ×4 (exact in binary floating
-    point): every time comes out exactly ×4, throughput exactly ¼ and
-    utilization bit for bit the same, so no path adds time of its own."""
+       round_limit=st.one_of(st.none(), st.integers(1, 6)),
+       knobs=LAZY)
+def test_time_scale_law(arrivals, cost_fn, max_batch, round_limit, knobs):
+    """Arrivals, costs, the horizon and the lazy timeout and SLO all ×4
+    (exact in binary floating point): every time comes out exactly ×4,
+    throughput exactly ¼ and utilization bit for bit the same, so no
+    path and no lazy fire time adds time of its own."""
     triples = as_triples(arrivals)
     horizon = triples[-1][2] + TICK
     quad = [(i, l, 4 * a) for i, l, a in triples]
     args = (max_batch, round_limit)
-    for path, registry in PATHS.items():
+    for path, run in LAW_RUNS.items():
         base, result = serve(triples, PrunedDPBatchScheduler(), cost_fn,
-                             *args, horizon, registry())
+                             *args, horizon, *run(knobs, 1))
         big, big_result = serve(quad, PrunedDPBatchScheduler(),
                                 scaled(cost_fn, 4), *args, 4 * horizon,
-                                registry())
+                                *run(knobs, 4))
         assert big == {i: (state, 4 * start, 4 * end)
                        for i, (state, start, end) in base.items()}, path
         assert big_result.response_throughput \
@@ -181,29 +212,31 @@ def test_time_scale_law(arrivals, cost_fn, max_batch, round_limit):
        round_limit=st.one_of(st.none(), st.integers(1, 6)),
        where=st.sampled_from(["arrival", "after_end", "drawn"]),
        cut=st.integers(0, 4000),
+       knobs=LAZY,
        data=st.data())
 def test_causality(arrivals, cost_fn, max_batch, round_limit, where, cut,
-                   data):
+                   knobs, data):
     """Dropping every arrival after T changes no time before T.  T is an
     arrival instant (its arrivals are kept), half a tick past a batch end
-    (a later arrival taken early would change that batch) or a drawn half
-    tick."""
+    of any run (a later arrival taken early would change that batch) or
+    a drawn half tick."""
     triples = as_triples(arrivals)
     args = (max_batch, round_limit, triples[-1][2] + TICK)
     full = {path: serve(triples, PrunedDPBatchScheduler(), cost_fn, *args,
-                        registry())[0]
-            for path, registry in PATHS.items()}
+                        *run(knobs, 1))[0]
+            for path, run in LAW_RUNS.items()}
     if where == "arrival":
         cut_s = data.draw(st.sampled_from([a for _, _, a in triples]))
     elif where == "after_end":
-        ends = sorted({end for _, _, end in full["closed"].values()})
+        ends = sorted({end for timeline in full.values()
+                       for _, _, end in timeline.values()})
         cut_s = data.draw(st.sampled_from(ends)) + TICK / 2
     else:
         cut_s = max(triples[0][2], cut * TICK / 2)
     kept = [t for t in triples if t[2] <= cut_s]
-    for path, registry in PATHS.items():
+    for path, run in LAW_RUNS.items():
         early, _ = serve(kept, PrunedDPBatchScheduler(), cost_fn, *args,
-                         registry())
+                         *run(knobs, 1))
         for i, times in early.items():
             for got, want in zip(times[1:], full[path][i][1:]):
                 if got < cut_s or want < cut_s:

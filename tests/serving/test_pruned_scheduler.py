@@ -36,7 +36,7 @@ def affine_cost(seq_len, batch):
 
 
 def jagged_cost(seq_len, batch):
-    """Deliberately NOT monotone in batch size (pruning must disable)."""
+    """Deliberately NOT monotone in batch size."""
     return 1.0 + 0.01 * seq_len + (0.3 if batch % 3 == 0 else 1.0) * batch
 
 
@@ -58,7 +58,7 @@ class TestIdenticalPartitions:
             assert partition(pruned) == partition(reference), \
                 f"trial {trial}: lengths={lengths} max_batch={max_batch}"
 
-    def test_non_monotone_cost_disables_pruning_but_stays_exact(self):
+    def test_non_monotone_cost_stays_exact(self):
         rng = random.Random(13)
         scheduler = PrunedDPBatchScheduler()
         for trial in range(100):
@@ -70,7 +70,6 @@ class TestIdenticalPartitions:
             pruned = scheduler.schedule(reqs(lengths), jagged_cost, max_batch)
             assert partition(pruned) == partition(reference), \
                 f"trial {trial}: lengths={lengths} max_batch={max_batch}"
-        assert not scheduler._prunable
 
     def test_brute_force_certification(self):
         rng = random.Random(3)
@@ -94,28 +93,14 @@ class TestIdenticalPartitions:
 
 
 class TestIncrementalReuse:
-    def test_growing_queue_reuses_prefix(self):
-        rng = random.Random(21)
-        scheduler = PrunedDPBatchScheduler()
-        reference = DPBatchScheduler()
-        lengths = []
-        for round_no in range(30):
-            lengths.extend(rng.randrange(1, 33) * 16
-                           for _ in range(rng.randrange(1, 5)))
-            got = scheduler.schedule(reqs(lengths), monotone_cost, 8)
-            want = reference.schedule(reqs(lengths), monotone_cost, 8)
-            assert partition(got) == partition(want), f"round {round_no}"
-        stats = scheduler.stats()
-        assert stats["rounds"] == 30
-        assert stats["positions_reused"] > 0
-        # Memoized rows: far fewer cost calls than n * max_batch per round.
-        assert stats["cost_calls"] == stats["distinct_lengths"] * 8
+    """Cost rows are memoised across rounds and dropped when the cost
+    function or ``max_batch`` changes."""
 
     def test_reset_on_cost_fn_change(self):
         scheduler = PrunedDPBatchScheduler()
         lengths = [16, 32, 48, 64]
         scheduler.schedule(reqs(lengths), monotone_cost, 4)
-        # New cost function: memoized rows/states must not leak across.
+        # New cost function: memoized rows must not leak across.
         got = scheduler.schedule(reqs(lengths), affine_cost, 4)
         want = DPBatchScheduler().schedule(reqs(lengths), affine_cost, 4)
         assert partition(got) == partition(want)
@@ -129,25 +114,31 @@ class TestIncrementalReuse:
         assert partition(got) == partition(want)
 
     def test_cost_fn_raising_midway_leaves_a_consistent_memo(self):
-        """The prefix states are cut back in place; a round whose cost_fn
-        raises after the cut must not leave stale states behind for the
-        next round's prefix match."""
+        """A round whose cost_fn raises partway through a new row stores
+        no row for it and counts none of its calls; the next round prices
+        the row afresh and equals the reference."""
         fail = {"armed": True}
 
         def flaky_cost(seq_len, batch):
-            if seq_len == 40 and fail["armed"]:
+            if (seq_len, batch) == (40, 3) and fail["armed"]:
                 fail["armed"] = False
                 raise RuntimeError("profiling gap")
             return monotone_cost(seq_len, batch)
 
         scheduler = PrunedDPBatchScheduler()
-        full = [16, 32, 48, 64, 80]
-        scheduler.schedule(reqs(full), flaky_cost, 4)
+        scheduler.schedule(reqs([16, 32, 48, 64, 80]), flaky_cost, 4)
+        before = scheduler.stats()
+        gapped = [16, 32, 40, 48]
         with pytest.raises(RuntimeError):
-            scheduler.schedule(reqs([16, 32, 40, 48]), flaky_cost, 4)
-        got = scheduler.schedule(reqs(full), flaky_cost, 4)
-        want = DPBatchScheduler().schedule(reqs(full), flaky_cost, 4)
+            scheduler.schedule(reqs(gapped), flaky_cost, 4)
+        after = scheduler.stats()
+        assert 40 not in scheduler._rows
+        assert after["cost_calls"] == before["cost_calls"] == 5 * 4
+        assert after["distinct_lengths"] == before["distinct_lengths"] == 5
+        got = scheduler.schedule(reqs(gapped), flaky_cost, 4)
+        want = DPBatchScheduler().schedule(reqs(gapped), flaky_cost, 4)
         assert partition(got) == partition(want)
+        assert scheduler.stats()["cost_calls"] == 6 * 4
 
 
 class TestGenerationCostTable:
@@ -156,8 +147,7 @@ class TestGenerationCostTable:
         (prefill + decode through GenerationRuntime) rather than a
         closed-form stand-in — the table the request-level generation
         server schedules with.  Pruned DP must emit the identical
-        partition, pruning enabled or not (generation cost is monotone in
-        batch and length, so pruning stays active)."""
+        partition."""
         from repro.gpusim import RTX_2060
         from repro.models import (
             build_decode_step_graph,
@@ -184,8 +174,6 @@ class TestGenerationCostTable:
             got = pruned.schedule(reqs(lengths), gen_cost, max_batch)
             assert partition(got) == partition(reference), \
                 f"trial {trial}: lengths={lengths} max_batch={max_batch}"
-        # Monotone generation costs: pruning must have stayed enabled.
-        assert pruned._prunable
 
     def test_generation_makespan_matches_brute_force(self):
         from repro.gpusim import RTX_2060
@@ -217,14 +205,12 @@ class TestStats:
         assert stats["rounds"] == 1
         assert stats["distinct_lengths"] == 2
         assert stats["cost_calls"] == 16  # 2 rows x max_batch
-        assert stats["transitions_pruned"] > 0
 
     def test_reset_clears_state(self):
         scheduler = PrunedDPBatchScheduler()
         scheduler.schedule(reqs([16, 32]), monotone_cost, 2)
         scheduler.reset()
         assert scheduler.stats()["distinct_lengths"] == 0
-        assert scheduler._prunable
 
 
 # -- differential property over sequences of rounds ---------------------------
@@ -233,16 +219,15 @@ LENGTH = st.integers(1, 30).map(lambda k: 16 * k)
 
 
 def late_jagged_cost(seq_len, batch):
-    """Monotone for short lengths, not monotone in batch size from 320 up:
-    a round over sorted lengths prunes until its first long row is built."""
+    """Monotone for short lengths, not monotone in batch size from 320
+    up."""
     if seq_len < 320:
         return monotone_cost(seq_len, batch)
     return monotone_cost(seq_len, batch) * (0.5 if batch % 2 == 0 else 1.0)
 
 
 def dip_cost(seq_len, batch):
-    """Monotone in batch size, but long rows price *below* shorter ones:
-    the row-dominance check (not the in-row check) must disable pruning."""
+    """Monotone in batch size, but long rows price *below* shorter ones."""
     scale = 0.4 if seq_len >= 400 else 1.0
     return monotone_cost(seq_len, batch) * scale
 
@@ -291,33 +276,16 @@ def apply_step(queue, step):
     return None
 
 
-def reference_memo(lengths, cost_fn, max_batch):
-    """``states``/``starts`` of the reference DP over sorted ``lengths``
-    (same float operations, same strict-< tie-breaking)."""
-    states, starts = [0.0], [0]
-    for i in range(1, len(lengths) + 1):
-        best_cost = states[i - 1] + cost_fn(lengths[i - 1], 1)
-        best_start = i - 1
-        for j in range(i - 1, max(0, i - max_batch), -1):
-            candidate = states[j - 1] + cost_fn(lengths[i - 1], i - j + 1)
-            if candidate < best_cost:
-                best_cost, best_start = candidate, j - 1
-        states.append(best_cost)
-        starts.append(best_start)
-    return states, starts
-
-
 class TestDifferentialRounds:
     @settings(max_examples=150, deadline=None)
     @given(initial=st.lists(LENGTH, min_size=1, max_size=10),
            steps=st.lists(STEP, min_size=1, max_size=25),
            order=st.sampled_from(("fifo", "spt")))
     def test_round_sequences_match_reference(self, initial, steps, order):
-        """Every round of a stateful pruned scheduler (prefix reuse, cost
-        rows memoised across rounds, the prune flag turning off partway
-        through a round, one-request rounds between longer ones)
-        partitions exactly like a fresh reference DP and leaves the
-        reference DP's states behind for the next round."""
+        """Every round of a stateful pruned scheduler (cost rows memoised
+        across rounds, queues that share sorted prefixes, one-request
+        rounds between longer ones) partitions exactly like a fresh
+        reference DP."""
         pruned = PrunedDPBatchScheduler(order_batches=order)
         reference = DPBatchScheduler(order_batches=order)
         queue, cost_fn, max_batch = list(initial), monotone_cost, 4
@@ -336,115 +304,17 @@ class TestDifferentialRounds:
             want = reference.schedule(reqs(queue), cost_fn, max_batch)
             assert batch_keys(got) == batch_keys(want), \
                 f"round {round_no} after {step}: queue={queue}"
-            # The memo the next round resumes from, one-request rounds
-            # included.
-            lengths = sorted(queue)
-            assert pruned._lengths == lengths, f"round {round_no}"
-            assert (pruned._states, pruned._starts) == reference_memo(
-                lengths, cost_fn, max_batch), f"round {round_no}"
-
-
-def gapped_cost(seq_len, batch):
-    """``monotone_cost`` with no cell at the odd half-steps (lengths 8
-    mod 16): a round raises when its DP first prices such a row."""
-    if seq_len % 16 == 8:
-        raise KeyError(f"no profile for seq_len {seq_len}")
-    return monotone_cost(seq_len, batch)
-
-
-def common_prefix(a, b):
-    n = 0
-    while n < min(len(a), len(b)) and a[n] == b[n]:
-        n += 1
-    return n
-
-
-MEMO_STEP = st.one_of(
-    st.tuples(st.just("grow"), st.lists(LENGTH, min_size=1, max_size=6)),
-    st.tuples(st.just("disjoint"), st.lists(LENGTH, min_size=1, max_size=8)),
-    # The first sorted length matches, the rest diverges from position k.
-    st.tuples(st.just("diverge"), st.integers(1, 6),
-              st.lists(LENGTH, min_size=0, max_size=6)),
-    st.tuples(st.just("raise"), st.booleans(),
-              st.lists(LENGTH, min_size=0, max_size=6), st.integers(0, 20)),
-    # A one-request round: None repeats the memo's first length, a drawn
-    # length usually breaks it.
-    st.tuples(st.just("single"), st.one_of(st.none(), LENGTH)),
-)
-
-
-class TestPrefixMemo:
-    @settings(max_examples=150, deadline=None)
-    @given(initial=st.lists(LENGTH, min_size=1, max_size=8),
-           steps=st.lists(MEMO_STEP, min_size=1, max_size=20))
-    def test_reuse_is_the_common_prefix_of_consecutive_rounds(
-            self, initial, steps):
-        """``positions_reused`` grows by the longest common prefix of the
-        memoised and the new sorted lengths, on every round that
-        completes.  A round whose ``cost_fn`` raises cuts the memo at
-        that prefix and adds nothing, whether it started from fresh
-        lists (its first length differs) or resumed a shared prefix, and
-        rerunning the queue it interrupted then matches the reference.
-        One-request rounds, which skip the DP once their row is priced,
-        keep the same memo and count."""
-        scheduler = PrunedDPBatchScheduler()
-        reference = DPBatchScheduler()
-        queue = list(initial)
-        memo, reused = [], 0
-
-        def run(lengths, raises):
-            nonlocal memo, reused
-            shared = common_prefix(memo, sorted(lengths))
-            if raises:
-                with pytest.raises(KeyError):
-                    scheduler.partition(reqs(lengths), gapped_cost, 4)
-                memo = memo[:shared]
-            else:
-                order, ends, _ = scheduler.partition(reqs(lengths),
-                                                     gapped_cost, 4)
-                want = reference.schedule(reqs(lengths), gapped_cost, 4)
-                assert slices(order, ends) == partition(want)
-                reused += shared
-                memo = sorted(lengths)
-            assert scheduler.positions_reused == reused
-            assert scheduler._lengths == memo
-            kept = len(memo) + 1
-            assert (scheduler._states[:kept], scheduler._starts[:kept]) == \
-                reference_memo(memo, gapped_cost, 4)
-
-        run(queue, False)
-        for step in steps:
-            kind = step[0]
-            if kind == "grow":
-                queue = queue + step[1]
-            elif kind == "disjoint":
-                queue = [l for l in step[1] if l not in queue] or step[1]
-            elif kind == "diverge":
-                queue = sorted(queue)[:step[1]] + [
-                    max(l, min(queue)) for l in step[2]]
-            elif kind == "single":
-                queue = [memo[0] if step[1] is None else step[1]]
-            else:
-                # A first length equal to the memo's resumes it; any
-                # other starts fresh.  The gap row comes after it.
-                first = memo[0] if step[1] and memo else (
-                    32 if memo[:1] == [16] else 16)
-                extra = [max(l, first) for l in step[2]]
-                run([first] + extra + [first + 8 + 16 * step[3]], True)
-            run(queue, False)
 
 
 class TestStatsGolden:
     def test_fixed_seed_counters(self):
         """Fast-path counters of a fixed round sequence — growing and
         draining queues, then a cost function that stops being monotone
-        partway, then a max_batch switch — pinned to their values before
-        the in-place prefix rewrite.  Two singleton-heavy phases follow
-        (pinned before one-request rounds skipped the general DP): a
-        lightly loaded server drains its whole queue each round, so most
-        rounds hold one request whose length repeats or breaks the
-        previous round's prefix, first over the memoised monotone rows,
-        then under a fresh non-monotone cost."""
+        partway, then a max_batch switch.  Two singleton-heavy phases
+        follow (pinned before one-request rounds skipped the general DP):
+        a lightly loaded server drains its whole queue each round, so
+        most rounds hold one request, first over the memoised monotone
+        rows, then under a fresh non-monotone cost."""
         rng = random.Random(2024)
         scheduler = PrunedDPBatchScheduler()
         queue = []
@@ -470,16 +340,11 @@ class TestStatsGolden:
 
 
 STATS_GOLDEN = [
-    {"rounds": 120, "cost_calls": 240, "distinct_lengths": 30,
-     "positions_reused": 252, "transitions_pruned": 461},
-    {"rounds": 240, "cost_calls": 480, "distinct_lengths": 30,
-     "positions_reused": 543, "transitions_pruned": 463},
-    {"rounds": 360, "cost_calls": 630, "distinct_lengths": 30,
-     "positions_reused": 843, "transitions_pruned": 766},
-    {"rounds": 560, "cost_calls": 630, "distinct_lengths": 30,
-     "positions_reused": 878, "transitions_pruned": 766},
-    {"rounds": 760, "cost_calls": 655, "distinct_lengths": 5,
-     "positions_reused": 923, "transitions_pruned": 766},
+    {"rounds": 120, "cost_calls": 240, "distinct_lengths": 30},
+    {"rounds": 240, "cost_calls": 480, "distinct_lengths": 30},
+    {"rounds": 360, "cost_calls": 630, "distinct_lengths": 30},
+    {"rounds": 560, "cost_calls": 630, "distinct_lengths": 30},
+    {"rounds": 760, "cost_calls": 655, "distinct_lengths": 5},
 ]
 
 
@@ -510,7 +375,7 @@ class TestPartition:
         """Over round streams that share sorted prefixes, ``partition``
         hands back the reference DP's batches as slices of ``order``,
         each priced bit for bit as ``batch_execution_cost`` prices it,
-        and leaves the memo and counters exactly as ``schedule`` does."""
+        and leaves the rows and counters exactly as ``schedule`` does."""
         cost_fn = PARTITION_COSTS[cost]
         by_partition = PrunedDPBatchScheduler(order_batches=order)
         by_schedule = PrunedDPBatchScheduler(order_batches=order)
@@ -535,8 +400,7 @@ class TestPartition:
             assert batch_keys(by_schedule.schedule(
                 reqs(queue), cost_fn, max_batch)) == batch_keys(want)
         assert by_partition.stats() == by_schedule.stats()
-        for attr in ("_lengths", "_states", "_starts", "_rows", "_prunable"):
-            assert getattr(by_partition, attr) == getattr(by_schedule, attr)
+        assert by_partition._rows == by_schedule._rows
 
     @pytest.mark.parametrize("make", [
         DPBatchScheduler,
@@ -583,7 +447,9 @@ class TestWarmedTable:
     def test_seven_cells_break_monotonicity(self, warmed_table):
         """The measured table is not monotone: four batch sizes of the
         shortest bucket and three lengths at batch 1 price below their
-        smaller neighbour.  So pruning is off on the serving path."""
+        smaller neighbour.  A bound that prunes DP transitions is sound
+        only under a cost monotone in batch and length, so on the
+        serving path it would never fire; the DP scheduler has none."""
         cost, grid = warmed_table.cost, warmed_table.lengths
         in_batch = [(length, b) for length in grid for b in range(2, 21)
                     if cost(length, b) < cost(length, b - 1)]
@@ -592,9 +458,6 @@ class TestWarmedTable:
                      if cost(length, b) < cost(shorter, b)]
         assert in_batch == [(16, 5), (16, 9), (16, 13), (16, 17)]
         assert in_length == [(80, 1), (144, 1), (208, 1)]
-        scheduler = PrunedDPBatchScheduler()
-        scheduler.partition(reqs(grid), cost, 20)
-        assert not scheduler._prunable
 
     def test_dp_is_optimal_over_every_set_partition(self, warmed_table):
         """Sorting and cutting contiguously is optimal only when cost is
