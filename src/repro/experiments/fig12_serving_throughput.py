@@ -19,6 +19,7 @@ saturation points, so we recompute those points for our cost model).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..gpusim import RTX_2060, DeviceSpec
@@ -26,6 +27,7 @@ from ..models import bert_base, build_encoder_graph
 from ..runtime import CostTable, pytorch_runtime, turbo_runtime, warmup_profile, xla_runtime
 from ..serving import (
     BatchScheduler,
+    CostFn,
     DPBatchScheduler,
     FixedPadScheduler,
     NaiveBatchScheduler,
@@ -59,8 +61,12 @@ class ServingSystem:
     scheduler: BatchScheduler
     cost_table: CostTable
 
-    def cost_fn(self, seq_len: int, batch: int) -> float:
-        return self.cost_table.cost(seq_len, batch)
+    @cached_property
+    def cost_fn(self) -> CostFn:
+        """``cost_table.cost``, bound once per system: the DP scheduler
+        keeps its memoised cost rows only while every point hands it the
+        same function."""
+        return self.cost_table.cost
 
 
 class ServingBench:

@@ -26,6 +26,7 @@ serially — the win has to come from overlap).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -55,7 +56,11 @@ class PrefillChunk:
 
 @dataclass(frozen=True)
 class PrefillChunker:
-    """Split prompts into chunks of at most ``chunk_tokens`` positions."""
+    """Split prompts into chunks of at most ``chunk_tokens`` positions.
+
+    ``per_chunk_overhead_s`` is the launch overhead every chunk after a
+    pass's first pays; it must be finite (``inf`` has no meaning here).
+    """
 
     chunk_tokens: int
     per_chunk_overhead_s: float = 0.0
@@ -65,9 +70,10 @@ class PrefillChunker:
             raise ValueError(
                 f"chunk_tokens must be positive, got {self.chunk_tokens}"
             )
-        if self.per_chunk_overhead_s < 0.0:
+        # Written so that NaN fails too: every later chunk would price NaN.
+        if not 0.0 <= self.per_chunk_overhead_s < math.inf:
             raise ValueError(
-                f"per_chunk_overhead_s must be >= 0, "
+                f"per_chunk_overhead_s must be finite and >= 0, "
                 f"got {self.per_chunk_overhead_s}"
             )
 

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from .request import Request
 
 
@@ -49,10 +51,20 @@ class LatencyStats:
 
     @classmethod
     def from_values(cls, values_ms: Sequence[float]) -> "LatencyStats":
-        """Stats over raw millisecond samples (TTFT, TPOT, ...)."""
-        if not values_ms:
+        """Stats over raw millisecond samples (TTFT, TPOT, ...).
+
+        Bit for bit what ``sorted(values_ms)`` and the built-in ``sum``
+        over it would give, for finite samples that hold no ``-0.0``
+        (a latency is a difference, and ``x - x`` is ``+0.0``): equal
+        floats are interchangeable, so NumPy's unstable sort yields the
+        same sequence.  The average stays the built-in ``sum`` over the
+        sorted Python floats, so each interpreter keeps its own ``sum``
+        (3.12's is compensated).  An ``array('d')`` sample is sorted
+        without a copy.
+        """
+        if not len(values_ms):
             return cls(float("inf"), float("inf"), float("inf"), 0)
-        ordered = sorted(values_ms)
+        ordered = np.sort(np.asarray(values_ms, dtype=np.float64)).tolist()
         return cls(
             avg_ms=sum(ordered) / len(ordered),
             min_ms=ordered[0],

@@ -216,7 +216,12 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
         """Algorithm 3 over the round's queue.  ``order`` is the
         length-sorted queue (batches reordered by cost under ``"spt"``),
         and each cost is the memoised row cell ``cost_fn(L, size)`` the
-        DP priced the batch with."""
+        DP priced the batch with.
+
+        The DP walks ``order`` itself, tries at most ``min(i, max_batch)``
+        batch sizes at position ``i`` and records the cell it chose
+        there, so the walk back reads each batch's cost off that record
+        instead of looking its row up again."""
         if max_batch <= 0 or not requests:
             self._check_args(requests, max_batch)
         self.rounds += 1
@@ -233,36 +238,36 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
             if row is not None:
                 return [r], [1], [row[0]]
         order = sorted(requests, key=_seq_len)
-        lengths = [r.seq_len for r in order]
-        n = len(order)
         states = [0.0]
         starts = [0]
-        for i in range(1, n + 1):
-            row = rows.get(lengths[i - 1])
+        cells = [0.0]
+        i = 0
+        for r in order:
+            row = rows.get(r.seq_len)
             if row is None:
-                row = self._row(lengths[i - 1], max_batch, cost_fn)
-            lower = i - max_batch if i > max_batch else 0
-            # Batch sizes ascending == the reference DP's descending j;
-            # strict-< updates keep its exact tie-breaking.
-            best_cost = states[i - 1] + row[0]
-            best_start = i - 1
-            for size in range(2, i - lower + 1):
-                candidate = states[i - size] + row[size - 1]
+                row = self._row(r.seq_len, max_batch, cost_fn)
+            # Cell k prices a batch of k + 1 after states[i - k]; k
+            # ascending == the reference DP's descending j, and strict-<
+            # updates keep its exact tie-breaking.
+            best_cost = states[i] + row[0]
+            best = 0
+            for k in range(1, i + 1 if i < max_batch else max_batch):
+                candidate = states[i - k] + row[k]
                 if candidate < best_cost:
                     best_cost = candidate
-                    best_start = i - size
+                    best = k
             states.append(best_cost)
-            starts.append(best_start)
-        # L21-L26: walk the starts back; batch [start, i) pads to
-        # lengths[i - 1] and costs that row's cell at its size.
+            starts.append(i - best)
+            cells.append(row[best])
+            i += 1
+        # L21-L26: walk the starts back; batch [start, i) pads to its
+        # last member's length and costs the cell chosen at i.
         ends: List[int] = []
         costs: List[float] = []
-        i = n
         while i > 0:
-            start = starts[i]
             ends.append(i)
-            costs.append(rows[lengths[i - 1]][i - start - 1])
-            i = start
+            costs.append(cells[i])
+            i = starts[i]
         ends.reverse()
         costs.reverse()
         if self.order_batches == "spt" and len(ends) > 1:

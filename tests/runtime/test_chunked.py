@@ -52,6 +52,13 @@ class TestTiling:
         with pytest.raises(ValueError):
             PrefillChunk(index=0, start=-1, tokens=1)
 
+    @pytest.mark.parametrize("overhead", [float("nan"), float("inf")])
+    def test_non_finite_overhead_rejected(self, overhead):
+        # Either would make every chunk after a pass's first price NaN
+        # or inf.
+        with pytest.raises(ValueError, match="per_chunk_overhead_s"):
+            PrefillChunker(chunk_tokens=256, per_chunk_overhead_s=overhead)
+
 
 class TestTelescoping:
     @pytest.mark.parametrize("prompt_len", [5, 16, 21, 32])

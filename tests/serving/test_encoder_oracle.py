@@ -20,10 +20,10 @@ against the reference, per request and on every ``ServingMetrics``
 field, and a second differential test compares the two paths directly
 over the DP, pruned-DP (both batch orders), no-batch, naive and packed
 schedulers, with horizons placed inside a multi-batch round and exactly
-on a batch end.  Two laws hold on both paths, and on the windowed path
-under ``LazyPolicy`` too: scaling every time input by 4 scales every
-time output by exactly 4, and dropping the arrivals after an instant
-changes no time before it.
+on a batch end.  Two laws hold on both paths, on the windowed path
+under ``LazyPolicy`` and on a two-replica ``LEAST_WORK`` cluster too:
+scaling every time input by 4 scales every time output by exactly 4,
+and dropping the arrivals after an instant changes no time before it.
 """
 
 import math
@@ -48,6 +48,7 @@ from repro.serving import (
     Request,
     RequestState,
     ResponseCache,
+    RoutingPolicy,
     ServingConfig,
     simulate_cluster,
     simulate_ebird_serving,
@@ -117,12 +118,20 @@ def lazy_policy(knobs, k):
 
 
 #: The runs the time-scale and causality laws cover, each as
-#: ``(knobs, k) -> (metrics, policy)``: both hungry paths, and the lazy
-#: trigger, which runs on the windowed path only.
+#: ``(triples, cost_fn, max_batch, round_limit, duration_s, knobs, k) ->
+#: (timeline, metrics)``: both hungry paths, the lazy trigger, which runs
+#: on the windowed path only, and a two-replica cluster under
+#: ``LEAST_WORK`` routing (no ``round_limit`` there).
 LAW_RUNS = {
-    "closed": lambda knobs, k: (None, None),
-    "windowed": lambda knobs, k: (MetricsRegistry(), None),
-    "lazy": lambda knobs, k: (None, lazy_policy(knobs, k)),
+    "closed": lambda t, cost_fn, mb, rl, d, knobs, k: serve(
+        t, PrunedDPBatchScheduler(), cost_fn, mb, rl, d),
+    "windowed": lambda t, cost_fn, mb, rl, d, knobs, k: serve(
+        t, PrunedDPBatchScheduler(), cost_fn, mb, rl, d, MetricsRegistry()),
+    "lazy": lambda t, cost_fn, mb, rl, d, knobs, k: serve(
+        t, PrunedDPBatchScheduler(), cost_fn, mb, rl, d,
+        policy=lazy_policy(knobs, k)),
+    "cluster": lambda t, cost_fn, mb, rl, d, knobs, k: serve_cluster(
+        t, cost_fn, mb, d),
 }
 
 
@@ -147,9 +156,23 @@ def serve(triples, scheduler, cost_fn, max_batch, round_limit, duration_s,
                            policy=policy or HungryPolicy())
     result = simulate_serving(requests, scheduler, cost_fn, config,
                               duration_s=duration_s, metrics=metrics)
-    timeline = {r.req_id: (r.state, r.start_s, r.completion_s)
-                for r in requests}
-    return timeline, result
+    return timeline_of(requests), result
+
+
+def serve_cluster(triples, cost_fn, max_batch, duration_s):
+    """``serve`` on two pruned-DP replicas behind ``LEAST_WORK`` routing,
+    whose work estimate is a time too; the cluster's ``ServingMetrics``."""
+    requests = [Request(req_id=i, seq_len=l, arrival_s=a)
+                for i, l, a in triples]
+    result = simulate_cluster(requests, 2, PrunedDPBatchScheduler, cost_fn,
+                              RoutingPolicy.LEAST_WORK, max_batch,
+                              duration_s=duration_s)
+    return timeline_of(requests), result.serving
+
+
+def timeline_of(requests):
+    return {r.req_id: (r.state, r.start_s, r.completion_s)
+            for r in requests}
 
 
 @settings(max_examples=200, deadline=None)
@@ -193,11 +216,9 @@ def test_time_scale_law(arrivals, cost_fn, max_batch, round_limit, knobs):
     quad = [(i, l, 4 * a) for i, l, a in triples]
     args = (max_batch, round_limit)
     for path, run in LAW_RUNS.items():
-        base, result = serve(triples, PrunedDPBatchScheduler(), cost_fn,
-                             *args, horizon, *run(knobs, 1))
-        big, big_result = serve(quad, PrunedDPBatchScheduler(),
-                                scaled(cost_fn, 4), *args, 4 * horizon,
-                                *run(knobs, 4))
+        base, result = run(triples, cost_fn, *args, horizon, knobs, 1)
+        big, big_result = run(quad, scaled(cost_fn, 4), *args, 4 * horizon,
+                              knobs, 4)
         assert big == {i: (state, 4 * start, 4 * end)
                        for i, (state, start, end) in base.items()}, path
         assert big_result.response_throughput \
@@ -222,8 +243,7 @@ def test_causality(arrivals, cost_fn, max_batch, round_limit, where, cut,
     a drawn half tick."""
     triples = as_triples(arrivals)
     args = (max_batch, round_limit, triples[-1][2] + TICK)
-    full = {path: serve(triples, PrunedDPBatchScheduler(), cost_fn, *args,
-                        *run(knobs, 1))[0]
+    full = {path: run(triples, cost_fn, *args, knobs, 1)[0]
             for path, run in LAW_RUNS.items()}
     if where == "arrival":
         cut_s = data.draw(st.sampled_from([a for _, _, a in triples]))
@@ -235,8 +255,7 @@ def test_causality(arrivals, cost_fn, max_batch, round_limit, where, cut,
         cut_s = max(triples[0][2], cut * TICK / 2)
     kept = [t for t in triples if t[2] <= cut_s]
     for path, run in LAW_RUNS.items():
-        early, _ = serve(kept, PrunedDPBatchScheduler(), cost_fn, *args,
-                         *run(knobs, 1))
+        early, _ = run(kept, cost_fn, *args, knobs, 1)
         for i, times in early.items():
             for got, want in zip(times[1:], full[path][i][1:]):
                 if got < cut_s or want < cut_s:

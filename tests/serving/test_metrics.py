@@ -1,7 +1,10 @@
 """Latency/throughput metrics."""
 
+from array import array
+from dataclasses import astuple
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.serving import (
@@ -135,6 +138,55 @@ class TestPercentiles:
     def test_empty_percentiles_infinite(self):
         stats = LatencyStats.from_requests([])
         assert stats.p99_ms == float("inf")
+
+
+def sorted_reference(values_ms):
+    """``LatencyStats.from_values`` as a ``sorted()`` over the samples and
+    the built-in ``sum`` over that order."""
+    if not values_ms:
+        return LatencyStats(float("inf"), float("inf"), float("inf"), 0)
+    ordered = sorted(values_ms)
+    return LatencyStats(
+        avg_ms=sum(ordered) / len(ordered),
+        min_ms=ordered[0],
+        max_ms=ordered[-1],
+        count=len(ordered),
+        p50_ms=LatencyStats._percentile(ordered, 0.50),
+        p95_ms=LatencyStats._percentile(ordered, 0.95),
+        p99_ms=LatencyStats._percentile(ordered, 0.99),
+    )
+
+
+def bits(stats):
+    """Every field with its exact type, floats by their bit pattern."""
+    return [(type(v), v.hex() if isinstance(v, float) else v)
+            for v in astuple(stats)]
+
+
+#: Finite samples >= 0 (``min_value=0.0`` draws no ``-0.0``), mostly in a
+#: latency's range so the order of the additions shows in the average,
+#: drawn from a small pool so duplicates are common, with zeros among them.
+SAMPLE = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e4),
+                   st.floats(min_value=0.0, allow_infinity=False))
+SAMPLES = st.lists(SAMPLE, min_size=1, max_size=12).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=100))
+
+
+class TestFromValuesMatchesSorted:
+    """The NumPy sort gives the same stats as ``sorted()``, bit for bit
+    and as Python floats, on every interpreter's own ``sum``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=SAMPLES)
+    @example(values=[])
+    @example(values=[0.0])
+    @example(values=[7.25])
+    @example(values=[0.1, 0.2, 0.3, 0.0, 0.1, 1e16, 1.0])
+    def test_every_field_bit_for_bit(self, values):
+        want = bits(sorted_reference(values))
+        assert bits(LatencyStats.from_values(values)) == want
+        # The driver's tally hands over an array('d').
+        assert bits(LatencyStats.from_values(array("d", values))) == want
 
 
 class TestTallyRequests:
