@@ -38,14 +38,14 @@ workload.
 Invariants
 ----------
 * The clock (the plain attribute ``now``) is owned by the engine: it
-  advances **only** to the timestamp of a real scheduled event or a busy
-  window end, never by epsilon nudges, and ``step`` refuses to move it
-  backwards.  Zero-progress rounds are impossible by construction.
+  advances **only** to the timestamp of a real scheduled event (a busy
+  window's end is its task's WAKE), never by epsilon nudges, and
+  ``step`` refuses to move it backwards.  Zero-progress rounds are
+  impossible by construction.
 * Scheduling into the past raises :class:`EngineError`; scheduling *at*
   ``now`` is allowed (the event dispatches before time moves on).  Every
-  time the engine takes (``schedule``, ``arrivals``, ``run_until``, a
-  task's yield) must compare ``>= now``, so a NaN is rejected the same
-  way.
+  time the engine takes (``schedule``, ``arrivals``, a task's yield)
+  must compare ``>= now``, so a NaN is rejected the same way.
 * Cancelled events never fire; cancellation is O(1) (lazy heap deletion)
   and a no-op for an event that already fired.
 
@@ -59,25 +59,17 @@ read each one's ``(time, kind, seq)`` after the run.
 
 Dispatch
 --------
-Three calls drive a run.  ``step()`` dispatches the next event; the
-serving driver's one dispatch loop calls it until nothing is pending.
-``run_until(end)`` models a resource busy until ``end`` (a batch
-executing, a decode run, a crash outage), priced and fault-stretched by
-the caller: it reserves the seq of a *virtual* marker WAKE at ``end``,
-dispatches every event whose key sorts below ``(end, WAKE, seq)`` —
-arrivals land in queues at their true timestamps — and returns with the
-clock exactly on ``end``.  A lone serving replica runs its windows
-through it.  The marker never enters the heap, but it still counts as
-one WAKE dispatch: ``events_dispatched`` and every dispatch hook see it,
-and its :class:`Event` is built only when a hook is attached.
-An arrival reaches its consumer one way: its own dispatch to the
-stream's callback, from ``step`` or inside a window, where an arrival
-tied with the marker sorts first (ARRIVAL before WAKE).
-
-``spawn(generator)``, the third, runs a cooperative task: the generator
-yields the absolute end of each window and is resumed by a WAKE timer
-there, which is how a replica beside others runs its windows without a
-private loop.
+Two calls drive a run.  ``step()`` dispatches the next event; the
+serving driver's one dispatch loop calls it until nothing is pending,
+so every event, arrivals included, is dispatched by ``step``.
+``spawn(generator)`` runs a cooperative task: the generator yields the
+absolute end of each busy window (a batch executing, a decode run, a
+crash outage, priced and fault-stretched by the caller) and is resumed
+by a WAKE timer there.  Every serving replica, lone or beside others,
+runs its windows this way, so events due inside a window — arrivals
+landing in queues at their true timestamps — dispatch before the
+resume, and an arrival tied with the window end sorts first (ARRIVAL
+before WAKE).
 """
 
 from __future__ import annotations
@@ -137,7 +129,6 @@ class Event:
 
 
 _ARRIVAL = int(EventKind.ARRIVAL)
-_WAKE = int(EventKind.WAKE)
 #: The member itself, read once: an enum attribute read costs several
 #: times a global one, and every task resume schedules a WAKE.
 _WAKE_KIND = EventKind.WAKE
@@ -227,8 +218,8 @@ class Engine:
         reserves one contiguous block of seqs, so dispatch order is
         exactly that of scheduling the same ARRIVALs one by one, but the
         stream stays out of the heap: its next arrival is merged in at
-        ``peek``/``step`` and its Event built only then.  ``step`` and
-        ``run_until`` dispatch each arrival to ``callback``.
+        ``peek``/``step`` and its Event built only then.  ``step``
+        dispatches each arrival to ``callback``.
         """
         if self._stream_at < len(self._stream):
             raise EngineError("an arrival stream is still pending")
@@ -290,8 +281,7 @@ class Engine:
         return bool(self._dispatch_hooks)
 
     def add_dispatch_hook(self, hook: Callable[[Event], None]) -> None:
-        """Observe every dispatched event (after its handler ran),
-        including the virtual WAKE closing each ``run_until`` window."""
+        """Observe every dispatched event (after its handler ran)."""
         self._dispatch_hooks.append(hook)
 
     # -- dispatch --------------------------------------------------------
@@ -299,13 +289,8 @@ class Engine:
         """Dispatch the next event: advance the clock to its timestamp,
         run its callback, then notify the dispatch hooks."""
         event = self.peek()
-        if event is not None:
-            self._dispatch(event)
-        return event
-
-    def _dispatch(self, event: Event) -> None:
-        """Dispatch ``event``, which the latest ``peek`` returned (nothing
-        may have been scheduled, cancelled or dispatched since)."""
+        if event is None:
+            return None
         if event is self._stream_head:
             self._stream_head = None
             self._stream_at += 1
@@ -324,45 +309,7 @@ class Engine:
             event.callback(event)
         for hook in self._dispatch_hooks:
             hook(event)
-
-    def _run_to(self, end: float) -> None:
-        """Dispatch every event ordered before a virtual WAKE marker at
-        ``end`` (seq reserved now), then land the clock on ``end`` and
-        dispatch the marker itself to the hooks.  The marker never enters
-        the heap; its Event is built only when a hook is attached."""
-        seq = self._seq
-        self._seq += 1
-        while True:
-            event = self.peek()
-            if event is None or event.time > end or (
-                    event.time == end
-                    and (event.priority, event.seq) > (_WAKE, seq)):
-                break
-            self._dispatch(event)
-        self.now = end  # repro: allow(DET406)
-        self.events_dispatched += 1
-        if self._dispatch_hooks:
-            marker = Event(end, _WAKE, seq, EventKind.WAKE)
-            for hook in self._dispatch_hooks:
-                hook(marker)
-
-    def run_until(self, t: float) -> float:
-        """Dispatch every event due up to absolute time ``t`` and land the
-        clock exactly there.
-
-        The caller has already priced (and fault-stretched) the window.
-        A lone serving replica — encoder or generation — runs each busy
-        window this way, a batch, a prefill, a chunked round, a decode
-        run or a crash outage, so arrivals and retries due inside still
-        land in queues at their true timestamps.  A decode run's window
-        ends at the first step end that reaches the next live event (or
-        at the run's last step), its earlier steps having committed
-        without a window of their own.
-        """
-        if not t >= self.now:
-            raise EngineError(f"cannot run_until {t} < now {self.now}")
-        self._run_to(t)
-        return self.now
+        return event
 
     # -- tasks -----------------------------------------------------------
     def spawn(self, gen: Generator[float, None, None]) -> Task:

@@ -26,12 +26,10 @@ chunk's streak and may ``cudaFree`` a chunk.  A warm re-plan does so only
 when ``release_after`` is odd (the parity lemma in
 :meth:`repro.runtime.InferenceRuntime._warm_memory_closed_form`).
 
-The cache is transparent by default: counters, stalls, placements, and the
-emitted :class:`~repro.memory.plan.AllocationPlan` are exactly what the
-uncached path would have produced.  The *host-cost* saving is modeled at
-the runtime layer (see ``InferenceRuntime``'s ``plan_cache_host_cost``),
-which can charge a cache hit ``EAGER_ALLOC_HOST_S``-class time instead of
-the quadratic planning cost.
+The cache is transparent: counters, stalls, placements, and the emitted
+:class:`~repro.memory.plan.AllocationPlan` are exactly what the uncached
+path would have produced.  The runtime charges a hit the same planning
+host cost as a miss, so the cache saves wall-clock time only.
 """
 
 from __future__ import annotations

@@ -84,13 +84,10 @@ class InferenceRuntime:
     memoize_records:
         Memoize ``tensor_usage_records`` per (batch, padded) shape — the
         records depend on nothing else.
-    plan_cache_host_cost:
-        How allocation-plan cache hits are charged on the host.
-        ``"replan"`` (default) keeps the full Alg. 1 planning cost even on
-        a hit, so latencies stay bit-identical to the uncached model while
-        wall-clock time is saved.  ``"cached"`` models a server that keys
-        plans by shape and charges a hit only ``EAGER_ALLOC_HOST_S``-class
-        per-tensor bookkeeping (the §4.2 fast path).
+
+    An allocation-plan cache hit keeps the full Alg. 1 planning host
+    cost, so latencies stay bit-identical to the uncached model while
+    wall-clock time is saved.
 
     A :meth:`latency` miss may price its warm memory term in closed form
     and defer the allocator's planning pair (see
@@ -106,12 +103,7 @@ class InferenceRuntime:
         allocator_factory: Optional[Callable[[], BaseAllocator]] = None,
         use_compiled: bool = True,
         memoize_records: bool = True,
-        plan_cache_host_cost: str = "replan",
     ) -> None:
-        if plan_cache_host_cost not in ("replan", "cached"):
-            raise ValueError(
-                f"plan_cache_host_cost must be 'replan' or 'cached', "
-                f"got {plan_cache_host_cost!r}")
         self.base_graph = graph
         self.graph = fuse_graph(graph) if chars.fuse_kernels else graph
         self.chars = chars
@@ -126,7 +118,6 @@ class InferenceRuntime:
             and not self._allocator.chunks else None)
         self.use_compiled = use_compiled
         self.memoize_records = memoize_records
-        self.plan_cache_host_cost = plan_cache_host_cost
         self.preprocess_total_s = 0.0
         self._tuned_lengths: set = set()
         self._latency_cache: Dict[Tuple[int, int], float] = {}
@@ -270,12 +261,8 @@ class InferenceRuntime:
                 "compiled_evals": stats.get("compiled_evals", 0),
             })
 
-    def _host_cost(self, n: int, plan_cache_hit: bool) -> float:
+    def _host_cost(self, n: int) -> float:
         """Host seconds of serving ``n`` records' memory."""
-        if plan_cache_hit and self.plan_cache_host_cost == "cached":
-            # §4.2 fast path: a shape-keyed plan replay costs bookkeeping,
-            # not the quadratic offset re-planning.
-            return EAGER_ALLOC_HOST_S * n
         if getattr(self._allocator, "name", "") == "turbo":
             return PLAN_HOST_LINEAR_S * n + PLAN_HOST_QUADRATIC_S * n * n
         return EAGER_ALLOC_HOST_S * n
@@ -285,7 +272,7 @@ class InferenceRuntime:
             return 0.0, None
         records = self.usage_records(batch, padded)
         allocation = self._allocator.process_request(records)
-        host_s = self._host_cost(len(records), allocation.plan_cache_hit)
+        host_s = self._host_cost(len(records))
         return host_s + allocation.stall_s, allocation
 
     def _warm_memory_closed_form(self) -> Optional[float]:
@@ -296,7 +283,7 @@ class InferenceRuntime:
         one per intermediate tensor at every shape.  The cold pass stored
         its outcome under the post-release chunk state, so the warm pass
         is a plan-cache hit: it mallocs nothing and costs
-        ``_host_cost(n, plan_cache_hit=True)``.  It could still
+        ``_host_cost(n)``, as every pass does.  It could still
         ``cudaFree`` in release bookkeeping, and the parity lemma rules
         that out when ``release_after`` is ``None`` or even:
 
@@ -325,7 +312,7 @@ class InferenceRuntime:
                 or allocator.device_memory.capacity_bytes
                 or (allocator.release_after or 0) % 2):
             return None
-        return self._host_cost(len(self._templates()), plan_cache_hit=True)
+        return self._host_cost(len(self._templates()))
 
     def infer(self, batch: int, seq_len: int) -> InferenceResult:
         """Full-cost inference of one (possibly padded) batch."""

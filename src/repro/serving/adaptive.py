@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+from .driver import check_size
 from .request import Batch, Request, make_batch
 from .scheduler import BatchScheduler, CostFn
 
@@ -39,14 +40,12 @@ class AdaptiveBatchScheduler(BatchScheduler):
         # test fails; an infinite SLO is legal and means none.
         if not latency_slo_s > 0:
             raise ValueError(f"latency_slo_s must be positive, got {latency_slo_s}")
-        if additive_step < 1:
-            raise ValueError(f"additive_step must be >= 1, got {additive_step}")
+        check_size("additive_step", additive_step)
         if not 0.0 < multiplicative_backoff < 1.0:
             raise ValueError(
                 f"multiplicative_backoff must be in (0, 1), got {multiplicative_backoff}"
             )
-        if initial_cap < 1:
-            raise ValueError(f"initial_cap must be >= 1, got {initial_cap}")
+        check_size("initial_cap", initial_cap)
         self.latency_slo_s = latency_slo_s
         self.additive_step = additive_step
         self.multiplicative_backoff = multiplicative_backoff

@@ -211,11 +211,7 @@ class KVPreemptionPolicy:
     max_victims_per_event: int = 1
 
     def __post_init__(self) -> None:
-        if self.max_victims_per_event < 1:
-            raise ValueError(
-                f"max_victims_per_event must be >= 1, "
-                f"got {self.max_victims_per_event}"
-            )
+        check_size("max_victims_per_event", self.max_victims_per_event)
 
     def victim_order(self, active: Sequence["GenRequest"],
                      now_s: float) -> List["GenRequest"]:
@@ -336,7 +332,7 @@ class GenReplica(Replica):
         self._cached_len: Dict[int, int] = {}
         #: This replica's KV-arena trace counter: ``kv_arena`` when it
         #: serves alone, ``{tid}:kv_arena`` beside other replicas.
-        self.kv_track = ("kv_arena" if driver is None or driver.inline
+        self.kv_track = ("kv_arena" if driver is None or driver.lone
                          else f"{self.tid}:kv_arena")
 
     @property

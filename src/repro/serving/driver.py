@@ -9,10 +9,11 @@ on each GPU, and a Nexus-style balancer repeats that loop behind it.
 :class:`~repro.serving.continuous.GenReplica` replicas.  The skeleton
 holds the :class:`~repro.engine.Engine`, the retry state, each replica's
 fault injector and circuit breaker, the router, the arrival and retry
-events, terminal bookkeeping, the one dispatch loop (:meth:`Driver.loop`), how a replica starts and how its
-busy windows run, and the finalisation.  A kind supplies its ingest rule
-(:meth:`Driver.ingest`), its trace track names (:meth:`Driver.name_tracks`)
-and its extra metric fields (:meth:`Driver.result`).
+events, terminal bookkeeping, the one dispatch loop
+(:meth:`Driver.loop`), how a replica starts and the finalisation.  A
+kind supplies its ingest rule (:meth:`Driver.ingest`), its trace track
+names (:meth:`Driver.name_tracks`) and its extra metric fields
+(:meth:`Driver.result`).
 
 Each of these questions has one rule, the same for both kinds:
 
@@ -28,11 +29,9 @@ Each of these questions has one rule, the same for both kinds:
   the :class:`~repro.serving.router.Router` picks one and commits its
   breaker's half-open probe;
 * **windows** — a replica's ``run`` generator yields the absolute end
-  of each busy window.  A lone replica cannot overlap with another, so
-  its windows run inline (``engine.run_until``); beside other replicas
-  each replica is an ``Engine.spawn`` task woken at each window end.
-  Both dispatch in the same order and count one WAKE per window.  A
-  window is a batch, a prefill, a chunked round, a crash outage or a
+  of each busy window, and every replica, lone or beside others, runs
+  it as an ``Engine.spawn`` task woken by one WAKE at each window end.
+  A window is a batch, a prefill, a chunked round, a crash outage or a
   generation decode run, whose steps ending strictly before the
   engine's next live event commit inside it without a window of their
   own;
@@ -55,19 +54,17 @@ Each of these questions has one rule, the same for both kinds:
   instant, so the replica's first round or admission sees them all.  A
   busy replica picks up its queue when a window ends.  A lazy encoder
   replica that ends its run with work queued arms one TRIGGER, its
-  policy's decision timer, which starts it then.  Beside other replicas
-  the WAKE or TRIGGER starts the replica inside its dispatch; a lone
-  replica starts once that dispatch completes, so its inline windows never
-  nest inside another event's.  A run whose engine drains with work still
-  queued (a trigger policy that never fires) raises ``RuntimeError``.
+  policy's decision timer, which starts it then.  The WAKE or TRIGGER
+  spawns the replica's task inside its dispatch.  A run whose engine
+  drains with work still queued (a trigger policy that never fires)
+  raises ``RuntimeError``.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
-from typing import (TYPE_CHECKING, Callable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from ..engine import Engine, EngineFaultInjector, Event, EventKind
 from ..observability import NULL_TRACER, MetricsRegistry, Tracer
@@ -164,7 +161,7 @@ class Replica:
         self.breaker = breaker
         #: This replica's GPU trace track: ``gpu`` when it serves alone,
         #: ``gpu.r{server_id}`` beside other replicas.
-        self.tid = ("gpu" if driver is None or driver.inline
+        self.tid = ("gpu" if driver is None or driver.lone
                     else f"gpu.r{self.server_id}")
         self.running = False
         self.completed = 0
@@ -208,7 +205,7 @@ class Driver:
             from ..resilience.retry import RetryState
 
             self.retry_state = RetryState(resilience.retry)
-        self.inline = len(self.replicas) == 1
+        self.lone = len(self.replicas) == 1
         plan = breakers = None
         if resilience is not None:
             if not resilience.faults.empty:
@@ -219,12 +216,10 @@ class Driver:
                      None if plan is None
                      else EngineFaultInjector(plan, rep.server_id),
                      None if breakers is None else breakers(rep.server_id))
-        self.router = (None if self.inline
+        self.router = (None if self.lone
                        else Router(self.replicas, policy, max_len=max_len))
         self.horizon = 0.0
         self.arrivals: List[Request] = []
-        #: The lone replica a WAKE or TRIGGER just started.
-        self._woken: Optional[Replica] = None
         #: Busy seconds inside the horizon, summed over the replicas.
         self.busy_s = 0.0
         #: Failed attempts, requests the response cache answered, arrivals
@@ -322,38 +317,19 @@ class Driver:
         self.ingest(r, now, False)
 
     def wake(self, event) -> None:
-        """Start ``event.payload``, the replica a WAKE or TRIGGER found idle:
-        beside other replicas at once; alone, :meth:`loop` starts it once
-        this dispatch completes."""
-        rep = event.payload
-        if self.inline:
-            self._woken = rep
-        else:
-            self.start(rep, rep.run())
+        """Start ``event.payload``, the replica a WAKE or TRIGGER found
+        idle, as an engine task woken at each of its window ends."""
+        self.engine.spawn(event.payload.run())
 
     # -- the run ----------------------------------------------------------
 
-    def start(self, rep: Replica, windows: Iterator[float]) -> None:
-        """Run ``rep``'s busy windows: inline when it serves alone, else
-        as an engine task woken at each window end."""
-        if self.inline:
-            run_until = self.engine.run_until
-            for end in windows:
-                run_until(end)
-        else:
-            self.engine.spawn(windows)
-
     def loop(self) -> None:
         """Dispatch the whole run, one event at a time, from the arrival
-        stream it registers; a lone replica runs each busy period right
-        after the event that woke it."""
+        stream it registers."""
         self.engine.arrivals(self.arrivals, self._on_arrival)
         step = self.engine.step
         while step() is not None:
-            rep = self._woken
-            if rep is not None:
-                self._woken = None
-                self.start(rep, rep.run())
+            pass
         stuck = [rep.server_id for rep in self.replicas if rep.queue]
         if stuck:
             raise RuntimeError(
@@ -435,7 +411,7 @@ class Driver:
             for kind, n in (("stretch", stretches),
                             ("attempt_failure", self.failures_injected)):
                 publish_tally(metrics, "engine_faults_total", n, kind=kind)
-            if not self.inline:
+            if not self.lone:
                 for rep in self.replicas:
                     metrics.gauge("cluster_server_completed",
                                   server=str(rep.server_id)).set(

@@ -31,6 +31,7 @@ from functools import partial
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..engine import EngineFaultInjector
+from .driver import check_size
 from .metrics import ServingMetrics
 from .policies import TriggerPolicy
 from .request import Batch, Request, RequestState, make_batch
@@ -199,8 +200,7 @@ def simulate_ebird_serving(
     — fault injection, deadlines, retries, a breaker and a bounded queue
     — except that a degradation ladder is rejected.
     """
-    if max_streams <= 0:
-        raise ValueError(f"max_streams must be positive, got {max_streams}")
+    check_size("max_streams", max_streams)
     if not 0.0 < efficiency <= 1.0:
         raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
     if resilience is not None and resilience.degradation is not None:

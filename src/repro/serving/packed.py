@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence
 
+from .driver import check_size
 from .request import Batch, Request, make_batch
 from .scheduler import BatchScheduler, CostFn
 
@@ -24,8 +25,7 @@ class PackedBatchScheduler(BatchScheduler):
     name = "packed"
 
     def __init__(self, packed_cost_fn: PackedCostFn, max_tokens: int = 4096) -> None:
-        if max_tokens <= 0:
-            raise ValueError(f"max_tokens must be positive, got {max_tokens}")
+        check_size("max_tokens", max_tokens)
         self.packed_cost_fn = packed_cost_fn
         self.max_tokens = max_tokens
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
+from .driver import check_size
 from .mq import MessageQueue
 
 
@@ -75,8 +76,7 @@ class LazyPolicy(TriggerPolicy):
         # and a NaN SLO would silently disable the escape hatch.
         if not self.timeout_s > 0:
             raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
-        if self.max_batch <= 0:
-            raise ValueError(f"max_batch must be positive, got {self.max_batch}")
+        check_size("max_batch", self.max_batch)
         if not self.latency_slo_s > 0:
             raise ValueError(f"latency_slo_s must be positive, got {self.latency_slo_s}")
         if self.timeout_s == self.latency_slo_s == float("inf"):

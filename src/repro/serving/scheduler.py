@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import abc
 import math
-from itertools import accumulate
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .request import Batch, Request, make_batch, trusted_batch
@@ -83,17 +82,6 @@ class DPBatchScheduler(BatchScheduler):
 
     name = "dp"
 
-    def __init__(self, order_batches: str = "fifo") -> None:
-        """``order_batches``: execution order of the optimal partition.
-        ``"fifo"`` keeps length order (the paper's behaviour); ``"spt"``
-        runs shortest batches first, which provably minimizes the round's
-        mean completion time without changing its makespan."""
-        if order_batches not in ("fifo", "spt"):
-            raise ValueError(
-                f"order_batches must be 'fifo' or 'spt', got {order_batches!r}"
-            )
-        self.order_batches = order_batches
-
     def schedule(
         self, requests: Sequence[Request], cost_fn: CostFn, max_batch: int
     ) -> List[Batch]:
@@ -126,8 +114,6 @@ class DPBatchScheduler(BatchScheduler):
             batches.append(make_batch(list(order[start:i])))
             i = start
         batches.reverse()
-        if self.order_batches == "spt":
-            batches.sort(key=lambda b: cost_fn(b.padded_len, b.size))
         return batches
 
     def optimal_makespan(
@@ -172,8 +158,7 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
 
     name = "dp-pruned"
 
-    def __init__(self, order_batches: str = "fifo") -> None:
-        super().__init__(order_batches)
+    def __init__(self) -> None:
         self.reset()
         # Cumulative fast-path counters (read by ``repro bench``).
         self.rounds = 0
@@ -214,9 +199,8 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
         self, requests: Sequence[Request], cost_fn: CostFn, max_batch: int
     ) -> Partition:
         """Algorithm 3 over the round's queue.  ``order`` is the
-        length-sorted queue (batches reordered by cost under ``"spt"``),
-        and each cost is the memoised row cell ``cost_fn(L, size)`` the
-        DP priced the batch with.
+        length-sorted queue, and each cost is the memoised row cell
+        ``cost_fn(L, size)`` the DP priced the batch with.
 
         The DP walks ``order`` itself, tries at most ``min(i, max_batch)``
         batch sizes at position ``i`` and records the cell it chose
@@ -270,12 +254,6 @@ class PrunedDPBatchScheduler(DPBatchScheduler):
             i = starts[i]
         ends.reverse()
         costs.reverse()
-        if self.order_batches == "spt" and len(ends) > 1:
-            # A stable sort by cost, as DPBatchScheduler sorts its batches.
-            spans = sorted(zip([0] + ends, ends, costs), key=itemgetter(2))
-            order = [r for lo, hi, _ in spans for r in order[lo:hi]]
-            ends = list(accumulate(hi - lo for lo, hi, _ in spans))
-            costs = [cost for _, _, cost in spans]
         return order, ends, costs
 
     def stats(self) -> dict:

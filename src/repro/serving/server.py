@@ -47,10 +47,10 @@ replica follows:
   injector's latency spikes, and transient failures strike at the batch
   completion.
 
-Every arrival reaches a queue by its own ARRIVAL dispatch, whether the
-driver steps the engine or a busy window runs ``run_until``.  The one
-exception: when nothing can observe a lone replica between batch ends
-(hungry, fault-free, no tracer, registry, cache, sanitizer or adaptive
+Every arrival reaches a queue by its own ARRIVAL dispatch, which the
+driver's one loop steps like every other event.  The one exception:
+when nothing can observe a lone replica between batch ends (hungry,
+fault-free, no tracer, registry, cache, sanitizer or adaptive
 scheduler; the predicate is one expression in :meth:`_BatchDriver.loop`),
 each scheduling round is priced in closed form from the scheduler's
 :meth:`~repro.serving.scheduler.BatchScheduler.partition` and reads its
@@ -474,7 +474,7 @@ class _BatchDriver(Driver):
         # counter and the sanitizer, whose recorder adds a dispatch hook
         # to every engine built while it is attached; only resilience
         # bounds a queue.
-        if (self.inline and type(lone) is BatchReplica
+        if (self.lone and type(lone) is BatchReplica
                 and type(lone.policy) is HungryPolicy and self.res is None
                 and self.cache is None and not self.trace_on
                 and not self.engine.observed and lone.observe is None):
@@ -505,7 +505,7 @@ class _BatchDriver(Driver):
         request order, each with the cost ``batch_execution_cost`` would
         charge it, which the pruned DP reads off the rows it priced — run
         in the same ``started + exec_s`` float sums the windowed path
-        runs ``run_until`` to.  No :class:`Batch` is built.  Members are
+        yields as its window ends.  No :class:`Batch` is built.  Members are
         resolved by setting their fields: ``resolve`` would also notify
         the run observers, and an attached one (the sanitizer) would have
         added a dispatch hook to the engine, so none is attached here.

@@ -177,12 +177,12 @@ class TestEngineTraceMutations:
         assert codes(verify_engine_trace(rec)) == ["ENG502"]
 
     def test_nested_dispatch_is_eng502(self):
-        # A handler that runs the clock on inside its own dispatch: its
-        # event reaches the observers only after the nested ones, late.
+        # A handler that steps the engine inside its own dispatch: its
+        # event reaches the observers only after the nested one, late.
         with EngineTraceRecorder() as rec:
             engine = Engine()
-            engine.schedule(0.0, EventKind.WAKE,
-                            lambda _e: engine.run_until(1.0))
+            engine.schedule(1.0, EventKind.WAKE)
+            engine.schedule(0.0, EventKind.WAKE, lambda _e: engine.step())
             drain(engine)
         assert codes(verify_engine_trace(rec)) == ["ENG502"]
 

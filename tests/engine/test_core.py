@@ -1,7 +1,8 @@
 """The discrete-event core: ordering, invariants, busy windows, tasks.
 
 Runs are driven the way the serving driver drives them: ``step`` until
-nothing is pending (:func:`drain`) or ``run_until`` over a window."""
+nothing is pending (:func:`drain`), with each busy window a spawned
+task's ``yield`` of the window end."""
 
 from bisect import bisect_right
 
@@ -20,6 +21,17 @@ def drain(engine):
     """Step until nothing is pending, as the serving driver's loop does."""
     while engine.step() is not None:
         pass
+
+
+def windows(engine, ends, on_resume=lambda: None):
+    """A task yielding each busy-window end in ``ends`` (as a replica's
+    ``run`` does), calling ``on_resume()`` when the WAKE at each end
+    resumes it."""
+    def run():
+        for end in ends:
+            yield end
+            on_resume()
+    return engine.spawn(run())
 
 
 class TestEventOrdering:
@@ -134,10 +146,12 @@ class TestNonFiniteTimes:
         assert engine.now == 1.0
 
     def test_run_until_rejects_nan(self):
+        """A task yielding a NaN window end is rejected at the yield."""
         engine = Engine()
         with pytest.raises(EngineError):
-            engine.run_until(self.NAN)
+            windows(engine, [self.NAN])
         assert (engine.now, engine.events_dispatched) == (0.0, 0)
+        assert not engine.pending
 
     @pytest.mark.parametrize("times", [
         [float("nan")], [0.5, float("nan")], [float("nan"), 0.5],
@@ -208,7 +222,8 @@ class TestEventRecord:
 
 
 class TestAdvance:
-    """Busy windows: ``run_until(end)`` advances the clock over a window."""
+    """Busy windows: a spawned task's ``yield end`` advances the clock
+    over a window, and the WAKE at ``end`` resumes it."""
 
     def test_advance_dispatches_window_events_at_true_times(self):
         engine = Engine()
@@ -217,27 +232,43 @@ class TestAdvance:
                         lambda e: landed.append(engine.now))
         engine.schedule(0.75, EventKind.ARRIVAL,
                         lambda e: landed.append(engine.now))
-        end = engine.run_until(1.0)
-        assert landed == [0.25, 0.75]
-        assert end == 1.0
+        windows(engine, [1.0], lambda: landed.append(("resume", engine.now)))
+        drain(engine)
+        assert landed == [0.25, 0.75, ("resume", 1.0)]
         assert engine.now == 1.0
 
     def test_advance_leaves_post_window_events_pending(self):
         engine = Engine()
         engine.schedule(5.0, EventKind.ARRIVAL)
-        engine.run_until(1.0)
-        assert engine.now == 1.0
-        assert engine.pending
+        seen = []
+        windows(engine, [1.0], lambda: seen.append((engine.now,
+                                                    engine.pending)))
+        drain(engine)
+        assert seen == [(1.0, True)]
+
+    def test_arrival_tied_with_window_end_dispatches_before_resume(self):
+        """ARRIVAL sorts before WAKE at the same instant, even when the
+        arrival stream is registered after the window began."""
+        engine = Engine()
+        log = []
+        windows(engine, [1.0], lambda: log.append("resume"))
+        engine.arrivals([Request(req_id=0, seq_len=8, arrival_s=1.0)],
+                        lambda e: log.append("arrival"))
+        drain(engine)
+        assert log == ["arrival", "resume"]
 
     def test_advance_by_zero_stays_put(self):
         engine = Engine()
-        assert engine.run_until(0.0) == 0.0
+        task = windows(engine, [0.0])
+        drain(engine)
+        assert task.done and engine.now == 0.0
 
     def test_advance_negative_raises(self):
         engine = Engine()
-        engine.run_until(1.0)
+        windows(engine, [1.0, 0.9])
         with pytest.raises(EngineError):
-            engine.run_until(0.9)
+            drain(engine)
+        assert engine.now == 1.0
 
 
 class TestArrivalStream:
@@ -309,12 +340,13 @@ class TestArrivalStream:
                           min_size=1, max_size=12))
     def test_window_hands_over_arrivals_up_to_bisect_right(self, gaps,
                                                            steps):
-        """A ``run_until(end)`` window hands over exactly the arrivals
-        ``bisect_right(times, end)`` counts, ties with ``end`` included
-        (ARRIVAL sorts before the window's WAKE): the cursor rule of the
-        encoder's closed-form rounds.  Arrival ticks have same-instant
-        ties; each window end either lands exactly on an arrival at or
-        after the clock or moves a drawn number of ticks on."""
+        """A window ending at ``end`` hands over exactly the arrivals
+        ``bisect_right(times, end)`` counts before its task resumes, ties
+        with ``end`` included (ARRIVAL sorts before the window's WAKE):
+        the cursor rule of the encoder's closed-form rounds.  Arrival
+        ticks have same-instant ties; each window end either lands
+        exactly on an arrival at or after the clock or moves a drawn
+        number of ticks on."""
         tick = 1.0 / 64
         times, ticks = [], 0
         for gap in gaps:
@@ -324,14 +356,22 @@ class TestArrivalStream:
         handed = []
         engine = Engine()
         engine.arrivals(payloads, lambda e: handed.append(e.payload))
-        end = 0.0
-        for on_arrival, move in steps:
-            later = [t for t in times if t >= end]
-            end = later[min(move, len(later) - 1)] if on_arrival and later \
-                else end + move * tick
-            engine.run_until(end)
-            assert handed == payloads[:bisect_right(times, end)]
-            assert engine.now == end
+        resumes = []
+
+        def run():
+            end = 0.0
+            for on_arrival, move in steps:
+                later = [t for t in times if t >= end]
+                end = later[min(move, len(later) - 1)] \
+                    if on_arrival and later else end + move * tick
+                yield end
+                resumes.append(end)
+                assert handed == payloads[:bisect_right(times, end)]
+                assert engine.now == end
+
+        engine.spawn(run())
+        drain(engine)
+        assert len(resumes) == len(steps)
 
 
 class TestCancellation:
@@ -383,7 +423,8 @@ class TestTasks:
     def test_task_negative_delay_raises(self):
         """A task yielding a time before ``now``."""
         engine = Engine()
-        engine.run_until(1.0)
+        engine.schedule(1.0, EventKind.WAKE)
+        drain(engine)
 
         def bad():
             yield 0.5
@@ -435,8 +476,7 @@ class TestInstrumentation:
         assert metrics.gauge("serving_queue_depth").series == [(1.5, 7.0)]
 
     def test_window_end_is_one_wake_dispatch(self):
-        """The run_until marker never enters the heap but is counted and
-        observed exactly like the WAKE event it replaces."""
+        """Each window end is one WAKE, counted and seen by every hook."""
         metrics = MetricsRegistry()
         engine = Engine()
         engine.add_dispatch_hook(dispatch_counter(metrics))
@@ -444,8 +484,8 @@ class TestInstrumentation:
         engine.add_dispatch_hook(
             lambda e: hooked.append((engine.now, e.kind, e.seq)))
         engine.schedule(0.25, EventKind.ARRIVAL)
-        engine.run_until(0.5)
-        engine.run_until(1.0)
+        windows(engine, [0.5, 1.0])
+        drain(engine)
         assert hooked == [(0.25, EventKind.ARRIVAL, 0),
                           (0.5, EventKind.WAKE, 1),
                           (1.0, EventKind.WAKE, 2)]

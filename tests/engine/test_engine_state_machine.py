@@ -2,21 +2,19 @@
 
 The reference is the engine's contract written as plainly as possible:
 every pending event is an entry ``(time, priority, seq)`` in a list, the
-next dispatch is the minimum live entry, ``run_until`` dispatches
-every entry below a marker ``(end, WAKE, seq)`` and then dispatches the
-marker itself, and a task resumes at each time it yields.  Random
-programs of ``schedule`` / ``cancel`` (of pending and of already fired
-events) / ``arrivals`` / ``peek`` / ``step`` (once, or until nothing is
-pending, as the serving driver's loop does) / ``run_until`` / ``spawn``
+next dispatch is the minimum live entry, and a task resumes at each time
+it yields.  Random programs of ``schedule`` / ``cancel`` (of pending and
+of already fired events) / ``arrivals`` / ``peek`` / ``step`` (once, or
+until nothing is pending, as the serving driver's loop does) / ``spawn``
 run against both, and the combined log — handler calls and dispatch-hook
-calls (markers included), in order — plus the clock, ``pending``,
+calls, in order — plus the clock, ``pending``,
 ``observed`` and ``events_dispatched`` must agree after every step.  The
 hook also keeps every :class:`Event` it receives: each must still read
 its own dispatch's ``(time, priority, seq, kind)`` after later
 dispatches, so the engine never reuses a record it handed out.
 
-Times are multiples of 0.25 so that ties between kinds, seqs and window
-ends are frequent and exact.
+Times are multiples of 0.25 so that ties between kinds, seqs and task
+resumes are frequent and exact.
 
 A second machine starts with no dispatch hook, which a rule may attach
 mid-run; its log is compared without hook entries, arrival clocks
@@ -36,7 +34,6 @@ from hypothesis.stateful import (
 
 from repro.engine import Engine, EventKind
 
-WAKE = int(EventKind.WAKE)
 DELAYS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
 KINDS = st.sampled_from(list(EventKind))
 
@@ -125,17 +122,6 @@ class Reference:
         if done < len(delays):
             self.push(self.clock + delays[done], EventKind.WAKE, tag,
                       task=delays, task_step=done + 1)
-
-    def run_to(self, end) -> None:
-        marker = (end, WAKE, self.seq)
-        self.seq += 1
-        while True:
-            entry = self.next()
-            if entry is None or entry.key > marker:
-                break
-            self.step()
-        self.clock = end
-        self.observe(*marker, WAKE)
 
 
 class EngineMachine(RuleBasedStateMachine):
@@ -259,11 +245,6 @@ class EngineMachine(RuleBasedStateMachine):
         event = self.engine.step()
         entry = self.ref.step()
         assert (event is None) == (entry is None)
-
-    @rule(delay=DELAYS)
-    def run_until(self, delay):
-        self.engine.run_until(self.engine.now + delay)
-        self.ref.run_to(self.ref.clock + delay)
 
     @rule()
     def drain(self):

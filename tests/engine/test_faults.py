@@ -20,6 +20,18 @@ from repro.resilience import (
 from repro.serving import DPBatchScheduler, Request, simulate_serving
 
 
+def run_window(engine, end):
+    """Run one busy window to ``end`` as a replica does: a spawned task
+    yields it, and the engine steps until the WAKE there resumes it."""
+    def run():
+        yield end
+
+    task = engine.spawn(run())
+    while not task.done:
+        engine.step()
+    return engine.now
+
+
 def plan(**kw):
     defaults = dict(seed=0)
     defaults.update(kw)
@@ -218,7 +230,7 @@ class TestEngineIntegration:
             spikes=(LatencySpike(0.0, 10.0, 2.0),)
         ))
         engine = Engine()
-        engine.run_until(engine.now + inj.stretch(1.0, engine.now))
+        run_window(engine, engine.now + inj.stretch(1.0, engine.now))
         assert engine.now == pytest.approx(2.0)
         assert inj.stretches == 1
 
@@ -229,7 +241,7 @@ class TestEngineIntegration:
         engine = Engine()
         d = 0.3
         assert inj.stretch(d, engine.now) is d
-        assert engine.run_until(engine.now + d) == d
+        assert run_window(engine, engine.now + d) == d
 
     def test_run_until_is_not_a_busy_window(self):
         """Sleeping out an outage dispatches due events but never
@@ -241,13 +253,14 @@ class TestEngineIntegration:
         seen = []
         engine.schedule(1.0, EventKind.ARRIVAL,
                         lambda e: seen.append(engine.now))
-        assert engine.run_until(2.0) == 2.0
+        assert run_window(engine, 2.0) == 2.0
         assert engine.now == 2.0
         assert seen == [1.0]
         assert inj.stretches == 0
 
     def test_run_until_rejects_past(self):
+        """A window run until a time before ``now`` is rejected."""
         engine = Engine()
-        engine.run_until(1.0)
+        run_window(engine, 1.0)
         with pytest.raises(EngineError):
-            engine.run_until(0.5)
+            run_window(engine, 0.5)

@@ -1,16 +1,18 @@
 """Observability parity: what the engine reports for a seeded run is pinned.
 
-The engine dispatches arrivals from a sorted stream and closes busy
-windows with a virtual marker instead of heap events.  Neither may show
-in what a run reports: the per-kind dispatch counters, ``events_dispatched``,
-the sanitizer's dispatch log (advance/run_until markers included) and the
-tracer's span count must stay exactly as they were when every arrival and
-every window end was a real heap event.  The goldens in
+The engine dispatches arrivals from a sorted stream instead of heap
+events.  That may not show in what a run reports: the per-kind dispatch
+counters, ``events_dispatched``, the sanitizer's dispatch log (every
+window-end WAKE included) and the tracer's span count must stay exactly
+as they were when every arrival was a real heap event.  The goldens in
 ``golden_observability.json`` were captured from that heap-only engine.
 They have moved since only where the serving loop dispatches differently:
-the lazy TRIGGER now fires at the sum it is armed at, and under the
-driver's one wake rule an idle replica starts on a WAKE of its own at
-the instant its work is queued (so ``wake`` counts those starts too).
+the lazy TRIGGER now fires at the sum it is armed at; under the driver's
+one wake rule an idle replica starts on a WAKE of its own at the instant
+its work is queued (so ``wake`` counts those starts too); and since a
+lone replica's windows run as an engine task, its first window begins
+inside the WAKE that starts it, so that WAKE reaches the recorder after
+the work it did, which moved only the recorder's sequence numbers.
 
 Regenerate (only for an intentional behaviour change, with a note)::
 
@@ -43,7 +45,7 @@ GOLDEN = Path(__file__).parent / "golden_observability.json"
 
 
 def _faulty(seed: int) -> dict:
-    """Hungry DP serving with a crash (run_until markers), transient
+    """Hungry DP serving with a crash (an outage window), transient
     failures and retries (RETRY events) and a breaker."""
     requests = [replace_deadline(r, 2.0)
                 for r in generate_requests(120.0, 1.2, seed=seed)]

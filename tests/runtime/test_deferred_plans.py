@@ -32,7 +32,7 @@ BATCHES = range(1, 5)
 LENGTHS = (8, 16, 24, 40, 64, 100, 128)
 
 
-def make_runtime(release_after, host_cost, cap, cached, registry):
+def make_runtime(release_after, cap, cached, registry):
     def factory():
         kwargs = {} if cached else {"plan_cache": None}
         return TurboAllocator(
@@ -41,8 +41,7 @@ def make_runtime(release_after, host_cost, cap, cached, registry):
             metrics=MetricsRegistry() if registry else None, **kwargs)
 
     return InferenceRuntime(GRAPH, TURBO_CHARACTERISTICS, RTX_2060,
-                            allocator_factory=factory,
-                            plan_cache_host_cost=host_cost)
+                            allocator_factory=factory)
 
 
 def apply(runtime, op):
@@ -81,19 +80,17 @@ ops = st.lists(st.one_of(
 class TestDeferredPlanning:
     @given(ops=ops,
            release_after=st.sampled_from([None] + list(range(10))),
-           host_cost=st.sampled_from(["replan", "cached"]),
            cap=st.sampled_from([0, 0, 0, 1 << 20]),
            cached=st.sampled_from([True, True, True, False]),
            registry=st.sampled_from([False, False, False, True]))
     @example(ops=[("latency", 1, 64), ("latency", 1, 8)], release_after=1,
-             host_cost="replan", cap=0, cached=True, registry=False)
+             cap=0, cached=True, registry=False)
     @example(ops=[("latency", 4, 128), ("latency", 1, 8)] * 5,
-             release_after=7, host_cost="cached", cap=0, cached=True,
-             registry=False)
+             release_after=7, cap=0, cached=True, registry=False)
     @settings(max_examples=150, deadline=None)
-    def test_matches_planning_runtime(self, ops, release_after, host_cost,
-                                      cap, cached, registry):
-        config = (release_after, host_cost, cap, cached, registry)
+    def test_matches_planning_runtime(self, ops, release_after, cap,
+                                      cached, registry):
+        config = (release_after, cap, cached, registry)
         deferring = make_runtime(*config)
         planning = make_runtime(*config)
         _ = planning.allocator  # ends deferral before the first plan
@@ -106,7 +103,7 @@ class TestDeferredPlanning:
         """The parity lemma's converse: with an odd ``release_after`` a
         warm pass does free chunks on this sweep, so the guard is
         load-bearing; with ``None`` or an even one it never does."""
-        runtime = make_runtime(release_after, "replan", 0, True, False)
+        runtime = make_runtime(release_after, 0, True, False)
         allocator = runtime.allocator
         warm_frees = 0
         for seq in (128, 16, 128, 8) * 3:
@@ -119,7 +116,7 @@ class TestDeferredPlanning:
         assert (warm_frees > 0) == (release_after == 7)
 
     def test_warm_up_runs_no_plan_until_the_allocator_is_read(self):
-        runtime = make_runtime(8, "replan", 0, True, False)
+        runtime = make_runtime(8, 0, True, False)
         for seq in (16, 64, 128):
             runtime.latency(2, seq)
         assert runtime._deferred == [(2, 16), (2, 64), (2, 128)]
@@ -131,10 +128,10 @@ class TestDeferredPlanning:
         assert allocator.requests_processed == 8
 
     @pytest.mark.parametrize("config", [
-        (7, "replan", 0, True, False),       # odd release_after
-        (8, "replan", 1 << 20, True, False),  # device cap
-        (8, "replan", 0, False, False),       # no plan cache
-        (8, "replan", 0, True, True),         # metrics registry
+        (7, 0, True, False),        # odd release_after
+        (8, 1 << 20, True, False),  # device cap
+        (8, 0, False, False),       # no plan cache
+        (8, 0, True, True),         # metrics registry
     ])
     def test_guards_plan_at_once(self, config):
         runtime = make_runtime(*config)

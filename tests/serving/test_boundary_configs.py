@@ -21,9 +21,13 @@ from repro.models import build_decode_step_graph, build_prefill_graph, tiny_gpt
 from repro.resilience import FaultPlan, ResilienceConfig, ServerCrash
 from repro.runtime import TURBO_CHARACTERISTICS, GenerationRuntime
 from repro.serving import (
+    AdaptiveBatchScheduler,
     ContinuousBatchingConfig,
     ContinuousBatchingServer,
     GenRequest,
+    KVPreemptionPolicy,
+    LazyPolicy,
+    PackedBatchScheduler,
     Request,
     RequestLevelGenerationServer,
     ServingConfig,
@@ -198,3 +202,27 @@ def test_all_arrivals_at_zero_need_a_duration(driver):
     case = Case(specs=((8, 0.0, 2), (8, 0.0, 3)), duration_s=None)
     with pytest.raises(ValueError, match="duration_s is required"):
         DRIVERS[driver](case)
+
+
+#: Each remaining size knob, built with one value.
+SIZE_KNOBS = {
+    "max_victims_per_event": lambda v: KVPreemptionPolicy(v),
+    "max_batch": lambda v: LazyPolicy(max_batch=v),
+    "additive_step": lambda v: AdaptiveBatchScheduler(additive_step=v),
+    "initial_cap": lambda v: AdaptiveBatchScheduler(initial_cap=v),
+    "max_tokens": lambda v: PackedBatchScheduler(sum, max_tokens=v),
+    "max_streams": lambda v: simulate_ebird_serving(
+        encoder_requests(Case()), encoder_cost, max_streams=v,
+        duration_s=0.01),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), 2.5, True])
+@pytest.mark.parametrize("knob", sorted(SIZE_KNOBS))
+def test_size_knob_must_be_an_int(knob, value):
+    """A NaN, fractional or ``bool`` size is refused where it enters.  A
+    NaN victim cap used to turn the cap off (``evicted >= nan`` is never
+    true), and ``True`` ran as a size of 1."""
+    with pytest.raises(TypeError, match=f"{knob} must be an int"):
+        SIZE_KNOBS[knob](value)
+    SIZE_KNOBS[knob](2)

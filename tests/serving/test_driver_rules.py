@@ -376,9 +376,11 @@ def test_decision_trigger_never_restarts_a_running_replica():
                           lambda seq_len, batch: 0.05, config, "lazy-x2",
                           policy=RoutingPolicy.ROUND_ROBIN)
     running, triggers = set(), []
-    start = driver.start
+    spawn = driver.engine.spawn
 
-    def tracked(rep, windows):
+    def tracked(windows):
+        # ``windows`` is a replica's ``run()``, not yet started.
+        rep = windows.gi_frame.f_locals["self"]
         assert rep.server_id not in running, "second run of a replica"
         running.add(rep.server_id)
 
@@ -386,9 +388,9 @@ def test_decision_trigger_never_restarts_a_running_replica():
             yield from windows
             running.discard(rep.server_id)
 
-        start(rep, run())
+        return spawn(run())
 
-    driver.start = tracked
+    driver.engine.spawn = tracked
     driver.engine.add_dispatch_hook(
         lambda e: triggers.append((e.time, e.payload.server_id))
         if e.kind is EventKind.TRIGGER else None)

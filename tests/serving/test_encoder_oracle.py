@@ -269,7 +269,6 @@ def packed_cost(lengths):
 
 SCHEDULERS = {
     "pruned": PrunedDPBatchScheduler,
-    "pruned-spt": lambda: PrunedDPBatchScheduler("spt"),
     "dp": DPBatchScheduler,
     "nobatch": NoBatchScheduler,
     "naive": NaiveBatchScheduler,

@@ -83,14 +83,6 @@ class TestIdenticalPartitions:
             want = set_partition_optimum(lengths, affine_cost, max_batch)
             assert abs(got - want) < 1e-9
 
-    def test_spt_ordering_matches_reference(self):
-        lengths = [64, 16, 128, 16, 256, 32]
-        reference = DPBatchScheduler(order_batches="spt").schedule(
-            reqs(lengths), monotone_cost, 4)
-        pruned = PrunedDPBatchScheduler(order_batches="spt").schedule(
-            reqs(lengths), monotone_cost, 4)
-        assert partition(pruned) == partition(reference)
-
 
 class TestIncrementalReuse:
     """Cost rows are memoised across rounds and dropped when the cost
@@ -279,15 +271,14 @@ def apply_step(queue, step):
 class TestDifferentialRounds:
     @settings(max_examples=150, deadline=None)
     @given(initial=st.lists(LENGTH, min_size=1, max_size=10),
-           steps=st.lists(STEP, min_size=1, max_size=25),
-           order=st.sampled_from(("fifo", "spt")))
-    def test_round_sequences_match_reference(self, initial, steps, order):
+           steps=st.lists(STEP, min_size=1, max_size=25))
+    def test_round_sequences_match_reference(self, initial, steps):
         """Every round of a stateful pruned scheduler (cost rows memoised
         across rounds, queues that share sorted prefixes, one-request
         rounds between longer ones) partitions exactly like a fresh
         reference DP."""
-        pruned = PrunedDPBatchScheduler(order_batches=order)
-        reference = DPBatchScheduler(order_batches=order)
+        pruned = PrunedDPBatchScheduler()
+        reference = DPBatchScheduler()
         queue, cost_fn, max_batch = list(initial), monotone_cost, 4
         for round_no, step in enumerate([("repeat", None)] + steps):
             if step[0] == "cost":
@@ -369,17 +360,16 @@ class TestPartition:
     @settings(max_examples=150, deadline=None)
     @given(initial=st.lists(LENGTH, min_size=1, max_size=10),
            steps=st.lists(STEP, min_size=1, max_size=25),
-           order=st.sampled_from(("fifo", "spt")),
            cost=st.integers(0, len(PARTITION_COSTS) - 1))
-    def test_partition_matches_schedule(self, initial, steps, order, cost):
+    def test_partition_matches_schedule(self, initial, steps, cost):
         """Over round streams that share sorted prefixes, ``partition``
         hands back the reference DP's batches as slices of ``order``,
         each priced bit for bit as ``batch_execution_cost`` prices it,
         and leaves the rows and counters exactly as ``schedule`` does."""
         cost_fn = PARTITION_COSTS[cost]
-        by_partition = PrunedDPBatchScheduler(order_batches=order)
-        by_schedule = PrunedDPBatchScheduler(order_batches=order)
-        reference = DPBatchScheduler(order_batches=order)
+        by_partition = PrunedDPBatchScheduler()
+        by_schedule = PrunedDPBatchScheduler()
+        reference = DPBatchScheduler()
         queue, max_batch = list(initial), 4
         for round_no, step in enumerate([("repeat", None)] + steps):
             if step[0] == "max_batch":

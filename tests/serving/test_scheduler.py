@@ -240,48 +240,3 @@ class TestBaselineSchedulers:
         batches = NoBatchScheduler().schedule(reqs([10, 10]), cost, 20)
         rps = throughput_of_schedule(batches, cost)
         assert rps == pytest.approx(2 / (2 * cost(10, 1)))
-
-
-class TestSptOrdering:
-    def test_partition_unchanged(self):
-        cost = affine_cost()
-        requests = reqs([17, 18, 52, 63, 77, 200, 210])
-        fifo = DPBatchScheduler("fifo").schedule(requests, cost, 20)
-        spt = DPBatchScheduler("spt").schedule(requests, cost, 20)
-        assert sorted(tuple(r.req_id for r in b.requests) for b in fifo) == \
-            sorted(tuple(r.req_id for r in b.requests) for b in spt)
-
-    def test_spt_minimizes_mean_completion(self):
-        """Shortest-processing-time-first is optimal for mean completion of
-        a fixed batch set; verify against the FIFO order and brute force."""
-        import itertools
-
-        cost = affine_cost()
-        requests = reqs([10, 12, 300, 310, 80, 85])
-        spt_batches = DPBatchScheduler("spt").schedule(requests, cost, 20)
-
-        def mean_completion(batches):
-            t, total, count = 0.0, 0.0, 0
-            for b in batches:
-                t += cost(b.padded_len, b.size)
-                total += t * b.size
-                count += b.size
-            return total / count
-
-        spt_mc = mean_completion(spt_batches)
-        best = min(
-            mean_completion(list(perm))
-            for perm in itertools.permutations(spt_batches)
-        )
-        assert spt_mc == pytest.approx(best)
-
-    def test_costs_ascend(self):
-        cost = affine_cost()
-        requests = reqs([10, 400, 90, 15, 380, 95])
-        batches = DPBatchScheduler("spt").schedule(requests, cost, 2)
-        costs = [cost(b.padded_len, b.size) for b in batches]
-        assert costs == sorted(costs)
-
-    def test_invalid_ordering_rejected(self):
-        with pytest.raises(ValueError):
-            DPBatchScheduler("random")
