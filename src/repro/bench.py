@@ -33,7 +33,7 @@ import hashlib
 import json
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 #: Grid/workload sizes per profile.  ``smoke`` finishes in a few seconds
 #: (CI); ``full`` is the acceptance configuration behind the committed
@@ -524,6 +524,7 @@ def verify_gen_equivalence(profile_name: str = "gen", seed: int = 0,
         )
     say = progress or (lambda _msg: None)
     bench, mix = _gen_setup(profile)
+    shapes = _record_lookups(bench.runtime)
     duration_s = profile["gen_duration_s"]
     chunked = {"chunk_tokens": bench.chunk_tokens}
 
@@ -561,15 +562,8 @@ def verify_gen_equivalence(profile_name: str = "gen", seed: int = 0,
                  ("prefix+chunked", {"prefix_cache": True, **chunked},
                   False)],
                 same_order=True))
-    rt = bench.runtime
-    problems += _verify_compiled(
-        "gen prefill", rt.prefill_model, rt.prefill_graph.nodes,
-        [{"batch": b, "seq": n} for b, n in sorted(rt._prefill_cache)],
-        rt.chars, rt.device, say)
-    problems += _verify_compiled(
-        "gen decode", rt.decode_model, rt.decode_graph.nodes,
-        [{"batch": b, "past": n} for b, n in sorted(rt._decode_cache)],
-        rt.chars, rt.device, say)
+    problems += _verify_generation_runtime("gen", bench.runtime, *shapes,
+                                           say)
     return problems
 
 
@@ -590,8 +584,8 @@ def _bench_gen(profile: Dict[str, object], seed: int,
     the request-level DP baseline, plus a determinism double-run.
 
     ``setup`` (default: a fresh :func:`_gen_setup`) is the bench and mix
-    to run; the bench runtime's price memos then hold every shape the
-    run priced."""
+    to run, so a caller may record the shapes its runtime is asked for
+    (:func:`_record_lookups`)."""
     bench, mix = setup or _gen_setup(profile)
     rates = profile["gen_rates"]
     duration_s = profile["gen_duration_s"]
@@ -829,6 +823,55 @@ def _verify_compiled(tag: str, model, nodes, bindings_list, chars, device,
         nodes, bindings_list, chars, device, compiled=model)]
 
 
+def _record_lookups(runtime) -> Tuple[Set[Tuple[int, int]],
+                                      Set[Tuple[int, int]]]:
+    """The ``(batch, prompt_len)`` and ``(batch, past)`` shapes a
+    generation runtime's two lookups are asked for from now on.  Both
+    lookups are wrapped on this instance only, so its cost rows and every
+    other runtime are untouched."""
+    prefill: Set[Tuple[int, int]] = set()
+    decode: Set[Tuple[int, int]] = set()
+
+    def recording(lookup, shapes):
+        def record(batch: int, length: int) -> float:
+            shapes.add((batch, length))
+            return lookup(batch, length)
+        return record
+
+    runtime.prefill_latency = recording(runtime.prefill_latency, prefill)
+    runtime.decode_step_latency = recording(runtime.decode_step_latency,
+                                            decode)
+    return prefill, decode
+
+
+def _verify_generation_runtime(tag: str, runtime, prefill, decode,
+                               say: Callable[[str], None]) -> List[str]:
+    """Both graphs of a generation runtime on the given ``(batch,
+    length)`` shapes: the compiled model vs ``graph_cost``
+    (:func:`_verify_compiled`), and each shape's cost-row entry vs the
+    scalar ``kernel_s`` plus the pass overhead, bit for bit."""
+    problems: List[str] = []
+    for graph, model, lookup, symbol, overhead_s, shapes in (
+        ("prefill", runtime.prefill_model, runtime.prefill_latency, "seq",
+         runtime.chars.fixed_overhead_s, prefill),
+        ("decode", runtime.decode_model, runtime.decode_step_latency,
+         "past", runtime.step_overhead_s, decode),
+    ):
+        shapes = sorted(shapes)
+        bindings = [{"batch": b, symbol: n} for b, n in shapes]
+        nodes = getattr(runtime, f"{graph}_graph").nodes
+        problems += _verify_compiled(f"{tag} {graph}", model, nodes,
+                                     bindings, runtime.chars, runtime.device,
+                                     say)
+        for (b, n), binding in zip(shapes, bindings):
+            got = lookup(b, n)
+            want = model.kernel_s(binding) + overhead_s
+            if got != want:
+                problems.append(f"{tag} {graph}: row entry {(b, n)} "
+                                f"{got!r} != scalar {want!r}")
+    return problems
+
+
 def _verify_generation_pricing(seed: int,
                                say: Callable[[str], None]) -> List[str]:
     """Compiled vs interpretive pricing of the generation graphs (prefill
@@ -850,22 +893,17 @@ def _verify_generation_pricing(seed: int,
     )
 
     setup = _gen_setup(PROFILES["gen"])
-    _bench_gen(PROFILES["gen"], seed, setup)
     gen = setup[0]
     turbo = gen.runtime
-    prefill = [{"batch": b, "seq": n} for b, n in sorted(turbo._prefill_cache)]
-    decode = [{"batch": b, "past": n} for b, n in sorted(turbo._decode_cache)]
+    shapes = _record_lookups(turbo)
+    _bench_gen(PROFILES["gen"], seed, setup)
     pytorch = GenerationRuntime(
         build_prefill_graph(gen.config), build_decode_step_graph(gen.config),
         PYTORCH_CHARACTERISTICS, turbo.device, stride=1)
     problems: List[str] = []
     for name, rt in (("turbo", turbo), ("pytorch", pytorch)):
-        problems += _verify_compiled(
-            f"gen-{name} prefill", rt.prefill_model, rt.prefill_graph.nodes,
-            prefill, rt.chars, rt.device, say)
-        problems += _verify_compiled(
-            f"gen-{name} decode", rt.decode_model, rt.decode_graph.nodes,
-            decode, rt.chars, rt.device, say)
+        problems += _verify_generation_runtime(f"gen-{name}", rt, *shapes,
+                                               say)
 
     config = seq2seq_decoder()
     step_graph = build_decoder_step_graph(config)

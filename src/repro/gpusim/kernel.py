@@ -15,14 +15,21 @@ memory_s)``, and a wrapper, ``*_time``, stamping those terms into a
 :class:`KernelTiming`.  The arithmetic lives only in the core; a caller
 that needs just the total (the compiled cost model's running sum) adds
 :func:`kernel_total_s` of the terms without building a timing.
+
+The float cores take their dims as Python ints, or as int64 NumPy rows
+with ``ops=dims.ROW`` (the generation runtime prices a block of lengths
+in one pass); the few calls that differ between the two come from the
+``ops`` namespace (:mod:`repro.gpusim.dims`), whose default is
+:mod:`math` and the builtins, so a scalar caller still gets builtin
+floats.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
+from . import dims
 from .device import DeviceSpec
 
 #: Bytes per FP32 element; the paper's systems serve FP32 models.
@@ -41,22 +48,23 @@ ELEMENTWISE_PEAK_EFFICIENCY = 0.25
 Terms = Tuple[float, float]
 
 
-def _check_term(field: str, value: float) -> None:
-    if value < 0 or not math.isfinite(value):
+def _check_term(field: str, value: float,
+                ops: dims.Ops = dims.SCALAR) -> None:
+    if not ops.finite_nonneg(value):
         raise ValueError(f"{field} must be finite and >= 0, got {value}")
 
 
-def kernel_total_s(launch_s: float, compute_s: float,
-                   memory_s: float) -> float:
+def kernel_total_s(launch_s: float, compute_s: float, memory_s: float,
+                   ops: dims.Ops = dims.SCALAR) -> float:
     """``launch_s + max(compute_s, memory_s)``: the
     :attr:`KernelTiming.total_s` of these terms, checked the same way
-    (finite and >= 0), without building the timing."""
-    if not (0.0 <= launch_s < math.inf and 0.0 <= compute_s < math.inf
-            and 0.0 <= memory_s < math.inf):
-        _check_term("launch_s", launch_s)
-        _check_term("compute_s", compute_s)
-        _check_term("memory_s", memory_s)
-    return launch_s + max(compute_s, memory_s)
+    (finite and >= 0), without building the timing.  Elementwise for
+    rows of terms (``ops=dims.ROW``)."""
+    if not ops.finite_nonneg(launch_s, compute_s, memory_s):
+        _check_term("launch_s", launch_s, ops)
+        _check_term("compute_s", compute_s, ops)
+        _check_term("memory_s", memory_s, ops)
+    return launch_s + ops.maximum(compute_s, memory_s)
 
 
 @dataclass(frozen=True)
@@ -131,7 +139,9 @@ class KernelTiming:
         )
 
 
-def gemm_utilization(device: DeviceSpec, m: int, n: int, batch: int = 1) -> float:
+def gemm_utilization(device: DeviceSpec, m: dims.Dim, n: dims.Dim,
+                     batch: dims.Dim = 1,
+                     ops: dims.Ops = dims.SCALAR) -> float:
     """Fraction of peak a GEMM of output shape (m, n) x batch achieves.
 
     A GEMM is decomposed into ``GEMM_TILE``-square output tiles; one SM
@@ -141,18 +151,19 @@ def gemm_utilization(device: DeviceSpec, m: int, n: int, batch: int = 1) -> floa
     for short sequences (Fig. 8) while long single requests already run
     near peak.
     """
-    tiles = math.ceil(m / GEMM_TILE) * math.ceil(n / GEMM_TILE) * batch
+    tiles = ops.ceil(m / GEMM_TILE) * ops.ceil(n / GEMM_TILE) * batch
     slots = 2 * device.num_sms
-    return min(1.0, math.sqrt(tiles / slots))
+    return ops.minimum(1.0, ops.sqrt(tiles / slots))
 
 
 def gemm_terms(
     device: DeviceSpec,
-    m: int,
-    n: int,
-    k: int,
-    batch: int = 1,
+    m: dims.Dim,
+    n: dims.Dim,
+    k: dims.Dim,
+    batch: dims.Dim = 1,
     elem_bytes: int = FP32_BYTES,
+    ops: dims.Ops = dims.SCALAR,
 ) -> Terms:
     """``(compute_s, memory_s)`` of a (possibly batched) GEMM:
     C[m,n] += A[m,k] @ B[k,n].
@@ -162,12 +173,13 @@ def gemm_terms(
     (packed half2 math), the extension benchmarked in
     ``benchmarks/test_extension_fp16.py``.
     """
-    if min(m, n, k, batch) <= 0:
+    if ops.any_of(ops.minimum(m, n, k, batch) <= 0):
         raise ValueError(f"GEMM dims must be positive, got m={m} n={n} k={k} batch={batch}")
     _check_elem_bytes(elem_bytes)
     flops = 2.0 * m * n * k * batch
     bytes_moved = elem_bytes * batch * (m * k + k * n + m * n)
-    efficiency = GEMM_PEAK_EFFICIENCY * gemm_utilization(device, m, n, batch)
+    efficiency = GEMM_PEAK_EFFICIENCY * gemm_utilization(device, m, n, batch,
+                                                         ops)
     rate = device.peak_fp32_flops * (FP32_BYTES / elem_bytes)
     compute_s = flops / (rate * efficiency)
     memory_s = bytes_moved / device.mem_bandwidth_bytes
@@ -200,11 +212,12 @@ def _check_elem_bytes(elem_bytes: int) -> None:
 
 def elementwise_terms(
     device: DeviceSpec,
-    nelems: int,
+    nelems: dims.Dim,
     reads: int = 1,
     writes: int = 1,
     flops_per_elem: float = 1.0,
     elem_bytes: int = FP32_BYTES,
+    ops: dims.Ops = dims.SCALAR,
 ) -> Terms:
     """``(compute_s, memory_s)`` of an elementwise kernel touching
     ``nelems`` values.
@@ -212,7 +225,7 @@ def elementwise_terms(
     ``reads``/``writes`` count full passes over the data; fusing kernels is
     modeled exactly as reducing these pass counts (and the launch count).
     """
-    if nelems <= 0:
+    if ops.any_of(nelems <= 0):
         raise ValueError(f"nelems must be positive, got {nelems}")
     if reads < 0 or writes < 0 or reads + writes == 0:
         raise ValueError(f"need at least one memory pass, got reads={reads} writes={writes}")

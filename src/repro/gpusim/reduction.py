@@ -33,9 +33,9 @@ they differ in the compute/synchronization cycles the block spends):
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
+from . import dims
 from .device import DeviceSpec
 from .kernel import FP32_BYTES, KernelTiming, Terms
 from .warp import (
@@ -63,30 +63,33 @@ class ReductionImpl(str, enum.Enum):
 
 @dataclass(frozen=True)
 class BlockGeometry:
-    """Thread-block shape chosen for a given row length."""
+    """Thread-block shape chosen for a given row length (each field a
+    row when ``row_len`` is one)."""
 
-    threads: int
-    warps: int
-    blocks_resident: int  # device-wide concurrent blocks
+    threads: dims.Dim
+    warps: dims.Dim
+    blocks_resident: dims.Dim  # device-wide concurrent blocks
 
     @classmethod
-    def for_row(cls, device: DeviceSpec, row_len: int) -> "BlockGeometry":
-        if row_len <= 0:
+    def for_row(cls, device: DeviceSpec, row_len: dims.Dim,
+                ops: dims.Ops = dims.SCALAR) -> "BlockGeometry":
+        if ops.any_of(row_len <= 0):
             raise ValueError(f"row_len must be positive, got {row_len}")
-        threads = min(
+        threads = ops.minimum(
             MAX_BLOCK_THREADS,
-            math.ceil(row_len / device.warp_size) * device.warp_size,
+            ops.ceil(row_len / device.warp_size) * device.warp_size,
         )
         warps = threads // device.warp_size
-        per_sm = max(1, device.max_threads_per_sm // threads)
+        per_sm = ops.maximum(1, device.max_threads_per_sm // threads)
         return cls(threads=threads, warps=warps, blocks_resident=per_sm * device.num_sms)
 
 
 def _block_reduce_cycles(
     device: DeviceSpec,
     geometry: BlockGeometry,
-    row_len: int,
+    row_len: dims.Dim,
     x_elems: int,
+    ops: dims.Ops,
 ) -> float:
     """Cycles for one two-pass shuffle block reduction of ``x_elems`` chains.
 
@@ -95,52 +98,59 @@ def _block_reduce_cycles(
     block has more than one warp): warp 0 reduces the partials, and the
     result is broadcast behind a second barrier.
     """
-    cycles = warp_allreduce_cycles(device, x_elems)
-    cycles += device.smem_latency_cycles + device.sync_cycles
-    if geometry.warps > 1:
-        cycles += warp_allreduce_cycles(device, x_elems)
-        cycles += device.smem_latency_cycles + device.sync_cycles
-    cycles += boundary_divergence_cycles(device, row_len) * x_elems
+    shuffle = warp_allreduce_cycles(device, x_elems)
+    barrier = device.smem_latency_cycles + device.sync_cycles
+    cycles = shuffle + barrier
+    cycles = ops.where(geometry.warps > 1, cycles + shuffle + barrier,
+                       cycles)
+    cycles += boundary_divergence_cycles(device, row_len, ops=ops) * x_elems
     return cycles
 
 
-def _accumulate_cycles(geometry: BlockGeometry, row_len: int, rows: int = 1) -> float:
+def _accumulate_cycles(geometry: BlockGeometry, row_len: dims.Dim,
+                       ops: dims.Ops, rows: int = 1) -> float:
     """Cycles spent on the strided per-thread accumulation loads."""
-    iters = math.ceil(row_len / geometry.threads)
+    iters = ops.ceil(row_len / geometry.threads)
     return iters * ARITH_CYCLES * rows
 
 
-def _waves(rows_groups: int, geometry: BlockGeometry) -> int:
+def _waves(rows_groups: dims.Dim, geometry: BlockGeometry,
+           ops: dims.Ops) -> dims.Dim:
     """Full device waves needed to run ``rows_groups`` thread blocks."""
-    return max(1, math.ceil(rows_groups / geometry.blocks_resident))
+    return ops.maximum(1, ops.ceil(rows_groups / geometry.blocks_resident))
 
 
-def _elementwise_row_cycles(geometry: BlockGeometry, row_len: int, op_cycles: float) -> float:
+def _elementwise_row_cycles(geometry: BlockGeometry, row_len: dims.Dim,
+                            op_cycles: float, ops: dims.Ops) -> float:
     """Cycles for an elementwise sweep over one row by the whole block."""
-    iters = math.ceil(row_len / geometry.threads)
+    iters = ops.ceil(row_len / geometry.threads)
     return iters * op_cycles
 
 
-def _compute_seconds(device: DeviceSpec, per_group_cycles: float, groups: int,
-                     geometry: BlockGeometry) -> float:
-    return device.cycles_to_seconds(_waves(groups, geometry) * per_group_cycles)
+def _compute_seconds(device: DeviceSpec, per_group_cycles: float,
+                     groups: dims.Dim, geometry: BlockGeometry,
+                     ops: dims.Ops) -> float:
+    return device.cycles_to_seconds(_waves(groups, geometry, ops)
+                                    * per_group_cycles)
 
 
 #: Thread-block size the framework (PyTorch) reduction kernels launch with.
 PYTORCH_BLOCK_THREADS = 128
 
 
-def _pytorch_geometry(device: DeviceSpec, row_len: int) -> BlockGeometry:
+def _pytorch_geometry(device: DeviceSpec, row_len: dims.Dim,
+                      ops: dims.Ops) -> BlockGeometry:
     """Framework-kernel geometry: fixed small blocks, one resident per SM.
 
     The generic kernels are shared-memory bound, limiting residency to a
     single block per SM regardless of block size — the occupancy problem
     the paper's Table 2 "before" columns expose.
     """
-    if row_len <= 0:
+    if ops.any_of(row_len <= 0):
         raise ValueError(f"row_len must be positive, got {row_len}")
-    threads = min(PYTORCH_BLOCK_THREADS,
-                  math.ceil(row_len / device.warp_size) * device.warp_size)
+    threads = ops.minimum(
+        PYTORCH_BLOCK_THREADS,
+        ops.ceil(row_len / device.warp_size) * device.warp_size)
     return BlockGeometry(
         threads=threads,
         warps=threads // device.warp_size,
@@ -163,11 +173,12 @@ def _reduction_terms(stall_s: float, memory_s: float) -> Terms:
 
 def softmax_terms(
     device: DeviceSpec,
-    rows: int,
-    row_len: int,
+    rows: dims.Dim,
+    row_len: dims.Dim,
     impl: ReductionImpl = ReductionImpl.TURBO,
     x_elems: int = 2,
     elem_bytes: int = FP32_BYTES,
+    ops: dims.Ops = dims.SCALAR,
 ) -> Terms:
     """``(compute_s, memory_s)`` of a batched softmax kernel: ``rows``
     independent rows of ``row_len``.
@@ -176,36 +187,38 @@ def softmax_terms(
     per row, then the divide — two sequential reductions with elementwise
     work between them.
     """
-    if rows <= 0 or row_len <= 0:
+    if ops.any_of(rows <= 0) or ops.any_of(row_len <= 0):
         raise ValueError(f"rows and row_len must be positive, got {rows}, {row_len}")
     if x_elems < 1:
         raise ValueError(f"x_elems must be >= 1, got {x_elems}")
     if impl is ReductionImpl.PYTORCH:
-        geometry = _pytorch_geometry(device, row_len)
+        geometry = _pytorch_geometry(device, row_len, ops)
     else:
-        geometry = BlockGeometry.for_row(device, row_len)
+        geometry = BlockGeometry.for_row(device, row_len, ops)
 
     # Elementwise component shared by every implementation: subtract + exp,
     # then divide, swept over the row once each.
     elem_cycles = _elementwise_row_cycles(
-        geometry, row_len, EXP_CYCLES + ARITH_CYCLES
-    ) + _elementwise_row_cycles(geometry, row_len, ARITH_CYCLES)
+        geometry, row_len, EXP_CYCLES + ARITH_CYCLES, ops
+    ) + _elementwise_row_cycles(geometry, row_len, ARITH_CYCLES, ops)
 
     if impl is ReductionImpl.TURBO:
         # x_elems rows share one block, one boundary region, one sync set.
         group_rows = x_elems
-        reduce_cycles = 2 * _block_reduce_cycles(device, geometry, row_len, x_elems)
+        reduce_cycles = 2 * _block_reduce_cycles(device, geometry, row_len,
+                                                 x_elems, ops)
         group_cycles = (
             reduce_cycles
-            + _accumulate_cycles(geometry, row_len, rows=group_rows) * 2
+            + _accumulate_cycles(geometry, row_len, ops, rows=group_rows) * 2
             + elem_cycles * group_rows
         )
         memory_passes = 3  # read for max+exp (cached), read for sum, write out
     elif impl is ReductionImpl.FASTER_TRANSFORMER:
         group_rows = 1
-        reduce_cycles = 2 * _block_reduce_cycles(device, geometry, row_len, 1)
+        reduce_cycles = 2 * _block_reduce_cycles(device, geometry, row_len, 1, ops)
         group_cycles = (
-            reduce_cycles + _accumulate_cycles(geometry, row_len) * 2 + elem_cycles
+            reduce_cycles + _accumulate_cycles(geometry, row_len, ops) * 2
+            + elem_cycles
         )
         # Without the XElem batching the row cannot stay in registers across
         # the max and sum stages when the block cycles through rows one at a
@@ -213,9 +226,11 @@ def softmax_terms(
         memory_passes = 4
     elif impl is ReductionImpl.CUDNN:
         group_rows = 1
-        reduce_cycles = 2 * smem_tree_reduce_cycles(device, geometry.threads)
+        reduce_cycles = 2 * smem_tree_reduce_cycles(device, geometry.threads,
+                                                    ops)
         group_cycles = (
-            reduce_cycles + _accumulate_cycles(geometry, row_len) * 2 + elem_cycles
+            reduce_cycles + _accumulate_cycles(geometry, row_len, ops) * 2
+            + elem_cycles
         )
         # Generic library kernel: no register caching across the max and
         # sum stages, so the row is re-read per stage and the shifted
@@ -226,9 +241,11 @@ def softmax_terms(
         # reductions, one resident block per SM (shared-memory bound), and
         # the max/exp/sum/div stages round-tripping through global memory.
         group_rows = 1
-        reduce_cycles = 2 * smem_tree_reduce_cycles(device, geometry.threads)
+        reduce_cycles = 2 * smem_tree_reduce_cycles(device, geometry.threads,
+                                                    ops)
         group_cycles = (
-            reduce_cycles + _accumulate_cycles(geometry, row_len) * 2 + elem_cycles
+            reduce_cycles + _accumulate_cycles(geometry, row_len, ops) * 2
+            + elem_cycles
         )
         # 8 logical passes (max / sub+exp / sum / div through global memory)
         # at ~4x effective traffic from uncoalesced inner-dim strides — the
@@ -237,8 +254,8 @@ def softmax_terms(
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown impl {impl!r}")
 
-    groups = math.ceil(rows / group_rows)
-    stall_s = _compute_seconds(device, group_cycles, groups, geometry)
+    groups = ops.ceil(rows / group_rows)
+    stall_s = _compute_seconds(device, group_cycles, groups, geometry, ops)
     memory_s = elem_bytes * rows * row_len * memory_passes / device.mem_bandwidth_bytes
     return _reduction_terms(stall_s, memory_s)
 
@@ -260,11 +277,12 @@ def softmax_time(
 
 def layernorm_terms(
     device: DeviceSpec,
-    rows: int,
-    row_len: int,
+    rows: dims.Dim,
+    row_len: dims.Dim,
     impl: ReductionImpl = ReductionImpl.TURBO,
     one_pass_variance: bool | None = None,
     elem_bytes: int = FP32_BYTES,
+    ops: dims.Ops = dims.SCALAR,
 ) -> Terms:
     """``(compute_s, memory_s)`` of a batched LayerNorm kernel.
 
@@ -272,36 +290,40 @@ def layernorm_terms(
     together as a 2-element batch).  It defaults to True for ``TURBO`` and
     False otherwise; pass it explicitly to ablate the trick in isolation.
     """
-    if rows <= 0 or row_len <= 0:
+    if ops.any_of(rows <= 0) or ops.any_of(row_len <= 0):
         raise ValueError(f"rows and row_len must be positive, got {rows}, {row_len}")
     if impl is ReductionImpl.PYTORCH:
-        geometry = _pytorch_geometry(device, row_len)
+        geometry = _pytorch_geometry(device, row_len, ops)
     else:
-        geometry = BlockGeometry.for_row(device, row_len)
+        geometry = BlockGeometry.for_row(device, row_len, ops)
     if one_pass_variance is None:
         one_pass_variance = impl is ReductionImpl.TURBO
 
     # Elementwise normalize: (x - mean) * rstd * gamma + beta  (~4 ops/elem).
-    elem_cycles = _elementwise_row_cycles(geometry, row_len, 4 * ARITH_CYCLES)
+    elem_cycles = _elementwise_row_cycles(geometry, row_len, 4 * ARITH_CYCLES,
+                                          ops)
 
     if impl in (ReductionImpl.TURBO, ReductionImpl.FASTER_TRANSFORMER):
         if one_pass_variance:
             # Single pass reducing (x, x²) as two interleaved chains.
-            reduce_cycles = _block_reduce_cycles(device, geometry, row_len, 2)
-            accum = _accumulate_cycles(geometry, row_len) * 2  # x and x*x
+            reduce_cycles = _block_reduce_cycles(device, geometry, row_len, 2, ops)
+            accum = _accumulate_cycles(geometry, row_len, ops) * 2  # x and x*x
         else:
             # Mean pass, barrier, then variance pass over (x - mean)².
-            reduce_cycles = 2 * _block_reduce_cycles(device, geometry, row_len, 1)
-            accum = _accumulate_cycles(geometry, row_len) * 2
+            reduce_cycles = 2 * _block_reduce_cycles(device, geometry, row_len,
+                                                     1, ops)
+            accum = _accumulate_cycles(geometry, row_len, ops) * 2
         group_cycles = reduce_cycles + accum + elem_cycles
         memory_passes = 3 if one_pass_variance else 4
     elif impl in (ReductionImpl.CUDNN, ReductionImpl.PYTORCH):
         reduce_passes = 1 if one_pass_variance else 2
         reduce_cycles = (
-            reduce_passes * smem_tree_reduce_cycles(device, geometry.threads) * 2
+            reduce_passes
+            * smem_tree_reduce_cycles(device, geometry.threads, ops) * 2
         )
         group_cycles = (
-            reduce_cycles + _accumulate_cycles(geometry, row_len) * 2 + elem_cycles
+            reduce_cycles + _accumulate_cycles(geometry, row_len, ops) * 2
+            + elem_cycles
         )
         # PyTorch's pre-fused LayerNorm decomposes into mean/var/normalize
         # kernels whose intermediates round-trip through global memory.
@@ -309,7 +331,7 @@ def layernorm_terms(
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown impl {impl!r}")
 
-    stall_s = _compute_seconds(device, group_cycles, rows, geometry)
+    stall_s = _compute_seconds(device, group_cycles, rows, geometry, ops)
     memory_s = elem_bytes * rows * row_len * memory_passes / device.mem_bandwidth_bytes
     return _reduction_terms(stall_s, memory_s)
 

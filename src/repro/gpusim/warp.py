@@ -26,8 +26,7 @@ whole Fig. 5 reproduction rests on them.
 
 from __future__ import annotations
 
-import math
-
+from . import dims
 from .device import DeviceSpec
 from .pipeline import reduction_levels, simulate_warp_allreduce
 
@@ -84,7 +83,8 @@ def warp_allreduce_cycles_per_row(device: DeviceSpec, x_elems: int = 1) -> float
     return warp_allreduce_cycles(device, x_elems) / x_elems
 
 
-def smem_tree_reduce_cycles(device: DeviceSpec, block_threads: int) -> float:
+def smem_tree_reduce_cycles(device: DeviceSpec, block_threads: dims.Dim,
+                            ops: dims.Ops = dims.SCALAR) -> float:
     """Cycles for a shared-memory tree reduction across a thread block.
 
     This is the pre-Kepler style reduction (no warp shuffles): ``log2(T)``
@@ -93,9 +93,9 @@ def smem_tree_reduce_cycles(device: DeviceSpec, block_threads: int) -> float:
     the unoptimized PyTorch reduction kernels that the paper measures
     against (Table 2 "before", Fig. 5 cuDNN series).
     """
-    if block_threads <= 0:
+    if ops.any_of(block_threads <= 0):
         raise ValueError(f"block_threads must be positive, got {block_threads}")
-    steps = max(1, int(math.ceil(math.log2(block_threads))))
+    steps = ops.maximum(1, ops.ceil(ops.log2(block_threads)))
     per_step = (
         2 * device.smem_latency_cycles  # load partial + store result
         + device.alu_latency_cycles
@@ -105,7 +105,8 @@ def smem_tree_reduce_cycles(device: DeviceSpec, block_threads: int) -> float:
 
 
 def boundary_divergence_cycles(
-    device: DeviceSpec, row_length: int, rows_merged: int = 1
+    device: DeviceSpec, row_length: dims.Dim, rows_merged: int = 1,
+    ops: dims.Ops = dims.SCALAR,
 ) -> float:
     """Divergence penalty for rows whose length is not warp-aligned.
 
@@ -115,10 +116,9 @@ def boundary_divergence_cycles(
     penalty is amortized over ``rows_merged`` rows.  Returns the *per-row*
     cost.
     """
-    if row_length <= 0:
+    if ops.any_of(row_length <= 0):
         raise ValueError(f"row_length must be positive, got {row_length}")
     if rows_merged < 1:
         raise ValueError(f"rows_merged must be >= 1, got {rows_merged}")
-    if row_length % device.warp_size == 0:
-        return 0.0
-    return device.divergence_penalty_cycles / rows_merged
+    return ops.where(row_length % device.warp_size == 0, 0.0,
+                     device.divergence_penalty_cycles / rows_merged)

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from .._checks import check_size
 from ..gpusim import DeviceSpec, KernelTiming, Stream
 from ..graph import (
     ComputationGraph,
@@ -423,10 +424,8 @@ class DecoderRuntime:
         the graph: top-k selection, hypothesis management and KV-cache
         reordering.  A Python loop (PyTorch) pays milliseconds here; a C++
         serving loop (Turbo) pays almost nothing."""
-        if beam_size <= 0:
-            raise ValueError(f"beam_size must be positive, got {beam_size}")
-        if stride <= 0:
-            raise ValueError(f"stride must be positive, got {stride}")
+        check_size("beam_size", beam_size)
+        check_size("stride", stride)
         if not 0 <= step_overhead_s < math.inf:
             raise ValueError("step_overhead_s must be >= 0 and finite, "
                              f"got {step_overhead_s}")

@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import List
 
+from .._checks import check_size
+
 
 @dataclass(frozen=True)
 class PrefillChunk:
@@ -66,10 +68,7 @@ class PrefillChunker:
     per_chunk_overhead_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.chunk_tokens <= 0:
-            raise ValueError(
-                f"chunk_tokens must be positive, got {self.chunk_tokens}"
-            )
+        check_size("chunk_tokens", self.chunk_tokens)
         # Written so that NaN fails too: every later chunk would price NaN.
         if not 0.0 <= self.per_chunk_overhead_s < math.inf:
             raise ValueError(
@@ -118,11 +117,3 @@ class PrefillChunker:
         if chunk.start > pass_start:
             cost += self.per_chunk_overhead_s
         return cost
-
-    def pass_latencies(self, runtime, batch: int,
-                       prompt_len: int, start: int = 0) -> List[float]:
-        """Per-chunk latencies for one pass; sums (telescopes) to the
-        unchunked ``prefill_latency(batch, prompt_len)`` when
-        ``per_chunk_overhead_s`` is zero and ``start`` is zero."""
-        return [self.chunk_latency(runtime, batch, c, pass_start=start)
-                for c in self.chunks(prompt_len, start=start)]

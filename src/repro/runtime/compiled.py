@@ -17,7 +17,13 @@ resolution once per graph:
 * each cell records the free symbols it depends on, and :meth:`total`
   memoises the cell's total seconds by their values — a decode-step GEMM
   over ``batch`` alone is priced once per batch width, not once per
-  ``(batch, past)`` shape.
+  ``(batch, past)`` shape;
+* :meth:`row` prices a block of consecutive values of one symbol (the
+  generation runtime's ``seq`` or ``past``) in one pass: that symbol is
+  bound to an int64 array, the cells over it evaluate once on the whole
+  array (the float cores take rows of dims with ``ops=ROW``, see
+  :mod:`repro.gpusim.dims`), and the other cells stay scalars through
+  the same memo.
 
 A cell evaluates to the float terms ``(compute_s, memory_s)``: it feeds
 the resolved ints to the *same* float cores
@@ -36,7 +42,9 @@ on identical inputs in identical order — bit-identical timings and
 totals by construction, asserted by :func:`verify_equivalence` and the
 test suite.  (Sharing a cell across same-shaped nodes is exact, not
 approximate: the node name is display metadata that never enters the
-arithmetic.)
+arithmetic.)  A row entry is too: :meth:`row` adds the node totals in
+execution order onto a zero row, so each entry takes the additions
+:meth:`total` takes for its value alone.
 
 The compiled path assumes positive integer bindings (the runtime validates
 request shapes before it gets here); unbound symbols raise ``KeyError``
@@ -57,6 +65,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from ..gpusim import (
     DeviceSpec,
     KernelTiming,
@@ -64,6 +74,7 @@ from ..gpusim import (
     elementwise_terms,
     kernel_total_s,
 )
+from ..gpusim.dims import ROW, SCALAR, Ops
 from ..graph import ComputationGraph, DimBindings, OpNode, OpType
 from .cost import (
     DimProduct,
@@ -77,8 +88,10 @@ from .cost import (
 #: bound values multiply it at evaluation time.
 LoweredDim = Tuple[int, Tuple[str, ...]]
 
-#: A compiled pricing cell: bindings -> ``(compute_s, memory_s)``.
-CellEval = Callable[[DimBindings], Terms]
+#: A compiled pricing cell: ``(bindings, ops) -> (compute_s, memory_s)``;
+#: ``ops`` (default :data:`repro.gpusim.dims.SCALAR`) is
+#: :data:`~repro.gpusim.dims.ROW` when a binding is an int64 row.
+CellEval = Callable[..., Terms]
 
 #: The free symbol names a cell's timing depends on, sorted.
 Symbols = Tuple[str, ...]
@@ -153,7 +166,8 @@ class CompiledCostModel:
     folded_nodes:
         Nodes whose timing was computed once at compile time (no free dims).
     evals:
-        Number of :meth:`timings`/:meth:`total` calls served so far.
+        Number of :meth:`timings`/:meth:`total`/:meth:`row` calls served
+        so far.
     """
 
     def __init__(
@@ -184,7 +198,7 @@ class CompiledCostModel:
                 fn, symbols = build()
                 if not symbols:
                     terms = fn({})  # constant-fold once at compile time
-                    fn = lambda b, t=terms: t  # noqa: E731 - tiny thunk
+                    fn = lambda b, ops=SCALAR, t=terms: t  # noqa: E731
                 self._cells.append(fn)
                 self._cell_symbols.append(symbols)
                 self._cell_index[key] = index
@@ -215,8 +229,8 @@ class CompiledCostModel:
             def build() -> Tuple[CellEval, Symbols]:
                 m, n, k = (_dim_eval(d) for d in dims)
                 bt = _dim_eval(batch)
-                return (lambda b: gemm_node_terms(m(b), n(b), k(b), bt(b),
-                                                  chars, device),
+                return (lambda b, ops=SCALAR: gemm_node_terms(
+                            m(b), n(b), k(b), bt(b), chars, device, ops),
                         _free_symbols(*dims, batch))
 
             return ("g", dims, batch), name, build
@@ -242,8 +256,8 @@ class CompiledCostModel:
         # across nodes; timings() stamps each node's own name.
         def build() -> Tuple[CellEval, Symbols]:
             r, l = _dim_eval(rows), _dim_eval(row_len)
-            return (lambda b: reduction_node_terms(r(b), l(b), op_type,
-                                                   chars, device),
+            return (lambda b, ops=SCALAR: reduction_node_terms(
+                        r(b), l(b), op_type, chars, device, ops),
                     _free_symbols(rows, row_len))
 
         impl = chars.reduction_impl.value
@@ -276,8 +290,8 @@ class CompiledCostModel:
 
         def build() -> Tuple[CellEval, Symbols]:
             ne = _dim_eval(nelems)
-            return (lambda b: elementwise_terms(device, ne(b), reads, writes,
-                                                flops, elem_bytes),
+            return (lambda b, ops=SCALAR: elementwise_terms(
+                        device, ne(b), reads, writes, flops, elem_bytes, ops),
                     _free_symbols(nelems))
 
         return ("e", nelems, reads, writes, flops), kname, build
@@ -305,11 +319,11 @@ class CompiledCostModel:
             parts = [fn for fn, _ in built]
             symbols = tuple(sorted({n for _, names in built for n in names}))
 
-            def fn(b: DimBindings) -> Terms:
+            def fn(b: DimBindings, ops: Ops = SCALAR) -> Terms:
                 compute_s = 0.0
                 memory_s = 0.0
                 for part in parts:
-                    part_compute, part_memory = part(b)
+                    part_compute, part_memory = part(b, ops)
                     compute_s += part_compute
                     memory_s += part_memory
                 return compute_s, memory_s
@@ -325,7 +339,7 @@ class CompiledCostModel:
         :meth:`total`, memoised by the values of the cell's own free
         symbols.  A constant cell is read once; a cell bound by every
         symbol of the graph is priced on each call, since a shape repeats
-        only through the caller's shape memo."""
+        only through the caller's cost rows."""
         launch_s = self._launch_s
         if not names:
             total_s = kernel_total_s(launch_s, *fn({}))
@@ -386,6 +400,33 @@ class CompiledCostModel:
         """One pass under async dispatch: device or host, whichever is slower."""
         elapsed_s, launches = self.total(bindings)
         return max(elapsed_s, self.chars.host_dispatch_s * launches)
+
+    def row(self, bindings: DimBindings, symbol: str,
+            values: np.ndarray) -> np.ndarray:
+        """:meth:`kernel_s` of ``bindings`` with ``symbol`` bound to each
+        of ``values`` (an int64 array) in turn, as a float64 array.
+
+        A cell over ``symbol`` is evaluated once on the whole array (its
+        float cores called with ``ops=ROW``); every other cell is a scalar
+        read through :meth:`total`'s memo.  Node totals are added in
+        execution order onto a zero row, then bound by host dispatch, so
+        each entry goes through exactly the IEEE operations
+        :meth:`kernel_s` performs for its value alone.
+        """
+        self.evals += 1
+        varying = dict(bindings)
+        varying[symbol] = values
+        launch_s = self._launch_s
+        totals = [kernel_total_s(launch_s, *fn(varying, ROW), ROW)
+                  if symbol in names
+                  else total(bindings)
+                  for fn, names, total in zip(self._cells, self._cell_symbols,
+                                              self._cell_totals)]
+        elapsed = np.zeros(len(values))
+        for ci in self._node_cells:
+            elapsed += totals[ci]
+        return np.maximum(elapsed,
+                          self.chars.host_dispatch_s * self.node_count)
 
     def stats(self, prefix: str = "compiled") -> Dict[str, int]:
         """Deterministic host-path counters, keyed ``{prefix}_{name}``."""

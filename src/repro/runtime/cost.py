@@ -12,11 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Sequence, Tuple, Union
 
+from .._checks import check_size
 from ..gpusim import (
     DeviceSpec,
     KernelTiming,
     ReductionImpl,
     Terms,
+    dims,
     elementwise_time,
     gemm_terms,
     gemm_utilization,
@@ -89,10 +91,8 @@ class RuntimeCharacteristics:
     def __post_init__(self) -> None:
         if self.gemm_tuning <= 0:
             raise ValueError(f"gemm_tuning must be positive, got {self.gemm_tuning}")
-        if self.reduction_x_elems < 1:
-            raise ValueError(f"reduction_x_elems must be >= 1, got {self.reduction_x_elems}")
-        if self.pad_to_multiple < 1:
-            raise ValueError(f"pad_to_multiple must be >= 1, got {self.pad_to_multiple}")
+        check_size("reduction_x_elems", self.reduction_x_elems)
+        check_size("pad_to_multiple", self.pad_to_multiple)
         if self.precision_bytes not in (2, 4):
             raise ValueError(
                 f"precision_bytes must be 2 or 4, got {self.precision_bytes}"
@@ -120,18 +120,21 @@ class RuntimeCharacteristics:
 
 
 def gemm_node_terms(
-    m: int, n: int, k: int, batch: int,
+    m: dims.Dim, n: dims.Dim, k: dims.Dim, batch: dims.Dim,
     chars: RuntimeCharacteristics, device: DeviceSpec,
+    ops: dims.Ops = dims.SCALAR,
 ) -> Terms:
-    """``(compute_s, memory_s)`` of a GEMM node from resolved dims, under
-    the runtime's precision and GEMM tuning."""
+    """``(compute_s, memory_s)`` of a GEMM node from resolved dims (ints,
+    or int64 rows with ``ops=dims.ROW``), under the runtime's precision
+    and GEMM tuning."""
     compute_s, memory_s = gemm_terms(device, m, n, k, batch,
-                                     chars.precision_bytes)
+                                     chars.precision_bytes, ops)
     if chars.gemm_tuning != 1.0:
         # Boosts (autotuning) only recover underfill: cap at the efficiency
         # a fully-utilized cuBLAS GEMM already achieves.  Derates apply as-is.
-        utilization = gemm_utilization(device, m, n, batch)
-        effective = min(1.0, utilization * max(chars.gemm_tuning, 1.0))
+        utilization = gemm_utilization(device, m, n, batch, ops)
+        effective = ops.minimum(1.0,
+                                utilization * max(chars.gemm_tuning, 1.0))
         effective *= min(chars.gemm_tuning, 1.0)
         scale = effective / utilization  # > 1 speeds up, < 1 slows down
         compute_s = compute_s / scale
@@ -148,17 +151,19 @@ def price_gemm(
 
 
 def reduction_node_terms(
-    rows: int, row_len: int, op_type: OpType,
+    rows: dims.Dim, row_len: dims.Dim, op_type: OpType,
     chars: RuntimeCharacteristics, device: DeviceSpec,
+    ops: dims.Ops = dims.SCALAR,
 ) -> Terms:
     """``(compute_s, memory_s)`` of a Softmax/LayerNorm node from resolved
-    dims, under the runtime's reduction kernels."""
+    dims (ints, or int64 rows with ``ops=dims.ROW``), under the runtime's
+    reduction kernels."""
     if op_type is OpType.SOFTMAX:
         return softmax_terms(device, rows, row_len, chars.reduction_impl,
                              x_elems=chars.reduction_x_elems,
-                             elem_bytes=chars.precision_bytes)
+                             elem_bytes=chars.precision_bytes, ops=ops)
     return layernorm_terms(device, rows, row_len, chars.reduction_impl,
-                           elem_bytes=chars.precision_bytes)
+                           elem_bytes=chars.precision_bytes, ops=ops)
 
 
 def price_reduction(

@@ -5,6 +5,15 @@ per-token *decode* steps against a growing KV cache — the two quantities
 generative serving systems report as time-to-first-token (TTFT) and
 per-token latency (TPOT).
 
+Latencies are read from cost rows, the paper's ``cached_cost`` table
+(§5) grown on demand: per batch width, one row of prefill latencies by
+prompt length and one of decode-step latencies by ``past``.  A lookup
+past a row's end prices the missing lengths in whole blocks of
+:data:`ROW_BLOCK` through :meth:`CompiledCostModel.row
+<repro.runtime.compiled.CompiledCostModel.row>` — one NumPy pass per
+block, each entry bit-identical to pricing its shape alone — and stores
+them as builtin floats.
+
 Observability lives here too, so every consumer — the continuous-batching
 server, the request-level generation baseline, the gen experiment and
 ``python -m repro trace`` — shares one instrumentation path:
@@ -17,18 +26,28 @@ per decode stride on the GPU track.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
+import numpy as np
+
+from .._checks import check_size
 from ..gpusim import DeviceSpec
 from ..graph import ComputationGraph, fuse_graph
 from .compiled import CompiledCostModel
 from .cost import RuntimeCharacteristics
 
+#: Lengths a cost row grows by: a lookup past a row's end prices every
+#: block up to the one holding the looked-up length, in one NumPy pass.
+ROW_BLOCK = 256
+
+#: Per batch width, the latency of each length from 1 (index 0).
+CostRows = Dict[int, List[float]]
+
 
 class GenerationRuntime:
     """Prices prefill + decode for a decoder-only model: each graph is
-    compiled once, each ``(batch, len)`` priced once (§5's cost table)."""
+    compiled once, and each batch width keeps a cost row per graph,
+    extended a block of lengths at a time (§5's cost table)."""
 
     def __init__(
         self,
@@ -39,8 +58,7 @@ class GenerationRuntime:
         stride: int = 8,
         step_overhead_s: float = 0.0,
     ) -> None:
-        if stride <= 0:
-            raise ValueError(f"stride must be positive, got {stride}")
+        check_size("stride", stride)
         # NaN fails the range too: it would price every decode step NaN.
         if not 0 <= step_overhead_s < math.inf:
             raise ValueError("step_overhead_s must be >= 0 and finite, "
@@ -56,35 +74,50 @@ class GenerationRuntime:
         self.step_overhead_s = step_overhead_s
         self.prefill_model = CompiledCostModel(prefill_graph.nodes, chars, device)
         self.decode_model = CompiledCostModel(decode_graph.nodes, chars, device)
-        self._prefill_cache: Dict[Tuple[int, int], float] = {}
-        self._decode_cache: Dict[Tuple[int, int], float] = {}
+        self._prefill_rows: CostRows = {}
+        self._decode_rows: CostRows = {}
 
     def prefill_latency(self, batch: int, prompt_len: int) -> float:
         """Time-to-first-token: one parallel pass over the prompt."""
-        if batch <= 0 or prompt_len <= 0:
-            raise ValueError(
-                f"batch and prompt_len must be positive, got {batch}, {prompt_len}"
-            )
-        key = (batch, prompt_len)
-        if key not in self._prefill_cache:
-            self._prefill_cache[key] = (
-                self.prefill_model.kernel_s({"batch": batch, "seq": prompt_len})
-                + self.chars.fixed_overhead_s
-            )
-        return self._prefill_cache[key]
+        row = self._prefill_rows.get(batch)
+        if (row is not None and type(batch) is int
+                and type(prompt_len) is int and prompt_len > 0):
+            try:
+                return row[prompt_len - 1]
+            except IndexError:  # past the row's end: extend it
+                pass
+        return self._extend(self._prefill_rows, self.prefill_model, "seq",
+                            self.chars.fixed_overhead_s, batch,
+                            "prompt_len", prompt_len)
 
     def decode_step_latency(self, batch: int, past: int) -> float:
         """One generated token against ``past`` cached positions."""
-        if batch <= 0 or past <= 0:
-            raise ValueError(f"batch and past must be positive, got {batch}, {past}")
-        key = (batch, past)
-        step_s = self._decode_cache.get(key)
-        if step_s is None:
-            step_s = self._decode_cache[key] = (
-                self.decode_model.kernel_s({"batch": batch, "past": past})
-                + self.step_overhead_s
-            )
-        return step_s
+        row = self._decode_rows.get(batch)
+        if (row is not None and type(batch) is int and type(past) is int
+                and past > 0):
+            try:
+                return row[past - 1]
+            except IndexError:  # past the row's end: extend it
+                pass
+        return self._extend(self._decode_rows, self.decode_model, "past",
+                            self.step_overhead_s, batch, "past", past)
+
+    @staticmethod
+    def _extend(rows: CostRows, model: CompiledCostModel, symbol: str,
+                overhead_s: float, batch: int, name: str,
+                length: int) -> float:
+        """Check the shape, grow ``batch``'s row by whole blocks until it
+        holds ``length``, and return that entry: the row's
+        ``kernel_s + overhead_s`` per length, as builtin floats."""
+        check_size("batch", batch)
+        check_size(name, length)
+        row = rows.setdefault(batch, [])
+        if length > len(row):
+            end = -(-length // ROW_BLOCK) * ROW_BLOCK
+            values = np.arange(len(row) + 1, end + 1, dtype=np.int64)
+            row += (model.row({"batch": batch}, symbol, values)
+                    + overhead_s).tolist()
+        return row[length - 1]
 
     def generate_latency(
         self, prompt_len: int, new_tokens: int, batch: int = 1
@@ -107,10 +140,14 @@ class GenerationRuntime:
         return batch * new_tokens / total
 
     def host_path_stats(self) -> Dict[str, int]:
-        """Deterministic counters of the host fast path: the two shape
-        memos and both compiled models."""
-        return {"prefill_cache_entries": len(self._prefill_cache),
-                "decode_cache_entries": len(self._decode_cache),
+        """Deterministic counters of the host fast path: each graph's cost
+        rows (batch widths and priced lengths) and compiled model."""
+        return {"prefill_rows": len(self._prefill_rows),
+                "prefill_row_entries": sum(map(len,
+                                               self._prefill_rows.values())),
+                "decode_rows": len(self._decode_rows),
+                "decode_row_entries": sum(map(len,
+                                              self._decode_rows.values())),
                 **self.prefill_model.stats("prefill_compiled"),
                 **self.decode_model.stats("decode_compiled")}
 
@@ -155,48 +192,3 @@ class GenerationRuntime:
             f"prefill x{batch}", start_s, dur_s, tid=tid, cat="prefill",
             batch=batch, prompt_len=prompt_len,
         )
-
-    def generate_timeline(self, prompt_len: int, new_tokens: int,
-                          batch: int = 1, start_s: float = 0.0,
-                          tracer=None, metrics=None,
-                          system: str = "generation") -> "GenerationTimeline":
-        """Instrumented :meth:`generate_latency`: same strided walk, but
-        emitting one span per decode stride (plus the prefill span) and
-        publishing TTFT/TPOT, all in the caller's simulated time frame."""
-        if new_tokens <= 0:
-            raise ValueError(f"new_tokens must be positive, got {new_tokens}")
-        clock = start_s
-        prefill_s = self.prefill_latency(batch, prompt_len)
-        self.trace_prefill(tracer, clock, prefill_s, batch, prompt_len)
-        clock += prefill_s
-        ttft_s = clock - start_s
-        stride_ends: List[float] = []
-        # Identical strided walk to generate_latency, so the two agree
-        # bit for bit on the total.
-        step = 0
-        while step < new_tokens:
-            span = min(self.stride, new_tokens - step)
-            past = prompt_len + step
-            dur = self.decode_step_latency(batch, past) * span
-            self.trace_decode_stride(tracer, clock, dur, batch, past,
-                                     tokens=span * batch)
-            clock += dur
-            stride_ends.append(clock)
-            step += span
-        total_s = clock - start_s
-        tpot_s = ((total_s - ttft_s) / new_tokens
-                  if new_tokens > 0 else 0.0)
-        self.publish_request_metrics(metrics, req_id=-1, ttft_s=ttft_s,
-                                     tpot_s=tpot_s, system=system)
-        return GenerationTimeline(ttft_s=ttft_s, total_s=total_s,
-                                  tpot_s=tpot_s, stride_ends=stride_ends)
-
-
-@dataclass(frozen=True)
-class GenerationTimeline:
-    """Per-request timing of one instrumented generation."""
-
-    ttft_s: float
-    total_s: float
-    tpot_s: float
-    stride_ends: Tuple[float, ...] | List[float]

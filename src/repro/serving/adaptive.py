@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from .driver import check_size
+from .._checks import check_size
 from .request import Batch, Request, make_batch
 from .scheduler import BatchScheduler, CostFn
 

@@ -86,6 +86,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
+from .._checks import check_size
 from ..engine import EngineFaultInjector, EventKind
 # ``execute_schedule`` stays importable from here: perf/layers.py patches
 # ``continuous.execute_schedule``, although rounds are timed by
@@ -95,7 +96,7 @@ from ..memory.kv_arena import KVCacheArena
 from ..memory.prefix_index import RadixPrefixIndex
 from ..observability import MetricsRegistry, Tracer
 from ..runtime.chunked import PrefillChunker
-from .driver import Driver, Replica, check_size, publish_tally
+from .driver import Driver, Replica, publish_tally
 from .metrics import LatencyStats, ServingMetrics
 from .request import Request, RequestState
 from .rounds import RoundRecord, round_program, round_timing

@@ -76,19 +76,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (resilience -> servin
     from ..resilience import ResilienceConfig
 
 
-def check_size(name: str, value: object, optional: bool = False) -> None:
-    """Reject a size knob that is not an ``int`` of at least 1 (a
-    ``bool`` is not a size); ``optional`` admits ``None`` as well."""
-    if value is None and optional:
-        return
-    if not isinstance(value, int) or isinstance(value, bool):
-        allowed = "an int or None" if optional else "an int"
-        raise TypeError(f"{name} must be {allowed}, got {value!r}")
-    if value <= 0:
-        raise ValueError(f"{name} must be positive"
-                         f"{' or None' if optional else ''}, got {value}")
-
-
 def publish_tally(metrics: MetricsRegistry, name: str, value: float,
                   **labels: str) -> None:
     """Add a run's tally to the counter ``name``, which is created only

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
+from .._checks import check_size
 from ..engine import EngineFaultInjector
-from .driver import check_size
 from .metrics import ServingMetrics
 from .policies import TriggerPolicy
 from .request import Batch, Request, RequestState, make_batch

@@ -16,7 +16,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
-from .driver import check_size
+from .._checks import check_size
 from .mq import MessageQueue
 
 

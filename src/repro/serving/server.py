@@ -84,9 +84,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
+from .._checks import check_size
 from ..engine import EngineFaultInjector, EventKind
 from ..observability import MetricsRegistry, Tracer
-from .driver import Driver, Replica, check_size
+from .driver import Driver, Replica
 from .metrics import ServingMetrics
 from .mq import MessageQueue
 from .policies import HungryPolicy, LazyPolicy, TriggerPolicy

@@ -11,6 +11,8 @@ from repro.runtime import (
     PrefillChunker,
 )
 
+from .generation_oracles import pass_latencies
+
 CONFIG = tiny_gpt()
 
 
@@ -65,28 +67,28 @@ class TestTelescoping:
     @pytest.mark.parametrize("chunk_tokens", [4, 8, 512])
     def test_sum_matches_unchunked(self, runtime, prompt_len, chunk_tokens):
         chunker = PrefillChunker(chunk_tokens=chunk_tokens)
-        lats = chunker.pass_latencies(runtime, 2, prompt_len)
+        lats = pass_latencies(chunker, runtime, 2, prompt_len)
         assert all(l >= 0.0 for l in lats)
         assert sum(lats) == pytest.approx(
             runtime.prefill_latency(2, prompt_len), rel=1e-12)
 
     def test_single_chunk_is_bit_identical(self, runtime):
         chunker = PrefillChunker(chunk_tokens=512)
-        [lat] = chunker.pass_latencies(runtime, 3, 30)
+        [lat] = pass_latencies(chunker, runtime, 3, 30)
         assert lat == runtime.prefill_latency(3, 30)
 
     def test_marginal_chunks_cost_positive(self, runtime):
         # Every chunk does real work (the cost model is increasing in
         # prompt length, so no marginal chunk collapses to zero).
-        lats = PrefillChunker(chunk_tokens=8).pass_latencies(runtime, 1, 32)
+        lats = pass_latencies(PrefillChunker(chunk_tokens=8), runtime, 1, 32)
         assert len(lats) == 4
         assert all(l > 0.0 for l in lats)
 
     def test_per_chunk_overhead_charged_after_first(self, runtime):
         base = PrefillChunker(chunk_tokens=8)
         taxed = PrefillChunker(chunk_tokens=8, per_chunk_overhead_s=1e-5)
-        extra = sum(taxed.pass_latencies(runtime, 1, 24)) \
-            - sum(base.pass_latencies(runtime, 1, 24))
+        extra = sum(pass_latencies(taxed, runtime, 1, 24)) \
+            - sum(pass_latencies(base, runtime, 1, 24))
         assert extra == pytest.approx(2e-5)  # 3 chunks -> 2 taxed
 
     def test_non_monotone_cost_model_clamped(self):
@@ -95,5 +97,5 @@ class TestTelescoping:
                 return 1.0 if tokens <= 8 else 0.5  # decreasing!
 
         chunker = PrefillChunker(chunk_tokens=8)
-        lats = chunker.pass_latencies(Weird(), 1, 16)
+        lats = pass_latencies(chunker, Weird(), 1, 16)
         assert lats == [1.0, 0.0]  # clamped, never negative

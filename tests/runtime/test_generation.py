@@ -15,6 +15,9 @@ from repro.runtime import (
 )
 from repro.runtime.chunked import PrefillChunker
 from repro.runtime.cost import graph_cost
+from repro.runtime.generation import ROW_BLOCK
+
+from .generation_oracles import generate_timeline, pass_latencies
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +106,7 @@ class TestInstrumentation:
     def test_timeline_total_matches_generate_latency(self, runtimes):
         turbo, _ = runtimes
         for prompt, new in ((32, 1), (64, 7), (128, 48)):
-            timeline = turbo.generate_timeline(prompt, new, batch=2)
+            timeline = generate_timeline(turbo, prompt, new, batch=2)
             assert timeline.total_s == turbo.generate_latency(prompt, new, 2)
             assert timeline.ttft_s == turbo.prefill_latency(2, prompt)
             assert timeline.tpot_s == pytest.approx(
@@ -115,7 +118,7 @@ class TestInstrumentation:
         turbo, _ = runtimes
         tracer = Tracer()
         registry = MetricsRegistry()
-        timeline = turbo.generate_timeline(64, 20, tracer=tracer,
+        timeline = generate_timeline(turbo, 64, 20, tracer=tracer,
                                            metrics=registry, system="test")
         events = tracer.to_dict()["traceEvents"]
         decode = [e for e in events if e["name"].startswith("decode x")]
@@ -146,7 +149,7 @@ class TestInstrumentation:
     def test_disabled_tracer_and_no_metrics_are_free(self, runtimes):
         turbo, _ = runtimes
         # None sinks must be accepted and change nothing.
-        timeline = turbo.generate_timeline(32, 4, tracer=None, metrics=None)
+        timeline = generate_timeline(turbo, 32, 4, tracer=None, metrics=None)
         assert timeline.total_s == turbo.generate_latency(32, 4, 1)
 
 
@@ -212,23 +215,27 @@ class TestCompiledPricing:
             ref = ReferencePricing(rt)
             for batch, prompt, start in ((1, 200, 0), (3, 64, 0),
                                          (2, 300, 48), (8, 17, 16)):
-                assert chunker.pass_latencies(rt, batch, prompt, start) == \
-                    chunker.pass_latencies(ref, batch, prompt, start)
+                assert pass_latencies(chunker, rt, batch, prompt, start) == \
+                    pass_latencies(chunker, ref, batch, prompt, start)
 
     def test_host_path_stats(self):
         config = gpt_small()
         rt = GenerationRuntime(build_prefill_graph(config),
                                build_decode_step_graph(config),
                                TURBO_CHARACTERISTICS, RTX_2060)
-        for batch, length in ((1, 32), (2, 32), (1, 32)):
+        for batch, length in ((1, 32), (2, 32), (1, 32), (1, ROW_BLOCK)):
             rt.prefill_latency(batch, length)
         rt.decode_step_latency(4, 100)
+        # Past the row's end: the row grows by two whole blocks at once.
+        rt.decode_step_latency(4, 2 * ROW_BLOCK + 1)
         stats = rt.host_path_stats()
-        assert stats["prefill_cache_entries"] == 2
-        assert stats["decode_cache_entries"] == 1
-        # One compiled evaluation per memo miss, never per call.
+        assert stats["prefill_rows"] == 2
+        assert stats["prefill_row_entries"] == 2 * ROW_BLOCK
+        assert stats["decode_rows"] == 1
+        assert stats["decode_row_entries"] == 3 * ROW_BLOCK
+        # One compiled evaluation per row extension, never per call.
         assert stats["prefill_compiled_evals"] == 2
-        assert stats["decode_compiled_evals"] == 1
+        assert stats["decode_compiled_evals"] == 2
         for prefix, model, graph in (
             ("prefill", rt.prefill_model, rt.prefill_graph),
             ("decode", rt.decode_model, rt.decode_graph),
