@@ -131,10 +131,7 @@ class GenRequest(Request):
         # Explicit: slots=True rebuilds the class, so a zero-argument
         # super() would see the pre-slots class and fail.
         Request.__post_init__(self)
-        if self.max_new_tokens <= 0:
-            raise ValueError(
-                f"max_new_tokens must be positive, got {self.max_new_tokens}"
-            )
+        check_size("max_new_tokens", self.max_new_tokens)
         if self.prompt_ids is not None and len(self.prompt_ids) != self.seq_len:
             raise ValueError(
                 f"prompt_ids length {len(self.prompt_ids)} != seq_len "
@@ -1021,8 +1018,7 @@ def request_level_cost_fn(runtime, est_new_tokens: int = 16) -> CostFn:
     cached cost models.  Used by the DP scheduler to partition the queue;
     execution is then priced step by step.
     """
-    if est_new_tokens <= 0:
-        raise ValueError(f"est_new_tokens must be positive, got {est_new_tokens}")
+    check_size("est_new_tokens", est_new_tokens)
 
     def cost(seq_len: int, batch: int) -> float:
         return runtime.generate_latency(seq_len, est_new_tokens, batch)

@@ -73,6 +73,14 @@ class TestGenRequest:
         with pytest.raises(ValueError):
             GenRequest(req_id=0, seq_len=8, arrival_s=0.0).ttft_s
 
+    @pytest.mark.parametrize("budget", [float("nan"), 2.5, True])
+    def test_non_integer_output_budget_rejected(self, budget):
+        """A NaN budget used to be shed silently, 2.5 to generate 3
+        tokens and ``True`` 1."""
+        with pytest.raises(TypeError, match="max_new_tokens must be an int"):
+            GenRequest(req_id=0, seq_len=8, arrival_s=0.0,
+                       max_new_tokens=budget)
+
 
 class TestContinuousLoop:
     def test_everything_completes(self, runtime):
@@ -226,6 +234,14 @@ class TestRequestLevelControl:
         assert fn(16, 2) == runtime.generate_latency(16, 8, 2)
         with pytest.raises(ValueError):
             request_level_cost_fn(runtime, est_new_tokens=0)
+
+    @pytest.mark.parametrize("estimate", [float("nan"), 2.5, True])
+    def test_non_integer_estimate_rejected(self, runtime, estimate):
+        with pytest.raises(TypeError, match="est_new_tokens must be an int"):
+            request_level_cost_fn(runtime, est_new_tokens=estimate)
+        with pytest.raises(TypeError, match="est_new_tokens must be an int"):
+            RequestLevelGenerationServer(runtime, make_arena(),
+                                         est_new_tokens=estimate)
 
     def test_kv_gate_splits_a_batch(self, runtime):
         """Eight 30-token prompts with 12-token budgets form one DP batch,
