@@ -33,9 +33,12 @@ from typing import List
 from .._checks import check_size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrefillChunk:
-    """One chunk of a prefill pass: prompt positions ``[start, end)``."""
+    """One chunk of a prefill pass: prompt positions ``[start, end)``.
+
+    Slotted: a generation replica's round log keeps every round's chunks
+    for the run."""
 
     index: int
     start: int

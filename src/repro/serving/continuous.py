@@ -13,10 +13,10 @@ decode step** — the iteration-level design of modern LLM serving systems:
 
 * finished requests exit their slot immediately (the next step is priced
   at the smaller batch width — no retired-slot work);
-* queued requests are admitted mid-flight: their prefill runs as a
-  dedicated pass between decode steps (the chunked-prefill simplification
-  — one pass for the whole admitted set) and they join the decode batch at
-  the next step;
+* queued requests are admitted mid-flight: their prefill runs as one
+  round between decode steps (one pass for the whole admitted set, or
+  its chunks overlapped with decode steps) and they join the decode batch
+  at the next step;
 * admission is **KV-cache-aware**: a request joins only while the
   :class:`~repro.memory.KVCacheArena` high-watermark holds, so the batch
   is bounded by simulated KV memory rather than a fixed ``max_batch``.
@@ -69,10 +69,25 @@ The rules every replica follows:
 * **faults** — each replica stretches its own busy windows under its
   injector's latency spikes.
 
+Every admitted set gets one prefill round, planned and then committed.
+:meth:`GenReplica.plan_round` prices it and logs its
+:class:`~repro.serving.rounds.RoundRecord`: one whole-pass chunk on an
+unchunked replica, or the chunker's chunks plus the decode steps that
+fit inside the prefill on a chunked one.
+:meth:`GenReplica.commit_round` runs the record as one busy window,
+yields its end, then charges busy and stall time, traces, and commits
+the decode steps and the prefill.  Only how a round is reported depends
+on the mode (a serial pass draws one span before its window and counts
+no chunk).
+
 A decode run steps the live batch back to back while the queue is
 empty, as one window up to the engine's next live event: a step ending
 strictly before that event commits without yielding, and the run yields
 at the step that reaches it, at a crash cut and before it returns.
+It stays its own loop, with no plan: decode steps outnumber prefill
+rounds five- to twelvefold on the benchmark workloads, so planning or
+logging them would cost far more memory and host time than the round log
+does.
 
 Everything is simulator-time and deterministic given the workload; costs
 come from :class:`~repro.runtime.GenerationRuntime` (prefill and per-step
@@ -82,6 +97,7 @@ decode against the growing KV cache).
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
@@ -99,7 +115,7 @@ from ..runtime.chunked import PrefillChunker
 from .driver import Driver, Replica, publish_tally
 from .metrics import LatencyStats, ServingMetrics
 from .request import Request, RequestState
-from .rounds import RoundRecord, round_program, round_timing
+from .rounds import RoundRecord, Step, round_program, round_timing
 from .router import crashed, queue_fails_fast
 from .scheduler import BatchScheduler, CostFn, PrunedDPBatchScheduler
 
@@ -258,6 +274,11 @@ class ContinuousBatchingConfig:
         check_size("chunk_tokens", self.chunk_tokens, optional=True)
 
 
+#: An unchunked replica's chunker: one chunk tiles the whole pass, and
+#: :meth:`PrefillChunker.chunk_latency` prices it as the serial pass.
+_WHOLE_PASS = PrefillChunker(sys.maxsize)
+
+
 def _next_event_time(engine) -> float:
     """When the engine's next live event is due (``inf`` with none)."""
     event = engine.peek()
@@ -269,36 +290,16 @@ def _window_overlap(start: float, dur: float, horizon: float) -> float:
     return max(0.0, min(start + dur, horizon) - min(start, horizon))
 
 
-def _merged_busy_in_horizon(spans: Sequence[Tuple[float, float]],
-                            horizon: float) -> float:
-    """Busy seconds a set of ``(start, end)`` spans covers inside the horizon.
-
-    The overlapped round runs chunks and decode steps on two streams at
-    once: charging each span's window separately would double-count the
-    concurrent seconds, and charging the whole pass as one window would
-    credit any idle gap between spans.  So clip **per chunk**: merge the
-    spans into disjoint intervals first, then clip each interval to the
-    horizon — a round straddling the horizon credits exactly the busy
-    seconds that lie inside it.
-    """
-    merged: List[List[float]] = []
-    for start, end in sorted(spans):
-        if merged and start <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], end)
-        else:
-            merged.append([start, end])
-    return sum(_window_overlap(s, e - s, horizon) for s, e in merged)
-
-
 class GenReplica(Replica):
     """One GPU replica of the iteration-level loop.
 
     Owns its KV arena, its optional radix prefix index, its queue and its
     active (decoding) set; a driver binds it to one run's engine, fault
     injector and circuit breaker (:meth:`bind`).  :meth:`run` is the
-    replica's loop: it admits from the queue, runs a prefill round
-    (serial, or chunked and overlapped with decode) or a decode run, and
-    yields the end of each busy window until nothing is runnable.
+    replica's loop: it admits from the queue, plans and commits a prefill
+    round (:meth:`plan_round`, :meth:`commit_round`; a serial pass is a
+    round of one chunk with no overlapped decode) or runs a decode run,
+    and yields the end of each busy window until nothing is runnable.
     """
 
     def __init__(self, server_id: int, runtime, arena: KVCacheArena,
@@ -320,7 +321,8 @@ class GenReplica(Replica):
         super().bind(driver, faults, breaker)
         self.queue: Deque[GenRequest] = deque()
         self.active: List[GenRequest] = []
-        #: One :class:`RoundRecord` per chunked round of the run.
+        #: One :class:`RoundRecord` per prefill round of the run, chunked
+        #: or not, in planning order (a round a crash cuts is logged too).
         self.round_log: List[RoundRecord] = []
         #: Successful admissions of the run, in order (req_ids; restores
         #: included).
@@ -335,8 +337,9 @@ class GenReplica(Replica):
 
     @property
     def emitted_schedules(self) -> List[StreamSchedule]:
-        """Per-round :class:`StreamSchedule` programs of the run (chunked
-        mode only), built from :attr:`round_log` on each read — audited by
+        """Per-round :class:`StreamSchedule` programs of the run, one per
+        prefill round (a serial pass's has one chunk launch and no decode
+        launch), built from :attr:`round_log` on each read — audited by
         the SCHED3xx race detector."""
         page = self.arena.page_tokens
         return [round_program(record, page)[0] for record in self.round_log]
@@ -371,10 +374,8 @@ class GenReplica(Replica):
             if admitted is None:
                 continue  # victims preempted: retry with the freed pages
             if admitted:
-                if self.chunker is not None:
-                    yield from self.overlapped_round(admitted)
-                else:
-                    yield from self.prefill(admitted)
+                yield from self.commit_round(admitted,
+                                             self.plan_round(admitted))
                 continue
             if self.active:
                 yield from self.decode_run()
@@ -462,37 +463,6 @@ class GenReplica(Replica):
             return dur, None
         return self.faults.window(started, dur)
 
-    def prefill(self, admitted: List[GenRequest]):
-        """One serial prefill pass over the admitted set; it blocks every
-        live decoder (the head-of-line stall chunking removes)."""
-        d = self.driver
-        b = len(admitted)
-        prompt = max(r.seq_len + r.generated for r in admitted)
-        # Prefix-cache credit: the batched pass only runs positions past
-        # the shortest attached prefix (the telescoping difference — the
-        # cached head's cost, launch overhead cancelled, is skipped work).
-        pass_start = min(self._cached_len[r.req_id] for r in admitted)
-        started = d.engine.now
-        full_s = self.runtime.prefill_latency(b, prompt)
-        prefill_s = full_s
-        if pass_start > 0:
-            prefill_s = max(0.0, full_s - self.runtime
-                            .prefill_latency(b, pass_start))
-            d.prefill_saved_s += full_s - prefill_s
-        self.runtime.trace_prefill(d.tracer, started, prefill_s, b,
-                                   prompt, tid=self.tid)
-        dur, cut = self._window(started, prefill_s)
-        yield started + dur if cut is None else cut
-        if cut is not None:
-            self._lose(admitted)
-            return
-        d.busy_s += _window_overlap(started, dur, d.horizon)
-        if self.active:
-            d.stall_s += dur
-        d.prefills += 1
-        self._commit_prefill(admitted, started, d.engine.now)
-        self._trace_kv(d.engine.now)
-
     def _decode_shape(self) -> Tuple[int, int]:
         """``(width, past)`` the next decode step is priced at: live slots
         only (finished requests already exited), KV padded to the
@@ -563,122 +533,133 @@ class GenReplica(Replica):
         if not landed:
             yield end
 
-    def overlapped_round(self, admitted: List[GenRequest]):
-        """One chunked round: prefill chunks on the ``prefill`` stream
-        overlapped with decode steps on the ``decode`` stream.
+    def plan_round(self, admitted: List[GenRequest]) -> RoundRecord:
+        """Plan the prefill round of an admitted set and log its
+        :class:`RoundRecord`; nothing is committed yet.
 
-        The round is planned first (chunk latencies, decode steps
-        starting strictly before the prefill finishes), logged as a
-        :class:`RoundRecord`, then timed on per-stream virtual clocks
-        (:func:`round_timing`, the closed form of executing the round's
-        stream program with its chunk↔decode join) — the critical-path
-        makespan is the replica's busy window, not the serial sum.  The
-        program itself, with its KV-page buffer annotations, is built
-        only when :attr:`emitted_schedules` is read.  Token effects are
-        identical to the serial path: the admitted set commits at the
-        prefill's end, each decode step at its own.
+        The pass runs only the positions past the shortest attached
+        prefix (the prefix-cache credit: the cached head's cost, launch
+        overhead cancelled, is skipped work).  A chunked replica splits
+        them with its chunker and plans the live batch's decode steps that
+        fit **inside** the prefill, so the round never outlasts it: the
+        next admission happens exactly when a serial pass would have
+        re-checked the queue, and every overlapped step is pure profit.
+        An unchunked replica plans one chunk over the whole pass, priced
+        as the serial pass, and no decode step: its live decoders stall
+        for the pass.
         """
         d = self.driver
+        runtime = self.runtime
         d.rounds += 1
-        round_idx = d.rounds
-        b_p = len(admitted)
+        b = len(admitted)
         prompt = max(r.seq_len + r.generated for r in admitted)
-        # Prefix-cache credit, as in the serial path: chunk only the
-        # positions past the shortest attached prefix.
         pass_start = min(self._cached_len[r.req_id] for r in admitted)
-        started = d.engine.now
-        chunks = self.chunker.chunks(prompt, start=pass_start)
-        chunk_lats = [self.chunker.chunk_latency(self.runtime, b_p, c,
-                                                 pass_start=pass_start)
+        chunker = self.chunker or _WHOLE_PASS
+        chunks = chunker.chunks(prompt, start=pass_start)
+        chunk_lats = [chunker.chunk_latency(runtime, b, c,
+                                            pass_start=pass_start)
                       for c in chunks]
-        prefill_total = sum(chunk_lats)
         if pass_start > 0:
-            d.prefill_saved_s += min(
-                self.runtime.prefill_latency(b_p, prompt),
-                self.runtime.prefill_latency(b_p, pass_start),
-            )
-        # Plan the decode steps that overlap the prefill: a step is issued
-        # only if it fits **inside** the prefill window, so the round
-        # never outlasts the prefill pass — the next admission happens
-        # exactly when the serial loop would have re-checked the queue,
-        # and every overlapped step is pure profit.  ``extra`` tracks
-        # tokens produced within this round without mutating requests.
-        steps: List[Tuple[List[Tuple[GenRequest, int]], float]] = []
+            d.prefill_saved_s += min(runtime.prefill_latency(b, prompt),
+                                     runtime.prefill_latency(b, pass_start))
+        steps = (() if self.chunker is None
+                 else self._overlapped_steps(sum(chunk_lats)))
+        record = RoundRecord(
+            d.rounds,
+            tuple((r.req_id, self._cached_len[r.req_id],
+                   r.seq_len + r.generated) for r in admitted),
+            chunks, chunk_lats, steps,
+        )
+        self.round_log.append(record)
+        return record
+
+    def _overlapped_steps(self, prefill_s: float) -> List[Step]:
+        """The live batch's decode steps, back to back from the round
+        start, that end within ``prefill_s``.  ``extra`` counts the tokens
+        each member produces within the round without mutating it."""
+        steps: List[Step] = []
         dec = list(self.active)
         extra: Dict[int, int] = {}
-        dec_elapsed = 0.0
+        elapsed = 0.0
         while dec:
-            b_d = len(dec)
             past = max(r.seq_len + r.generated + extra.get(r.req_id, 0)
                        for r in dec)
-            step_s = self.runtime.decode_step_latency(b_d, past)
-            if dec_elapsed + step_s > prefill_total:
+            step_s = self.runtime.decode_step_latency(len(dec), past)
+            if elapsed + step_s > prefill_s:
                 break
-            members = [(r, r.seq_len + r.generated
-                        + extra.get(r.req_id, 0)) for r in dec]
-            steps.append((members, step_s))
-            dec_elapsed += step_s
+            steps.append(([(r, r.seq_len + r.generated
+                            + extra.get(r.req_id, 0)) for r in dec], step_s))
+            elapsed += step_s
             nxt: List[GenRequest] = []
             for r in dec:
                 extra[r.req_id] = extra.get(r.req_id, 0) + 1
                 if r.generated + extra[r.req_id] < r.max_new_tokens:
                     nxt.append(r)
             dec = nxt
-        self.round_log.append(RoundRecord(
-            round_idx,
-            tuple((r.req_id, self._cached_len[r.req_id],
-                   r.seq_len + r.generated) for r in admitted),
-            chunks, chunk_lats, steps,
-        ))
-        # Time the round's program on per-stream clocks: the makespan
-        # (critical path through the join) is the GPU's busy window.
-        timing = round_timing(chunk_lats, [step_s for _, step_s in steps])
-        makespan = timing.makespan_s
-        dur, cut = self._window(started, makespan)
+        return steps
+
+    def commit_round(self, admitted: List[GenRequest], record: RoundRecord):
+        """Run a planned round as one busy window: yield its end, then
+        charge it and commit its decode steps and its prefill.
+
+        The round is timed on per-stream clocks (:func:`round_timing`, the
+        closed form of executing its stream program); the plan never lets
+        decode outlast the prefill, so the makespan is the prefill and the
+        window is ``[started, started + prefill_s]``, stretched under
+        latency spikes.  Span times inside it scale by ``dur / prefill_s``
+        so every commit stays inside the window.  Each decode step commits
+        at its own end and the admitted set at the prefill's end (TTFT is
+        unchanged by the overlap; the win is that the *round* costs only
+        the prefill, so the queue drains sooner).  Live decoders left
+        after the planned steps stall from the last one to the prefill's
+        end.
+
+        Only the report depends on the mode: a serial pass draws one
+        ``prefill xB`` span on the replica track before its window and
+        counts no chunk; a chunked round draws per-stream spans and counts
+        its chunks.
+        """
+        d = self.driver
+        started = d.engine.now
+        timing = round_timing(record.chunk_lats,
+                              [step_s for _, step_s in record.steps])
+        prefill_s = timing.prefill_s
+        serial = self.chunker is None
+        if serial:
+            self.runtime.trace_prefill(d.tracer, started, prefill_s,
+                                       len(admitted), record.chunks[-1].end,
+                                       tid=self.tid)
+        dur, cut = self._window(started, prefill_s)
         yield started + dur if cut is None else cut
         if cut is not None:
             self._lose(admitted)
             return
-        # Faults may stretch the window; scale internal span times so
-        # commit timestamps stay inside [started, now].  Each stream's
-        # spans tile one interval from the round start, so the streams'
-        # union is the busy time.
-        ratio = dur / makespan if makespan > 0 else 1.0
-        d.busy_s += _merged_busy_in_horizon(
-            [(started, started + timing.prefill_s * ratio),
-             (started, started + makespan * ratio)], d.horizon,
-        )
+        ratio = dur / prefill_s if prefill_s > 0 else 1.0
+        d.busy_s += _window_overlap(started, dur, d.horizon)
         d.overlap_saved_s += timing.overlap_saved_s * ratio
-        if dec:
-            # Live decoders exhausted the overlap window and stalled from
-            # their last step to the join.
-            d.stall_s += max(0.0, prefill_total - dec_elapsed) * ratio
         d.prefills += 1
-        d.prefill_chunks += len(chunks)
-        tracer = d.tracer if d.trace_on else None
-        if tracer is not None:
-            for kernel, stream, start, end in timing.spans():
-                if kernel == "batch.reform":
-                    continue
-                tracer.complete(
-                    kernel, started + start * ratio, (end - start) * ratio,
-                    tid=f"{self.tid}:{stream}",
-                    cat="prefill" if stream == "prefill" else "decode",
-                    round=round_idx,
-                )
-        # Commit decode-step effects at each step's end time.
-        elapsed = 0.0
-        for members, step_s in steps:
-            elapsed += step_s
-            self._commit_decode([r for r, _cached in members],
-                                started + elapsed * ratio)
-        self.active = [r for r in self.active
-                       if r.generated < r.max_new_tokens]
-        # Commit the prefill at the pass end (TTFT is unchanged by the
-        # overlap — the win is that the *round* only costs the makespan,
-        # so the queue drains sooner).
-        self._commit_prefill(admitted, started,
-                             started + prefill_total * ratio)
+        if not serial:
+            d.prefill_chunks += len(record.chunks)
+            if d.trace_on:
+                for kernel, stream, start, end in timing.spans():
+                    if kernel != "batch.reform":
+                        d.tracer.complete(
+                            kernel, started + start * ratio,
+                            (end - start) * ratio,
+                            tid=f"{self.tid}:{stream}", cat=stream,
+                            round=record.index,
+                        )
+        if record.steps:  # only a decode step can finish a live request
+            elapsed = 0.0
+            for members, step_s in record.steps:
+                elapsed += step_s
+                self._commit_decode([r for r, _kv in members],
+                                    started + elapsed * ratio)
+            self.active = [r for r in self.active
+                           if r.generated < r.max_new_tokens]
+        if self.active:
+            d.stall_s += (prefill_s - timing.decode_s) * ratio
+        self._commit_prefill(admitted, started, started + prefill_s * ratio)
         self._trace_kv(d.engine.now)
 
     # -- commits ----------------------------------------------------------
@@ -984,8 +965,8 @@ class ContinuousBatchingServer:
     @property
     def emitted_schedules(self) -> List[StreamSchedule]:
         """Per-round :class:`StreamSchedule` programs of the last
-        ``serve()`` call (chunked mode only), built from the round log on
-        read — audited by the SCHED3xx race detector via ``repro check
+        ``serve()`` call, one per prefill round, built from the round log
+        on read — audited by the SCHED3xx race detector via ``repro check
         --sanitize continuous`` and tests."""
         return self.replica.emitted_schedules
 

@@ -1,13 +1,17 @@
-"""One overlapped (chunked) round: its closed-form timing and its audit program.
+"""One prefill round: its closed-form timing and its audit program.
 
-A chunked round runs the admitted set's prefill chunks back to back on the
-``prefill`` stream and, beside them, decode steps of the live batch on the
-``decode`` stream.  The decode stream then waits for the last chunk (the
-join) before it re-forms the batch around the newcomers.  As a
-:class:`~repro.gpusim.multistream.StreamSchedule` that is::
+Every prefill round runs the admitted set's prefill chunks back to back
+on the ``prefill`` stream and, beside them, decode steps of the live
+batch on the ``decode`` stream.  The decode stream then waits for the
+last chunk (the join) before it re-forms the batch around the newcomers.
+As a :class:`~repro.gpusim.multistream.StreamSchedule` that is::
 
     prefill: launch c0, launch c1, ..., record done
     decode:  launch s0, launch s1, ..., wait done, launch batch.reform (0 s)
+
+A serial (unchunked) pass is the round of one whole-pass chunk with no
+decode step.  A chunked round plans only the steps that end within the
+prefill, so in every round the prefill's end is the makespan.
 
 The serving loop needs only the timing of this program, and
 :func:`round_timing` computes it in closed form on two clocks, with the
@@ -42,8 +46,8 @@ Step = Tuple[List[Tuple["GenRequest", int]], float]
 
 
 class RoundRecord(NamedTuple):
-    """What a round's audit program depends on, captured when it is
-    planned (requests mutate at the commit)."""
+    """A planned round: what its commit and its audit program depend on,
+    captured when it is planned (requests mutate at the commit)."""
 
     index: int
     #: ``(req_id, cached prefix tokens, KV length)`` per admitted request.

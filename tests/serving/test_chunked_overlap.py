@@ -6,6 +6,8 @@ byte-identical to the unchunked loop; every emitted round schedule must
 be race-free; and at saturating arrival rates the TTFT tail must flatten.
 """
 
+from typing import List, Sequence, Tuple
+
 import pytest
 
 from repro.analysis.schedule_checks import check_emitted_schedules
@@ -21,7 +23,24 @@ from repro.serving import (
     geometric_output_lengths,
     uniform_lengths,
 )
-from repro.serving.continuous import _merged_busy_in_horizon
+from repro.serving.continuous import _window_overlap
+
+
+def merged_busy_in_horizon(spans: Sequence[Tuple[float, float]],
+                           horizon: float) -> float:
+    """Busy seconds a set of ``(start, end)`` spans covers inside the
+    horizon: merge the spans into disjoint intervals (concurrent streams
+    are not double-counted, gaps are not credited), then clip each
+    interval to the horizon.  The oracle for a round's one-window busy
+    charge (``test_round_timing.py``)."""
+    merged: List[List[float]] = []
+    for start, end in sorted(spans):
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    return sum(_window_overlap(s, e - s, horizon) for s, e in merged)
+
 
 CONFIG = tiny_gpt()
 BPT = kv_bytes_per_token(CONFIG.num_layers, CONFIG.num_heads, CONFIG.head_size)
@@ -106,9 +125,16 @@ class TestSchedules:
         assert "prefill" in streams
         assert "decode" in streams
 
-    def test_unchunked_emits_no_schedules(self, runtime):
-        _, server, _ = serve(runtime, None)
-        assert server.emitted_schedules == []
+    def test_unchunked_emits_one_program_per_prefill(self, runtime):
+        # A serial pass is a round of one whole-pass chunk with no
+        # overlapped decode step.
+        _, server, m = serve(runtime, None)
+        schedules = server.emitted_schedules
+        assert len(schedules) == m.prefill_batches > 0
+        assert check_emitted_schedules(schedules) == []
+        for sched in schedules:
+            assert [op.kernel for op in sched.launches()] == [
+                "prefill.c0", "batch.reform"]
 
 
 class TestMetrics:
@@ -165,18 +191,18 @@ class TestMergedBusyInHorizon:
     def test_disjoint_spans_clip_per_span(self):
         # The straddling-pass fix: [0,1] counts fully, [2,3] clips to
         # [2,2.5] — per-chunk clipping, not per-pass.
-        assert _merged_busy_in_horizon([(0.0, 1.0), (2.0, 3.0)], 2.5) == 1.5
+        assert merged_busy_in_horizon([(0.0, 1.0), (2.0, 3.0)], 2.5) == 1.5
 
     def test_overlapping_spans_not_double_counted(self):
         # Concurrent streams overlap in wall time; busy is wall-clock
         # occupancy, so the union is what counts.
-        assert _merged_busy_in_horizon([(0.0, 2.0), (1.0, 3.0)], 10.0) == 3.0
+        assert merged_busy_in_horizon([(0.0, 2.0), (1.0, 3.0)], 10.0) == 3.0
 
     def test_span_fully_past_horizon(self):
-        assert _merged_busy_in_horizon([(5.0, 6.0)], 2.0) == 0.0
+        assert merged_busy_in_horizon([(5.0, 6.0)], 2.0) == 0.0
 
     def test_empty(self):
-        assert _merged_busy_in_horizon([], 1.0) == 0.0
+        assert merged_busy_in_horizon([], 1.0) == 0.0
 
     def test_unsorted_input(self):
-        assert _merged_busy_in_horizon([(2.0, 3.0), (0.0, 1.0)], 10.0) == 2.0
+        assert merged_busy_in_horizon([(2.0, 3.0), (0.0, 1.0)], 10.0) == 2.0

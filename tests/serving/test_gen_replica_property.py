@@ -10,9 +10,11 @@ list gives (:func:`repro.analysis.verify_serving_metrics`, its resilience
 counts included).  A run with a metrics registry attached must publish counters equal to its
 ``GenServingMetrics`` fields, its terminal-state counts and the
 dispatches the sanitizer recorded, and serve every request exactly as
-the same run without a registry.  The request-level control (the same
-replica under the request-level rule) must do the same, fault-free, on
-an arena small enough that the KV gate splits its DP batches.
+the same run without a registry.  Every round a lone replica logs
+plans decode steps summing to no more than its chunks (none unchunked).
+The request-level control (the same replica under the request-level
+rule) must do the same, fault-free, on an arena small enough that the
+KV gate splits its DP batches.
 """
 
 from collections import Counter
@@ -47,6 +49,7 @@ from repro.serving import (
     RequestState,
     simulate_generation_cluster,
 )
+from repro.serving.rounds import round_timing
 
 CONFIG = tiny_gpt()
 BPT = kv_bytes_per_token(CONFIG.num_layers, CONFIG.num_heads, CONFIG.head_size)
@@ -162,20 +165,23 @@ def prefix_overadmission():
 
 
 def serve(reqs, replicas, config, res, registry=None):
-    """One recorded run: ``(metrics, kv_leaks, recorder)``."""
+    """One recorded run: ``(metrics, kv_leaks, recorder, round_log)``;
+    the round log is the lone replica's (empty beside other replicas)."""
     with EngineTraceRecorder() as rec:
         if replicas == 1:
             kv = arena()
-            metrics = ContinuousBatchingServer(
-                RUNTIME, kv, config, metrics=registry,
-                resilience=res).serve(reqs, duration_s=0.1)
+            server = ContinuousBatchingServer(
+                RUNTIME, kv, config, metrics=registry, resilience=res)
+            metrics = server.serve(reqs, duration_s=0.1)
             leaks = kv.verify(live_req_ids=[])
+            rounds = server.replica.round_log
         else:
             cluster = simulate_generation_cluster(
                 reqs, replicas, RUNTIME, arena, duration_s=0.1,
                 resilience=res, config=config, metrics=registry)
             metrics, leaks = cluster.serving, cluster.kv_leaks
-    return metrics, leaks, rec
+            rounds = []
+    return metrics, leaks, rec, rounds
 
 
 #: The counters :func:`reconciled` accounts for.
@@ -242,7 +248,8 @@ def test_replica_runs_are_sanitizer_clean(scenario):
     reqs, replicas, config, res, observed = scenario
     registry = MetricsRegistry() if observed else None
     plain = [replace(r) for r in reqs]
-    metrics, leaks, rec = serve(reqs, replicas, config, res, registry)
+    metrics, leaks, rec, rounds = serve(reqs, replicas, config, res,
+                                        registry)
     errors = [d for d in verify_trace(rec, retry=res.retry)
               if d.severity is Severity.ERROR]
     assert errors == []
@@ -252,6 +259,14 @@ def test_replica_runs_are_sanitizer_clean(scenario):
     # the verifier reconciles them with the terminal requests.
     assert metrics.resilience is not None
     assert verify_serving_metrics(metrics, reqs, 0.1) == {}
+    # Every round's planned decode ends within its prefill, so the
+    # prefill's end is the round's makespan and its one busy window.
+    for record in rounds:
+        timing = round_timing(record.chunk_lats,
+                              [step_s for _, step_s in record.steps])
+        assert timing.decode_s <= timing.prefill_s == timing.makespan_s
+    if config.chunk_tokens is None:
+        assert all(not record.steps for record in rounds)
     if registry is not None:
         assert published(registry) == reconciled(metrics, reqs, rec)
         # Decode tokens: at least one per step, and fewer than all tokens
