@@ -93,7 +93,7 @@ def test_stream_intervals_charge_the_merged_spans(chunk_lats, step_lats,
     timing = round_timing(chunk_lats, planned_steps(chunk_lats, step_lats))
     makespan = timing.makespan_s
     assert makespan == timing.prefill_s
-    dur = makespan if factor == 1.0 else makespan * factor
+    dur = makespan * factor
     ratio = dur / makespan if makespan > 0 else 1.0
     spans = [(started + start * ratio, started + end * ratio)
              for _, _, start, end in timing.spans()]
@@ -117,4 +117,3 @@ def test_program_annotates_kv_pages():
     # The step reads request 9's last cached position and writes the next.
     assert launches["decode.s0"].reads == ("weights", "kv/00000009/p1")
     assert launches["decode.s0"].writes == ("kv/00000009/p1",)
-
