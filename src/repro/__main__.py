@@ -31,7 +31,7 @@ Commands
     Deterministic given the seed: two runs write byte-identical metrics.
 ``bench [--profile smoke|full|gen] [--seed N] [--out BENCH_host.json]``
     Wall-clock benchmarks of the host fast path (compiled cost models,
-    plan cache, pruned DP scheduler) against the seed baselines, written
+    placement pass, pruned DP scheduler) against the seed baselines, written
     as a JSON payload whose counter fields are deterministic.  The
     ``gen`` profile instead benchmarks generative serving — iteration-
     level continuous batching (plain and with chunked prefill +

@@ -3,14 +3,15 @@
 The paper's thesis is that host-side work (cost lookup, allocation
 planning, batch scheduling) must stay negligible next to kernel time.
 This harness times the *simulator's own* host path — the compiled cost
-models, the allocation-plan cache, and the row-memoising DP scheduler — against
-the interpretive/uncached baselines they replaced, and writes the result
-to ``BENCH_host.json`` so the repo carries a perf trajectory.
+models, the lifetime-indexed placement pass, and the row-memoising DP
+scheduler — against the interpretive/reference baselines they replaced,
+and writes the result to ``BENCH_host.json`` so the repo carries a perf
+trajectory.
 
 Each section runs the identical deterministic workload through a *fast*
 and a *baseline* configuration and records
 
-* ``counters`` — workload sizes, cache hit/miss totals, digests of the
+* ``counters`` — workload sizes, hit/miss totals, digests of the
   produced tables/schedules.  Every counter is a pure function of the
   (profile, seed) inputs: two runs of the same bench produce identical
   counter trees, which CI asserts with ``repro bench --diff``.  The
@@ -21,10 +22,9 @@ and a *baseline* configuration and records
   These naturally vary run to run and are excluded from the diff.
 
 Baselines are the *seed implementations*: the interpretive per-node cost
-walk (``use_compiled=False``), no records memo, no plan cache, the
-original object-walking Algorithm 2 gap search
-(``TurboAllocator(gap_search="reference")``), and the unmemoized O(n·B)
-DP scheduler.
+walk (``use_compiled=False``), the original object-walking Algorithm 2
+gap search (``TurboAllocator(gap_search="reference")``), and the
+unmemoized O(n·B) DP scheduler.
 """
 
 from __future__ import annotations
@@ -108,10 +108,7 @@ def _digest(obj: object) -> str:
 def _baseline_mode(runtime) -> None:
     """Put a runtime into the seed (pre-fast-path) configuration."""
     runtime.use_compiled = False
-    runtime.memoize_records = False
     allocator = getattr(runtime, "allocator", None)
-    if allocator is not None and hasattr(allocator, "plan_cache"):
-        allocator.plan_cache = None
     if allocator is not None and hasattr(allocator, "gap_search"):
         allocator.gap_search = "reference"
 
@@ -216,22 +213,21 @@ def _run_plans(allocator, workload, passes: int,
 
 
 def _bench_plans(profile: Dict[str, object], seed: int) -> Dict[str, Dict[str, object]]:
-    """Allocation planning throughput: plan cache + tuple-scan gap search
-    vs. the uncached object-walking baseline, identical outcomes."""
+    """Allocation planning throughput: the lifetime-indexed placement
+    pass vs. the object-walking reference planner, identical outcomes."""
     from .gpusim.memory import DeviceMemory
-    from .memory import PlanCache, TurboAllocator
+    from .memory import TurboAllocator
 
     workload = _plan_workload(profile, seed)
     passes = profile["plan_passes"]
     plans = len(workload) * passes
 
-    baseline_alloc = TurboAllocator(DeviceMemory(), plan_cache=None,
-                                    gap_search="reference")
+    baseline_alloc = TurboAllocator(DeviceMemory(), gap_search="reference")
     t0 = _now()
     baseline = _run_plans(baseline_alloc, workload, passes)
     baseline_s = _now() - t0
 
-    fast_alloc = TurboAllocator(DeviceMemory(), plan_cache=PlanCache())
+    fast_alloc = TurboAllocator(DeviceMemory())
     t0 = _now()
     fast = _run_plans(fast_alloc, workload, passes)
     fast_s = _now() - t0
@@ -243,7 +239,6 @@ def _bench_plans(profile: Dict[str, object], seed: int) -> Dict[str, Dict[str, o
             "identical_outcomes": baseline == fast,
             "baseline": baseline,
             "fast": fast,
-            "plan_cache": fast_alloc.plan_cache.stats(),
         },
         "wallclock": {
             "baseline_s": baseline_s,
@@ -938,9 +933,8 @@ def verify_host_fast_path(seed: int = 0,
       identical ids and padded length per batch, under a monotone and a
       non-monotone cost, over random queues and singleton-heavy round
       streams;
-    * plan-cached allocator vs. the uncached reference gap search:
-      identical outcomes, per-tensor ``(chunk_id, offset)`` and chunk
-      lists;
+    * the placement pass vs. the reference gap search: identical
+      outcomes, per-tensor ``(chunk_id, offset)`` and chunk lists;
     * the CostTable warm-up with deferred planning vs. one that plans
       every pass, cell by cell, and both allocators' state afterwards;
     * the fault injector's cached segments vs. the plan scans for every
@@ -974,20 +968,19 @@ def verify_host_fast_path(seed: int = 0,
     problems.extend(_verify_scheduler(seed))
 
     from .gpusim.memory import DeviceMemory
-    from .memory import PlanCache, TurboAllocator
+    from .memory import TurboAllocator
 
     profile = dict(PROFILES["smoke"], plan_shapes=16)
     workload = _plan_workload(profile, seed)
-    ref_alloc = TurboAllocator(DeviceMemory(), plan_cache=None,
-                               gap_search="reference")
-    fast_alloc = TurboAllocator(DeviceMemory(), plan_cache=PlanCache())
+    ref_alloc = TurboAllocator(DeviceMemory(), gap_search="reference")
+    fast_alloc = TurboAllocator(DeviceMemory())
     ref_layouts: list = []
     fast_layouts: list = []
     ref_out = _run_plans(ref_alloc, workload, 2, ref_layouts)
     fast_out = _run_plans(fast_alloc, workload, 2, fast_layouts)
     if ref_out != fast_out:
         problems.append(
-            f"allocator: plan-cache outcomes diverge: {ref_out} != {fast_out}"
+            f"allocator: placement outcomes diverge: {ref_out} != {fast_out}"
         )
     problems.extend(plan_layout_divergences(ref_layouts, fast_layouts))
     problems.extend(_verify_deferred_warmup())
@@ -1008,8 +1001,7 @@ def allocator_state(runtime) -> Dict[str, object]:
                     tuple(c.assignments)) for c in allocator.chunks],
         "device": dict(vars(device), _live=dict(device._live)),
         "counters": (allocator.requests_processed, allocator.plan_hits,
-                     allocator.plan_misses, allocator.chunks_released,
-                     allocator.last_plan_cached),
+                     allocator.plan_misses, allocator.chunks_released),
         "metrics": (allocator.metrics.to_dict()
                     if allocator.metrics is not None else None),
         "host_path": runtime.host_path_stats(),
@@ -1091,10 +1083,10 @@ def _verify_fault_segments(seed: int) -> List[str]:
                     if end < started:
                         continue
                     dur = end - started
-                    want_dur = ref.stretch(dur, started, "decode")
+                    want_dur = ref.stretch(dur, started)
                     want = (want_dur,
                             ref.crashed_during(started, started + want_dur))
-                    got = fast.window(started, dur, "decode")
+                    got = fast.window(started, dur)
                     windows += 1
                     if got != want:
                         problems.append(f"{tag}: window({started!r}, "

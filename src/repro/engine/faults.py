@@ -9,10 +9,10 @@ all), which is exactly how per-simulator plumbing drifts.  An
 :class:`EngineFaultInjector` binds one plan to one server id and exposes
 the four effects every engine-hosted server needs:
 
-* **stretch** — latency spikes (and kernel stalls matched against the
-  busy-window label) inflate the duration of a busy window.  Each
-  serving replica calls :meth:`window` on a pass before it yields the
-  window's end, so the engine only ever runs already-stretched windows.
+* **stretch** — latency spikes inflate the duration of a busy window.
+  Each serving replica calls :meth:`window` on a pass before it yields
+  the window's end, so the engine only ever runs already-stretched
+  windows.
 * **crash queries** — ``crashed`` / ``crash_end`` / ``crashed_during``
   answer whether the bound server is down, when it recovers, and whether
   an execution window ``[start, end]`` is truncated by an outage;
@@ -30,7 +30,7 @@ an empty plan is byte-identical to running without an injector at all.
 The segment rule
 ----------------
 ``plan.boundaries(server_id)`` cuts the time line into segments inside
-which no fault of this server starts or ends, so whether a spike, stall,
+which no fault of this server starts or ends, so whether a spike,
 failure or crash is active is constant across each.  The injector keeps
 the segment holding its last query time (and looks it up again, by
 bisection, when a query falls outside it, earlier or later).  A window
@@ -90,7 +90,6 @@ class EngineFaultInjector:
         self._quiet = not (
             self._down
             or any(s.active(sid, t) for s in plan.spikes)
-            or any(s.start_s <= t < s.end_s for s in plan.stalls)
             or any(w.active(sid, t) for w in plan.failures))
 
     @property
@@ -99,26 +98,19 @@ class EngineFaultInjector:
 
     # -- busy-window stretching -------------------------------------------
 
-    def multiplier(self, now: float, label: Optional[str] = None) -> float:
-        """Slowdown factor for work starting at ``now``.
+    def multiplier(self, now: float) -> float:
+        """Slowdown factor for work starting at ``now``: the product of
+        the latency spikes active on the bound server."""
+        return self.plan.latency_multiplier(self.server_id, now)
 
-        Latency spikes always apply; kernel stalls apply when the busy
-        window's ``label`` matches the stall's ``name_contains``.
-        """
-        factor = self.plan.latency_multiplier(self.server_id, now)
-        if label is not None and self.plan.stalls:
-            factor *= self.plan.stall_multiplier(label, now)
-        return factor
-
-    def stretch(self, delay_s: float, now: float,
-                label: Optional[str] = None) -> float:
+    def stretch(self, delay_s: float, now: float) -> float:
         """Inflate a busy window starting at ``now`` (identity off-fault).
 
         The multiplier is sampled at the window *start* — the same
         convention the cluster simulator has always used — so the result
         is a pure function of ``(plan, now, delay_s)``.
         """
-        factor = self.multiplier(now, label)
+        factor = self.multiplier(now)
         if factor == 1.0:
             return delay_s
         stretched = delay_s * factor
@@ -127,7 +119,6 @@ class EngineFaultInjector:
         return stretched
 
     def window(self, started: float, dur: float,
-               label: Optional[str] = None,
                ) -> Tuple[float, Optional[float]]:
         """A busy window of ``dur`` starting at ``started``: its duration
         stretched as :meth:`stretch` does, and the crash instant that cuts
@@ -141,7 +132,7 @@ class EngineFaultInjector:
             self._locate(started)
         if self._quiet and started + dur < self._hi:
             return dur, None
-        dur = self.stretch(dur, started, label)
+        dur = self.stretch(dur, started)
         return dur, self.crashed_during(started, started + dur)
 
     # -- crash windows -----------------------------------------------------

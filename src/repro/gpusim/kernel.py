@@ -119,25 +119,6 @@ class KernelTiming:
             memory_s=self.memory_s * factor,
         )
 
-    def stalled(self, factor: float) -> "KernelTiming":
-        """Return a copy slowed by a fault-injected stall.
-
-        Unlike :meth:`scaled` (a device derate that leaves host launch
-        overhead alone), a stall delays the whole launch — a wedged SM or
-        preempted context holds up host progress too — so every component
-        is stretched.  ``factor`` must be >= 1 (stalls never speed up).
-        """
-        if factor < 1.0:
-            raise ValueError(f"stall factor must be >= 1, got {factor}")
-        if factor == 1.0:
-            return self
-        return KernelTiming(
-            name=self.name,
-            launch_s=self.launch_s * factor,
-            compute_s=self.compute_s * factor,
-            memory_s=self.memory_s * factor,
-        )
-
 
 def gemm_utilization(device: DeviceSpec, m: dims.Dim, n: dims.Dim,
                      batch: dims.Dim = 1,

@@ -31,7 +31,8 @@ class DeviceMemory:
     Attributes
     ----------
     capacity_bytes:
-        Total device memory (0 means unlimited, useful in unit tests).
+        Total device memory, an ``int`` of at least 0 (0 means unlimited,
+        useful in unit tests).
     """
 
     capacity_bytes: int = 0
@@ -43,6 +44,14 @@ class DeviceMemory:
     stall_s: float = 0.0
     _live: Dict[int, int] = field(default_factory=dict)
     _next_handle: int = 0
+
+    def __post_init__(self) -> None:
+        capacity = self.capacity_bytes
+        if not isinstance(capacity, int) or isinstance(capacity, bool):
+            raise TypeError(f"capacity_bytes must be an int, got {capacity!r}")
+        if capacity < 0:
+            raise ValueError(
+                f"capacity_bytes must be >= 0 (0 = unlimited), got {capacity}")
 
     def malloc(self, nbytes: int) -> int:
         """Allocate ``nbytes``; returns an opaque handle."""

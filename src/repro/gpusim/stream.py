@@ -7,20 +7,13 @@ time to kernel categories (Table 2) or count launches (fusion ablation).
 Attach a :class:`repro.observability.Tracer` (``tracer`` field) to emit
 one Chrome-trace timeline event per kernel launch on the ``trace_tid``
 track, with the roofline breakdown as event args.
-
-Fault injection: ``stall_fn`` is an optional multiplier hook
-``(kernel_name, stream_time_s) -> factor`` (e.g.
-:meth:`repro.resilience.FaultPlan.kernel_stall_fn`); kernels submitted
-while a stall window is active are stretched via
-:meth:`~repro.gpusim.kernel.KernelTiming.stalled`.  ``None`` (the
-default) leaves the submit path untouched.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .kernel import KernelTiming
 
@@ -35,16 +28,11 @@ class Stream:
     trace: List[KernelTiming] = field(default_factory=list)
     tracer: Optional[object] = None  # repro.observability.Tracer
     trace_tid: str = "gpu.stream"
-    stall_fn: Optional[Callable[[str, float], float]] = None
     _by_name: Dict[str, float] = field(default_factory=lambda: defaultdict(float))
 
     def submit(self, timing: KernelTiming) -> None:
         """Enqueue one kernel; advances the stream clock by its total time."""
         started = self.elapsed_s
-        if self.stall_fn is not None:
-            factor = self.stall_fn(timing.name, started)
-            if factor != 1.0:
-                timing = timing.stalled(factor)
         self.elapsed_s += timing.total_s
         self.launches += 1
         self._by_name[timing.name] += timing.total_s

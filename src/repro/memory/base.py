@@ -31,9 +31,6 @@ class RequestAllocation:
     peak_bytes: int
     stall_s: float
     plan: Optional[AllocationPlan] = None
-    #: Whether the plan was replayed from the allocator's plan cache
-    #: (identical outcome, but the host-side planning work was skipped).
-    plan_cache_hit: bool = False
 
     @property
     def new_mb(self) -> float:
@@ -95,8 +92,7 @@ class BaseAllocator(abc.ABC):
             ).set(self.footprint_bytes, t=self.requests_processed)
 
     def _snapshot(self, before_alloc: int, before_stall: float,
-                  plan: Optional[AllocationPlan] = None,
-                  plan_cache_hit: bool = False) -> RequestAllocation:
+                  plan: Optional[AllocationPlan] = None) -> RequestAllocation:
         """Build a RequestAllocation from DeviceMemory counter deltas."""
         return RequestAllocation(
             new_bytes=self.device_memory.total_alloc_bytes - before_alloc,
@@ -104,5 +100,4 @@ class BaseAllocator(abc.ABC):
             peak_bytes=self.device_memory.peak_bytes,
             stall_s=self.device_memory.stall_s - before_stall,
             plan=plan,
-            plan_cache_hit=plan_cache_hit,
         )

@@ -12,16 +12,17 @@ plan requires one *contiguous* buffer: whenever a new request's arena
 exceeds the cached buffer, the whole arena must be re-``cudaMalloc``-ed
 (a contiguous block cannot grow in place), so the per-request new-memory
 cost is the full new arena size, not the delta.
+
+Like Algorithm 1, the packing runs again for every request.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..gpusim.memory import DeviceMemory
 from .base import BaseAllocator, RequestAllocation
 from .plan import AllocationPlan, Placement
-from .plan_cache import RecordsSignature, records_signature
 from .records import TensorUsageRecord, sort_by_size
 
 #: Chunk id used for the single GSOC arena in emitted plans.
@@ -57,44 +58,20 @@ def gsoc_offsets(records: Sequence[TensorUsageRecord]) -> Tuple[dict, int]:
 
 
 class GsocAllocator(BaseAllocator):
-    """GSOC re-planned per request over a cached contiguous arena.
-
-    The packing itself is a pure function of the usage records, so its
-    result is memoized per records signature (``cache_plans=False``
-    restores the always-repack reference behaviour): GSOC runs once per
-    *new* shape, and repeat shapes replay the identical layout.
-    """
+    """GSOC re-planned per request over a cached contiguous arena."""
 
     name = "gsoc"
 
-    def __init__(self, device_memory: Optional[DeviceMemory] = None,
-                 cache_plans: bool = True) -> None:
+    def __init__(self, device_memory: Optional[DeviceMemory] = None) -> None:
         super().__init__(device_memory)
         self._arena_handle: Optional[int] = None
         self._arena_size = 0
-        self._offsets_cache: Optional[Dict[RecordsSignature, Tuple[dict, int]]] = (
-            {} if cache_plans else None
-        )
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
-
-    def _offsets(self, records: Sequence[TensorUsageRecord]) -> Tuple[dict, int]:
-        if self._offsets_cache is None:
-            return gsoc_offsets(records)
-        key = records_signature(records)
-        cached = self._offsets_cache.get(key)
-        if cached is None:
-            self.plan_cache_misses += 1
-            cached = self._offsets_cache[key] = gsoc_offsets(records)
-        else:
-            self.plan_cache_hits += 1
-        return cached
 
     def process_request(self, records: Sequence[TensorUsageRecord]) -> RequestAllocation:
         self._begin_request()
         before_alloc = self.device_memory.total_alloc_bytes
         before_stall = self.device_memory.stall_s
-        offsets, required = self._offsets(records)
+        offsets, required = gsoc_offsets(records)
         if required > self._arena_size:
             # Contiguous arenas cannot grow in place: free + fresh malloc.
             if self._arena_handle is not None:

@@ -6,8 +6,8 @@ tensors whose lifetimes overlap also overlap in bytes within one chunk.
 as the ground-truth invariant for every allocator.
 
 The Algorithm 1 planner hands its plans the per-chunk assignment tuples
-it already snapshots for the plan cache; the name -> placement map is
-built from them only when first read.
+it already holds; the name -> placement map is built from them only
+when first read.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ class AllocationPlan:
     ``placements`` maps each tensor name to its :class:`Placement`;
     ``chunk_sizes`` maps the id of every chunk the plan uses to its size.
     The Algorithm 1 planner emits plans through :meth:`from_assignments`:
-    such a plan keeps the per-chunk assignment tuples the plan cache
-    already snapshots and builds ``placements`` on first read, so a plan
-    nobody reads (every plan of a CostTable warm-up) costs no dict.
+    such a plan keeps the planner's per-chunk assignment tuples and
+    builds ``placements`` on first read, so a plan nobody reads (every
+    plan of a CostTable warm-up) costs no dict.
     """
 
     __hash__ = None  # type: ignore[assignment]  # mutable, like its dicts

@@ -14,30 +14,28 @@ residents) and hands their spans to :func:`~repro.memory.chunk.best_fit`, the sa
 Algorithm 2 scan :meth:`Chunk.find_gap` runs.  The emitted
 :class:`AllocationPlan` builds its ``placements`` dict on first read.
 
-Planning outcomes are additionally cached in a :class:`PlanCache` keyed by
-(records, chunk state): a steady-state server re-derives the same plan for
-every request at a previously-seen shape, so replaying the cached
-assignments skips the O(n²) gap search entirely while remaining observably
-identical — placements, counters, stalls, and chunk-release timing all
-match the uncached path bit for bit (see :mod:`repro.memory.plan_cache`).
+Planning is idempotent: re-planning the records of the last plan
+reproduces its placements and mallocs nothing (release bookkeeping may
+still free a chunk neither plan uses).  A plan starts from empty chunks
+and reads only their sizes and order, the chunks it releases held
+nothing, and a freshly malloc'ed chunk is appended, so it is probed
+only after every older chunk has failed — exactly as in the plan that
+created it.  The runtime's deferred warm-up rests on this
+(:meth:`repro.runtime.InferenceRuntime._warm_memory_closed_form`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from typing import Dict, List, Optional, Sequence
 
+from .._checks import check_size
 from ..gpusim.memory import DeviceMemory
 from .base import BaseAllocator, RequestAllocation
 from .chunk import (DEFAULT_CHUNK_SIZE, K_SCALE, Chunk, ChunkAssignment,
                     best_fit, new_chunk_size, offset_of)
 from .plan import AllocationPlan
-from . import plan_cache as plan_cache_mod
-from .plan_cache import CachedPlan, PlanCache, RecordsSignature
 from .records import TensorUsageRecord, sort_by_size
-
-#: Sentinel: "caller did not pass plan_cache" (each instance then gets its
-#: own private cache; an explicit ``None`` disables caching).
-_DEFAULT_CACHE: PlanCache = PlanCache()
 
 
 class TurboAllocator(BaseAllocator):
@@ -48,9 +46,11 @@ class TurboAllocator(BaseAllocator):
     device_memory:
         Backing device; chunks are real ``cudaMalloc`` allocations on it.
     chunk_size:
-        ``DEFAULT_chunk_SIZE`` of the paper (2 MB).
+        ``DEFAULT_chunk_SIZE`` of the paper (2 MB); an ``int`` of at
+        least 1.
     k_scale:
-        Oversize factor for tensors larger than a default chunk (1.2).
+        Oversize factor for tensors larger than a default chunk (1.2);
+        finite and at least 1.
     release_after:
         Alg. 1 line 20 releases chunks the new plan leaves unused.  Doing
         so *immediately* (``release_after=0``, the algorithm's literal
@@ -58,20 +58,15 @@ class TurboAllocator(BaseAllocator):
         which contradicts the paper's measured 0.70 MB/request — the
         deployed system evidently caches idle chunks briefly.  We release
         a chunk after it has sat unused for this many consecutive plans
-        (default 8); ``None`` never releases.  Ablated in
+        (default 8); ``None`` never releases.  An ``int`` of at least 0
+        or ``None``.  Ablated in
         ``benchmarks/test_ablation_allocator_params.py``.
-    plan_cache:
-        :class:`PlanCache` of planning outcomes (see module docstring);
-        pass ``None`` to disable caching entirely (the reference
-        behaviour, used as the benchmark baseline).  Defaults to a fresh
-        private cache.
     gap_search:
         ``"fast"`` (default) runs the lifetime-indexed placement pass;
         ``"reference"`` runs the original object-walking Algorithm 2
         (:meth:`Chunk.find_gap_reference`) with one :meth:`Chunk.assign`
-        per placement — together with ``plan_cache=None`` the test
-        oracle and benchmark baseline.  Every output is identical
-        either way (differential-tested).
+        per placement — the test oracle and benchmark baseline.  Every
+        output is identical either way (differential-tested).
     """
 
     name = "turbo"
@@ -83,7 +78,6 @@ class TurboAllocator(BaseAllocator):
         k_scale: float = K_SCALE,
         release_after: Optional[int] = 8,
         metrics=None,
-        plan_cache: Optional[PlanCache] = _DEFAULT_CACHE,
         gap_search: str = "fast",
     ) -> None:
         super().__init__(device_memory, metrics=metrics)
@@ -91,17 +85,21 @@ class TurboAllocator(BaseAllocator):
             raise ValueError(
                 f"gap_search must be 'fast' or 'reference', got {gap_search!r}"
             )
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        if k_scale < 1.0:
-            raise ValueError(f"k_scale must be >= 1.0, got {k_scale}")
-        if release_after is not None and release_after < 0:
-            raise ValueError(f"release_after must be >= 0 or None, got {release_after}")
+        check_size("chunk_size", chunk_size)
+        # Written so that NaN fails.
+        if not 1.0 <= k_scale < math.inf:
+            raise ValueError(f"k_scale must be finite and >= 1.0, got {k_scale}")
+        if release_after is not None:
+            if (not isinstance(release_after, int)
+                    or isinstance(release_after, bool)):
+                raise TypeError("release_after must be an int or None, "
+                                f"got {release_after!r}")
+            if release_after < 0:
+                raise ValueError(
+                    f"release_after must be >= 0 or None, got {release_after}")
         self.chunk_size = chunk_size
         self.k_scale = k_scale
         self.release_after = release_after
-        self.plan_cache = (PlanCache() if plan_cache is _DEFAULT_CACHE
-                           else plan_cache)
         self.gap_search = gap_search
         self._chunks: List[Chunk] = []
         self._next_chunk_id = 0
@@ -111,40 +109,19 @@ class TurboAllocator(BaseAllocator):
         self.plan_hits = 0
         self.plan_misses = 0
         self.chunks_released = 0
-        self.last_plan_cached = False  # did the latest plan() replay a hit?
 
     # -- Algorithm 1 ---------------------------------------------------------
 
     def plan(self, records: Sequence[TensorUsageRecord]) -> AllocationPlan:
         """Assign every record to a (chunk, offset); may grow the chunk list."""
-        self.last_plan_cached = False
-        signature = None
-        if self.plan_cache is not None:
-            signature = plan_cache_mod.records_signature(records)
-            key = (signature, plan_cache_mod.chunk_fingerprint(self._chunks))
-            cached = self.plan_cache.get(key)
-            if cached is not None:
-                self._observe_plan_cache(hit=True)
-                return self._replay(signature, cached)
-            self._observe_plan_cache(hit=False)
         if self.gap_search == "reference":
             self._place_reference(records)
         else:
             self._place(records)
         self._release_unused()
-        assignments = self._assignment_snapshot()
-        plan = AllocationPlan.from_assignments(assignments, {
-            c.chunk_id: c.size for c in self._chunks if not c.is_unused
-        })
-        if signature is not None:
-            # Planning is idempotent: placement is a pure function of the
-            # (offset-ordered chunk sizes, records), and freshly malloc'ed
-            # chunks sit at the end of the list, reached only when every
-            # earlier chunk fails — so re-planning the same records from
-            # the *post*-release state reproduces these exact placements
-            # with zero mallocs.  Cache every outcome under that state.
-            self._store(signature, assignments, plan)
-        return plan
+        return AllocationPlan.from_assignments(
+            {c.chunk_id: tuple(c.assignments) for c in self._chunks},
+            {c.chunk_id: c.size for c in self._chunks if not c.is_unused})
 
     def _place(self, records: Sequence[TensorUsageRecord]) -> None:
         """L1-L18 in one pass over plain tuples.
@@ -249,43 +226,6 @@ class TurboAllocator(BaseAllocator):
                 self._chunks.append(chunk)
                 chunk.assign(record, 0)
 
-    def _assignment_snapshot(self) -> Dict[int, Tuple[ChunkAssignment, ...]]:
-        return {c.chunk_id: tuple(c.assignments) for c in self._chunks}
-
-    def _store(self, signature: RecordsSignature,
-               assignments: Dict[int, Tuple[ChunkAssignment, ...]],
-               plan: AllocationPlan) -> None:
-        key = (signature, plan_cache_mod.chunk_fingerprint(self._chunks))
-        entry = CachedPlan(
-            assignments=assignments,
-            plan=plan,
-            hits=sum(len(a) for a in assignments.values()),
-        )
-        self.plan_cache.store(key, entry)
-
-    def _replay(self, signature: RecordsSignature,
-                cached: CachedPlan) -> AllocationPlan:
-        """Restore a cached plan's placements onto the live chunks."""
-        for chunk in self._chunks:
-            chunk.restore(cached.assignments[chunk.chunk_id])
-        self.plan_hits += cached.hits
-        if self.metrics is not None and cached.hits:
-            self.metrics.counter(
-                "allocator_hits_total", allocator=self.name
-            ).inc(cached.hits)
-        # Release bookkeeping runs live: streaks are state the cache key
-        # deliberately ignores (placement never reads them), so cudaFree
-        # timing matches the uncached path exactly.
-        chunks_before = len(self._chunks)
-        self._release_unused()
-        if len(self._chunks) != chunks_before:
-            # The replay itself released idle chunks, so the post-release
-            # state differs from the cached key; re-store under the new
-            # fingerprint so the steady state keeps hitting.
-            self._store(signature, self._assignment_snapshot(), cached.plan)
-        self.last_plan_cached = True
-        return cached.plan
-
     def _release_unused(self) -> None:
         """L20: release chunks the plan leaves unused (after a grace
         period, see the release_after docstring)."""
@@ -310,32 +250,13 @@ class TurboAllocator(BaseAllocator):
             kept.append(chunk)
         self._chunks = kept
 
-    def _observe_plan_cache(self, hit: bool) -> None:
-        if self.metrics is not None:
-            name = ("plan_cache_hits_total" if hit else
-                    "plan_cache_misses_total")
-            self.metrics.counter(name, allocator=self.name).inc()
-
-    def invalidate_plan_cache(self) -> int:
-        """Drop cached plans (call after graph or config changes); returns
-        the number of entries dropped."""
-        if self.plan_cache is None:
-            return 0
-        dropped = self.plan_cache.invalidate()
-        if self.metrics is not None:
-            self.metrics.counter(
-                "plan_cache_invalidations_total", allocator=self.name
-            ).inc()
-        return dropped
-
     def process_request(self, records: Sequence[TensorUsageRecord]) -> RequestAllocation:
         self._begin_request()
         before_alloc = self.device_memory.total_alloc_bytes
         before_stall = self.device_memory.stall_s
         plan = self.plan(records)
         self._observe_footprint()
-        return self._snapshot(before_alloc, before_stall, plan,
-                              plan_cache_hit=self.last_plan_cached)
+        return self._snapshot(before_alloc, before_stall, plan)
 
     # -- introspection --------------------------------------------------------
 

@@ -124,8 +124,8 @@ def run_traced_workload(
         tracer=tracer,
         metrics=registry,
     )
-    # Publish the host-fast-path counters (compiled-model evals, records
-    # memo, plan cache) so the metrics JSON and Chrome trace show them.
+    # Publish the host-fast-path counters (latency memo, compiled-model
+    # evals) so the metrics JSON and Chrome trace show them.
     runtime.publish_host_metrics(registry, tracer=tracer,
                                  now_s=duration_s)
     return TraceRunResult(

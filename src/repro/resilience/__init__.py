@@ -3,7 +3,7 @@
 Four independent, composable mechanisms, all deterministic and seeded:
 
 * :class:`FaultPlan` (:mod:`.faults`) — a scripted schedule of latency
-  spikes, kernel stalls, transient request failures and server
+  spikes, transient request failures and server
   crash/recover windows; an empty plan is the identity.
 * :class:`RetryPolicy` / :class:`RetryState` (:mod:`.retry`) — exponential
   backoff with seeded jitter, per-request attempt caps, and a run-wide
@@ -31,7 +31,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "DegradationLadder": "degradation",
     "DegradationRung": "degradation",
     "FaultPlan": "faults",
-    "KernelStall": "faults",
     "LatencySpike": "faults",
     "ServerCrash": "faults",
     "TransientFailures": "faults",

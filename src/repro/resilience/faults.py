@@ -13,9 +13,6 @@ Fault taxonomy
 :class:`LatencySpike`      server executes batches ``multiplier`` x slower
                            during the window (degraded clocks, thermal
                            throttling, a noisy neighbour).
-:class:`KernelStall`       the same, one level down: individual simulated
-                           kernels on a :class:`repro.gpusim.Stream` run
-                           slower (hooked via ``Stream.stall_fn``).
 :class:`TransientFailures` each request attempt finishing in the window
                            fails independently with ``failure_rate``
                            (ECC error, OOM, RPC reset).
@@ -32,7 +29,7 @@ loop by hand (``simulate_serving`` multiplied batch costs inline,
 servers saw no faults at all).  Plans are now *bound* to a server through
 :class:`repro.engine.EngineFaultInjector`: the serving driver binds one
 injector to each replica, the replica stretches its busy windows under
-active spikes/stalls through it, and crash windows and transient-failure
+active spikes through it, and crash windows and transient-failure
 verdicts are queried through the same object at dispatch points.  This module remains the pure *schedule*; the injector
 is the single place schedules become engine effects, so every
 engine-hosted server (one-shot, continuous batching, Ebird, cluster)
@@ -44,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 
 def _check_window(start_s: float, end_s: float) -> None:
@@ -76,25 +73,6 @@ class LatencySpike:
     def active(self, server_id: int, t: float) -> bool:
         return (self.server_id is None or self.server_id == server_id) and \
             self.start_s <= t < self.end_s
-
-
-@dataclass(frozen=True)
-class KernelStall:
-    """Kernels whose name contains ``name_contains`` run ``multiplier`` x
-    slower while the stream clock is inside ``[start_s, end_s)``.
-    ``end_s`` may be ``inf``; ``multiplier`` must be finite."""
-
-    start_s: float
-    end_s: float
-    multiplier: float
-    name_contains: str = ""
-
-    def __post_init__(self) -> None:
-        _check_window(self.start_s, self.end_s)
-        _check_multiplier(self.multiplier)
-
-    def active(self, name: str, t: float) -> bool:
-        return self.name_contains in name and self.start_s <= t < self.end_s
 
 
 @dataclass(frozen=True)
@@ -149,18 +127,16 @@ class FaultPlan:
 
     seed: int = 0
     spikes: Tuple[LatencySpike, ...] = ()
-    stalls: Tuple[KernelStall, ...] = ()
     failures: Tuple[TransientFailures, ...] = ()
     crashes: Tuple[ServerCrash, ...] = ()
 
     @property
     def empty(self) -> bool:
-        return not (self.spikes or self.stalls or self.failures or self.crashes)
+        return not (self.spikes or self.failures or self.crashes)
 
     def last_fault_end_s(self) -> float:
         """When the last scheduled fault clears (0.0 for an empty plan)."""
-        ends = [w.end_s for group in (self.spikes, self.stalls,
-                                      self.failures, self.crashes)
+        ends = [w.end_s for group in (self.spikes, self.failures, self.crashes)
                 for w in group]
         return max(ends, default=0.0)
 
@@ -181,8 +157,6 @@ class FaultPlan:
         for crash in self.crashes:
             if crash.server_id == server_id:
                 times.update((crash.start_s, crash.end_s))
-        for stall in self.stalls:  # name-keyed, not server-keyed
-            times.update((stall.start_s, stall.end_s))
         return tuple(sorted(times))
 
     # -- per-server queries ----------------------------------------------------
@@ -234,22 +208,6 @@ class FaultPlan:
         if rate >= 1.0:
             return True
         return unit_hash(self.seed, req_id, attempt, server_id) < rate
-
-    # -- kernel-level hook -----------------------------------------------------
-
-    def stall_multiplier(self, name: str, t: float) -> float:
-        """Product of all kernel stalls matching ``name`` at stream time ``t``."""
-        factor = 1.0
-        for stall in self.stalls:
-            if stall.active(name, t):
-                factor *= stall.multiplier
-        return factor
-
-    def kernel_stall_fn(self) -> Optional[Callable[[str, float], float]]:
-        """Hook for :attr:`repro.gpusim.Stream.stall_fn` (None if no stalls)."""
-        if not self.stalls:
-            return None
-        return self.stall_multiplier
 
 
 def unit_hash(*keys: object) -> float:

@@ -3,9 +3,10 @@
 An :class:`InferenceRuntime` owns a model graph (fused or not, per the
 runtime's characteristics), prices a request ``(batch, seq_len)`` through
 the gpusim cost model, and charges memory-management overhead through its
-allocator.  Numeric execution is deliberately decoupled — the models in
-:mod:`repro.models` compute real outputs; runtimes compute *time* — so the
-benchmark sweeps stay fast and deterministic.
+allocator, which plans every pass's request afresh.  Numeric execution is
+deliberately decoupled — the models in :mod:`repro.models` compute real
+outputs; runtimes compute *time* — so the benchmark sweeps stay fast and
+deterministic.
 """
 
 from __future__ import annotations
@@ -82,16 +83,10 @@ class InferenceRuntime:
         :meth:`latency` misses through a slim path that skips building
         per-kernel breakdowns.  ``False`` restores the reference paths
         (the benchmark baseline).
-    memoize_records:
-        Memoize ``tensor_usage_records`` per (batch, padded) shape — the
-        records depend on nothing else.
 
-    An allocation-plan cache hit keeps the full Alg. 1 planning host
-    cost, so latencies stay bit-identical to the uncached model while
-    wall-clock time is saved.
-
-    A :meth:`latency` miss may price its warm memory term in closed form
-    and defer the allocator's planning pair (see
+    Every pass plans its request afresh and pays the Alg. 1 planning
+    host cost.  A :meth:`latency` miss may price its warm memory term in
+    closed form and defer the allocator's planning pair (see
     :meth:`_warm_memory_closed_form`); reading :attr:`allocator` runs
     every deferred pair first, so no observation of the allocator differs.
     """
@@ -103,7 +98,6 @@ class InferenceRuntime:
         device: DeviceSpec,
         allocator_factory: Optional[Callable[[], BaseAllocator]] = None,
         use_compiled: bool = True,
-        memoize_records: bool = True,
     ) -> None:
         self.base_graph = graph
         self.graph = fuse_graph(graph) if chars.fuse_kernels else graph
@@ -118,23 +112,19 @@ class InferenceRuntime:
             [] if type(self._allocator) is TurboAllocator
             and not self._allocator.chunks else None)
         self.use_compiled = use_compiled
-        self.memoize_records = memoize_records
         self.preprocess_total_s = 0.0
         self._tuned_lengths: set = set()
         self._latency_cache: Dict[Tuple[int, int], float] = {}
         self._compiled: Optional[CompiledCostModel] = None
         self._record_templates: Optional[UsageRecordTemplates] = None
-        self._records_cache: Dict[Tuple[int, int], List[TensorUsageRecord]] = {}
-        self.records_memo_hits = 0
-        self.records_memo_misses = 0
 
     @property
     def allocator(self) -> Optional[BaseAllocator]:
         """The intermediate-tensor allocator, every deferred plan applied.
 
         Reading it ends deferral for good: the caller may plan with or
-        reconfigure the allocator (``bench``'s baseline mode drops its
-        plan cache), which the closed form could not see.
+        reconfigure the allocator (``bench``'s baseline mode switches its
+        gap search), which the closed form could not see.
         """
         self._end_deferral()
         return self._allocator
@@ -145,11 +135,9 @@ class InferenceRuntime:
         if pending:
             self._deferred = []
             for batch, padded in pending:
-                # Deferral requires the records memo, so replay its
-                # lookups too: a miss then a hit, as the two passes did.
-                for _ in range(2):
-                    self._allocator.process_request(
-                        self._memoized_records(batch, padded))
+                records = self.usage_records(batch, padded)
+                for _ in range(2):  # the cold pass, then the warm one
+                    self._allocator.process_request(records)
 
     def _end_deferral(self) -> None:
         self._flush_plans()
@@ -183,82 +171,44 @@ class InferenceRuntime:
             self._record_templates = UsageRecordTemplates(self.graph)
         return self._record_templates
 
-    def _compute_records(self, batch: int, padded: int) -> List[TensorUsageRecord]:
-        if not self.use_compiled:
-            return tensor_usage_records(self.graph, self._bindings(batch, padded))
-        return self._templates().evaluate(self._bindings(batch, padded))
-
     def usage_records(self, batch: int, padded: int) -> List[TensorUsageRecord]:
-        """Usage records at a shape; memoized (they depend on nothing else)."""
-        if not self.memoize_records:
-            return self._compute_records(batch, padded)
-        return self._memoized_records(batch, padded)
-
-    def _memoized_records(self, batch: int, padded: int) -> List[TensorUsageRecord]:
-        key = (batch, padded)
-        records = self._records_cache.get(key)
-        if records is None:
-            self.records_memo_misses += 1
-            records = self._records_cache[key] = self._compute_records(
-                batch, padded
-            )
-        else:
-            self.records_memo_hits += 1
-        return records
+        """Usage records at a shape, one per intermediate tensor."""
+        bindings = self._bindings(batch, padded)
+        if not self.use_compiled:
+            return tensor_usage_records(self.graph, bindings)
+        return self._templates().evaluate(bindings)
 
     def invalidate_caches(self) -> None:
         """Drop every shape-keyed cache (call after mutating graph/config).
 
-        Clears the latency memo, the records memo, the compiled cost
-        model, and the allocator's plan cache (when it has one), after
-        running any deferred plans.
+        Clears the latency memo, the compiled cost model and the record
+        templates, after running any deferred plans.
         """
         self._flush_plans()
         self._latency_cache.clear()
-        self._records_cache.clear()
         self._compiled = None
         self._record_templates = None
-        invalidate = getattr(self._allocator, "invalidate_plan_cache", None)
-        if invalidate is not None:
-            invalidate()
 
     def host_path_stats(self) -> Dict[str, int]:
         """Deterministic counters of the host fast path (bench/metrics)."""
-        # Deferred plans count records-memo and plan-cache lookups.
-        self._flush_plans()
         stats: Dict[str, int] = {
             "latency_cache_entries": len(self._latency_cache),
-            "records_memo_hits": self.records_memo_hits,
-            "records_memo_misses": self.records_memo_misses,
         }
         if self._compiled is not None:
             stats.update(self._compiled.stats())
-        plan_cache = getattr(self._allocator, "plan_cache", None)
-        if plan_cache is not None:
-            for k, v in plan_cache.stats().items():
-                stats[f"plan_cache_{k}"] = v
         return stats
 
     def publish_host_metrics(self, registry, tracer=None,
                              now_s: float = 0.0) -> None:
-        """Mirror :meth:`host_path_stats` into a
+        """Mirror :meth:`host_path_stats` into gauges of a
         :class:`repro.observability.MetricsRegistry` (and optionally emit
         one Chrome-trace counter sample) so ``repro trace`` shows the
         host-path savings."""
         stats = self.host_path_stats()
         for name, value in stats.items():
-            if name.endswith("_entries") or name.startswith("compiled_"):
-                registry.gauge(f"host_{name}").set(value, t=now_s)
-            else:
-                counter = registry.counter(f"host_{name}_total")
-                delta = value - counter.value
-                if delta > 0:
-                    counter.inc(delta)
+            registry.gauge(f"host_{name}").set(value, t=now_s)
         if tracer is not None and tracer.enabled:
             tracer.counter("host_fast_path", now_s, {
-                "records_memo_hits": stats["records_memo_hits"],
-                "plan_cache_hits": stats.get("plan_cache_hits", 0),
-                "plan_cache_misses": stats.get("plan_cache_misses", 0),
                 "compiled_evals": stats.get("compiled_evals", 0),
             })
 
@@ -268,10 +218,9 @@ class InferenceRuntime:
             return PLAN_HOST_LINEAR_S * n + PLAN_HOST_QUADRATIC_S * n * n
         return EAGER_ALLOC_HOST_S * n
 
-    def _memory_overhead(self, batch: int, padded: int) -> Tuple[float, Optional[RequestAllocation]]:
-        if self._allocator is None:
-            return 0.0, None
-        records = self.usage_records(batch, padded)
+    def _memory_overhead(self, records: List[TensorUsageRecord],
+                         ) -> Tuple[float, RequestAllocation]:
+        """One allocator pass over ``records``: its seconds and outcome."""
         allocation = self._allocator.process_request(records)
         host_s = self._host_cost(len(records))
         return host_s + allocation.stall_s, allocation
@@ -281,15 +230,15 @@ class InferenceRuntime:
         or ``None`` where that is not provably exact.
 
         The warm pass re-plans the records its cold pass just planned,
-        one per intermediate tensor at every shape.  The cold pass stored
-        its outcome under the post-release chunk state, so the warm pass
-        is a plan-cache hit: it mallocs nothing and costs
+        one per intermediate tensor at every shape.  Planning is
+        idempotent (:mod:`repro.memory.turbo`), so the warm pass
+        reproduces the cold pass's placements, mallocs nothing and costs
         ``_host_cost(n)``, as every pass does.  It could still
         ``cudaFree`` in release bookkeeping, and the parity lemma rules
         that out when ``release_after`` is ``None`` or even:
 
         * a chunk's unused streak resets to 0 whenever a plan uses it;
-        * the warm pass replays the cold pass's exact assignments, so a
+        * the warm pass makes the cold pass's exact placements, so a
           chunk is unused by both passes of a pair or by neither;
         * every plan so far came in such pairs from a chunkless start,
           so an unused chunk's streak is odd after a cold pass and even
@@ -300,16 +249,13 @@ class InferenceRuntime:
           only if ``release_after`` is odd.
 
         So the warm stall is exactly ``0.0``.  The guards keep every
-        premise: a Turbo allocator with a plan cache, no device cap (a
-        cold pass may raise OOM, which deferral would hide), no metrics
-        registry (its series would be reordered), and the records memo,
-        whose lookups :meth:`_flush_plans` replays.  :meth:`infer` and
-        reads of :attr:`allocator` end deferral, keeping the pairing.
+        premise: a Turbo allocator, no device cap (a cold pass may raise
+        OOM, which deferral would hide) and no metrics registry (its
+        series would be reordered).  :meth:`infer` and reads of
+        :attr:`allocator` end deferral, keeping the pairing.
         """
         allocator = self._allocator
-        if (self._deferred is None or not self.memoize_records
-                or allocator.plan_cache is None
-                or allocator.metrics is not None
+        if (self._deferred is None or allocator.metrics is not None
                 or allocator.device_memory.capacity_bytes
                 or (allocator.release_after or 0) % 2):
             return None
@@ -329,7 +275,11 @@ class InferenceRuntime:
         # the bottleneck — whichever side is slower bounds the wall clock.
         host_s = self.chars.host_dispatch_s * stream.launches
         kernel_s = max(stream.elapsed_s, host_s)
-        memory_s, allocation = self._memory_overhead(batch, padded)
+        if self._allocator is None:
+            memory_s, allocation = 0.0, None
+        else:
+            memory_s, allocation = self._memory_overhead(
+                self.usage_records(batch, padded))
         return InferenceResult(
             latency_s=kernel_s + memory_s + self.chars.fixed_overhead_s,
             batch=batch,
@@ -386,8 +336,9 @@ class InferenceRuntime:
             memory_s = self._warm_memory_closed_form()
             if memory_s is None:
                 self._flush_plans()
-                self._memory_overhead(batch, padded)  # cold pass: warm allocator
-                memory_s, _ = self._memory_overhead(batch, padded)
+                records = self.usage_records(batch, padded)
+                self._memory_overhead(records)  # cold pass: warm allocator
+                memory_s, _ = self._memory_overhead(records)
             else:
                 self._deferred.append((batch, padded))
         return kernel_s + memory_s + self.chars.fixed_overhead_s

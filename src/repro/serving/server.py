@@ -325,8 +325,7 @@ class BatchReplica(Replica):
             crashed_at = None
             failing = False
             if faults is not None:
-                exec_s, crashed_at = faults.window(started, exec_s,
-                                                   f"batch x{batch.size}")
+                exec_s, crashed_at = faults.window(started, exec_s)
                 failing = faults.plan.failure_rate(self.server_id,
                                                    started) > 0.0
             members = batch.requests

@@ -11,7 +11,6 @@ from repro.engine import Engine, EngineError, EngineFaultInjector, EventKind
 from repro.observability import MetricsRegistry
 from repro.resilience import (
     FaultPlan,
-    KernelStall,
     LatencySpike,
     ResilienceConfig,
     ServerCrash,
@@ -61,14 +60,6 @@ class TestStretch:
         assert EngineFaultInjector(p, 0).stretch(1.0, 5.0) == 1.0
         assert EngineFaultInjector(p, 1).stretch(1.0, 5.0) == 2.0
 
-    def test_stall_applies_only_to_matching_label(self):
-        inj = EngineFaultInjector(plan(
-            stalls=(KernelStall(0.0, 10.0, 4.0, name_contains="gemm"),)
-        ))
-        assert inj.stretch(1.0, 5.0) == 1.0               # unlabeled
-        assert inj.stretch(1.0, 5.0, label="softmax") == 1.0
-        assert inj.stretch(1.0, 5.0, label="gemm_qk") == 4.0
-
     def test_instrumentation_counts_faults(self):
         """A serving run with a registry publishes its injector's
         stretches as ``engine_faults_total{kind="stretch"}``."""
@@ -108,7 +99,6 @@ class TestCrashQueries:
 #: Fault edges on a quarter-second grid, so windows share edges often.
 EDGE = st.integers(0, 12).map(lambda i: i * 0.25)
 SERVER = st.sampled_from([None, 0, 1])
-LABELS = [None, "batch x4", "decode"]
 
 
 def _span(draw):
@@ -118,8 +108,8 @@ def _span(draw):
 
 @st.composite
 def fault_plans(draw):
-    """Spikes of every server binding, stalls a label matches or not,
-    transient failures and crashes, all on the edge grid."""
+    """Spikes of every server binding, transient failures and crashes,
+    all on the edge grid."""
     def group(build, max_size):
         return tuple(build() for _ in range(draw(st.integers(0, max_size))))
 
@@ -128,9 +118,6 @@ def fault_plans(draw):
         spikes=group(lambda: LatencySpike(
             *_span(draw), draw(st.sampled_from([1.0, 1.5, 3.0])),
             server_id=draw(SERVER)), 3),
-        stalls=group(lambda: KernelStall(
-            *_span(draw), draw(st.sampled_from([1.0, 2.0])),
-            name_contains=draw(st.sampled_from(["", "batch", "gemm"]))), 2),
         failures=group(lambda: TransientFailures(
             *_span(draw), draw(st.sampled_from([0.0, 0.5, 1.0])),
             server_id=draw(SERVER)), 2),
@@ -170,11 +157,10 @@ class TestSegmentCache:
                 end = data.draw(point)
                 dur = (end - started if end >= started
                        else data.draw(st.sampled_from([0.0, 0.1, 0.25])))
-                label = data.draw(st.sampled_from(LABELS))
-                want_dur = ref.stretch(dur, started, label)
+                want_dur = ref.stretch(dur, started)
                 want = (want_dur, ref.crashed_during(started,
                                                      started + want_dur))
-                assert inj.window(started, dur, label) == want
+                assert inj.window(started, dur) == want
                 t = data.draw(point)
                 assert inj.crashed(t) == plan.crashed(sid, t)
                 assert inj.crashed(started) == plan.crashed(sid, started)

@@ -47,6 +47,17 @@ class TestDeviceMemory:
         mem = DeviceMemory(capacity_bytes=0)
         mem.malloc(10**12)  # fine
 
+    @pytest.mark.parametrize("capacity, error", [
+        (float("nan"), TypeError),
+        (float("inf"), TypeError),
+        (2.5, TypeError),
+        (True, TypeError),
+        (-1, ValueError),
+    ], ids=["nan", "inf", "frac", "bool", "negative"])
+    def test_capacity_checked_at_entry(self, capacity, error):
+        with pytest.raises(error):
+            DeviceMemory(capacity_bytes=capacity)
+
     def test_double_free_rejected(self):
         mem = DeviceMemory()
         h = mem.malloc(10)

@@ -1,9 +1,11 @@
 """Property-based tests: every allocator yields safe plans on random
-workloads, and footprints respect the peak-live lower bound."""
+workloads, footprints respect the peak-live lower bound, and Algorithm 1
+planning is idempotent."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gpusim.memory import DeviceMemory
 from repro.memory import (
     GsocAllocator,
     TensorUsageRecord,
@@ -83,3 +85,45 @@ class TestGsocProperties:
         turbo.plan(records)
         # Chunk quantization can only add bounded slack per chunk.
         assert turbo.footprint_bytes <= max(3 * arena, arena + 16384 * 2)
+
+
+def _placements(allocation):
+    return {name: (p.chunk_id, p.offset)
+            for name, p in allocation.plan.placements.items()}
+
+
+def _chunks(allocator):
+    return [(c.chunk_id, c.size) for c in allocator.chunks]
+
+
+class TestPlanningIdempotent:
+    """Re-planning the records of the last plan reproduces it and mallocs
+    nothing; the runtime's deferred warm-up pass rests on this."""
+
+    @given(history=st.lists(usage_records(max_size=40_000), max_size=2),
+           records=usage_records(max_size=40_000),
+           chunk_size=st.sampled_from([4096, 16384, 65536]),
+           release_after=st.sampled_from([None] + list(range(10))),
+           gap_search=st.sampled_from(["fast", "reference"]))
+    @settings(max_examples=200, deadline=None)
+    def test_second_plan_replays_the_first(self, history, records,
+                                           chunk_size, release_after,
+                                           gap_search):
+        allocator = TurboAllocator(DeviceMemory(), chunk_size=chunk_size,
+                                   release_after=release_after,
+                                   gap_search=gap_search)
+        for earlier in history:  # leaves chunks the records may not use
+            allocator.process_request(earlier)
+        first = allocator.process_request(records)
+        want, before = _placements(first), _chunks(allocator)
+        second = allocator.process_request(records)
+        after = _chunks(allocator)
+        assert second.new_bytes == 0
+        assert _placements(second) == want
+        assert second.plan.chunk_sizes == first.plan.chunk_sizes
+        if not history:  # every chunk is in use: the list stays as it is
+            assert after == before
+        # Otherwise release bookkeeping may drop chunks neither plan uses.
+        dropped = [c for c in before if c not in after]
+        assert after == [c for c in before if c not in dropped]
+        assert not {cid for cid, _ in dropped} & first.plan.chunk_sizes.keys()

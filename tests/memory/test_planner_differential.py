@@ -1,5 +1,5 @@
 """Differential test: the lifetime-indexed Algorithm 1 planner against the
-seed planner (``TurboAllocator(plan_cache=None, gap_search="reference")``).
+seed planner (``TurboAllocator(gap_search="reference")``).
 
 Both serve the same stream of requests; after every plan they must agree
 on placements, the chunk list, hit/miss/release counters, device stalls
@@ -11,11 +11,13 @@ must fail the same ``cudaMalloc`` and leave the same partial plan.
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpusim.memory import DeviceMemory, OutOfDeviceMemoryError
-from repro.memory import PlanCache, TensorUsageRecord, TurboAllocator
+from repro.graph import tensor_usage_records
+from repro.memory import TensorUsageRecord, TurboAllocator
 from repro.observability import MetricsRegistry
 
 CHUNK_SIZE = 256
@@ -37,14 +39,9 @@ def record_lists(draw):
 
 
 def _metrics_json(registry):
-    """Metrics JSON without the plan-cache counters, which only an
-    allocator with a plan cache publishes."""
     if registry is None:
         return None
-    payload = registry.to_dict()
-    payload["counters"] = [c for c in payload["counters"]
-                           if not c["name"].startswith("plan_cache_")]
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(registry.to_dict(), sort_keys=True)
 
 
 def _serve(allocator, records):
@@ -81,23 +78,20 @@ class TestIndexedPlannerMatchesReference:
     @given(stream=st.lists(record_lists(), min_size=1, max_size=6),
            release_after=st.sampled_from([0, 1, 8, None]),
            with_metrics=st.booleans(),
-           with_cache=st.booleans(),
            capacity=st.sampled_from([0, 0, 1024]))
     @settings(max_examples=200, deadline=None)
     def test_stream_identical_to_reference(self, stream, release_after,
-                                           with_metrics, with_cache,
-                                           capacity):
+                                           with_metrics, capacity):
         stream = stream + [[]] + stream  # an empty request, then replays
         ref_metrics = MetricsRegistry() if with_metrics else None
         fast_metrics = MetricsRegistry() if with_metrics else None
         reference = TurboAllocator(
             DeviceMemory(capacity_bytes=capacity), chunk_size=CHUNK_SIZE,
             release_after=release_after, metrics=ref_metrics,
-            plan_cache=None, gap_search="reference")
+            gap_search="reference")
         fast = TurboAllocator(
             DeviceMemory(capacity_bytes=capacity), chunk_size=CHUNK_SIZE,
-            release_after=release_after, metrics=fast_metrics,
-            plan_cache=PlanCache() if with_cache else None)
+            release_after=release_after, metrics=fast_metrics)
         want_placements = []
         fast_plans = []
         for records in stream:
@@ -113,3 +107,17 @@ class TestIndexedPlannerMatchesReference:
                 fast_plans.append(got.plan)
         for want, plan in zip(want_placements, fast_plans):
             assert _placements(plan) == want
+
+    def test_gap_search_modes_identical_placements(self, bert_graph):
+        fast = TurboAllocator(DeviceMemory())
+        reference = TurboAllocator(DeviceMemory(), gap_search="reference")
+        for batch, seq in [(1, 16), (3, 96), (6, 256)]:
+            records = tensor_usage_records(bert_graph,
+                                           {"batch": batch, "seq": seq})
+            got = fast.process_request(records)
+            want = reference.process_request(records)
+            assert _placements(got.plan) == _placements(want.plan)
+
+    def test_gap_search_validated(self):
+        with pytest.raises(ValueError):
+            TurboAllocator(DeviceMemory(), gap_search="bogus")

@@ -153,3 +153,24 @@ class TestValidationErrors:
     def test_bad_release_after(self):
         with pytest.raises(ValueError):
             TurboAllocator(release_after=-1)
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"chunk_size": float("nan")}, TypeError),
+        ({"chunk_size": float("inf")}, TypeError),
+        ({"chunk_size": 2.5}, TypeError),
+        ({"chunk_size": True}, TypeError),
+        ({"release_after": float("nan")}, TypeError),
+        ({"release_after": 2.5}, TypeError),
+        ({"release_after": True}, TypeError),
+        ({"k_scale": float("nan")}, ValueError),
+        ({"k_scale": float("inf")}, ValueError),
+    ], ids=["chunk-nan", "chunk-inf", "chunk-frac", "chunk-bool",
+            "release-nan", "release-frac", "release-bool",
+            "k-nan", "k-inf"])
+    def test_config_checked_at_entry(self, kwargs, error):
+        with pytest.raises(error):
+            TurboAllocator(**kwargs)
+
+    def test_boundary_configs_accepted(self):
+        allocator = TurboAllocator(chunk_size=1, k_scale=1.0, release_after=0)
+        assert allocator.plan([rec("a", 0, 0, 3)]).chunk_sizes == {0: 3}

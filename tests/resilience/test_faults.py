@@ -1,11 +1,9 @@
-"""FaultPlan: windows, determinism, and the gpusim stall hook."""
+"""FaultPlan: windows and determinism."""
 
 import pytest
 
-from repro.gpusim import KernelTiming, Stream
 from repro.resilience import (
     FaultPlan,
-    KernelStall,
     LatencySpike,
     ServerCrash,
     TransientFailures,
@@ -21,8 +19,6 @@ class TestWindows:
         assert not plan.crashed(0, 1.0)
         assert plan.failure_rate(0, 1.0) == 0.0
         assert not plan.attempt_fails(0, 0, 0, 1.0)
-        assert plan.stall_multiplier("gemm", 1.0) == 1.0
-        assert plan.kernel_stall_fn() is None
         assert plan.last_fault_end_s() == 0.0
 
     def test_window_half_open(self):
@@ -79,11 +75,10 @@ class TestWindows:
         lambda: LatencySpike(start_s=float("nan"), end_s=1.0, multiplier=2.0),
         lambda: LatencySpike(start_s=0.0, end_s=1.0, multiplier=float("nan")),
         lambda: LatencySpike(start_s=0.0, end_s=1.0, multiplier=float("inf")),
-        lambda: KernelStall(start_s=0.0, end_s=1.0, multiplier=float("inf")),
         lambda: TransientFailures(start_s=0.0, end_s=float("nan"),
                                   failure_rate=0.5),
     ], ids=["spike-nan-start", "spike-nan-multiplier", "spike-inf-multiplier",
-            "stall-inf-multiplier", "failures-nan-end"])
+            "failures-nan-end"])
     def test_rejects_nan_and_infinite_inputs(self, make):
         with pytest.raises(ValueError):
             make()
@@ -125,43 +120,3 @@ class TestDeterminism:
         first = [plan.attempt_fails(i, 0, 0, 0.5) for i in range(200)]
         second = [plan.attempt_fails(i, 1, 0, 0.5) for i in range(200)]
         assert first != second
-
-
-def timing(name="gemm", compute=1e-3):
-    return KernelTiming(name=name, launch_s=1e-5, compute_s=compute,
-                        memory_s=0.5e-3)
-
-
-class TestKernelStallHook:
-    def test_stalled_scales_every_component(self):
-        t = timing()
-        s = t.stalled(3.0)
-        assert s.launch_s == pytest.approx(3 * t.launch_s)
-        assert s.compute_s == pytest.approx(3 * t.compute_s)
-        assert s.memory_s == pytest.approx(3 * t.memory_s)
-        assert s.total_s == pytest.approx(3 * t.total_s)
-        assert t.stalled(1.0) is t
-        with pytest.raises(ValueError):
-            t.stalled(0.5)
-
-    def test_stream_applies_stall_window(self):
-        plan = FaultPlan(stalls=(
-            KernelStall(start_s=0.0, end_s=1e-3, multiplier=4.0,
-                        name_contains="gemm"),))
-        stream = Stream(stall_fn=plan.kernel_stall_fn())
-        clean = Stream()
-        first = timing()  # submitted at t=0: inside the window, stalled 4x
-        for s in (stream, clean):
-            s.submit(first)
-            # Second submit lands after the window on the stalled stream.
-            s.submit(timing(name="softmax"))
-        assert stream.time_matching("gemm") == \
-            pytest.approx(4 * clean.time_matching("gemm"))
-        assert stream.time_matching("softmax") == \
-            pytest.approx(clean.time_matching("softmax"))
-
-    def test_no_stalls_means_untouched_stream(self):
-        assert FaultPlan().kernel_stall_fn() is None
-        stream = Stream(stall_fn=None)
-        stream.submit(timing())
-        assert stream.elapsed_s == pytest.approx(timing().total_s)

@@ -32,13 +32,12 @@ BATCHES = range(1, 5)
 LENGTHS = (8, 16, 24, 40, 64, 100, 128)
 
 
-def make_runtime(release_after, cap, cached, registry):
+def make_runtime(release_after, cap, registry):
     def factory():
-        kwargs = {} if cached else {"plan_cache": None}
         return TurboAllocator(
             DeviceMemory(capacity_bytes=cap), chunk_size=CHUNK_BYTES,
             release_after=release_after,
-            metrics=MetricsRegistry() if registry else None, **kwargs)
+            metrics=MetricsRegistry() if registry else None)
 
     return InferenceRuntime(GRAPH, TURBO_CHARACTERISTICS, RTX_2060,
                             allocator_factory=factory)
@@ -66,7 +65,8 @@ def apply(runtime, op):
 
 shapes = st.tuples(st.sampled_from(BATCHES), st.sampled_from(LENGTHS))
 #: Mostly latency() misses, the deferrable call; the rest flush plans
-#: (stats, invalidate) or end deferral (infer, an allocator read).
+#: (invalidate), end deferral (infer, an allocator read) or read the
+#: host-path counters (stats).
 ops = st.lists(st.one_of(
     *[shapes.map(lambda s: ("latency",) + s)] * 5,
     st.just(("sweep",)),
@@ -81,16 +81,15 @@ class TestDeferredPlanning:
     @given(ops=ops,
            release_after=st.sampled_from([None] + list(range(10))),
            cap=st.sampled_from([0, 0, 0, 1 << 20]),
-           cached=st.sampled_from([True, True, True, False]),
            registry=st.sampled_from([False, False, False, True]))
     @example(ops=[("latency", 1, 64), ("latency", 1, 8)], release_after=1,
-             cap=0, cached=True, registry=False)
+             cap=0, registry=False)
     @example(ops=[("latency", 4, 128), ("latency", 1, 8)] * 5,
-             release_after=7, cap=0, cached=True, registry=False)
+             release_after=7, cap=0, registry=False)
     @settings(max_examples=150, deadline=None)
     def test_matches_planning_runtime(self, ops, release_after, cap,
-                                      cached, registry):
-        config = (release_after, cap, cached, registry)
+                                      registry):
+        config = (release_after, cap, registry)
         deferring = make_runtime(*config)
         planning = make_runtime(*config)
         _ = planning.allocator  # ends deferral before the first plan
@@ -103,7 +102,7 @@ class TestDeferredPlanning:
         """The parity lemma's converse: with an odd ``release_after`` a
         warm pass does free chunks on this sweep, so the guard is
         load-bearing; with ``None`` or an even one it never does."""
-        runtime = make_runtime(release_after, 0, True, False)
+        runtime = make_runtime(release_after, 0, False)
         allocator = runtime.allocator
         warm_frees = 0
         for seq in (128, 16, 128, 8) * 3:
@@ -116,22 +115,28 @@ class TestDeferredPlanning:
         assert (warm_frees > 0) == (release_after == 7)
 
     def test_warm_up_runs_no_plan_until_the_allocator_is_read(self):
-        runtime = make_runtime(8, 0, True, False)
+        runtime = make_runtime(8, 0, False)
         for seq in (16, 64, 128):
             runtime.latency(2, seq)
         assert runtime._deferred == [(2, 16), (2, 64), (2, 128)]
+        assert runtime._allocator.requests_processed == 0
+        assert runtime._allocator.plan_hits == 0
         allocator = runtime.allocator
         assert runtime._deferred is None
         assert allocator.requests_processed == 6
-        assert allocator.plan_cache.stats()["hits"] >= 3
+        # Each warm pass re-places every record of its cold pass.
+        records = sum(len(runtime.usage_records(2, seq))
+                      for seq in (16, 64, 128))
+        assert allocator.plan_hits >= records
+        hits = allocator.plan_hits
         runtime.latency(1, 16)  # deferral has ended: plans at once
         assert allocator.requests_processed == 8
+        assert allocator.plan_hits > hits
 
     @pytest.mark.parametrize("config", [
-        (7, 0, True, False),        # odd release_after
-        (8, 1 << 20, True, False),  # device cap
-        (8, 0, False, False),       # no plan cache
-        (8, 0, True, True),         # metrics registry
+        (7, 0, False),        # odd release_after
+        (8, 1 << 20, False),  # device cap
+        (8, 0, True),         # metrics registry
     ])
     def test_guards_plan_at_once(self, config):
         runtime = make_runtime(*config)
