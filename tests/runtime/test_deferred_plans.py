@@ -136,6 +136,7 @@ class TestDeferredPlanning:
     @pytest.mark.parametrize("config", [
         (7, 0, False),        # odd release_after
         (8, 1 << 20, False),  # device cap
+        (1, 0, False),        # smallest odd release_after
         (8, 0, True),         # metrics registry
     ])
     def test_guards_plan_at_once(self, config):
