@@ -14,7 +14,7 @@ encoder replicas (one-shot, cluster and Ebird) and the generation ones.
 Event ordering
 --------------
 Events are dispatched in ``(time, priority, seq)`` order.  ``priority``
-defaults to the :class:`EventKind` value, so at the **same virtual time**
+is the :class:`EventKind` value, so at the **same virtual time**
 the documented order is::
 
     ARRIVAL (0)  <  RETRY (1)  <  WAKE (2)  <  TRIGGER (3)
@@ -132,7 +132,7 @@ _ARRIVAL = int(EventKind.ARRIVAL)
 #: The member itself, read once: an enum attribute read costs several
 #: times a global one, and every task resume schedules a WAKE.
 _WAKE_KIND = EventKind.WAKE
-#: Each kind's default priority, its value (one dict lookup per schedule).
+#: Each kind's priority, its value (one dict lookup per schedule).
 _PRIORITY = {kind: int(kind) for kind in EventKind}
 
 
@@ -193,7 +193,6 @@ class Engine:
         kind: EventKind,
         callback: Optional[Callable[[Event], None]] = None,
         payload: Any = None,
-        priority: Optional[int] = None,
     ) -> Event:
         """Schedule an event; ``time`` must be >= ``now`` (NaN never is)."""
         if not time >= self.now:
@@ -202,8 +201,7 @@ class Engine:
             )
         seq = self._seq
         self._seq = seq + 1
-        if priority is None:
-            priority = _PRIORITY[kind]
+        priority = _PRIORITY[kind]
         event = Event(time, priority, seq, kind, callback, payload)
         heapq.heappush(self._heap, (time, priority, seq, event))  # repro: allow(DET405)
         self._live += 1

@@ -52,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from .._checks import check_size
 from .._observers import notify, observers
 
 
@@ -141,12 +142,9 @@ class KVCacheArena:
         high_watermark: float = 0.9,
         metrics=None,
     ) -> None:
-        if capacity_bytes <= 0:
-            raise ValueError(f"capacity_bytes must be positive, got {capacity_bytes}")
-        if bytes_per_token <= 0:
-            raise ValueError(f"bytes_per_token must be positive, got {bytes_per_token}")
-        if page_tokens <= 0:
-            raise ValueError(f"page_tokens must be positive, got {page_tokens}")
+        check_size("capacity_bytes", capacity_bytes)
+        check_size("bytes_per_token", bytes_per_token)
+        check_size("page_tokens", page_tokens)
         if not 0.0 < high_watermark <= 1.0:
             raise ValueError(
                 f"high_watermark must be in (0, 1], got {high_watermark}"

@@ -1,6 +1,6 @@
-"""Fault injection and recovery for the serving stack (ISSUE 2).
+"""Fault injection and recovery for the serving stack.
 
-Four independent, composable mechanisms, all deterministic and seeded:
+Three independent, composable mechanisms, all deterministic and seeded:
 
 * :class:`FaultPlan` (:mod:`.faults`) — a scripted schedule of latency
   spikes, transient request failures and server
@@ -11,9 +11,6 @@ Four independent, composable mechanisms, all deterministic and seeded:
 * :class:`CircuitBreaker` (:mod:`.breaker`) — per-replica closed → open →
   half-open state machine over a sliding failure-rate window; consulted by
   the cluster router when placing work.
-* :class:`DegradationLadder` / :class:`DegradationController`
-  (:mod:`.degradation`) — graceful fallback to cheaper model versions
-  under stress, with shedding as the optional last rung.
 
 :class:`ResilienceConfig` bundles them for ``simulate_serving`` /
 ``simulate_cluster``; :func:`run_chaos` (:mod:`.chaos`) drives any
@@ -27,9 +24,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "BreakerState": "breaker",
     "CircuitBreaker": "breaker",
     "ResilienceConfig": "config",
-    "DegradationController": "degradation",
-    "DegradationLadder": "degradation",
-    "DegradationRung": "degradation",
     "FaultPlan": "faults",
     "LatencySpike": "faults",
     "ServerCrash": "faults",

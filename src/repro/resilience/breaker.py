@@ -122,7 +122,7 @@ class CircuitBreaker:
         """Pure query: would :meth:`allow` admit work right now?
 
         Consumes nothing — safe to call once per candidate per routing
-        decision (health scans, degradation checks).  Call :meth:`allow`
+        decision (the router's health scan).  Call :meth:`allow`
         only at the moment work is actually committed to this replica.
         """
         state = self.state(now_s)

@@ -77,7 +77,6 @@ def replace_deadline(request: Request, deadline_s: float) -> Request:
         seq_len=request.seq_len,
         arrival_s=request.arrival_s,
         payload=request.payload,
-        priority=request.priority,
         deadline_s=deadline_s,
     )
 

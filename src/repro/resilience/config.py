@@ -1,8 +1,8 @@
 """The bundle a simulator needs to run resiliently.
 
-:class:`ResilienceConfig` groups the four independent mechanisms — fault
-plan, retry policy, circuit breakers, degradation ladder — plus admission
-knobs (queue capacity).  Every field has a disabled default, and
+:class:`ResilienceConfig` groups the three independent mechanisms — fault
+plan, retry policy, circuit breakers — plus one admission knob (queue
+capacity).  Every field has a disabled default, and
 ``simulate_serving`` / ``simulate_cluster`` treat ``resilience=None`` and
 "config whose fault plan is empty and everything else is off" identically:
 both produce byte-identical metrics to the pre-resilience code path.
@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .._checks import check_size
 from .breaker import CircuitBreaker
-from .degradation import DegradationController
 from .faults import FaultPlan
 from .retry import RetryPolicy
 
@@ -31,11 +31,7 @@ class ResilienceConfig:
     faults: FaultPlan = field(default_factory=FaultPlan)
     retry: Optional[RetryPolicy] = None
     breaker_factory: Optional[Callable[[int], CircuitBreaker]] = None
-    degradation: Optional[DegradationController] = None
     queue_capacity: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.queue_capacity is not None and self.queue_capacity <= 0:
-            raise ValueError(
-                f"queue_capacity must be positive, got {self.queue_capacity}"
-            )
+        check_size("queue_capacity", self.queue_capacity, optional=True)

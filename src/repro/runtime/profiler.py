@@ -33,22 +33,17 @@ from .base import InferenceRuntime
 class CostTable:
     """``cached_cost[seq_len][batch_size] -> seconds`` (paper Alg. 3 input).
 
-    ``interpolate=True`` prices lengths between profiled grid points by
-    linear interpolation instead of rounding up to the next bucket.  The
-    bucketed value is the measured cost at the length a server pads to;
-    neither value is guaranteed to bound the other, since measured cost
-    is not monotone in length everywhere (see the module docstring).
+    A length between profiled grid points is priced at its bucket, the
+    measured cost at the length a server pads to.
     """
 
-    def __init__(self, lengths: Iterable[int], max_batch: int,
-                 interpolate: bool = False) -> None:
+    def __init__(self, lengths: Iterable[int], max_batch: int) -> None:
         self.lengths: List[int] = sorted(set(int(x) for x in lengths))
         if not self.lengths or self.lengths[0] <= 0:
             raise ValueError(f"lengths must be positive, got {self.lengths[:3]}...")
         if max_batch <= 0:
             raise ValueError(f"max_batch must be positive, got {max_batch}")
         self.max_batch = max_batch
-        self.interpolate = interpolate
         self._grid = frozenset(self.lengths)
         self._table: Dict[int, Dict[int, float]] = {}
         self._bucket_memo: Dict[int, int] = {}
@@ -92,30 +87,19 @@ class CostTable:
         """Latency of a batch of ``batch`` requests padded to ``seq_len``."""
         if batch <= 0 or batch > self.max_batch:
             raise ValueError(f"batch must be in [1, {self.max_batch}], got {batch}")
-        if not self.interpolate:
-            # seq_len -> its bucket's row, so a call is one dict lookup;
-            # only rows that exist are memoised, and set() updates a row
-            # in place, so the memo never goes stale.
-            row = self._row_memo.get(seq_len)
+        # seq_len -> its bucket's row, so a call is one dict lookup;
+        # only rows that exist are memoised, and set() updates a row in
+        # place, so the memo never goes stale.
+        row = self._row_memo.get(seq_len)
+        if row is None:
+            row = self._table.get(self.bucket(seq_len))
             if row is None:
-                row = self._table.get(self.bucket(seq_len))
-                if row is None:
-                    return self._entry(self.bucket(seq_len), batch)
-                self._row_memo[seq_len] = row
-            try:
-                return row[batch]
-            except KeyError:
                 return self._entry(self.bucket(seq_len), batch)
-        upper = self.bucket(seq_len)
-        if seq_len >= upper or upper == self.lengths[0]:
-            return self._entry(upper, batch)
-        # ``upper`` is the smallest profiled length >= seq_len, so its
-        # grid neighbour below is < seq_len: interpolate between the two.
-        lower = self.lengths[bisect_left(self.lengths, upper) - 1]
-        low_cost = self._entry(lower, batch)
-        high_cost = self._entry(upper, batch)
-        t = (seq_len - lower) / (upper - lower)
-        return low_cost + t * (high_cost - low_cost)
+            self._row_memo[seq_len] = row
+        try:
+            return row[batch]
+        except KeyError:
+            return self._entry(self.bucket(seq_len), batch)
 
     def _entry(self, length: int, batch: int) -> float:
         try:
@@ -132,7 +116,6 @@ class CostTable:
         payload = {
             "lengths": self.lengths,
             "max_batch": self.max_batch,
-            "interpolate": self.interpolate,
             "table": {str(k): {str(b): v for b, v in row.items()}
                       for k, row in self._table.items()},
         }
@@ -141,9 +124,7 @@ class CostTable:
     @classmethod
     def from_json(cls, path: Union[str, Path]) -> "CostTable":
         payload = json.loads(Path(path).read_text())
-        # Files written before the flag was persisted are bucketed tables.
-        table = cls(payload["lengths"], payload["max_batch"],
-                    interpolate=payload.get("interpolate", False))
+        table = cls(payload["lengths"], payload["max_batch"])
         for length, row in payload["table"].items():
             for batch, seconds in row.items():
                 table.set(int(length), int(batch), float(seconds))

@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Generic, Hashable, Optional, TypeVar
 
+from .._checks import check_size
+
 V = TypeVar("V")
 
 
@@ -26,8 +28,7 @@ class ResponseCache(Generic[V]):
 
     def __init__(self, capacity: int = 1024, metrics=None,
                  name: str = "response") -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+        check_size("capacity", capacity)
         self.capacity = capacity
         self._entries: "OrderedDict[Hashable, V]" = OrderedDict()
         self.hits = 0

@@ -88,8 +88,7 @@ def simulate_cluster(
     work fast (retried elsewhere via the retry policy), per-server circuit
     breakers steer the router away from failing replicas, expired
     requests are dropped at admission and at dispatch, a bounded queue
-    sheds, and execution slows under latency spikes.  A degradation
-    ladder steps one replica, so it is refused for more than one server.
+    sheds, and execution slows under latency spikes.
 
     ``metrics`` receives the driver's ``serving_*``, ``scheduler_*`` and
     ``engine_*`` series, labelled ``system="cluster[<policy>x<n>]"``,

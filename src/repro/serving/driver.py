@@ -354,9 +354,7 @@ class Driver:
             rejected=self.rejected,
             breaker_transitions=sum(len(rep.breaker.transitions)
                                     for rep in self.replicas
-                                    if rep.breaker is not None),
-            degradation_switches=(0 if res.degradation is None
-                                  else len(res.degradation.switches)))
+                                    if rep.breaker is not None))
         result = self.result(
             completed,
             system=self.system,

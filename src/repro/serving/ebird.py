@@ -196,16 +196,12 @@ def simulate_ebird_serving(
 
     Whenever a stream is free, the queued requests (up to ``max_batch``,
     arrival order, padded to their longest) start at once as a new
-    concurrent batch.  ``resilience`` works as for ``simulate_serving``
-    — fault injection, deadlines, retries, a breaker and a bounded queue
-    — except that a degradation ladder is rejected.
+    concurrent batch.  ``resilience`` works as for ``simulate_serving``:
+    fault injection, deadlines, retries, a breaker and a bounded queue.
     """
     check_size("max_streams", max_streams)
     if not 0.0 < efficiency <= 1.0:
         raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
-    if resilience is not None and resilience.degradation is not None:
-        raise ValueError("Ebird steps no degradation ladder; "
-                         "resilience.degradation must be None")
     # The replica forms its own FIFO batches, one per free stream: the
     # naive scheduler's batches, drained ``max_batch`` at a time.
     driver = _BatchDriver(

@@ -108,7 +108,6 @@ class ResilienceStats:
     shed: int = 0
     rejected: int = 0
     breaker_transitions: int = 0
-    degradation_switches: int = 0
 
     @property
     def dropped(self) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional
 
+from .._checks import check_size
 from .request import Request
 
 
@@ -19,8 +20,7 @@ class MessageQueue:
     """
 
     def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+        check_size("capacity", capacity, optional=True)
         self.capacity = capacity
         self._queue: Deque[Request] = deque()
         self.total_enqueued = 0

@@ -28,7 +28,7 @@ class RequestState(enum.Enum):
 
     * ``TIMED_OUT`` — its deadline expired before (or while) being served;
     * ``FAILED``    — every allowed attempt hit a fault, retries exhausted;
-    * ``SHED``      — dropped by admission control (full queue, shed rung).
+    * ``SHED``      — dropped by admission control (a full queue).
     """
 
     PENDING = "pending"
@@ -46,10 +46,8 @@ class RequestState(enum.Enum):
 class Request:
     """One inference request: a variable-length input arriving at a time.
 
-    ``payload`` is an optional cache key (e.g. token ids); ``priority``
-    orders multi-tenant traffic (0 = interactive/highest, larger = more
-    batch-tolerant).  The serving simulation only needs ``seq_len`` and
-    ``arrival_s``.
+    ``payload`` is an optional cache key (e.g. token ids).  The serving
+    simulation only needs ``seq_len`` and ``arrival_s``.
 
     Resilience fields: ``deadline_s`` is the client's per-request latency
     budget (``None`` = patient client, never dropped); ``attempt`` counts
@@ -64,7 +62,6 @@ class Request:
     seq_len: int
     arrival_s: float
     payload: Optional[Tuple[int, ...]] = None
-    priority: int = 0
     start_s: Optional[float] = None
     completion_s: Optional[float] = None
     deadline_s: Optional[float] = None
@@ -77,8 +74,6 @@ class Request:
         if not 0.0 <= self.arrival_s < math.inf:
             raise ValueError(
                 f"arrival_s must be finite and >= 0, got {self.arrival_s}")
-        if self.priority < 0:
-            raise ValueError(f"priority must be >= 0, got {self.priority}")
         if self.deadline_s is not None and not self.deadline_s > 0:
             raise ValueError(f"deadline_s must be positive, got {self.deadline_s}")
         if self.attempt < 0:

@@ -10,11 +10,11 @@ One replica, one driver
 -----------------------
 :class:`BatchReplica` is one GPU running the paper's §5 loop — the
 encoder twin of :class:`~repro.serving.continuous.GenReplica`.  It owns
-its :class:`MessageQueue`, batch scheduler, trigger policy (hungry or
-lazy) and degradation ladder, plus the fault injector and circuit
-breaker the driver binds, and :meth:`BatchReplica.run` executes
-scheduling rounds — drain, admit, DP-schedule on the active rung, then
-run the batches as busy windows — yielding the end of each window.  The
+its :class:`MessageQueue`, batch scheduler and trigger policy (hungry
+or lazy), plus the fault injector and circuit breaker the driver binds,
+and :meth:`BatchReplica.run` executes scheduling rounds — drain, admit,
+DP-schedule, then run the batches as busy windows — yielding the end of
+each window.  The
 encoder driver is the one serving driver
 (:class:`repro.serving.driver.Driver`, whose backlog, retry, routing,
 window, counter and wake rules it follows) with the encoder ingest rule
@@ -69,7 +69,7 @@ run.
 Resilience: pass a :class:`repro.resilience.ResilienceConfig` to enable
 deadline-aware admission (expired requests are dropped before batching),
 fault injection (latency spikes, transient failures, crashes), retries
-with backoff, a circuit breaker, a bounded queue and a degradation ladder.
+with backoff, a circuit breaker and a bounded queue.
 ``resilience=None`` — and equally a config whose fault plan is empty with
 every mechanism off — leaves the loop byte-identical to the unthreaded
 code path, the same zero-overhead-when-disabled guarantee the tracer
@@ -121,9 +121,8 @@ class BatchReplica(Replica):
     """One GPU of the encoder serving loop.
 
     Owns its message queue (bounded by ``resilience.queue_capacity``), its
-    batch scheduler and trigger policy, the fault injector and circuit
-    breaker the driver binds and, when it serves alone, the degradation
-    ladder.  :meth:`run` is its loop: scheduling rounds while the trigger
+    batch scheduler and trigger policy, and the fault injector and circuit
+    breaker the driver binds.  :meth:`run` is its loop: scheduling rounds while the trigger
     fires, yielding the end time of each busy window to the driver.
     """
 
@@ -143,7 +142,6 @@ class BatchReplica(Replica):
         res = driver.res
         self.queue = MessageQueue(
             capacity=res.queue_capacity if res is not None else None)
-        self.degradation = res.degradation if res is not None else None
         #: Committed busy horizon of the current round (routing estimate).
         self.busy_until = 0.0
         self.trigger = None  # the policy's decision timer, if armed
@@ -159,12 +157,6 @@ class BatchReplica(Replica):
         cost_fn = self.driver.cost_fn
         queued = sum(cost_fn(r.seq_len, 1) for r in self.queue)
         return max(0.0, self.busy_until - now) + queued
-
-    def price(self) -> CostFn:
-        """Cost function of the current degradation rung (base if none)."""
-        if self.degradation is not None:
-            return self.degradation.cost_fn
-        return self.driver.cost_fn
 
     def ensure_trigger(self) -> None:
         """Keep at most one pending TRIGGER, at the policy's next decision
@@ -200,6 +192,7 @@ class BatchReplica(Replica):
         queue = self.queue
         policy = self.policy
         config = d.config
+        price = d.cost_fn
         while queue and policy.should_schedule(queue, engine.now):
             now = engine.now
             if self.faults is not None and self.faults.crashed(now):
@@ -209,24 +202,13 @@ class BatchReplica(Replica):
                 yield end
                 continue
             if self.lazy is not None:
-                self.lazy.estimated_exec_s = self.price()(
-                    queue.front().seq_len, 1)
+                self.lazy.estimated_exec_s = price(queue.front().seq_len, 1)
             depth = len(queue)
             taken = queue.drain(config.round_limit)
             if d.res is not None:
-                if self.degradation is not None:
-                    # Pure query — allow() reserves a half-open probe slot
-                    # and is only called where work is actually committed.
-                    breaker_open = (self.breaker is not None
-                                    and not self.breaker.probe_available(now))
-                    self.degradation.on_round(depth, breaker_open, now)
                 taken = self.admit(taken, now)
                 if not taken:
                     continue
-            # The round is priced with the rung chosen for *this* round,
-            # so the DP partition optimizes the cost model execution will
-            # actually charge; the rung moves only between rounds.
-            price = self.price()
             batches = self.scheduler.schedule(taken, price, config.max_batch)
             if d.observed:
                 # One pre-drain depth sample feeds the trace counter and
@@ -258,20 +240,12 @@ class BatchReplica(Replica):
         return end
 
     def admit(self, taken: List[Request], now: float) -> List[Request]:
-        """Deadline-aware admission: expired work never reaches a batch.
-
-        The shed rung of the degradation ladder additionally drops queued
-        requests older than its ``shed_age_s``.
-        """
+        """Deadline-aware admission: expired work never reaches a batch."""
         d = self.driver
-        shed_age = (self.degradation.shed_age_s
-                    if self.degradation is not None else None)
         alive: List[Request] = []
         for r in taken:
             if r.expired(now):
                 d.drop(r, RequestState.TIMED_OUT, now)
-            elif shed_age is not None and now - r.arrival_s > shed_age:
-                d.drop(r, RequestState.SHED, now)
             else:
                 alive.append(r)
         return alive
@@ -382,11 +356,6 @@ class _BatchDriver(Driver):
                  max_len: int = 512,
                  replica: Callable[..., BatchReplica] = BatchReplica) -> None:
         n = len(schedulers)
-        if resilience is not None and resilience.degradation is not None \
-                and n > 1:
-            raise ValueError(
-                "a degradation ladder steps a single replica; "
-                f"got one ladder for {n} replicas")
         self.config = config
         self.cost_fn = cost_fn
         self.cache = cache

@@ -208,11 +208,11 @@ class TestEventRecord:
     def test_fields_repr_and_identity(self):
         engine = Engine()
         a = engine.schedule(1.0, EventKind.WAKE, payload="x")
-        b = engine.schedule(1.0, EventKind.ARRIVAL, priority=5)
+        b = engine.schedule(1.0, EventKind.RETRY)
         assert (a.time, a.priority, a.seq, a.kind, a.callback, a.payload,
                 a.cancelled, a.dispatched) == \
             (1.0, 2, 0, EventKind.WAKE, None, "x", False, False)
-        assert b.priority == 5
+        assert (b.priority, b.seq, b.kind) == (1, 1, EventKind.RETRY)
         assert repr(a) == (
             "Event(time=1.0, priority=2, seq=0, kind=<EventKind.WAKE: 2>, "
             "callback=None, payload='x', cancelled=False, dispatched=False)")

@@ -86,9 +86,8 @@ class Reference:
         live = self.live()
         return min(live, key=lambda e: e.key) if live else None
 
-    def push(self, time, kind, tag, priority=None, **extra) -> Entry:
-        entry = Entry(time, int(kind) if priority is None else priority,
-                      self.seq, int(kind), tag, **extra)
+    def push(self, time, kind, tag, **extra) -> Entry:
+        entry = Entry(time, int(kind), self.seq, int(kind), tag, **extra)
         self.seq += 1
         self.entries.append(entry)
         return entry
@@ -170,15 +169,12 @@ class EngineMachine(RuleBasedStateMachine):
     # -- rules --------------------------------------------------------------
 
     @rule(delay=DELAYS, kind=KINDS,
-          child=st.none() | DELAYS,
-          priority=st.none() | st.integers(-1, 4))
-    def schedule(self, delay, kind, child, priority):
+          child=st.none() | DELAYS)
+    def schedule(self, delay, kind, child):
         tag = self._tag()
         at = self.engine.now + delay
-        handle = self.engine.schedule(at, kind, self._handler(child), tag,
-                                      priority=priority)
-        entry = self.ref.push(self.ref.clock + delay, kind, tag,
-                              priority=priority, child=child)
+        handle = self.engine.schedule(at, kind, self._handler(child), tag)
+        entry = self.ref.push(self.ref.clock + delay, kind, tag, child=child)
         entry.handle = handle
 
     @rule(data=st.data())

@@ -291,6 +291,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             KVCacheArena(**kw)
 
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, True],
+                             ids=["nan", "fraction", "bool"])
+    @pytest.mark.parametrize("name", ["capacity_bytes", "bytes_per_token",
+                                      "page_tokens"])
+    def test_size_that_is_not_an_int_rejected(self, name, value):
+        kw = dict(capacity_bytes=1024, bytes_per_token=BPT, page_tokens=8)
+        kw[name] = value
+        with pytest.raises(TypeError, match=name):
+            KVCacheArena(**kw)
+
     @pytest.mark.parametrize("args", [(0, 16), (8, 0), (8, 4)])
     def test_bad_admit_rejected(self, args):
         prompt, total = args

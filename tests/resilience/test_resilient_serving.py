@@ -1,17 +1,13 @@
 """Resilience threaded through the serving simulators.
 
-Covers the ISSUE 2 acceptance criteria: an empty resilience config is
-byte-identical to ``resilience=None`` for pre-existing simulations, the
-retry budget bounds retry storms, deadlines drop expired work, and the
-degradation ladder trades quality for stability under stress.
+An empty resilience config is byte-identical to ``resilience=None`` for
+pre-existing simulations, the retry budget bounds retry storms, deadlines
+drop expired work, and a bounded queue sheds.
 """
 
 import pytest
 
 from repro.resilience import (
-    DegradationController,
-    DegradationLadder,
-    DegradationRung,
     FaultPlan,
     ResilienceConfig,
     RetryPolicy,
@@ -33,10 +29,6 @@ from repro.serving import (
 
 def cost(seq_len, batch):
     return 0.002 + 0.00005 * seq_len * batch
-
-
-def cheap_cost(seq_len, batch):
-    return 0.001 + 0.00001 * seq_len * batch
 
 
 def workload(rate=100, duration=2.0, seed=0, deadline_s=None):
@@ -80,7 +72,6 @@ class TestZeroOverheadWhenDisabled:
         assert config.faults.empty
         assert config.retry is None
         assert config.breaker_factory is None
-        assert config.degradation is None
         assert config.queue_capacity is None
 
 
@@ -213,6 +204,12 @@ class TestClusterResilience:
 
 
 class TestQueueCapacity:
+    @pytest.mark.parametrize("capacity", [float("nan"), 2.5, True],
+                             ids=["nan", "fraction", "bool"])
+    def test_capacity_that_is_not_an_int_rejected(self, capacity):
+        with pytest.raises(TypeError, match="queue_capacity"):
+            ResilienceConfig(queue_capacity=capacity)
+
     def test_full_queue_sheds(self):
         result = simulate_serving(
             workload(rate=800, duration=1.0), NaiveBatchScheduler(), cost,
@@ -240,95 +237,3 @@ class TestQueueCapacity:
                 if c["name"] == "serving_requests_dropped_total"
                 and c["labels"] == {"reason": "shed"}]
         assert shed == [result.resilience.shed]
-
-
-class TestDegradation:
-    def ladder(self):
-        return DegradationLadder([
-            DegradationRung(label="full", cost_fn=cost),
-            DegradationRung(label="distilled", cost_fn=cheap_cost,
-                            shed_age_s=1.0),
-        ])
-
-    def test_controller_hysteresis(self):
-        ctl = DegradationController(self.ladder(), depth_threshold=10)
-        ctl.on_round(queue_depth=11, breaker_open=False, now_s=1.0)
-        assert ctl.level == 1
-        # Between half and full threshold: hold (no flapping).
-        ctl.on_round(queue_depth=8, breaker_open=False, now_s=2.0)
-        assert ctl.level == 1
-        ctl.on_round(queue_depth=5, breaker_open=False, now_s=3.0)
-        assert ctl.level == 0
-        assert [(frm, to) for (_, frm, to) in ctl.switches] == [(0, 1), (1, 0)]
-
-    @pytest.mark.parametrize("age", [0.0, -1.0, float("nan")])
-    def test_rung_rejects_a_shed_age_that_is_not_positive(self, age):
-        with pytest.raises(ValueError, match="shed_age_s"):
-            DegradationRung(label="shed", cost_fn=cost, shed_age_s=age)
-
-    def test_infinite_shed_age_sheds_nothing(self):
-        def run(shed_age_s):
-            return simulate_serving(
-                workload(rate=700, duration=1.0), NaiveBatchScheduler(),
-                cost, ServingConfig(max_batch=8), duration_s=1.0,
-                resilience=ResilienceConfig(degradation=DegradationController(
-                    DegradationLadder([
-                        DegradationRung(label="full", cost_fn=cost),
-                        DegradationRung(label="shed", cost_fn=cheap_cost,
-                                        shed_age_s=shed_age_s)]),
-                    depth_threshold=20)))
-
-        never, off = run(float("inf")), run(None)
-        assert never.resilience.degradation_switches > 0
-        assert never.resilience.shed == 0
-        assert never == off
-
-    def test_breaker_open_escalates(self):
-        ctl = DegradationController(self.ladder(), depth_threshold=1000)
-        ctl.on_round(queue_depth=0, breaker_open=True, now_s=1.0)
-        assert ctl.level == 1
-        assert ctl.cost_fn is cheap_cost
-        assert ctl.shed_age_s == 1.0
-
-    def test_degradation_raises_overload_throughput(self):
-        def run(degradation):
-            return simulate_serving(
-                workload(rate=700, duration=2.0), NaiveBatchScheduler(),
-                cost, ServingConfig(max_batch=8), duration_s=2.0,
-                resilience=ResilienceConfig(degradation=degradation),
-            )
-
-        full = run(None)
-        degraded = run(DegradationController(self.ladder(),
-                                             depth_threshold=20))
-        assert degraded.resilience.degradation_switches > 0
-        assert degraded.response_throughput > full.response_throughput
-
-    def test_cluster_refuses_one_ladder_for_many_servers(self):
-        """One controller cannot be stepped by N replicas' rounds."""
-        def run(servers):
-            return simulate_cluster(
-                workload(rate=300, duration=1.0), servers,
-                NaiveBatchScheduler, cost, duration_s=1.0,
-                resilience=ResilienceConfig(degradation=DegradationController(
-                    self.ladder(), depth_threshold=20)))
-
-        with pytest.raises(ValueError, match="degradation ladder"):
-            run(2)
-        assert run(1).serving.completed > 0
-
-    def test_service_ladder_from_registry(self):
-        from repro.serving import InferenceService, ModelRegistry, ModelVersion
-
-        registry = ModelRegistry()
-        registry.register(ModelVersion(name="bert", version=1,
-                                       cost_fn=cheap_cost))
-        registry.register(ModelVersion(name="bert", version=2, cost_fn=cost))
-        registry.serve_version("bert", 2)
-        service = InferenceService(registry, "bert")
-        ladder = service.degradation_ladder(shed_age_s=0.5)
-        assert len(ladder) == 2
-        # Serving version first, then older versions as fallbacks.
-        assert [r.label for r in ladder.rungs] == ["bert@v2", "bert@v1"]
-        assert ladder.rungs[0].shed_age_s is None
-        assert ladder.rungs[-1].shed_age_s == 0.5

@@ -142,20 +142,6 @@ class TestPersistence:
         assert reloaded.lengths == table.lengths
         assert reloaded.max_batch == table.max_batch
         assert reloaded.cost(64, 3) == table.cost(64, 3)
-        assert not reloaded.interpolate
-
-    def test_json_round_trip_keeps_interpolation(self, table, tmp_path):
-        interp = CostTable(table.lengths, table.max_batch, interpolate=True)
-        for length in table.lengths:
-            for batch in range(1, table.max_batch + 1):
-                interp.set(length, batch, table.cost(length, batch))
-        path = tmp_path / "cost.json"
-        interp.to_json(path)
-        reloaded = CostTable.from_json(path)
-        assert reloaded.interpolate
-        # 40 lies between grid points 32 and 64: interpolated, not bucketed.
-        assert reloaded.cost(40, 2) == interp.cost(40, 2)
-        assert reloaded.cost(40, 2) < table.cost(40, 2)
 
     def test_json_without_flag_loads_bucketed(self, tmp_path):
         path = tmp_path / "cost.json"
@@ -164,7 +150,6 @@ class TestPersistence:
             "table": {"16": {"1": 0.5}, "32": {"1": 1.0}},
         }))
         reloaded = CostTable.from_json(path)
-        assert not reloaded.interpolate
         assert reloaded.cost(20, 1) == 1.0
 
     def test_json_nan_cell_rejected(self, tmp_path):
@@ -188,67 +173,3 @@ class TestPersistence:
         }))
         with pytest.raises(ValueError, match=r"grid|\[1, 1\]"):
             CostTable.from_json(path)
-
-
-class TestInterpolation:
-    @pytest.fixture(scope="class")
-    def interp_table(self):
-        table = CostTable([100, 200], max_batch=2, interpolate=True)
-        table.set(100, 1, 0.010)
-        table.set(200, 1, 0.020)
-        table.set(100, 2, 0.015)
-        table.set(200, 2, 0.030)
-        return table
-
-    def test_exact_at_grid_points(self, interp_table):
-        assert interp_table.cost(100, 1) == pytest.approx(0.010)
-        assert interp_table.cost(200, 1) == pytest.approx(0.020)
-
-    def test_linear_between_points(self, interp_table):
-        assert interp_table.cost(150, 1) == pytest.approx(0.015)
-        assert interp_table.cost(150, 2) == pytest.approx(0.0225)
-
-    def test_clamps_below_grid(self, interp_table):
-        assert interp_table.cost(10, 1) == pytest.approx(0.010)
-
-    def test_clamps_above_grid(self, interp_table):
-        assert interp_table.cost(999, 1) == pytest.approx(0.020)
-
-    def test_interpolation_never_exceeds_bucket(self, table):
-        """Interpolated values are <= the round-up bucket value (cost is
-        monotone in length)."""
-        interp = CostTable(table.lengths, table.max_batch, interpolate=True)
-        for length in table.lengths:
-            for batch in range(1, table.max_batch + 1):
-                interp.set(length, batch, table.cost(length, batch))
-        for seq in (20, 50, 90, 127):
-            assert interp.cost(seq, 2) <= table.cost(seq, 2) + 1e-12
-
-    @pytest.mark.parametrize("lengths", [[16, 32, 64, 128],
-                                         [5, 7, 30, 31, 100, 101, 250]])
-    def test_lower_neighbour_from_bisect_matches_linear_scan(self, lengths):
-        """The lower grid neighbour comes from the bucket's bisect index;
-        it must price exactly what the linear ``max(l < upper)`` scan
-        did, at every length on and between the grid points."""
-        flat = CostTable(lengths, max_batch=3)
-        interp = CostTable(lengths, max_batch=3, interpolate=True)
-        for i, length in enumerate(lengths):
-            for batch in (1, 2, 3):
-                seconds = 0.001 * (1 + i) * batch + 1e-5 * length
-                flat.set(length, batch, seconds)
-                interp.set(length, batch, seconds)
-
-        def linear_scan(seq_len, batch):
-            upper = flat.bucket(seq_len)
-            if seq_len >= upper or upper == lengths[0]:
-                return flat.cost(upper, batch)
-            lower = max(l for l in lengths if l < upper)
-            if seq_len <= lower:
-                return flat.cost(lower, batch)
-            low, high = flat.cost(lower, batch), flat.cost(upper, batch)
-            return low + (seq_len - lower) / (upper - lower) * (high - low)
-
-        for seq_len in range(1, lengths[-1] + 20):
-            for batch in (1, 2, 3):
-                assert interp.cost(seq_len, batch) == linear_scan(seq_len,
-                                                                  batch)

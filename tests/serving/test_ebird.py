@@ -115,21 +115,6 @@ class TestEbirdSimulation:
                    and r.state is RequestState.PENDING and r.attempt == 0
                    for r in requests)
 
-    def test_degradation_ladder_rejected(self):
-        from repro.resilience import (
-            DegradationController,
-            DegradationLadder,
-            DegradationRung,
-            ResilienceConfig,
-        )
-
-        ladder = DegradationLadder([DegradationRung("full", cost)])
-        with pytest.raises(ValueError, match="degradation"):
-            simulate_ebird_serving(
-                reqs([(10, 0.0)]), cost, duration_s=0.1,
-                resilience=ResilienceConfig(
-                    degradation=DegradationController(ladder)))
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             simulate_ebird_serving([], cost)

@@ -1,25 +1,19 @@
 """Regressions pinned by the event-engine port of ``simulate_serving``.
 
-Three bugs died with the private ``while``/``heapq`` loop, and one
+A bug died with the private ``while``/``heapq`` loop, and one
 behaviour became specifiable at all: the dispatch order of a retry
 wake-up, a new arrival, and a trigger-policy decision landing at the same
 virtual instant.  Each test here fails against the pre-engine loop.
 """
 
-import pytest
-
 from repro.observability import MetricsRegistry, Tracer
 from repro.resilience import (
-    DegradationController,
-    DegradationLadder,
-    DegradationRung,
     FaultPlan,
     ResilienceConfig,
     RetryPolicy,
     TransientFailures,
 )
 from repro.serving import (
-    DPBatchScheduler,
     LazyPolicy,
     NaiveBatchScheduler,
     Request,
@@ -41,64 +35,6 @@ class RecordingScheduler(NaiveBatchScheduler):
     def schedule(self, requests, cost_fn, max_batch):
         self.rounds.append([r.req_id for r in requests])
         return super().schedule(requests, cost_fn, max_batch)
-
-
-class TestActiveRungPricesTheRound:
-    """Bugfix: scheduling and the LazyPolicy estimate must use the active
-    degradation rung's cost function, not the base ``cost_fn`` (execution
-    always charged the rung's — the old loop *partitioned* with the wrong
-    model)."""
-
-    # Base model: a huge fixed per-batch cost makes one merged batch
-    # DP-optimal.  Degraded rung: superlinear batch cost makes singleton
-    # batches DP-optimal.  The partition therefore reveals which cost
-    # function the scheduler was given.
-    @staticmethod
-    def base_cost(seq_len, batch):
-        return 1.0 + 0.001 * batch
-
-    @staticmethod
-    def rung_cost(seq_len, batch):
-        return 0.01 * batch * batch
-
-    def _ladder(self):
-        return DegradationLadder([
-            DegradationRung(label="full", cost_fn=self.base_cost),
-            DegradationRung(label="cheap", cost_fn=self.rung_cost),
-        ])
-
-    def test_dp_partitions_with_the_rung_chosen_for_the_round(self):
-        # Five simultaneous requests exceed depth_threshold=1, so the
-        # controller escalates to the cheap rung in the very round that
-        # schedules them; pricing with the rung yields five singleton
-        # batches, pricing with the base model would merge all five.
-        requests = burst(5)
-        controller = DegradationController(self._ladder(), depth_threshold=1)
-        metrics = simulate_serving(
-            requests, DPBatchScheduler(), self.base_cost,
-            duration_s=1.0,
-            resilience=ResilienceConfig(degradation=controller),
-        )
-        assert controller.level == 1
-        assert len(controller.switches) == 1
-        assert metrics.completed == 5
-        assert metrics.batches_executed == 5
-
-    def test_lazy_policy_estimate_uses_the_active_rung(self):
-        requests = [Request(req_id=0, seq_len=10, arrival_s=0.0)]
-        controller = DegradationController(self._ladder(), depth_threshold=1)
-        # Pre-stress the controller onto the cheap rung; a depth-1 round
-        # is not calm enough (hysteresis at threshold // 2) to descend.
-        controller.on_round(queue_depth=10, breaker_open=False, now_s=0.0)
-        assert controller.level == 1
-        policy = LazyPolicy(timeout_s=0.01, max_batch=8, latency_slo_s=10.0)
-        simulate_serving(
-            requests, NaiveBatchScheduler(), self.base_cost,
-            config=ServingConfig(policy=policy),
-            duration_s=1.0,
-            resilience=ResilienceConfig(degradation=controller),
-        )
-        assert policy.estimated_exec_s == pytest.approx(self.rung_cost(10, 1))
 
 
 class TestQueueDepthPreDrain:

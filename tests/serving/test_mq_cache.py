@@ -1,8 +1,17 @@
 """Message queue and response cache."""
 
+import random
+
 import pytest
 
-from repro.serving import MessageQueue, Request, ResponseCache
+from repro.serving import (
+    DPBatchScheduler,
+    MessageQueue,
+    Request,
+    ResponseCache,
+    ServingConfig,
+    simulate_serving,
+)
 
 
 def req(i, arrival=0.0):
@@ -86,6 +95,12 @@ class TestBoundedQueue:
         with pytest.raises(ValueError):
             MessageQueue(capacity=-3)
 
+    @pytest.mark.parametrize("capacity", [float("nan"), 2.5, True],
+                             ids=["nan", "fraction", "bool"])
+    def test_capacity_that_is_not_an_int_rejected(self, capacity):
+        with pytest.raises(TypeError, match="capacity"):
+            MessageQueue(capacity=capacity)
+
 
 class TestResponseCache:
     def test_hit_and_miss(self):
@@ -126,6 +141,12 @@ class TestResponseCache:
         with pytest.raises(ValueError):
             ResponseCache(capacity=0)
 
+    @pytest.mark.parametrize("capacity", [float("nan"), 2.5, True],
+                             ids=["nan", "fraction", "bool"])
+    def test_capacity_that_is_not_an_int_rejected(self, capacity):
+        with pytest.raises(TypeError, match="capacity"):
+            ResponseCache(capacity=capacity)
+
     def test_metrics_registry_wiring(self):
         from repro.observability import MetricsRegistry
 
@@ -148,17 +169,39 @@ class TestResponseCache:
         cache.get("missing")
         assert registry.value("plan_cache_misses_total") == 1
 
-    def test_service_threads_registry_to_cache(self):
-        from repro.observability import MetricsRegistry
-        from repro.serving import (
-            InferenceService,
-            ModelRegistry,
-            ModelVersion,
-        )
 
-        models = ModelRegistry()
-        models.register(ModelVersion("m", 1, lambda seq_len, batch: 1.0,
-                                     "initial"))
-        registry = MetricsRegistry()
-        service = InferenceService(models, "m", metrics=registry)
-        assert service.cache.metrics is registry
+def cost(seq_len, batch):
+    return 0.002 + 0.00005 * seq_len * batch
+
+
+class TestCachedServing:
+    """The Fig. 2 response cache in front of the serving loop."""
+
+    def _requests(self, payloads, gap=0.01):
+        return [
+            Request(req_id=i, seq_len=40, arrival_s=i * gap,
+                    payload=(payload,))
+            for i, payload in enumerate(payloads)
+        ]
+
+    def _serve(self, requests, cache, duration_s):
+        return simulate_serving(requests, DPBatchScheduler(), cost,
+                                ServingConfig(max_batch=20),
+                                duration_s=duration_s, cache=cache)
+
+    def test_cache_short_circuits_repeats(self):
+        """Clipper-style response caching: repeated payloads skip the model."""
+        cache = ResponseCache(capacity=4096)
+        payloads = [0, 1, 2, 3] * 10  # heavy repetition
+        metrics = self._serve(self._requests(payloads), cache, 1.0)
+        assert cache.hits > 0
+        # Cached responses complete at arrival: minimum latency is zero.
+        assert metrics.latency.min_ms == pytest.approx(0.0)
+
+    def test_cache_lowers_average_latency(self):
+        skewed = [0] * 30 + list(range(30))
+        random.Random(5).shuffle(skewed)
+        with_cache = self._serve(self._requests(skewed, gap=0.004),
+                                 ResponseCache(capacity=4096), 0.5)
+        without = self._serve(self._requests(skewed, gap=0.004), None, 0.5)
+        assert with_cache.latency.avg_ms < without.latency.avg_ms

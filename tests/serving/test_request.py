@@ -87,9 +87,8 @@ class TestSlots:
     """Requests are slotted dataclasses: no per-instance ``__dict__``, and
     otherwise the same fields, equality and repr."""
 
-    BASE_FIELDS = ["req_id", "seq_len", "arrival_s", "payload", "priority",
-                   "start_s", "completion_s", "deadline_s", "attempt",
-                   "state"]
+    BASE_FIELDS = ["req_id", "seq_len", "arrival_s", "payload", "start_s",
+                   "completion_s", "deadline_s", "attempt", "state"]
 
     def test_unknown_attribute_rejected(self):
         gen = GenRequest(req_id=1, seq_len=4, arrival_s=0.0)
@@ -112,12 +111,13 @@ class TestSlots:
                                    "first_token_s", "prompt_ids"]
 
     def test_equality_and_repr_unchanged(self):
-        r = Request(req_id=3, seq_len=16, arrival_s=0.5, priority=1)
-        assert r == Request(req_id=3, seq_len=16, arrival_s=0.5, priority=1)
-        assert r != Request(req_id=3, seq_len=16, arrival_s=0.5)
+        r = Request(req_id=3, seq_len=16, arrival_s=0.5)
+        assert r == Request(req_id=3, seq_len=16, arrival_s=0.5)
+        assert r != Request(req_id=3, seq_len=16, arrival_s=0.5,
+                            deadline_s=1.0)
         assert repr(r) == (
             "Request(req_id=3, seq_len=16, arrival_s=0.5, payload=None, "
-            "priority=1, start_s=None, completion_s=None, deadline_s=None, "
+            "start_s=None, completion_s=None, deadline_s=None, "
             "attempt=0, state=<RequestState.PENDING: 'pending'>)")
         g = GenRequest(req_id=4, seq_len=2, arrival_s=0.25,
                        max_new_tokens=3, prompt_ids=(7, 8))
@@ -125,7 +125,7 @@ class TestSlots:
         assert g != dataclasses.replace(g, generated=1)
         assert repr(g) == (
             "GenRequest(req_id=4, seq_len=2, arrival_s=0.25, payload=None, "
-            "priority=0, start_s=None, completion_s=None, deadline_s=None, "
+            "start_s=None, completion_s=None, deadline_s=None, "
             "attempt=0, state=<RequestState.PENDING: 'pending'>, "
             "max_new_tokens=3, generated=0, first_token_s=None, "
             "prompt_ids=(7, 8))")

@@ -1,63 +1,6 @@
-"""Trace persistence and the CLI entry point."""
+"""The CLI entry point (``python -m repro``)."""
 
 import pytest
-
-from repro.serving import (
-    DPBatchScheduler,
-    Request,
-    ServingConfig,
-    generate_requests,
-    load_trace,
-    save_trace,
-    simulate_serving,
-)
-
-
-class TestTraceRoundTrip:
-    def test_fields_preserved(self, tmp_path):
-        requests = [
-            Request(req_id=0, seq_len=17, arrival_s=0.1, priority=1,
-                    payload=(3, 4, 5)),
-            Request(req_id=1, seq_len=400, arrival_s=0.2),
-        ]
-        path = tmp_path / "trace.json"
-        save_trace(requests, path)
-        restored = load_trace(path)
-        assert len(restored) == 2
-        assert restored[0].seq_len == 17
-        assert restored[0].priority == 1
-        assert restored[0].payload == (3, 4, 5)
-        assert restored[1].payload is None
-
-    def test_completion_state_not_persisted(self, tmp_path):
-        request = Request(req_id=0, seq_len=10, arrival_s=0.0)
-        request.completion_s = 5.0
-        path = tmp_path / "trace.json"
-        save_trace([request], path)
-        restored = load_trace(path)[0]
-        assert restored.completion_s is None
-
-    def test_replay_is_identical(self, tmp_path):
-        """Serving a saved trace reproduces the original run exactly."""
-        def cost(seq_len, batch):
-            return 0.002 + 0.00005 * seq_len * batch
-
-        original = generate_requests(80, 3.0, seed=17)
-        path = tmp_path / "trace.json"
-        save_trace(original, path)
-        first = simulate_serving(original, DPBatchScheduler(), cost,
-                                 ServingConfig(max_batch=20), duration_s=3.0)
-        replayed = load_trace(path)
-        second = simulate_serving(replayed, DPBatchScheduler(), cost,
-                                  ServingConfig(max_batch=20), duration_s=3.0)
-        assert first.latency.avg_ms == second.latency.avg_ms
-        assert first.response_throughput == second.response_throughput
-
-    def test_wrong_schema_rejected(self, tmp_path):
-        path = tmp_path / "trace.json"
-        path.write_text('{"schema_version": 99, "requests": []}')
-        with pytest.raises(ValueError, match="schema"):
-            load_trace(path)
 
 
 class TestCli:

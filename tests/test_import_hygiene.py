@@ -1,4 +1,4 @@
-"""Import hygiene of the serving entry points.
+"""Import hygiene of the serving entry points, and of the package.
 
 Importing the generation and encoder entry points loads only the modules
 on their own import chains: no text, experiments or analysis module, and
@@ -6,17 +6,25 @@ not ``numpy.random``.  A module that a serving run executes is imported
 when the module that uses it loads, never inside the run, so a small
 serve of each kind (lone generation, generation cluster, encoder) leaves
 ``sys.modules`` unchanged.  Both checks need a fresh interpreter.
+
+Every ``repro`` module is imported by some program file or is an entry
+point, apart from a pinned list: a module nothing imports is code only
+its own tests run.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from .test_exports import declared_exports
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 PROBE = r"""
 import json, sys
@@ -135,3 +143,99 @@ def test_serving_entry_points_load_only_their_import_chains():
                                   "generation cluster": [],
                                   "encoder": [],
                                   "observed encoder": []}
+
+
+#: Program files whose imports count: everything but the tests.
+PROGRAM_DIRS = ("src", "benchmarks", "examples", "perf")
+
+#: ``repro`` modules that no program file imports and that are no entry
+#: point: each is to move into the tests as an oracle, stay for a stated
+#: reason, or go.
+UNIMPORTED = [
+    "analysis.serving_checks",
+    "gpusim.occupancy",
+    "gpusim.roofline",
+    "graph.serialize",
+    "kernels.quantize",
+    "models.io",
+    "models.seq2seq",
+    "runtime.capacity",
+    "runtime.executor",
+]
+
+
+def repro_modules() -> dict:
+    """``{dotted name: path}`` of every ``repro`` module and package."""
+    modules = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = path
+    return modules
+
+
+def is_entry_point(tree: ast.Module) -> bool:
+    """True for a module with an ``if __name__ == "__main__":`` block."""
+    return any(
+        isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+        and getattr(node.test.left, "id", None) == "__name__"
+        and any(getattr(c, "value", None) == "__main__"
+                for c in node.test.comparators)
+        for node in tree.body)
+
+
+def imported_modules(modules: dict) -> set:
+    """Every ``repro`` module some program file imports, a name imported
+    from a package resolved through the package's export table, plus
+    every entry point."""
+    tables = {}
+
+    def resolve(package: str, name: str) -> str:
+        """The module that ``from <package> import <name>`` loads."""
+        if f"{package}.{name}" in modules:
+            return f"{package}.{name}"
+        if package not in tables:
+            tables[package] = declared_exports(package)[0]
+        sub = tables[package].get(name)
+        return f"{package}.{sub}" if sub is not None else package
+
+    found = set()
+    paths = [p for d in PROGRAM_DIRS for p in sorted((ROOT / d).rglob("*.py"))]
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        # The package a relative import inside this file starts from.
+        here = None
+        if path.is_relative_to(SRC):
+            parts = path.relative_to(SRC).with_suffix("").parts
+            if is_entry_point(tree):
+                found.add(".".join(parts))
+            here = ".".join(parts[:-1])
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found.update(a.name for a in node.names
+                             if a.name.split(".")[0] == "repro")
+            elif isinstance(node, ast.ImportFrom):
+                if node.level:
+                    if here is None:
+                        continue  # a relative import outside the package
+                    base = here.rsplit(".", node.level - 1)[0]
+                    package = f"{base}.{node.module}" if node.module else base
+                else:
+                    package = node.module
+                if package.split(".")[0] != "repro":
+                    continue
+                found.add(package)
+                if package in modules and \
+                        modules[package].name == "__init__.py":
+                    found.update(resolve(package, a.name) for a in node.names)
+    return found
+
+
+def test_every_module_is_imported_or_an_entry_point():
+    modules = repro_modules()
+    found = imported_modules(modules)
+    unimported = sorted(
+        name.removeprefix("repro.") for name, path in modules.items()
+        if path.name != "__init__.py" and name not in found)
+    assert unimported == UNIMPORTED

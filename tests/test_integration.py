@@ -14,10 +14,8 @@ from repro.models import bert_base, build_encoder_graph, init_encoder_weights, t
 from repro.runtime import graph_cost, turbo_runtime, warmup_profile
 from repro.serving import (
     DPBatchScheduler,
-    InferenceService,
-    ModelRegistry,
-    ModelVersion,
     Request,
+    ResponseCache,
     ServingConfig,
     generate_requests,
     simulate_serving,
@@ -111,14 +109,12 @@ class TestTextToServicePipeline:
             Request(req_id=i, seq_len=len(ids), arrival_s=0.01 * i, payload=ids)
             for i, ids in enumerate(encoded)
         ]
-        registry = ModelRegistry()
-        registry.register(ModelVersion(
-            "clf", 1, lambda l, b: 0.002 + 0.0001 * l * b
-        ))
-        service = InferenceService(registry, "clf")
-        metrics = service.serve(requests, duration_s=0.5)
+        cache = ResponseCache(capacity=4096)
+        metrics = simulate_serving(
+            requests, DPBatchScheduler(), lambda l, b: 0.002 + 0.0001 * l * b,
+            ServingConfig(max_batch=20), duration_s=0.5, cache=cache)
         assert metrics.completed == len(requests)
-        assert service.cache.hits > 0  # repeats were answered from cache
+        assert cache.hits > 0  # repeats were answered from cache
 
 
 class TestAllocatorRuntimeServingAgreement:
